@@ -1,28 +1,25 @@
-"""E20 — Fused board engine: per-tick speedup at cluster scale.
+"""E20 — Fused board engine: per-tick cost at cluster scale.
 
-The per-core :class:`~repro.cluster.shard.BoardEngine` replays Figure 7
-with one Python-level loop iteration per core per tick; the fused
-:class:`~repro.cluster.fused.FusedBoardEngine` computes the same run
-with the per-core loops hoisted out of the tick path (stacked per-model
-state blocks, one shared deferred-event ring, one merged delivery
-scatter per batch list).  This benchmark pins the two claims that make
-the fused engine the runner's default:
+The :class:`~repro.cluster.fused.FusedBoardEngine` replays Figure 7 with
+the per-core loops hoisted out of the tick path (stacked per-model state
+blocks, one shared deferred-event ring, one merged delivery scatter per
+batch list).  This benchmark tracks, at the E19 cluster scale (a row of
+four production 8x6 boards, 96 vertices of 256 LIF neurons):
 
-* **Bit-identity** — at the E19 cluster scale (a row of four production
-  8x6 boards, 96 vertices of 256 LIF neurons), the fused serial run
-  reproduces the per-core serial run bit for bit: spike trains, spike
-  counts, synaptic events, delivered charge and packet counters.
-* **Per-tick speedup** — the fused engine's serial per-tick compute
-  cost (the engines' own stage timers: step + local/remote scatters) is
-  at least ``MIN_FUSED_SPEEDUP`` times lower.  Compute seconds rather
-  than wall-clock carry the gate because they exclude one-time engine
-  construction and result materialisation, and each side takes its best
-  of ``ROUNDS`` rounds to shed scheduler jitter; the wall-clock ratio
-  is emitted unasserted alongside.
+* **Per-tick cost** — ``fused_tick_ms``, the serial per-tick compute
+  cost from the engines' own stage timers (step + local/remote
+  scatters).  Compute seconds rather than wall-clock carry the gate
+  because they exclude one-time engine construction and result
+  materialisation; the figure is the best of ``ROUNDS`` rounds to shed
+  scheduler jitter.
+* **Bit-identity** — a pooled run (4 workers) reproduces the serial run
+  bit for bit: spike trains, spike counts, synaptic events, delivered
+  charge and packet counters.  Its per-stage split is emitted too, so
+  the split-barrier overlap (barrier-wait share of worker time) stays
+  visible in the gated JSON.
 
-A pooled fused run (4 workers) is also checked for bit-identity and its
-per-stage split emitted, so the split-barrier overlap (barrier-wait
-share of worker time) stays visible in the gated JSON.
+That the engine equals the unsharded on-machine run is pinned by
+``tests/test_cluster_fused.py``; this file only measures.
 """
 
 from __future__ import annotations
@@ -49,9 +46,8 @@ NEURONS = 1536
 NEURONS_PER_CORE = 256
 RATE_HZ = 120.0
 DURATION_MS = 80.0
-ROUNDS = 3                     # best-of-N per engine, jitter suppression
+ROUNDS = 3                     # best-of-N, jitter suppression
 WORKERS = 4
-MIN_FUSED_SPEEDUP = 3.0        # serial per-tick compute, asserted always
 
 
 def _build_network() -> Network:
@@ -99,46 +95,31 @@ def _bit_identical(reference, candidate) -> bool:
 
 
 def test_e20_fused_engine(benchmark):
-    network = _build_network()
-    apps = {
-        engine: ClusterApplication(
-            _machine(), network, seed=SEED,
-            max_neurons_per_core=NEURONS_PER_CORE,
-            placement_strategy="round-robin", profile=True, engine=engine)
-        for engine in ("percore", "fused")}
-    for app in apps.values():
-        app.prepare()          # compile outside the timed rounds
+    app = ClusterApplication(
+        _machine(), _build_network(), seed=SEED,
+        max_neurons_per_core=NEURONS_PER_CORE,
+        placement_strategy="round-robin", profile=True)
+    app.prepare()              # compile outside the timed rounds
 
     # ------------------------------------------------------------------
-    # Serial per-tick cost, best of ROUNDS per engine
+    # Serial per-tick cost, best of ROUNDS
     # ------------------------------------------------------------------
-    compute_s = {"percore": [], "fused": []}
-    wall_s = {"percore": [], "fused": []}
-    results = {}
-    for round_index in range(ROUNDS):
-        for engine, app in apps.items():
-            if engine == "fused" and round_index == 0:
-                results[engine] = benchmark.pedantic(
-                    lambda: app.run(DURATION_MS, workers=1),
-                    rounds=1, iterations=1)
-            else:
-                results[engine] = app.run(DURATION_MS, workers=1)
-            compute_s[engine].append(
-                sum(app.report.board_compute_s.values()))
-            wall_s[engine].append(app.report.wall_s)
-
-    bit_identical = _bit_identical(results["percore"], results["fused"])
-    n_ticks = apps["fused"].report.n_ticks
-    best = {engine: min(times) for engine, times in compute_s.items()}
-    fused_speedup = best["percore"] / best["fused"]
-    wall_speedup = min(wall_s["percore"]) / min(wall_s["fused"])
+    compute_s = []
+    serial = benchmark.pedantic(lambda: app.run(DURATION_MS, workers=1),
+                                rounds=1, iterations=1)
+    compute_s.append(sum(app.report.board_compute_s.values()))
+    for _ in range(ROUNDS - 1):
+        serial = app.run(DURATION_MS, workers=1)
+        compute_s.append(sum(app.report.board_compute_s.values()))
+    n_ticks = app.report.n_ticks
+    best = min(compute_s)
 
     # ------------------------------------------------------------------
-    # Pooled fused run: still bit-identical, barrier share visible
+    # Pooled run: bit-identical to serial, barrier share visible
     # ------------------------------------------------------------------
-    pooled = apps["fused"].run(DURATION_MS, workers=WORKERS)
-    pooled_report = apps["fused"].report
-    pooled_identical = _bit_identical(results["percore"], pooled)
+    pooled = app.run(DURATION_MS, workers=WORKERS)
+    pooled_report = app.report
+    bit_identical = _bit_identical(serial, pooled)
     stage_totals = {stage: pooled_report.stage_total(stage)
                     for stage in ("compute", "serialize", "exchange",
                                   "barrier_wait")}
@@ -147,20 +128,16 @@ def test_e20_fused_engine(benchmark):
                      if stage_sum > 0 else 0.0)
 
     metrics = {
-        "boards": apps["fused"].n_boards,
+        "boards": app.n_boards,
         "vertices": sum(context.n_cores
-                        for context in apps["fused"].board_contexts.values()),
+                        for context in app.board_contexts.values()),
         "ticks": n_ticks,
         "rounds": ROUNDS,
-        "total_spikes": results["fused"].total_spikes(),
-        "synaptic_events": results["fused"].synaptic_events,
-        "percore_compute_s": best["percore"],
-        "fused_compute_s": best["fused"],
-        "percore_tick_ms": 1e3 * best["percore"] / n_ticks,
-        "fused_tick_ms": 1e3 * best["fused"] / n_ticks,
-        "fused_speedup": fused_speedup,
-        "wall_speedup": wall_speedup,
-        "bit_identical": bit_identical and pooled_identical,
+        "total_spikes": serial.total_spikes(),
+        "synaptic_events": serial.synaptic_events,
+        "fused_compute_s": best,
+        "fused_tick_ms": 1e3 * best / n_ticks,
+        "bit_identical": bit_identical,
         "pool_workers": pooled_report.workers,
         "pool_compute_s": stage_totals["compute"],
         "pool_barrier_wait_s": stage_totals["barrier_wait"],
@@ -169,14 +146,10 @@ def test_e20_fused_engine(benchmark):
     }
     # Merged stage registry of the pooled run — carries the gated
     # profile_compute_s beside the report-shaped pool_* figures.
-    attach_profile(metrics, apps["fused"].registry)
+    attach_profile(metrics, app.registry)
     print_metrics("E20: fused board engine (%d vertices, %d ticks)"
                   % (int(metrics["vertices"]), n_ticks), metrics)
     emit_json("e20", metrics)
 
-    # The whole point of the fused engine: same bits, several times
-    # cheaper per tick.  ``fused_speedup`` is recorded in the emitted
-    # JSON above, so the regression gate tracks the measured ratio.
-    assert bit_identical, "fused serial run diverged from per-core"
-    assert pooled_identical, "pooled fused run diverged from per-core"
-    assert fused_speedup >= MIN_FUSED_SPEEDUP
+    assert serial.total_spikes() > 0
+    assert bit_identical, "pooled run diverged from the serial run"

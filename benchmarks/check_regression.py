@@ -57,7 +57,15 @@ class GatedMetric:
 #: generations, while absolute events/s or wall-clock milliseconds move
 #: with the hardware and would trip the gate on every runner refresh.
 KEY_METRICS: Dict[str, Tuple[GatedMetric, ...]] = {
-    "e16": (GatedMetric("speedup"),),
+    # e16 has no same-machine reference leg to form a ratio with (the
+    # per-synapse oracle lives in tests/), so the host loop's scatter
+    # throughput is gated as an absolute figure, loosely: it catches the
+    # fast path going several times slower, not runner drift.  0.6 on a
+    # rate is the stage-timing tolerance 1.5 on its time (2.5x slower =
+    # 40 % of the throughput); a rate cannot fall by more than 100 %,
+    # so 1.5 itself would gate nothing.  Paired parent/change runs of
+    # BENCHMARK.json are what guards the fast path's speed closely.
+    "e16": (GatedMetric("csr_events_per_s", tolerance=0.6),),
     "e17": (GatedMetric("speedup"),),
     # profile_pass_total_s is the compile pipeline's whole-pass stage
     # roll-up from repro.profile — an absolute-seconds figure against
@@ -75,13 +83,13 @@ KEY_METRICS: Dict[str, Tuple[GatedMetric, ...]] = {
     "e19": (GatedMetric("speedup_bound"),
             GatedMetric("stage_overhead_ratio", higher_is_better=False,
                         tolerance=1.5)),
-    # e20 gates the fused engine's serial per-tick compute ratio over
-    # the per-core reference (jitter-suppressed best-of-rounds, so the
-    # default tolerance holds) and its bit-identity verdict, whose 1.0
+    # e20 gates the fused engine's serial per-tick compute cost and the
+    # pooled workers' merged compute stage (profile_compute_s) — both
+    # absolute, so both carry the loose stage-timing tolerance of e18's
+    # — and the pooled-equals-serial bit-identity verdict, whose 1.0
     # baseline means any divergence trips the gate outright.
-    # profile_compute_s is the pooled workers' merged compute stage —
-    # absolute seconds, same loose stage-timing tolerance as e18's.
-    "e20": (GatedMetric("fused_speedup"),
+    "e20": (GatedMetric("fused_tick_ms", higher_is_better=False,
+                        tolerance=1.5),
             GatedMetric("bit_identical"),
             GatedMetric("profile_compute_s", higher_is_better=False,
                         tolerance=1.5)),

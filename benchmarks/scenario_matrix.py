@@ -1,22 +1,21 @@
 #!/usr/bin/env python
-"""Scenario-matrix sweep: every transport x propagation x engine cell.
+"""Scenario-matrix sweep: every transport x worker-count cell.
 
 The dedicated benches each pin one corner of the system; this sweep
 runs **one small fixed workload** through every execution configuration
 the runtime offers and asserts they all produce the same spike trains —
-so a regression in an un-benchmarked combination (say, fabric transport
-over reference propagation) fails the weekly sweep instead of landing
-silently.  Cells:
+so a regression in an un-benchmarked combination (say, the pooled
+cluster against the event transport) fails the weekly sweep instead of
+landing silently.  Cells:
 
-* ``NeuralApplication`` family — {transport: event, fabric} x
-  {propagation: reference, csr}, all at ``stagger_us=0`` (the
-  equivalence regime: every core sees the same tick alignment);
-* ``ClusterApplication`` family — {engine: percore, fused} x
-  {workers: 1, 2}, which the cluster tests pin bit-identical to the
-  fabric path.
+* ``NeuralApplication`` family — {transport: event, fabric} at
+  ``stagger_us=0`` (the equivalence regime: every core sees the same
+  tick alignment);
+* ``ClusterApplication`` family — {workers: 1, 2}, which the cluster
+  tests pin equivalent to the fabric path.
 
-The reference cell is ``event`` transport over ``reference``
-propagation — the slowest, most literal execution.  Every cell's wall
+The reference cell is the ``event`` transport — one packet per spike,
+one DMA row per packet: the most literal execution.  Every cell's wall
 seconds, equivalence verdict and per-stage profiler timings
 (``REPRO_PROFILE`` is forced on for the sweep) are emitted into one
 ``BENCH_matrix.json`` for the weekly trend artifact.
@@ -66,16 +65,12 @@ DURATION_MS = 30.0
 
 #: (cell name, runner kwargs).  The first cell is the reference.
 APP_CELLS: List[Tuple[str, Dict[str, object]]] = [
-    ("event_reference", {"transport": "event", "propagation": "reference"}),
-    ("event_csr", {"transport": "event", "propagation": "csr"}),
-    ("fabric_reference", {"transport": "fabric", "propagation": "reference"}),
-    ("fabric_csr", {"transport": "fabric", "propagation": "csr"}),
+    ("event", {"transport": "event"}),
+    ("fabric", {"transport": "fabric"}),
 ]
 CLUSTER_CELLS: List[Tuple[str, Dict[str, object]]] = [
-    ("percore_w1", {"engine": "percore", "workers": 1}),
-    ("percore_w2", {"engine": "percore", "workers": 2}),
-    ("fused_w1", {"engine": "fused", "workers": 1}),
-    ("fused_w2", {"engine": "fused", "workers": 2}),
+    ("cluster_w1", {"workers": 1}),
+    ("cluster_w2", {"workers": 2}),
 ]
 
 
@@ -142,8 +137,7 @@ def _run_cell(name: str, network: Network, metrics: Dict[str, float]):
         application = NeuralApplication(
             _machine(), network, max_neurons_per_core=NEURONS_PER_CORE,
             placement_strategy="round-robin", seed=SEED,
-            transport=config["transport"],
-            propagation=config["propagation"], stagger_us=0.0)
+            transport=config["transport"], stagger_us=0.0)
         result = application.run(DURATION_MS)
         metrics.update(profile.flatten(prefix))
     else:
@@ -151,7 +145,7 @@ def _run_cell(name: str, network: Network, metrics: Dict[str, float]):
             _machine(), network, seed=SEED,
             max_neurons_per_core=NEURONS_PER_CORE,
             placement_strategy="round-robin", profile=True,
-            engine=config["engine"], workers=config["workers"])
+            workers=config["workers"])
         result = cluster.run(DURATION_MS)
         # Worker stages live on the cluster's own merged registry; the
         # global one adds whatever the parent process profiled.

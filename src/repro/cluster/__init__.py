@@ -8,14 +8,11 @@ models that assembly and exploits it for execution:
 * :class:`~repro.cluster.board.BoardTopology` — the board grid of a
   multi-board :class:`~repro.core.machine.MachineConfig` (board ids,
   tile rectangles, the inter-board link census, an ASCII diagram);
-* :class:`~repro.cluster.shard.BoardEngine` — a deterministic,
-  tick-synchronous execution shard over one board's compiled sub-context
-  (see the ShardByBoard pass of :mod:`repro.compile`);
-* :class:`~repro.cluster.fused.FusedBoardEngine` — the vectorised
-  drop-in replacement (and the runner's default): per-model stacked
+* :class:`~repro.cluster.fused.FusedBoardEngine` — the deterministic,
+  tick-synchronous executor of one board's compiled sub-context (see
+  the ShardByBoard pass of :mod:`repro.compile`): per-model stacked
   state blocks, one shared deferred-event ring, one fused scatter per
-  batch list — bit-identical to the per-core engine, several times
-  faster per tick;
+  batch list;
 * :class:`~repro.cluster.exchange.ExchangePlan` and the two exchange
   implementations — the cluster's spike data path: worker-side routing
   tables, preallocated shared-memory regions of packed ``uint32``
@@ -31,7 +28,6 @@ models that assembly and exploits it for execution:
 """
 
 from repro.cluster.application import (
-    ENGINES,
     ClusterApplication,
     ClusterReport,
     ClusterWorkerError,
@@ -43,16 +39,13 @@ from repro.cluster.exchange import (
     SharedMemoryExchange,
     superstep_schedule,
 )
-from repro.cluster.fused import FusedBoardEngine
-from repro.cluster.shard import BoardEngine, ShardResult
+from repro.cluster.fused import FusedBoardEngine, ShardResult
 
 __all__ = [
-    "BoardEngine",
     "BoardTopology",
     "ClusterApplication",
     "ClusterReport",
     "ClusterWorkerError",
-    "ENGINES",
     "ExchangePlan",
     "FusedBoardEngine",
     "InProcessExchange",

@@ -1,8 +1,9 @@
 """The sharded cluster runner (:class:`ClusterApplication`).
 
-Runs a compiled network as one :class:`~repro.cluster.shard.BoardEngine`
-per board, spread over a pool of persistent worker processes.  The
-execution is a conservative-lookahead PDES over the board graph (see
+Runs a compiled network as one
+:class:`~repro.cluster.fused.FusedBoardEngine` per board, spread over a
+pool of persistent worker processes.  The execution is a
+conservative-lookahead PDES over the board graph (see
 :mod:`repro.cluster.exchange` for the data path):
 
 * boards run ``L = 1 + d_min`` ticks between barriers (``d_min`` = the
@@ -23,12 +24,9 @@ execution is a conservative-lookahead PDES over the board graph (see
   super-step's stimulus while the slowest party catches up, and resume
   compute the moment the barrier opens — the parent's accounting of the
   previous bank overlaps the workers' compute instead of gating it;
-* boards are stepped by the **fused engine** by default
+* boards are stepped by the fused engine
   (:class:`~repro.cluster.fused.FusedBoardEngine`: per-model stacked
-  state blocks, one shared event ring, one scatter per batch list);
-  ``engine="percore"`` selects the reference per-core
-  :class:`~repro.cluster.shard.BoardEngine`, which computes the
-  bit-identical run one core at a time.
+  state blocks, one shared event ring, one scatter per batch list).
 
 Three properties the tests and benchmark E19 rely on:
 
@@ -37,8 +35,8 @@ Three properties the tests and benchmark E19 rely on:
   source order, and ring-buffer accumulation is exact (fixed-point
   weights), so ``workers=4`` at full lookahead produces results
   bit-identical to ``workers=1`` exchanging every tick.
-* **Engine equivalence** — the shard semantics replicate the unsharded
-  on-machine engine at zero timer stagger
+* **Engine equivalence** — the board-engine semantics replicate the
+  unsharded on-machine engine at zero timer stagger
   (``NeuralApplication(transport="fabric", stagger_us=0)``): identical
   spike trains, spike counts, synaptic-event totals and delivered
   charge.
@@ -64,8 +62,7 @@ from repro.cluster.exchange import (
     SharedMemoryExchange,
     superstep_schedule,
 )
-from repro.cluster.fused import FusedBoardEngine
-from repro.cluster.shard import BoardEngine, ShardResult
+from repro.cluster.fused import FusedBoardEngine, ShardResult
 from repro.compile import MappingPipeline
 from repro.compile.context import BoardContext
 from repro.core.machine import SpiNNakerMachine
@@ -90,10 +87,6 @@ PROFILE_ENV = "REPRO_CLUSTER_PROFILE"
 #: shared memory / draining + applying inbound regions / blocked waiting
 #: for the next barrier command.
 STAGES = ("compute", "serialize", "exchange", "barrier_wait")
-
-#: The selectable board-engine implementations; both produce
-#: bit-identical results (pinned by ``tests/test_cluster_fused.py``).
-ENGINES = {"fused": FusedBoardEngine, "percore": BoardEngine}
 
 
 class ClusterWorkerError(RuntimeError):
@@ -124,8 +117,6 @@ class ClusterReport:
     wall_s: float = 0.0
     #: Ticks per super-step this run used (``1 + d_min`` unless capped).
     lookahead: int = 1
-    #: Board-engine implementation the run used (:data:`ENGINES` key).
-    engine: str = "fused"
     #: Minimum cross-board synaptic delay (``0``: no synapse crosses a
     #: board boundary, so lookahead was unconstrained).
     d_min: int = 0
@@ -238,7 +229,7 @@ def _stage_dict(snapshot) -> Dict[str, float]:
     return stages
 
 
-def _apply_inbound(engines: Dict[int, BoardEngine], my_boards: List[int],
+def _apply_inbound(engines: Dict[int, FusedBoardEngine], my_boards: List[int],
                    exchange, bank: int) -> None:
     """Drain a bank's inbound regions into the owned engines.
 
@@ -252,20 +243,22 @@ def _apply_inbound(engines: Dict[int, BoardEngine], my_boards: List[int],
             engine.apply_remote(exchange.read(src, dst, bank))
 
 
-def _watch_workers(processes, stop_conn, barrier) -> None:
+def _watch_workers(processes, stop_conn, barrier, released) -> None:
     """Parent-side watchdog: break the split barrier if a worker dies.
 
     Blocks on the worker process sentinels plus a stop pipe; a sentinel
     firing while the run is live means a worker died mid-barrier-cycle,
     so every other party would wait forever — ``barrier.abort()`` turns
     the hang into a ``BrokenBarrierError`` in the parent and the
-    surviving workers.  (After the run the parent signals the stop pipe
-    first, so normal worker exits never abort anything that matters —
-    nobody waits on the barrier again.)
+    surviving workers.  ``released`` is set by every worker as it leaves
+    the final barrier: from then on every party has arrived, nobody can
+    hang, and a worker exiting is the normal end of the run — aborting
+    then would break the barrier under a slower party still waking
+    inside that same final ``wait()`` and fail a correct run.
     """
     sentinels = [process.sentinel for process in processes]
     ready = connection_wait(sentinels + [stop_conn])
-    if stop_conn in ready:
+    if stop_conn in ready or released.is_set():
         return
     barrier.abort()
 
@@ -273,7 +266,7 @@ def _watch_workers(processes, stop_conn, barrier) -> None:
 def _shard_worker(conn, contexts: Dict[int, BoardContext], populations,
                   seed: Optional[int], timestep_ms: float,
                   plan: ExchangePlan, exchange: SharedMemoryExchange,
-                  barrier, engine_name: str, profile: bool) -> None:
+                  barrier, released, profile: bool) -> None:
     """Worker-process loop: run the whole super-step schedule against a
     shared split barrier; the pipe carries only the run request and the
     final results.
@@ -286,9 +279,9 @@ def _shard_worker(conn, contexts: Dict[int, BoardContext], populations,
     wait time does useful work.  A broken barrier means some process
     died; the worker just exits (the parent diagnoses who).
     """
-    engine_cls = ENGINES[engine_name]
-    engines = {board: engine_cls(context, populations, seed, timestep_ms,
-                                 export_keys=plan.export_keys[board])
+    engines = {board: FusedBoardEngine(context, populations, seed,
+                                       timestep_ms,
+                                       export_keys=plan.export_keys[board])
                for board, context in sorted(contexts.items())}
     my_boards = sorted(contexts)
     # A worker-local registry; its snapshot rides the existing result
@@ -331,6 +324,7 @@ def _shard_worker(conn, contexts: Dict[int, BoardContext], populations,
             # run drains after halting, too).
             with barrier_stage:
                 barrier.wait()
+            released.set()
         except threading.BrokenBarrierError:
             return
         if prev_bank is not None:
@@ -359,17 +353,13 @@ class ClusterApplication:
                  account_transport: bool = False,
                  lookahead: Optional[int] = None,
                  assignment: str = "lpt",
-                 profile: Optional[bool] = None,
-                 engine: str = "fused") -> None:
+                 profile: Optional[bool] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if lookahead is not None and lookahead < 1:
             raise ValueError("lookahead must be at least 1")
         if assignment not in ("lpt", "round-robin"):
             raise ValueError("unknown assignment strategy %r" % (assignment,))
-        if engine not in ENGINES:
-            raise ValueError("unknown engine %r (one of %s)"
-                             % (engine, sorted(ENGINES)))
         self.machine = machine
         self.network = network
         self.timestep_ms = network.timestep_ms
@@ -383,9 +373,6 @@ class ClusterApplication:
         #: an explicit depth is clamped to that bound.
         self.lookahead = lookahead
         self.assignment = assignment
-        #: Board-engine implementation (:data:`ENGINES` key) — the
-        #: fused engine unless the per-core reference is requested.
-        self.engine = engine
         self.profile = (
             os.environ.get(PROFILE_ENV, "") not in ("", "0")
             or profile_enabled()
@@ -444,20 +431,15 @@ class ClusterApplication:
     # Execution
     # ------------------------------------------------------------------
     def run(self, duration_ms: float, workers: Optional[int] = None,
-            lookahead: Optional[int] = None,
-            engine: Optional[str] = None) -> ApplicationResult:
+            lookahead: Optional[int] = None) -> ApplicationResult:
         """Run for ``duration_ms`` of biological time; return the merged
         result (also kept on :attr:`result`, statistics on
-        :attr:`report`).  ``workers``, ``lookahead`` and ``engine``
-        override the constructor's values for this run only."""
+        :attr:`report`).  ``workers`` and ``lookahead`` override the
+        constructor's values for this run only."""
         if duration_ms < 0:
             raise ValueError("duration must be non-negative")
         if lookahead is not None and lookahead < 1:
             raise ValueError("lookahead must be at least 1")
-        engine = engine if engine is not None else self.engine
-        if engine not in ENGINES:
-            raise ValueError("unknown engine %r (one of %s)"
-                             % (engine, sorted(ENGINES)))
         self.prepare()
         n_ticks = int(round(duration_ms / self.timestep_ms))
         effective = workers if workers is not None else self.workers
@@ -473,7 +455,7 @@ class ClusterApplication:
                    for board in boards}
         report = ClusterReport(
             n_boards=len(boards), workers=effective, n_ticks=n_ticks,
-            lookahead=plan.lookahead, engine=engine, d_min=plan.d_min or 0,
+            lookahead=plan.lookahead, d_min=plan.d_min or 0,
             supersteps=len(superstep_schedule(n_ticks, plan.lookahead)),
             assignment=_assign_boards(boards, effective, weights,
                                       self.assignment))
@@ -486,10 +468,10 @@ class ClusterApplication:
         began = perf_now()
         if effective == 1:
             shard_results = self._run_serial(n_ticks, duration_ms, report,
-                                             plan, engine)
+                                             plan)
         else:
             shard_results = self._run_pool(n_ticks, duration_ms, report,
-                                           plan, engine)
+                                           plan)
         report.wall_s = perf_now() - began
         if self.fabric is not None:
             report.inter_board_traversals = (
@@ -544,13 +526,12 @@ class ClusterApplication:
     # Serial path (workers=1: same super-step schedule, no processes)
     # ------------------------------------------------------------------
     def _run_serial(self, n_ticks: int, duration_ms: float,
-                    report: ClusterReport, plan: ExchangePlan,
-                    engine: str) -> List[ShardResult]:
+                    report: ClusterReport,
+                    plan: ExchangePlan) -> List[ShardResult]:
         populations = self._populations()
-        engine_cls = ENGINES[engine]
-        engines = {board: engine_cls(context, populations, self.seed,
-                                     self.timestep_ms,
-                                     export_keys=plan.export_keys[board])
+        engines = {board: FusedBoardEngine(
+                       context, populations, self.seed, self.timestep_ms,
+                       export_keys=plan.export_keys[board])
                    for board, context in self.board_contexts.items()}
         my_boards = sorted(engines)
         exchange = InProcessExchange(plan)
@@ -589,8 +570,8 @@ class ClusterApplication:
     # Pool path
     # ------------------------------------------------------------------
     def _run_pool(self, n_ticks: int, duration_ms: float,
-                  report: ClusterReport, plan: ExchangePlan,
-                  engine: str) -> List[ShardResult]:
+                  report: ClusterReport,
+                  plan: ExchangePlan) -> List[ShardResult]:
         populations = self._populations()
         try:
             mp_context = multiprocessing.get_context("fork")
@@ -610,6 +591,8 @@ class ClusterApplication:
         # it certifies every bank-``(s-1) % 2`` write is published and
         # every bank-``s % 2`` read (two super-steps ago) retired.
         barrier = mp_context.Barrier(len(by_worker) + 1)
+        #: Set once the final barrier has opened (see _watch_workers).
+        released = mp_context.Event()
         connections: List = []
         processes: List = []
         watcher: Optional[threading.Thread] = None
@@ -621,7 +604,7 @@ class ClusterApplication:
                     target=_shard_worker,
                     args=(child_end, by_worker[worker], populations,
                           self.seed, self.timestep_ms, plan, exchange,
-                          barrier, engine, self.profile),
+                          barrier, released, self.profile),
                     daemon=True)
                 process.start()
                 child_end.close()
@@ -632,7 +615,8 @@ class ClusterApplication:
             # BrokenBarrierError for everyone instead.
             watcher = threading.Thread(
                 target=_watch_workers,
-                args=(processes, stop_reader, barrier), daemon=True)
+                args=(processes, stop_reader, barrier, released),
+                daemon=True)
             watcher.start()
             self._broadcast(connections, processes, worker_boards,
                             ("run", n_ticks, duration_ms))

@@ -24,7 +24,7 @@ PDES ingredients:
   ShardByBoard pass), so every board may run ``L = 1 + d_min`` ticks
   between barriers.  Batches carry their send tick; the receiver
   re-bases each event's programmable delay by the batch's age
-  (:meth:`~repro.neuron.synapse.DeferredEventBuffer.add_events_aged`).
+  (:meth:`~repro.cluster.fused.FusedBoardEngine.apply_remote`).
 
 Synchronisation is lock-free by construction: every region has exactly
 one writer (the worker owning the source board), regions are double

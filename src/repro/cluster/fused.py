@@ -1,10 +1,15 @@
-"""The fused board engine (:class:`FusedBoardEngine`).
+"""The board engine (:class:`FusedBoardEngine`).
 
-:class:`~repro.cluster.shard.BoardEngine` replays Figure 7 with one
-Python-level loop iteration per core per tick — faithful, but the loop
-itself is the cluster's remaining hot path now that the exchange is
-cheap.  This engine computes the *same run* with the per-core loops
-hoisted out of the tick path:
+The engine replays the on-machine application model of Figure 7 for one
+board's compiled sub-context, tick-synchronously and without the event
+kernel in the loop.  Every placed vertex ("core") gets the neuron state
+and per-core generator (:func:`~repro.neuron.population.core_rng` keyed
+by the core's physical location) the on-machine runtime would give it,
+and spike batches are delivered through the decoded synaptic blocks of
+the board sub-context (the same fixed-point SDRAM words the transport
+fabric replays), landing in the ring at ``tick + 1 + delay`` — the
+arrival tick of the fabric transport at zero timer stagger.  The
+per-core loops are hoisted out of the tick path:
 
 * cores are grouped by neuron model and their state stacked into
   ``(n_lanes, n_neurons)`` blocks (:class:`~repro.neuron.lif.LIFBlock`,
@@ -16,25 +21,29 @@ hoisted out of the tick path:
 * spike delivery goes through the board-level
   :class:`~repro.compile.context.BoardDeliveryIndex` built by the
   ShardByBoard pass — one slot gather and one ring scatter per batch
-  list, replacing the per-key/per-leg loops of ``apply``/``apply_remote``;
+  list;
 * spike sources stay per-core (each owns its ``core_rng`` stream) but
   their masks can be *prefetched* ahead of a barrier wait
   (:meth:`FusedBoardEngine.prefetch_sources`) — draws stay in tick
   order per generator, so the spikes are unchanged.
 
-Bit-identity with the per-core engine is the design constraint, not a
-best effort: stacked steps are elementwise (broadcast parameter columns
-perform the identical IEEE-754 scalar operations), ring accumulation of
-the fixed-point weights is exact and therefore independent of how
-events are batched, per-core generators are independent streams, and
-per-label recording order is preserved because one population maps to
-exactly one model group whose lanes sit in canonical core order.  The
-suite in ``tests/test_cluster_fused.py`` pins all of it.
+Determinism: stacked steps are elementwise (broadcast parameter columns
+perform the identical IEEE-754 scalar operations a per-population step
+does), ring accumulation sums fixed-point weights (exact multiples of
+2^-4 in float64) and is therefore independent of delivery order and
+batching, each core owns its generator, and the engine touches no
+shared machine state.  A board therefore computes the same spike trains
+wherever and next to whatever it runs — the property the cluster runner
+relies on for worker-count-independent results, and the reason the
+sharded run is spike-train-equivalent to the unsharded engine
+(``NeuralApplication(transport="fabric", stagger_us=0)``), which
+``tests/test_cluster_fused.py`` pins.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -43,21 +52,36 @@ import numpy as np
 from repro.compile.context import BoardContext
 from repro.neuron.izhikevich import IzhikevichBlock
 from repro.neuron.lif import LIFBlock
-from repro.neuron.population import (
-    Population,
-    SpikeSourceArray,
-    SpikeSourcePoisson,
-    core_rng,
-)
+from repro.neuron.population import Population, core_rng, stimulus_mask
 from repro.neuron.synapse import MAX_DELAY_TICKS, FusedDeferredEventBuffer
 from repro.profile import perf_now
 from repro.runtime.application import ApplicationResult
-from repro.cluster.shard import ShardResult, SpikeBatch
 
-__all__ = ["FusedBoardEngine"]
+__all__ = ["FusedBoardEngine", "ShardResult", "SpikeBatch"]
 
-#: model name -> stacked block implementation.
+#: One cross-core spike batch: the source vertex's sticky AER base key
+#: plus the spiking neurons' vertex-local indices.
+SpikeBatch = Tuple[int, np.ndarray]
+
+#: model name -> stacked block implementation (every model
+#: :class:`~repro.neuron.population.Population` admits).
 _BLOCKS = {"lif": LIFBlock, "izhikevich": IzhikevichBlock}
+
+
+@dataclass
+class ShardResult:
+    """What one board's engine hands back after a run."""
+
+    board: int
+    result: ApplicationResult
+    #: Packets that matched no synaptic block at their destination.
+    unmatched_packets: int = 0
+    #: Seconds this board spent stepping neurons and scattering events.
+    compute_s: float = 0.0
+    #: Engine-side split of :attr:`compute_s` — ``step`` (tick loop),
+    #: ``local_apply`` (same-board scatters) and ``remote_apply``
+    #: (cross-board scatters).
+    stage_s: Dict[str, float] = field(default_factory=dict)
 
 
 class _FusedGroup:
@@ -84,43 +108,25 @@ class _FusedGroup:
                 self.bias[lane, :spec.vertex.n_neurons] = bias
 
 
-class _ScalarCore:
-    """A core kept on the per-core path: spike sources (which own their
-    generator stream) and any model without a stacked block."""
+class _SourceCore:
+    """A spike-source core: its generator stream and prefetched masks."""
 
-    __slots__ = ("spec", "population", "rng", "state", "bias", "ring_start",
-                 "queued", "next_tick", "is_source")
+    __slots__ = ("spec", "population", "rng", "queued", "next_tick")
 
-    def __init__(self, spec, population: Population, timestep_ms: float,
+    def __init__(self, spec, population: Population,
                  seed: Optional[int]) -> None:
         self.spec = spec
         self.population = population
         self.rng = core_rng(seed, spec.chip.x, spec.chip.y, spec.core_id)
-        self.is_source = population.is_spike_source
-        self.state = None
-        if not self.is_source:
-            sliced = Population(
-                spec.vertex.n_neurons, population.parameters,
-                label="%s-shard-%d" % (population.label, spec.vertex.index))
-            self.state = sliced.build_state(timestep_ms, self.rng)
-        self.bias = None
-        if population.bias_current_na:
-            self.bias = np.full(spec.vertex.n_neurons,
-                                population.bias_current_na)
-        self.ring_start = 0
-        #: Prefetched source masks, oldest first (sources only).
+        #: Prefetched masks, oldest first.
         self.queued: deque = deque()
         #: Next tick a mask would be generated for.
         self.next_tick = 0
 
 
 class FusedBoardEngine:
-    """Vectorised executor of one board's compiled sub-context.
-
-    Drop-in replacement for :class:`~repro.cluster.shard.BoardEngine`
-    (same constructor, ``apply``/``apply_remote``/``step``/``finish``
-    surface, stage counters and result) producing bit-identical runs.
-    """
+    """Tick-synchronous, vectorised executor of one board's compiled
+    sub-context."""
 
     def __init__(self, context: BoardContext,
                  populations: Dict[str, Population],
@@ -129,29 +135,30 @@ class FusedBoardEngine:
         self.context = context
         self.board = context.board
         self.timestep_ms = timestep_ms
+        #: Keys whose spiking indices :meth:`step` must hand back for
+        #: the exchange.  When given, the engine also delivers its own
+        #: board's legs *locally* at the end of each tick (worker-side
+        #: routing: same-board traffic never leaves the process); when
+        #: ``None`` it exports every outgoing key and delivers nothing
+        #: itself.
         self.export_keys = export_keys
         self.local_delivery = export_keys is not None
 
         # ---- group the board's cores ---------------------------------
         grouped: Dict[str, Tuple[List, List, List]] = {}
-        group_order: List[str] = []
-        self._scalars: List[_ScalarCore] = []
-        #: Local core index -> ("group", group, lane) | ("scalar", core).
-        self._locations: List[Tuple] = []
+        self._sources: List[_SourceCore] = []
+        #: Local core index -> (model, lane); ``None`` for a source.
+        lanes: List[Optional[Tuple[str, int]]] = []
         for spec in context.cores:
             population = populations[spec.vertex.population_label]
-            model = population.model_name
-            if population.is_spike_source or model not in _BLOCKS:
-                core = _ScalarCore(spec, population, timestep_ms, seed)
-                self._scalars.append(core)
-                self._locations.append(("scalar", core))
+            if population.is_spike_source:
+                self._sources.append(_SourceCore(spec, population, seed))
+                lanes.append(None)
                 continue
-            if model not in grouped:
-                grouped[model] = ([], [], [])
-                group_order.append(model)
-            specs, states, biases = grouped[model]
-            # The exact per-core construction of the reference engine:
-            # same sliced population, same per-core generator.
+            specs, states, biases = grouped.setdefault(
+                population.model_name, ([], [], []))
+            # The per-core construction of the on-machine runtime: the
+            # same sliced population fed the same per-core generator.
             rng = core_rng(seed, spec.chip.x, spec.chip.y, spec.core_id)
             sliced = Population(
                 spec.vertex.n_neurons, population.parameters,
@@ -159,42 +166,36 @@ class FusedBoardEngine:
             specs.append(spec)
             states.append(sliced.build_state(timestep_ms, rng))
             biases.append(population.bias_current_na or None)
-            self._locations.append(("group", model, len(specs) - 1))
-        self._groups = [_FusedGroup(model, *grouped[model])
-                        for model in group_order]
-        groups_by_model = {group.model: group for group in self._groups}
-        self._locations = [
-            entry if entry[0] == "scalar"
-            else ("group", groups_by_model[entry[1]], entry[2])
-            for entry in self._locations]
+            lanes.append((population.model_name, len(specs) - 1))
+        groups = {model: _FusedGroup(model, *members)
+                  for model, members in grouped.items()}
+        self._groups = list(groups.values())
 
         # ---- fused ring layout ---------------------------------------
-        # Group blocks first (lane-major, padded), then one contiguous
-        # tail cell range per scalar core.  ``translate`` maps a
-        # board-flat neuron index (the delivery arena's numbering) to
-        # its ring column.
+        # Group blocks back to back (lane-major, padded), then one sink
+        # column: a projection *onto* a spike source still has synaptic
+        # blocks, and its events are counted like any other but their
+        # charge must land nowhere.  ``translate`` maps a board-flat
+        # neuron index (the delivery arena's numbering) to its column.
         ring_width = 0
         for group in self._groups:
             group.base = ring_width
             ring_width += group.n_lanes * group.width
-        for core in self._scalars:
-            core.ring_start = ring_width
-            ring_width += core.spec.vertex.n_neurons
         index = context.delivery_index
         if index is None:
             index = context.build_delivery_index()
         self._index = index
-        translate = np.zeros(max(index.total_neurons, 1), dtype=np.intp)
-        for local, entry in enumerate(self._locations):
+        translate = np.full(max(index.total_neurons, 1), ring_width,
+                            dtype=np.intp)
+        for local, lane in enumerate(lanes):
+            if lane is None:
+                continue
             flat = index.core_offsets[local]
             n = context.cores[local].vertex.n_neurons
-            if entry[0] == "scalar":
-                base = entry[1].ring_start
-            else:
-                _, group, lane = entry
-                base = group.base + lane * group.width
-            translate[flat:flat + n] = base + np.arange(n)
-        self._ring = FusedDeferredEventBuffer(max(ring_width, 1),
+            group = groups[lane[0]]
+            translate[flat:flat + n] = (group.base + lane[1] * group.width
+                                        + np.arange(n))
+        self._ring = FusedDeferredEventBuffer(ring_width + 1,
                                               MAX_DELAY_TICKS)
         # Pre-translate the arena's targets to ring columns once.
         self._arena_cells = translate[index.targets]
@@ -235,10 +236,9 @@ class FusedBoardEngine:
         """Deliver ``(key, age, spiking)`` batches in one fused scatter.
 
         Gathers every batch's arena slots, concatenates, and lands the
-        lot with a single ring update — result-exact versus the per-leg
-        path because ring accumulation of the fixed-point weights is an
-        exact sum (see the fused buffer's docstring for the mid-batch
-        saturation caveat).
+        lot with a single ring update — result-exact versus delivering
+        each leg on its own (as the fabric transport does) because ring
+        accumulation of the fixed-point weights is an exact sum.
         """
         index = self._index
         none_legs = index.none_legs
@@ -285,12 +285,18 @@ class FusedBoardEngine:
         result.synaptic_events += total
         # One charge sum over the merged batches: every weight is an
         # exact multiple of 2^-4 in float64, so the total is exact and
-        # grouping-independent — bit-equal to the per-leg accumulation.
+        # grouping-independent — bit-equal to a per-leg accumulation.
         result.delivered_charge_na += float(weights.sum())
         self._ring.add_events(self._arena_cells[slots], weights, delays)
 
     def apply(self, batches: List[SpikeBatch]) -> None:
-        """Scatter inbound same-tick spike batches into the fused ring."""
+        """Scatter inbound spike batches into the fused ring.
+
+        Called at the tick barrier with the previous tick's batches, so
+        the ring's current tick is already one past the send tick and a
+        delay-``d`` synapse lands ``d`` ticks ahead — the arrival slot
+        of the fabric transport.
+        """
         began = perf_now()
         self._scatter_batches(
             (key, 0, spiking) for key, spiking in batches)
@@ -298,8 +304,14 @@ class FusedBoardEngine:
 
     def apply_remote(self,
                      batches: Iterable[Tuple[int, int, np.ndarray]]) -> None:
-        """Scatter exchanged cross-board batches, re-based by their age
-        (see :meth:`BoardEngine.apply_remote`)."""
+        """Scatter exchanged cross-board batches at a super-step barrier.
+
+        Each batch carries its *send tick*: under conservative lookahead
+        the barrier may be up to ``L - 1`` ticks later than a per-tick
+        exchange would have been, so every event's programmable delay is
+        re-based by the batch's age (``delay - age``; the lookahead
+        bound ``L <= 1 + d_min`` guarantees this never goes negative).
+        """
         began = perf_now()
         current = self.ticks_run
         self._scatter_batches(
@@ -338,18 +350,12 @@ class FusedBoardEngine:
                 if lo == hi:
                     continue
                 self._emit(spec, cols[lo:hi], time_ms, outbound, local)
-        for core in self._scalars:
-            if core.is_source:
-                if core.queued:
-                    mask = core.queued.popleft()
-                else:
-                    mask = self._source_mask(core, tick)
-                    core.next_tick = tick + 1
+        for core in self._sources:
+            if core.queued:
+                mask = core.queued.popleft()
             else:
-                n = core.spec.vertex.n_neurons
-                core.state.inject_synaptic_input(
-                    row[core.ring_start:core.ring_start + n])
-                mask = core.state.step(core.bias)
+                mask = self._source_mask(core, tick)
+                core.next_tick = tick + 1
             spiking = np.flatnonzero(mask)
             if spiking.size:
                 self._emit(core.spec, spiking, time_ms, outbound, local)
@@ -378,17 +384,11 @@ class FusedBoardEngine:
             else:
                 outbound.append((spec.base_key, spiking))
 
-    def _source_mask(self, core: _ScalarCore, tick: int) -> np.ndarray:
-        population = core.population
+    def _source_mask(self, core: _SourceCore, tick: int) -> np.ndarray:
         vertex = core.spec.vertex
-        if isinstance(population, SpikeSourcePoisson):
-            probability = SpikeSourcePoisson.spike_probability(
-                population.rate_hz, self.timestep_ms)
-            return core.rng.random(vertex.n_neurons) < probability
-        if isinstance(population, SpikeSourceArray):
-            mask = population.spikes_for_tick(tick, self.timestep_ms)
-            return mask[vertex.slice_start:vertex.slice_stop]
-        return np.zeros(vertex.n_neurons, dtype=bool)
+        return stimulus_mask(core.population, vertex.slice_start,
+                             vertex.slice_stop, tick, self.timestep_ms,
+                             core.rng)
 
     def prefetch_sources(self, upto_tick: int) -> None:
         """Precompute source masks up to and including ``upto_tick``.
@@ -397,28 +397,22 @@ class FusedBoardEngine:
         happen while the engine would otherwise block, and stay in tick
         order per stream, so the spikes are unchanged.
         """
-        for core in self._scalars:
-            if not core.is_source:
-                continue
+        for core in self._sources:
             while core.next_tick <= upto_tick:
                 core.queued.append(self._source_mask(core, core.next_tick))
                 core.next_tick += 1
 
     # ------------------------------------------------------------------
-    # Introspection / completion
+    # Completion
     # ------------------------------------------------------------------
-    def core_voltages(self, core_index: int) -> Optional[np.ndarray]:
-        """The membrane potentials of one local core (``None`` for a
-        spike source) — the per-core view into the stacked state."""
-        entry = self._locations[core_index]
-        if entry[0] == "scalar":
-            state = entry[1].state
-            return None if state is None else state.v
-        _, group, lane = entry
-        return group.block.lane_voltages(lane)
-
     def finish(self, duration_ms: float) -> ShardResult:
-        """Close out the shard's recording and return its result."""
+        """Close out the board's recording and return its result.
+
+        Materialises the per-tick spike chunks into the per-spike
+        ``(time_ms, index)`` tuples of the ApplicationResult surface —
+        chunks were appended in tick order with in-tick indices already
+        sorted, so the expansion is the canonical recording order.
+        """
         self.result.duration_ms = duration_ms
         for label, chunks in self._spike_chunks.items():
             out = self.result.spikes[label]

@@ -448,9 +448,8 @@ class MappingContext:
         self.blocks.clear()
         self.reach_rebuilt = True
         reach: Dict[int, Dict[Vertex, Dict[Vertex, None]]] = {}
-        expanded = expand_projections(self.network, self.expansion_seed,
-                                      compile_csr=True)
-        for proj_index, projection, _rows, csr in expanded:
+        expanded = expand_projections(self.network, self.expansion_seed)
+        for proj_index, projection, csr in expanded:
             sources = self.partition[projection.pre.label]
             targets = self.partition[projection.post.label]
             starts = np.array([t.slice_start for t in targets])
@@ -510,7 +509,7 @@ class MappingContext:
             projection = self.network.projections[proj_index]
             csr = projection.compile_csr(
                 expansion_rng(self.expansion_seed, proj_index),
-                seed=self.expansion_seed)
+                self.expansion_seed)
             block = csr.submatrix(source.slice_start, source.slice_stop,
                                   target.slice_start, target.slice_stop)
             cached = pack_block(block)

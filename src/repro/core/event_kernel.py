@@ -179,7 +179,10 @@ class EventKernel:
 
         The callback is invoked as ``callback(kernel)``; it is rescheduled
         automatically until the returned event is cancelled.  Cancelling the
-        *returned* event stops the whole periodic chain.
+        *returned* event stops the whole periodic chain.  The ``k``-th
+        firing (from 0) happens at exactly ``first + k * period`` —
+        the returned event's ``time`` is ``first`` — so a caller can
+        compute any tick's timestamp without accumulated rounding error.
         """
         if period <= 0:
             raise ValueError("period must be positive, got %r" % (period,))
@@ -189,13 +192,16 @@ class EventKernel:
         # cancel() stops the chain.
         controller = Event(time=first_time, callback=callback,
                            priority=priority, label=label)
+        fired = 0
 
         def _fire(kernel: "EventKernel") -> None:
+            nonlocal fired
             if controller.cancelled:
                 return
             callback(kernel)
             if not controller.cancelled:
-                kernel.schedule(kernel.now + period, _fire,
+                fired += 1
+                kernel.schedule(first_time + fired * period, _fire,
                                 priority=priority, label=label)
 
         self.schedule(first_time, _fire, priority=priority, label=label)

@@ -216,12 +216,14 @@ class ProcessorSubsystem:
         self._timer_handler = handler
 
     def start_timer(self, period_us: float,
-                    start_offset_us: float = 0.0) -> None:
+                    start_offset_us: float = 0.0) -> float:
         """Start the periodic timer interrupt (1000 us for real time).
 
         ``start_offset_us`` delays the first tick; the application layer
         staggers the offsets across cores so the machine is not
         artificially lock-stepped (bounded asynchrony, Section 3.1).
+        Returns the time of the first tick; tick ``k`` fires at exactly
+        that time plus ``k * period_us``.
         """
         if period_us <= 0:
             raise ValueError("timer period must be positive")
@@ -233,6 +235,7 @@ class ProcessorSubsystem:
             start=self.kernel.now + period_us + start_offset_us,
             priority=InterruptPriority.MILLISECOND_TIMER,
             label="core%d-timer" % self.core_id)
+        return self._timer_event.time
 
     def stop_timer(self) -> None:
         """Stop the periodic timer interrupt."""

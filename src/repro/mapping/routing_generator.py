@@ -26,8 +26,8 @@ from repro.core.geometry import ChipCoordinate, Direction
 from repro.core.machine import SpiNNakerMachine
 from repro.mapping.keys import KeyAllocator
 from repro.mapping.placement import Placement, Vertex
-from repro.neuron.network import Network, expand_projections
-from repro.neuron.population import LATEST_EXPANSION, expansion_rng
+from repro.neuron.network import Network
+from repro.neuron.population import expansion_rng
 from repro.router.fabric import RouteProgram, compile_route
 from repro.router.routing_table import RoutingEntry
 
@@ -60,32 +60,28 @@ class RoutingTableGenerator:
     # Destination discovery
     # ------------------------------------------------------------------
     def destinations_of(self, network: Network, vertex: Vertex,
-                        rng: np.random.Generator,
-                        seed: object = LATEST_EXPANSION
+                        seed: Optional[int]
                         ) -> Dict[ChipCoordinate, Set[int]]:
         """Chips (and the cores on them) that must receive ``vertex``'s spikes.
 
         A chip is a destination if any projection from the vertex's
-        population has at least one synapse from a neuron in this vertex to
-        a neuron placed on that chip.
+        population has, in the expansion under ``seed``, at least one
+        synapse from a neuron in this vertex to a neuron placed on that
+        chip.
         """
         destinations: Dict[ChipCoordinate, Set[int]] = {}
-        for projection in network.projections:
+        for index, projection in enumerate(network.projections):
             if projection.pre.label != vertex.population_label:
                 continue
-            rows = projection.build_rows(rng, seed=seed)
-            target_vertices = self.placement.vertices_of(projection.post.label)
-            for source_neuron in range(vertex.slice_start, vertex.slice_stop):
-                synapses = rows.get(source_neuron)
-                if not synapses:
-                    continue
-                for synapse in synapses:
-                    for target_vertex in target_vertices:
-                        if (target_vertex.slice_start <= synapse.target
-                                < target_vertex.slice_stop):
-                            chip, core = self.placement.location_of(target_vertex)
-                            destinations.setdefault(chip, set()).add(core)
-                            break
+            csr = projection.compile_csr(expansion_rng(seed, index), seed)
+            hit = csr.targets[csr.row_ptr[vertex.slice_start]:
+                              csr.row_ptr[vertex.slice_stop]]
+            for target_vertex in self.placement.vertices_of(
+                    projection.post.label):
+                if np.any((hit >= target_vertex.slice_start)
+                          & (hit < target_vertex.slice_stop)):
+                    chip, core = self.placement.location_of(target_vertex)
+                    destinations.setdefault(chip, set()).add(core)
         return destinations
 
     # ------------------------------------------------------------------
@@ -114,19 +110,6 @@ class RoutingTableGenerator:
             tree.setdefault(current, set())
         return tree
 
-    def _pre_expand(self, network: Network,
-                    effective_seed) -> np.random.Generator:
-        """Expand every projection under its own per-index stream.
-
-        Registers the canonical connectivity for ``effective_seed`` before
-        the vertex loop — the same shared expansion artifact the host
-        simulator and the mapping compiler use — so ``destinations_of``
-        only ever cache-hits, and returns a generator for any remaining
-        (legacy, unseeded) draws.
-        """
-        expand_projections(network, effective_seed)
-        return expansion_rng(effective_seed)
-
     # ------------------------------------------------------------------
     # Table installation
     # ------------------------------------------------------------------
@@ -143,7 +126,6 @@ class RoutingTableGenerator:
         event-driven router would do.
         """
         effective_seed = network.seed if seed is None else seed
-        rng = self._pre_expand(network, effective_seed)
         summary = RoutingSummary()
         touched: Set[ChipCoordinate] = set()
         sources: List[Tuple[ChipCoordinate, int]] = []
@@ -151,8 +133,8 @@ class RoutingTableGenerator:
         for vertex in self.placement.vertices:
             space = self.keys.key_space(vertex)
             source_chip, _source_core = self.placement.location_of(vertex)
-            destinations = self.destinations_of(network, vertex, rng,
-                                                seed=effective_seed)
+            destinations = self.destinations_of(network, vertex,
+                                                effective_seed)
             if not destinations:
                 continue
             summary.multicast_trees += 1
@@ -205,7 +187,6 @@ class RoutingTableGenerator:
         spikes, as a bus-snooping AER system would).
         """
         effective_seed = network.seed if seed is None else seed
-        rng = self._pre_expand(network, effective_seed)
         summary = RoutingSummary()
         touched: Set[ChipCoordinate] = set()
         all_chips = list(self.machine.geometry.all_chips())
@@ -213,8 +194,8 @@ class RoutingTableGenerator:
         for vertex in self.placement.vertices:
             space = self.keys.key_space(vertex)
             source_chip, _ = self.placement.location_of(vertex)
-            destinations = self.destinations_of(network, vertex, rng,
-                                                seed=effective_seed)
+            destinations = self.destinations_of(network, vertex,
+                                                effective_seed)
             if not destinations:
                 continue
             summary.multicast_trees += 1

@@ -170,11 +170,10 @@ class SynapticMatrixBuilder:
             self.core_data[(chip, core)] = CoreSynapticData(vertex=vertex)
 
         for index, projection in enumerate(network.projections):
-            # Compile once per projection; every (source, target) vertex
-            # pair is then a vectorized submatrix slice instead of a
-            # per-Synapse filter loop.
+            # Every (source, target) vertex pair is a vectorized
+            # submatrix slice of the projection's one expansion.
             csr = projection.compile_csr(
-                expansion_rng(effective_seed, index), seed=effective_seed)
+                expansion_rng(effective_seed, index), effective_seed)
             source_vertices = self.placement.vertices_of(projection.pre.label)
             target_vertices = self.placement.vertices_of(projection.post.label)
 
@@ -201,9 +200,7 @@ class SynapticMatrixBuilder:
         """Write one source vertex's rows into the chip's SDRAM.
 
         ``block`` is the projection submatrix restricted to this source
-        vertex's neurons and the destination core's local targets; its
-        packed rows are byte-identical to the old per-``SynapticRow``
-        construction.
+        vertex's neurons and the destination core's local targets.
         """
         packed_rows, row_lengths, stride, _ = pack_block(block)
         write_packed_block(chip, data, self.keys.key_space(source_vertex),

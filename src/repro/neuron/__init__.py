@@ -7,15 +7,17 @@ the reproduction:
 * :mod:`repro.neuron.lif` and :mod:`repro.neuron.izhikevich` — the two
   point-neuron models the architecture is optimised for, updated on the
   1 ms tick of the real-time application model;
-* :mod:`repro.neuron.synapse` — synaptic rows, the post-synaptic input
-  ring buffer and the *deferred-event model* that re-inserts the
-  programmable ("soft") axonal delays removed by the electronically
-  instantaneous interconnect (Section 3.2);
-* :mod:`repro.neuron.engine` — the vectorized CSR spike-propagation
-  engine: projections compiled to flat ``row_ptr``/``targets``/``weights``/
-  ``delay_ticks`` arrays, batch-scattered into the ring buffers;
+* :mod:`repro.neuron.synapse` — the synaptic-word field widths, the
+  post-synaptic input ring buffer and the *deferred-event model* that
+  re-inserts the programmable ("soft") axonal delays removed by the
+  electronically instantaneous interconnect (Section 3.2);
+* :mod:`repro.neuron.engine` — the one form an expanded projection
+  takes: flat ``row_ptr``/``targets``/``weights``/``delay_ticks`` CSR
+  arrays, batch-scattered into the ring buffers, plus the packed
+  32-bit synaptic-word codec;
 * :mod:`repro.neuron.connectors` — connection-pattern generators
-  (one-to-one, all-to-all, fixed-probability, distance-dependent);
+  (one-to-one, all-to-all, fixed-probability, distance-dependent)
+  expanding straight into that CSR form;
 * :mod:`repro.neuron.population` — a PyNN-flavoured population/projection
   network-description API;
 * :mod:`repro.neuron.network` — a host-side reference simulator used as
@@ -47,7 +49,7 @@ from repro.neuron.population import (
     SpikeSourcePoisson,
 )
 from repro.neuron.stdp import STDPParameters, STDPMechanism
-from repro.neuron.synapse import DeferredEventBuffer, Synapse, SynapticRow
+from repro.neuron.synapse import DeferredEventBuffer
 
 __all__ = [
     "CSRMatrix",
@@ -71,6 +73,4 @@ __all__ = [
     "STDPParameters",
     "STDPMechanism",
     "DeferredEventBuffer",
-    "Synapse",
-    "SynapticRow",
 ]

@@ -2,9 +2,9 @@
 
 "Mapping the biological neural system onto the SpiNNaker machine is
 non-trivial ... connectivity data constructed" (Section 5.3).  A connector
-turns a (pre-population, post-population) pair into the list of synapses of
-each pre-synaptic neuron, i.e. the synaptic rows that the mapping layer
-packs into SDRAM.
+expands a (pre-population, post-population) pair into the projection's
+:class:`~repro.neuron.engine.CSRMatrix` — the synaptic rows, in source
+order, that the mapping layer packs into SDRAM.
 
 The connectors provided match the ones every SpiNNaker/PyNN workload uses:
 one-to-one, all-to-all, fixed-probability (the sparse random connectivity
@@ -17,32 +17,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.neuron.synapse import MAX_DELAY_TICKS, Synapse
+from repro.neuron.engine import CSRMatrix
+from repro.neuron.synapse import MAX_DELAY_TICKS
+
+
+def _row_ptr(counts) -> np.ndarray:
+    """CSR row offsets of per-source synapse counts."""
+    row_ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=row_ptr[1:])
+    return row_ptr
 
 
 class Connector:
-    """Base class: builds per-source synapse lists for a projection."""
+    """Base class: expands a projection into its CSR connectivity."""
 
-    def build(self, n_pre: int, n_post: int,
-              rng: np.random.Generator) -> Dict[int, List[Synapse]]:
-        """Return a mapping from pre-synaptic index to its synapse list."""
-        raise NotImplementedError
+    def build_csr(self, n_pre: int, n_post: int,
+                  rng: np.random.Generator) -> CSRMatrix:
+        """Expand into a :class:`CSRMatrix` of ``n_pre`` source rows.
 
-    def build_csr(self, n_pre: int, n_post: int, rng: np.random.Generator):
-        """Expand directly into the engine's CSR form.
-
-        Returns a :class:`repro.neuron.engine.CSRMatrix` compiled from the
-        same expansion (and the same ``rng`` draws) :meth:`build` would
-        produce, for callers that only need the flat-array view.
+        The expansion is a pure function of the arguments and the
+        generator's stream: every layer that expands a projection under
+        one seed sees the same synapses in the same order.
         """
-        from repro.neuron.engine import CSRMatrix
-
-        return CSRMatrix.from_rows(self.build(n_pre, n_post, rng),
-                                   n_pre, n_post)
+        raise NotImplementedError
 
     @staticmethod
     def _clip_delay(delay_ticks: int) -> int:
@@ -56,11 +57,13 @@ class OneToOneConnector(Connector):
     weight: float = 1.0
     delay_ticks: int = 1
 
-    def build(self, n_pre: int, n_post: int,
-              rng: np.random.Generator) -> Dict[int, List[Synapse]]:
+    def build_csr(self, n_pre: int, n_post: int,
+                  rng: np.random.Generator) -> CSRMatrix:
         n = min(n_pre, n_post)
-        return {i: [Synapse(i, self.weight, self._clip_delay(self.delay_ticks))]
-                for i in range(n)}
+        return CSRMatrix(
+            n_pre, n_post, np.minimum(np.arange(n_pre + 1), n),
+            np.arange(n), np.full(n, self.weight, dtype=float),
+            np.full(n, self._clip_delay(self.delay_ticks)))
 
 
 @dataclass
@@ -71,16 +74,17 @@ class AllToAllConnector(Connector):
     delay_ticks: int = 1
     allow_self_connections: bool = True
 
-    def build(self, n_pre: int, n_post: int,
-              rng: np.random.Generator) -> Dict[int, List[Synapse]]:
-        rows: Dict[int, List[Synapse]] = {}
-        delay = self._clip_delay(self.delay_ticks)
-        for pre in range(n_pre):
-            row = [Synapse(post, self.weight, delay)
-                   for post in range(n_post)
-                   if self.allow_self_connections or post != pre]
-            rows[pre] = row
-        return rows
+    def build_csr(self, n_pre: int, n_post: int,
+                  rng: np.random.Generator) -> CSRMatrix:
+        targets = np.tile(np.arange(n_post), n_pre)
+        counts = np.full(n_pre, n_post)
+        if not self.allow_self_connections:
+            targets = targets[targets != np.repeat(np.arange(n_pre), n_post)]
+            counts[:n_post] -= 1
+        return CSRMatrix(
+            n_pre, n_post, _row_ptr(counts), targets,
+            np.full(targets.size, self.weight, dtype=float),
+            np.full(targets.size, self._clip_delay(self.delay_ticks)))
 
 
 @dataclass
@@ -103,24 +107,47 @@ class FixedProbabilityConnector(Connector):
         if not 0.0 <= self.p_connect <= 1.0:
             raise ValueError("p_connect must lie in [0, 1]")
 
-    def build(self, n_pre: int, n_post: int,
-              rng: np.random.Generator) -> Dict[int, List[Synapse]]:
-        rows: Dict[int, List[Synapse]] = {}
+    def build_csr(self, n_pre: int, n_post: int,
+                  rng: np.random.Generator) -> CSRMatrix:
+        # The generator is consumed row by row — one mask draw, then that
+        # row's per-synapse weight/delay draws — so the stream position
+        # of every synapse is fixed by the seed alone.
+        weight_range, delay_range = self.weight_range, self.delay_range
+        target_rows: List[np.ndarray] = []
+        weight_rows: List[np.ndarray] = []
+        delay_rows: List[np.ndarray] = []
         for pre in range(n_pre):
             mask = rng.random(n_post) < self.p_connect
             if not self.allow_self_connections and pre < n_post:
                 mask[pre] = False
             targets = np.flatnonzero(mask)
-            row = []
-            for post in targets:
-                weight = (self.weight if self.weight_range is None
-                          else float(rng.uniform(*self.weight_range)))
-                delay = (self.delay_ticks if self.delay_range is None
-                         else int(rng.integers(self.delay_range[0],
-                                               self.delay_range[1] + 1)))
-                row.append(Synapse(int(post), weight, self._clip_delay(delay)))
-            rows[pre] = row
-        return rows
+            target_rows.append(targets)
+            if weight_range is not None and delay_range is not None:
+                # Two distributions interleave per synapse; drawing
+                # either as a block would reorder the stream.
+                weights = np.empty(targets.size)
+                delays = np.empty(targets.size, dtype=np.int64)
+                for slot in range(targets.size):
+                    weights[slot] = rng.uniform(*weight_range)
+                    delays[slot] = rng.integers(delay_range[0],
+                                                delay_range[1] + 1)
+                weight_rows.append(weights)
+                delay_rows.append(delays)
+            elif weight_range is not None:
+                weight_rows.append(rng.uniform(*weight_range,
+                                               size=targets.size))
+            elif delay_range is not None:
+                delay_rows.append(rng.integers(
+                    delay_range[0], delay_range[1] + 1, size=targets.size))
+        targets = np.concatenate(target_rows)
+        weights = (np.full(targets.size, self.weight, dtype=float)
+                   if weight_range is None else np.concatenate(weight_rows))
+        delays = (np.full(targets.size, self.delay_ticks)
+                  if delay_range is None else np.concatenate(delay_rows))
+        return CSRMatrix(n_pre, n_post,
+                         _row_ptr([row.size for row in target_rows]),
+                         targets, weights,
+                         np.clip(delays, 1, MAX_DELAY_TICKS))
 
 
 @dataclass
@@ -150,8 +177,8 @@ class DistanceDependentConnector(Connector):
         rows, cols = shape
         return float(index // cols), float(index % cols)
 
-    def build(self, n_pre: int, n_post: int,
-              rng: np.random.Generator) -> Dict[int, List[Synapse]]:
+    def build_csr(self, n_pre: int, n_post: int,
+                  rng: np.random.Generator) -> CSRMatrix:
         pre_rows, pre_cols = self.pre_shape
         post_rows, post_cols = self.post_shape
         if pre_rows * pre_cols < n_pre or post_rows * post_cols < n_post:
@@ -159,10 +186,11 @@ class DistanceDependentConnector(Connector):
         row_scale = pre_rows / post_rows
         col_scale = pre_cols / post_cols
 
-        rows: Dict[int, List[Synapse]] = {}
+        counts = [0] * n_pre
+        targets: List[int] = []
+        delays: List[int] = []
         for pre in range(n_pre):
             pre_r, pre_c = self._position(pre, self.pre_shape)
-            synapses: List[Synapse] = []
             for post in range(n_post):
                 post_r, post_c = self._position(post, self.post_shape)
                 # Map the target position into source-grid coordinates.
@@ -174,12 +202,13 @@ class DistanceDependentConnector(Connector):
                     -(distance ** 2) / (2.0 * self.sigma ** 2))
                 if rng.random() >= probability:
                     continue
-                delay = self.min_delay_ticks + int(
-                    round(distance * self.delay_per_unit_distance_ticks))
-                synapses.append(Synapse(post, self.weight,
-                                        self._clip_delay(delay)))
-            rows[pre] = synapses
-        return rows
+                counts[pre] += 1
+                targets.append(post)
+                delays.append(self._clip_delay(self.min_delay_ticks + int(
+                    round(distance * self.delay_per_unit_distance_ticks))))
+        return CSRMatrix(n_pre, n_post, _row_ptr(counts), targets,
+                         np.full(len(targets), self.weight, dtype=float),
+                         delays)
 
 
 @dataclass
@@ -192,16 +221,22 @@ class FromListConnector(Connector):
         if self.connections is None:
             self.connections = []
 
-    def build(self, n_pre: int, n_post: int,
-              rng: np.random.Generator) -> Dict[int, List[Synapse]]:
-        rows: Dict[int, List[Synapse]] = {}
-        for pre, post, weight, delay in self.connections:
+    def build_csr(self, n_pre: int, n_post: int,
+                  rng: np.random.Generator) -> CSRMatrix:
+        for pre, post, _weight, _delay in self.connections:
             if not 0 <= pre < n_pre:
                 raise IndexError("pre index %d outside population of %d"
                                  % (pre, n_pre))
             if not 0 <= post < n_post:
                 raise IndexError("post index %d outside population of %d"
                                  % (post, n_post))
-            rows.setdefault(pre, []).append(
-                Synapse(post, weight, self._clip_delay(delay)))
-        return rows
+        sources = np.array([c[0] for c in self.connections], dtype=np.int64)
+        # Rows in source order; a source's synapses keep their list order.
+        order = np.argsort(sources, kind="stable")
+        targets, weights, delays = (
+            np.array([c[column] for c in self.connections], dtype=dtype)[order]
+            for column, dtype in ((1, np.int64), (2, float), (3, np.int64)))
+        return CSRMatrix(n_pre, n_post,
+                         _row_ptr(np.bincount(sources, minlength=n_pre)),
+                         targets, weights,
+                         np.clip(delays, 1, MAX_DELAY_TICKS))

@@ -1,13 +1,10 @@
-"""Vectorized CSR spike-propagation engine.
+"""The CSR connectivity format and its vectorized spike propagation.
 
 The deferred-event ("soft delay") model is "one of the most expensive
-functions of the neuron models" (Sections 3.2 and 5.3 of the paper), and
-the original reference simulator paid for it twice over: every projection
-was expanded into per-source lists of :class:`~repro.neuron.synapse.Synapse`
-objects, and every spike walked its list one Python object at a time.
-
-This module compiles a projection's expanded rows once into a
-compressed-sparse-row (CSR) matrix — four flat NumPy arrays:
+functions of the neuron models" (Sections 3.2 and 5.3 of the paper).  An
+expanded projection exists in exactly one form — a compressed-sparse-row
+(CSR) matrix of four flat NumPy arrays, built directly by the connectors
+(:mod:`repro.neuron.connectors`):
 
 * ``row_ptr``  — ``n_pre + 1`` offsets; row ``i`` occupies synapse slots
   ``row_ptr[i]:row_ptr[i + 1]``;
@@ -15,20 +12,18 @@ compressed-sparse-row (CSR) matrix — four flat NumPy arrays:
 * ``weights``  — synaptic efficacy (nA) per synapse;
 * ``delay_ticks`` — programmable soft delay per synapse.
 
-All spikes of a tick are then scattered into the
+All spikes of a tick are scattered into the
 :class:`~repro.neuron.synapse.DeferredEventBuffer` ring with one
-``np.add.at`` per projection instead of a per-synapse Python loop, and the
-same arrays drive the vectorized STDP update
-(:meth:`repro.neuron.stdp.STDPMechanism.update_csr`) and the packed-word
-SDRAM blocks written by the mapping layer.  The scatter performs the same
-floating-point additions in the same order as the object-based loop, so
-the two propagation paths produce identical spike trains for a seeded
-network (see ``tests/test_neuron_engine.py``).
+``np.add.at`` per projection, and the same arrays drive the STDP update
+(:meth:`repro.neuron.stdp.STDPMechanism.update_csr`, which mutates
+``weights`` in place — the learned state) and the packed-word SDRAM
+blocks written by the mapping layer.  The literal per-synapse semantics
+these operations are pinned to live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +34,6 @@ from repro.neuron.synapse import (
     WEIGHT_BITS,
     WEIGHT_FIXED_POINT,
     DeferredEventBuffer,
-    Synapse,
 )
 
 _SIGN_BIT = 1 << (WEIGHT_BITS - 1)
@@ -49,14 +43,15 @@ _DELAY_MASK = (1 << DELAY_BITS) - 1
 
 
 # ----------------------------------------------------------------------
-# Vectorized packed-word codec (bit-compatible with Synapse.pack/unpack)
+# The packed 32-bit synaptic word (Section 5.3's "connectivity data")
 # ----------------------------------------------------------------------
 def pack_synapse_words(targets: np.ndarray, weights: np.ndarray,
                        delay_ticks: np.ndarray) -> np.ndarray:
     """Pack aligned synapse arrays into 32-bit SDRAM synaptic words.
 
-    Bit-for-bit identical to calling :meth:`Synapse.pack` on every synapse
-    (both round half-to-even when quantising the weight).
+    From the top: a 16-bit sign-magnitude fixed-point weight (quantised
+    round-half-to-even, magnitude saturating), the 4-bit ``delay - 1``
+    and the 12-bit target index.
     """
     targets = np.asarray(targets, dtype=np.int64)
     delay_ticks = np.asarray(delay_ticks, dtype=np.int64)
@@ -81,8 +76,7 @@ def unpack_synapse_words(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
                                                      np.ndarray]:
     """Unpack 32-bit synaptic words into ``(targets, weights, delay_ticks)``.
 
-    The inverse of :func:`pack_synapse_words`, matching
-    :meth:`Synapse.unpack` exactly.
+    The inverse of :func:`pack_synapse_words` up to weight quantisation.
     """
     words = np.asarray(words, dtype=np.uint32).astype(np.int64)
     targets = (words & _INDEX_MASK).astype(np.int64)
@@ -97,9 +91,8 @@ def decode_packed_row(words: Sequence[int]) -> Tuple[int, np.ndarray,
                                                      np.ndarray, np.ndarray]:
     """Decode one packed SDRAM row (count header + synapse words).
 
-    Returns ``(count, targets, weights, delay_ticks)``; the fast-path
-    replacement for ``SynapticRow.unpack`` used by the on-machine
-    DMA-complete handler, with the same validation.
+    Returns ``(count, targets, weights, delay_ticks)``; words past the
+    header's count are SDRAM stride padding and ignored.
     """
     if len(words) == 0:
         raise ValueError("a packed synaptic row has at least a header word")
@@ -146,56 +139,6 @@ class CSRMatrix:
                                    np.diff(self.row_ptr))
 
     # ------------------------------------------------------------------
-    # Construction / conversion
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_rows(cls, rows: Dict[int, List[Synapse]], n_pre: int,
-                  n_post: int) -> "CSRMatrix":
-        """Compile per-source :class:`Synapse` lists into CSR arrays."""
-        counts = np.zeros(n_pre + 1, dtype=np.int64)
-        for pre, synapses in rows.items():
-            if not 0 <= pre < n_pre:
-                raise IndexError("row key %d outside population of %d"
-                                 % (pre, n_pre))
-            counts[pre + 1] = len(synapses)
-        row_ptr = np.cumsum(counts)
-        total = int(row_ptr[-1])
-        ordered = (s for pre in range(n_pre) for s in rows.get(pre, ()))
-        flat = list(ordered)
-        targets = np.fromiter((s.target for s in flat), dtype=np.int64,
-                              count=total)
-        weights = np.fromiter((s.weight for s in flat), dtype=float,
-                              count=total)
-        delays = np.fromiter((s.delay_ticks for s in flat), dtype=np.int64,
-                             count=total)
-        return cls(n_pre, n_post, row_ptr, targets, weights, delays)
-
-    def to_rows(self) -> Dict[int, List[Synapse]]:
-        """Expand back into per-source synapse lists (rows may be empty)."""
-        rows: Dict[int, List[Synapse]] = {}
-        for pre in range(self.n_pre):
-            lo, hi = int(self.row_ptr[pre]), int(self.row_ptr[pre + 1])
-            rows[pre] = [Synapse(int(self.targets[i]), float(self.weights[i]),
-                                 int(self.delay_ticks[i]))
-                         for i in range(lo, hi)]
-        return rows
-
-    def write_back(self, rows: Dict[int, List[Synapse]]) -> None:
-        """Sync (possibly plasticity-modified) weights into a rows dict.
-
-        ``rows`` must be the expansion this matrix was compiled from; the
-        on-machine analogue is the write-back DMA that commits modified
-        connectivity data to SDRAM (Section 5.3).
-        """
-        for pre, row in rows.items():
-            lo = int(self.row_ptr[pre])
-            for offset, synapse in enumerate(row):
-                weight = float(self.weights[lo + offset])
-                if weight != synapse.weight:
-                    row[offset] = Synapse(synapse.target, weight,
-                                          synapse.delay_ticks)
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
@@ -218,8 +161,7 @@ class CSRMatrix:
 
         Rows are expanded in the order given (ascending when the caller
         passes ``np.flatnonzero`` of a spike mask), with each row's
-        synapses kept in storage order — the exact order the object-based
-        reference loop visits them.
+        synapses kept in storage order.
         """
         pre_indices = np.asarray(pre_indices, dtype=np.int64)
         if pre_indices.size == 0:
@@ -275,10 +217,7 @@ class CSRMatrix:
                          self.delay_ticks[lo:hi][keep])
 
     def pack_rows(self) -> List[List[int]]:
-        """Pack every row for SDRAM: ``[count, word, word, ...]`` per row.
-
-        Row ``i`` of the result equals ``SynapticRow(i, rows[i]).pack()``.
-        """
+        """Pack every row for SDRAM: ``[count, word, word, ...]`` per row."""
         words = pack_synapse_words(self.targets, self.weights,
                                    self.delay_ticks)
         packed: List[List[int]] = []

@@ -39,8 +39,7 @@ _RECORD_STAGE = profile_stage("record")
 _PROPAGATE_STAGE = profile_stage("propagate")
 
 
-def expand_projections(network: "Network", seed: Optional[int],
-                       compile_csr: bool = False):
+def expand_projections(network: "Network", seed: Optional[int]):
     """Expand every projection of ``network`` once under ``seed``.
 
     The single shared entry point to the connectivity-expansion artifact:
@@ -49,18 +48,12 @@ def expand_projections(network: "Network", seed: Optional[int],
     seed has exactly one expansion (cached on the projections) however
     many layers consume it and in whatever order.
 
-    Returns ``[(index, projection, rows, csr-or-None)]`` with projections
-    in network order; ``compile_csr`` additionally compiles each
-    expansion to its flat CSR form.
+    Returns ``[(index, projection, csr)]`` with projections in network
+    order.
     """
-    expanded = []
-    for index, projection in enumerate(network.projections):
-        rng = expansion_rng(seed, index)
-        rows = projection.build_rows(rng, seed=seed)
-        csr = (projection.compile_csr(rng, seed=seed)
-               if compile_csr else None)
-        expanded.append((index, projection, rows, csr))
-    return expanded
+    return [(index, projection,
+             projection.compile_csr(expansion_rng(seed, index), seed))
+            for index, projection in enumerate(network.projections)]
 
 
 @dataclass
@@ -149,45 +142,27 @@ class Network:
         """Total neurons (excluding spike sources)."""
         return sum(p.size for p in self.populations if not p.is_spike_source)
 
-    def n_synapses(self, rng: Optional[np.random.Generator] = None) -> int:
-        """Total synapses across all projections."""
-        if rng is not None:
-            return sum(projection.n_synapses(rng)
-                       for projection in self.projections)
-        return sum(projection.n_synapses(expansion_rng(self.seed, index),
-                                         seed=self.seed)
-                   for index, projection in enumerate(self.projections))
+    def n_synapses(self) -> int:
+        """Total synapses across all projections (under the network seed)."""
+        return sum(csr.n_synapses for _index, _projection, csr
+                   in expand_projections(self, self.seed))
 
     # ------------------------------------------------------------------
     # Reference simulation
     # ------------------------------------------------------------------
-    def run(self, duration_ms: float, seed: Optional[int] = None,
-            propagation: str = "csr") -> SimulationResult:
+    def run(self, duration_ms: float,
+            seed: Optional[int] = None) -> SimulationResult:
         """Simulate the network on the host for ``duration_ms``.
 
         The loop mirrors the on-machine application model: each tick drains
         the deferred-event buffers into the neuron models, integrates the
-        membrane equations, collects the spikes and pushes their synaptic
-        consequences back into the buffers with the programmed delays.
-
-        ``propagation`` selects the spike-propagation path: ``"csr"`` (the
-        default) batch-scatters each projection's spikes through its
-        compiled :class:`~repro.neuron.engine.CSRMatrix`, while
-        ``"reference"`` walks the per-source ``Synapse`` object lists one
-        event at a time.  Both paths perform the same floating-point
-        operations in the same order, so a seeded network produces
-        identical spike trains under either — ``"reference"`` exists as
-        the equivalence baseline, not as a supported fast path.  (Sole
-        caveat: a ring-buffer cell driven past the 16-bit saturation
-        limit mid-tick by mixed-sign weights clamps per event on the
-        reference path but per batch on the CSR path, so heavily
-        saturating networks may diverge.)
+        membrane equations, collects the spikes and batch-scatters their
+        synaptic consequences through each projection's
+        :class:`~repro.neuron.engine.CSRMatrix` back into the buffers
+        with the programmed delays.
         """
         if duration_ms < 0:
             raise ValueError("duration must be non-negative")
-        if propagation not in ("csr", "reference"):
-            raise ValueError("propagation must be 'csr' or 'reference', "
-                             "got %r" % (propagation,))
         effective_seed = self.seed if seed is None else seed
         rng = simulation_rng(effective_seed)
         n_ticks = int(round(duration_ms / self.timestep_ms))
@@ -212,15 +187,11 @@ class Network:
                 result.voltages[population.label] = np.zeros(
                     (n_ticks, population.size))
 
-        # Expand every projection once (cached per seed); in CSR mode also
-        # compile each expansion into its flat-array form.  The expansion
-        # artifact is shared with the mapping compiler — see
+        # The expansion artifact is shared with the mapping compiler — see
         # :func:`expand_projections` — so results do not depend on
         # expansion order or on cache hits/misses.
-        rows_by_projection = [
-            (projection, rows, csr)
-            for _index, projection, rows, csr in expand_projections(
-                self, effective_seed, compile_csr=(propagation == "csr"))]
+        expanded = [(projection, csr) for _index, projection, csr
+                    in expand_projections(self, effective_seed)]
 
         for tick in range(n_ticks):
             with _TICK_STAGE:
@@ -273,7 +244,7 @@ class Network:
                                 for neuron in spiking_neurons)
 
                 with _PROPAGATE_STAGE:
-                    for projection, rows, csr in rows_by_projection:
+                    for projection, csr in expanded:
                         pre_spikes = spikes_this_tick.get(
                             projection.pre.label)
                         if pre_spikes is None:
@@ -281,38 +252,16 @@ class Network:
                         target_buffer = buffers.get(projection.post.label)
                         if target_buffer is None:
                             continue
-                        if csr is not None:
-                            spiking = np.flatnonzero(pre_spikes)
-                            if spiking.size:
-                                csr.scatter(spiking, target_buffer)
-                        else:
-                            for neuron in np.flatnonzero(pre_spikes):
-                                for synapse in rows.get(int(neuron), ()):
-                                    target_buffer.add_synapse(synapse)
+                        spiking = np.flatnonzero(pre_spikes)
+                        if spiking.size:
+                            csr.scatter(spiking, target_buffer)
                         if projection.plasticity is not None:
                             post_spikes = spikes_this_tick.get(
                                 projection.post.label)
                             if post_spikes is None:
                                 post_spikes = np.zeros(projection.post.size,
                                                        dtype=bool)
-                            if csr is not None:
-                                projection.plasticity.update_csr(
-                                    csr, pre_spikes, post_spikes, time_ms)
-                            else:
-                                projection.plasticity.update(
-                                    rows, pre_spikes, post_spikes, time_ms)
-
-        # Commit plasticity-modified CSR weights back into the cached rows
-        # so the object view (mapping layer, post-run inspection) agrees —
-        # the host-side analogue of the SDRAM write-back DMA (Section 5.3).
-        # A reference-mode run mutates the rows directly instead, so any
-        # previously compiled CSR for this seed is now stale.
-        for projection, rows, csr in rows_by_projection:
-            if projection.plasticity is None:
-                continue
-            if csr is not None:
-                csr.write_back(rows)
-            else:
-                projection.invalidate_csr(seed=effective_seed)
+                            projection.plasticity.update_csr(
+                                csr, pre_spikes, post_spikes, time_ms)
 
         return result

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,14 +21,8 @@ from repro.neuron.connectors import Connector
 from repro.neuron.engine import CSRMatrix
 from repro.neuron.izhikevich import IzhikevichParameters, IzhikevichPopulation
 from repro.neuron.lif import LIFParameters, LIFPopulation
-from repro.neuron.synapse import Synapse, SynapticRow
 
 _population_counter = itertools.count()
-
-#: Sentinel ``seed`` value for :meth:`Projection.build_rows`: reuse the most
-#: recently built expansion whatever seed produced it (the legacy behaviour
-#: of the unkeyed cache), building an unseeded one if none exists yet.
-LATEST_EXPANSION = object()
 
 #: Stream-split constant mixed into the connectivity-expansion generator so
 #: its draws are statistically independent of the simulation generator
@@ -224,6 +218,25 @@ class SpikeSourceArray(Population):
         return mask
 
 
+def stimulus_mask(population: Population, slice_start: int,
+                  slice_stop: int, tick: int, timestep_ms: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """This tick's spike mask of one core's slice of a stimulus population.
+
+    ``rng`` is the owning core's generator (:func:`core_rng`): a Poisson
+    slice draws exactly one ``random(n)`` per tick from it, so the mask
+    depends only on the seed, the core's location and the tick count.
+    """
+    if isinstance(population, SpikeSourcePoisson):
+        probability = SpikeSourcePoisson.spike_probability(
+            population.rate_hz, timestep_ms)
+        return rng.random(slice_stop - slice_start) < probability
+    if isinstance(population, SpikeSourceArray):
+        mask = population.spikes_for_tick(tick, timestep_ms)
+        return mask[slice_start:slice_stop]
+    return np.zeros(slice_stop - slice_start, dtype=bool)
+
+
 @dataclass
 class Projection:
     """A bundle of synapses from one population to another.
@@ -232,8 +245,7 @@ class Projection:
     same network description can be instantiated with different seeds.
     Expansions are cached **per seed**: running the same network with
     ``seed=A`` and then ``seed=B`` builds two independent connectivities
-    instead of silently reusing the first seed's synapses (the old unkeyed
-    cache poisoned every cross-seed comparison).
+    instead of silently reusing the first seed's synapses.
     """
 
     pre: Population
@@ -242,85 +254,36 @@ class Projection:
     label: Optional[str] = None
     #: Optional plasticity mechanism (see :mod:`repro.neuron.stdp`).
     plasticity: Optional[object] = None
-    #: Per-seed expansion cache; the compiled CSR form is cached alongside.
-    _rows_cache: Dict[object, Dict[int, List[Synapse]]] = field(
+    #: Per-seed expansion cache.
+    _csr_cache: Dict[object, CSRMatrix] = field(
         default_factory=dict, repr=False, compare=False)
-    _csr_cache: Dict[object, tuple] = field(
-        default_factory=dict, repr=False, compare=False)
-    _latest_key: object = field(default=None, repr=False, compare=False)
-
-    def build_rows(self, rng: np.random.Generator, refresh: bool = False,
-                   seed: object = LATEST_EXPANSION) -> Dict[int, List[Synapse]]:
-        """Expand the connector into per-source synapse lists (cached per seed).
-
-        ``seed`` is the cache key.  Callers passing a real seed MUST derive
-        ``rng`` from :func:`expansion_rng` with that seed and this
-        projection's index in its network — the cache trusts the pairing,
-        and a mismatched generator would register wrong connectivity for
-        every later consumer of that seed.  Passing
-        :data:`LATEST_EXPANSION` (the default) returns the most recent
-        expansion regardless of its seed — the legacy behaviour callers
-        without a seed in hand rely on — or builds an unseeded expansion
-        when nothing is cached yet.
-        """
-        key = seed
-        if key is LATEST_EXPANSION:
-            if self._rows_cache and not refresh:
-                return self._rows_cache[self._latest_key]
-            # A refresh without a seed is an explicitly unseeded rebuild;
-            # it must not overwrite a seed-keyed entry with connectivity
-            # drawn from an arbitrary generator.
-            key = None
-        if refresh or key not in self._rows_cache:
-            self._rows_cache[key] = self.connector.build(self.pre.size,
-                                                         self.post.size, rng)
-            self._csr_cache.pop(key, None)
-        self._latest_key = key
-        return self._rows_cache[key]
 
     def compile_csr(self, rng: np.random.Generator,
-                    seed: object = LATEST_EXPANSION) -> CSRMatrix:
-        """Compile the (cached) expansion into its CSR form, once per seed.
+                    seed: Optional[int]) -> CSRMatrix:
+        """The projection's connectivity under ``seed`` (expanded once).
 
-        The returned matrix shares the cache entry's lifetime: plasticity
-        mutates its weight array in place, and the caller is expected to
-        :meth:`CSRMatrix.write_back` into the rows so both views agree.
+        ``seed`` is the cache key.  Callers MUST derive ``rng`` from
+        :func:`expansion_rng` with that seed and this projection's index
+        in its network — the cache trusts the pairing, and a mismatched
+        generator would register wrong connectivity for every later
+        consumer of that seed.  ``None`` keys the one unseeded expansion.
+
+        The returned matrix is the cache entry itself: plasticity
+        mutates its weight array in place, and that is the learned state
+        every later consumer of the seed sees.
         """
-        rows = self.build_rows(rng, seed=seed)
-        key = self._latest_key
-        cached = self._csr_cache.get(key)
-        if cached is None or cached[0] is not rows:
-            cached = (rows, CSRMatrix.from_rows(rows, self.pre.size,
-                                                self.post.size))
-            self._csr_cache[key] = cached
-        return cached[1]
-
-    def invalidate_csr(self, seed: object = LATEST_EXPANSION) -> None:
-        """Drop the compiled CSR for a seed after its rows were mutated.
-
-        Callers that modify the ``Synapse`` objects of an expansion in
-        place (the object-based STDP path) must invalidate, or a later
-        :meth:`compile_csr` would hand back pre-mutation weights.
-        """
-        key = self._latest_key if seed is LATEST_EXPANSION else seed
-        self._csr_cache.pop(key, None)
-
-    def synaptic_rows(self, rng: np.random.Generator,
-                      seed: object = LATEST_EXPANSION) -> Dict[int, SynapticRow]:
-        """Expand into :class:`SynapticRow` objects keyed by source index."""
-        rows = self.build_rows(rng, seed=seed)
-        return {pre: SynapticRow(pre, synapses)
-                for pre, synapses in rows.items()}
+        csr = self._csr_cache.get(seed)
+        if csr is None:
+            csr = self._csr_cache[seed] = self.connector.build_csr(
+                self.pre.size, self.post.size, rng)
+        return csr
 
     def n_synapses(self, rng: np.random.Generator,
-                   seed: object = LATEST_EXPANSION) -> int:
+                   seed: Optional[int]) -> int:
         """Total number of synapses in the projection."""
-        return sum(len(synapses)
-                   for synapses in self.build_rows(rng, seed=seed).values())
+        return self.compile_csr(rng, seed).n_synapses
 
     def max_delay(self, rng: np.random.Generator,
-                  seed: object = LATEST_EXPANSION) -> int:
+                  seed: Optional[int]) -> int:
         """Largest programmable delay used by the projection."""
-        rows = self.build_rows(rng, seed=seed)
-        return max((s.delay_ticks for synapses in rows.values()
-                    for s in synapses), default=0)
+        return self.compile_csr(rng, seed).max_delay()

@@ -17,12 +17,10 @@ pre-synaptic trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 import numpy as np
 
 from repro.neuron.engine import CSRMatrix
-from repro.neuron.synapse import Synapse
 
 
 @dataclass(frozen=True)
@@ -46,10 +44,9 @@ class STDPParameters:
 class STDPMechanism:
     """Additive pair-based STDP applied to a projection's synapse rows.
 
-    The mechanism mutates the ``weight`` of the :class:`Synapse` objects in
-    place (rebuilding the frozen dataclasses), which in the on-machine
-    runtime corresponds to modifying the row in DTCM and scheduling the
-    write-back DMA.
+    The mechanism mutates the projection's CSR weight array in place,
+    which in the on-machine runtime corresponds to modifying the row in
+    DTCM and scheduling the write-back DMA.
     """
 
     def __init__(self, n_pre: int, n_post: int,
@@ -67,69 +64,14 @@ class STDPMechanism:
         self.depression_events = 0
         self.rows_modified = 0
 
-    def update(self, rows: Dict[int, List[Synapse]], pre_spikes: np.ndarray,
-               post_spikes: np.ndarray, time_ms: float) -> None:
-        """Apply one tick of STDP given this tick's pre/post spike masks."""
-        p = self.parameters
-        # Decay the traces first (they represent activity *before* this tick).
-        self.pre_trace *= self._decay_plus
-        self.post_trace *= self._decay_minus
-
-        pre_indices = np.flatnonzero(pre_spikes)
-        post_indices = np.flatnonzero(post_spikes)
-
-        # Depression: pre-synaptic spike reads the post trace.
-        for pre in pre_indices:
-            row = rows.get(int(pre))
-            if not row:
-                continue
-            modified = False
-            for i, synapse in enumerate(row):
-                trace = self.post_trace[synapse.target]
-                if trace <= 0.0:
-                    continue
-                new_weight = max(p.w_min, synapse.weight - p.a_minus * trace)
-                if new_weight != synapse.weight:
-                    row[i] = Synapse(synapse.target, new_weight,
-                                     synapse.delay_ticks)
-                    self.depression_events += 1
-                    modified = True
-            if modified:
-                self.rows_modified += 1
-
-        # Potentiation: post-synaptic spike reads the pre trace.
-        post_spiking = set(int(i) for i in post_indices)
-        if post_spiking:
-            for pre, row in rows.items():
-                trace = self.pre_trace[pre]
-                if trace <= 0.0 or not row:
-                    continue
-                modified = False
-                for i, synapse in enumerate(row):
-                    if synapse.target not in post_spiking:
-                        continue
-                    new_weight = min(p.w_max, synapse.weight + p.a_plus * trace)
-                    if new_weight != synapse.weight:
-                        row[i] = Synapse(synapse.target, new_weight,
-                                         synapse.delay_ticks)
-                        self.potentiation_events += 1
-                        modified = True
-                if modified:
-                    self.rows_modified += 1
-
-        # Finally the spikes of this tick bump their own traces.
-        self.pre_trace[pre_indices] += 1.0
-        self.post_trace[post_indices] += 1.0
-
     def update_csr(self, csr: CSRMatrix, pre_spikes: np.ndarray,
                    post_spikes: np.ndarray, time_ms: float) -> None:
-        """Vectorized :meth:`update` over a compiled CSR matrix.
+        """Apply one tick of STDP given this tick's pre/post spike masks.
 
-        Mutates ``csr.weights`` in place with gather/scatter operations
-        instead of per-``Synapse`` loops, performing the same IEEE
-        floating-point operations per synapse (and updating the same
-        event/row counters) as the object-based rule, so the two paths
-        learn identical weights.
+        Mutates ``csr.weights`` in place with gather/scatter operations;
+        each synapse sees one scalar IEEE update per rule per tick, and
+        ``rows_modified`` counts source rows with at least one changed
+        weight (once per rule).
         """
         p = self.parameters
         # Decay the traces first (they represent activity *before* this tick).
@@ -177,9 +119,8 @@ class STDPMechanism:
         self.pre_trace[pre_indices] += 1.0
         self.post_trace[post_indices] += 1.0
 
-    def mean_weight(self, rows: Dict[int, List[Synapse]]) -> float:
+    def mean_weight(self, csr: CSRMatrix) -> float:
         """Mean synaptic weight across all rows (for the learning benches)."""
-        weights = [s.weight for row in rows.values() for s in row]
-        if not weights:
+        if csr.n_synapses == 0:
             return 0.0
-        return float(np.mean(weights))
+        return float(np.mean(csr.weights))

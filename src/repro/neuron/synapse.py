@@ -1,4 +1,4 @@
-"""Synapses, synaptic rows and the deferred-event ("soft delay") model.
+"""The synaptic-word format and the deferred-event ("soft delay") model.
 
 Section 3.2 of the paper: electronic communication is effectively
 instantaneous on biological timescales, but biological axonal/synaptic
@@ -9,22 +9,15 @@ algorithmically at the target neuron."  The paper also notes this is "one
 of the most expensive functions of the neuron models in terms of the cost
 of data storage held locally".
 
-This module provides:
-
-* :class:`Synapse` — one connection: target neuron, weight, programmable
-  delay in timesteps;
-* :class:`SynapticRow` — all the synapses sourced from one pre-synaptic
-  neuron, which is exactly the block of data fetched from SDRAM by DMA
-  when that neuron's spike packet arrives (Section 5.3);
-* :class:`DeferredEventBuffer` — the circular post-synaptic input buffer
-  indexed by ``(arrival_tick mod max_delay)`` that implements the
-  algorithmic re-insertion of the delay at the target neuron.
+This module provides the field widths of the packed 32-bit synaptic word
+(the codec itself is in :mod:`repro.neuron.engine`) and the circular
+post-synaptic input buffers indexed by ``(arrival_tick mod max_delay)``
+that implement the algorithmic re-insertion of the delay at the target
+neuron: :class:`DeferredEventBuffer` for one core,
+:class:`FusedDeferredEventBuffer` for a whole board.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -43,112 +36,6 @@ WEIGHT_FIXED_POINT = 1 << 4
 #: accumulates in the same format on the real machine, so accumulated
 #: charge saturates — it cannot wrap — at this value.
 WEIGHT_SATURATION_NA = ((1 << (WEIGHT_BITS - 1)) - 1) / WEIGHT_FIXED_POINT
-
-
-@dataclass(frozen=True)
-class Synapse:
-    """One synaptic connection from an implicit source neuron.
-
-    Attributes
-    ----------
-    target:
-        Index of the post-synaptic neuron within its population/core.
-    weight:
-        Synaptic efficacy (nA of charge delivered per pre-synaptic spike;
-        negative for inhibitory synapses).
-    delay_ticks:
-        Programmable delay in whole timesteps (1..MAX_DELAY_TICKS).
-    """
-
-    target: int
-    weight: float
-    delay_ticks: int = 1
-
-    def __post_init__(self) -> None:
-        if self.target < 0:
-            raise ValueError("synapse target index must be non-negative")
-        if not 1 <= self.delay_ticks <= MAX_DELAY_TICKS:
-            raise ValueError("delay must be in 1..%d ticks, got %d"
-                             % (MAX_DELAY_TICKS, self.delay_ticks))
-
-    # ------------------------------------------------------------------
-    # The packed SDRAM word format (Section 5.3's "connectivity data")
-    # ------------------------------------------------------------------
-    def pack(self) -> int:
-        """Pack the synapse into the 32-bit SDRAM synaptic word."""
-        if self.target >= (1 << INDEX_BITS):
-            raise ValueError("target index %d does not fit in %d bits"
-                             % (self.target, INDEX_BITS))
-        weight_fixed = int(round(abs(self.weight) * WEIGHT_FIXED_POINT))
-        weight_fixed = min(weight_fixed, (1 << (WEIGHT_BITS - 1)) - 1)
-        if self.weight < 0:
-            weight_fixed |= 1 << (WEIGHT_BITS - 1)
-        return ((weight_fixed << (DELAY_BITS + INDEX_BITS)) |
-                ((self.delay_ticks - 1) << INDEX_BITS) |
-                self.target)
-
-    @classmethod
-    def unpack(cls, word: int) -> "Synapse":
-        """Reconstruct a synapse from its packed 32-bit word."""
-        target = word & ((1 << INDEX_BITS) - 1)
-        delay = ((word >> INDEX_BITS) & ((1 << DELAY_BITS) - 1)) + 1
-        weight_field = word >> (DELAY_BITS + INDEX_BITS)
-        magnitude = (weight_field & ((1 << (WEIGHT_BITS - 1)) - 1)) / WEIGHT_FIXED_POINT
-        sign = -1.0 if weight_field & (1 << (WEIGHT_BITS - 1)) else 1.0
-        return cls(target=target, weight=sign * magnitude, delay_ticks=delay)
-
-
-class SynapticRow:
-    """All synapses sourced from one pre-synaptic neuron.
-
-    A row is the unit of DMA transfer: when the spike packet of the source
-    neuron arrives at a core, the core fetches that neuron's row from SDRAM
-    into local memory and applies every synapse in it.
-    """
-
-    def __init__(self, source_key: int,
-                 synapses: Iterable[Synapse] = ()) -> None:
-        self.source_key = source_key
-        self.synapses: List[Synapse] = list(synapses)
-
-    def add(self, synapse: Synapse) -> None:
-        """Append one synapse to the row."""
-        self.synapses.append(synapse)
-
-    def __len__(self) -> int:
-        return len(self.synapses)
-
-    def __iter__(self):
-        return iter(self.synapses)
-
-    @property
-    def n_words(self) -> int:
-        """Size of the row in 32-bit SDRAM words (header word + synapses)."""
-        return 1 + len(self.synapses)
-
-    def pack(self) -> List[int]:
-        """Pack the row for SDRAM: a count header followed by synapse words."""
-        return [len(self.synapses)] + [s.pack() for s in self.synapses]
-
-    @classmethod
-    def unpack(cls, source_key: int, words: Sequence[int]) -> "SynapticRow":
-        """Rebuild a row from its packed SDRAM representation."""
-        if not words:
-            raise ValueError("a packed synaptic row has at least a header word")
-        count = words[0]
-        if count > len(words) - 1:
-            raise ValueError("row header claims %d synapses but only %d words follow"
-                             % (count, len(words) - 1))
-        return cls(source_key,
-                   (Synapse.unpack(word) for word in words[1:count + 1]))
-
-    def total_charge(self) -> float:
-        """Sum of synaptic weights (the charge one spike ultimately delivers)."""
-        return sum(s.weight for s in self.synapses)
-
-    def max_delay(self) -> int:
-        """Largest programmable delay in the row (0 for an empty row)."""
-        return max((s.delay_ticks for s in self.synapses), default=0)
 
 
 class DeferredEventBuffer:
@@ -182,43 +69,16 @@ class DeferredEventBuffer:
         """The tick whose inputs will be drained next."""
         return self._current_tick
 
-    def add_synapse(self, synapse: Synapse) -> None:
-        """Defer one synaptic event by its programmable delay."""
-        self.add_input(synapse.target, synapse.weight, synapse.delay_ticks)
-
-    def add_input(self, target: int, weight: float, delay_ticks: int) -> None:
-        """Accumulate ``weight`` for ``target`` to arrive ``delay_ticks`` ahead."""
-        if not 0 <= target < self.n_neurons:
-            raise IndexError("target %d outside population of %d neurons"
-                             % (target, self.n_neurons))
-        if not 1 <= delay_ticks <= self.max_delay_ticks:
-            raise ValueError("delay %d outside 1..%d" % (delay_ticks,
-                                                         self.max_delay_ticks))
-        slot = (self._current_tick + delay_ticks) % self.n_slots
-        accumulated = self._buffer[slot, target] + weight
-        if accumulated > WEIGHT_SATURATION_NA:
-            accumulated = WEIGHT_SATURATION_NA
-            self.saturations += 1
-        elif accumulated < -WEIGHT_SATURATION_NA:
-            accumulated = -WEIGHT_SATURATION_NA
-            self.saturations += 1
-        self._buffer[slot, target] = accumulated
-        self.events_deferred += 1
-
     def add_events(self, targets: np.ndarray, weights: np.ndarray,
                    delay_ticks: np.ndarray) -> None:
         """Defer a whole batch of synaptic events in one vectorized scatter.
 
-        This is the fast path used by the CSR propagation engine
-        (:mod:`repro.neuron.engine`): all three arrays are aligned
-        per-event, and the accumulation into the ring is performed with
-        ``np.add.at`` so repeated ``(slot, target)`` pairs sum in element
-        order — exactly the order the scalar :meth:`add_input` loop would
-        use.  Saturation is clamped once per touched buffer cell after
-        each call (the scalar path clamps after every event), so the two
-        paths agree exactly whenever the accumulated charge stays inside
-        the 16-bit weight range; a cell that saturates mid-batch from
-        mixed-sign weights may land differently.
+        All three arrays are aligned per-event; the accumulation into the
+        ring is performed with ``np.add.at`` so repeated ``(slot,
+        target)`` pairs sum in element order.  Saturation is clamped once
+        per touched buffer cell after each call, so a cell driven past
+        the 16-bit weight range mid-batch by mixed-sign weights lands on
+        the clamped batch sum, not on a per-event clamp.
         """
         targets = np.asarray(targets, dtype=np.intp)
         delay_ticks = np.asarray(delay_ticks, dtype=np.intp)
@@ -233,47 +93,6 @@ class DeferredEventBuffer:
         if delay_ticks.min() < 1 or delay_ticks.max() > self.max_delay_ticks:
             raise ValueError("event delays outside 1..%d"
                              % (self.max_delay_ticks,))
-        self._scatter(targets, weights, delay_ticks)
-
-    def add_events_aged(self, targets: np.ndarray, weights: np.ndarray,
-                        delay_ticks: np.ndarray, age: int) -> None:
-        """Defer events whose *send* tick lies ``age`` ticks in the past.
-
-        The conservative-lookahead cluster exchange applies cross-board
-        batches at super-step barriers instead of every tick, so a batch
-        sent at tick ``t`` may only reach its destination ring when the
-        buffer has already advanced to tick ``t + 1 + age``.  The event's
-        programmable delay is re-based onto the buffer's current tick:
-        an effective delay of ``delay - age``, where ``0`` is legal and
-        means the event drains *this* tick (it arrived exactly at the
-        barrier).  Lookahead never exceeds ``1 + d_min`` ticks, so the
-        effective delay of a correctly exchanged batch is never
-        negative; a negative value here means the caller violated the
-        lookahead bound and is rejected before any mutation.
-        """
-        if age < 0:
-            raise ValueError("age must be non-negative, got %d" % (age,))
-        if age == 0:
-            self.add_events(targets, weights, delay_ticks)
-            return
-        targets = np.asarray(targets, dtype=np.intp)
-        delay_ticks = np.asarray(delay_ticks, dtype=np.intp)
-        weights = np.asarray(weights, dtype=float)
-        if targets.size == 0:
-            return
-        if targets.min() < 0 or targets.max() >= self.n_neurons:
-            raise IndexError("event targets outside population of %d neurons"
-                             % (self.n_neurons,))
-        effective = delay_ticks - age
-        if effective.min() < 0 or delay_ticks.max() > self.max_delay_ticks:
-            raise ValueError(
-                "aged event delays outside %d..%d (lookahead bound "
-                "violated)" % (age, self.max_delay_ticks))
-        self._scatter(targets, weights, effective)
-
-    def _scatter(self, targets: np.ndarray, weights: np.ndarray,
-                 delay_ticks: np.ndarray) -> None:
-        """Accumulate a validated batch at ``current + delay`` slots."""
         if targets.size <= 32:
             # Small batches (single DMA rows on the machine model) are
             # cheaper through a scalar accumulate than through the fixed
@@ -329,11 +148,6 @@ class DeferredEventBuffer:
                 np.clip(row, -WEIGHT_SATURATION_NA, WEIGHT_SATURATION_NA,
                         out=row)
 
-    def add_row(self, row: SynapticRow) -> None:
-        """Defer every synapse of a freshly-fetched row."""
-        for synapse in row:
-            self.add_synapse(synapse)
-
     def drain(self) -> np.ndarray:
         """Return and clear the inputs scheduled for the current tick.
 
@@ -372,20 +186,21 @@ class FusedDeferredEventBuffer:
     ``core_offset + target`` — so the caller resolves core offsets once
     at build time (see ``BoardDeliveryIndex``) and the hot path carries
     no per-core indirection.  Delays may arrive pre-aged by the
-    conservative-lookahead exchange: an effective delay of ``0`` is
-    legal and means "drains this tick", exactly as
-    :meth:`DeferredEventBuffer.add_events_aged` defines it.
+    conservative-lookahead exchange: a batch sent at tick ``t`` may only
+    reach the ring once it has advanced to ``t + 1 + age``, so the
+    caller re-bases each programmable delay to ``delay - age``.  An
+    effective delay of ``0`` is legal and means "drains this tick";
+    lookahead never exceeds ``1 + d_min`` ticks, so a negative value
+    means the caller violated the lookahead bound.
 
-    Bit-identity with the per-core rings: weights are fixed-point
-    multiples of ``2^-4`` held in float64, so ring accumulation is an
-    exact sum and independent of event order or batch grouping — a
-    single fused scatter lands the same values as many per-core ones.
-    Saturation is clamped once per touched cell after each call (the
-    per-core vector path clamps per ``add_events`` call), so the two
-    layouts agree exactly whenever accumulated charge stays inside the
-    16-bit weight range; a cell that saturates mid-batch from
-    mixed-sign weights may land differently, mirroring the documented
-    :meth:`DeferredEventBuffer.add_events` caveat.
+    Bit-identity with per-core rings: weights are fixed-point multiples
+    of ``2^-4`` held in float64, so ring accumulation is an exact sum
+    and independent of event order or batch grouping — a single fused
+    scatter lands the same values as many per-core ones.  Saturation is
+    clamped once per touched cell after each call, as in
+    :meth:`DeferredEventBuffer.add_events`, so the two layouts agree
+    exactly whenever accumulated charge stays inside the 16-bit weight
+    range.
     """
 
     def __init__(self, total_width: int,
@@ -434,9 +249,9 @@ class FusedDeferredEventBuffer:
         flat_cells += cells
         flat = self._buffer.ravel()
         self.events_deferred += int(cells.size)
-        # Clamping happens once per touched cell after the batch, per
-        # the per-core vector path's rule (cells clamped by earlier
-        # calls sit exactly at the limit and are not re-counted).  For
+        # Clamping happens once per touched cell after the batch (cells
+        # clamped by earlier calls sit exactly at the limit and are not
+        # re-counted).  For
         # batches smaller than the ring width, scatter in place and
         # clamp the deduplicated cells; a dense batch instead pre-sums
         # per cell (exact: fixed-point weights in float64) and clamps

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.compile import MappingContext, MappingPipeline
 from repro.core.dma import DMARequest
-from repro.core.event_kernel import EventKernel, milliseconds
+from repro.core.event_kernel import EventKernel
 from repro.core.geometry import ChipCoordinate
 from repro.core.machine import SpiNNakerMachine
 from repro.core.packets import MulticastPacket
@@ -41,13 +41,8 @@ from repro.mapping.synaptic_matrix import CoreSynapticData
 from repro.neuron.engine import CSRMatrix, decode_packed_row
 from repro.router.fabric import RouteProgram, RouteTarget, TransportFabric
 from repro.neuron.network import Network
-from repro.neuron.population import (
-    Population,
-    SpikeSourceArray,
-    SpikeSourcePoisson,
-    core_rng,
-)
-from repro.neuron.synapse import MAX_DELAY_TICKS, DeferredEventBuffer, SynapticRow
+from repro.neuron.population import Population, core_rng, stimulus_mask
+from repro.neuron.synapse import MAX_DELAY_TICKS, DeferredEventBuffer
 
 #: The biological real-time tick of the application model.
 TIMER_PERIOD_US = 1000.0
@@ -290,10 +285,8 @@ class CoreRuntime:
                  synaptic_data: CoreSynapticData,
                  rng: np.random.Generator,
                  has_outgoing_projections: bool = True,
-                 propagation: str = "csr",
                  transport: str = "event") -> None:
         self.application = application
-        self.propagation = propagation
         self.transport = transport
         #: Filled in by the application when ``transport="fabric"``.
         self.fabric_program: Optional[RouteProgram] = None
@@ -318,8 +311,8 @@ class CoreRuntime:
                                              application.timestep_ms, rng)
         self.buffer = DeferredEventBuffer(vertex.n_neurons, MAX_DELAY_TICKS)
         self.tick = 0
-        #: CSR fast path: synaptic rows decoded once per SDRAM address.  A
-        #: row is re-fetched by DMA every time its source neuron spikes but
+        #: Synaptic rows decoded once per SDRAM address.  A row is
+        #: re-fetched by DMA every time its source neuron spikes but
         #: its contents only change through plasticity write-back (which
         #: this runtime does not model), so the decoded arrays are reused;
         #: DMA/processing costs are still charged per fetch.
@@ -350,29 +343,19 @@ class CoreRuntime:
     # ------------------------------------------------------------------
     def _on_dma_complete(self, request: DMARequest) -> None:
         packet: MulticastPacket = request.context
-        if self.propagation == "csr":
-            # Fast path: decode the packed row straight into flat arrays
-            # (cached per SDRAM address) and defer the whole row with one
-            # vectorized scatter.
-            decoded = self._decoded_rows.get(request.sdram_address)
-            if decoded is None:
-                decoded = decode_packed_row(request.data)
-                self._decoded_rows[request.sdram_address] = decoded
-            count, targets, weights, delays = decoded
-            self.core.charge_cycles(
-                self.core.costs.dma_complete_cycles_per_word * count)
-            if count:
-                self.buffer.add_events(targets, weights, delays)
-            self.application.result.synaptic_events += count
-            self.application.result.delivered_charge_na += float(weights.sum())
-        else:
-            row = SynapticRow.unpack(packet.key, request.data)
-            self.core.charge_cycles(
-                self.core.costs.dma_complete_cycles_per_word * len(row))
-            for synapse in row:
-                self.buffer.add_synapse(synapse)
-            self.application.result.synaptic_events += len(row)
-            self.application.result.delivered_charge_na += row.total_charge()
+        # Decode the packed row straight into flat arrays (cached per
+        # SDRAM address) and defer the whole row with one scatter.
+        decoded = self._decoded_rows.get(request.sdram_address)
+        if decoded is None:
+            decoded = decode_packed_row(request.data)
+            self._decoded_rows[request.sdram_address] = decoded
+        count, targets, weights, delays = decoded
+        self.core.charge_cycles(
+            self.core.costs.dma_complete_cycles_per_word * count)
+        if count:
+            self.buffer.add_events(targets, weights, delays)
+        self.application.result.synaptic_events += count
+        self.application.result.delivered_charge_na += float(weights.sum())
         latency = self.application.kernel.now - packet.timestamp
         distance = None
         if packet.source is not None:
@@ -386,7 +369,10 @@ class CoreRuntime:
     def _on_timer(self) -> None:
         time_ms = self.tick * self.application.timestep_ms
         if self.is_source:
-            spikes = self._source_spikes()
+            spikes = stimulus_mask(
+                self.population, self.vertex.slice_start,
+                self.vertex.slice_stop, self.tick,
+                self.application.timestep_ms, self.rng)
         else:
             inputs = self.buffer.drain()
             state = self.neuron_state
@@ -418,18 +404,6 @@ class CoreRuntime:
                         self.application.result.packets_sent += 1
         self.tick += 1
 
-    def _source_spikes(self) -> np.ndarray:
-        population = self.population
-        if isinstance(population, SpikeSourcePoisson):
-            probability = SpikeSourcePoisson.spike_probability(
-                population.rate_hz, self.application.timestep_ms)
-            return self.rng.random(self.vertex.n_neurons) < probability
-        if isinstance(population, SpikeSourceArray):
-            mask = population.spikes_for_tick(self.tick,
-                                              self.application.timestep_ms)
-            return mask[self.vertex.slice_start:self.vertex.slice_stop]
-        return np.zeros(self.vertex.n_neurons, dtype=bool)
-
 
 class _VertexState:
     """Neuron-model state for the slice of a population on one core."""
@@ -450,12 +424,8 @@ class NeuralApplication:
                  max_neurons_per_core: int = 256,
                  placement_strategy: str = "locality",
                  seed: Optional[int] = None,
-                 propagation: str = "csr",
                  transport: str = "event",
                  stagger_us: float = 10.0) -> None:
-        if propagation not in ("csr", "reference"):
-            raise ValueError("propagation must be 'csr' or 'reference', "
-                             "got %r" % (propagation,))
         if transport not in ("event", "fabric"):
             raise ValueError("transport must be 'event' or 'fabric', "
                              "got %r" % (transport,))
@@ -474,7 +444,6 @@ class NeuralApplication:
         self.expansion_seed = seed if seed is not None else network.seed
         self.max_neurons_per_core = max_neurons_per_core
         self.placement_strategy = placement_strategy
-        self.propagation = propagation
         self.transport = transport
         #: Upper bound (us) of the random per-core timer offset.  The
         #: default keeps the paper's bounded asynchrony; transport
@@ -577,7 +546,6 @@ class NeuralApplication:
                              core_id),
                 has_outgoing_projections=(vertex.population_label
                                           in projecting_labels),
-                propagation=self.propagation,
                 transport=self.transport)
             self.core_runtimes.append(runtime)
             built += 1
@@ -788,6 +756,8 @@ class NeuralApplication:
             self.prepare()
         if duration_ms < 0:
             raise ValueError("duration must be non-negative")
+        n_ticks = int(round(duration_ms / self.timestep_ms))
+        end_time = self.kernel.now
         for runtime in self.core_runtimes:
             # The offset is derived from the core's location (stream 1 of
             # the per-core generator family), so the stagger pattern is
@@ -799,8 +769,15 @@ class NeuralApplication:
                     self.seed, runtime.chip_coordinate.x,
                     runtime.chip_coordinate.y, runtime.core.core_id,
                     stream=1).uniform(0.0, self.stagger_us))
-            runtime.core.start_timer(TIMER_PERIOD_US, start_offset_us=offset)
-        return self.kernel.now + milliseconds(duration_ms)
+            first_tick = runtime.core.start_timer(TIMER_PERIOD_US,
+                                                  start_offset_us=offset)
+            # The run ends on the latest core's final tick, computed by
+            # the timer's own ``first + k * period`` expression, so every
+            # core executes exactly ``n_ticks`` ticks.
+            if n_ticks > 0:
+                end_time = max(end_time,
+                               first_tick + (n_ticks - 1) * TIMER_PERIOD_US)
+        return end_time
 
     def halt(self) -> None:
         """Stop every core's millisecond timer."""

@@ -274,7 +274,6 @@ class FunctionalMigrator:
                 rng=core_rng(self.seed, chip_coordinate.x, chip_coordinate.y,
                              core_id),
                 has_outgoing_projections=(vertex.population_label in projecting),
-                propagation=application.propagation,
                 transport=application.transport)
             kept.append(runtime)
             rebuilt += 1

@@ -1,0 +1,423 @@
+"""Literal reference semantics the shipped CSR path is pinned to.
+
+The package ships exactly one representation of an expanded projection
+(the flat CSR arrays of :mod:`repro.neuron.engine`), one propagation path
+(the vectorized scatter) and one STDP rule (``update_csr``).  This module
+keeps the slow, obviously-correct formulation of each — one Python object
+per synapse, one ring-buffer update per event — so the tests can assert
+the fast path equals it element for element:
+
+* :class:`Synapse` and :func:`pack_row` / :func:`unpack_row` — the scalar
+  32-bit synaptic-word codec;
+* :func:`build_rows` — the object-building connector loops, making the
+  generator calls one synapse at a time;
+* :class:`ScalarRing` — a per-event deferred-event ring that clamps at
+  the 16-bit weight range after *every* event;
+* :func:`stdp_update` — the per-synapse additive pair-based STDP rule;
+* :func:`reference_run` — the host tick loop over all of the above.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.neuron.connectors import (
+    AllToAllConnector,
+    DistanceDependentConnector,
+    FixedProbabilityConnector,
+    FromListConnector,
+    OneToOneConnector,
+)
+from repro.neuron.network import Network, SimulationResult
+from repro.neuron.population import (
+    SpikeSourceArray,
+    SpikeSourcePoisson,
+    expansion_rng,
+    simulation_rng,
+)
+from repro.neuron.synapse import (
+    DELAY_BITS,
+    INDEX_BITS,
+    MAX_DELAY_TICKS,
+    WEIGHT_BITS,
+    WEIGHT_FIXED_POINT,
+    WEIGHT_SATURATION_NA,
+)
+
+Rows = Dict[int, List["Synapse"]]
+
+
+# ----------------------------------------------------------------------
+# One synapse, and its packed 32-bit word
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Synapse:
+    """One synaptic connection from an implicit source neuron."""
+
+    target: int
+    weight: float
+    delay_ticks: int = 1
+
+    def __post_init__(self) -> None:
+        if self.target < 0:
+            raise ValueError("synapse target index must be non-negative")
+        if not 1 <= self.delay_ticks <= MAX_DELAY_TICKS:
+            raise ValueError("delay must be in 1..%d ticks, got %d"
+                             % (MAX_DELAY_TICKS, self.delay_ticks))
+
+    def pack(self) -> int:
+        """Pack the synapse into the 32-bit SDRAM synaptic word."""
+        if self.target >= (1 << INDEX_BITS):
+            raise ValueError("target index %d does not fit in %d bits"
+                             % (self.target, INDEX_BITS))
+        weight_fixed = int(round(abs(self.weight) * WEIGHT_FIXED_POINT))
+        weight_fixed = min(weight_fixed, (1 << (WEIGHT_BITS - 1)) - 1)
+        if self.weight < 0:
+            weight_fixed |= 1 << (WEIGHT_BITS - 1)
+        return ((weight_fixed << (DELAY_BITS + INDEX_BITS)) |
+                ((self.delay_ticks - 1) << INDEX_BITS) |
+                self.target)
+
+    @classmethod
+    def unpack(cls, word: int) -> "Synapse":
+        """Reconstruct a synapse from its packed 32-bit word."""
+        target = word & ((1 << INDEX_BITS) - 1)
+        delay = ((word >> INDEX_BITS) & ((1 << DELAY_BITS) - 1)) + 1
+        weight_field = word >> (DELAY_BITS + INDEX_BITS)
+        magnitude = ((weight_field & ((1 << (WEIGHT_BITS - 1)) - 1))
+                     / WEIGHT_FIXED_POINT)
+        sign = -1.0 if weight_field & (1 << (WEIGHT_BITS - 1)) else 1.0
+        return cls(target=target, weight=sign * magnitude, delay_ticks=delay)
+
+
+def pack_row(synapses: Sequence[Synapse]) -> List[int]:
+    """Pack one row for SDRAM: a count header followed by synapse words."""
+    return [len(synapses)] + [s.pack() for s in synapses]
+
+
+def unpack_row(words: Sequence[int]) -> List[Synapse]:
+    """Rebuild a row from its packed (possibly stride-padded) words."""
+    if not words:
+        raise ValueError("a packed synaptic row has at least a header word")
+    count = words[0]
+    if count > len(words) - 1:
+        raise ValueError("row header claims %d synapses but only %d words "
+                         "follow" % (count, len(words) - 1))
+    return [Synapse.unpack(int(word)) for word in words[1:count + 1]]
+
+
+# ----------------------------------------------------------------------
+# Object-building connector loops
+# ----------------------------------------------------------------------
+def _clip_delay(delay_ticks) -> int:
+    return int(min(max(1, delay_ticks), MAX_DELAY_TICKS))
+
+
+def _one_to_one(c: OneToOneConnector, n_pre, n_post, rng) -> Rows:
+    return {i: [Synapse(i, c.weight, _clip_delay(c.delay_ticks))]
+            for i in range(min(n_pre, n_post))}
+
+
+def _all_to_all(c: AllToAllConnector, n_pre, n_post, rng) -> Rows:
+    delay = _clip_delay(c.delay_ticks)
+    return {pre: [Synapse(post, c.weight, delay) for post in range(n_post)
+                  if c.allow_self_connections or post != pre]
+            for pre in range(n_pre)}
+
+
+def _fixed_probability(c: FixedProbabilityConnector, n_pre, n_post,
+                       rng) -> Rows:
+    rows: Rows = {}
+    for pre in range(n_pre):
+        mask = rng.random(n_post) < c.p_connect
+        if not c.allow_self_connections and pre < n_post:
+            mask[pre] = False
+        row = []
+        for post in np.flatnonzero(mask):
+            weight = (c.weight if c.weight_range is None
+                      else float(rng.uniform(*c.weight_range)))
+            delay = (c.delay_ticks if c.delay_range is None
+                     else int(rng.integers(c.delay_range[0],
+                                           c.delay_range[1] + 1)))
+            row.append(Synapse(int(post), weight, _clip_delay(delay)))
+        rows[pre] = row
+    return rows
+
+
+def _distance_dependent(c: DistanceDependentConnector, n_pre, n_post,
+                        rng) -> Rows:
+    pre_rows, pre_cols = c.pre_shape
+    post_rows, post_cols = c.post_shape
+    if pre_rows * pre_cols < n_pre or post_rows * post_cols < n_post:
+        raise ValueError("grid shapes are too small for the populations")
+    row_scale = pre_rows / post_rows
+    col_scale = pre_cols / post_cols
+    rows: Rows = {}
+    for pre in range(n_pre):
+        pre_r, pre_c = float(pre // pre_cols), float(pre % pre_cols)
+        synapses = []
+        for post in range(n_post):
+            post_r, post_c = float(post // post_cols), float(post % post_cols)
+            distance = math.hypot(pre_r - post_r * row_scale,
+                                  pre_c - post_c * col_scale)
+            if distance > c.max_distance:
+                continue
+            probability = c.p_peak * math.exp(
+                -(distance ** 2) / (2.0 * c.sigma ** 2))
+            if rng.random() >= probability:
+                continue
+            delay = c.min_delay_ticks + int(
+                round(distance * c.delay_per_unit_distance_ticks))
+            synapses.append(Synapse(post, c.weight, _clip_delay(delay)))
+        rows[pre] = synapses
+    return rows
+
+
+def _from_list(c: FromListConnector, n_pre, n_post, rng) -> Rows:
+    rows: Rows = {}
+    for pre, post, weight, delay in c.connections:
+        if not 0 <= pre < n_pre:
+            raise IndexError("pre index %d outside population of %d"
+                             % (pre, n_pre))
+        if not 0 <= post < n_post:
+            raise IndexError("post index %d outside population of %d"
+                             % (post, n_post))
+        rows.setdefault(pre, []).append(
+            Synapse(post, weight, _clip_delay(delay)))
+    return rows
+
+
+_BUILDERS = {
+    OneToOneConnector: _one_to_one,
+    AllToAllConnector: _all_to_all,
+    FixedProbabilityConnector: _fixed_probability,
+    DistanceDependentConnector: _distance_dependent,
+    FromListConnector: _from_list,
+}
+
+
+def build_rows(connector, n_pre: int, n_post: int,
+               rng: np.random.Generator) -> Rows:
+    """Expand ``connector`` into per-source :class:`Synapse` lists."""
+    return _BUILDERS[type(connector)](connector, n_pre, n_post, rng)
+
+
+def flatten_rows(rows: Rows, n_pre: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``rows`` as ``(row_ptr, targets, weights, delay_ticks)`` arrays —
+    source-ordered, each row in list order (the CSR storage order)."""
+    flat = [s for pre in range(n_pre) for s in rows.get(pre, ())]
+    row_ptr = np.concatenate([[0], np.cumsum(
+        [len(rows.get(pre, ())) for pre in range(n_pre)])]).astype(np.int64)
+    return (row_ptr,
+            np.array([s.target for s in flat], dtype=np.int64),
+            np.array([s.weight for s in flat], dtype=float),
+            np.array([s.delay_ticks for s in flat], dtype=np.int64))
+
+
+def csr_rows(csr) -> Rows:
+    """A :class:`~repro.neuron.engine.CSRMatrix` as per-source synapse
+    lists (every row present, possibly empty)."""
+    return {pre: [Synapse(int(csr.targets[i]), float(csr.weights[i]),
+                          int(csr.delay_ticks[i]))
+                  for i in range(int(csr.row_ptr[pre]),
+                                 int(csr.row_ptr[pre + 1]))]
+            for pre in range(csr.n_pre)}
+
+
+# ----------------------------------------------------------------------
+# The per-event deferred-event ring
+# ----------------------------------------------------------------------
+class ScalarRing:
+    """One core's input ring, updated and clamped one event at a time."""
+
+    def __init__(self, n_neurons: int,
+                 max_delay_ticks: int = MAX_DELAY_TICKS) -> None:
+        self.n_neurons = n_neurons
+        self.max_delay_ticks = max_delay_ticks
+        self.n_slots = max_delay_ticks + 1
+        self.buffer = np.zeros((self.n_slots, n_neurons), dtype=float)
+        self.current_tick = 0
+        self.events_deferred = 0
+        self.saturations = 0
+
+    def add_input(self, target: int, weight: float, delay_ticks: int,
+                  age: int = 0) -> None:
+        """Accumulate ``weight`` for ``target``, ``delay_ticks`` after a
+        send ``age`` ticks in the past (effective delay 0 = this tick)."""
+        if not 0 <= target < self.n_neurons:
+            raise IndexError("target %d outside population of %d neurons"
+                             % (target, self.n_neurons))
+        if not 1 <= delay_ticks <= self.max_delay_ticks:
+            raise ValueError("delay %d outside 1..%d"
+                             % (delay_ticks, self.max_delay_ticks))
+        if not 0 <= age <= delay_ticks:
+            raise ValueError("age %d outside 0..%d" % (age, delay_ticks))
+        slot = (self.current_tick + delay_ticks - age) % self.n_slots
+        accumulated = self.buffer[slot, target] + weight
+        if accumulated > WEIGHT_SATURATION_NA:
+            accumulated = WEIGHT_SATURATION_NA
+            self.saturations += 1
+        elif accumulated < -WEIGHT_SATURATION_NA:
+            accumulated = -WEIGHT_SATURATION_NA
+            self.saturations += 1
+        self.buffer[slot, target] = accumulated
+        self.events_deferred += 1
+
+    def add_synapse(self, synapse: Synapse) -> None:
+        self.add_input(synapse.target, synapse.weight, synapse.delay_ticks)
+
+    def drain(self) -> np.ndarray:
+        slot = self.current_tick % self.n_slots
+        inputs = self.buffer[slot].copy()
+        self.buffer[slot] = 0.0
+        self.current_tick += 1
+        return inputs
+
+    def pending_charge(self) -> float:
+        return float(np.sum(self.buffer))
+
+
+# ----------------------------------------------------------------------
+# The per-synapse STDP rule
+# ----------------------------------------------------------------------
+def stdp_update(mechanism, rows: Rows, pre_spikes: np.ndarray,
+                post_spikes: np.ndarray) -> None:
+    """One tick of additive pair-based STDP over ``Synapse`` objects.
+
+    Drives ``mechanism``'s own traces, parameters and counters (a
+    :class:`~repro.neuron.stdp.STDPMechanism`), replacing the frozen
+    synapses of ``rows`` in place.
+    """
+    p = mechanism.parameters
+    # Decay the traces first (they represent activity *before* this tick).
+    mechanism.pre_trace *= mechanism._decay_plus
+    mechanism.post_trace *= mechanism._decay_minus
+    pre_indices = np.flatnonzero(pre_spikes)
+    post_indices = np.flatnonzero(post_spikes)
+
+    # Depression: pre-synaptic spike reads the post trace.
+    for pre in pre_indices:
+        row = rows.get(int(pre))
+        if not row:
+            continue
+        modified = False
+        for i, synapse in enumerate(row):
+            trace = mechanism.post_trace[synapse.target]
+            if trace <= 0.0:
+                continue
+            new_weight = max(p.w_min, synapse.weight - p.a_minus * trace)
+            if new_weight != synapse.weight:
+                row[i] = Synapse(synapse.target, new_weight,
+                                 synapse.delay_ticks)
+                mechanism.depression_events += 1
+                modified = True
+        if modified:
+            mechanism.rows_modified += 1
+
+    # Potentiation: post-synaptic spike reads the pre trace.
+    post_spiking = set(int(i) for i in post_indices)
+    if post_spiking:
+        for pre, row in rows.items():
+            trace = mechanism.pre_trace[pre]
+            if trace <= 0.0 or not row:
+                continue
+            modified = False
+            for i, synapse in enumerate(row):
+                if synapse.target not in post_spiking:
+                    continue
+                new_weight = min(p.w_max, synapse.weight + p.a_plus * trace)
+                if new_weight != synapse.weight:
+                    row[i] = Synapse(synapse.target, new_weight,
+                                     synapse.delay_ticks)
+                    mechanism.potentiation_events += 1
+                    modified = True
+            if modified:
+                mechanism.rows_modified += 1
+
+    # Finally the spikes of this tick bump their own traces.
+    mechanism.pre_trace[pre_indices] += 1.0
+    mechanism.post_trace[post_indices] += 1.0
+
+
+# ----------------------------------------------------------------------
+# The host tick loop
+# ----------------------------------------------------------------------
+def reference_run(network: Network, duration_ms: float,
+                  seed: Optional[int] = None
+                  ) -> Tuple[SimulationResult, List[Rows]]:
+    """``Network.run`` over object rows, the scalar ring and the object
+    STDP rule.  Returns the result and every projection's (possibly
+    learned) rows, in network order.
+
+    Shares the neuron models, the stimulus draws and the seed seams with
+    the shipped loop — the parts under test are the expansion, the
+    propagation and the plasticity rule.
+    """
+    effective_seed = network.seed if seed is None else seed
+    rng = simulation_rng(effective_seed)
+    n_ticks = int(round(duration_ms / network.timestep_ms))
+    result = SimulationResult(duration_ms=duration_ms,
+                              timestep_ms=network.timestep_ms)
+    states, rings = {}, {}
+    for population in network.populations:
+        result.spike_counts[population.label] = np.zeros(population.size,
+                                                         dtype=int)
+        if population.record_spikes:
+            result.spikes[population.label] = []
+        if population.is_spike_source:
+            continue
+        states[population.label] = population.build_state(
+            network.timestep_ms, rng)
+        rings[population.label] = ScalarRing(population.size)
+        if population.record_voltages:
+            result.voltages[population.label] = np.zeros(
+                (n_ticks, population.size))
+    rows_by_projection = [
+        build_rows(projection.connector, projection.pre.size,
+                   projection.post.size, expansion_rng(effective_seed, index))
+        for index, projection in enumerate(network.projections)]
+
+    for tick in range(n_ticks):
+        time_ms = tick * network.timestep_ms
+        spikes_this_tick: Dict[str, np.ndarray] = {}
+        for population in network.populations:
+            if isinstance(population, SpikeSourcePoisson):
+                spikes_this_tick[population.label] = \
+                    population.spikes_for_tick(network.timestep_ms, rng)
+            elif isinstance(population, SpikeSourceArray):
+                spikes_this_tick[population.label] = \
+                    population.spikes_for_tick(tick, network.timestep_ms)
+        for population in network.populations:
+            if population.is_spike_source:
+                continue
+            state = states[population.label]
+            state.inject_synaptic_input(rings[population.label].drain())
+            bias = None
+            if population.bias_current_na:
+                bias = np.full(population.size, population.bias_current_na)
+            spikes_this_tick[population.label] = state.step(bias)
+            if population.record_voltages:
+                result.voltages[population.label][tick] = state.v
+        for population in network.populations:
+            spiking = np.flatnonzero(spikes_this_tick[population.label])
+            result.spike_counts[population.label][spiking] += 1
+            if population.record_spikes:
+                result.spikes[population.label].extend(
+                    (time_ms, int(neuron)) for neuron in spiking)
+        for projection, rows in zip(network.projections, rows_by_projection):
+            ring = rings.get(projection.post.label)
+            if ring is None:
+                continue
+            pre_spikes = spikes_this_tick[projection.pre.label]
+            for neuron in np.flatnonzero(pre_spikes):
+                for synapse in rows.get(int(neuron), ()):
+                    ring.add_synapse(synapse)
+            if projection.plasticity is not None:
+                stdp_update(projection.plasticity, rows, pre_spikes,
+                            spikes_this_tick[projection.post.label])
+    return result, rows_by_projection

@@ -8,7 +8,10 @@ accounting, board-aligned allocation and the merged-result semantics.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
+import time
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -523,6 +526,53 @@ class TestWorkerFailure:
         with pytest.raises(ClusterWorkerError):
             cluster.run(20.0)
         assert_shm_unlinked(cluster)
+
+    def test_late_waker_at_the_final_barrier_is_not_a_dead_worker(
+            self, monkeypatch):
+        """Regression: a worker that left the final barrier, sent its
+        results and exited cleanly made the watchdog abort the barrier
+        under a slower party still waking inside that same ``wait()``,
+        failing a correct run with ``ClusterWorkerError(... exit code
+        0)``.  The parent is made that slow party deterministically."""
+        duration_ms, parent_pid = 3.0, os.getpid()
+        final_wait = len(superstep_schedule(3, 1)) + 1
+        fork = multiprocessing.get_context("fork")
+
+        class LateWakingBarrier:
+            """Released with everyone else, but resumes a second later
+            — and, like any party still inside ``wait()``, then sees
+            whether the barrier was broken in the meantime."""
+
+            def __init__(self, parties):
+                self.inner = fork.Barrier(parties)
+                self.parent_waits = 0
+
+            def wait(self, timeout=None):
+                index = self.inner.wait(timeout)
+                if os.getpid() == parent_pid:
+                    self.parent_waits += 1
+                    if self.parent_waits == final_wait:
+                        time.sleep(1.0)
+                        if self.inner.broken:
+                            raise threading.BrokenBarrierError
+                return index
+
+            def abort(self):
+                self.inner.abort()
+
+        class Context:
+            Barrier = LateWakingBarrier
+
+            def __getattr__(self, name):
+                return getattr(fork, name)
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: Context())
+        pooled = sharded_app(workers=2, lookahead=1).run(duration_ms)
+        monkeypatch.undo()
+        serial = sharded_app(workers=1, lookahead=1).run(duration_ms)
+        assert pooled.spikes == serial.spikes
+        assert pooled.synaptic_events == serial.synaptic_events
 
     def test_clean_run_leaves_no_segment_behind(self):
         cluster = sharded_app(workers=2)

@@ -1,13 +1,15 @@
-"""Bit-identity and unit tests for the fused board engine.
+"""Equivalence and unit tests for the board engine.
 
 The fused engine (:mod:`repro.cluster.fused`) is a performance
-transform, not a new semantics: every run must be *bit-identical* to
-the per-core :class:`~repro.cluster.shard.BoardEngine` — same spike
-trains, same membrane voltages, same counters — whatever the neuron
-model mix, worker count, lookahead depth or plasticity setting.  This
-module pins that matrix and unit-tests the two structures the engine
-leans on: the shared :class:`~repro.neuron.synapse.FusedDeferredEventBuffer`
-ring and the :class:`~repro.compile.context.BoardDeliveryIndex` arena.
+transform, not a new semantics: every cluster run must equal the
+independent unsharded engine — ``NeuralApplication(transport="fabric",
+stagger_us=0)``, which delivers per (key, core) leg through per-core
+rings under the event kernel — in spike trains, counts and counters,
+whatever the neuron model mix, worker count, lookahead depth or
+plasticity setting.  This module pins that matrix and unit-tests the two
+structures the engine leans on: the shared
+:class:`~repro.neuron.synapse.FusedDeferredEventBuffer` ring and the
+:class:`~repro.compile.context.BoardDeliveryIndex` arena.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterApplication, ENGINES, FusedBoardEngine
-from repro.cluster.shard import BoardEngine
+from oracles import ScalarRing
+from repro.cluster import ClusterApplication, FusedBoardEngine
 from repro.compile.context import BoardDeliveryIndex
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.neuron.connectors import FixedProbabilityConnector
@@ -30,10 +32,9 @@ from repro.neuron.stdp import STDPMechanism
 from repro.neuron.synapse import (
     MAX_DELAY_TICKS,
     WEIGHT_SATURATION_NA,
-    DeferredEventBuffer,
     FusedDeferredEventBuffer,
 )
-from repro.runtime.application import ApplicationResult
+from repro.runtime.application import ApplicationResult, NeuralApplication
 from repro.runtime.boot import BootController
 
 SEED = 11
@@ -93,7 +94,7 @@ def izhikevich_network() -> Network:
 
 def mixed_network() -> Network:
     """LIF + Izhikevich + Poisson + array source + inhibition in one
-    net: every engine path (both blocks, both scalar source kinds)."""
+    net: every engine path (both blocks, both source kinds)."""
     network = Network(seed=SEED)
     poisson = SpikeSourcePoisson(48, rate_hz=60.0, label="m-stim")
     replay = SpikeSourceArray(
@@ -121,7 +122,7 @@ def mixed_network() -> Network:
 def stdp_network() -> Network:
     """The LIF ring with a plasticity mechanism attached to its input
     projections — the cluster compiles plastic projections through the
-    same decoded synaptic blocks, and both engines must agree."""
+    same decoded synaptic blocks the fabric engine replays."""
     network = Network(seed=SEED)
     excitatory = []
     for pair in range(3):
@@ -152,87 +153,79 @@ NETWORKS = {
 DURATION_MS = 80.0
 
 
-def run_cluster(name: str, engine: str, workers: int,
-                lookahead) -> ApplicationResult:
+def run_cluster(name: str, workers: int, lookahead):
     cluster = ClusterApplication(cluster_machine(), NETWORKS[name](),
                                  seed=SEED, max_neurons_per_core=32,
-                                 workers=workers, lookahead=lookahead,
-                                 engine=engine)
-    result = cluster.run(DURATION_MS)
-    assert cluster.report.engine == engine
-    return result
+                                 workers=workers, lookahead=lookahead)
+    return cluster.run(DURATION_MS), cluster.unmatched_packets
 
 
-_references = {}
+_fabric_references = {}
+_serial_references = {}
 
 
-def percore_reference(name: str, lookahead) -> ApplicationResult:
-    """The serial per-core run every fused run must reproduce (cached:
-    the per-core engine is worker-count independent by its own tests)."""
+def fabric_reference(name: str):
+    """The unsharded on-machine run every cluster run must reproduce."""
+    if name not in _fabric_references:
+        application = NeuralApplication(
+            cluster_machine(), NETWORKS[name](), max_neurons_per_core=32,
+            seed=SEED, transport="fabric", stagger_us=0.0)
+        result = application.run(DURATION_MS)
+        assert all(runtime.tick == int(DURATION_MS)
+                   for runtime in application.core_runtimes)
+        _fabric_references[name] = (result, application.unmatched_packets)
+    return _fabric_references[name]
+
+
+def serial_reference(name: str, lookahead):
+    """The ``workers=1`` cluster run (cached), for recording order."""
     key = (name, lookahead)
-    if key not in _references:
-        _references[key] = run_cluster(name, "percore", 1, lookahead)
-    return _references[key]
+    if key not in _serial_references:
+        _serial_references[key] = run_cluster(name, 1, lookahead)
+    return _serial_references[key]
 
 
-def assert_bit_identical(fused: ApplicationResult,
-                         reference: ApplicationResult) -> None:
+def assert_equivalent(sharded: ApplicationResult,
+                      reference: ApplicationResult) -> None:
+    """Same trains (the engines record a tick's spikes in different
+    core orders), same counts, same counters."""
     assert reference.total_spikes() > 0
-    assert fused.spikes == reference.spikes
-    assert set(fused.spike_counts) == set(reference.spike_counts)
+    assert set(sharded.spikes) == set(reference.spikes)
+    for label in reference.spikes:
+        assert sorted(sharded.spikes[label]) == sorted(
+            reference.spikes[label]), label
+    assert set(sharded.spike_counts) == set(reference.spike_counts)
     for label in reference.spike_counts:
-        assert np.array_equal(fused.spike_counts[label],
+        assert np.array_equal(sharded.spike_counts[label],
                               reference.spike_counts[label])
-    assert fused.synaptic_events == reference.synaptic_events
-    assert fused.delivered_charge_na == reference.delivered_charge_na
-    assert fused.packets_sent == reference.packets_sent
+    assert sharded.synaptic_events == reference.synaptic_events
+    assert sharded.delivered_charge_na == reference.delivered_charge_na
+    assert sharded.packets_sent == reference.packets_sent
 
 
 # ----------------------------------------------------------------------
-# The bit-identity matrix: models x workers x lookahead x plasticity
+# The equivalence matrix: models x workers x lookahead x plasticity
 # ----------------------------------------------------------------------
-class TestFusedBitIdentity:
+class TestFusedEquivalence:
     @pytest.mark.parametrize("lookahead", [1, None])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("name", sorted(NETWORKS))
-    def test_fused_matches_percore(self, name, workers, lookahead):
-        fused = run_cluster(name, "fused", workers, lookahead)
-        assert_bit_identical(fused, percore_reference(name, lookahead))
-
-    def test_unmatched_packets_agree(self):
-        """The fused none-leg bookkeeping must count exactly what the
-        per-leg path counts (zero on a fully-matched network)."""
-        fused = ClusterApplication(cluster_machine(), lif_network(),
-                                   seed=SEED, max_neurons_per_core=32,
-                                   engine="fused")
-        percore = ClusterApplication(cluster_machine(), lif_network(),
-                                     seed=SEED, max_neurons_per_core=32,
-                                     engine="percore")
-        fused.run(DURATION_MS)
-        percore.run(DURATION_MS)
-        assert fused.unmatched_packets == percore.unmatched_packets
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterApplication(cluster_machine(), lif_network(),
-                               seed=SEED, engine="simd")
-        cluster = ClusterApplication(cluster_machine(), lif_network(),
-                                     seed=SEED, max_neurons_per_core=32)
-        with pytest.raises(ValueError):
-            cluster.run(10.0, engine="simd")
-
-    def test_engines_registry(self):
-        assert ENGINES["fused"] is FusedBoardEngine
-        assert ENGINES["percore"] is BoardEngine
+    def test_fused_matches_the_fabric_engine(self, name, workers, lookahead):
+        fused, unmatched = run_cluster(name, workers, lookahead)
+        reference, reference_unmatched = fabric_reference(name)
+        assert_equivalent(fused, reference)
+        assert unmatched == reference_unmatched
+        # Recording order too is independent of the worker count.
+        assert fused.spikes == serial_reference(name, lookahead)[0].spikes
 
 
 # ----------------------------------------------------------------------
-# Tick-by-tick state equivalence (voltages, not just spikes)
+# Standalone engine behaviour
 # ----------------------------------------------------------------------
-class TestFusedStateEquivalence:
+class TestFusedEngine:
     @staticmethod
-    def single_board_engines():
-        """Both engines over the same single-board context: every
+    def single_board_engines(count: int):
+        """``count`` engines over the same single-board context: every
         delivery is local, so the engines can be stepped standalone."""
         machine = SpiNNakerMachine(MachineConfig.multi_board(
             1, 1, board_width=4, board_height=3, cores_per_chip=4))
@@ -242,51 +235,58 @@ class TestFusedStateEquivalence:
         cluster.prepare()
         (context,) = cluster.board_contexts.values()
         populations = cluster._populations()
-        return (
-            BoardEngine(context, populations, SEED, cluster.timestep_ms,
-                        export_keys=set()),
-            FusedBoardEngine(context, populations, SEED,
-                             cluster.timestep_ms, export_keys=set()),
-            context)
-
-    def test_voltages_bit_identical_every_tick(self):
-        percore, fused, context = self.single_board_engines()
-        for tick in range(120):
-            assert percore.step(tick) == []
-            assert fused.step(tick) == []
-            for core_index in range(len(context.cores)):
-                reference = percore.core_voltages(core_index)
-                voltages = fused.core_voltages(core_index)
-                if reference is None:
-                    assert voltages is None
-                    continue
-                assert np.array_equal(voltages, reference)
-        assert fused.result.synaptic_events > 0
-        assert fused.result.synaptic_events == percore.result.synaptic_events
+        return [FusedBoardEngine(context, populations, SEED,
+                                 cluster.timestep_ms, export_keys=set())
+                for _ in range(count)]
 
     def test_prefetched_sources_change_nothing(self):
-        percore, fused, context = self.single_board_engines()
-        fused.prefetch_sources(59)
+        plain, prefetched = self.single_board_engines(2)
+        prefetched.prefetch_sources(59)
         for tick in range(90):
-            percore.step(tick)
-            fused.step(tick)
+            assert plain.step(tick) == []
+            assert prefetched.step(tick) == []
             # Re-prefetch mid-run: draws stay in tick order per stream.
             if tick == 70:
-                fused.prefetch_sources(85)
-        identical = assert_bit_identical
-        identical(fused.finish(90.0).result, percore.finish(90.0).result)
+                prefetched.prefetch_sources(85)
+        plain_result = plain.finish(90.0).result
+        prefetched_result = prefetched.finish(90.0).result
+        assert_equivalent(prefetched_result, plain_result)
+        assert prefetched_result.spikes == plain_result.spikes
+        assert plain_result.synaptic_events > 0
 
     def test_stage_counters_cover_compute(self):
-        percore, fused, _ = self.single_board_engines()
-        for engine in (percore, fused):
-            for tick in range(30):
-                engine.step(tick)
-            stages = engine.stage_s
-            assert set(stages) == {"step", "local_apply", "remote_apply"}
-            assert engine.compute_s == pytest.approx(
-                sum(stages.values()))
-            assert stages["step"] > 0.0
-            assert engine.finish(30.0).stage_s == stages
+        (engine,) = self.single_board_engines(1)
+        for tick in range(30):
+            engine.step(tick)
+        stages = engine.stage_s
+        assert set(stages) == {"step", "local_apply", "remote_apply"}
+        assert engine.compute_s == pytest.approx(sum(stages.values()))
+        assert stages["step"] > 0.0
+        assert engine.finish(30.0).stage_s == stages
+
+    def test_projection_onto_a_source_is_counted_but_lands_nowhere(self):
+        """A source core has no ring cells; events aimed at one must
+        not leak into a real neuron's column."""
+        def run(with_feedback: bool) -> ApplicationResult:
+            network = Network(seed=SEED)
+            stimulus = SpikeSourcePoisson(32, rate_hz=80.0, label="s-stim")
+            target = Population(32, "lif", label="s-tgt")
+            target.record(spikes=True)
+            network.connect(stimulus, target,
+                            FixedProbabilityConnector(0.4, weight=1.5))
+            if with_feedback:
+                network.connect(target, stimulus,
+                                FixedProbabilityConnector(0.4, weight=4.0))
+            machine = SpiNNakerMachine(MachineConfig.multi_board(
+                1, 1, board_width=4, board_height=3, cores_per_chip=4))
+            BootController(machine, seed=1).boot()
+            return ClusterApplication(machine, network, seed=SEED,
+                                      max_neurons_per_core=32).run(60.0)
+
+        plain, feedback = run(False), run(True)
+        assert plain.total_spikes("s-tgt") > 0
+        assert feedback.spikes == plain.spikes
+        assert feedback.synaptic_events > plain.synaptic_events
 
 
 # ----------------------------------------------------------------------
@@ -305,12 +305,12 @@ class TestFusedDeferredEventBuffer:
 
     def test_matches_percore_rings_exactly(self):
         """One fused ring at per-core column offsets replays two
-        per-core rings event for event, whatever the batch grouping."""
+        per-core per-event rings event for event, whatever the batch
+        grouping."""
         rng = np.random.default_rng(3)
         widths = [5, 9]
         offsets = [0, 5]
-        cores = [DeferredEventBuffer(width, MAX_DELAY_TICKS)
-                 for width in widths]
+        cores = [ScalarRing(width, MAX_DELAY_TICKS) for width in widths]
         ring = FusedDeferredEventBuffer(sum(widths), MAX_DELAY_TICKS)
         for _ in range(40):
             cells, weights, delays = [], [], []
@@ -322,7 +322,8 @@ class TestFusedDeferredEventBuffer:
                 charge = rng.integers(-40, 40, size=n) / 16.0
                 delay = rng.integers(1, MAX_DELAY_TICKS + 1, size=n)
                 age = int(rng.integers(0, 2))
-                buffer.add_events_aged(targets, charge, delay, age)
+                for t, w, d in zip(targets, charge, delay):
+                    buffer.add_input(int(t), float(w), int(d), age=age)
                 cells.append(targets + base)
                 weights.append(charge)
                 delays.append(delay - age)
@@ -332,6 +333,20 @@ class TestFusedDeferredEventBuffer:
             split = np.concatenate([buffer.drain() for buffer in cores])
             assert np.array_equal(row, split)
         assert ring.events_deferred == sum(b.events_deferred for b in cores)
+
+    def test_aged_events_land_in_the_original_arrival_slot(self):
+        # A batch applied 2 ticks after its send barrier (age 2) with a
+        # programmed delay of 5 must arrive 5 - 2 = 3 ticks from now —
+        # the same absolute tick a per-tick exchange would have hit.
+        aged = FusedDeferredEventBuffer(3)
+        aged.drain(); aged.drain()                       # now at tick 2
+        aged.add_events(np.array([1]), np.array([2.0]), np.array([5 - 2]))
+        reference = ScalarRing(3)
+        reference.add_input(1, 2.0, 5)
+        for _ in range(2):
+            assert reference.drain().sum() == 0.0        # ticks 0 and 1
+        for _ in range(6):
+            assert np.array_equal(aged.drain(), reference.drain())
 
     def test_effective_delay_bounds_enforced(self):
         ring = FusedDeferredEventBuffer(4)

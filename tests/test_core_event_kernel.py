@@ -132,6 +132,18 @@ class TestPeriodic:
         kernel.run_until(100.0)
         assert times == [10.0, 20.0]
 
+    def test_periodic_firings_do_not_accumulate_rounding_error(self):
+        # The k-th firing is at exactly first + k * period, whatever the
+        # (non-representable) start — not a running sum of periods.
+        kernel = EventKernel()
+        times = []
+        first = 1000.0 + 26.0 / 15.0
+        controller = kernel.schedule_periodic(
+            1000.0, lambda k: times.append(k.now), start=first)
+        assert controller.time == first
+        kernel.run_until(first + 199 * 1000.0)
+        assert times == [first + k * 1000.0 for k in range(200)]
+
     def test_periodic_custom_start(self):
         kernel = EventKernel()
         times = []

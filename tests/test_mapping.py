@@ -3,9 +3,9 @@ synaptic-matrix construction (Section 5.3)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from oracles import unpack_row
 from repro.core.geometry import ChipCoordinate
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.mapping.keys import KeyAllocator, KeySpace, VERTEX_MASK
@@ -15,7 +15,6 @@ from repro.mapping.synaptic_matrix import SynapticMatrixBuilder
 from repro.neuron.connectors import AllToAllConnector, FixedProbabilityConnector, OneToOneConnector
 from repro.neuron.network import Network
 from repro.neuron.population import Population, SpikeSourcePoisson
-from repro.neuron.synapse import SynapticRow
 
 
 def build_network(n_stim=30, n_exc=60, seed=7):
@@ -198,8 +197,7 @@ class TestRoutingGeneration:
         network, placement, keys, generator = self._mapped(medium_machine,
                                                            network)
         vertex_a = placement.vertices_of("d-a")[0]
-        destinations = generator.destinations_of(
-            network, vertex_a, np.random.default_rng(1))
+        destinations = generator.destinations_of(network, vertex_a, 1)
         chip_b, core_b = placement.location_of(placement.vertices_of("d-b")[0])
         assert destinations == {chip_b: {core_b}}
 
@@ -242,7 +240,7 @@ class TestSynapticMatrices:
 
     def test_total_synapses_match_network(self, medium_machine):
         network, placement, keys, data = self._built(medium_machine)
-        expected = network.n_synapses(np.random.default_rng(network.seed))
+        expected = network.n_synapses()
         total = sum(core.total_synapses for core in data.values())
         assert total == expected
 
@@ -263,7 +261,7 @@ class TestSynapticMatrices:
                 continue
             address, words = lookup
             chip = medium_machine.chips[chip_coord]
-            row = SynapticRow.unpack(key, chip.sdram.read_block(address, words))
+            row = unpack_row(chip.sdram.read_block(address, words))
             assert all(0 <= s.target < core_data.vertex.n_neurons for s in row)
 
     def test_sdram_usage_accounted(self, medium_machine):

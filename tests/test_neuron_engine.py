@@ -1,22 +1,29 @@
-"""Tests for the vectorized CSR spike-propagation engine.
+"""Tests for the CSR connectivity format and its vectorized propagation.
 
-Covers the CSR compilation/round-trips, the vectorized ring-buffer
-scatter, the packed SDRAM word codec, the vectorized STDP rule and —
-most importantly — the equivalence suite: seeded networks must produce
-identical spike trains under ``propagation="csr"`` and
-``propagation="reference"`` on both the host simulator and the
-on-machine runtime.
+Covers the connector expansion, the vectorized ring-buffer scatter, the
+packed SDRAM word codec, the vectorized STDP rule and — most importantly
+— the equivalence suite: everything the shipped CSR path computes must
+equal the literal object-per-synapse semantics of ``tests/oracles.py``,
+on both the host simulator and the on-machine runtime.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
+import oracles
+from oracles import ScalarRing, Synapse
+from repro.cluster import ClusterApplication
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.neuron.connectors import (
+    AllToAllConnector,
+    DistanceDependentConnector,
     FixedProbabilityConnector,
     FromListConnector,
+    OneToOneConnector,
 )
 from repro.neuron.engine import (
     CSRMatrix,
@@ -24,52 +31,116 @@ from repro.neuron.engine import (
     pack_synapse_words,
     unpack_synapse_words,
 )
-from repro.neuron.network import Network
+from repro.neuron.network import Network, expand_projections
 from repro.neuron.population import Population, Projection, SpikeSourcePoisson
 from repro.neuron.stdp import STDPMechanism
-from repro.neuron.synapse import DeferredEventBuffer, Synapse, SynapticRow
-from repro.runtime.application import NeuralApplication
+from repro.neuron.synapse import DeferredEventBuffer
+from repro.runtime import application as runtime_application
+from repro.runtime.application import CoreRuntime, NeuralApplication
 from repro.runtime.boot import BootController
 
 
-def random_rows(rng, n_pre=20, n_post=30, p=0.4):
-    return FixedProbabilityConnector(
-        p_connect=p, weight_range=(-2.0, 3.0),
-        delay_range=(1, 16)).build(n_pre, n_post, rng)
+def random_pair(rng, n_pre=20, n_post=30, p=0.4):
+    """One random expansion twice: oracle object rows and the CSR."""
+    connector = FixedProbabilityConnector(
+        p_connect=p, weight_range=(-2.0, 3.0), delay_range=(1, 16))
+    seed = int(rng.integers(0, 2 ** 31))
+    rows = oracles.build_rows(connector, n_pre, n_post,
+                              np.random.default_rng(seed))
+    csr = connector.build_csr(n_pre, n_post, np.random.default_rng(seed))
+    return rows, csr
+
+
+def assert_csr_equals_rows(csr, rows):
+    row_ptr, targets, weights, delays = oracles.flatten_rows(rows, csr.n_pre)
+    assert np.array_equal(csr.row_ptr, row_ptr)
+    assert np.array_equal(csr.targets, targets)
+    assert np.array_equal(csr.weights, weights)
+    assert np.array_equal(csr.delay_ticks, delays)
+
+
+#: Every connector, fixed and ranged weights/delays, self-connections
+#: allowed and not.
+CONNECTORS = {
+    "one-to-one": OneToOneConnector(weight=2.0, delay_ticks=3),
+    "one-to-one-clipped": OneToOneConnector(weight=-0.5, delay_ticks=40),
+    "all-to-all": AllToAllConnector(weight=0.25, delay_ticks=2),
+    "all-to-all-no-self": AllToAllConnector(weight=0.25,
+                                            allow_self_connections=False),
+    "fixed-p": FixedProbabilityConnector(0.3, weight=0.7, delay_ticks=5),
+    "fixed-p-no-self": FixedProbabilityConnector(
+        0.3, weight=0.7, allow_self_connections=False),
+    "fixed-p-weights": FixedProbabilityConnector(
+        0.3, weight_range=(-1.0, 2.0)),
+    "fixed-p-delays": FixedProbabilityConnector(
+        0.3, weight=0.1, delay_range=(1, 16)),
+    "fixed-p-delays-clipped": FixedProbabilityConnector(
+        0.3, weight=0.1, delay_range=(0, 20)),
+    "fixed-p-both": FixedProbabilityConnector(
+        0.3, weight_range=(0.1, 0.5), delay_range=(2, 9)),
+    "fixed-p-both-no-self": FixedProbabilityConnector(
+        0.3, weight_range=(0.1, 0.5), delay_range=(2, 9),
+        allow_self_connections=False),
+    "fixed-p-empty": FixedProbabilityConnector(
+        0.0, weight_range=(0.1, 0.5), delay_range=(2, 9)),
+    "distance": DistanceDependentConnector(
+        pre_shape=(6, 6), post_shape=(6, 7), sigma=1.5, max_distance=3.0,
+        p_peak=0.8, delay_per_unit_distance_ticks=2.5),
+    "from-list": FromListConnector(
+        [(3, 1, 0.5, 2), (17, 0, -0.25, 9), (3, 4, 1.5, 30), (0, 2, 2.0, 1),
+         (17, 5, 0.125, 0)]),
+    "from-list-empty": FromListConnector([]),
+}
+
+
+class TestConnectorOracle:
+    """``build_csr`` fills arrays; the oracle builds one object per
+    synapse.  Same synapses, same order, same generator stream."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(30, 36), (36, 30)])
+    @pytest.mark.parametrize("name", sorted(CONNECTORS))
+    def test_build_csr_equals_object_expansion(self, name, shape, seed):
+        connector = CONNECTORS[name]
+        n_pre, n_post = shape
+        oracle_rng = np.random.default_rng(seed)
+        shipped_rng = np.random.default_rng(seed)
+        rows = oracles.build_rows(connector, n_pre, n_post, oracle_rng)
+        csr = connector.build_csr(n_pre, n_post, shipped_rng)
+        assert (csr.n_pre, csr.n_post) == shape
+        assert_csr_equals_rows(csr, rows)
+        # The generator is left in the same state: next draw equal.
+        assert oracle_rng.random() == shipped_rng.random()
+        assert oracle_rng.integers(0, 1 << 30) == \
+            shipped_rng.integers(0, 1 << 30)
+
+    def test_matrix_has_synapses_to_compare(self):
+        for name, connector in CONNECTORS.items():
+            csr = connector.build_csr(30, 36, np.random.default_rng(1))
+            assert (csr.n_synapses > 0) == (not name.endswith("empty")), name
 
 
 class TestCSRMatrix:
-    def test_from_rows_to_rows_round_trip(self, rng):
-        rows = random_rows(rng)
-        csr = CSRMatrix.from_rows(rows, 20, 30)
-        recovered = csr.to_rows()
-        for pre in range(20):
-            assert recovered[pre] == list(rows.get(pre, []))
-
     def test_row_ptr_matches_row_lengths(self, rng):
-        rows = random_rows(rng)
-        csr = CSRMatrix.from_rows(rows, 20, 30)
+        rows, csr = random_pair(rng)
         assert csr.n_synapses == sum(len(r) for r in rows.values())
         assert np.array_equal(csr.row_lengths(),
                               [len(rows.get(i, ())) for i in range(20)])
 
     def test_handles_sparse_row_keys(self, rng):
-        rows = FromListConnector([(3, 1, 0.5, 2), (17, 0, -0.25, 9)]).build(
-            20, 4, rng)
-        csr = CSRMatrix.from_rows(rows, 20, 4)
+        csr = FromListConnector([(3, 1, 0.5, 2), (17, 0, -0.25, 9)]
+                                ).build_csr(20, 4, rng)
         assert csr.n_synapses == 2
         assert csr.max_delay() == 9
         assert list(csr.pre_index) == [3, 17]
 
-    def test_rejects_bad_row_keys_and_targets(self):
-        with pytest.raises(IndexError):
-            CSRMatrix.from_rows({25: [Synapse(0, 1.0)]}, 20, 4)
+    def test_rejects_targets_outside_the_post_population(self):
         with pytest.raises(ValueError):
-            CSRMatrix.from_rows({0: [Synapse(9, 1.0)]}, 20, 4)
+            CSRMatrix(20, 4, np.array([0] + [1] * 20), np.array([9]),
+                      np.array([1.0]), np.array([1]))
 
     def test_synapse_slots_preserve_reference_order(self, rng):
-        rows = random_rows(rng)
-        csr = CSRMatrix.from_rows(rows, 20, 30)
+        rows, csr = random_pair(rng)
         spiking = np.array([2, 7, 13])
         slots = csr.synapse_slots(spiking)
         expected_targets = [s.target for pre in spiking
@@ -77,38 +148,19 @@ class TestCSRMatrix:
         assert list(csr.targets[slots]) == expected_targets
 
     def test_submatrix_matches_manual_filter(self, rng):
-        rows = random_rows(rng, n_pre=24, n_post=32)
-        csr = CSRMatrix.from_rows(rows, 24, 32)
+        rows, csr = random_pair(rng, n_pre=24, n_post=32)
         block = csr.submatrix(8, 16, 10, 25)
         expected = {}
         for pre in range(8, 16):
             expected[pre - 8] = [Synapse(s.target - 10, s.weight, s.delay_ticks)
                                  for s in rows.get(pre, ())
                                  if 10 <= s.target < 25]
-        assert block.to_rows() == expected
-
-    def test_connector_build_csr_matches_build(self):
-        connector = FixedProbabilityConnector(p_connect=0.4,
-                                              weight_range=(-1.0, 1.0),
-                                              delay_range=(1, 16))
-        rows = connector.build(20, 30, np.random.default_rng(8))
-        csr = connector.build_csr(20, 30, np.random.default_rng(8))
-        assert csr.to_rows() == {pre: list(rows.get(pre, []))
-                                 for pre in range(20)}
-
-    def test_write_back_syncs_mutated_weights(self, rng):
-        rows = random_rows(rng)
-        csr = CSRMatrix.from_rows(rows, 20, 30)
-        csr.weights *= 0.5
-        csr.write_back(rows)
-        recompiled = CSRMatrix.from_rows(rows, 20, 30)
-        assert np.array_equal(recompiled.weights, csr.weights)
+        assert oracles.csr_rows(block) == expected
 
 
 class TestPackedWordCodec:
     def test_pack_words_match_synapse_pack(self, rng):
-        rows = random_rows(rng, n_pre=10, n_post=50)
-        csr = CSRMatrix.from_rows(rows, 10, 50)
+        rows, csr = random_pair(rng, n_pre=10, n_post=50)
         words = pack_synapse_words(csr.targets, csr.weights, csr.delay_ticks)
         expected = [s.pack() for pre in range(10)
                     for s in rows.get(pre, ())]
@@ -155,15 +207,23 @@ class TestPackedWordCodec:
                       np.array([1.0]), np.array([0]))
 
     def test_pack_rows_matches_synaptic_row_pack(self, rng):
-        rows = random_rows(rng, n_pre=8, n_post=12)
-        csr = CSRMatrix.from_rows(rows, 8, 12)
+        rows, csr = random_pair(rng, n_pre=8, n_post=12)
         packed = csr.pack_rows()
         for pre in range(8):
-            assert packed[pre] == SynapticRow(pre, rows.get(pre, ())).pack()
+            assert packed[pre] == oracles.pack_row(rows.get(pre, ()))
+
+    def test_decode_packed_row_matches_row_unpack(self, rng):
+        rows, csr = random_pair(rng, n_pre=8, n_post=12)
+        for words in csr.pack_rows():
+            padded = words + [0, 0, 0]           # SDRAM stride padding
+            count, targets, weights, delays = decode_packed_row(padded)
+            literal = oracles.unpack_row(padded)
+            assert count == len(literal)
+            assert [Synapse(int(t), float(w), int(d)) for t, w, d
+                    in zip(targets, weights, delays)] == literal
 
     def test_packed_rows_round_trip_with_padding(self, rng):
-        rows = random_rows(rng, n_pre=8, n_post=12)
-        csr = CSRMatrix.from_rows(rows, 8, 12)
+        _rows, csr = random_pair(rng, n_pre=8, n_post=12)
         packed = [words + [0, 0] for words in csr.pack_rows()]  # SDRAM pad
         recovered = CSRMatrix.from_packed_rows(packed, 12)
         assert np.array_equal(recovered.targets, csr.targets)
@@ -172,10 +232,11 @@ class TestPackedWordCodec:
         assert np.all(np.abs(recovered.weights - csr.weights) <= 1.0 / 16 + 1e-9)
 
     def test_decode_packed_row_validation(self):
-        with pytest.raises(ValueError):
-            decode_packed_row([])
-        with pytest.raises(ValueError):
-            decode_packed_row([5, 0])
+        for decode in (decode_packed_row, oracles.unpack_row):
+            with pytest.raises(ValueError):
+                decode([])
+            with pytest.raises(ValueError):
+                decode([5, 0])
 
 
 class TestVectorizedBufferScatter:
@@ -184,7 +245,7 @@ class TestVectorizedBufferScatter:
         weights = rng.uniform(-2.0, 2.0, size=200)
         delays = rng.integers(1, 17, size=200)
         vector = DeferredEventBuffer(10)
-        scalar = DeferredEventBuffer(10)
+        scalar = ScalarRing(10)
         vector.add_events(targets, weights, delays)
         for t, w, d in zip(targets, weights, delays):
             scalar.add_input(int(t), float(w), int(d))
@@ -245,11 +306,10 @@ class TestVectorizedBufferScatter:
         assert sparse[2] == dense[2] == 2
 
     def test_scatter_equals_object_loop(self, rng):
-        rows = random_rows(rng, n_pre=30, n_post=25)
-        csr = CSRMatrix.from_rows(rows, 30, 25)
+        rows, csr = random_pair(rng, n_pre=30, n_post=25)
         spiking = np.flatnonzero(rng.random(30) < 0.5)
         vector = DeferredEventBuffer(25)
-        scalar = DeferredEventBuffer(25)
+        scalar = ScalarRing(25)
         scattered = csr.scatter(spiking, vector)
         for pre in spiking:
             for synapse in rows.get(int(pre), ()):
@@ -260,7 +320,7 @@ class TestVectorizedBufferScatter:
 
 
 class TestHostEquivalence:
-    """propagation="csr" must replay propagation="reference" exactly."""
+    """``Network.run`` must replay ``oracles.reference_run`` exactly."""
 
     @staticmethod
     def build_network(plastic=False):
@@ -286,8 +346,8 @@ class TestHostEquivalence:
         return network
 
     def test_spike_trains_identical(self):
-        reference = self.build_network().run(250.0, propagation="reference")
-        fast = self.build_network().run(250.0, propagation="csr")
+        reference, _rows = oracles.reference_run(self.build_network(), 250.0)
+        fast = self.build_network().run(250.0)
         assert reference.total_spikes() > 0
         assert reference.spikes == fast.spikes
         for label in reference.spike_counts:
@@ -295,44 +355,40 @@ class TestHostEquivalence:
                                   fast.spike_counts[label])
 
     def test_membrane_voltages_bit_identical(self):
-        reference = self.build_network().run(150.0, propagation="reference")
-        fast = self.build_network().run(150.0, propagation="csr")
+        reference, _rows = oracles.reference_run(self.build_network(), 150.0)
+        fast = self.build_network().run(150.0)
         assert np.array_equal(reference.voltages["exc"],
                               fast.voltages["exc"])
 
     def test_stdp_learning_identical(self):
-        def learned_weights(propagation):
-            network = self.build_network(plastic=True)
-            network.run(250.0, propagation=propagation)
-            plastic = network.projections[0]
-            rows = plastic.build_rows(np.random.default_rng(7))
-            return ([s.weight for row in rows.values() for s in row],
-                    plastic.plasticity)
+        reference_network = self.build_network(plastic=True)
+        _result, rows = oracles.reference_run(reference_network, 250.0)
+        ref_weights = [s.weight for pre in sorted(rows[0])
+                       for s in rows[0][pre]]
+        ref_mech = reference_network.projections[0].plasticity
 
-        ref_weights, ref_mech = learned_weights("reference")
-        csr_weights, csr_mech = learned_weights("csr")
+        network = self.build_network(plastic=True)
+        network.run(250.0)
+        _index, plastic, csr = expand_projections(network, network.seed)[0]
+        csr_mech = plastic.plasticity
+
         assert any(abs(w - 1.2) > 1e-9 for w in ref_weights)
-        assert ref_weights == csr_weights
+        assert ref_weights == list(csr.weights)
         assert ref_mech.potentiation_events == csr_mech.potentiation_events
         assert ref_mech.depression_events == csr_mech.depression_events
         assert ref_mech.rows_modified == csr_mech.rows_modified
 
-    def test_invalid_propagation_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Network(seed=1).run(10.0, propagation="warp")
-
 
 class TestUpdateCSREquivalence:
-    def test_update_csr_matches_update(self, rng):
-        rows_ref = random_rows(rng, n_pre=15, n_post=15, p=0.6)
-        csr = CSRMatrix.from_rows(rows_ref, 15, 15)
+    def test_update_csr_matches_object_rule(self, rng):
+        rows_ref, csr = random_pair(rng, n_pre=15, n_post=15, p=0.6)
         reference = STDPMechanism(15, 15)
         vectorized = STDPMechanism(15, 15)
         spike_rng = np.random.default_rng(3)
         for tick in range(60):
             pre = spike_rng.random(15) < 0.2
             post = spike_rng.random(15) < 0.2
-            reference.update(rows_ref, pre, post, float(tick))
+            oracles.stdp_update(reference, rows_ref, pre, post)
             vectorized.update_csr(csr, pre, post, float(tick))
         flattened = [s.weight for i in range(15)
                      for s in rows_ref.get(i, ())]
@@ -342,9 +398,29 @@ class TestUpdateCSREquivalence:
         assert reference.rows_modified == vectorized.rows_modified
 
 
+def _literal_dma_complete(self, request):
+    """Figure 7's DMA-complete handler, one ``Synapse`` at a time: the
+    literal semantics ``CoreRuntime._on_dma_complete`` is pinned to."""
+    packet = request.context
+    row = oracles.unpack_row(request.data)
+    self.core.charge_cycles(
+        self.core.costs.dma_complete_cycles_per_word * len(row))
+    for synapse in row:
+        self.buffer.add_synapse(synapse)
+    result = self.application.result
+    result.synaptic_events += len(row)
+    result.delivered_charge_na += sum(s.weight for s in row)
+    distance = None
+    if packet.source is not None:
+        distance = self.application.machine.geometry.distance(
+            packet.source, self.chip_coordinate)
+    result.record_delivery(self.application.kernel.now - packet.timestamp,
+                           distance)
+
+
 class TestOnMachineEquivalence:
     @staticmethod
-    def run_application(propagation):
+    def run_application():
         machine = SpiNNakerMachine(MachineConfig(width=3, height=3,
                                                  cores_per_chip=6))
         BootController(machine, seed=1).boot()
@@ -358,25 +434,59 @@ class TestOnMachineEquivalence:
         network.connect(target, target,
                         FixedProbabilityConnector(0.05, weight=0.4))
         application = NeuralApplication(machine, network,
-                                        max_neurons_per_core=16, seed=21,
-                                        propagation=propagation)
+                                        max_neurons_per_core=16, seed=21)
         return application.run(120.0)
 
-    def test_on_machine_csr_identical_to_reference(self):
-        reference = self.run_application("reference")
-        fast = self.run_application("csr")
+    def test_on_machine_identical_to_literal_row_processing(self,
+                                                            monkeypatch):
+        fast = self.run_application()
+        # Same run with every core on the per-event ring and the
+        # per-synapse row handler.
+        monkeypatch.setattr(runtime_application, "DeferredEventBuffer",
+                            ScalarRing)
+        monkeypatch.setattr(CoreRuntime, "_on_dma_complete",
+                            _literal_dma_complete)
+        reference = self.run_application()
         assert reference.total_spikes() > 0
         assert reference.spikes == fast.spikes
         assert reference.packets_sent == fast.packets_sent
+        assert reference.synaptic_events == fast.synaptic_events
+        assert reference.delivered_charge_na == fast.delivered_charge_na
         for label in reference.spike_counts:
             assert np.array_equal(reference.spike_counts[label],
                                   fast.spike_counts[label])
 
-    def test_invalid_propagation_mode_rejected(self):
+
+class TestRemovedOptions:
+    """One execution path per layer: the mode switches are gone, not
+    defaulted — passing one is a ``TypeError``."""
+
+    def test_propagation_is_not_an_option(self):
         machine = SpiNNakerMachine(MachineConfig(width=2, height=2,
                                                  cores_per_chip=4))
-        with pytest.raises(ValueError):
-            NeuralApplication(machine, Network(seed=1), propagation="warp")
+        with pytest.raises(TypeError):
+            Network(seed=1).run(10.0, propagation="csr")
+        with pytest.raises(TypeError):
+            NeuralApplication(machine, Network(seed=1), propagation="csr")
+        assert "propagation" not in inspect.signature(
+            CoreRuntime.__init__).parameters
+
+    def test_engine_is_not_an_option(self):
+        machine = SpiNNakerMachine(MachineConfig(width=2, height=2,
+                                                 cores_per_chip=4))
+        with pytest.raises(TypeError):
+            ClusterApplication(machine, Network(seed=1), engine="fused")
+        cluster = ClusterApplication(machine, Network(seed=1))
+        with pytest.raises(TypeError):
+            cluster.run(10.0, engine="fused")
+
+    def test_expansion_has_one_form(self):
+        network = Network(seed=1)
+        with pytest.raises(TypeError):
+            expand_projections(network, 1, compile_csr=True)
+        parameters = inspect.signature(Projection.compile_csr).parameters
+        assert list(parameters) == ["self", "rng", "seed"]
+        assert parameters["seed"].default is inspect.Parameter.empty
 
 
 class TestSeedKeyedExpansionCache:
@@ -388,19 +498,22 @@ class TestSeedKeyedExpansionCache:
         post = Population(30, label="cache-post-%d" % id(object()))
         return Projection(pre, post, FixedProbabilityConnector(0.3))
 
+    @staticmethod
+    def synapse_set(csr):
+        return set(zip(csr.pre_index.tolist(), csr.targets.tolist()))
+
     def test_different_seeds_get_different_expansions(self):
         projection = self.build_projection()
-        rows_a = projection.build_rows(np.random.default_rng(1), seed=1)
-        rows_b = projection.build_rows(np.random.default_rng(2), seed=2)
-        assert rows_a is not rows_b
-        assert ({(p, s.target) for p, r in rows_a.items() for s in r}
-                != {(p, s.target) for p, r in rows_b.items() for s in r})
+        csr_a = projection.compile_csr(np.random.default_rng(1), 1)
+        csr_b = projection.compile_csr(np.random.default_rng(2), 2)
+        assert csr_a is not csr_b
+        assert self.synapse_set(csr_a) != self.synapse_set(csr_b)
 
     def test_same_seed_reuses_expansion(self):
         projection = self.build_projection()
-        rows_a = projection.build_rows(np.random.default_rng(1), seed=1)
-        rows_b = projection.build_rows(np.random.default_rng(1), seed=1)
-        assert rows_a is rows_b
+        csr_a = projection.compile_csr(np.random.default_rng(1), 1)
+        csr_b = projection.compile_csr(np.random.default_rng(1), 1)
+        assert csr_a is csr_b
 
     def test_network_rerun_with_new_seed_rebuilds_connectivity(self):
         network = Network(seed=1)
@@ -410,11 +523,10 @@ class TestSeedKeyedExpansionCache:
                                      FixedProbabilityConnector(0.3,
                                                                weight=2.0))
         network.run(50.0, seed=1)
-        rows_seed_1 = projection.build_rows(np.random.default_rng(1), seed=1)
         network.run(50.0, seed=2)
-        rows_seed_2 = projection.build_rows(np.random.default_rng(2), seed=2)
-        assert ({(p, s.target) for p, r in rows_seed_1.items() for s in r}
-                != {(p, s.target) for p, r in rows_seed_2.items() for s in r})
+        cache_hit = np.random.default_rng(0)   # both cached; rng unused
+        assert (self.synapse_set(projection.compile_csr(cache_hit, 1))
+                != self.synapse_set(projection.compile_csr(cache_hit, 2)))
 
     def test_seeded_runs_reproduce_after_interleaved_seed(self):
         def totals(seed):
@@ -468,11 +580,8 @@ class TestSeedKeyedExpansionCache:
             return network
 
         def synapse_sets(network):
-            rng = np.random.default_rng(0)   # cache hit; rng unused
-            return [{(pre, s.target) for pre, row in
-                     projection.build_rows(rng, seed=13).items()
-                     for s in row}
-                    for projection in network.projections]
+            return [self.synapse_set(csr) for _index, _projection, csr
+                    in expand_projections(network, 13)]
 
         mapped = build_network()
         machine = SpiNNakerMachine(MachineConfig(width=2, height=2,
@@ -487,31 +596,25 @@ class TestSeedKeyedExpansionCache:
 
     def test_compile_csr_cached_per_seed(self):
         projection = self.build_projection()
-        csr_a = projection.compile_csr(np.random.default_rng(1), seed=1)
-        csr_b = projection.compile_csr(np.random.default_rng(1), seed=1)
-        csr_c = projection.compile_csr(np.random.default_rng(2), seed=2)
+        csr_a = projection.compile_csr(np.random.default_rng(1), 1)
+        csr_b = projection.compile_csr(np.random.default_rng(1), 1)
+        csr_c = projection.compile_csr(np.random.default_rng(2), 2)
         assert csr_a is csr_b
         assert csr_a is not csr_c
 
-    def test_refresh_invalidates_compiled_csr(self):
+    def test_unseeded_expansion_does_not_clobber_seeded_entry(self):
         projection = self.build_projection()
-        rng = np.random.default_rng(1)
-        csr_a = projection.compile_csr(rng, seed=1)
-        projection.build_rows(rng, refresh=True, seed=1)
-        csr_b = projection.compile_csr(rng, seed=1)
-        assert csr_a is not csr_b
+        seeded = projection.compile_csr(np.random.default_rng(1), 1)
+        unseeded = projection.compile_csr(np.random.default_rng(99), None)
+        assert unseeded is not seeded
+        assert projection.compile_csr(np.random.default_rng(1), 1) is seeded
+        assert projection.compile_csr(np.random.default_rng(5),
+                                      None) is unseeded
 
-    def test_unseeded_refresh_does_not_clobber_seeded_entry(self):
-        projection = self.build_projection()
-        rows_seeded = projection.build_rows(np.random.default_rng(1), seed=1)
-        projection.build_rows(np.random.default_rng(99), refresh=True)
-        assert projection.build_rows(np.random.default_rng(1),
-                                     seed=1) is rows_seeded
-
-    def test_reference_stdp_run_invalidates_compiled_csr(self):
-        # A reference-mode plastic run mutates the cached rows in place;
-        # a later CSR compile must see the learned weights, not a stale
-        # pre-run compilation.
+    def test_learned_weights_are_the_cached_state(self):
+        # Plasticity mutates the cached matrix in place: every later
+        # consumer of the seed (a re-run, the mapping compiler) sees the
+        # learned weights, with nothing to write back or invalidate.
         network = Network(seed=9)
         stimulus = SpikeSourcePoisson(20, rate_hz=80.0, label="inv-stim")
         target = Population(20, "lif", label="inv-tgt")
@@ -519,11 +622,8 @@ class TestSeedKeyedExpansionCache:
                                      FixedProbabilityConnector(0.5,
                                                                weight=3.0),
                                      plasticity=STDPMechanism(20, 20))
-        stale = projection.compile_csr(np.random.default_rng(9), seed=9)
-        network.run(300.0, propagation="reference")
-        fresh = projection.compile_csr(np.random.default_rng(9), seed=9)
-        assert fresh is not stale
-        rows = projection.build_rows(np.random.default_rng(9), seed=9)
-        assert [s.weight for i in sorted(rows) for s in rows[i]] == \
-            list(fresh.weights)
-
+        before = projection.compile_csr(np.random.default_rng(9), 9)
+        network.run(300.0)
+        after = projection.compile_csr(np.random.default_rng(9), 9)
+        assert after is before
+        assert np.any(after.weights != 3.0)

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.neuron.izhikevich import IzhikevichParameters, IzhikevichPopulation
-from repro.neuron.lif import LIFParameters, LIFPopulation
+from repro.neuron.izhikevich import (
+    IzhikevichBlock,
+    IzhikevichParameters,
+    IzhikevichPopulation,
+)
+from repro.neuron.lif import LIFBlock, LIFParameters, LIFPopulation
 
 
 class TestLIFParameters:
@@ -190,3 +194,61 @@ class TestModelProperties:
         population = LIFPopulation(size)
         spikes = population.step(np.zeros(size))
         assert spikes.shape == (size,)
+
+
+class TestStackedBlocks:
+    """``LIFBlock`` / ``IzhikevichBlock`` step many populations at once;
+    every valid cell must evolve bit for bit like the population it was
+    stacked from — the property the board engine's equivalence with the
+    per-core on-machine runtime rests on."""
+
+    SIZES = (7, 32, 1, 19)      # ragged: every lane but one is padded
+
+    @staticmethod
+    def drive(block_cls, build):
+        """Two identical sets of populations, one stacked; 200 ticks of
+        random synaptic charge plus a per-lane bias (absent on some
+        lanes, as for a population without ``bias_current_na``)."""
+        sizes = TestStackedBlocks.SIZES
+        singles = [build(lane, size) for lane, size in enumerate(sizes)]
+        block = block_cls([build(lane, size)
+                           for lane, size in enumerate(sizes)])
+        assert (block.n_lanes, block.width) == (len(sizes), max(sizes))
+        lane_bias = [0.0, 0.35, 1.1, 0.0]
+        bias = np.zeros((block.n_lanes, block.width))
+        for lane, size in enumerate(sizes):
+            bias[lane, :size] = lane_bias[lane]
+        rng = np.random.default_rng(17)
+        total_spikes = 0
+        for _ in range(200):
+            # Fixed-point charge, as the ring buffers deliver it.
+            charge = rng.integers(-24, 64, size=bias.shape) / 16.0
+            charge[~block.valid] = 0.0
+            block.inject_synaptic_input(charge)
+            grid = block.step(bias)
+            assert not grid[~block.valid].any()
+            for lane, (state, size) in enumerate(zip(singles, sizes)):
+                state.inject_synaptic_input(charge[lane, :size])
+                spikes = state.step(np.full(size, lane_bias[lane])
+                                    if lane_bias[lane] else None)
+                assert np.array_equal(grid[lane, :size], spikes)
+                assert np.array_equal(block.lane_voltages(lane), state.v)
+                total_spikes += int(spikes.sum())
+        assert total_spikes > 0
+
+    def test_lif_block_matches_per_population_steps(self):
+        parameters = [LIFParameters(),
+                      LIFParameters(tau_m_ms=12.0, v_threshold_mv=-52.0),
+                      LIFParameters(tau_refrac_ms=0.0, r_m_mohm=14.0),
+                      LIFParameters(tau_syn_ms=2.5, v_reset_mv=-68.0,
+                                    tau_refrac_ms=4.0)]
+        self.drive(LIFBlock, lambda lane, size: LIFPopulation(
+            size, parameters[lane], 1.0, np.random.default_rng(100 + lane)))
+
+    def test_izhikevich_block_matches_per_population_steps(self):
+        parameters = [IzhikevichParameters.regular_spiking(),
+                      IzhikevichParameters.fast_spiking(),
+                      IzhikevichParameters.chattering(),
+                      IzhikevichParameters(a=0.03, b=0.25, c=-60.0, d=4.0)]
+        self.drive(IzhikevichBlock, lambda lane, size: IzhikevichPopulation(
+            size, parameters[lane], 1.0, np.random.default_rng(200 + lane)))

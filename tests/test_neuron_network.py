@@ -22,42 +22,52 @@ from repro.neuron.population import (
     SpikeSourceArray,
     SpikeSourcePoisson,
 )
+from repro.neuron.engine import CSRMatrix
 from repro.neuron.stdp import STDPMechanism, STDPParameters
-from repro.neuron.synapse import Synapse
+
+from oracles import csr_rows
+
+
+def build(connector, n_pre, n_post, rng):
+    """Expand through the shipped path, viewed as per-source rows."""
+    return csr_rows(connector.build_csr(n_pre, n_post, rng))
+
+
+def total(rows) -> int:
+    return sum(len(row) for row in rows.values())
 
 
 class TestConnectors:
     def test_one_to_one_pairs_indices(self, rng):
-        rows = OneToOneConnector(weight=2.0).build(5, 5, rng)
+        rows = build(OneToOneConnector(weight=2.0), 5, 5, rng)
         assert all(rows[i][0].target == i for i in range(5))
 
     def test_one_to_one_truncates_to_smaller_population(self, rng):
-        rows = OneToOneConnector().build(10, 3, rng)
-        assert len(rows) == 3
+        rows = build(OneToOneConnector(), 10, 3, rng)
+        assert total(rows) == 3
+        assert all(len(rows[i]) == (1 if i < 3 else 0) for i in range(10))
 
     def test_all_to_all_counts(self, rng):
-        rows = AllToAllConnector().build(4, 6, rng)
-        assert sum(len(r) for r in rows.values()) == 24
+        assert total(build(AllToAllConnector(), 4, 6, rng)) == 24
 
     def test_all_to_all_no_self_connections(self, rng):
-        rows = AllToAllConnector(allow_self_connections=False).build(4, 4, rng)
+        rows = build(AllToAllConnector(allow_self_connections=False),
+                     4, 4, rng)
+        assert total(rows) == 12
         assert all(s.target != pre for pre, row in rows.items() for s in row)
 
     def test_fixed_probability_density(self, rng):
         connector = FixedProbabilityConnector(p_connect=0.25)
-        rows = connector.build(100, 100, rng)
-        total = sum(len(r) for r in rows.values())
-        assert 2000 < total < 3000
+        assert 2000 < total(build(connector, 100, 100, rng)) < 3000
 
     def test_fixed_probability_zero_and_one(self, rng):
-        assert sum(len(r) for r in
-                   FixedProbabilityConnector(0.0).build(20, 20, rng).values()) == 0
-        assert sum(len(r) for r in
-                   FixedProbabilityConnector(1.0).build(20, 20, rng).values()) == 400
+        assert total(build(FixedProbabilityConnector(0.0), 20, 20, rng)) == 0
+        assert total(build(FixedProbabilityConnector(1.0), 20, 20,
+                           rng)) == 400
 
     def test_fixed_probability_delay_range_sampled(self, rng):
         connector = FixedProbabilityConnector(p_connect=1.0, delay_range=(2, 6))
-        rows = connector.build(10, 10, rng)
+        rows = build(connector, 10, 10, rng)
         delays = {s.delay_ticks for row in rows.values() for s in row}
         assert delays <= set(range(2, 7))
         assert len(delays) > 1
@@ -70,7 +80,7 @@ class TestConnectors:
         connector = DistanceDependentConnector(
             pre_shape=(8, 8), post_shape=(8, 8), sigma=1.0, max_distance=3.0,
             p_peak=1.0)
-        rows = connector.build(64, 64, rng)
+        rows = build(connector, 64, 64, rng)
         # The centre neuron must connect to itself (distance zero) with the
         # minimum delay, and never beyond the cutoff distance.
         centre = 8 * 4 + 4
@@ -85,7 +95,7 @@ class TestConnectors:
         connector = DistanceDependentConnector(
             pre_shape=(6, 6), post_shape=(6, 6), sigma=10.0, max_distance=5.0,
             p_peak=1.0, delay_per_unit_distance_ticks=2.0)
-        rows = connector.build(36, 36, rng)
+        rows = build(connector, 36, 36, rng)
         centre = 6 * 3 + 3
         by_distance = {}
         for synapse in rows[centre]:
@@ -97,14 +107,16 @@ class TestConnectors:
     def test_distance_dependent_shape_validation(self, rng):
         connector = DistanceDependentConnector(pre_shape=(2, 2), post_shape=(2, 2))
         with pytest.raises(ValueError):
-            connector.build(10, 4, rng)
+            connector.build_csr(10, 4, rng)
 
     def test_from_list_connector(self, rng):
         connector = FromListConnector([(0, 1, 0.5, 2), (0, 2, -0.25, 3)])
-        rows = connector.build(4, 4, rng)
+        rows = build(connector, 4, 4, rng)
         assert len(rows[0]) == 2
         with pytest.raises(IndexError):
-            FromListConnector([(9, 0, 1.0, 1)]).build(4, 4, rng)
+            FromListConnector([(9, 0, 1.0, 1)]).build_csr(4, 4, rng)
+        with pytest.raises(IndexError):
+            FromListConnector([(0, 9, 1.0, 1)]).build_csr(4, 4, rng)
 
 
 class TestPopulations:
@@ -156,11 +168,9 @@ class TestPopulations:
     def test_projection_expansion_cached(self, rng):
         pre, post = Population(10, label="pre-cache"), Population(10, label="post-cache")
         projection = Projection(pre, post, FixedProbabilityConnector(0.5))
-        first = projection.build_rows(rng)
-        second = projection.build_rows(rng)
+        first = projection.compile_csr(rng, None)
+        second = projection.compile_csr(rng, None)
         assert first is second
-        refreshed = projection.build_rows(rng, refresh=True)
-        assert refreshed is not first
 
 
 class TestNetworkSimulation:
@@ -256,38 +266,48 @@ class TestSTDP:
         with pytest.raises(ValueError):
             STDPParameters(w_min=1.0, w_max=0.5)
 
+    @staticmethod
+    def one_synapse(weight) -> CSRMatrix:
+        return CSRMatrix(1, 1, np.array([0, 1]), np.array([0]),
+                         np.array([weight]), np.array([1]))
+
     def test_pre_before_post_potentiates(self):
         mechanism = STDPMechanism(1, 1)
-        rows = {0: [Synapse(0, 1.0)]}
+        csr = self.one_synapse(1.0)
         pre = np.array([True]); none = np.array([False])
         post = np.array([True])
-        mechanism.update(rows, pre, none, 0.0)     # pre fires at t=0
-        mechanism.update(rows, np.array([False]), post, 1.0)  # post at t=1
-        assert rows[0][0].weight > 1.0
+        mechanism.update_csr(csr, pre, none, 0.0)     # pre fires at t=0
+        mechanism.update_csr(csr, none, post, 1.0)    # post at t=1
+        assert csr.weights[0] > 1.0
         assert mechanism.potentiation_events == 1
 
     def test_post_before_pre_depresses(self):
         mechanism = STDPMechanism(1, 1)
-        rows = {0: [Synapse(0, 1.0)]}
-        mechanism.update(rows, np.array([False]), np.array([True]), 0.0)
-        mechanism.update(rows, np.array([True]), np.array([False]), 1.0)
-        assert rows[0][0].weight < 1.0
+        csr = self.one_synapse(1.0)
+        mechanism.update_csr(csr, np.array([False]), np.array([True]), 0.0)
+        mechanism.update_csr(csr, np.array([True]), np.array([False]), 1.0)
+        assert csr.weights[0] < 1.0
         assert mechanism.depression_events == 1
 
     def test_weights_stay_within_bounds(self):
         parameters = STDPParameters(a_plus=1.0, a_minus=1.0, w_min=0.0, w_max=2.0)
         mechanism = STDPMechanism(1, 1, parameters)
-        rows = {0: [Synapse(0, 1.9)]}
+        csr = self.one_synapse(1.9)
         for _ in range(20):
-            mechanism.update(rows, np.array([True]), np.array([False]), 0.0)
-            mechanism.update(rows, np.array([False]), np.array([True]), 1.0)
-        assert 0.0 <= rows[0][0].weight <= 2.0
+            mechanism.update_csr(csr, np.array([True]), np.array([False]),
+                                 0.0)
+            mechanism.update_csr(csr, np.array([False]), np.array([True]),
+                                 1.0)
+        assert 0.0 <= csr.weights[0] <= 2.0
 
     def test_mean_weight_helper(self):
         mechanism = STDPMechanism(2, 2)
-        rows = {0: [Synapse(0, 1.0)], 1: [Synapse(1, 3.0)]}
-        assert mechanism.mean_weight(rows) == pytest.approx(2.0)
-        assert mechanism.mean_weight({}) == 0.0
+        csr = CSRMatrix(2, 2, np.array([0, 1, 2]), np.array([0, 1]),
+                        np.array([1.0, 3.0]), np.array([1, 1]))
+        assert mechanism.mean_weight(csr) == pytest.approx(2.0)
+        empty = CSRMatrix(2, 2, np.zeros(3, dtype=int), np.array([], int),
+                          np.array([]), np.array([], int))
+        assert mechanism.mean_weight(empty) == 0.0
 
     def test_stdp_in_network_changes_weights(self):
         network = Network(seed=9)
@@ -298,7 +318,7 @@ class TestSTDP:
                                      OneToOneConnector(weight=3.0),
                                      plasticity=plasticity)
         network.run(300.0)
-        rows = projection.build_rows(np.random.default_rng(9))
-        weights = [s.weight for row in rows.values() for s in row]
+        # The learned state is the seed's cached expansion itself.
+        weights = projection.compile_csr(np.random.default_rng(9), 9).weights
         assert any(abs(w - 3.0) > 1e-6 for w in weights)
         assert plasticity.rows_modified > 0

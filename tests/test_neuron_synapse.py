@@ -1,4 +1,4 @@
-"""Unit tests for synapses, synaptic rows and the deferred-event buffer."""
+"""Unit tests for the synaptic-word codec and the deferred-event buffer."""
 
 from __future__ import annotations
 
@@ -7,41 +7,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ScalarRing, Synapse, pack_row, unpack_row
+from repro.neuron.engine import (
+    decode_packed_row,
+    pack_synapse_words,
+    unpack_synapse_words,
+)
 from repro.neuron.synapse import (
     MAX_DELAY_TICKS,
     WEIGHT_SATURATION_NA,
     DeferredEventBuffer,
-    Synapse,
-    SynapticRow,
 )
 
 
-class TestSynapse:
+def pack_one(target, weight, delay_ticks=1) -> int:
+    return int(pack_synapse_words(np.array([target]), np.array([weight]),
+                                  np.array([delay_ticks]))[0])
+
+
+def unpack_one(word):
+    targets, weights, delays = unpack_synapse_words(np.array([word]))
+    return int(targets[0]), float(weights[0]), int(delays[0])
+
+
+class TestSynapticWord:
+    """The shipped (array) codec, field by field and against the scalar
+    ``Synapse.pack`` / ``Synapse.unpack`` of the oracle."""
+
     def test_delay_range_enforced(self):
-        with pytest.raises(ValueError):
-            Synapse(target=0, weight=1.0, delay_ticks=0)
-        with pytest.raises(ValueError):
-            Synapse(target=0, weight=1.0, delay_ticks=MAX_DELAY_TICKS + 1)
+        for codec in (pack_one, Synapse):
+            with pytest.raises(ValueError):
+                codec(0, 1.0, 0)
+            with pytest.raises(ValueError):
+                codec(0, 1.0, MAX_DELAY_TICKS + 1)
 
     def test_negative_target_rejected(self):
-        with pytest.raises(ValueError):
-            Synapse(target=-1, weight=1.0)
+        for codec in (pack_one, Synapse):
+            with pytest.raises(ValueError):
+                codec(-1, 1.0)
 
     def test_pack_unpack_round_trip(self):
+        assert unpack_one(pack_one(123, 3.25, 7)) == (123, 3.25, 7)
         synapse = Synapse(target=123, weight=3.25, delay_ticks=7)
         assert Synapse.unpack(synapse.pack()) == synapse
 
     def test_inhibitory_weight_round_trips(self):
-        synapse = Synapse(target=5, weight=-1.5, delay_ticks=2)
-        recovered = Synapse.unpack(synapse.pack())
-        assert recovered.weight == -1.5
+        assert unpack_one(pack_one(5, -1.5, 2)) == (5, -1.5, 2)
 
     def test_weight_quantised_to_fixed_point(self):
-        synapse = Synapse(target=0, weight=0.07, delay_ticks=1)
-        recovered = Synapse.unpack(synapse.pack())
-        assert abs(recovered.weight - 0.07) <= 1.0 / 16
+        _target, weight, _delay = unpack_one(pack_one(0, 0.07))
+        assert abs(weight - 0.07) <= 1.0 / 16
 
     def test_target_index_width_enforced_on_pack(self):
+        with pytest.raises(ValueError):
+            pack_one(5000, 1.0)
         with pytest.raises(ValueError):
             Synapse(target=5000, weight=1.0).pack()
 
@@ -50,51 +69,58 @@ class TestSynapse:
            st.floats(min_value=-100.0, max_value=100.0))
     @settings(max_examples=100, deadline=None)
     def test_pack_unpack_preserves_fields(self, target, delay, weight):
+        word = pack_one(target, weight, delay)
         synapse = Synapse(target=target, weight=weight, delay_ticks=delay)
-        recovered = Synapse.unpack(synapse.pack())
+        assert word == synapse.pack()
+        recovered = Synapse.unpack(word)
+        assert unpack_one(word) == (recovered.target, recovered.weight,
+                                    recovered.delay_ticks)
         assert recovered.target == target
         assert recovered.delay_ticks == delay
         assert abs(recovered.weight - weight) <= 1.0 / 16 + 1e-9
 
 
-class TestSynapticRow:
+class TestPackedRow:
     def test_row_packs_with_count_header(self):
-        row = SynapticRow(1, [Synapse(0, 1.0), Synapse(1, 2.0)])
-        words = row.pack()
+        words = pack_row([Synapse(0, 1.0), Synapse(1, 2.0)])
         assert words[0] == 2
         assert len(words) == 3
-        assert row.n_words == 3
+        assert decode_packed_row(words)[0] == 2
 
     def test_unpack_round_trip(self):
-        row = SynapticRow(9, [Synapse(i, 0.5 * i + 0.5, delay_ticks=i + 1)
-                              for i in range(5)])
-        recovered = SynapticRow.unpack(9, row.pack())
-        assert len(recovered) == 5
-        assert [s.target for s in recovered] == [s.target for s in row]
+        row = [Synapse(i, 0.5 * i + 0.5, delay_ticks=i + 1)
+               for i in range(5)]
+        count, targets, weights, delays = decode_packed_row(pack_row(row))
+        assert count == 5
+        assert list(targets) == [s.target for s in row]
+        assert list(weights) == [s.weight for s in row]
+        assert list(delays) == [s.delay_ticks for s in row]
+        assert unpack_row(pack_row(row)) == row
 
     def test_unpack_with_padding_ignores_trailing_words(self):
-        row = SynapticRow(1, [Synapse(3, 1.0)])
-        words = row.pack() + [0, 0, 0]
-        recovered = SynapticRow.unpack(1, words)
-        assert len(recovered) == 1
+        words = pack_row([Synapse(3, 1.0)]) + [0, 0, 0]
+        count, targets, _weights, _delays = decode_packed_row(words)
+        assert count == 1 and list(targets) == [3]
+        assert len(unpack_row(words)) == 1
 
     def test_unpack_rejects_truncated_data(self):
-        with pytest.raises(ValueError):
-            SynapticRow.unpack(1, [5, 0])
-        with pytest.raises(ValueError):
-            SynapticRow.unpack(1, [])
+        for decode in (decode_packed_row, unpack_row):
+            with pytest.raises(ValueError):
+                decode([5, 0])
+            with pytest.raises(ValueError):
+                decode([])
 
-    def test_total_charge_and_max_delay(self):
-        row = SynapticRow(1, [Synapse(0, 1.0, 2), Synapse(1, -0.5, 9)])
-        assert row.total_charge() == pytest.approx(0.5)
-        assert row.max_delay() == 9
-        assert SynapticRow(2).max_delay() == 0
+
+def defer(buffer, target, weight, delay_ticks) -> None:
+    """One synaptic event through the batch entry point."""
+    buffer.add_events(np.array([target]), np.array([weight]),
+                      np.array([delay_ticks]))
 
 
 class TestDeferredEventBuffer:
     def test_input_arrives_after_programmed_delay(self):
         buffer = DeferredEventBuffer(4)
-        buffer.add_input(target=2, weight=1.5, delay_ticks=3)
+        defer(buffer, 2, 1.5, 3)
         assert buffer.drain().sum() == 0.0   # tick 0
         assert buffer.drain().sum() == 0.0   # tick 1
         assert buffer.drain().sum() == 0.0   # tick 2
@@ -103,14 +129,14 @@ class TestDeferredEventBuffer:
 
     def test_inputs_accumulate_in_same_slot(self):
         buffer = DeferredEventBuffer(2)
-        buffer.add_input(0, 1.0, 1)
-        buffer.add_input(0, 2.0, 1)
+        defer(buffer, 0, 1.0, 1)
+        defer(buffer, 0, 2.0, 1)
         buffer.drain()
         assert buffer.drain()[0] == pytest.approx(3.0)
 
     def test_drained_slot_is_cleared(self):
         buffer = DeferredEventBuffer(2)
-        buffer.add_input(0, 1.0, 1)
+        defer(buffer, 0, 1.0, 1)
         buffer.drain()
         buffer.drain()
         for _ in range(20):
@@ -120,7 +146,7 @@ class TestDeferredEventBuffer:
         buffer = DeferredEventBuffer(1, max_delay_ticks=4)
         for _ in range(10):
             buffer.drain()
-        buffer.add_input(0, 1.0, 4)
+        defer(buffer, 0, 1.0, 4)
         for _ in range(4):
             assert buffer.drain()[0] == 0.0
         assert buffer.drain()[0] == pytest.approx(1.0)
@@ -128,26 +154,24 @@ class TestDeferredEventBuffer:
     def test_out_of_range_delay_rejected(self):
         buffer = DeferredEventBuffer(1, max_delay_ticks=4)
         with pytest.raises(ValueError):
-            buffer.add_input(0, 1.0, 5)
+            defer(buffer, 0, 1.0, 5)
         with pytest.raises(ValueError):
-            buffer.add_input(0, 1.0, 0)
+            defer(buffer, 0, 1.0, 0)
 
     def test_out_of_range_target_rejected(self):
         buffer = DeferredEventBuffer(2)
         with pytest.raises(IndexError):
-            buffer.add_input(2, 1.0, 1)
+            defer(buffer, 2, 1.0, 1)
 
-    def test_add_row_defers_all_synapses(self):
+    def test_a_row_defers_all_its_synapses(self):
         buffer = DeferredEventBuffer(8)
-        row = SynapticRow(0, [Synapse(i, 1.0, delay_ticks=i + 1)
-                              for i in range(4)])
-        buffer.add_row(row)
+        buffer.add_events(np.arange(4), np.ones(4), np.arange(4) + 1)
         assert buffer.events_deferred == 4
         assert buffer.pending_charge() == pytest.approx(4.0)
 
     def test_reset_clears_state(self):
         buffer = DeferredEventBuffer(2)
-        buffer.add_input(0, 5.0, 2)
+        defer(buffer, 0, 5.0, 2)
         buffer.reset()
         assert buffer.pending_charge() == 0.0
         assert buffer.current_tick == 0
@@ -156,22 +180,22 @@ class TestDeferredEventBuffer:
         # Paper Section 5.3: ring-buffer slots accumulate in the 16-bit
         # fixed-point weight format, so they saturate rather than wrap.
         buffer = DeferredEventBuffer(2)
-        buffer.add_input(0, WEIGHT_SATURATION_NA + 500.0, 1)
+        defer(buffer, 0, WEIGHT_SATURATION_NA + 500.0, 1)
         assert buffer.saturations == 1
         assert buffer.drain().sum() == 0.0
         assert buffer.drain()[0] == pytest.approx(WEIGHT_SATURATION_NA)
 
     def test_saturation_counts_each_clamping_event(self):
         buffer = DeferredEventBuffer(1)
-        buffer.add_input(0, 0.75 * WEIGHT_SATURATION_NA, 1)
+        defer(buffer, 0, 0.75 * WEIGHT_SATURATION_NA, 1)
         assert buffer.saturations == 0
-        buffer.add_input(0, 0.75 * WEIGHT_SATURATION_NA, 1)
-        buffer.add_input(0, 1.0, 1)
+        defer(buffer, 0, 0.75 * WEIGHT_SATURATION_NA, 1)
+        defer(buffer, 0, 1.0, 1)
         assert buffer.saturations == 2
 
     def test_negative_charge_saturates_symmetrically(self):
         buffer = DeferredEventBuffer(1)
-        buffer.add_input(0, -2.0 * WEIGHT_SATURATION_NA, 3)
+        defer(buffer, 0, -2.0 * WEIGHT_SATURATION_NA, 3)
         assert buffer.saturations == 1
         buffer.drain(); buffer.drain(); buffer.drain()
         assert buffer.drain()[0] == pytest.approx(-WEIGHT_SATURATION_NA)
@@ -188,55 +212,9 @@ class TestDeferredEventBuffer:
         assert drained[0] == pytest.approx(WEIGHT_SATURATION_NA)
         assert drained[2] == pytest.approx(1.0)
 
-    def test_aged_events_land_in_the_original_arrival_slot(self):
-        # A batch applied 2 ticks after its send barrier (age 2) with a
-        # programmed delay of 5 must arrive 5 - 2 = 3 ticks from now —
-        # the same absolute tick a per-tick exchange would have hit.
-        aged = DeferredEventBuffer(3)
-        aged.drain(); aged.drain()                       # now at tick 2
-        aged.add_events_aged(np.array([1]), np.array([2.0]),
-                             np.array([5]), age=2)
-        reference = DeferredEventBuffer(3)
-        reference.add_events(np.array([1]), np.array([2.0]), np.array([5]))
-        for _ in range(2):
-            assert reference.drain().sum() == 0.0        # ticks 0 and 1
-        for _ in range(6):
-            assert np.array_equal(aged.drain(), reference.drain())
-
-    def test_age_zero_can_arrive_this_tick(self):
-        # Full lookahead makes effective delay 0 reachable: the event
-        # drains on the very next call, which plain add_events rejects.
-        buffer = DeferredEventBuffer(2)
-        buffer.add_events_aged(np.array([0]), np.array([1.5]),
-                               np.array([3]), age=3)
-        assert buffer.drain()[0] == pytest.approx(1.5)
-
-    def test_aged_events_are_validated(self):
-        buffer = DeferredEventBuffer(2)
-        with pytest.raises(ValueError):
-            buffer.add_events_aged(np.array([0]), np.array([1.0]),
-                                   np.array([1]), age=-1)
-        with pytest.raises(ValueError):
-            # age beyond the delay: the lookahead bound was violated.
-            buffer.add_events_aged(np.array([0]), np.array([1.0]),
-                                   np.array([2]), age=3)
-        with pytest.raises(ValueError):
-            buffer.add_events_aged(np.array([0]), np.array([1.0]),
-                                   np.array([MAX_DELAY_TICKS + 1]), age=1)
-        with pytest.raises(IndexError):
-            buffer.add_events_aged(np.array([5]), np.array([1.0]),
-                                   np.array([2]), age=1)
-
-    def test_age_zero_delegates_to_the_plain_path(self):
-        buffer = DeferredEventBuffer(2)
-        buffer.add_events_aged(np.array([1]), np.array([2.0]),
-                               np.array([1]), age=0)
-        buffer.drain()
-        assert buffer.drain()[1] == pytest.approx(2.0)
-
     def test_reset_clears_saturation_counter(self):
         buffer = DeferredEventBuffer(1)
-        buffer.add_input(0, 2.0 * WEIGHT_SATURATION_NA, 1)
+        defer(buffer, 0, 2.0 * WEIGHT_SATURATION_NA, 1)
         assert buffer.saturations == 1
         buffer.reset()
         assert buffer.saturations == 0
@@ -250,13 +228,19 @@ class TestDeferredEventBuffer:
     def test_charge_is_conserved(self, events):
         # Property: everything added to the buffer is drained exactly once
         # within max_delay ticks — no charge is lost or duplicated.
+        # One event per call clamps per event, so the batch entry point
+        # must also equal the scalar ring slot for slot.
         buffer = DeferredEventBuffer(10)
+        scalar = ScalarRing(10)
         total_in = 0.0
         for target, weight, delay in events:
-            buffer.add_input(target, weight, delay)
+            defer(buffer, target, weight, delay)
+            scalar.add_input(target, weight, delay)
             total_in += weight
         total_out = 0.0
         for _ in range(MAX_DELAY_TICKS + 1):
-            total_out += buffer.drain().sum()
+            drained = buffer.drain()
+            assert np.array_equal(drained, scalar.drain())
+            total_out += drained.sum()
         assert total_out == pytest.approx(total_in, abs=1e-9)
         assert buffer.pending_charge() == pytest.approx(0.0, abs=1e-9)

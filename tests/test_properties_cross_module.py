@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.core.geometry import ChipCoordinate, Direction
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.core.packets import MulticastPacket
@@ -23,7 +24,7 @@ from repro.mapping.synaptic_matrix import SynapticMatrixBuilder
 from repro.neuron.connectors import FixedProbabilityConnector
 from repro.neuron.network import Network
 from repro.neuron.population import Population
-from repro.neuron.synapse import SynapticRow
+from repro.neuron.population import expansion_rng
 
 
 def _trace_multicast(machine, source_chip, key, max_hops=64):
@@ -85,8 +86,11 @@ class TestMappingRoutingConsistency:
         builder = SynapticMatrixBuilder(machine, placement, keys)
         builder.build(network)
 
-        rng = np.random.default_rng(seed)
-        rows = network.projections[0].build_rows(rng)
+        # The literal expansion: the routing tables (built from the
+        # shipped CSR) must reach every synapse the oracle enumerates.
+        projection = network.projections[0]
+        rows = oracles.build_rows(projection.connector, n_pre, n_post,
+                                  expansion_rng(seed, 0))
 
         for source_neuron, synapses in rows.items():
             if not synapses:
@@ -140,9 +144,10 @@ class TestMappingRoutingConsistency:
         builder = SynapticMatrixBuilder(machine, placement, keys)
         core_data = builder.build(network)
 
-        rng = np.random.default_rng(seed)
-        rows = network.projections[0].build_rows(rng)
-        total_from_sdram = 0
+        projection = network.projections[0]
+        rows = oracles.build_rows(projection.connector, 12, 12,
+                                  expansion_rng(seed, 0))
+        from_sdram = {}
         for (chip_coord, _core), data in core_data.items():
             chip = machine.chips[chip_coord]
             for entry in data.population_table.entries:
@@ -150,10 +155,17 @@ class TestMappingRoutingConsistency:
                     address = entry.sdram_address + 4 * row_index * entry.row_stride_words
                     words = chip.sdram.read_block(address,
                                                   entry.row_stride_words)
-                    row = SynapticRow.unpack(entry.key | row_index, words)
-                    total_from_sdram += len(row)
-        expected = sum(len(r) for r in rows.values())
-        assert total_from_sdram == expected
+                    _, source = keys.neuron_for_key(entry.key | row_index)
+                    vertex = data.vertex
+                    from_sdram.setdefault(source, []).extend(
+                        (s.target + vertex.slice_start, s.weight,
+                         s.delay_ticks) for s in oracles.unpack_row(words))
+        # Every synapse of the literal expansion is in SDRAM exactly
+        # once, with its weight (1.25 is exact in fixed point) and delay.
+        for source in range(12):
+            assert sorted(from_sdram.get(source, [])) == sorted(
+                (s.target, s.weight, s.delay_ticks)
+                for s in rows.get(source, ()))
 
 
 class TestRouterNeverWedges:

@@ -31,6 +31,28 @@ def feedforward_network(seed=21, n=40, rate=80.0, weight=5.0):
     return network
 
 
+class TestTickCount:
+    """A run of ``d`` ms executes exactly ``d / timestep`` ticks on every
+    core.  Regression: the periodic timer re-armed at ``now + period``
+    (accumulating float error) while the run ended at ``now + d``, so on
+    a booted machine (``kernel.now`` is not a round number) some
+    durations silently dropped every core's final tick."""
+
+    @pytest.mark.parametrize("stagger_us", [0.0, 10.0])
+    @pytest.mark.parametrize("transport", ["event", "fabric"])
+    def test_every_duration_runs_every_tick(self, transport, stagger_us):
+        for duration in range(1, 131):
+            machine = machine_with_boot(2, 2, 4)
+            assert machine.kernel.now != round(machine.kernel.now)
+            application = NeuralApplication(
+                machine, feedforward_network(n=12, rate=20.0),
+                max_neurons_per_core=6, seed=2, transport=transport,
+                stagger_us=stagger_us)
+            application.run(float(duration))
+            ticks = [runtime.tick for runtime in application.core_runtimes]
+            assert ticks == [duration] * 4, (duration, ticks)
+
+
 class TestMappingAndExecution:
     def test_application_produces_spikes(self):
         machine = machine_with_boot()

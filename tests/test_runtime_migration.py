@@ -156,7 +156,7 @@ class TestApplicationContinuity:
 
     def test_fabric_application_survives_migration(self):
         # Regression: rebuilt runtimes must inherit the application's
-        # transport/propagation modes, and the fabric delivery legs must
+        # transport mode, and the fabric delivery legs must
         # be recompiled so none point at an evacuated runtime object.
         machine = booted_machine()
         application = NeuralApplication(machine, small_feedforward(seed=29),
@@ -173,7 +173,6 @@ class TestApplicationContinuity:
         live = set(map(id, application.core_runtimes))
         for runtime in application.core_runtimes:
             assert runtime.transport == "fabric"
-            assert runtime.propagation == application.propagation
             for delivery in runtime.fabric_deliveries:
                 assert id(delivery.runtime) in live
 
