@@ -10,11 +10,9 @@ the same network three ways — no minimisation, the conservative pairwise
 
 from __future__ import annotations
 
+from repro.compile import MappingPipeline
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.mapping.compression import TableCompressor, compress_machine
-from repro.mapping.keys import KeyAllocator
-from repro.mapping.placement import Placer
-from repro.mapping.routing_generator import RoutingTableGenerator
 from repro.neuron.connectors import FixedProbabilityConnector
 from repro.neuron.network import Network
 from repro.neuron.population import Population, SpikeSourcePoisson
@@ -46,12 +44,10 @@ def _mapped_machine(minimise):
     machine = SpiNNakerMachine(MachineConfig(width=WIDTH, height=HEIGHT,
                                              cores_per_chip=8))
     BootController(machine, seed=1).boot()
-    network = _network()
-    placement = Placer(machine, max_neurons_per_core=NEURONS_PER_CORE).place(network)
-    keys = KeyAllocator(placement)
-    RoutingTableGenerator(machine, placement, keys).generate(
-        network, seed=31, minimise=minimise)
-    return machine, keys
+    ctx = MappingPipeline(machine, _network(), seed=31,
+                          max_neurons_per_core=NEURONS_PER_CORE,
+                          minimise=minimise).run()
+    return machine, ctx.keys
 
 
 def _table_stats(machine):

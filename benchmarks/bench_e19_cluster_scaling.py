@@ -28,7 +28,9 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import pytest
 
+from repro import profile
 from repro.cluster import ClusterApplication
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.neuron.connectors import FixedProbabilityConnector
@@ -111,7 +113,15 @@ def _assert_bit_identical(reference, candidate) -> None:
     assert candidate.delivered_charge_na == reference.delivered_charge_na
 
 
-def test_e19_cluster_scaling(benchmark):
+@pytest.fixture
+def stage_profiling():
+    """The cluster runner reads ``repro.profile.enabled()`` at ``run()``."""
+    profile.enable()
+    yield
+    profile.enable(False)
+
+
+def test_e19_cluster_scaling(benchmark, stage_profiling):
     network = _build_network()
 
     # ------------------------------------------------------------------
@@ -127,8 +137,7 @@ def test_e19_cluster_scaling(benchmark):
     cluster = ClusterApplication(
         _machine(), network, seed=SEED,
         max_neurons_per_core=NEURONS_PER_CORE,
-        placement_strategy="round-robin", account_transport=True,
-        profile=True)
+        placement_strategy="round-robin", account_transport=True)
     sharded = cluster.run(EQUIV_MS, workers=1)
     _assert_spike_equivalence(unsharded, sharded)
     assert cluster.n_boards == BOARDS_X * BOARDS_Y

@@ -27,7 +27,9 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import pytest
 
+from repro import profile
 from repro.cluster import ClusterApplication
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.neuron.connectors import FixedProbabilityConnector
@@ -94,11 +96,19 @@ def _bit_identical(reference, candidate) -> bool:
             and candidate.packets_sent == reference.packets_sent)
 
 
-def test_e20_fused_engine(benchmark):
+@pytest.fixture
+def stage_profiling():
+    """The cluster runner reads ``repro.profile.enabled()`` at ``run()``."""
+    profile.enable()
+    yield
+    profile.enable(False)
+
+
+def test_e20_fused_engine(benchmark, stage_profiling):
     app = ClusterApplication(
         _machine(), _build_network(), seed=SEED,
         max_neurons_per_core=NEURONS_PER_CORE,
-        placement_strategy="round-robin", profile=True)
+        placement_strategy="round-robin")
     app.prepare()              # compile outside the timed rounds
 
     # ------------------------------------------------------------------

@@ -144,9 +144,8 @@ def _run_cell(name: str, network: Network, metrics: Dict[str, float]):
         cluster = ClusterApplication(
             _machine(), network, seed=SEED,
             max_neurons_per_core=NEURONS_PER_CORE,
-            placement_strategy="round-robin", profile=True,
-            workers=config["workers"])
-        result = cluster.run(DURATION_MS)
+            placement_strategy="round-robin")
+        result = cluster.run(DURATION_MS, workers=config["workers"])
         # Worker stages live on the cluster's own merged registry; the
         # global one adds whatever the parent process profiled.
         metrics.update(cluster.registry.flatten(prefix))

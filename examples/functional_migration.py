@@ -59,7 +59,7 @@ def main() -> None:
     print("Phase 1 (%.0f ms): %d spikes, mean rate %.1f Hz"
           % (PHASE_MS, spikes_phase_one, rate_before))
 
-    migrator = FunctionalMigrator.for_application(application)
+    migrator = FunctionalMigrator(application)
     suspect_chip = next(iter(migrator.occupied_slots()))[0]
     occupied_on_chip = sum(1 for (chip, _core) in migrator.occupied_slots()
                            if chip == suspect_chip)

@@ -15,11 +15,10 @@ both, so a regression in it lands silently.  This rule flags:
   module — the bench would hard-fail below the threshold but the
   *measured* value would be invisible to the regression gate and the
   trend artifact, so slow erosion towards the threshold lands silently;
-* a bench that *enables profiling* (``profile=True`` anywhere, or a
-  call to ``repro.profile.enable``) but records no ``profile_*`` metric
-  key and never calls ``reporting.attach_profile`` — the stage timings
-  it paid to collect would be invisible to the regression gate and the
-  trend artifact;
+* a bench that *enables profiling* (a call to ``repro.profile.enable``)
+  but records no ``profile_*`` metric key and never calls
+  ``reporting.attach_profile`` — the stage timings it paid to collect
+  would be invisible to the regression gate and the trend artifact;
 * a gated key in ``check_regression.py``'s ``KEY_METRICS`` whose
   checked-in baseline JSON is absent or lacks that metric — the gate
   would silently skip it, which reads as "protected" when it is not.
@@ -102,11 +101,10 @@ class BenchHygieneChecker(Checker):
     def _check_profile_emission(self, ctx: CheckContext) -> Iterable[Violation]:
         """A bench that enables profiling must surface the stage timings.
 
-        Enabling is either a ``profile=True`` keyword on any call (the
-        cluster runner's opt-in) or a resolved ``repro.profile.enable``
-        call.  Surfacing is a string dict key starting with ``profile_``
-        anywhere in the module, or a ``reporting.attach_profile`` call
-        (which injects those keys wholesale).
+        Enabling is a resolved ``repro.profile.enable`` call.  Surfacing
+        is a string dict key starting with ``profile_`` anywhere in the
+        module, or a ``reporting.attach_profile`` call (which injects
+        those keys wholesale).
         """
         imports = ImportMap(ctx.tree)
         enabler = None
@@ -121,11 +119,6 @@ class BenchHygieneChecker(Checker):
                 dotted = imports.resolve(func)
                 if dotted in PROFILE_ENABLE_CALLS:
                     enabler = enabler or node
-                for keyword in node.keywords:
-                    if (keyword.arg == "profile"
-                            and isinstance(keyword.value, ast.Constant)
-                            and keyword.value.value is True):
-                        enabler = enabler or node
             elif isinstance(node, ast.Dict):
                 for key in node.keys:
                     if (isinstance(key, ast.Constant)

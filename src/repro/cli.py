@@ -534,8 +534,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         application = ClusterApplication(
             build_machine(), _cluster_network(args), seed=args.seed,
             max_neurons_per_core=args.neurons_per_core,
-            workers=workers, account_transport=True)
-        results[workers] = application.run(args.duration)
+            account_transport=True)
+        results[workers] = application.run(args.duration, workers=workers)
         reports[workers] = application.report
 
     rows = []

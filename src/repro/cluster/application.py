@@ -50,7 +50,6 @@ Three properties the tests and benchmark E19 rely on:
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
@@ -73,14 +72,6 @@ from repro.router.fabric import TransportFabric
 from repro.runtime.application import ApplicationResult
 
 __all__ = ["ClusterApplication", "ClusterReport", "ClusterWorkerError"]
-
-#: Set (to anything but ``0``/empty) to enable the per-stage worker
-#: timers without touching code.  Kept as the cluster-specific alias of
-#: the process-wide ``REPRO_PROFILE`` flag (either enables them); the
-#: counters themselves now live on a :class:`repro.profile.ProfileRegistry`
-#: per worker, merged into :attr:`ClusterApplication.registry` over the
-#: existing result pipes.
-PROFILE_ENV = "REPRO_CLUSTER_PROFILE"
 
 #: The per-worker wall-clock decomposition the profiler reports:
 #: stepping neurons + local delivery / packing outbound batches into
@@ -138,9 +129,10 @@ class ClusterReport:
     #: Board-to-board link traversals replayed through the transport
     #: fabric (``account_transport=True`` only).
     inter_board_traversals: int = 0
-    #: Per-worker stage seconds (:data:`STAGES`), filled when profiling
-    #: is enabled (``profile=True`` or :data:`PROFILE_ENV`).  The serial
-    #: path reports itself as worker ``0``.
+    #: Per-worker stage seconds (:data:`STAGES`), filled when
+    #: :func:`repro.profile.enabled` is true at
+    #: :meth:`ClusterApplication.run`.  The serial path reports itself
+    #: as worker ``0``.
     worker_stages: Dict[int, Dict[str, float]] = field(default_factory=dict)
     #: Parent-side seconds spent scanning regions for the report's
     #: traffic counters and the fabric replay.
@@ -187,30 +179,20 @@ class ClusterReport:
 
 
 def _assign_boards(boards: List[int], workers: int,
-                   weights: Optional[Dict[int, int]] = None,
-                   strategy: str = "lpt") -> Dict[int, int]:
-    """Assign boards to workers.
+                   weights: Dict[int, int]) -> Dict[int, int]:
+    """Assign boards to workers, greedy longest-processing-time.
 
-    ``lpt`` (the default) is greedy longest-processing-time: boards are
-    taken heaviest-first (weight = placed-vertex count) and each lands
-    on the least-loaded worker, which raises the load-balance
-    ``speedup_bound`` on skewed placements.  ``round-robin`` keeps the
-    PR 5 behaviour and stays reachable for the determinism tests.  Both
-    are fully deterministic (ties break on lowest board id / lowest
-    worker index).
+    Boards are taken heaviest-first (weight = placed-vertex count) and
+    each lands on the least-loaded worker, which raises the load-balance
+    ``speedup_bound`` on skewed placements.  Fully deterministic (ties
+    break on lowest board id / lowest worker index).
     """
-    if strategy == "round-robin":
-        return {board: index % workers
-                for index, board in enumerate(boards)}
-    if strategy != "lpt":
-        raise ValueError("unknown assignment strategy %r" % (strategy,))
-    weights = weights or {}
     loads = [0.0] * workers
     assignment: Dict[int, int] = {}
-    for board in sorted(boards, key=lambda b: (-weights.get(b, 1), b)):
+    for board in sorted(boards, key=lambda b: (-weights[b], b)):
         worker = min(range(workers), key=lambda w: (loads[w], w))
         assignment[board] = worker
-        loads[worker] += weights.get(board, 1)
+        loads[worker] += weights[board]
     return {board: assignment[board] for board in boards}
 
 
@@ -349,17 +331,7 @@ class ClusterApplication:
                  seed: Optional[int] = None,
                  max_neurons_per_core: int = 256,
                  placement_strategy: str = "locality",
-                 workers: int = 1,
-                 account_transport: bool = False,
-                 lookahead: Optional[int] = None,
-                 assignment: str = "lpt",
-                 profile: Optional[bool] = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        if lookahead is not None and lookahead < 1:
-            raise ValueError("lookahead must be at least 1")
-        if assignment not in ("lpt", "round-robin"):
-            raise ValueError("unknown assignment strategy %r" % (assignment,))
+                 account_transport: bool = False) -> None:
         self.machine = machine
         self.network = network
         self.timestep_ms = network.timestep_ms
@@ -367,20 +339,12 @@ class ClusterApplication:
         self.expansion_seed = seed if seed is not None else network.seed
         self.max_neurons_per_core = max_neurons_per_core
         self.placement_strategy = placement_strategy
-        self.workers = workers
         self.account_transport = account_transport
-        #: ``None``: run at the deepest safe lookahead (``1 + d_min``);
-        #: an explicit depth is clamped to that bound.
-        self.lookahead = lookahead
-        self.assignment = assignment
-        self.profile = (
-            os.environ.get(PROFILE_ENV, "") not in ("", "0")
-            or profile_enabled()
-            if profile is None else bool(profile))
         #: Merged stage registry of the most recent :meth:`run` — worker
         #: snapshots plus the parent's accounting span; feeds
-        #: ``flatten()`` -> ``profile_*`` bench keys.
-        self.registry = ProfileRegistry(enabled=self.profile)
+        #: ``flatten()`` -> ``profile_*`` bench keys.  Records only when
+        #: :func:`repro.profile.enabled` was true at that run.
+        self.registry = ProfileRegistry(enabled=False)
 
         self.pipeline: Optional[MappingPipeline] = None
         self.board_contexts: Dict[int, BoardContext] = {}
@@ -430,41 +394,44 @@ class ClusterApplication:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, duration_ms: float, workers: Optional[int] = None,
+    def run(self, duration_ms: float, workers: int = 1,
             lookahead: Optional[int] = None) -> ApplicationResult:
         """Run for ``duration_ms`` of biological time; return the merged
         result (also kept on :attr:`result`, statistics on
-        :attr:`report`).  ``workers`` and ``lookahead`` override the
-        constructor's values for this run only."""
+        :attr:`report`).
+
+        ``workers`` is the pool size (``1``: in-process, no pool).
+        ``lookahead`` caps the ticks per super-step; ``None`` runs at
+        the deepest safe depth (``1 + d_min``) and an explicit depth is
+        clamped to that bound.  Stage profiling follows
+        :func:`repro.profile.enabled` as of this call.
+        """
         if duration_ms < 0:
             raise ValueError("duration must be non-negative")
         if lookahead is not None and lookahead < 1:
             raise ValueError("lookahead must be at least 1")
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
         self.prepare()
         n_ticks = int(round(duration_ms / self.timestep_ms))
-        effective = workers if workers is not None else self.workers
-        if effective < 1:
-            raise ValueError("workers must be at least 1")
         boards = sorted(self.board_contexts)
-        effective = max(1, min(effective, len(boards))) if boards else 1
+        effective = min(workers, max(len(boards), 1))
         plan = ExchangePlan.build(
             self.board_contexts, self.board_pair_min_delay,
-            lookahead=lookahead if lookahead is not None else self.lookahead,
-            account_transport=self.account_transport)
+            lookahead=lookahead, account_transport=self.account_transport)
         weights = {board: self.board_contexts[board].n_cores
                    for board in boards}
         report = ClusterReport(
             n_boards=len(boards), workers=effective, n_ticks=n_ticks,
             lookahead=plan.lookahead, d_min=plan.d_min or 0,
             supersteps=len(superstep_schedule(n_ticks, plan.lookahead)),
-            assignment=_assign_boards(boards, effective, weights,
-                                      self.assignment))
+            assignment=_assign_boards(boards, effective, weights))
         # The fabric's counters are cumulative over the application's
         # lifetime; the report carries this run's delta.
         traversals_before = (self.fabric.inter_board_traversals
                              if self.fabric is not None else 0)
         # Fresh per run, so a bench flattening it sees this run only.
-        self.registry = ProfileRegistry(enabled=self.profile)
+        self.registry = ProfileRegistry(enabled=profile_enabled())
         began = perf_now()
         if effective == 1:
             shard_results = self._run_serial(n_ticks, duration_ms, report,
@@ -535,7 +502,6 @@ class ClusterApplication:
                    for board, context in self.board_contexts.items()}
         my_boards = sorted(engines)
         exchange = InProcessExchange(plan)
-        profile = self.profile
         registry = self.registry
         exchange_stage = registry.stage("exchange")
         serialize_stage = registry.stage("serialize")
@@ -560,7 +526,7 @@ class ClusterApplication:
         # (the on-machine run drains in-flight deliveries after halting).
         if prev_bank is not None:
             _apply_inbound(engines, my_boards, exchange, prev_bank)
-        if profile:
+        if registry.enabled:
             registry.add("compute", sum(engine.compute_s
                                         for engine in engines.values()))
             report.worker_stages[0] = _stage_dict(registry.snapshot())
@@ -604,7 +570,7 @@ class ClusterApplication:
                     target=_shard_worker,
                     args=(child_end, by_worker[worker], populations,
                           self.seed, self.timestep_ms, plan, exchange,
-                          barrier, released, self.profile),
+                          barrier, released, self.registry.enabled),
                     daemon=True)
                 process.start()
                 child_end.close()

@@ -1,10 +1,9 @@
 """The cluster's spike-exchange data path (shared memory + lookahead).
 
-PR 5's runner pickled per-tick batch dicts through ``multiprocessing``
-pipes and took a parent-mediated barrier every tick — measured *slower*
-than the serial engine (BENCH_e19: 0.94x against a 3.9x load-balance
-bound).  This module replaces that data path with the three classic
-PDES ingredients:
+Pickling per-tick batches through ``multiprocessing`` pipes under a
+parent-mediated barrier every tick costs more than the parallelism
+gains, so the data path is built from the three classic PDES
+ingredients:
 
 * **Preallocated shared-memory regions.**  One
   :class:`multiprocessing.shared_memory.SharedMemory` segment holds a

@@ -131,18 +131,17 @@ class FusedBoardEngine:
     def __init__(self, context: BoardContext,
                  populations: Dict[str, Population],
                  seed: Optional[int], timestep_ms: float,
-                 export_keys: Optional[Set[int]] = None) -> None:
+                 export_keys: Set[int]) -> None:
         self.context = context
         self.board = context.board
         self.timestep_ms = timestep_ms
         #: Keys whose spiking indices :meth:`step` must hand back for
-        #: the exchange.  When given, the engine also delivers its own
-        #: board's legs *locally* at the end of each tick (worker-side
-        #: routing: same-board traffic never leaves the process); when
-        #: ``None`` it exports every outgoing key and delivers nothing
-        #: itself.
+        #: the exchange (this board's entry of
+        #: :attr:`~repro.cluster.exchange.ExchangePlan.export_keys`).
+        #: The board's own legs are delivered *locally* at the
+        #: end of each tick (worker-side routing: same-board traffic
+        #: never leaves the process).
         self.export_keys = export_keys
-        self.local_delivery = export_keys is not None
 
         # ---- group the board's cores ---------------------------------
         grouped: Dict[str, Tuple[List, List, List]] = {}
@@ -181,10 +180,7 @@ class FusedBoardEngine:
         for group in self._groups:
             group.base = ring_width
             ring_width += group.n_lanes * group.width
-        index = context.delivery_index
-        if index is None:
-            index = context.build_delivery_index()
-        self._index = index
+        index = self._index = context.delivery_index
         translate = np.full(max(index.total_neurons, 1), ring_width,
                             dtype=np.intp)
         for local, lane in enumerate(lanes):
@@ -322,12 +318,10 @@ class FusedBoardEngine:
     # ------------------------------------------------------------------
     # One tick
     # ------------------------------------------------------------------
-    def step(self, tick: int,
-             inbound: Optional[List[SpikeBatch]] = None) -> List[SpikeBatch]:
-        """Apply ``inbound``, then run one tick over every core —
-        one block step per model instead of one call per core."""
-        if inbound:
-            self.apply(inbound)
+    def step(self, tick: int) -> List[SpikeBatch]:
+        """Run one tick over every core — one block step per model
+        instead of one call per core — deliver the board's own legs and
+        return the batches to export."""
         began = perf_now()
         time_ms = tick * self.timestep_ms
         outbound: List[SpikeBatch] = []
@@ -376,12 +370,9 @@ class FusedBoardEngine:
             self._spike_chunks[label].append((time_ms, global_indices))
         if spec.has_outgoing:
             result.packets_sent += int(spiking.size)
-            if self.local_delivery:
-                if spec.base_key in self.context.deliveries:
-                    local.append((spec.base_key, spiking))
-                if spec.base_key in self.export_keys:
-                    outbound.append((spec.base_key, spiking))
-            else:
+            if spec.base_key in self.context.deliveries:
+                local.append((spec.base_key, spiking))
+            if spec.base_key in self.export_keys:
                 outbound.append((spec.base_key, spiking))
 
     def _source_mask(self, core: _SourceCore, tick: int) -> np.ndarray:

@@ -224,12 +224,8 @@ class BoardContext:
 
     @property
     def n_cores(self) -> int:
-        """Number of placed vertices on this board."""
-        return len(self.cores)
-
-    @property
-    def placed_vertices(self) -> int:
-        """Alias of :attr:`n_cores` — the LPT assignment weight."""
+        """Number of placed vertices on this board (its LPT
+        assignment weight)."""
         return len(self.cores)
 
     def build_delivery_index(self) -> BoardDeliveryIndex:
@@ -309,11 +305,6 @@ class MappingContext:
     #: per-board :class:`BoardContext`\ s for the cluster runner.
     shard_by_board: bool = False
     minimise: bool = True
-    #: Set by :meth:`MappingPipeline.from_existing`: the machine's tables
-    #: may hold entries from a pre-pipeline tool-chain, so the first
-    #: route pass clears every chip before installing (the legacy
-    #: full-migration behaviour).
-    assume_stale_tables: bool = False
 
     # ------------------------------------------------------------------
     # Artifacts (filled in by the passes)
@@ -357,8 +348,8 @@ class MappingContext:
     keys_version: int = 0
     routes_version: int = 0
     #: True once the route pass has installed entries into the machine's
-    #: tables at least once (first install adds on top, legacy-style;
-    #: later installs clear-and-rebuild the dirty chips).
+    #: tables at least once (the first install adds on top of whatever
+    #: the tables hold; later installs clear-and-rebuild the dirty chips).
     tables_installed: bool = False
 
     # ------------------------------------------------------------------

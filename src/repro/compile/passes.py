@@ -41,9 +41,10 @@ from repro.compile.context import (
 from repro.core.geometry import ChipCoordinate
 from repro.mapping.keys import KeyAllocator
 from repro.mapping.placement import Placer, Vertex
-from repro.mapping.routing_generator import RoutingTableGenerator
+from repro.mapping.routing_generator import build_tree
 from repro.mapping.synaptic_matrix import (
     CoreSynapticData,
+    decode_block,
     write_packed_block,
 )
 from repro.router.fabric import compile_route
@@ -199,8 +200,6 @@ class RoutePass(MappingPass):
     # ------------------------------------------------------------------
     def run(self, ctx: MappingContext) -> None:
         reach_changed = ctx.ensure_reach()
-        generator = RoutingTableGenerator(ctx.machine, ctx.placement,
-                                          ctx.keys)
         locations = ctx.placement.locations
 
         full = reach_changed or not ctx.routes
@@ -230,8 +229,7 @@ class RoutePass(MappingPass):
                            if ctx.broadcast_routing else None)
         rebuilt = 0
         for vertex in rebuild:
-            rebuilt += self._rebuild(ctx, generator, vertex,
-                                     broadcast_chips)
+            rebuilt += self._rebuild(ctx, vertex, broadcast_chips)
 
         self._install(ctx)
         self._summarise(ctx)
@@ -241,8 +239,7 @@ class RoutePass(MappingPass):
                                      else "%d trees" % rebuilt)
 
     # ------------------------------------------------------------------
-    def _rebuild(self, ctx: MappingContext,
-                 generator: RoutingTableGenerator, vertex: Vertex,
+    def _rebuild(self, ctx: MappingContext, vertex: Vertex,
                  broadcast_chips: Optional[List[ChipCoordinate]]) -> int:
         space = ctx.keys.key_space(vertex)
         source_slot = ctx.placement.locations[vertex]
@@ -261,8 +258,8 @@ class RoutePass(MappingPass):
                 self._retire(ctx, old)
             return 0
 
-        tree = generator.build_tree(
-            source_chip,
+        tree = build_tree(
+            ctx.machine, source_chip,
             broadcast_chips if broadcast_chips is not None
             else list(destinations))
         entries: Dict[ChipCoordinate, RoutingEntry] = {}
@@ -314,13 +311,7 @@ class RoutePass(MappingPass):
 
     # ------------------------------------------------------------------
     def _install(self, ctx: MappingContext) -> None:
-        first = not getattr(ctx, "tables_installed", False)
-        if first and ctx.assume_stale_tables:
-            # The tables may hold a pre-pipeline tool-chain's entries for
-            # these very keys; start from a clean slate (the legacy
-            # full-migration behaviour).
-            for chip in ctx.machine:
-                chip.router.table.clear()
+        first = not ctx.tables_installed
         for chip_coordinate in ctx.dirty_chips:
             chip = ctx.machine.chips.get(chip_coordinate)
             if chip is None:
@@ -350,7 +341,7 @@ class CompressPass(MappingPass):
     """Minimise the routing tables the route pass re-installed.
 
     Broadcast tables are left raw (the E11 baseline measures the
-    uncompressed bus-style cost, as the legacy tool-chain did).
+    uncompressed bus-style cost).
     """
 
     name = "compress"
@@ -415,7 +406,7 @@ class BuildSynapticMatricesPass(MappingPass):
 
     def _build_full(self, ctx: MappingContext) -> None:
         """Cold build, in the canonical projection -> target -> source
-        order (byte- and address-identical to the legacy builder)."""
+        order (``tests/oracles.py`` pins the bytes and addresses)."""
         for slot, data in ctx.core_data.items():
             self._free_core(ctx, slot, data)
         locations = ctx.placement.locations
@@ -562,8 +553,13 @@ class ShardByBoardPass(MappingPass):
             source_board = config.board_of(record.source_chip)
             for target, slot in record.target_slots.items():
                 board, core_index = local_index[slot]
-                csr = self._decode_block(ctx, slot, record.key,
-                                         target.n_neurons)
+                # The first matching population-table entry is used; a
+                # missing entry yields ``None`` (the shard counts
+                # unmatched packets, exactly as the fabric transport does).
+                entry = ctx.core_data[slot].population_table.entry_for(
+                    record.key)
+                csr = (None if entry is None else decode_block(
+                    ctx.machine.chips[slot[0]], entry, target.n_neurons))
                 ctx.board_contexts[board].deliveries.setdefault(
                     record.key, []).append((core_index, csr))
                 n_deliveries += 1
@@ -580,28 +576,6 @@ class ShardByBoardPass(MappingPass):
             context.build_delivery_index()
         ctx.last_scope[self.name] = "%d boards, %d deliveries" % (
             len(ctx.board_contexts), n_deliveries)
-
-    @staticmethod
-    def _decode_block(ctx: MappingContext, slot: Tuple[ChipCoordinate, int],
-                      key: int, n_post: int):
-        """Decode one destination core's block for ``key`` from its SDRAM.
-
-        Mirrors ``NeuralApplication._compile_delivery``: the first
-        matching population-table entry is used, and a missing entry
-        yields ``None`` (the shard counts unmatched packets, exactly as
-        the fabric transport does).
-        """
-        from repro.neuron.engine import CSRMatrix
-        data = ctx.core_data[slot]
-        entry = data.population_table.entry_for(key)
-        if entry is None:
-            return None
-        chip = ctx.machine.chips[slot[0]]
-        stride = entry.row_stride_words
-        packed = [chip.sdram.peek_block(
-            entry.sdram_address + 4 * row * stride, stride)
-            for row in range(entry.n_rows)]
-        return CSRMatrix.from_packed_rows(packed, n_post=n_post)
 
 
 #: The canonical pass order of the mapping compiler.

@@ -7,16 +7,13 @@ the vertices a change touched (incremental re-map).  The pipeline keeps
 per-pass timing and cache statistics for the ``spinnaker-repro compile
 report`` subcommand and the E18 benchmark.
 
-Three entry points:
+Two entry points:
 
 * :meth:`run` — compile, or re-compile after an external change (a chip
   condemnation, a lease shrink): fingerprints decide what re-runs.
 * :meth:`remap_moves` — apply an explicit set of vertex moves (the
   functional-migration path, which pins its own spare-core choices) and
   re-run everything downstream of placement.
-* :meth:`from_existing` — adopt a placement/key allocation produced by
-  the pre-pipeline tool-chain, so a standalone migrator can re-map
-  incrementally without recompiling the world first.
 """
 
 from __future__ import annotations
@@ -26,8 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.compile.context import MappingContext
 from repro.compile.passes import DEFAULT_PASSES, MappingPass
-from repro.mapping.keys import KeyAllocator
-from repro.mapping.placement import Placement, Vertex
+from repro.mapping.placement import Vertex
 from repro.neuron.network import Network
 from repro.profile import ProfileRegistry
 
@@ -96,47 +92,6 @@ class MappingPipeline:
         self._pass_total_stage = self.profile.stage("pass_total")
         self._pass_stages = {p.name: self.profile.stage(p.name)
                              for p in self.passes}
-
-    # ------------------------------------------------------------------
-    # Construction from pre-pipeline artifacts
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_existing(cls, machine, network: Network, *,
-                      placement: Placement, keys: KeyAllocator,
-                      seed: Optional[int],
-                      expansion_seed=_UNSET,
-                      placement_strategy: str = "locality",
-                      broadcast_routing: bool = False,
-                      compile_transport: bool = False) -> "MappingPipeline":
-        """Adopt an externally built placement and key allocation.
-
-        The adopted artifacts are treated as already-computed passes (the
-        placement and key objects are used as-is, not copied) and the
-        machine's routing tables are assumed stale: the first route run
-        clears and rebuilds every table, after which re-maps are
-        incremental.
-        """
-        pipeline = cls(machine, network, seed=seed,
-                       expansion_seed=expansion_seed,
-                       max_neurons_per_core=placement.max_neurons_per_core,
-                       placement_strategy=placement_strategy,
-                       broadcast_routing=broadcast_routing,
-                       compile_transport=compile_transport)
-        ctx = pipeline.ctx
-        ctx.partition = placement.by_population
-        ctx.partition_version = 1
-        ctx.placement = placement
-        ctx.placement_version = 1
-        ctx.keys = keys
-        ctx.keys_version = 1
-        ctx.assume_stale_tables = True
-        for name in ("partition", "place", "allocate-keys"):
-            index = pipeline._index_of(name)
-            record = pipeline.records[name]
-            record.runs = 1
-            record.signature = pipeline.passes[index].signature(ctx)
-            record.last_scope = "adopted"
-        return pipeline
 
     # ------------------------------------------------------------------
     # Execution

@@ -2,7 +2,10 @@
 
 "Neurons must be mapped to processors, multicast routing tables computed,
 connectivity data constructed, and relevant input/output mechanisms
-deployed."  This package is that tool-chain:
+deployed."  This package is the library of algorithms and data
+structures that tool-chain is made of; the tool-chain itself — the one
+driver that runs them in order, caches their artifacts and re-maps
+incrementally — is the pass pipeline of :mod:`repro.compile`:
 
 * :mod:`repro.mapping.placement` — split populations into core-sized
   vertices and place them on application cores (virtualised topology:
@@ -10,17 +13,25 @@ deployed."  This package is that tool-chain:
   possible);
 * :mod:`repro.mapping.keys` — allocate the 32-bit AER routing keys and
   masks that identify each source neuron;
-* :mod:`repro.mapping.routing_generator` — build the per-chip multicast
-  routing tables that realise each projection as a multicast tree;
-* :mod:`repro.mapping.synaptic_matrix` — pack each projection's synaptic
-  rows into the target chip's SDRAM and build the master population table
-  used by the packet-received handler to find them.
+* :mod:`repro.mapping.routing_generator` — merge shortest routes into
+  the multicast tree that realises a source vertex's projections;
+* :mod:`repro.mapping.compression` — minimise the installed per-chip
+  routing tables;
+* :mod:`repro.mapping.synaptic_matrix` — pack a projection's synaptic
+  rows into the target chip's SDRAM, index them in the master population
+  table the packet-received handler searches, and decode them back.
 """
 
 from repro.mapping.keys import KeyAllocator, KeySpace
 from repro.mapping.placement import Placement, Placer, Vertex
-from repro.mapping.routing_generator import RoutingTableGenerator
-from repro.mapping.synaptic_matrix import MasterPopulationTable, SynapticMatrixBuilder
+from repro.mapping.routing_generator import RoutingSummary, build_tree
+from repro.mapping.synaptic_matrix import (
+    CoreSynapticData,
+    MasterPopulationTable,
+    decode_block,
+    pack_block,
+    write_packed_block,
+)
 
 __all__ = [
     "KeyAllocator",
@@ -28,7 +39,11 @@ __all__ = [
     "Placement",
     "Placer",
     "Vertex",
-    "RoutingTableGenerator",
+    "RoutingSummary",
+    "build_tree",
+    "CoreSynapticData",
     "MasterPopulationTable",
-    "SynapticMatrixBuilder",
+    "decode_block",
+    "pack_block",
+    "write_packed_block",
 ]

@@ -13,24 +13,23 @@ information" (Figure 7).  Two data structures make that possible:
   onto the *local* neurons of the core (target indices rewritten to the
   core-local numbering).
 
-The builder walks the network's projections, filters every source row down
-to the synapses that land on each destination vertex and writes the packed
-rows into the destination chip's SDRAM model, so the on-machine runtime
-fetches exactly the bytes a real SpiNNaker core would.
+The synaptic-matrix pass of :mod:`repro.compile` filters every source
+row down to the synapses that land on each destination vertex
+(:func:`pack_block`) and writes the packed rows into the destination
+chip's SDRAM model (:func:`write_packed_block`), so the on-machine
+runtime fetches exactly the bytes a real SpiNNaker core would;
+:func:`decode_block` reads an installed block back for the engines that
+replay deliveries in bulk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-
-from repro.core.machine import SpiNNakerMachine
-from repro.mapping.keys import KeyAllocator, KeySpace
-from repro.mapping.placement import Placement, Vertex
+from repro.mapping.keys import KeySpace
+from repro.mapping.placement import Vertex
 from repro.neuron.engine import CSRMatrix
-from repro.neuron.population import expansion_rng
-from repro.neuron.network import Network
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class CoreSynapticData:
     regions: List = field(default_factory=list)
 
 
-def pack_block(block: "CSRMatrix"):
+def pack_block(block: CSRMatrix):
     """Pack one (source vertex -> destination core) CSR block.
 
     Returns ``(packed_rows, row_lengths, stride_words, n_synapses)`` —
@@ -146,62 +145,17 @@ def write_packed_block(chip, data: CoreSynapticData, space: KeySpace,
         n_rows=len(packed_rows)))
 
 
-class SynapticMatrixBuilder:
-    """Packs projection connectivity into SDRAM and builds population tables."""
+def decode_block(chip, entry: PopulationTableEntry,
+                 n_post: int) -> CSRMatrix:
+    """Decode one installed block back out of ``chip``'s SDRAM.
 
-    def __init__(self, machine: SpiNNakerMachine, placement: Placement,
-                 keys: KeyAllocator) -> None:
-        self.machine = machine
-        self.placement = placement
-        self.keys = keys
-        #: (chip, core) -> CoreSynapticData, filled in by :meth:`build`.
-        self.core_data: Dict[Tuple, CoreSynapticData] = {}
-
-    def build(self, network: Network, seed: Optional[int] = None) -> Dict[Tuple, CoreSynapticData]:
-        """Construct and write every core's synaptic matrix.
-
-        Returns the per-core data, keyed by ``(chip_coordinate, core_id)``.
-        """
-        effective_seed = network.seed if seed is None else seed
-        self.core_data = {}
-
-        # Initialise a record per placed vertex.
-        for vertex, (chip, core) in self.placement.locations.items():
-            self.core_data[(chip, core)] = CoreSynapticData(vertex=vertex)
-
-        for index, projection in enumerate(network.projections):
-            # Every (source, target) vertex pair is a vectorized
-            # submatrix slice of the projection's one expansion.
-            csr = projection.compile_csr(
-                expansion_rng(effective_seed, index), effective_seed)
-            source_vertices = self.placement.vertices_of(projection.pre.label)
-            target_vertices = self.placement.vertices_of(projection.post.label)
-
-            for target_vertex in target_vertices:
-                target_location = self.placement.location_of(target_vertex)
-                data = self.core_data[target_location]
-                chip = self.machine.chips[target_location[0]]
-
-                for source_vertex in source_vertices:
-                    block = csr.submatrix(source_vertex.slice_start,
-                                          source_vertex.slice_stop,
-                                          target_vertex.slice_start,
-                                          target_vertex.slice_stop)
-                    if block.n_synapses == 0:
-                        continue
-                    self._write_block(chip, data, source_vertex, block)
-        return self.core_data
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _write_block(self, chip, data: CoreSynapticData,
-                     source_vertex: Vertex, block: CSRMatrix) -> None:
-        """Write one source vertex's rows into the chip's SDRAM.
-
-        ``block`` is the projection submatrix restricted to this source
-        vertex's neurons and the destination core's local targets.
-        """
-        packed_rows, row_lengths, stride, _ = pack_block(block)
-        write_packed_block(chip, data, self.keys.key_space(source_vertex),
-                           source_vertex, packed_rows, row_lengths, stride)
+    Reads the words :func:`write_packed_block` wrote (``peek_block``:
+    compile-time decoding must not inflate the SDRAM traffic counters),
+    so the decoded weights carry the on-machine fixed-point
+    quantisation.
+    """
+    stride = entry.row_stride_words
+    packed = [chip.sdram.peek_block(
+        entry.sdram_address + 4 * row * stride, stride)
+        for row in range(entry.n_rows)]
+    return CSRMatrix.from_packed_rows(packed, n_post=n_post)

@@ -28,9 +28,10 @@ default: the disabled path of :func:`profile_stage` and
 :func:`record_stage` is a single attribute check and an immediate
 return (no frame push, no clock read, no allocation beyond the reused
 stage object), so instrumentation can stay in the tick loops of
-production runs.  Subsystems that must always measure (the compile
-pipeline's per-pass report, the cluster runner under ``profile=True``)
-construct their own always-enabled registry instead.
+production runs.  The compile pipeline, whose per-pass report must
+always measure, constructs its own always-enabled registry instead; the
+cluster runner builds a per-run registry of its own (so a bench sees
+one run's stages) but under this same flag, read at ``run()``.
 
 ``time.perf_counter`` itself is sanctioned *only here* (enforced by the
 ``clock-discipline`` rule of :mod:`repro.checks`): everything else in

@@ -37,7 +37,7 @@ from repro.core.packets import MulticastPacket
 from repro.core.processor import ProcessorSubsystem
 from repro.mapping.keys import KeyAllocator, KeySpace
 from repro.mapping.placement import Placement, Vertex
-from repro.mapping.synaptic_matrix import CoreSynapticData
+from repro.mapping.synaptic_matrix import CoreSynapticData, decode_block
 from repro.neuron.engine import CSRMatrix, decode_packed_row
 from repro.router.fabric import RouteProgram, RouteTarget, TransportFabric
 from repro.neuron.network import Network
@@ -577,27 +577,43 @@ class NeuralApplication:
             self.core_runtimes = []
             self._reset_recording()
             self._instantiate_runtimes(ctx)
+            if self.transport == "fabric":
+                self._build_fabric(ctx.route_programs)
         else:
-            moved = set(ctx.moved_vertices) | set(ctx.removed_vertices)
-            kept: List[CoreRuntime] = []
-            for runtime in self.core_runtimes:
-                if (runtime.vertex in moved
-                        or runtime.vertex not in self.placement.locations):
-                    runtime.core.stop_timer()
-                    continue
-                data = ctx.core_data.get((runtime.chip_coordinate,
-                                          runtime.core.core_id))
-                if data is not None and data is not runtime.synaptic_data:
-                    runtime.synaptic_data = data
-                    runtime._decoded_rows.clear()
-                kept.append(runtime)
-            self.core_runtimes = kept
-            self._instantiate_runtimes(
-                ctx, vertices={v for v in moved
-                               if v in self.placement.locations})
+            self._rebind_runtimes(
+                ctx, set(ctx.moved_vertices) | set(ctx.removed_vertices))
+        return ctx
+
+    def _rebind_runtimes(self, ctx: MappingContext, moved: set) -> int:
+        """Follow a live re-map: fresh runtimes for ``moved`` vertices only.
+
+        Shared by :meth:`remap` and the functional migrator.  Runtimes
+        whose vertex moved (or left the placement) are stopped and
+        dropped; survivors keep their neuron state and are re-pointed at
+        their core's rebuilt synaptic data; the moved vertices still
+        placed get new runtimes at their new slots, and the fabric's
+        delivery legs (which reference runtime objects) are recompiled so
+        none points at a dropped runtime.  Returns how many runtimes
+        were built.
+        """
+        locations = self.placement.locations
+        kept: List[CoreRuntime] = []
+        for runtime in self.core_runtimes:
+            if runtime.vertex in moved or runtime.vertex not in locations:
+                runtime.core.stop_timer()
+                continue
+            data = ctx.core_data.get((runtime.chip_coordinate,
+                                      runtime.core.core_id))
+            if data is not None and data is not runtime.synaptic_data:
+                runtime.synaptic_data = data
+                runtime._decoded_rows.clear()
+            kept.append(runtime)
+        self.core_runtimes = kept
+        built = self._instantiate_runtimes(
+            ctx, vertices={v for v in moved if v in locations})
         if self.transport == "fabric":
             self._build_fabric(ctx.route_programs)
-        return ctx
+        return built
 
     # ------------------------------------------------------------------
     # Compiled transport fabric
@@ -656,13 +672,8 @@ class NeuralApplication:
                                    latency_us=latency, distance=distance,
                                    stride_words=0)
         stride = entry.row_stride_words
-        # peek_block: compile-time decoding must not inflate the SDRAM
-        # traffic counters — _fabric_deliver charges the simulated reads.
-        packed = [chip.sdram.peek_block(
-            entry.sdram_address + 4 * row * stride, stride)
-            for row in range(entry.n_rows)]
-        csr = CSRMatrix.from_packed_rows(packed,
-                                         n_post=destination.vertex.n_neurons)
+        # Decoding peeks: _fabric_deliver charges the simulated reads.
+        csr = decode_block(chip, entry, destination.vertex.n_neurons)
         # Nominal per-packet core-side costs the event path pays between
         # arrival and the deferred-event scatter.
         processing = (clock.cycles_to_microseconds(costs.packet_received_cycles)

@@ -14,11 +14,11 @@ pass-based mapping compiler (:mod:`repro.compile`):
 
 * it finds spare application cores,
 * rebinds the evacuated vertices to them in the placement,
-* requests an *incremental* re-map from the pipeline — same keys, new
-  trees and synaptic blocks for just the moved vertices — and
-* when attached to a running :class:`~repro.runtime.application.NeuralApplication`,
-  rebuilds the affected core runtimes so the application can simply be
-  resumed.
+* requests an *incremental* re-map from the application's pipeline —
+  same keys, new trees and synaptic blocks for just the moved vertices
+  — and
+* has the :class:`~repro.runtime.application.NeuralApplication` rebuild
+  the affected core runtimes so it can simply be resumed.
 
 The suspect cores are disabled afterwards, which is the "mapping out" the
 monitor processor performs in the real system.
@@ -27,16 +27,11 @@ monitor processor performs in the real system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.compile import MappingPipeline
 from repro.core.geometry import ChipCoordinate
-from repro.core.machine import SpiNNakerMachine
-from repro.mapping.keys import KeyAllocator
-from repro.mapping.placement import Placement, Vertex
-from repro.neuron.network import Network
-from repro.neuron.population import core_rng
-from repro.runtime.application import CoreRuntime, NeuralApplication
+from repro.mapping.placement import Vertex
+from repro.runtime.application import NeuralApplication
 
 __all__ = [
     "MigrationError",
@@ -68,66 +63,24 @@ class MigrationReport:
 
 
 class FunctionalMigrator:
-    """Move placed vertices away from suspect cores onto spares.
+    """Move a prepared application's vertices off suspect cores onto spares.
 
-    Parameters
-    ----------
-    machine, network, placement, keys:
-        The mapping state produced by the tool-chain (``Placer`` /
-        ``KeyAllocator``).  The placement is modified in place.
-    application:
-        Optional prepared :class:`NeuralApplication`; when given, the
-        migrator also rebuilds the core runtimes of moved vertices so the
-        application can be resumed after the migration.
-    seed:
-        Seed for the connectivity regeneration; must match the seed used
-        when the network was originally mapped so the same synapses are
-        rebuilt.
+    Re-maps through the application's own mapping pipeline (its artifact
+    caches are what make the re-map incremental) and modifies its
+    placement in place.
+
+    Raises
+    ------
+    MigrationError
+        If ``application`` has not been prepared yet.
     """
 
-    def __init__(self, machine: SpiNNakerMachine, network: Network,
-                 placement: Placement, keys: KeyAllocator,
-                 application: Optional[NeuralApplication] = None,
-                 seed: Optional[int] = None) -> None:
-        self.machine = machine
-        self.network = network
-        self.placement = placement
-        self.keys = keys
-        self.application = application
-        if seed is not None:
-            self.seed = seed
-        elif application is not None:
-            self.seed = application.seed
-        else:
-            self.seed = network.seed or 0
-        self._own_pipeline: Optional[MappingPipeline] = None
-
-    def _pipeline(self) -> MappingPipeline:
-        """The mapping pipeline the migration re-maps through.
-
-        A prepared application's own pipeline when one is attached (its
-        artifact caches make the re-map incremental); otherwise a
-        standalone pipeline adopting the externally built placement and
-        keys, whose first re-map rebuilds the tables once and is
-        incremental from then on.
-        """
-        if (self.application is not None
-                and self.application.pipeline is not None):
-            return self.application.pipeline
-        if self._own_pipeline is None:
-            self._own_pipeline = MappingPipeline.from_existing(
-                self.machine, self.network, placement=self.placement,
-                keys=self.keys, seed=self.seed, expansion_seed=self.seed)
-        return self._own_pipeline
-
-    @classmethod
-    def for_application(cls, application: NeuralApplication) -> "FunctionalMigrator":
-        """Build a migrator bound to a prepared application."""
-        if application.placement is None or application.keys is None:
+    def __init__(self, application: NeuralApplication) -> None:
+        if application.pipeline is None:
             raise MigrationError("the application has not been prepared yet")
-        return cls(application.machine, application.network,
-                   application.placement, application.keys,
-                   application=application, seed=application.seed)
+        self.application = application
+        self.machine = application.machine
+        self.placement = application.placement
 
     # ------------------------------------------------------------------
     # Spare-core discovery
@@ -186,7 +139,6 @@ class FunctionalMigrator:
         for (old_slot, vertex) in displaced:
             new_slot = self._choose_spare(old_slot, spare, prefer_same_chip)
             spare.remove(new_slot)
-            self.placement.locations[vertex] = new_slot
             report.moves.append((vertex, old_slot, new_slot))
 
         for chip_coordinate, core_id in suspects:
@@ -196,19 +148,15 @@ class FunctionalMigrator:
             report.cores_mapped_out.append((chip_coordinate, core_id))
 
         if report.moves:
-            # Request an incremental re-map from the mapping compiler:
-            # only the moved vertices' trees, tables and synaptic blocks
-            # are rebuilt (and the keys stay put, as migration requires).
-            context = self._pipeline().remap_moves(
-                {vertex: new_slot
-                 for vertex, _old, new_slot in report.moves})
-            if self.application is not None:
-                report.runtimes_rebuilt = self._rebuild_runtimes(
-                    [move[0] for move in report.moves], context.core_data)
-                if self.application.transport == "fabric":
-                    # Delivery legs reference runtime objects; recompile
-                    # them so no leg points at an evacuated runtime.
-                    self.application._build_fabric(context.route_programs)
+            # Request an incremental re-map from the mapping compiler: it
+            # rebinds the moved vertices in the placement and rebuilds
+            # only their trees, tables and synaptic blocks (the keys stay
+            # put, as migration requires).
+            moves = {vertex: new_slot
+                     for vertex, _old, new_slot in report.moves}
+            context = self.application.pipeline.remap_moves(moves)
+            report.runtimes_rebuilt = self.application._rebind_runtimes(
+                context, set(moves))
         report.routing_entries_after = self._total_routing_entries()
         return report
 
@@ -248,34 +196,3 @@ class FunctionalMigrator:
 
     def _total_routing_entries(self) -> int:
         return sum(len(chip.router.table) for chip in self.machine)
-
-    def _rebuild_runtimes(self, moved: Sequence[Vertex], core_data) -> int:
-        """Rebind the core runtimes of moved vertices to their new cores."""
-        application = self.application
-        moved_set = set(moved)
-        populations = {p.label: p for p in self.network.populations}
-        projecting = {projection.pre.label
-                      for projection in self.network.projections}
-        kept: List[CoreRuntime] = [runtime for runtime in application.core_runtimes
-                                   if runtime.vertex not in moved_set]
-        rebuilt = 0
-        for vertex in moved:
-            chip_coordinate, core_id = self.placement.location_of(vertex)
-            chip = self.machine.chips[chip_coordinate]
-            core = chip.cores[core_id]
-            if core.state.value == "off":
-                core.run_self_test(True)
-            runtime = CoreRuntime(
-                application=application, core=core,
-                chip_coordinate=chip_coordinate, vertex=vertex,
-                population=populations[vertex.population_label],
-                key_space=self.keys.key_space(vertex),
-                synaptic_data=core_data[(chip_coordinate, core_id)],
-                rng=core_rng(self.seed, chip_coordinate.x, chip_coordinate.y,
-                             core_id),
-                has_outgoing_projections=(vertex.population_label in projecting),
-                transport=application.transport)
-            kept.append(runtime)
-            rebuilt += 1
-        application.core_runtimes = kept
-        return rebuilt

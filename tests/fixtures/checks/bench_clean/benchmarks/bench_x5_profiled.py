@@ -1,10 +1,13 @@
 """Fixture: a profiling bench that surfaces its stage timings."""
 
+from repro import profile
+
 from .reporting import attach_profile, emit_json
 
 
 def test_x5_profiled(cluster_factory):
-    cluster = cluster_factory(profile=True)
+    profile.enable()
+    cluster = cluster_factory()
     cluster.run(100.0)
     metrics = {"wall_s": cluster.report.wall_s}
     attach_profile(metrics, cluster.registry)

@@ -14,7 +14,13 @@ the fast path equals it element for element:
 * :class:`ScalarRing` — a per-event deferred-event ring that clamps at
   the 16-bit weight range after *every* event;
 * :func:`stdp_update` — the per-synapse additive pair-based STDP rule;
-* :func:`reference_run` — the host tick loop over all of the above.
+* :func:`reference_run` — the host tick loop over all of the above;
+* :func:`inline_toolchain` — the mapping tool-chain run inline, stage by
+  stage over the literal expansion (place, allocate keys, one tree and
+  one entry set per source vertex, minimise, pack every block into
+  SDRAM), which pins what the :mod:`repro.compile` pass pipeline
+  installs: placements, keys, per-chip tables, route programs and SDRAM
+  bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +31,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.mapping.keys import KeyAllocator
+from repro.mapping.placement import Placer
+from repro.mapping.routing_generator import build_tree
+from repro.mapping.synaptic_matrix import (
+    CoreSynapticData,
+    PopulationTableEntry,
+)
 from repro.neuron.connectors import (
     AllToAllConnector,
     DistanceDependentConnector,
@@ -47,6 +60,8 @@ from repro.neuron.synapse import (
     WEIGHT_FIXED_POINT,
     WEIGHT_SATURATION_NA,
 )
+from repro.router.fabric import compile_route
+from repro.router.routing_table import RoutingEntry
 
 Rows = Dict[int, List["Synapse"]]
 
@@ -421,3 +436,146 @@ def reference_run(network: Network, duration_ms: float,
                 stdp_update(projection.plasticity, rows, pre_spikes,
                             spikes_this_tick[projection.post.label])
     return result, rows_by_projection
+
+
+# ----------------------------------------------------------------------
+# The mapping tool-chain, inline
+# ----------------------------------------------------------------------
+def expand_rows(network: Network, seed: Optional[int]) -> List[Rows]:
+    """The literal expansion of every projection under ``seed``."""
+    return [build_rows(projection.connector, projection.pre.size,
+                       projection.post.size, expansion_rng(seed, index))
+            for index, projection in enumerate(network.projections)]
+
+
+def destinations_of(network: Network, expansion: List[Rows], placement,
+                    vertex) -> Dict:
+    """Chips (and the cores on them) that must receive ``vertex``'s spikes.
+
+    A chip is a destination if any projection from the vertex's
+    population has, in the literal ``expansion``, at least one synapse
+    from a neuron in this vertex to a neuron placed there.
+    """
+    destinations: Dict = {}
+    for projection, rows in zip(network.projections, expansion):
+        if projection.pre.label != vertex.population_label:
+            continue
+        hit = {synapse.target
+               for source in range(vertex.slice_start, vertex.slice_stop)
+               for synapse in rows.get(source, ())}
+        for target_vertex in placement.vertices_of(projection.post.label):
+            if any(target_vertex.slice_start <= target
+                   < target_vertex.slice_stop for target in hit):
+                chip, core = placement.location_of(target_vertex)
+                destinations.setdefault(chip, set()).add(core)
+    return destinations
+
+
+def install_routes(machine, network: Network, expansion: List[Rows],
+                   placement, keys,
+                   broadcast: bool = False) -> List[Tuple]:
+    """Install one masked entry per chip of every source vertex's tree.
+
+    Multicast trees reach exactly the destination chips; ``broadcast``
+    floods every chip along a spanning tree and still delivers only to
+    the destination cores (the bus-style AER baseline, left
+    unminimised).  Returns the ``(source chip, base key)`` of every
+    vertex that got a tree.
+    """
+    sources = []
+    touched = set()
+    all_chips = list(machine.geometry.all_chips())
+    for vertex in placement.vertices:
+        space = keys.key_space(vertex)
+        source_chip, _ = placement.location_of(vertex)
+        destinations = destinations_of(network, expansion, placement,
+                                       vertex)
+        if not destinations:
+            continue
+        sources.append((source_chip, space.base_key))
+        tree = build_tree(machine, source_chip,
+                          all_chips if broadcast else list(destinations))
+        for chip, links in tree.items():
+            cores = destinations.get(chip, set())
+            if not links and not cores:
+                continue
+            machine.chips[chip].router.table.add_entry(RoutingEntry(
+                key=space.base_key, mask=space.mask,
+                link_directions=frozenset(links),
+                processor_ids=frozenset(cores)))
+            touched.add(chip)
+    if not broadcast:
+        for chip in touched:
+            machine.chips[chip].router.table.minimise()
+    return sources
+
+
+def build_synaptic_matrices(machine, network: Network,
+                            expansion: List[Rows], placement,
+                            keys) -> Dict:
+    """Pack every (source vertex -> destination core) block into SDRAM.
+
+    Projection-major, then destination vertex, then source vertex: each
+    source row is filtered down to the synapses landing on the core,
+    targets rewritten to core-local numbering, packed and padded to the
+    block's fixed stride.  Returns the per-core data keyed by
+    ``(chip, core)``.
+    """
+    core_data = {location: CoreSynapticData(vertex=vertex)
+                 for vertex, location in placement.locations.items()}
+    for projection, rows in zip(network.projections, expansion):
+        for target in placement.vertices_of(projection.post.label):
+            location = placement.location_of(target)
+            data = core_data[location]
+            chip = machine.chips[location[0]]
+            for source in placement.vertices_of(projection.pre.label):
+                block = [[Synapse(s.target - target.slice_start, s.weight,
+                                  s.delay_ticks)
+                          for s in rows.get(neuron, ())
+                          if target.slice_start <= s.target
+                          < target.slice_stop]
+                         for neuron in range(source.slice_start,
+                                             source.slice_stop)]
+                if not any(block):
+                    continue
+                packed = [pack_row(row) for row in block]
+                stride = max(len(words) for words in packed)
+                region = chip.sdram.allocate(
+                    4 * stride * len(packed),
+                    tag="synapses:%s->%s" % (source, target))
+                for row_index, words in enumerate(packed):
+                    chip.sdram.write_block(
+                        region.base + 4 * row_index * stride,
+                        words + [0] * (stride - len(words)))
+                    data.total_synapses += len(block[row_index])
+                data.total_sdram_words += stride * len(packed)
+                data.regions.append(region)
+                space = keys.key_space(source)
+                data.population_table.add(PopulationTableEntry(
+                    key=space.base_key, mask=space.mask,
+                    sdram_address=region.base, row_stride_words=stride,
+                    n_rows=len(packed)))
+    return core_data
+
+
+def inline_toolchain(machine, network: Network, *,
+                     expansion_seed: Optional[int],
+                     max_neurons_per_core: int = 8,
+                     strategy: str = "locality", broadcast: bool = False,
+                     fabric: bool = False):
+    """Map ``network`` onto ``machine`` stage by stage.
+
+    Returns ``(placement, keys, route_programs, core_data)``; the route
+    programs (``fabric`` only) are walked from the installed, minimised
+    tables.
+    """
+    placement = Placer(machine, max_neurons_per_core, strategy).place(network)
+    keys = KeyAllocator(placement)
+    expansion = expand_rows(network, expansion_seed)
+    sources = install_routes(machine, network, expansion, placement, keys,
+                             broadcast=broadcast)
+    programs = ({key: compile_route(machine, chip, key)
+                 for chip, key in sources} if fabric else {})
+    core_data = build_synaptic_matrices(machine, network, expansion,
+                                        placement, keys)
+    return placement, keys, programs, core_data

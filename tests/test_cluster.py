@@ -18,12 +18,14 @@ import numpy as np
 import pytest
 
 import repro.cluster.application as cluster_application
+from repro import profile
 from repro.alloc.partition import MachinePartitioner
 from repro.cluster import (
     BoardTopology,
     ClusterApplication,
     ClusterWorkerError,
     ExchangePlan,
+    FusedBoardEngine,
     superstep_schedule,
 )
 from repro.cluster.application import _assign_boards
@@ -96,13 +98,11 @@ def small_cluster_machine() -> SpiNNakerMachine:
     return machine
 
 
-def sharded_app(workers: int, network: Network = None,
-                **kwargs) -> ClusterApplication:
+def sharded_app(network: Network = None, **kwargs) -> ClusterApplication:
     return ClusterApplication(small_cluster_machine(),
                               network if network is not None
                               else chained_network(),
-                              seed=SEED, max_neurons_per_core=32,
-                              workers=workers, **kwargs)
+                              seed=SEED, max_neurons_per_core=32, **kwargs)
 
 
 def assert_shm_unlinked(cluster: ClusterApplication) -> None:
@@ -250,11 +250,6 @@ class TestShardByBoardPass:
 # The sharded runner
 # ----------------------------------------------------------------------
 class TestClusterApplication:
-    def _sharded(self, workers: int, **kwargs) -> ClusterApplication:
-        return ClusterApplication(small_cluster_machine(), chained_network(),
-                                  seed=SEED, max_neurons_per_core=32,
-                                  workers=workers, **kwargs)
-
     def test_equivalent_to_the_unsharded_engine(self):
         unsharded_app = NeuralApplication(
             small_cluster_machine(), chained_network(),
@@ -263,8 +258,8 @@ class TestClusterApplication:
         unsharded = unsharded_app.run(60.0)
         assert unsharded.total_spikes() > 0
 
-        cluster = self._sharded(workers=1)
-        sharded = cluster.run(60.0)
+        cluster = sharded_app()
+        sharded = cluster.run(60.0, workers=1)
 
         assert sharded.total_spikes() == unsharded.total_spikes()
         for label in unsharded.spike_counts:
@@ -278,9 +273,9 @@ class TestClusterApplication:
         assert sharded.packets_sent == unsharded.packets_sent
 
     def test_results_are_worker_count_independent(self):
-        serial = self._sharded(workers=1).run(60.0)
-        pooled_app = self._sharded(workers=2)
-        pooled = pooled_app.run(60.0)
+        serial = sharded_app().run(60.0, workers=1)
+        pooled_app = sharded_app()
+        pooled = pooled_app.run(60.0, workers=2)
         assert pooled.spikes == serial.spikes
         for label in serial.spike_counts:
             assert np.array_equal(serial.spike_counts[label],
@@ -294,7 +289,7 @@ class TestClusterApplication:
         assert report.speedup_bound >= 1.0
 
     def test_cross_board_traffic_is_counted_and_replayed(self):
-        cluster = self._sharded(workers=1, account_transport=True)
+        cluster = sharded_app(account_transport=True)
         machine = cluster.machine
         boot_traffic = machine.total_inter_board_traffic()
         cluster.run(60.0)
@@ -310,7 +305,7 @@ class TestClusterApplication:
                    for chip in machine) >= report.inter_board_traversals
 
     def test_reruns_are_reproducible(self):
-        cluster = self._sharded(workers=1, account_transport=True)
+        cluster = sharded_app(account_transport=True)
         first = cluster.run(40.0)
         first_traversals = cluster.report.inter_board_traversals
         second = cluster.run(40.0)
@@ -322,17 +317,44 @@ class TestClusterApplication:
         assert cluster.fabric.inter_board_traversals == 2 * first_traversals
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            self._sharded(workers=0)
-        with pytest.raises(ValueError):
-            self._sharded(workers=1, lookahead=0)
-        with pytest.raises(ValueError):
-            self._sharded(workers=1, assignment="random")
-        cluster = self._sharded(workers=1)
+        cluster = sharded_app()
         with pytest.raises(ValueError):
             cluster.run(-1.0)
         with pytest.raises(ValueError):
+            cluster.run(10.0, workers=0)
+        with pytest.raises(ValueError):
             cluster.run(10.0, lookahead=0)
+
+
+class TestRemovedOptions:
+    """Knobs that went with the one-place-per-knob cluster runner fail
+    loudly instead of being silently ignored."""
+
+    @pytest.mark.parametrize("option", [
+        {"workers": 2}, {"lookahead": 1}, {"assignment": "round-robin"},
+        {"profile": True}])
+    def test_constructor_knobs_are_gone(self, option):
+        with pytest.raises(TypeError):
+            sharded_app(**option)
+
+    def test_board_engine_needs_its_export_keys(self):
+        cluster = sharded_app()
+        cluster.prepare()
+        context = next(iter(cluster.board_contexts.values()))
+        populations = {p.label: p for p in cluster.network.populations}
+        with pytest.raises(TypeError):
+            FusedBoardEngine(context, populations, SEED,
+                             cluster.timestep_ms)
+        engine = FusedBoardEngine(context, populations, SEED,
+                                  cluster.timestep_ms, export_keys=set())
+        with pytest.raises(TypeError):
+            engine.step(0, [])
+
+    def test_profiling_env_alias_is_gone(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CLUSTER_PROFILE", "1")
+        cluster = sharded_app()
+        cluster.run(5.0)
+        assert cluster.report.worker_stages == {}
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +369,7 @@ class TestExchangePlan:
             superstep_schedule(4, 0)
 
     def _prepared(self) -> ClusterApplication:
-        cluster = sharded_app(workers=1)
+        cluster = sharded_app()
         cluster.prepare()
         return cluster
 
@@ -406,10 +428,6 @@ class TestExchangePlan:
 # Board -> worker assignment
 # ----------------------------------------------------------------------
 class TestBoardAssignment:
-    def test_round_robin_stays_reachable(self):
-        assert _assign_boards([0, 1, 2, 3], 2, strategy="round-robin") == {
-            0: 0, 1: 1, 2: 0, 3: 1}
-
     def test_lpt_balances_skewed_weights(self):
         weights = {0: 10, 1: 4, 2: 3, 3: 3}
         assignment = _assign_boards([0, 1, 2, 3], 2, weights)
@@ -423,10 +441,6 @@ class TestBoardAssignment:
         weights = {board: 1 for board in range(4)}
         assert _assign_boards([0, 1, 2, 3], 2, weights) == {
             0: 0, 1: 1, 2: 0, 3: 1}
-
-    def test_unknown_strategy_is_rejected(self):
-        with pytest.raises(ValueError):
-            _assign_boards([0, 1], 2, strategy="random")
 
     def test_lpt_raises_the_speedup_bound_on_skew(self):
         # Same skewed compute, two workers: the busiest-worker bound is
@@ -443,8 +457,7 @@ class TestBoardAssignment:
             return report.speedup_bound
 
         lpt = bound(_assign_boards([0, 1, 2, 3], 2, weights))
-        round_robin = bound(_assign_boards([0, 1, 2, 3], 2,
-                                           strategy="round-robin"))
+        round_robin = bound({board: board % 2 for board in range(4)})
         assert lpt > round_robin
         assert lpt == pytest.approx(2.0)
 
@@ -457,8 +470,9 @@ class TestLookahead:
         reference = None
         for workers in (1, 2, 4):
             for lookahead in (1, None):
-                cluster = sharded_app(workers=workers, lookahead=lookahead)
-                result = cluster.run(40.0)
+                cluster = sharded_app()
+                result = cluster.run(40.0, workers=workers,
+                                     lookahead=lookahead)
                 report = cluster.report
                 if lookahead == 1:
                     assert report.lookahead == 1
@@ -475,26 +489,27 @@ class TestLookahead:
                 assert current == reference, (workers, lookahead)
 
     def test_deep_delays_open_the_lookahead_window(self):
-        cluster = sharded_app(workers=2, network=deep_delay_network())
-        deep = cluster.run(60.0)
+        cluster = sharded_app(network=deep_delay_network())
+        deep = cluster.run(60.0, workers=2)
         report = cluster.report
         # Every synapse carries at least 4 ticks of delay, so batches
         # arrive with ages up to L - 1 >= 4 and are re-based on apply.
         assert report.d_min >= 4
         assert report.lookahead == 1 + report.d_min
         assert report.supersteps < report.n_ticks
-        per_tick_cluster = sharded_app(workers=2,
-                                       network=deep_delay_network())
-        per_tick = per_tick_cluster.run(60.0, lookahead=1)
+        per_tick_cluster = sharded_app(network=deep_delay_network())
+        per_tick = per_tick_cluster.run(60.0, workers=2, lookahead=1)
         assert per_tick_cluster.report.lookahead == 1
         assert deep.spikes == per_tick.spikes
         assert deep.synaptic_events == per_tick.synaptic_events
         assert deep.delivered_charge_na == per_tick.delivered_charge_na
 
-    def test_run_override_beats_the_constructor(self):
-        cluster = sharded_app(workers=1, lookahead=1)
+    def test_explicit_lookahead_is_clamped_to_the_safe_depth(self):
+        cluster = sharded_app()
         cluster.run(20.0, lookahead=2)
         assert cluster.report.lookahead == 2
+        cluster.run(20.0, lookahead=99)
+        assert cluster.report.lookahead == 1 + cluster.report.d_min
 
 
 # ----------------------------------------------------------------------
@@ -507,9 +522,9 @@ class TestWorkerFailure:
 
         monkeypatch.setattr(cluster_application, "_shard_worker",
                             _dying_worker)
-        cluster = sharded_app(workers=2)
+        cluster = sharded_app()
         with pytest.raises(ClusterWorkerError) as excinfo:
-            cluster.run(20.0)
+            cluster.run(20.0, workers=2)
         error = excinfo.value
         assert error.exitcode == 3
         assert error.boards
@@ -522,9 +537,9 @@ class TestWorkerFailure:
 
         monkeypatch.setattr(cluster_application, "_shard_worker",
                             _dying_worker)
-        cluster = sharded_app(workers=2)
+        cluster = sharded_app()
         with pytest.raises(ClusterWorkerError):
-            cluster.run(20.0)
+            cluster.run(20.0, workers=2)
         assert_shm_unlinked(cluster)
 
     def test_late_waker_at_the_final_barrier_is_not_a_dead_worker(
@@ -568,46 +583,64 @@ class TestWorkerFailure:
 
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method=None: Context())
-        pooled = sharded_app(workers=2, lookahead=1).run(duration_ms)
+        pooled = sharded_app().run(duration_ms, workers=2, lookahead=1)
         monkeypatch.undo()
-        serial = sharded_app(workers=1, lookahead=1).run(duration_ms)
+        serial = sharded_app().run(duration_ms, workers=1, lookahead=1)
         assert pooled.spikes == serial.spikes
         assert pooled.synaptic_events == serial.synaptic_events
 
     def test_clean_run_leaves_no_segment_behind(self):
-        cluster = sharded_app(workers=2)
-        cluster.run(20.0)
+        cluster = sharded_app()
+        cluster.run(20.0, workers=2)
         assert_shm_unlinked(cluster)
 
 
 # ----------------------------------------------------------------------
 # Per-stage profiling
 # ----------------------------------------------------------------------
+@pytest.fixture
+def stage_profiling():
+    """Turn the one profiling flag on for a test, off afterwards."""
+    profile.enable()
+    yield
+    profile.enable(False)
+
+
 class TestProfiling:
     def test_off_by_default(self):
-        cluster = sharded_app(workers=1)
-        assert not cluster.profile
+        cluster = sharded_app()
         cluster.run(20.0)
         assert cluster.report.worker_stages == {}
+        assert cluster.registry.flatten() == {}
 
-    def test_env_flag_enables_it(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CLUSTER_PROFILE", "1")
-        assert sharded_app(workers=1).profile
-        monkeypatch.setenv("REPRO_CLUSTER_PROFILE", "0")
-        assert not sharded_app(workers=1).profile
-        # An explicit argument beats the environment.
-        assert sharded_app(workers=1, profile=True).profile
+    def test_flag_is_read_at_run_not_at_construction(self):
+        # Regression: the flag used to be frozen in __init__, so
+        # enabling profiling on an already-built application was
+        # silently ignored and worker_stages stayed empty.
+        cluster = sharded_app()
+        profile.enable()
+        try:
+            cluster.run(10.0)
+            assert set(cluster.report.worker_stages) == {0}
+            assert cluster.registry.flatten()["profile_compute_s"] > 0.0
+            cluster.run(10.0, workers=2)
+            assert len(cluster.report.worker_stages) == 2
+        finally:
+            profile.enable(False)
+        cluster.run(10.0)
+        assert cluster.report.worker_stages == {}
+        assert cluster.registry.flatten() == {}
 
-    def test_stage_timers_cover_serial_and_pool(self):
-        serial = sharded_app(workers=1, profile=True)
-        serial.run(20.0)
+    def test_stage_timers_cover_serial_and_pool(self, stage_profiling):
+        serial = sharded_app()
+        serial.run(20.0, workers=1)
         assert set(serial.report.worker_stages) == {0}
         stages = serial.report.worker_stages[0]
         assert set(stages) == set(cluster_application.STAGES)
         assert stages["compute"] > 0.0
 
-        pooled = sharded_app(workers=2, profile=True)
-        pooled.run(20.0)
+        pooled = sharded_app()
+        pooled.run(20.0, workers=2)
         report = pooled.report
         assert set(report.worker_stages) == set(
             report.assignment.values())

@@ -155,9 +155,9 @@ DURATION_MS = 80.0
 
 def run_cluster(name: str, workers: int, lookahead):
     cluster = ClusterApplication(cluster_machine(), NETWORKS[name](),
-                                 seed=SEED, max_neurons_per_core=32,
-                                 workers=workers, lookahead=lookahead)
-    return cluster.run(DURATION_MS), cluster.unmatched_packets
+                                 seed=SEED, max_neurons_per_core=32)
+    return (cluster.run(DURATION_MS, workers=workers, lookahead=lookahead),
+            cluster.unmatched_packets)
 
 
 _fabric_references = {}

@@ -4,9 +4,8 @@ Acceptance checks of the pipeline refactor:
 
 * pipeline equivalence — for seeded networks the pipeline produces
   placements, key allocations, routing tables, route programs and SDRAM
-  synaptic blocks identical to the pre-refactor inline tool-chain
-  (replayed here through the legacy ``Placer`` / ``KeyAllocator`` /
-  ``RoutingTableGenerator`` / ``SynapticMatrixBuilder`` path), for event
+  synaptic blocks identical to the tool-chain run inline, stage by stage
+  over the literal expansion (``oracles.inline_toolchain``), for event
   and fabric transports and for multicast and broadcast routing;
 * per-pass artifact caching and dependency-tracked invalidation;
 * incremental re-map — a chip condemnation re-runs only the affected
@@ -19,15 +18,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
 from repro.alloc.server import AllocationServer
 from repro.compile import MappingPipeline
 from repro.core.geometry import ChipCoordinate
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.host.host_system import HostSystem
-from repro.mapping.keys import KeyAllocator
-from repro.mapping.placement import Placer
-from repro.mapping.routing_generator import RoutingTableGenerator
-from repro.mapping.synaptic_matrix import SynapticMatrixBuilder
 from repro.neuron.connectors import FixedProbabilityConnector, OneToOneConnector
 from repro.neuron.network import Network
 from repro.neuron.population import Population, SpikeSourcePoisson
@@ -61,24 +57,6 @@ def layered_network(seed=SEED):
     return network
 
 
-def legacy_toolchain(machine, network, *, expansion_seed,
-                     max_neurons_per_core=8, strategy="locality",
-                     broadcast=False, fabric=False):
-    """The pre-refactor inline mapping tool-chain, stage by stage."""
-    placer = Placer(machine, max_neurons_per_core, strategy)
-    placement = placer.place(network)
-    keys = KeyAllocator(placement)
-    generator = RoutingTableGenerator(machine, placement, keys)
-    if broadcast:
-        generator.generate_broadcast(network, seed=expansion_seed)
-    else:
-        generator.generate(network, seed=expansion_seed,
-                           compile_programs=fabric)
-    builder = SynapticMatrixBuilder(machine, placement, keys)
-    core_data = builder.build(network, seed=expansion_seed)
-    return placement, keys, generator, core_data
-
-
 def sdram_blocks(machine, core_data):
     """Every core's population-table records plus the packed SDRAM words."""
     blocks = {}
@@ -104,7 +82,7 @@ class TestPipelineLegacyEquivalence:
     def test_pipeline_matches_legacy_toolchain(self, broadcast, fabric):
         network = layered_network()
         legacy_machine = booted_machine()
-        placement, keys, generator, core_data = legacy_toolchain(
+        placement, keys, programs, core_data = oracles.inline_toolchain(
             legacy_machine, network, expansion_seed=SEED,
             broadcast=broadcast, fabric=fabric)
 
@@ -131,11 +109,9 @@ class TestPipelineLegacyEquivalence:
         assert (sdram_blocks(pipeline_machine, ctx.core_data)
                 == sdram_blocks(legacy_machine, core_data))
 
-        # And the compiled transport programs (fabric mode) agree.
-        if fabric:
-            assert ctx.route_programs == generator.compiled_programs
-        else:
-            assert ctx.route_programs == {}
+        # And the compiled transport programs (fabric mode only) agree.
+        assert ctx.route_programs == programs
+        assert bool(programs) == fabric
 
     def test_prepare_is_reentrant_with_mode_guard(self):
         # A prepared application refuses to be silently re-prepared into

@@ -1,17 +1,23 @@
 """Unit tests for placement, key allocation, routing generation and
-synaptic-matrix construction (Section 5.3)."""
+synaptic-matrix construction (Section 5.3).
+
+Routing and synaptic matrices are checked on what the shipped tool-chain
+(``MappingPipeline(...).run()``) installs: the machine's tables,
+``ctx.routing_summary``, ``ctx.reach_of`` and ``ctx.core_data``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from oracles import unpack_row
+from repro.compile import MappingPipeline
 from repro.core.geometry import ChipCoordinate
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.mapping.keys import KeyAllocator, KeySpace, VERTEX_MASK
 from repro.mapping.placement import Placement, PlacementError, Placer, Vertex
-from repro.mapping.routing_generator import RoutingTableGenerator
-from repro.mapping.synaptic_matrix import SynapticMatrixBuilder
+from repro.mapping.routing_generator import build_tree
+from repro.router.fabric import compile_route
 from repro.neuron.connectors import AllToAllConnector, FixedProbabilityConnector, OneToOneConnector
 from repro.neuron.network import Network
 from repro.neuron.population import Population, SpikeSourcePoisson
@@ -154,36 +160,36 @@ class TestKeyAllocation:
             KeyAllocator.pack_base(ChipCoordinate(300, 0), 1)
 
 
-class TestRoutingGeneration:
-    def _mapped(self, machine, network=None):
-        network = network or build_network()
-        placement = Placer(machine, max_neurons_per_core=16).place(network)
-        keys = KeyAllocator(placement)
-        generator = RoutingTableGenerator(machine, placement, keys)
-        return network, placement, keys, generator
+def compiled(machine, network=None, **options):
+    """Compile ``network`` onto ``machine`` through the shipped pipeline."""
+    network = network or build_network()
+    return MappingPipeline(machine, network, seed=network.seed,
+                           max_neurons_per_core=16, **options).run()
 
-    def test_generate_installs_entries(self, medium_machine):
-        network, placement, keys, generator = self._mapped(medium_machine)
-        summary = generator.generate(network)
+
+class TestRoutingGeneration:
+    def test_route_pass_installs_entries(self, medium_machine):
+        ctx = compiled(medium_machine)
+        summary = ctx.routing_summary
         assert summary.entries_installed > 0
         assert summary.multicast_trees > 0
         assert summary.chips_touched >= 1
+        assert (sum(len(chip.router.table) for chip in medium_machine)
+                == summary.entries_after_minimisation)
 
     def test_tree_spans_source_and_destinations(self, medium_machine):
-        network, placement, keys, generator = self._mapped(medium_machine)
         source = ChipCoordinate(0, 0)
         destinations = [ChipCoordinate(2, 1), ChipCoordinate(3, 3)]
-        tree = generator.build_tree(source, destinations)
+        tree = build_tree(medium_machine, source, destinations)
         assert source in tree
         for destination in destinations:
             assert destination in tree
 
     def test_tree_link_count_no_worse_than_separate_routes(self, medium_machine):
-        network, placement, keys, generator = self._mapped(medium_machine)
         source = ChipCoordinate(0, 0)
         destinations = [ChipCoordinate(3, 0), ChipCoordinate(3, 1),
                         ChipCoordinate(3, 2)]
-        tree = generator.build_tree(source, destinations)
+        tree = build_tree(medium_machine, source, destinations)
         tree_links = sum(len(links) for links in tree.values())
         separate = sum(medium_machine.geometry.distance(source, d)
                        for d in destinations)
@@ -194,45 +200,54 @@ class TestRoutingGeneration:
         a = Population(10, label="d-a")
         b = Population(10, label="d-b")
         network.connect(a, b, OneToOneConnector(weight=1.0))
-        network, placement, keys, generator = self._mapped(medium_machine,
-                                                           network)
-        vertex_a = placement.vertices_of("d-a")[0]
-        destinations = generator.destinations_of(network, vertex_a, 1)
-        chip_b, core_b = placement.location_of(placement.vertices_of("d-b")[0])
-        assert destinations == {chip_b: {core_b}}
+        ctx = compiled(medium_machine, network)
+        vertex_a = ctx.placement.vertices_of("d-a")[0]
+        vertex_b = ctx.placement.vertices_of("d-b")[0]
+        assert list(ctx.reach_of(vertex_a)) == [vertex_b]
+        assert not ctx.reach_of(vertex_b)
+
+    def test_every_destination_core_reached_by_a_table_walk(self, medium_machine):
+        # Walk the *installed* (minimised) tables from each source chip:
+        # the cores a packet reaches are exactly the cores hosting the
+        # vertices the source has synapses onto.
+        ctx = compiled(medium_machine)
+        locations = ctx.placement.locations
+        walked = 0
+        for vertex in ctx.placement.vertices:
+            reach = ctx.reach_of(vertex)
+            if not reach:
+                continue
+            program = compile_route(medium_machine, locations[vertex][0],
+                                    ctx.keys.key_space(vertex).base_key)
+            assert ({(target.chip, target.core_id)
+                     for target in program.targets}
+                    == {locations[target] for target in reach})
+            walked += 1
+        assert walked == ctx.routing_summary.multicast_trees > 0
 
     def test_broadcast_generates_more_entries_than_multicast(self):
-        machine_multicast = SpiNNakerMachine(MachineConfig(width=4, height=4,
-                                                           cores_per_chip=6))
-        machine_broadcast = SpiNNakerMachine(MachineConfig(width=4, height=4,
-                                                           cores_per_chip=6))
-        network = build_network()
-        for machine, broadcast in ((machine_multicast, False),
-                                   (machine_broadcast, True)):
-            placement = Placer(machine, max_neurons_per_core=16).place(network)
-            keys = KeyAllocator(placement)
-            generator = RoutingTableGenerator(machine, placement, keys)
-            if broadcast:
-                broadcast_summary = generator.generate_broadcast(network)
-            else:
-                multicast_summary = generator.generate(network, minimise=False)
-        assert (broadcast_summary.total_tree_links
-                > multicast_summary.total_tree_links)
+        summaries = {}
+        for broadcast in (False, True):
+            machine = SpiNNakerMachine(MachineConfig(width=4, height=4,
+                                                     cores_per_chip=6))
+            summaries[broadcast] = compiled(
+                machine, broadcast_routing=broadcast,
+                minimise=False).routing_summary
+        assert (summaries[True].total_tree_links
+                > summaries[False].total_tree_links)
+        assert (summaries[True].entries_installed
+                >= summaries[False].entries_installed)
 
     def test_minimisation_reduces_or_preserves_entry_count(self, medium_machine):
-        network, placement, keys, generator = self._mapped(medium_machine)
-        summary = generator.generate(network, minimise=True)
+        summary = compiled(medium_machine, minimise=True).routing_summary
         assert summary.entries_after_minimisation <= summary.entries_installed
 
 
 class TestSynapticMatrices:
     def _built(self, machine):
         network = build_network()
-        placement = Placer(machine, max_neurons_per_core=16).place(network)
-        keys = KeyAllocator(placement)
-        builder = SynapticMatrixBuilder(machine, placement, keys)
-        data = builder.build(network)
-        return network, placement, keys, data
+        ctx = compiled(machine, network)
+        return network, ctx.placement, ctx.keys, ctx.core_data
 
     def test_every_placed_vertex_has_core_data(self, medium_machine):
         network, placement, keys, data = self._built(medium_machine)

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compile import MappingPipeline
 from repro.core.geometry import Direction
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.mapping.compression import TableCompressor, compress_machine
-from repro.mapping.keys import KeyAllocator
-from repro.mapping.placement import Placer
 from repro.neuron.connectors import FixedProbabilityConnector
 from repro.neuron.network import Network
 from repro.neuron.population import Population, SpikeSourcePoisson
@@ -135,7 +134,7 @@ class TestTableCompression:
 
 
 class TestMachineCompression:
-    def _mapped_machine(self):
+    def _mapped_machine(self, minimise=False):
         machine = SpiNNakerMachine(MachineConfig(width=3, height=3,
                                                  cores_per_chip=6))
         BootController(machine, seed=3).boot()
@@ -145,13 +144,22 @@ class TestMachineCompression:
         network.connect(stimulus, excitatory,
                         FixedProbabilityConnector(p_connect=0.2, weight=0.5,
                                                   delay_range=(1, 3)))
-        placer = Placer(machine, max_neurons_per_core=16)
-        placement = placer.place(network)
-        keys = KeyAllocator(placement)
-        from repro.mapping.routing_generator import RoutingTableGenerator
-        RoutingTableGenerator(machine, placement, keys).generate(
-            network, seed=8, minimise=False)
-        return machine, keys
+        ctx = MappingPipeline(machine, network, seed=8,
+                              max_neurons_per_core=16,
+                              minimise=minimise).run()
+        return machine, ctx.keys
+
+    def test_compress_pass_never_grows_a_table_and_keeps_every_route(self):
+        # The pipeline's own compress pass (pairwise minimise()) against
+        # the same compilation with the pass switched off.
+        raw, keys = self._mapped_machine(minimise=False)
+        minimised, _ = self._mapped_machine(minimise=True)
+        known = TableCompressor.from_allocator(keys).known_keys
+        for coordinate, chip in raw.chips.items():
+            table = minimised.chips[coordinate].router.table
+            assert len(table) <= len(chip.router.table)
+            assert routes_for(table, known) == routes_for(chip.router.table,
+                                                          known)
 
     def test_compression_never_grows_any_table(self):
         machine, keys = self._mapped_machine()

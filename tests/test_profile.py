@@ -273,9 +273,12 @@ class TestSnapshotMerge:
         BootController(machine, seed=1).boot()
         cluster = ClusterApplication(machine, network, seed=7,
                                      max_neurons_per_core=16,
-                                     placement_strategy="round-robin",
-                                     workers=2, profile=True)
-        cluster.run(20.0)
+                                     placement_strategy="round-robin")
+        profile.enable()
+        try:
+            cluster.run(20.0, workers=2)
+        finally:
+            profile.enable(False)
         assert cluster.report.workers == 2   # really pooled, not serial
 
         seconds = cluster.registry.stage_seconds()

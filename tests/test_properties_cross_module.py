@@ -14,13 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from repro.compile import MappingPipeline
 from repro.core.geometry import ChipCoordinate, Direction
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.core.packets import MulticastPacket
 from repro.mapping.keys import KeyAllocator
 from repro.mapping.placement import Placer
-from repro.mapping.routing_generator import RoutingTableGenerator
-from repro.mapping.synaptic_matrix import SynapticMatrixBuilder
 from repro.neuron.connectors import FixedProbabilityConnector
 from repro.neuron.network import Network
 from repro.neuron.population import Population
@@ -80,11 +79,9 @@ class TestMappingRoutingConsistency:
         network.connect(pre, post,
                         FixedProbabilityConnector(p_connect=p_connect,
                                                   weight=0.5))
-        placement = Placer(machine, max_neurons_per_core=8).place(network)
-        keys = KeyAllocator(placement)
-        RoutingTableGenerator(machine, placement, keys).generate(network)
-        builder = SynapticMatrixBuilder(machine, placement, keys)
-        builder.build(network)
+        ctx = MappingPipeline(machine, network, seed=seed,
+                              max_neurons_per_core=8).run()
+        placement, keys = ctx.placement, ctx.keys
 
         # The literal expansion: the routing tables (built from the
         # shipped CSR) must reach every synapse the oracle enumerates.
@@ -139,10 +136,9 @@ class TestMappingRoutingConsistency:
         network.connect(pre, post, FixedProbabilityConnector(p_connect,
                                                              weight=1.25,
                                                              delay_range=(1, 16)))
-        placement = Placer(machine, max_neurons_per_core=6).place(network)
-        keys = KeyAllocator(placement)
-        builder = SynapticMatrixBuilder(machine, placement, keys)
-        core_data = builder.build(network)
+        ctx = MappingPipeline(machine, network, seed=seed,
+                              max_neurons_per_core=6).run()
+        keys, core_data = ctx.keys, ctx.core_data
 
         projection = network.projections[0]
         rows = oracles.build_rows(projection.connector, 12, 12,
