@@ -211,18 +211,50 @@ def _stage_dict(snapshot) -> Dict[str, float]:
     return stages
 
 
-def _apply_inbound(engines: Dict[int, FusedBoardEngine], my_boards: List[int],
-                   exchange, bank: int) -> None:
-    """Drain a bank's inbound regions into the owned engines.
+def _run_supersteps(engines: Dict[int, FusedBoardEngine], exchange,
+                    registry: ProfileRegistry, n_ticks: int,
+                    enter, leave) -> None:
+    """The super-step loop of the in-process and the pooled run alike.
 
-    Destination boards and their source regions are visited in
-    canonical order — the same order whatever the worker count.
+    Per super-step: ``enter()`` (the barrier: every writer of the
+    previous bank has finished), apply the previous bank's inbound
+    batches, then compute the super-step's ticks and publish what each
+    board exports, then ``leave(bank, start, length)`` (accounting,
+    prefetch).  After a last ``enter()`` the final bank's in-flight
+    deliveries are drained (the on-machine run drains after halting,
+    too).  Boards, and each destination's source regions, are visited
+    in canonical order — the same order whatever the worker count.
     """
-    plan = exchange.plan
-    for dst in my_boards:
-        engine = engines[dst]
-        for src, _ in plan.inbound_pairs(dst):
-            engine.apply_remote(exchange.read(src, dst, bank))
+    my_boards = sorted(engines)
+    exchange_stage = registry.stage("exchange")
+    serialize_stage = registry.stage("serialize")
+
+    def apply_inbound(bank: int) -> None:
+        with exchange_stage:
+            for dst in my_boards:
+                for src, _ in exchange.plan.inbound_pairs(dst):
+                    engines[dst].apply_remote(exchange.read(src, dst, bank))
+
+    prev_bank = None
+    for index, (start, length) in enumerate(
+            superstep_schedule(n_ticks, exchange.plan.lookahead)):
+        bank = index % 2
+        enter()
+        if prev_bank is not None:
+            apply_inbound(prev_bank)
+        exchange.begin(bank, my_boards)
+        for tick in range(start, start + length):
+            for board in my_boards:
+                exported = engines[board].step(tick)
+                if exported:
+                    with serialize_stage:
+                        exchange.write_board_batches(board, bank, tick,
+                                                     exported)
+        leave(bank, start, length)
+        prev_bank = bank
+    enter()
+    if prev_bank is not None:
+        apply_inbound(prev_bank)
 
 
 def _watch_workers(processes, stop_conn, barrier, released) -> None:
@@ -253,65 +285,43 @@ def _shard_worker(conn, contexts: Dict[int, BoardContext], populations,
     shared split barrier; the pipe carries only the run request and the
     final results.
 
-    Per super-step: wait at the barrier (every writer of the previous
-    bank has finished), apply the previous bank's inbound batches, then
-    compute and publish this super-step — while the parent accounts the
-    previous bank concurrently.  Before blocking on the next barrier the
-    worker prefetches the coming super-step's stimulus masks, so barrier
-    wait time does useful work.  A broken barrier means some process
-    died; the worker just exits (the parent diagnoses who).
+    The parent accounts the previous bank while the workers compute the
+    next super-step.  Before blocking on the next barrier the worker
+    prefetches the coming super-step's stimulus masks, so barrier wait
+    time does useful work.  A broken barrier means some process died;
+    the worker just exits (the parent diagnoses who).
     """
     engines = {board: FusedBoardEngine(context, populations, seed,
                                        timestep_ms,
                                        export_keys=plan.export_keys[board])
                for board, context in sorted(contexts.items())}
-    my_boards = sorted(contexts)
     # A worker-local registry; its snapshot rides the existing result
     # pipe and the parent merges it.  A disabled stage entry is one flag
     # check, so the un-profiled tick loop stays clean of clock reads.
     registry = ProfileRegistry(enabled=profile)
     barrier_stage = registry.stage("barrier_wait")
-    exchange_stage = registry.stage("exchange")
-    serialize_stage = registry.stage("serialize")
+
+    def wait_at_barrier() -> None:
+        with barrier_stage:
+            barrier.wait()
+
     try:
         message = conn.recv()
         if message[0] != "run":  # pragma: no cover - protocol misuse
             raise ValueError("unknown worker message %r" % (message[0],))
         _, n_ticks, duration_ms = message
-        prev_bank = None
+
+        def prefetch(_bank: int, start: int, length: int) -> None:
+            upto = min(start + 2 * length, n_ticks) - 1
+            for engine in engines.values():
+                engine.kernel.prefetch_sources(upto)
+
         try:
-            for index, (start, length) in enumerate(
-                    superstep_schedule(n_ticks, plan.lookahead)):
-                bank = index % 2
-                with barrier_stage:
-                    barrier.wait()
-                if prev_bank is not None:
-                    with exchange_stage:
-                        _apply_inbound(engines, my_boards, exchange,
-                                       prev_bank)
-                exchange.begin(bank, my_boards)
-                for tick in range(start, start + length):
-                    for board in my_boards:
-                        exported = engines[board].step(tick)
-                        if exported:
-                            with serialize_stage:
-                                exchange.write_board_batches(board, bank,
-                                                             tick, exported)
-                upto = min(start + 2 * length, n_ticks) - 1
-                for board in my_boards:
-                    engines[board].prefetch_sources(upto)
-                prev_bank = bank
-            # Final barrier: every writer of the last bank is done, so
-            # the in-flight deliveries can be drained (the on-machine
-            # run drains after halting, too).
-            with barrier_stage:
-                barrier.wait()
-            released.set()
+            _run_supersteps(engines, exchange, registry, n_ticks,
+                            enter=wait_at_barrier, leave=prefetch)
         except threading.BrokenBarrierError:
             return
-        if prev_bank is not None:
-            with exchange_stage:
-                _apply_inbound(engines, my_boards, exchange, prev_bank)
+        released.set()
         results = {board: engine.finish(duration_ms)
                    for board, engine in engines.items()}
         if profile:
@@ -500,37 +510,17 @@ class ClusterApplication:
                        context, populations, self.seed, self.timestep_ms,
                        export_keys=plan.export_keys[board])
                    for board, context in self.board_contexts.items()}
-        my_boards = sorted(engines)
         exchange = InProcessExchange(plan)
-        registry = self.registry
-        exchange_stage = registry.stage("exchange")
-        serialize_stage = registry.stage("serialize")
-        prev_bank = None
-        for index, (start, length) in enumerate(
-                superstep_schedule(n_ticks, plan.lookahead)):
-            bank = index % 2
-            if prev_bank is not None:
-                with exchange_stage:
-                    _apply_inbound(engines, my_boards, exchange, prev_bank)
-            exchange.begin(bank, my_boards)
-            for tick in range(start, start + length):
-                for board in my_boards:
-                    exported = engines[board].step(tick)
-                    if exported:
-                        with serialize_stage:
-                            exchange.write_board_batches(board, bank, tick,
-                                                         exported)
-            self._account_bank(exchange, bank, plan, report)
-            prev_bank = bank
-        # The final super-step's batches still land in the ring buffers
-        # (the on-machine run drains in-flight deliveries after halting).
-        if prev_bank is not None:
-            _apply_inbound(engines, my_boards, exchange, prev_bank)
-        if registry.enabled:
-            registry.add("compute", sum(engine.compute_s
-                                        for engine in engines.values()))
-            report.worker_stages[0] = _stage_dict(registry.snapshot())
-        return [engines[board].finish(duration_ms) for board in my_boards]
+        _run_supersteps(
+            engines, exchange, self.registry, n_ticks, enter=lambda: None,
+            leave=lambda bank, _start, _length: self._account_bank(
+                exchange, bank, plan, report))
+        if self.registry.enabled:
+            self.registry.add("compute", sum(engine.compute_s
+                                             for engine in engines.values()))
+            report.worker_stages[0] = _stage_dict(self.registry.snapshot())
+        return [engines[board].finish(duration_ms)
+                for board in sorted(engines)]
 
     # ------------------------------------------------------------------
     # Pool path

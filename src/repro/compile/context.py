@@ -178,26 +178,6 @@ class BoardDeliveryIndex:
     #: matchless leg, exactly like the per-leg path.
     none_legs: Dict[int, int] = field(default_factory=dict)
 
-    def slots_for(self, key: int, spiking: np.ndarray) -> Optional[np.ndarray]:
-        """Absolute arena slots of a batch's synapses, or ``None`` when
-        the key has no real legs on this board.
-
-        Same expansion as :meth:`CSRMatrix.synapse_slots`, just against
-        absolute row bounds — slot order is (spiking source)-major, so
-        per-slot sums match the per-leg path exactly.
-        """
-        row_ptr = self.row_ptr.get(key)
-        if row_ptr is None:
-            return None
-        starts = row_ptr[spiking]
-        counts = row_ptr[spiking + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.intp)
-        offsets = np.cumsum(counts) - counts
-        return (np.arange(total, dtype=np.intp)
-                - np.repeat(offsets, counts) + np.repeat(starts, counts))
-
 
 @dataclass
 class BoardContext:

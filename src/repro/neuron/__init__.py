@@ -20,6 +20,10 @@ the reproduction:
   expanding straight into that CSR form;
 * :mod:`repro.neuron.population` — a PyNN-flavoured population/projection
   network-description API;
+* :mod:`repro.neuron.kernel` — the tick kernel: Figure 7's timer task
+  (stimulus, drain, update, record) written once for a set of units
+  that share a tick, under the host loop, the on-machine runtime and the
+  cluster's board engine alike;
 * :mod:`repro.neuron.network` — a host-side reference simulator used as
   the behavioural baseline for the on-machine runtime;
 * :mod:`repro.neuron.stdp` — spike-timing-dependent plasticity, the
@@ -40,6 +44,7 @@ from repro.neuron.engine import (
     unpack_synapse_words,
 )
 from repro.neuron.izhikevich import IzhikevichParameters, IzhikevichPopulation
+from repro.neuron.kernel import SpikeRecord, TickKernel, TickUnit
 from repro.neuron.lif import LIFParameters, LIFPopulation
 from repro.neuron.network import Network, SimulationResult
 from repro.neuron.population import (
@@ -66,6 +71,9 @@ __all__ = [
     "LIFPopulation",
     "Network",
     "SimulationResult",
+    "SpikeRecord",
+    "TickKernel",
+    "TickUnit",
     "Population",
     "Projection",
     "SpikeSourceArray",

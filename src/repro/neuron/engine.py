@@ -33,7 +33,6 @@ from repro.neuron.synapse import (
     MAX_DELAY_TICKS,
     WEIGHT_BITS,
     WEIGHT_FIXED_POINT,
-    DeferredEventBuffer,
 )
 
 _SIGN_BIT = 1 << (WEIGHT_BITS - 1)
@@ -105,6 +104,20 @@ def decode_packed_row(words: Sequence[int]) -> Tuple[int, np.ndarray,
     return count, targets, weights, delay_ticks
 
 
+def expand_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat slot indices of rows given as ``(first slot, length)`` spans.
+
+    The one CSR row expansion: spans are expanded in the order given,
+    each row's slots kept in storage order.  :meth:`CSRMatrix.synapse_slots`
+    feeds it one matrix's spiking rows; the board engine concatenates the
+    spans of a whole batch list (each key's rows read off its own
+    ``row_ptr`` into the shared arena) and expands them in one call.
+    """
+    slots = np.arange(int(counts.sum()), dtype=np.intp)
+    slots += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return slots
+
+
 class CSRMatrix:
     """A projection's synapses compiled into flat CSR arrays."""
 
@@ -163,32 +176,9 @@ class CSRMatrix:
         passes ``np.flatnonzero`` of a spike mask), with each row's
         synapses kept in storage order.
         """
-        pre_indices = np.asarray(pre_indices, dtype=np.int64)
-        if pre_indices.size == 0:
-            return np.empty(0, dtype=np.int64)
+        pre_indices = np.asarray(pre_indices, dtype=np.intp)
         starts = self.row_ptr[pre_indices]
-        counts = self.row_ptr[pre_indices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        offsets = np.cumsum(counts) - counts
-        return (np.arange(total, dtype=np.int64)
-                - np.repeat(offsets, counts) + np.repeat(starts, counts))
-
-    # ------------------------------------------------------------------
-    # Propagation
-    # ------------------------------------------------------------------
-    def scatter(self, pre_indices: np.ndarray,
-                buffer: DeferredEventBuffer) -> int:
-        """Batch-defer every synaptic event of the spiking source neurons.
-
-        Returns the number of synaptic events scattered.
-        """
-        slots = self.synapse_slots(pre_indices)
-        if slots.size:
-            buffer.add_events(self.targets[slots], self.weights[slots],
-                              self.delay_ticks[slots])
-        return int(slots.size)
+        return expand_rows(starts, self.row_ptr[pre_indices + 1] - starts)
 
     # ------------------------------------------------------------------
     # Mapping-layer views and the packed SDRAM format

@@ -51,13 +51,55 @@ class IzhikevichParameters:
         return cls(a=0.02, b=0.2, c=-55.0, d=4.0)
 
 
-class IzhikevichPopulation:
-    """State and update rule for a population of Izhikevich neurons.
+def _advance(state, external_current_na: Optional[np.ndarray],
+             valid: Optional[np.ndarray] = None) -> np.ndarray:
+    """One tick over ``state``'s arrays, in place.
 
-    Integration uses two half-steps of 0.5 ms for the membrane equation per
-    1 ms tick (the scheme used by both Izhikevich's reference code and the
-    SpiNNaker kernel) to keep the quadratic term stable.
+    The model's only update: ``state`` is a 1-D
+    :class:`IzhikevichPopulation` (parameters as Python floats) or a
+    :class:`~repro.neuron.kernel.StackedBlock` of them (``(n_lanes, 1)``
+    parameter columns).  Integration uses half-steps of 0.5 ms for the membrane
+    equation (the scheme used by both Izhikevich's reference code and
+    the SpiNNaker kernel) to keep the quadratic term stable.  Every
+    operation is elementwise, so a block's valid cells evolve
+    bit-for-bit like the populations they were stacked from.  The
+    quadratic equation has no stable rest point, so a block's padding
+    (``valid`` false) is masked out of the spikes and re-clamped to its
+    lane's reset state instead of being allowed to diverge.
     """
+    i_total = state.synaptic_current.copy()
+    if external_current_na is not None:
+        i_total = i_total + external_current_na
+
+    n_substeps = max(1, int(round(state.timestep_ms / 0.5)))
+    dt = state.timestep_ms / n_substeps
+    v, u = state.v, state.u
+    for _ in range(n_substeps):
+        v = v + dt * (0.04 * v * v + 5.0 * v + 140.0 - u + i_total)
+        u = u + dt * (state._a * (state._b * v - u))
+
+    spikes = v >= state._v_peak
+    if valid is not None:
+        spikes &= valid
+    v = np.where(spikes, state._c, v)
+    u = np.where(spikes, u + state._d, u)
+    if valid is not None:
+        v = np.where(valid, v, state._c)
+        u = np.where(valid, u, state._b * state._c)
+
+    state.v, state.u = v, u
+    state.synaptic_current[:] = 0.0
+    return spikes
+
+
+class IzhikevichPopulation:
+    """State of a population of Izhikevich neurons (1-D arrays)."""
+
+    #: What a stacked block stacks: the per-neuron arrays and the
+    #: per-population scalars :func:`_advance` reads.
+    STATE = ("v", "u", "synaptic_current")
+    PARAMETERS = ("_a", "_b", "_c", "_d", "_v_peak")
+    advance = staticmethod(_advance)
 
     def __init__(self, size: int,
                  parameters: Optional[IzhikevichParameters] = None,
@@ -75,6 +117,8 @@ class IzhikevichPopulation:
         self._rng = rng or simulation_rng(None)
 
         p = self.parameters
+        self._a, self._b, self._c, self._d = p.a, p.b, p.c, p.d
+        self._v_peak = p.v_peak_mv
         self.v = np.full(size, p.c, dtype=float)
         self.u = p.b * self.v
         self.synaptic_current = np.zeros(size, dtype=float)
@@ -95,25 +139,8 @@ class IzhikevichPopulation:
 
     def step(self, external_current_na: Optional[np.ndarray] = None) -> np.ndarray:
         """Advance every neuron by one timestep; return the spike mask."""
-        p = self.parameters
-        i_total = self.synaptic_current.copy()
-        if external_current_na is not None:
-            i_total = i_total + external_current_na
-
-        n_substeps = max(1, int(round(self.timestep_ms / 0.5)))
-        dt = self.timestep_ms / n_substeps
-        v, u = self.v, self.u
-        for _ in range(n_substeps):
-            v = v + dt * (0.04 * v * v + 5.0 * v + 140.0 - u + i_total)
-            u = u + dt * (p.a * (p.b * v - u))
-
-        spikes = v >= p.v_peak_mv
-        v = np.where(spikes, p.c, v)
-        u = np.where(spikes, u + p.d, u)
-
-        self.v, self.u = v, u
+        spikes = _advance(self, external_current_na)
         self.spike_count += spikes.astype(int)
-        self.synaptic_current[:] = 0.0
         return spikes
 
     def reset(self) -> None:
@@ -123,87 +150,3 @@ class IzhikevichPopulation:
         self.u = p.b * self.v
         self.synaptic_current[:] = 0.0
         self.spike_count[:] = 0
-
-
-class IzhikevichBlock:
-    """Many Izhikevich populations stacked into one ``(n_lanes, width)``
-    state, stepped with a single set of array operations per tick.
-
-    Mirrors :class:`repro.neuron.lif.LIFBlock`: one lane per population,
-    zero-padded to the widest lane, with the four model parameters as
-    ``(n_lanes, 1)`` broadcast columns.  Every update is elementwise, so
-    valid cells evolve bit-for-bit like the per-core populations they
-    were stacked from.  The quadratic membrane equation has no stable
-    rest point, so padded cells are re-clamped to their lane's reset
-    state after every step (an elementwise ``where`` that leaves valid
-    cells untouched) instead of being allowed to diverge.
-    """
-
-    model_name = "izhikevich"
-
-    def __init__(self, states: "list[IzhikevichPopulation]") -> None:
-        if not states:
-            raise ValueError("IzhikevichBlock needs at least one population")
-        self.n_lanes = len(states)
-        self.lane_sizes = np.array([s.size for s in states], dtype=np.intp)
-        self.width = int(self.lane_sizes.max())
-        self.timestep_ms = states[0].timestep_ms
-
-        shape = (self.n_lanes, self.width)
-        self.valid = np.zeros(shape, dtype=bool)
-        self.v = np.zeros(shape, dtype=float)
-        self.u = np.zeros(shape, dtype=float)
-        self.synaptic_current = np.zeros(shape, dtype=float)
-        for lane, state in enumerate(states):
-            n = state.size
-            self.valid[lane, :n] = True
-            self.v[lane, :n] = state.v
-            self.u[lane, :n] = state.u
-            self.synaptic_current[lane, :n] = state.synaptic_current
-            self.v[lane, n:] = state.parameters.c
-            self.u[lane, n:] = state.parameters.b * state.parameters.c
-
-        def column(values: "list[float]") -> np.ndarray:
-            return np.array(values, dtype=float).reshape(-1, 1)
-
-        self._a = column([s.parameters.a for s in states])
-        self._b = column([s.parameters.b for s in states])
-        self._c = column([s.parameters.c for s in states])
-        self._d = column([s.parameters.d for s in states])
-        self._v_peak = column([s.parameters.v_peak_mv for s in states])
-
-    def inject_synaptic_input(self, charge_na: np.ndarray) -> None:
-        """Add synaptic input, one ``(n_lanes, width)`` array per tick."""
-        self.synaptic_current += charge_na
-
-    def step(self, external_current_na: Optional[np.ndarray] = None
-             ) -> np.ndarray:
-        """Advance every lane one timestep; return the masked spike grid."""
-        i_total = self.synaptic_current.copy()
-        if external_current_na is not None:
-            i_total = i_total + external_current_na
-
-        n_substeps = max(1, int(round(self.timestep_ms / 0.5)))
-        dt = self.timestep_ms / n_substeps
-        v, u = self.v, self.u
-        for _ in range(n_substeps):
-            v = v + dt * (0.04 * v * v + 5.0 * v + 140.0 - u + i_total)
-            u = u + dt * (self._a * (self._b * v - u))
-
-        spikes = v >= self._v_peak
-        spikes &= self.valid
-        v = np.where(spikes, self._c, v)
-        u = np.where(spikes, u + self._d, u)
-
-        # Hold the padding at reset — the quadratic equation would
-        # otherwise drive it to overflow over a long run.
-        v = np.where(self.valid, v, self._c)
-        u = np.where(self.valid, u, self._b * self._c)
-
-        self.v, self.u = v, u
-        self.synaptic_current[:] = 0.0
-        return spikes
-
-    def lane_voltages(self, lane: int) -> np.ndarray:
-        """The valid cells of one lane's membrane potentials."""
-        return self.v[lane, :self.lane_sizes[lane]]

@@ -1,0 +1,341 @@
+"""The tick kernel: Figure 7's timer task, written once.
+
+Every engine of the reproduction runs the same millisecond-timer task —
+generate the stimulus, drain the deferred-event slot into the neuron
+models, integrate the equations, record what fired — and differs only in
+how the resulting spikes are *propagated*: the host loop
+(:meth:`repro.neuron.network.Network.run`) scatters float CSR rows, the
+on-machine runtime (:class:`repro.runtime.application.CoreRuntime`) sends
+packets or fabric batches, the cluster's board engine
+(:class:`repro.cluster.fused.FusedBoardEngine`) scatters its delivery
+arena and exports the rest.  :class:`TickKernel` is everything before
+that step, for a set of *units that share a tick*.
+
+A :class:`TickUnit` is ``(population, slice, generator)``: the host
+passes its populations whole with the one simulation generator, a core
+runtime passes its single vertex with its per-core generator, a board
+engine passes its board's cores.  The kernel
+
+* groups the neuron units by model into :class:`StackedBlock` lanes
+  with a bias grid — one set of array operations steps every unit of a
+  model;
+* lays the units' cells out as the columns of one deferred-event ring
+  (group blocks back to back, lane-major, padded; then one sink column
+  when the set holds a spike source).  The ring's *class* comes from the
+  engine, because the accumulation rule is a property of the weight
+  domain: unquantised float weights must sum in element order
+  (:class:`~repro.neuron.synapse.DeferredEventBuffer`, the host's and
+  a single core's ring), fixed-point weights may be pre-summed, exactly
+  (:class:`~repro.neuron.synapse.FusedDeferredEventBuffer`, a board's);
+* draws each source unit's mask from the unit's own generator, one tick
+  at a time in unit order, optionally ahead of time
+  (:meth:`TickKernel.prefetch_sources`);
+* records through the engine's :class:`SpikeRecord`: counts per tick,
+  ``(time_ms, index)`` tuples materialised once by
+  :meth:`SpikeRecord.flush`.
+
+A spike source integrates nothing, so charge aimed at one lands nowhere:
+:meth:`TickKernel.defer` drops it, and :meth:`TickKernel.columns` maps a
+source's cells to the sink column, which no unit reads.  The engine still
+counts those events and their charge.
+
+Every step is elementwise per cell and every generator is drawn in tick
+order, so a kernel of N units computes, cell for cell, what N one-unit
+kernels compute — the property that makes the host, the machine and the
+cluster agree.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.neuron.population import Population, stimulus_mask
+from repro.neuron.synapse import MAX_DELAY_TICKS
+from repro.profile import profile_stage
+
+__all__ = ["SpikeRecord", "StackedBlock", "TickKernel", "TickUnit"]
+
+# The kernel's phases of the timer tick, hoisted so every tick re-enters
+# the same stage objects (a disabled entry is one flag check).
+_STIMULUS_STAGE = profile_stage("stimulus")
+_NEURON_UPDATE_STAGE = profile_stage("neuron_update")
+_RECORD_STAGE = profile_stage("record")
+
+
+@dataclass
+class SpikeRecord:
+    """The recorded part of every engine's result, and its recorder.
+
+    ``spikes`` maps a population label to a list of ``(time_ms, neuron)``
+    pairs in population numbering (recorded populations only);
+    ``spike_counts`` maps every label to per-neuron totals.
+    """
+
+    duration_ms: float
+    spikes: Dict[str, List[Tuple[float, int]]] = field(default_factory=dict)
+    spike_counts: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: label -> ``(time_ms, indices)`` chunks not yet in :attr:`spikes`.
+    _chunks: Dict[str, List[Tuple[float, np.ndarray]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def track(self, populations: Iterable[Population]) -> None:
+        """Start fresh counts (and trains, where requested) for
+        ``populations``."""
+        for population in populations:
+            self.spike_counts[population.label] = np.zeros(population.size,
+                                                           dtype=int)
+            if population.record_spikes:
+                self.spikes[population.label] = []
+                self._chunks[population.label] = []
+
+    def add(self, label: str, time_ms: float, indices: np.ndarray) -> None:
+        """Record one tick's spikes of (a slice of) a population."""
+        self.spike_counts[label][indices] += 1
+        chunks = self._chunks.get(label)
+        if chunks is not None:
+            chunks.append((time_ms, indices))
+
+    def flush(self) -> None:
+        """Materialise the pending chunks into :attr:`spikes`.
+
+        Chunks were appended in tick order with in-tick indices already
+        ascending per unit, so the expansion is the recording order.
+        """
+        for label, chunks in self._chunks.items():
+            out = self.spikes[label]
+            for time_ms, indices in chunks:
+                out.extend(zip(repeat(time_ms), indices.tolist()))
+            chunks.clear()
+
+    def _counts(self, label: str) -> np.ndarray:
+        if label not in self.spike_counts:
+            raise KeyError("unknown population label %r; this run recorded %s"
+                           % (label, sorted(self.spike_counts)))
+        return self.spike_counts[label]
+
+    def total_spikes(self, label: Optional[str] = None) -> int:
+        """Total spikes of one population, or of all populations.
+
+        Raises
+        ------
+        KeyError
+            If ``label`` names a population this run never recorded.
+        """
+        if label is not None:
+            return int(self._counts(label).sum())
+        return int(sum(c.sum() for c in self.spike_counts.values()))
+
+    def mean_rate_hz(self, label: str) -> float:
+        """Mean firing rate of a population over the run."""
+        seconds = self.duration_ms / 1000.0
+        if seconds <= 0:
+            return 0.0
+        return float(self._counts(label).mean() / seconds)
+
+
+class TickUnit:
+    """One ``(population, slice, generator)`` sharing a kernel's tick."""
+
+    __slots__ = ("population", "slice_start", "slice_stop", "rng",
+                 "base", "group", "lane")
+
+    def __init__(self, population: Population, slice_start: int,
+                 slice_stop: int, rng: np.random.Generator) -> None:
+        self.population = population
+        self.slice_start = slice_start
+        self.slice_stop = slice_stop
+        self.rng = rng
+        #: Ring column of the unit's first neuron; ``None`` for a source.
+        self.base: Optional[int] = None
+        #: The stacked group and lane holding a neuron unit's state.
+        self.group: Optional["_Group"] = None
+        self.lane = 0
+
+    @property
+    def n_neurons(self) -> int:
+        """Neurons in the unit's slice."""
+        return self.slice_stop - self.slice_start
+
+
+class StackedBlock:
+    """Populations of one model stacked into ``(n_lanes, width)`` arrays.
+
+    Each lane holds one population's state (what its class lists under
+    ``STATE``), zero-padded to the widest lane; the per-population
+    scalars (``PARAMETERS``) become ``(n_lanes, 1)`` columns that
+    broadcast across the row, and :meth:`step` is the model's own
+    ``advance`` — so every valid cell evolves bit for bit like the 1-D
+    population it was stacked from.
+    """
+
+    def __init__(self, states: Sequence) -> None:
+        model = type(states[0])
+        self._advance = model.advance
+        self.n_lanes = len(states)
+        self.lane_sizes = [state.size for state in states]
+        self.width = max(self.lane_sizes)
+        self.timestep_ms = states[0].timestep_ms
+        shape = (self.n_lanes, self.width)
+        self.valid = np.zeros(shape, dtype=bool)
+        for lane, size in enumerate(self.lane_sizes):
+            self.valid[lane, :size] = True
+        for name in model.STATE:
+            grid = np.zeros(shape, dtype=getattr(states[0], name).dtype)
+            for lane, state in enumerate(states):
+                grid[lane, :state.size] = getattr(state, name)
+            setattr(self, name, grid)
+        for name in model.PARAMETERS:
+            setattr(self, name, np.array(
+                [getattr(state, name) for state in states]).reshape(-1, 1))
+
+    def inject_synaptic_input(self, charge_na: np.ndarray) -> None:
+        """Add synaptic charge, one ``(n_lanes, width)`` array per tick."""
+        self.synaptic_current += charge_na
+
+    def step(self, external_current_na: Optional[np.ndarray] = None
+             ) -> np.ndarray:
+        """Advance every lane one timestep; return the masked spike grid."""
+        return self._advance(self, external_current_na, self.valid)
+
+    def lane_voltages(self, lane: int) -> np.ndarray:
+        """The valid cells of one lane's membrane potentials."""
+        return self.v[lane, :self.lane_sizes[lane]]
+
+
+class _Group(StackedBlock):
+    """All of a kernel's units of one neuron model: their stacked state,
+    bias grid and place in the ring."""
+
+    def __init__(self, units: List[TickUnit], timestep_ms: float,
+                 base: int) -> None:
+        # A unit's state is that of a population the size of its slice
+        # with the same model and parameters, fed the unit's generator.
+        super().__init__([
+            Population(unit.n_neurons, unit.population.parameters,
+                       label=unit.population.label).build_state(
+                           timestep_ms, unit.rng)
+            for unit in units])
+        self.units = units
+        #: Ring columns ``base:base + span`` are the block, lane-major.
+        self.base = base
+        self.span = self.n_lanes * self.width
+        bias = np.zeros((self.n_lanes, self.width), dtype=float)
+        for lane, unit in enumerate(units):
+            unit.group, unit.lane = self, lane
+            unit.base = base + lane * self.width
+            bias[lane, :unit.n_neurons] = unit.population.bias_current_na
+        # Padding keeps a zero bias; a group nobody biases skips the add.
+        self.bias = bias if bias.any() else None
+
+
+class TickKernel:
+    """Stimulus, update and record for the units that share a tick."""
+
+    def __init__(self, units: Sequence[TickUnit], timestep_ms: float,
+                 ring_class, record: SpikeRecord) -> None:
+        self.timestep_ms = timestep_ms
+        self.record = record
+        self._sources = [unit for unit in units
+                         if unit.population.is_spike_source]
+        grouped: Dict[str, List[TickUnit]] = {}
+        for unit in units:
+            if not unit.population.is_spike_source:
+                grouped.setdefault(unit.population.model_name,
+                                   []).append(unit)
+        self._groups: List[_Group] = []
+        width = 0
+        for members in grouped.values():
+            group = _Group(members, timestep_ms, width)
+            self._groups.append(group)
+            width += group.span
+        #: The column charge aimed at a spike source is addressed to
+        #: (last, and only there when the kernel holds a source).
+        self.sink = width
+        #: The deferred-event ring under every unit of the kernel.
+        self.ring = ring_class(max(width + bool(self._sources), 1),
+                               MAX_DELAY_TICKS)
+        #: Drawn-ahead source masks, one list (in unit order) per tick
+        #: from ``_next_source_tick - len(_queued)`` on.
+        self._queued: deque = deque()
+        self._next_source_tick = 0
+
+    # ------------------------------------------------------------------
+    # Addressing the ring
+    # ------------------------------------------------------------------
+    def columns(self, unit: TickUnit) -> np.ndarray:
+        """The ring column of each of ``unit``'s neurons (the sink, for
+        a source), for engines that address events by cell."""
+        if unit.base is None:
+            return np.full(unit.n_neurons, self.sink, dtype=np.intp)
+        return unit.base + np.arange(unit.n_neurons, dtype=np.intp)
+
+    def defer(self, unit: TickUnit, targets: np.ndarray,
+              weights: np.ndarray, delay_ticks: np.ndarray) -> None:
+        """Defer events addressed to ``unit``'s local neuron indices."""
+        if unit.base is not None:
+            self.ring.add_events(targets + unit.base, weights, delay_ticks)
+
+    def voltages(self, unit: TickUnit) -> np.ndarray:
+        """A neuron unit's membrane potentials after the latest step."""
+        return unit.group.lane_voltages(unit.lane)
+
+    # ------------------------------------------------------------------
+    # One tick
+    # ------------------------------------------------------------------
+    def prefetch_sources(self, upto_tick: int) -> None:
+        """Draw the source masks up to and including ``upto_tick``.
+
+        Worth calling right before a barrier wait.  Masks are drawn one
+        tick at a time in unit order — the order :meth:`step` draws them
+        in — so every generator, shared between units or not, sees the
+        same sequence of calls and the spikes are unchanged.
+        """
+        for tick in range(self._next_source_tick, upto_tick + 1):
+            self._queued.append([
+                stimulus_mask(unit.population, unit.slice_start,
+                              unit.slice_stop, tick, self.timestep_ms,
+                              unit.rng)
+                for unit in self._sources])
+        self._next_source_tick = max(self._next_source_tick, upto_tick + 1)
+
+    def step(self, tick: int) -> List[Tuple[TickUnit, np.ndarray]]:
+        """Run one timer tick; return ``(unit, spiking local indices)``
+        for every unit that fired, sources first."""
+        fired: List[Tuple[TickUnit, np.ndarray]] = []
+        with _STIMULUS_STAGE:
+            self.prefetch_sources(tick)
+            for unit, mask in zip(self._sources, self._queued.popleft()):
+                spiking = np.flatnonzero(mask)
+                if spiking.size:
+                    fired.append((unit, spiking))
+        with _NEURON_UPDATE_STAGE:
+            row = self.ring.drain()
+            grids = []
+            for group in self._groups:
+                group.inject_synaptic_input(
+                    row[group.base:group.base + group.span].reshape(
+                        group.n_lanes, group.width))
+                grids.append(group.step(group.bias))
+        with _RECORD_STAGE:
+            for group, spikes in zip(self._groups, grids):
+                lanes, cells = np.nonzero(spikes)
+                if lanes.size == 0:
+                    continue
+                # Row-major nonzero: lanes ascend, so slicing per lane
+                # keeps unit order within the group.
+                bounds = np.searchsorted(
+                    lanes, np.arange(group.n_lanes + 1)).tolist()
+                for lane, unit in enumerate(group.units):
+                    lo, hi = bounds[lane], bounds[lane + 1]
+                    if lo != hi:
+                        fired.append((unit, cells[lo:hi]))
+            time_ms = tick * self.timestep_ms
+            for unit, spiking in fired:
+                self.record.add(unit.population.label, time_ms,
+                                spiking + unit.slice_start)
+        return fired

@@ -57,6 +57,48 @@ class LIFParameters:
             raise ValueError("tau_refrac_ms must be non-negative")
 
 
+def _advance(state, external_current_na: Optional[np.ndarray],
+             valid: Optional[np.ndarray] = None) -> np.ndarray:
+    """One exponential-Euler tick over ``state``'s arrays, in place.
+
+    The model's only update: ``state`` is a 1-D :class:`LIFPopulation`
+    (parameters as Python floats) or a
+    :class:`~repro.neuron.kernel.StackedBlock` of them (parameters as
+    ``(n_lanes, 1)`` columns).  Every operation is elementwise, and
+    broadcasting a parameter column over a row performs the identical
+    IEEE-754 scalar operation a Python float does, so a block's valid
+    cells evolve bit-for-bit like the populations they were stacked
+    from.  ``valid`` masks a block's padding out of the returned spikes
+    (padding receives no input and is never read, so it cannot influence
+    a valid cell).
+    """
+    i_total = state.synaptic_current.copy()
+    if external_current_na is not None:
+        i_total = i_total + external_current_na
+
+    # Exponential-Euler integration towards the steady-state voltage.
+    v_infinity = state._v_rest + state._r_m * i_total
+    new_v = v_infinity + (state.v - v_infinity) * state._alpha_m
+
+    # Refractory neurons are clamped at reset.
+    refractory = state.refractory_ticks_left > 0
+    new_v = np.where(refractory, state._v_reset, new_v)
+    state.refractory_ticks_left = np.maximum(
+        state.refractory_ticks_left - 1, 0)
+
+    spikes = new_v >= state._v_threshold
+    if valid is not None:
+        spikes &= valid
+    new_v = np.where(spikes, state._v_reset, new_v)
+    state.refractory_ticks_left = np.where(
+        spikes, state.refractory_ticks, state.refractory_ticks_left)
+
+    state.v = new_v
+    # Synaptic current decays after being applied.
+    state.synaptic_current *= state._alpha_syn
+    return spikes
+
+
 class LIFPopulation:
     """State and update rule for a population of LIF neurons.
 
@@ -65,6 +107,13 @@ class LIFPopulation:
     exponentially-decaying synaptic current, matching the "current
     exponential" synapse type of the SpiNNaker software stack.
     """
+
+    #: What a stacked block stacks: the per-neuron arrays and the
+    #: per-population scalars :func:`_advance` reads.
+    STATE = ("v", "synaptic_current", "refractory_ticks_left")
+    PARAMETERS = ("_v_rest", "_v_reset", "_v_threshold", "_r_m",
+                  "_alpha_m", "_alpha_syn", "refractory_ticks")
+    advance = staticmethod(_advance)
 
     def __init__(self, size: int, parameters: Optional[LIFParameters] = None,
                  timestep_ms: float = 1.0,
@@ -83,7 +132,11 @@ class LIFPopulation:
         self.refractory_ticks_left = np.zeros(size, dtype=int)
         self.refractory_ticks = int(round(p.tau_refrac_ms / timestep_ms))
 
-        # Exponential-Euler decay factors, computed once.
+        # What :func:`_advance` reads; the decay factors are computed once.
+        self._v_rest = p.v_rest_mv
+        self._v_reset = p.v_reset_mv
+        self._v_threshold = p.v_threshold_mv
+        self._r_m = p.r_m_mohm
         self._alpha_m = float(np.exp(-timestep_ms / p.tau_m_ms))
         self._alpha_syn = float(np.exp(-timestep_ms / p.tau_syn_ms))
 
@@ -112,29 +165,8 @@ class LIFPopulation:
 
         Returns a boolean array marking the neurons that spiked this tick.
         """
-        p = self.parameters
-        i_total = self.synaptic_current.copy()
-        if external_current_na is not None:
-            i_total = i_total + external_current_na
-
-        # Exponential-Euler integration towards the steady-state voltage.
-        v_infinity = p.v_rest_mv + p.r_m_mohm * i_total
-        new_v = v_infinity + (self.v - v_infinity) * self._alpha_m
-
-        # Refractory neurons are clamped at reset.
-        refractory = self.refractory_ticks_left > 0
-        new_v = np.where(refractory, p.v_reset_mv, new_v)
-        self.refractory_ticks_left = np.maximum(self.refractory_ticks_left - 1, 0)
-
-        spikes = new_v >= p.v_threshold_mv
-        new_v = np.where(spikes, p.v_reset_mv, new_v)
-        self.refractory_ticks_left = np.where(
-            spikes, self.refractory_ticks, self.refractory_ticks_left)
-
-        self.v = new_v
+        spikes = _advance(self, external_current_na)
         self.spike_count += spikes.astype(int)
-        # Synaptic current decays after being applied.
-        self.synaptic_current *= self._alpha_syn
         return spikes
 
     def reset(self) -> None:
@@ -144,94 +176,3 @@ class LIFPopulation:
         self.synaptic_current[:] = 0.0
         self.refractory_ticks_left[:] = 0
         self.spike_count[:] = 0
-
-
-class LIFBlock:
-    """Many LIF populations stacked into one ``(n_lanes, width)`` state.
-
-    A board's fused engine steps every LIF core with a single set of
-    array operations instead of one :meth:`LIFPopulation.step` call per
-    core.  Each lane holds one population, zero-padded to the widest
-    lane; per-population parameters become ``(n_lanes, 1)`` columns that
-    broadcast across the row.
-
-    Bit-identity with the per-core path: every operation in
-    :meth:`step` is elementwise, and broadcasting a parameter column
-    over a row performs the identical IEEE-754 scalar operation the
-    per-core step performs with a Python float — so the valid cells of
-    the stacked state evolve bit-for-bit like the corresponding
-    per-core states.  Padded cells sit at their lane's resting
-    potential, receive no input, and have their spikes masked out, so
-    they can never influence a valid cell.
-    """
-
-    model_name = "lif"
-
-    def __init__(self, states: "list[LIFPopulation]") -> None:
-        if not states:
-            raise ValueError("LIFBlock needs at least one population")
-        self.n_lanes = len(states)
-        self.lane_sizes = np.array([s.size for s in states], dtype=np.intp)
-        self.width = int(self.lane_sizes.max())
-        self.timestep_ms = states[0].timestep_ms
-
-        shape = (self.n_lanes, self.width)
-        self.valid = np.zeros(shape, dtype=bool)
-        self.v = np.zeros(shape, dtype=float)
-        self.synaptic_current = np.zeros(shape, dtype=float)
-        self.refractory_ticks_left = np.zeros(shape, dtype=int)
-        for lane, state in enumerate(states):
-            n = state.size
-            self.valid[lane, :n] = True
-            self.v[lane, :n] = state.v
-            self.synaptic_current[lane, :n] = state.synaptic_current
-            self.refractory_ticks_left[lane, :n] = state.refractory_ticks_left
-            # Park the padding at rest so it stays numerically quiet.
-            self.v[lane, n:] = state.parameters.v_rest_mv
-
-        def column(values: "list[float]") -> np.ndarray:
-            return np.array(values, dtype=float).reshape(-1, 1)
-
-        self._v_rest = column([s.parameters.v_rest_mv for s in states])
-        self._v_reset = column([s.parameters.v_reset_mv for s in states])
-        self._v_threshold = column([s.parameters.v_threshold_mv
-                                    for s in states])
-        self._r_m = column([s.parameters.r_m_mohm for s in states])
-        # Reuse the exact decay factors the per-core states computed.
-        self._alpha_m = column([s._alpha_m for s in states])
-        self._alpha_syn = column([s._alpha_syn for s in states])
-        self._refractory_ticks = np.array(
-            [s.refractory_ticks for s in states], dtype=int).reshape(-1, 1)
-
-    def inject_synaptic_input(self, charge_na: np.ndarray) -> None:
-        """Add synaptic charge, one ``(n_lanes, width)`` array per tick."""
-        self.synaptic_current += charge_na
-
-    def step(self, external_current_na: Optional[np.ndarray] = None
-             ) -> np.ndarray:
-        """Advance every lane one timestep; return the masked spike grid."""
-        i_total = self.synaptic_current.copy()
-        if external_current_na is not None:
-            i_total = i_total + external_current_na
-
-        v_infinity = self._v_rest + self._r_m * i_total
-        new_v = v_infinity + (self.v - v_infinity) * self._alpha_m
-
-        refractory = self.refractory_ticks_left > 0
-        new_v = np.where(refractory, self._v_reset, new_v)
-        self.refractory_ticks_left = np.maximum(
-            self.refractory_ticks_left - 1, 0)
-
-        spikes = new_v >= self._v_threshold
-        spikes &= self.valid
-        new_v = np.where(spikes, self._v_reset, new_v)
-        self.refractory_ticks_left = np.where(
-            spikes, self._refractory_ticks, self.refractory_ticks_left)
-
-        self.v = new_v
-        self.synaptic_current *= self._alpha_syn
-        return spikes
-
-    def lane_voltages(self, lane: int) -> np.ndarray:
-        """The valid cells of one lane's membrane potentials."""
-        return self.v[lane, :self.lane_sizes[lane]]

@@ -1,9 +1,11 @@
 """Host-side reference network simulator.
 
 This simulator executes a population/projection network directly on the
-host, with the same 1 ms tick, the same deferred-event (soft-delay) buffers
-and the same neuron update rules as the on-machine runtime
-(:mod:`repro.runtime.application`).  It serves two purposes:
+host, with the same 1 ms tick, the same deferred-event (soft-delay) ring
+and the same tick kernel (:mod:`repro.neuron.kernel`) as the on-machine
+runtime (:mod:`repro.runtime.application`); what is the host's own is the
+propagate step — unquantised float CSR rows scattered in element order,
+plasticity, and membrane-voltage recording.  It serves two purposes:
 
 * it is the behavioural baseline the on-machine simulation is checked
   against (same network, same seed, same spike counts); and
@@ -15,27 +17,23 @@ and the same neuron update rules as the on-machine runtime
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.neuron.kernel import SpikeRecord, TickKernel, TickUnit
 from repro.neuron.population import (
     Population,
     Projection,
-    SpikeSourceArray,
-    SpikeSourcePoisson,
     expansion_rng,
     simulation_rng,
 )
-from repro.neuron.synapse import DeferredEventBuffer, MAX_DELAY_TICKS
+from repro.neuron.synapse import DeferredEventBuffer
 from repro.profile import profile_stage
 
-# The Fig. 7 timer-tick phases, hoisted so the loop re-enters the same
-# stage objects (a disabled entry is one flag check).
+# The host loop's own stages; the kernel's ``stimulus``, ``neuron_update``
+# and ``record`` nest under ``tick`` beside ``propagate``.
 _TICK_STAGE = profile_stage("tick")
-_STIMULUS_STAGE = profile_stage("stimulus")
-_NEURON_UPDATE_STAGE = profile_stage("neuron_update")
-_RECORD_STAGE = profile_stage("record")
 _PROPAGATE_STAGE = profile_stage("propagate")
 
 
@@ -56,38 +54,30 @@ def expand_projections(network: "Network", seed: Optional[int]):
             for index, projection in enumerate(network.projections)]
 
 
+def _spike_mask(unit: TickUnit, fired: Dict[TickUnit, np.ndarray]
+                ) -> np.ndarray:
+    """This tick's boolean spike mask of ``unit`` (what STDP reads)."""
+    mask = np.zeros(unit.n_neurons, dtype=bool)
+    spiking = fired.get(unit)
+    if spiking is not None:
+        mask[spiking] = True
+    return mask
+
+
 @dataclass
-class SimulationResult:
+class SimulationResult(SpikeRecord):
     """Recorded output of a network run.
 
-    ``spikes`` maps a population label to a list of ``(time_ms, neuron)``
-    pairs; ``voltages`` maps a label to an array of shape
-    ``(n_ticks, n_neurons)``.
+    Adds to the :class:`~repro.neuron.kernel.SpikeRecord` the membrane
+    ``voltages``: a label to an array of shape ``(n_ticks, n_neurons)``.
     """
 
-    duration_ms: float
-    timestep_ms: float
-    spikes: Dict[str, List[Tuple[float, int]]] = field(default_factory=dict)
+    timestep_ms: float = 1.0
     voltages: Dict[str, np.ndarray] = field(default_factory=dict)
-    spike_counts: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def spike_times(self, label: str, neuron: int) -> List[float]:
         """Spike times (ms) of one neuron in one population."""
         return [t for t, n in self.spikes.get(label, []) if n == neuron]
-
-    def total_spikes(self, label: Optional[str] = None) -> int:
-        """Total spikes of one population, or of the whole network."""
-        if label is not None:
-            return int(self.spike_counts[label].sum())
-        return int(sum(counts.sum() for counts in self.spike_counts.values()))
-
-    def mean_rate_hz(self, label: str) -> float:
-        """Mean firing rate of a population over the run."""
-        counts = self.spike_counts[label]
-        seconds = self.duration_ms / 1000.0
-        if seconds <= 0:
-            return 0.0
-        return float(counts.mean() / seconds)
 
 
 class Network:
@@ -154,12 +144,11 @@ class Network:
             seed: Optional[int] = None) -> SimulationResult:
         """Simulate the network on the host for ``duration_ms``.
 
-        The loop mirrors the on-machine application model: each tick drains
-        the deferred-event buffers into the neuron models, integrates the
-        membrane equations, collects the spikes and batch-scatters their
-        synaptic consequences through each projection's
-        :class:`~repro.neuron.engine.CSRMatrix` back into the buffers
-        with the programmed delays.
+        Each tick the kernel generates the stimulus, drains the ring into
+        the neuron models, integrates and records; the loop then
+        batch-scatters the spikes' synaptic consequences through each
+        projection's :class:`~repro.neuron.engine.CSRMatrix` back into
+        the ring with the programmed delays.
         """
         if duration_ms < 0:
             raise ValueError("duration must be non-negative")
@@ -167,101 +156,51 @@ class Network:
         rng = simulation_rng(effective_seed)
         n_ticks = int(round(duration_ms / self.timestep_ms))
 
-        # Build per-population state, input buffers and recording stores.
-        states: Dict[str, object] = {}
-        buffers: Dict[str, DeferredEventBuffer] = {}
         result = SimulationResult(duration_ms=duration_ms,
                                   timestep_ms=self.timestep_ms)
-        for population in self.populations:
-            result.spike_counts[population.label] = np.zeros(population.size,
-                                                             dtype=int)
-            if population.record_spikes:
-                result.spikes[population.label] = []
-            if population.is_spike_source:
-                continue
-            states[population.label] = population.build_state(self.timestep_ms,
-                                                              rng)
-            buffers[population.label] = DeferredEventBuffer(
-                population.size, MAX_DELAY_TICKS)
-            if population.record_voltages:
-                result.voltages[population.label] = np.zeros(
-                    (n_ticks, population.size))
+        result.track(self.populations)
+        units = {population.label: TickUnit(population, 0, population.size,
+                                            rng)
+                 for population in self.populations}
+        kernel = TickKernel(list(units.values()), self.timestep_ms,
+                            DeferredEventBuffer, result)
+        probed = [units[population.label] for population in self.populations
+                  if population.record_voltages
+                  and not population.is_spike_source]
+        for unit in probed:
+            result.voltages[unit.population.label] = np.zeros(
+                (n_ticks, unit.n_neurons))
 
         # The expansion artifact is shared with the mapping compiler — see
         # :func:`expand_projections` — so results do not depend on
-        # expansion order or on cache hits/misses.
-        expanded = [(projection, csr) for _index, projection, csr
-                    in expand_projections(self, effective_seed)]
+        # expansion order or on cache hits/misses.  A projection onto a
+        # spike source delivers nowhere (the kernel discards its charge)
+        # and the host counts no events, so it is left out of the loop.
+        expanded = [(projection, csr, units[projection.pre.label],
+                     units[projection.post.label])
+                    for _index, projection, csr
+                    in expand_projections(self, effective_seed)
+                    if not projection.post.is_spike_source]
 
         for tick in range(n_ticks):
             with _TICK_STAGE:
-                time_ms = tick * self.timestep_ms
-                spikes_this_tick: Dict[str, np.ndarray] = {}
-
-                # Stimulus populations generate their spikes first.
-                with _STIMULUS_STAGE:
-                    for population in self.populations:
-                        if isinstance(population, SpikeSourcePoisson):
-                            spikes_this_tick[population.label] = \
-                                population.spikes_for_tick(
-                                    self.timestep_ms, rng)
-                        elif isinstance(population, SpikeSourceArray):
-                            spikes_this_tick[population.label] = \
-                                population.spikes_for_tick(
-                                    tick, self.timestep_ms)
-
-                # Neuron populations: drain deferred inputs and integrate.
-                with _NEURON_UPDATE_STAGE:
-                    for population in self.populations:
-                        if population.is_spike_source:
-                            continue
-                        state = states[population.label]
-                        inputs = buffers[population.label].drain()
-                        state.inject_synaptic_input(inputs)
-                        bias = None
-                        if population.bias_current_na:
-                            bias = np.full(population.size,
-                                           population.bias_current_na)
-                        spikes = state.step(bias)
-                        spikes_this_tick[population.label] = spikes
-                        if population.record_voltages:
-                            result.voltages[population.label][tick] = state.v
-
-                # Record and propagate the spikes.
-                with _RECORD_STAGE:
-                    for population in self.populations:
-                        spikes = spikes_this_tick.get(population.label)
-                        if spikes is None:
-                            continue
-                        spiking_neurons = np.flatnonzero(spikes)
-                        if spiking_neurons.size == 0:
-                            continue
-                        result.spike_counts[population.label][
-                            spiking_neurons] += 1
-                        if population.record_spikes:
-                            result.spikes[population.label].extend(
-                                (time_ms, int(neuron))
-                                for neuron in spiking_neurons)
-
+                fired = dict(kernel.step(tick))
+                for unit in probed:
+                    result.voltages[unit.population.label][tick] = \
+                        kernel.voltages(unit)
                 with _PROPAGATE_STAGE:
-                    for projection, csr in expanded:
-                        pre_spikes = spikes_this_tick.get(
-                            projection.pre.label)
-                        if pre_spikes is None:
-                            continue
-                        target_buffer = buffers.get(projection.post.label)
-                        if target_buffer is None:
-                            continue
-                        spiking = np.flatnonzero(pre_spikes)
-                        if spiking.size:
-                            csr.scatter(spiking, target_buffer)
+                    for projection, csr, pre, post in expanded:
+                        spiking = fired.get(pre)
+                        if spiking is not None:
+                            slots = csr.synapse_slots(spiking)
+                            if slots.size:
+                                kernel.defer(post, csr.targets[slots],
+                                             csr.weights[slots],
+                                             csr.delay_ticks[slots])
                         if projection.plasticity is not None:
-                            post_spikes = spikes_this_tick.get(
-                                projection.post.label)
-                            if post_spikes is None:
-                                post_spikes = np.zeros(projection.post.size,
-                                                       dtype=bool)
                             projection.plasticity.update_csr(
-                                csr, pre_spikes, post_spikes, time_ms)
-
+                                csr, _spike_mask(pre, fired),
+                                _spike_mask(post, fired),
+                                tick * self.timestep_ms)
+        result.flush()
         return result

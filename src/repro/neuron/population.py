@@ -231,10 +231,8 @@ def stimulus_mask(population: Population, slice_start: int,
         probability = SpikeSourcePoisson.spike_probability(
             population.rate_hz, timestep_ms)
         return rng.random(slice_stop - slice_start) < probability
-    if isinstance(population, SpikeSourceArray):
-        mask = population.spikes_for_tick(tick, timestep_ms)
-        return mask[slice_start:slice_stop]
-    return np.zeros(slice_stop - slice_start, dtype=bool)
+    return population.spikes_for_tick(tick, timestep_ms)[
+        slice_start:slice_stop]
 
 
 @dataclass

@@ -13,8 +13,16 @@ This module provides the field widths of the packed 32-bit synaptic word
 (the codec itself is in :mod:`repro.neuron.engine`) and the circular
 post-synaptic input buffers indexed by ``(arrival_tick mod max_delay)``
 that implement the algorithmic re-insertion of the delay at the target
-neuron: :class:`DeferredEventBuffer` for one core,
-:class:`FusedDeferredEventBuffer` for a whole board.
+neuron.  There are two because the accumulation rule is a property of
+the weight domain: :class:`DeferredEventBuffer` sums unquantised float
+weights in element order, :class:`FusedDeferredEventBuffer` pre-sums
+fixed-point machine weights exactly and accepts pre-aged delays.  The
+tick kernel (:mod:`repro.neuron.kernel`) lays the cells of the units
+that share a tick out as one ring's columns and is the only caller of
+``drain()``.
+
+Both saturate at the 16-bit weight range, clamping once per batch over
+the cells the batch touched (:func:`_clamp_touched`).
 """
 
 from __future__ import annotations
@@ -38,15 +46,51 @@ WEIGHT_FIXED_POINT = 1 << 4
 WEIGHT_SATURATION_NA = ((1 << (WEIGHT_BITS - 1)) - 1) / WEIGHT_FIXED_POINT
 
 
+def _clamp_touched(buffer: np.ndarray, cells: np.ndarray,
+                   slots: np.ndarray) -> int:
+    """Clamp the cells a batch touched at the 16-bit weight range; return
+    how many were over it.
+
+    The post-batch clamp of both rings.  Only cells the batch touched
+    can have newly crossed the limit (cells clamped by earlier batches
+    sit exactly *at* it and are not re-counted).  ``cells`` are the
+    batch's flat ring indices, duplicates and all, and ``slots`` the
+    slot rows it touched; the cheaper test is chosen from their sizes —
+    read the touched cells back when the batch is much smaller than the
+    rows it touched (a gathered cell costs about four scanned ones),
+    scan those rows when it is denser — so the cost never depends on how
+    many units share a ring, and either way each saturating cell is
+    clamped and counted once.
+    """
+    if 4 * cells.size < len(slots) * buffer.shape[1]:
+        flat = buffer.ravel()
+        over = np.abs(flat[cells]) > WEIGHT_SATURATION_NA
+        if not over.any():
+            return 0
+        hot = np.unique(cells[over])
+        flat[hot] = np.clip(flat[hot], -WEIGHT_SATURATION_NA,
+                            WEIGHT_SATURATION_NA)
+        return int(hot.size)
+    saturated = 0
+    for slot in slots:
+        row = buffer[slot]
+        n_over = int(np.count_nonzero(np.abs(row) > WEIGHT_SATURATION_NA))
+        if n_over:
+            saturated += n_over
+            np.clip(row, -WEIGHT_SATURATION_NA, WEIGHT_SATURATION_NA,
+                    out=row)
+    return saturated
+
+
 class DeferredEventBuffer:
     """The post-synaptic input ring buffer (the deferred-event model).
 
     The buffer holds one row per future timestep (up to ``max_delay``
-    ticks ahead) and one column per neuron on the core.  When a synaptic
-    row is processed at tick ``t``, each synapse's weight is accumulated
-    into slot ``(t + delay) mod (max_delay + 1)``; at the start of each
-    timer tick the current slot is drained into the neuron model and
-    cleared.  This is how the programmable delay is "re-inserted
+    ticks ahead) and one column per neuron of the units sharing it.
+    When a synaptic row is processed at tick ``t``, each synapse's
+    weight is accumulated into slot ``(t + delay) mod (max_delay + 1)``;
+    at the start of each timer tick the current slot is drained into the
+    neuron model and cleared.  This is how the programmable delay is "re-inserted
     algorithmically at the target neuron" (Section 3.2).
     """
 
@@ -122,31 +166,10 @@ class DeferredEventBuffer:
         np.add.at(self._buffer.ravel(), cells, weights)
         self.events_deferred += int(targets.size)
 
-        # Clamp at the fixed-point weight range.  Only cells touched by
-        # this call can have newly crossed the limit (cells clamped by
-        # earlier calls sit exactly *at* the limit and are not
-        # re-counted).  For batches much smaller than the buffer, clamp
-        # the unique touched cells; for dense batches a whole-row scan of
-        # the touched slots is cheaper than deduplicating the indices.
-        flat = self._buffer.ravel()
-        if targets.size < self.n_neurons:
-            unique_cells = np.unique(cells)
-            values = flat[unique_cells]
-            over = np.abs(values) > WEIGHT_SATURATION_NA
-            if over.any():
-                self.saturations += int(over.sum())
-                flat[unique_cells[over]] = (np.sign(values[over])
-                                            * WEIGHT_SATURATION_NA)
-            return
         touched = np.zeros(self.n_slots, dtype=bool)
         touched[slots] = True
-        for slot in np.flatnonzero(touched):
-            row = self._buffer[slot]
-            n_over = int(np.count_nonzero(np.abs(row) > WEIGHT_SATURATION_NA))
-            if n_over:
-                self.saturations += n_over
-                np.clip(row, -WEIGHT_SATURATION_NA, WEIGHT_SATURATION_NA,
-                        out=row)
+        self.saturations += _clamp_touched(self._buffer, cells,
+                                           np.flatnonzero(touched))
 
     def drain(self) -> np.ndarray:
         """Return and clear the inputs scheduled for the current tick.
@@ -173,12 +196,11 @@ class DeferredEventBuffer:
 
 
 class FusedDeferredEventBuffer:
-    """One deferred-event ring shared by every core of a board.
+    """One deferred-event ring shared by every core of a board, for
+    fixed-point weights.
 
-    The per-core :class:`DeferredEventBuffer` gives each core its own
-    ``(n_slots, n_neurons)`` ring; a board's fused engine instead packs
-    all of its cores' columns into a single ``(n_slots, total_width)``
-    array at caller-chosen per-core column offsets, so one vectorized
+    All of a board's cores' columns sit in a single ``(n_slots,
+    total_width)`` array (the tick kernel's layout), so one vectorized
     scatter per tick can deliver events to every core at once and one
     row drain hands every core its inputs.
 
@@ -249,38 +271,21 @@ class FusedDeferredEventBuffer:
         flat_cells += cells
         flat = self._buffer.ravel()
         self.events_deferred += int(cells.size)
-        # Clamping happens once per touched cell after the batch (cells
-        # clamped by earlier calls sit exactly at the limit and are not
-        # re-counted).  For
-        # batches smaller than the ring width, scatter in place and
-        # clamp the deduplicated cells; a dense batch instead pre-sums
-        # per cell (exact: fixed-point weights in float64) and clamps
-        # by scanning the touched slot rows, skipping the O(n log n)
-        # dedup that would dominate large fused scatters.
+        # A batch smaller than the ring width scatters in place; a
+        # dense one pre-sums per cell instead (exact: fixed-point
+        # weights in float64).  Either way the touched cells are clamped
+        # once, after the batch.
         if cells.size < self.total_width:
             np.add.at(flat, flat_cells, weights)
-            unique_cells = np.unique(flat_cells)
-            values = flat[unique_cells]
-            over = np.abs(values) > WEIGHT_SATURATION_NA
-            if over.any():
-                self.saturations += int(over.sum())
-                flat[unique_cells[over]] = (np.sign(values[over])
-                                            * WEIGHT_SATURATION_NA)
-            return
-        flat += np.bincount(flat_cells, weights=weights,
-                            minlength=flat.size)
+        else:
+            flat += np.bincount(flat_cells, weights=weights,
+                                minlength=flat.size)
         delay_counts = np.bincount(effective_delays,
                                    minlength=self.n_slots)
-        touched_slots = ((self._current_tick
-                          + np.flatnonzero(delay_counts)) % self.n_slots)
-        for slot in touched_slots:
-            row = self._buffer[slot]
-            n_over = int(np.count_nonzero(
-                np.abs(row) > WEIGHT_SATURATION_NA))
-            if n_over:
-                self.saturations += n_over
-                np.clip(row, -WEIGHT_SATURATION_NA, WEIGHT_SATURATION_NA,
-                        out=row)
+        self.saturations += _clamp_touched(
+            self._buffer, flat_cells,
+            (self._current_tick + np.flatnonzero(delay_counts))
+            % self.n_slots)
 
     def drain(self) -> np.ndarray:
         """Return and clear every core's inputs for the current tick.

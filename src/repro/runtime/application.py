@@ -10,8 +10,9 @@ tasks:
   each synapse's charge into the input ring buffer at the slot selected by
   its programmable delay.
 * **Millisecond timer** (priority 3): drain the current ring-buffer slot,
-  integrate the neuron equations and emit a multicast packet for every
-  neuron that fired.
+  integrate the neuron equations — the tick kernel
+  (:mod:`repro.neuron.kernel`), driven here with one unit per core — and
+  emit a multicast packet for every neuron that fired.
 
 When all tasks are complete the core sleeps in the low-power
 wait-for-interrupt state.  :class:`NeuralApplication` wires a
@@ -40,9 +41,10 @@ from repro.mapping.placement import Placement, Vertex
 from repro.mapping.synaptic_matrix import CoreSynapticData, decode_block
 from repro.neuron.engine import CSRMatrix, decode_packed_row
 from repro.router.fabric import RouteProgram, RouteTarget, TransportFabric
+from repro.neuron.kernel import SpikeRecord, TickKernel, TickUnit
 from repro.neuron.network import Network
-from repro.neuron.population import Population, core_rng, stimulus_mask
-from repro.neuron.synapse import MAX_DELAY_TICKS, DeferredEventBuffer
+from repro.neuron.population import Population, core_rng
+from repro.neuron.synapse import DeferredEventBuffer
 
 #: The biological real-time tick of the application model.
 TIMER_PERIOD_US = 1000.0
@@ -129,12 +131,9 @@ class _SampleAccumulator:
 
 
 @dataclass
-class ApplicationResult:
+class ApplicationResult(SpikeRecord):
     """Spike records and timing statistics from an on-machine run."""
 
-    duration_ms: float
-    spikes: Dict[str, List[Tuple[float, int]]] = field(default_factory=dict)
-    spike_counts: Dict[str, np.ndarray] = field(default_factory=dict)
     #: Per-delivery latency samples (microseconds), array-accumulated.
     latency_samples: _SampleAccumulator = field(
         default_factory=_SampleAccumulator)
@@ -213,29 +212,6 @@ class ApplicationResult:
             merged.spikes[label].sort(key=lambda pair: pair[0])
         return merged
 
-    def total_spikes(self, label: Optional[str] = None) -> int:
-        """Total spikes of one population, or of all populations.
-
-        Raises
-        ------
-        KeyError
-            If ``label`` names a population this run never mapped.
-        """
-        if label is not None:
-            if label not in self.spike_counts:
-                raise KeyError(
-                    "unknown population label %r; this run recorded %s"
-                    % (label, sorted(self.spike_counts)))
-            return int(self.spike_counts[label].sum())
-        return int(sum(c.sum() for c in self.spike_counts.values()))
-
-    def mean_rate_hz(self, label: str) -> float:
-        """Mean firing rate of a population over the run."""
-        seconds = self.duration_ms / 1000.0
-        if seconds <= 0:
-            return 0.0
-        return float(self.spike_counts[label].mean() / seconds)
-
     def max_delivery_latency_us(self) -> float:
         """Worst spike-delivery latency observed (0 if nothing delivered)."""
         samples = self.latency_samples.view()
@@ -304,12 +280,12 @@ class CoreRuntime:
         #: locally), mirroring the real tool-chain.
         self.has_outgoing_projections = has_outgoing_projections
 
-        self.is_source = population.is_spike_source
-        self.neuron_state = None
-        if not self.is_source:
-            self.neuron_state = _VertexState(population, vertex,
-                                             application.timestep_ms, rng)
-        self.buffer = DeferredEventBuffer(vertex.n_neurons, MAX_DELAY_TICKS)
+        #: The vertex as the one unit of this core's tick kernel.
+        self.unit = TickUnit(population, vertex.slice_start,
+                             vertex.slice_stop, rng)
+        self.tick_kernel = TickKernel([self.unit], application.timestep_ms,
+                                      DeferredEventBuffer,
+                                      application.result)
         self.tick = 0
         #: Synaptic rows decoded once per SDRAM address.  A row is
         #: re-fetched by DMA every time its source neuron spikes but
@@ -353,7 +329,7 @@ class CoreRuntime:
         self.core.charge_cycles(
             self.core.costs.dma_complete_cycles_per_word * count)
         if count:
-            self.buffer.add_events(targets, weights, delays)
+            self.tick_kernel.defer(self.unit, targets, weights, delays)
         self.application.result.synaptic_events += count
         self.application.result.delivered_charge_na += float(weights.sum())
         latency = self.application.kernel.now - packet.timestamp
@@ -367,54 +343,25 @@ class CoreRuntime:
     # Figure 7, priority 3: millisecond timer
     # ------------------------------------------------------------------
     def _on_timer(self) -> None:
-        time_ms = self.tick * self.application.timestep_ms
-        if self.is_source:
-            spikes = stimulus_mask(
-                self.population, self.vertex.slice_start,
-                self.vertex.slice_stop, self.tick,
-                self.application.timestep_ms, self.rng)
-        else:
-            inputs = self.buffer.drain()
-            state = self.neuron_state
-            state.population_state.inject_synaptic_input(inputs)
-            bias = None
-            if self.population.bias_current_na:
-                bias = np.full(self.vertex.n_neurons,
-                               self.population.bias_current_na)
-            spikes = state.population_state.step(bias)
+        fired = self.tick_kernel.step(self.tick)
+        if not self.population.is_spike_source:
             self.core.charge_cycles(
                 self.core.costs.timer_cycles_per_neuron * self.vertex.n_neurons)
-
-        spiking = np.flatnonzero(spikes)
-        if spiking.size:
-            self.application.record_spikes(self.population.label, self.vertex,
-                                           time_ms, spiking)
-            if self.has_outgoing_projections:
-                if self.transport == "fabric":
-                    # Compiled transport: one batched send for the whole
-                    # tick's spikes instead of a packet per neuron.
-                    self.application.fabric_send(self, spiking)
-                else:
-                    for local_index in spiking:
-                        packet = MulticastPacket(
-                            key=self.key_space.key_for(int(local_index)),
-                            timestamp=self.application.kernel.now,
-                            source=self.chip_coordinate)
-                        self.core.send_multicast(packet)
-                        self.application.result.packets_sent += 1
+        if fired and self.has_outgoing_projections:
+            (_unit, spiking), = fired
+            if self.transport == "fabric":
+                # Compiled transport: one batched send for the whole
+                # tick's spikes instead of a packet per neuron.
+                self.application.fabric_send(self, spiking)
+            else:
+                for local_index in spiking:
+                    packet = MulticastPacket(
+                        key=self.key_space.key_for(int(local_index)),
+                        timestamp=self.application.kernel.now,
+                        source=self.chip_coordinate)
+                    self.core.send_multicast(packet)
+                    self.application.result.packets_sent += 1
         self.tick += 1
-
-
-class _VertexState:
-    """Neuron-model state for the slice of a population on one core."""
-
-    def __init__(self, population: Population, vertex: Vertex,
-                 timestep_ms: float, rng: np.random.Generator) -> None:
-        # The slice reuses the population's model and parameters but only
-        # instantiates the vertex's neurons.
-        sliced = Population(vertex.n_neurons, population.parameters,
-                            label="%s-state-%d" % (population.label, vertex.index))
-        self.population_state = sliced.build_state(timestep_ms, rng)
 
 
 class NeuralApplication:
@@ -497,22 +444,19 @@ class NeuralApplication:
         ctx = self.pipeline.run()
         self.placement = ctx.placement
         self.keys = ctx.keys
-        self._instantiate_runtimes(ctx)
         self._reset_recording()
+        self._instantiate_runtimes(ctx)
         if self.transport == "fabric":
             self._build_fabric(ctx.route_programs)
         self._prepared = True
 
     def _reset_recording(self) -> None:
         """Fresh recording state (shared by prepare and reset re-maps,
-        so a reset re-run cannot drift from a cold run)."""
+        so a reset re-run cannot drift from a cold run).  Runtimes record
+        into the result they were built with, so this comes first."""
         self.result = ApplicationResult(duration_ms=0.0)
+        self.result.track(self.network.populations)
         self.unmatched_packets = 0
-        for population in self.network.populations:
-            self.result.spike_counts[population.label] = np.zeros(
-                population.size, dtype=int)
-            if population.record_spikes:
-                self.result.spikes[population.label] = []
 
     def _instantiate_runtimes(self, ctx: MappingContext,
                               vertices: Optional[set] = None) -> int:
@@ -726,10 +670,11 @@ class NeuralApplication:
         count = int(slots.size)
         charge = 0.0
         if count:
-            destination.buffer.add_events(csr.targets[slots],
-                                          csr.weights[slots],
+            weights = csr.weights[slots]
+            destination.tick_kernel.defer(destination.unit,
+                                          csr.targets[slots], weights,
                                           csr.delay_ticks[slots])
-            charge = float(csr.weights[slots].sum())
+            charge = float(weights.sum())
         # Bulk accounting parity with the per-packet path: every spike
         # costs a packet handler, a DMA fetch of the stride-padded row
         # and a DMA-complete handler; row processing is charged per
@@ -797,6 +742,7 @@ class NeuralApplication:
 
     def collect(self, duration_ms: float) -> ApplicationResult:
         """Finalise the result bookkeeping after a (halted) run."""
+        self.result.flush()
         self.result.duration_ms += duration_ms
         self.result.packets_dropped = self.machine.total_dropped_packets()
         self.result.emergency_invocations = self.machine.total_emergency_invocations()
@@ -811,19 +757,6 @@ class NeuralApplication:
         # complete, without advancing the timers any further.
         self.kernel.run(max_events=1_000_000)
         return self.collect(duration_ms)
-
-    # ------------------------------------------------------------------
-    # Recording hooks (called by the core runtimes)
-    # ------------------------------------------------------------------
-    def record_spikes(self, label: str, vertex: Vertex, time_ms: float,
-                      local_indices: np.ndarray) -> None:
-        """Record spikes of a vertex in global population numbering."""
-        counts = self.result.spike_counts[label]
-        global_indices = local_indices + vertex.slice_start
-        counts[global_indices] += 1
-        if label in self.result.spikes:
-            self.result.spikes[label].extend(
-                (time_ms, int(i)) for i in global_indices)
 
 
 def run_concurrently(applications: List["NeuralApplication"],

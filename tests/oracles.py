@@ -14,6 +14,9 @@ the fast path equals it element for element:
 * :class:`ScalarRing` — a per-event deferred-event ring that clamps at
   the 16-bit weight range after *every* event;
 * :func:`stdp_update` — the per-synapse additive pair-based STDP rule;
+* :class:`ScalarLIF` / :class:`ScalarIzhikevich` — one neuron's membrane
+  equations in Python floats, which pin the one array update each model
+  ships (1-D population and stacked block alike);
 * :func:`reference_run` — the host tick loop over all of the above;
 * :func:`inline_toolchain` — the mapping tool-chain run inline, stage by
   stage over the literal expansion (place, allocate keys, one tree and
@@ -295,6 +298,70 @@ class ScalarRing:
 
     def pending_charge(self) -> float:
         return float(np.sum(self.buffer))
+
+
+# ----------------------------------------------------------------------
+# One neuron at a time
+# ----------------------------------------------------------------------
+class ScalarLIF:
+    """One leaky integrate-and-fire neuron: exponential-Euler towards
+    the steady-state voltage, clamped at reset while refractory."""
+
+    def __init__(self, parameters, timestep_ms: float = 1.0) -> None:
+        self.p = parameters
+        self.v = parameters.v_rest_mv
+        self.synaptic_current = 0.0
+        self.refractory_left = 0
+        self.refractory_ticks = int(round(parameters.tau_refrac_ms
+                                          / timestep_ms))
+        self.alpha_m = math.exp(-timestep_ms / parameters.tau_m_ms)
+        self.alpha_syn = math.exp(-timestep_ms / parameters.tau_syn_ms)
+
+    def step(self, charge_na: float, bias_na: float) -> bool:
+        p = self.p
+        self.synaptic_current += charge_na
+        v_infinity = p.v_rest_mv + p.r_m_mohm * (self.synaptic_current
+                                                 + bias_na)
+        v = v_infinity + (self.v - v_infinity) * self.alpha_m
+        if self.refractory_left > 0:
+            v = p.v_reset_mv
+            self.refractory_left -= 1
+        spiked = v >= p.v_threshold_mv
+        if spiked:
+            v = p.v_reset_mv
+            self.refractory_left = self.refractory_ticks
+        self.v = v
+        self.synaptic_current *= self.alpha_syn
+        return spiked
+
+
+class ScalarIzhikevich:
+    """One Izhikevich neuron: half-millisecond Euler sub-steps, then the
+    after-spike reset ``v <- c, u <- u + d``."""
+
+    def __init__(self, parameters, timestep_ms: float = 1.0) -> None:
+        self.p = parameters
+        self.timestep_ms = timestep_ms
+        self.v = parameters.c
+        self.u = parameters.b * parameters.c
+        self.synaptic_current = 0.0
+
+    def step(self, charge_na: float, bias_na: float) -> bool:
+        p = self.p
+        current = self.synaptic_current + charge_na + bias_na
+        n_substeps = max(1, int(round(self.timestep_ms / 0.5)))
+        dt = self.timestep_ms / n_substeps
+        v, u = self.v, self.u
+        for _ in range(n_substeps):
+            v = v + dt * (0.04 * v * v + 5.0 * v + 140.0 - u + current)
+            u = u + dt * (p.a * (p.b * v - u))
+        spiked = v >= p.v_peak_mv
+        if spiked:
+            v = p.c
+            u = u + p.d
+        self.v, self.u = v, u
+        self.synaptic_current = 0.0
+        return spiked
 
 
 # ----------------------------------------------------------------------

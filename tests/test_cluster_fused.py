@@ -17,11 +17,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
 from oracles import ScalarRing
 from repro.cluster import ClusterApplication, FusedBoardEngine
 from repro.compile.context import BoardDeliveryIndex
 from repro.core.machine import MachineConfig, SpiNNakerMachine
-from repro.neuron.connectors import FixedProbabilityConnector
+from repro.neuron.connectors import (
+    FixedProbabilityConnector,
+    FromListConnector,
+)
+from repro.neuron.engine import expand_rows
 from repro.neuron.network import Network
 from repro.neuron.population import (
     Population,
@@ -220,6 +225,108 @@ class TestFusedEquivalence:
 
 
 # ----------------------------------------------------------------------
+# Generated networks: every engine, one answer per weight domain
+# ----------------------------------------------------------------------
+def generated_network(draw: np.random.Generator) -> Network:
+    """A drawn network with every feature the tick kernel handles:
+    ragged sizes, both models, biases, both source kinds, inhibition, a
+    projection onto a source, and a hub-heavy explicit wiring — a few
+    sources carrying most of the synapses (the degree sequence
+    arXiv:0908.0976 shows behaves unlike a uniform graph of the same
+    density), with weights heavy enough to saturate ring cells.
+
+    The hubs' target receives excitation only: clamping a mixed-sign
+    batch depends on how the engine groups events, clamping a same-sign
+    one does not.
+    """
+    def size() -> int:
+        return int(draw.integers(20, 70))
+
+    def model():
+        return str(draw.choice(["lif", "izhikevich"]))
+
+    network = Network(seed=int(draw.integers(1, 1000)))
+    poisson = SpikeSourcePoisson(size(), rate_hz=float(draw.uniform(40, 90)),
+                                 label="g-poisson")
+    replay = SpikeSourceArray(
+        [[float(t) for t in range(int(draw.integers(0, 6)), 50,
+                                  int(draw.integers(3, 9)))]
+         for _ in range(size())], label="g-replay")
+    excitatory = Population(size(), model(), label="g-exc")
+    inhibitory = Population(size(), model(), label="g-inh")
+    hubs = Population(size(), "lif", label="g-hubs")
+    flooded = Population(size(), model(), label="g-flooded")
+    excitatory.bias_current_na = float(draw.uniform(0.5, 1.2))
+    hubs.bias_current_na = float(draw.uniform(3.0, 4.0))   # tonic, in step
+    for population in (excitatory, inhibitory, hubs, flooded):
+        population.record(spikes=True)
+
+    def sparse(weight_range):
+        return FixedProbabilityConnector(
+            float(draw.uniform(0.15, 0.35)), weight_range=weight_range,
+            delay_range=(1, int(draw.integers(2, 12))))
+
+    network.connect(poisson, excitatory, sparse((2.0, 4.0)))
+    network.connect(replay, excitatory, sparse((1.0, 3.0)))
+    network.connect(replay, inhibitory, sparse((2.0, 6.0)))
+    network.connect(excitatory, inhibitory, sparse((0.5, 1.5)))
+    network.connect(inhibitory, excitatory, sparse((-1.2, -0.4)))
+    network.connect(excitatory, poisson, sparse((1.0, 3.0)))  # onto a source
+    # Six hubs reach four targets in five at one shared delay; everyone
+    # else makes one or two synapses.
+    wiring = []
+    for pre in range(hubs.size):
+        if pre < 6:
+            posts = np.flatnonzero(draw.random(flooded.size) < 0.8)
+            wiring += [(pre, int(post), float(draw.uniform(500.0, 700.0)), 3)
+                       for post in posts]
+        else:
+            wiring += [(pre, int(draw.integers(flooded.size)),
+                        float(draw.uniform(0.2, 1.0)),
+                        int(draw.integers(1, 9)))
+                       for _ in range(int(draw.integers(1, 3)))]
+    network.connect(hubs, flooded, FromListConnector(wiring))
+    return network
+
+
+class TestGeneratedAgreement:
+    DURATION_MS = 50.0
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3])
+    def test_every_engine_agrees_on_a_generated_network(self, scenario):
+        def network() -> Network:
+            return generated_network(np.random.default_rng(scenario))
+
+        # Float weight domain: the host loop against the literal oracle.
+        host = network().run(self.DURATION_MS)
+        literal, _rows = oracles.reference_run(network(), self.DURATION_MS)
+        for label in ("g-exc", "g-inh", "g-hubs", "g-flooded"):
+            assert host.total_spikes(label) > 0, label
+        assert host.spikes == literal.spikes
+        for label, counts in literal.spike_counts.items():
+            assert np.array_equal(host.spike_counts[label], counts)
+
+        # Fixed-point domain: the on-machine fabric run at zero stagger,
+        # the cluster in-process and the cluster pooled.
+        application = NeuralApplication(
+            cluster_machine(), network(), max_neurons_per_core=24,
+            transport="fabric", stagger_us=0.0)
+        fabric = application.run(self.DURATION_MS)
+        assert sum(runtime.tick_kernel.ring.saturations
+                   for runtime in application.core_runtimes) > 0
+        results = {}
+        for workers in (1, 2):
+            cluster = ClusterApplication(cluster_machine(), network(),
+                                         max_neurons_per_core=24)
+            results[workers] = cluster.run(self.DURATION_MS, workers=workers)
+            assert cluster.report.workers == workers
+            assert cluster.unmatched_packets == application.unmatched_packets
+            assert_equivalent(results[workers], fabric)
+        assert results[2].spikes == results[1].spikes
+        assert set(fabric.spikes) == set(host.spikes)
+
+
+# ----------------------------------------------------------------------
 # Standalone engine behaviour
 # ----------------------------------------------------------------------
 class TestFusedEngine:
@@ -241,13 +348,13 @@ class TestFusedEngine:
 
     def test_prefetched_sources_change_nothing(self):
         plain, prefetched = self.single_board_engines(2)
-        prefetched.prefetch_sources(59)
+        prefetched.kernel.prefetch_sources(59)
         for tick in range(90):
             assert plain.step(tick) == []
             assert prefetched.step(tick) == []
             # Re-prefetch mid-run: draws stay in tick order per stream.
             if tick == 70:
-                prefetched.prefetch_sources(85)
+                prefetched.kernel.prefetch_sources(85)
         plain_result = plain.finish(90.0).result
         prefetched_result = prefetched.finish(90.0).result
         assert_equivalent(prefetched_result, plain_result)
@@ -265,9 +372,11 @@ class TestFusedEngine:
         assert engine.finish(30.0).stage_s == stages
 
     def test_projection_onto_a_source_is_counted_but_lands_nowhere(self):
-        """A source core has no ring cells; events aimed at one must
-        not leak into a real neuron's column."""
-        def run(with_feedback: bool) -> ApplicationResult:
+        """A source integrates nothing: events aimed at one are counted
+        like any other, but their charge must neither leak into a real
+        neuron's column (cluster) nor pile up in the source core's ring
+        (machine, either transport)."""
+        def network_of(with_feedback: bool) -> Network:
             network = Network(seed=SEED)
             stimulus = SpikeSourcePoisson(32, rate_hz=80.0, label="s-stim")
             target = Population(32, "lif", label="s-tgt")
@@ -277,16 +386,39 @@ class TestFusedEngine:
             if with_feedback:
                 network.connect(target, stimulus,
                                 FixedProbabilityConnector(0.4, weight=4.0))
+            return network
+
+        def machine_of() -> SpiNNakerMachine:
             machine = SpiNNakerMachine(MachineConfig.multi_board(
                 1, 1, board_width=4, board_height=3, cores_per_chip=4))
             BootController(machine, seed=1).boot()
-            return ClusterApplication(machine, network, seed=SEED,
+            return machine
+
+        def run(with_feedback: bool) -> ApplicationResult:
+            return ClusterApplication(machine_of(), network_of(with_feedback),
+                                      seed=SEED,
                                       max_neurons_per_core=32).run(60.0)
 
         plain, feedback = run(False), run(True)
         assert plain.total_spikes("s-tgt") > 0
         assert feedback.spikes == plain.spikes
         assert feedback.synaptic_events > plain.synaptic_events
+
+        for transport in ("fabric", "event"):
+            application = NeuralApplication(
+                machine_of(), network_of(True), max_neurons_per_core=32,
+                seed=SEED, transport=transport, stagger_us=0.0)
+            on_machine = application.run(60.0)
+            assert on_machine.spikes == plain.spikes
+            assert on_machine.synaptic_events == feedback.synaptic_events
+            assert (on_machine.delivered_charge_na
+                    == feedback.delivered_charge_na)
+            sources = [runtime for runtime in application.core_runtimes
+                       if runtime.population.is_spike_source]
+            assert sources
+            for runtime in sources:
+                assert runtime.tick_kernel.ring.pending_charge() == 0.0
+                assert runtime.tick_kernel.ring.saturations == 0
 
 
 # ----------------------------------------------------------------------
@@ -375,6 +507,30 @@ class TestFusedDeferredEventBuffer:
         row = ring.drain()
         assert row[1] == WEIGHT_SATURATION_NA
 
+    def test_accumulate_and_clamp_paths_agree(self):
+        """A batch narrower than the ring scatters in place, a denser
+        one pre-sums; the clamp reads the touched cells back or scans
+        the touched rows.  The same 96 fixed-point events over three
+        slot rows must land the same cells and saturation count on
+        every side of both thresholds (``96 == width`` and
+        ``4 * 96 == 3 * width``)."""
+        rng = np.random.default_rng(9)
+        cells = rng.integers(0, 6, size=96)
+        weights = rng.integers(-8000, 24001, size=96) / 16.0
+        delays = rng.integers(0, 3, size=96)
+
+        def fill(width):
+            ring = FusedDeferredEventBuffer(width)
+            ring.add_events(cells, weights, delays)
+            return ([ring.drain()[:6].tolist() for _ in range(3)],
+                    ring.saturations)
+
+        rows, saturations = fill(6)
+        assert saturations > 0
+        assert max(max(row) for row in rows) == WEIGHT_SATURATION_NA
+        for width in (95, 96, 97, 127, 128, 129, 500):
+            assert fill(width) == (rows, saturations), width
+
     def test_reset_rewinds_everything(self):
         ring = FusedDeferredEventBuffer(3)
         ring.add_events(np.array([0]), np.array([1.0]), np.array([2]))
@@ -415,9 +571,10 @@ class TestBoardDeliveryIndex:
             assert np.array_equal(index.core_offsets, expected)
 
     def test_slots_replay_every_leg(self):
-        """For every key and a fan of spike batches, the arena gather
-        must enumerate exactly the synapses the per-leg path walks —
-        same board-flat targets, weights and delays."""
+        """For every key and a fan of spike batches, the row expansion
+        over the key's absolute arena bounds must enumerate exactly the
+        synapses the per-leg path walks — same board-flat targets,
+        weights and delays."""
         rng = np.random.default_rng(5)
         checked = 0
         for context in self.compiled_contexts().values():
@@ -427,7 +584,7 @@ class TestBoardDeliveryIndex:
                              if csr is not None), default=1)
                 for batch in range(3):
                     spiking = np.flatnonzero(rng.random(n_pre) < 0.4)
-                    slots = index.slots_for(key, spiking)
+                    row_ptr = index.row_ptr.get(key)
                     per_leg = []
                     for core_index, csr in legs:
                         if csr is None:
@@ -439,8 +596,15 @@ class TestBoardDeliveryIndex:
                             csr.delay_ticks[leg],
                             (csr.weights[leg] * 16).astype(np.int64)]))
                     if not per_leg:
-                        assert slots is None
+                        assert row_ptr is None
                         continue
+                    starts = row_ptr[spiking]
+                    slots = expand_rows(starts,
+                                        row_ptr[spiking + 1] - starts)
+                    # (spiking source)-major, storage order within a row.
+                    assert np.array_equal(slots, np.concatenate(
+                        [np.arange(row_ptr[i], row_ptr[i + 1])
+                         for i in spiking] + [np.zeros(0, dtype=int)]))
                     reference = np.concatenate(per_leg, axis=1)
                     fused = np.stack([
                         index.targets[slots],
@@ -453,11 +617,6 @@ class TestBoardDeliveryIndex:
                         fused[:, np.lexsort(fused)])
                     checked += 1
         assert checked > 0
-
-    def test_unknown_key_has_no_slots(self):
-        context = next(iter(self.compiled_contexts().values()))
-        index = context.delivery_index
-        assert index.slots_for(0x7FFFFFFF, np.array([0])) is None
 
     def test_none_legs_match_the_delivery_table(self):
         for context in self.compiled_contexts().values():

@@ -285,36 +285,50 @@ class TestVectorizedBufferScatter:
         assert small_sats == large_sats == 1
 
     def test_dense_and_sparse_clamp_paths_agree(self):
-        # Above/below the events-vs-population threshold the clamp uses a
-        # row scan vs unique-cell dedup; results must match.
+        # The post-batch clamp reads the touched cells back when the
+        # batch is much smaller than the slot rows it touched and scans
+        # those rows when it is denser; the same 64 events over two slot
+        # rows must land the same cells and saturation count in rings
+        # either side of ``4 * 64 == 2 * width`` — i.e. however many
+        # units share the ring.
         from repro.neuron.synapse import WEIGHT_SATURATION_NA
 
         def fill(n_neurons):
             buffer = DeferredEventBuffer(n_neurons)
             n_events = 64
-            targets = np.arange(n_events) % 2
-            weights = np.full(n_events, WEIGHT_SATURATION_NA / 8.0)
-            buffer.add_events(targets, weights,
-                              np.ones(n_events, dtype=int))
+            targets = np.arange(n_events) % 4
+            # Cell 0 saturates positive, cell 1 negative, cell 2 crosses
+            # the limit mid-batch and comes back, cell 3 stays small.
+            weights = np.choose(targets, [WEIGHT_SATURATION_NA / 4.0,
+                                          -WEIGHT_SATURATION_NA / 4.0,
+                                          0.0, 0.5])
+            weights[2] = 1.5 * WEIGHT_SATURATION_NA
+            weights[6] = -WEIGHT_SATURATION_NA
+            delays = 1 + (np.arange(n_events) // 8) % 2
+            buffer.add_events(targets, weights, delays)
             buffer.drain()
-            drained = buffer.drain()
-            return drained[0], drained[1], buffer.saturations
+            rows = [buffer.drain()[:4].tolist() for _ in range(2)]
+            return rows, buffer.saturations
 
-        sparse = fill(1000)   # 64 events < 1000 neurons -> unique-cell path
-        dense = fill(4)       # 64 events >= 4 neurons -> row-scan path
-        assert sparse[:2] == dense[:2]
-        assert sparse[2] == dense[2] == 2
+        rows, saturations = fill(4)            # dense: row scan
+        assert saturations == 4
+        assert rows[0][:2] == [WEIGHT_SATURATION_NA, -WEIGHT_SATURATION_NA]
+        assert rows[0][2] == 0.5 * WEIGHT_SATURATION_NA
+        for n_neurons in (127, 128, 129, 1000):   # 128: last scanned width
+            assert fill(n_neurons) == (rows, saturations), n_neurons
 
     def test_scatter_equals_object_loop(self, rng):
         rows, csr = random_pair(rng, n_pre=30, n_post=25)
         spiking = np.flatnonzero(rng.random(30) < 0.5)
         vector = DeferredEventBuffer(25)
         scalar = ScalarRing(25)
-        scattered = csr.scatter(spiking, vector)
+        slots = csr.synapse_slots(spiking)
+        vector.add_events(csr.targets[slots], csr.weights[slots],
+                          csr.delay_ticks[slots])
         for pre in spiking:
             for synapse in rows.get(int(pre), ()):
                 scalar.add_synapse(synapse)
-        assert scattered == scalar.events_deferred
+        assert slots.size == scalar.events_deferred
         for _ in range(17):
             assert np.array_equal(vector.drain(), scalar.drain())
 
@@ -406,7 +420,7 @@ def _literal_dma_complete(self, request):
     self.core.charge_cycles(
         self.core.costs.dma_complete_cycles_per_word * len(row))
     for synapse in row:
-        self.buffer.add_synapse(synapse)
+        self.tick_kernel.ring.add_synapse(synapse)
     result = self.application.result
     result.synaptic_events += len(row)
     result.delivered_charge_na += sum(s.weight for s in row)

@@ -1,0 +1,278 @@
+"""Tests for the tick kernel (:mod:`repro.neuron.kernel`).
+
+The kernel is Figure 7's timer task written once; the host loop, the
+on-machine runtime and the board engine differ only in the set of units
+they hand it.  What makes the three agree is pinned here: a kernel of N
+units computes, cell for cell, what N one-unit kernels compute.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.neuron.izhikevich import IzhikevichParameters
+from repro.neuron.kernel import SpikeRecord, TickKernel, TickUnit
+from repro.neuron.lif import LIFParameters
+from repro.neuron.population import (
+    Population,
+    SpikeSourceArray,
+    SpikeSourcePoisson,
+)
+from repro.neuron.synapse import (
+    DeferredEventBuffer,
+    FusedDeferredEventBuffer,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def populations():
+    """Ragged LIF and Izhikevich populations (some biased), both source
+    kinds: every path of the kernel."""
+    quick = Population(19, LIFParameters(tau_m_ms=12.0, tau_refrac_ms=0.0),
+                       label="k-quick")
+    quick.bias_current_na = 1.8
+    slow = Population(7, "lif", label="k-slow")
+    burst = Population(11, IzhikevichParameters.chattering(),
+                       label="k-burst")
+    burst.bias_current_na = 6.0
+    plain = Population(5, "izhikevich", label="k-plain")
+    poisson = SpikeSourcePoisson(13, rate_hz=120.0, label="k-poisson")
+    replay = SpikeSourceArray(
+        [[float(t) for t in range(i % 4, 60, 5 + i)] for i in range(6)],
+        label="k-replay")
+    members = [quick, poisson, burst, slow, replay, plain]
+    for population in members:
+        population.record(spikes=True)
+    return members
+
+
+def units_of(members, slices, rng_of):
+    """One unit per ``(population index, start, stop)`` slice."""
+    return [TickUnit(members[i], start, stop, rng_of(i, start))
+            for i, start, stop in slices]
+
+
+def own_rng(i, start):
+    return np.random.default_rng([7, i, start])
+
+
+#: Every population split in two, as a partitioner would place it.
+SLICES = [(0, 0, 10), (0, 10, 19), (1, 0, 8), (1, 8, 13), (2, 0, 11),
+          (3, 0, 3), (3, 3, 7), (4, 0, 2), (4, 2, 6), (5, 0, 5)]
+
+
+def drive(units, rng, fixed_point):
+    """One tick's random charge onto every unit, the same whatever the
+    kernel(s) the units live in."""
+    for unit in units:
+        n = int(rng.integers(0, 40))
+        targets = rng.integers(0, unit.n_neurons, size=n)
+        delays = rng.integers(1, 17, size=n)
+        if fixed_point:
+            weights = rng.integers(-30, 90, size=n) / 16.0
+        else:
+            weights = rng.uniform(-1.5, 5.0, size=n)
+        yield unit, targets, weights, delays
+
+
+class TestUnitIndependence:
+    @pytest.mark.parametrize("ring_class", [DeferredEventBuffer,
+                                            FusedDeferredEventBuffer])
+    def test_one_kernel_of_n_units_equals_n_one_unit_kernels(self,
+                                                             ring_class):
+        fixed_point = ring_class is FusedDeferredEventBuffer
+        members = populations()
+        together_record = SpikeRecord(duration_ms=0.0)
+        together_record.track(members)
+        together_units = units_of(members, SLICES, own_rng)
+        together = TickKernel(together_units, 1.0, ring_class,
+                              together_record)
+        apart_record = SpikeRecord(duration_ms=0.0)
+        apart_record.track(members)
+        apart_units = units_of(members, SLICES, own_rng)
+        apart = [TickKernel([unit], 1.0, ring_class, apart_record)
+                 for unit in apart_units]
+
+        rng_a, rng_b = (np.random.default_rng(3) for _ in range(2))
+        fired_total = 0
+        for tick in range(200):
+            fired = dict(together.step(tick))
+            for unit, twin, kernel in zip(together_units, apart_units,
+                                          apart):
+                expected = dict(kernel.step(tick)).get(twin)
+                got = fired.get(unit)
+                if expected is None:
+                    assert got is None
+                else:
+                    assert np.array_equal(got, expected)
+                    fired_total += expected.size
+                if not unit.population.is_spike_source:
+                    assert np.array_equal(together.voltages(unit),
+                                          kernel.voltages(twin))
+            for (unit, *events), (twin, *same), kernel in zip(
+                    drive(together_units, rng_a, fixed_point),
+                    drive(apart_units, rng_b, fixed_point), apart):
+                together.defer(unit, *events)
+                kernel.defer(twin, *same)
+        assert fired_total > 500
+        together_record.flush()
+        apart_record.flush()
+        for label, counts in together_record.spike_counts.items():
+            assert counts.sum() > 0, label
+            assert np.array_equal(counts, apart_record.spike_counts[label])
+            assert sorted(together_record.spikes[label]) \
+                == sorted(apart_record.spikes[label])
+
+    def test_ring_layout_is_lane_major_with_a_trailing_sink(self):
+        members = populations()
+        units = units_of(members, SLICES, own_rng)
+        kernel = TickKernel(units, 1.0, FusedDeferredEventBuffer,
+                            SpikeRecord(duration_ms=0.0))
+        seen = set()
+        for unit in units:
+            columns = kernel.columns(unit)
+            assert columns.shape == (unit.n_neurons,)
+            if unit.population.is_spike_source:
+                assert (columns == kernel.sink).all()
+            else:
+                assert not seen.intersection(columns.tolist())
+                assert columns.max() < kernel.sink
+                seen.update(columns.tolist())
+        assert kernel.ring.total_width == kernel.sink + 1
+
+    def test_a_kernel_without_sources_has_no_sink_column(self):
+        member = Population(9, "lif", label="k-alone")
+        unit = TickUnit(member, 0, 9, own_rng(0, 0))
+        kernel = TickKernel([unit], 1.0, DeferredEventBuffer,
+                            SpikeRecord(duration_ms=0.0))
+        assert kernel.ring.n_neurons == 9
+
+
+class TestStimulus:
+    @staticmethod
+    def run(prefetch, rng_of):
+        members = populations()
+        record = SpikeRecord(duration_ms=0.0)
+        record.track(members)
+        units = units_of(members, SLICES, rng_of)
+        kernel = TickKernel(units, 1.0, DeferredEventBuffer, record)
+        fired = []
+        for tick in range(90):
+            if tick in prefetch:
+                kernel.prefetch_sources(prefetch[tick])
+            fired.append([(units.index(unit), spiking.tolist())
+                          for unit, spiking in kernel.step(tick)])
+        record.flush()
+        return fired, record.spikes
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_prefetching_changes_nothing(self, shared):
+        """Draws stay in tick order per generator — also when every unit
+        draws from one generator, as on the host."""
+        def rng_factory():
+            one = np.random.default_rng(5)
+            return (lambda i, start: one) if shared else own_rng
+
+        plain = self.run({}, rng_factory())
+        ahead = self.run({0: 59, 30: 40, 70: 85}, rng_factory())
+        assert plain == ahead
+        assert sum(len(spikes) for spikes in plain[1].values()) > 0
+
+    def test_charge_aimed_at_a_source_lands_nowhere(self):
+        members = populations()
+        units = units_of(members, SLICES, own_rng)
+        kernel = TickKernel(units, 1.0, DeferredEventBuffer,
+                            SpikeRecord(duration_ms=0.0))
+        source = next(unit for unit in units
+                      if unit.population.is_spike_source)
+        kernel.defer(source, np.arange(source.n_neurons),
+                     np.full(source.n_neurons, 5000.0),
+                     np.ones(source.n_neurons, dtype=int))
+        assert kernel.ring.pending_charge() == 0.0
+        assert kernel.ring.events_deferred == 0
+        assert kernel.ring.saturations == 0
+
+
+class TestSpikeRecord:
+    def test_flushes_append_in_time_order(self):
+        """Reading ``spikes`` after a flush and then running on appends
+        the later ticks behind the earlier ones."""
+        def run(flush_at):
+            members = populations()
+            record = SpikeRecord(duration_ms=0.0)
+            record.track(members)
+            kernel = TickKernel(units_of(members, SLICES, own_rng), 1.0,
+                                DeferredEventBuffer, record)
+            seen = {}
+            for tick in range(60):
+                kernel.step(tick)
+                if tick in flush_at:
+                    record.flush()
+                    seen[tick] = {label: list(spikes) for label, spikes
+                                  in record.spikes.items()}
+            record.flush()
+            return record, seen
+
+        once, _ = run(())
+        twice, seen = run((19, 39))
+        assert twice.spikes == once.spikes
+        assert once.total_spikes() > 100
+        for label, spikes in once.spikes.items():
+            times = [time for time, _ in spikes]
+            assert times == sorted(times), label
+            for tick, snapshot in seen.items():
+                assert snapshot[label] == [pair for pair in spikes
+                                           if pair[0] <= tick]
+
+    def test_unrecorded_populations_keep_counts_only(self):
+        quiet = Population(4, "lif", label="k-quiet")
+        record = SpikeRecord(duration_ms=1000.0)
+        record.track([quiet])
+        record.add("k-quiet", 0.0, np.array([1, 3]))
+        record.add("k-quiet", 1.0, np.array([3]))
+        record.flush()
+        assert record.spikes == {}
+        assert record.spike_counts["k-quiet"].tolist() == [0, 1, 0, 2]
+        assert record.total_spikes() == record.total_spikes("k-quiet") == 3
+        assert record.mean_rate_hz("k-quiet") == pytest.approx(0.75)
+        with pytest.raises(KeyError, match="k-quiet"):
+            record.total_spikes("missing")
+
+
+class TestOneTickBody:
+    """The timer task exists once: nothing outside the kernel module
+    builds neuron state, injects ring input or draws stimulus."""
+
+    KERNEL_ONLY = {"inject_synaptic_input", "build_state", "stimulus_mask"}
+
+    def test_only_the_kernel_calls_the_tick_primitives(self):
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path.name == "kernel.py" and path.parent.name == "neuron":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                function = node.func
+                name = (function.attr if isinstance(function, ast.Attribute)
+                        else getattr(function, "id", None))
+                if name in self.KERNEL_ONLY:
+                    offenders.append("%s:%d %s(" % (
+                        path.relative_to(SRC), node.lineno, name))
+        assert not offenders, offenders
+
+    def test_only_the_kernel_drains_a_ring(self):
+        # (``repro.service`` drains leases, not rings.)
+        drains = [str(path.relative_to(SRC))
+                  for path in sorted(SRC.rglob("*.py"))
+                  if "service" not in path.parts
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "drain"]
+        assert drains == ["repro/neuron/kernel.py"]

@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.neuron.izhikevich import (
-    IzhikevichBlock,
-    IzhikevichParameters,
-    IzhikevichPopulation,
-)
-from repro.neuron.lif import LIFBlock, LIFParameters, LIFPopulation
+import oracles
+from repro.neuron.izhikevich import IzhikevichParameters, IzhikevichPopulation
+from repro.neuron.kernel import StackedBlock
+from repro.neuron.lif import LIFParameters, LIFPopulation
 
 
 class TestLIFParameters:
@@ -197,22 +195,26 @@ class TestModelProperties:
 
 
 class TestStackedBlocks:
-    """``LIFBlock`` / ``IzhikevichBlock`` step many populations at once;
+    """A ``StackedBlock`` steps many populations of a model at once;
     every valid cell must evolve bit for bit like the population it was
-    stacked from — the property the board engine's equivalence with the
-    per-core on-machine runtime rests on."""
+    stacked from — the property the tick kernel's agreement across
+    engines rests on.  A model's population and block share one array
+    update, so both are also pinned to the per-neuron scalar oracle."""
 
     SIZES = (7, 32, 1, 19)      # ragged: every lane but one is padded
 
     @staticmethod
-    def drive(block_cls, build):
-        """Two identical sets of populations, one stacked; 200 ticks of
-        random synaptic charge plus a per-lane bias (absent on some
-        lanes, as for a population without ``bias_current_na``)."""
+    def drive(build, scalar_cls):
+        """Two identical sets of populations, one stacked, plus one
+        scalar oracle neuron per cell; 200 ticks of random synaptic
+        charge plus a per-lane bias (absent on some lanes, as for a
+        population without ``bias_current_na``)."""
         sizes = TestStackedBlocks.SIZES
         singles = [build(lane, size) for lane, size in enumerate(sizes)]
-        block = block_cls([build(lane, size)
-                           for lane, size in enumerate(sizes)])
+        scalars = [[scalar_cls(state.parameters, state.timestep_ms)
+                    for _ in range(state.size)] for state in singles]
+        block = StackedBlock([build(lane, size)
+                              for lane, size in enumerate(sizes)])
         assert (block.n_lanes, block.width) == (len(sizes), max(sizes))
         lane_bias = [0.0, 0.35, 1.1, 0.0]
         bias = np.zeros((block.n_lanes, block.width))
@@ -233,6 +235,12 @@ class TestStackedBlocks:
                                     if lane_bias[lane] else None)
                 assert np.array_equal(grid[lane, :size], spikes)
                 assert np.array_equal(block.lane_voltages(lane), state.v)
+                literal = [neuron.step(float(charge[lane, cell]),
+                                       lane_bias[lane])
+                           for cell, neuron in enumerate(scalars[lane])]
+                assert literal == spikes.tolist()
+                assert [neuron.v for neuron in scalars[lane]] \
+                    == state.v.tolist()
                 total_spikes += int(spikes.sum())
         assert total_spikes > 0
 
@@ -242,13 +250,15 @@ class TestStackedBlocks:
                       LIFParameters(tau_refrac_ms=0.0, r_m_mohm=14.0),
                       LIFParameters(tau_syn_ms=2.5, v_reset_mv=-68.0,
                                     tau_refrac_ms=4.0)]
-        self.drive(LIFBlock, lambda lane, size: LIFPopulation(
-            size, parameters[lane], 1.0, np.random.default_rng(100 + lane)))
+        self.drive(lambda lane, size: LIFPopulation(
+            size, parameters[lane], 1.0, np.random.default_rng(100 + lane)),
+            oracles.ScalarLIF)
 
     def test_izhikevich_block_matches_per_population_steps(self):
         parameters = [IzhikevichParameters.regular_spiking(),
                       IzhikevichParameters.fast_spiking(),
                       IzhikevichParameters.chattering(),
                       IzhikevichParameters(a=0.03, b=0.25, c=-60.0, d=4.0)]
-        self.drive(IzhikevichBlock, lambda lane, size: IzhikevichPopulation(
-            size, parameters[lane], 1.0, np.random.default_rng(200 + lane)))
+        self.drive(lambda lane, size: IzhikevichPopulation(
+            size, parameters[lane], 1.0, np.random.default_rng(200 + lane)),
+            oracles.ScalarIzhikevich)

@@ -148,6 +148,29 @@ class TestMappingAndExecution:
         neurons = {neuron for _, neuron in result.spikes["ff-target"]}
         assert max(neurons) >= 8   # beyond the first vertex slice
 
+    def test_second_run_appends_to_the_collected_trains(self):
+        # ``collect()`` materialises the recorded trains; a reference to
+        # them read then must see a second run's spikes appended behind
+        # the first's, in time order, and equal one long run's.
+        def application():
+            return NeuralApplication(machine_with_boot(),
+                                     feedforward_network(),
+                                     max_neurons_per_core=16, seed=2,
+                                     stagger_us=0.0)
+
+        split = application()
+        trains = split.run(40.0).spikes["ff-target"]
+        first = list(trains)
+        assert first and max(time for time, _ in first) < 40.0
+        assert split.run(40.0).spikes["ff-target"] is trains
+        assert trains[:len(first)] == first
+        assert min(time for time, _ in trains[len(first):]) >= 40.0
+        assert [time for time, _ in trains] == sorted(
+            time for time, _ in trains)
+        whole = application().run(80.0)
+        assert sorted(trains) == sorted(whole.spikes["ff-target"])
+        assert split.result.duration_ms == 80.0
+
     def test_negative_duration_rejected(self):
         machine = machine_with_boot(2, 2, 4)
         application = NeuralApplication(machine, feedforward_network(n=8),
