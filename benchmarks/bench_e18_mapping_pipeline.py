@@ -49,6 +49,14 @@ def _build_network() -> Network:
     return network
 
 
+def sdram_words_per_synapse(core_data) -> float:
+    """SDRAM words installed per synapse, row headers and stride padding
+    included (the paper's packed format would be 1.0)."""
+    cores = core_data.values()
+    return (sum(data.total_sdram_words for data in cores)
+            / sum(data.total_synapses for data in cores))
+
+
 def _machine() -> SpiNNakerMachine:
     machine = SpiNNakerMachine(MachineConfig(width=WIDTH, height=HEIGHT,
                                              cores_per_chip=CORES_PER_CHIP))
@@ -104,6 +112,8 @@ def test_e18_mapping_pipeline(benchmark):
         "incremental_remap_ms": remap_s * 1000.0,
         "remap_speedup": speedup,
         "pass_cache_hit_rate": hits / considered,
+        # Reported, not gated: a padding or stride change shows up here.
+        "sdram_words_per_synapse": sdram_words_per_synapse(ctx.core_data),
     }
     # The pipeline's always-on stage registry: per-pass seconds plus the
     # gated profile_pass_total_s roll-up (and the global registry's

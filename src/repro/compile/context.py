@@ -299,9 +299,9 @@ class MappingContext:
     chip_entries: Dict[ChipCoordinate, Dict[int, RoutingEntry]] = field(
         default_factory=dict)
     #: Packed synaptic blocks, placement-independent:
-    #: ``(projection index, source vertex, target vertex) ->
-    #: (packed_rows, row_lengths, stride_words, n_synapses)``.
-    blocks: Dict[Tuple[int, Vertex, Vertex], Tuple] = field(
+    #: ``(projection index, source vertex, target vertex) ->`` the
+    #: ``(n_rows, stride)`` ``uint32`` array of ``pack_block``.
+    blocks: Dict[Tuple[int, Vertex, Vertex], np.ndarray] = field(
         default_factory=dict)
     core_data: Dict[Tuple[ChipCoordinate, int], CoreSynapticData] = field(
         default_factory=dict)
@@ -466,7 +466,7 @@ class MappingContext:
         return feeders
 
     def packed_block(self, proj_index: int, source: Vertex,
-                     target: Vertex) -> Tuple:
+                     target: Vertex) -> np.ndarray:
         """The packed SDRAM block of one (projection, source, target) edge.
 
         Placement-independent and cached: a re-map that moves either

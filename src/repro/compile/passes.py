@@ -453,10 +453,8 @@ class BuildSynapticMatricesPass(MappingPass):
     @staticmethod
     def _write(ctx: MappingContext, chip, data: CoreSynapticData,
                proj_index: int, source: Vertex, target: Vertex) -> None:
-        packed_rows, row_lengths, stride, _n = ctx.packed_block(
-            proj_index, source, target)
         write_packed_block(chip, data, ctx.keys.key_space(source), source,
-                           packed_rows, row_lengths, stride)
+                           ctx.packed_block(proj_index, source, target))
 
 
 class CompileTransportPass(MappingPass):

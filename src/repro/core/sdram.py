@@ -7,8 +7,10 @@ into its local data memory (Section 5.3).
 
 The model tracks:
 
-* a word-addressable backing store (a Python dict, so a 128 Mbyte address
-  space costs memory only for the words actually written);
+* a word-addressable backing store: one array at 4 bytes per word, grown
+  on write (a 128 Mbyte address space costs memory only up to the highest
+  word written); a block read or write is one slice, checked and charged
+  to the traffic counters once per block;
 * an access-time model — fixed latency plus a per-byte transfer cost — used
   by the DMA controller;
 * contention: the memory interface serves one burst at a time, so
@@ -17,8 +19,11 @@ The model tracks:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
+
+assert array("I").itemsize == 4, "SDRAM words need a 4-byte array type"
 
 #: Default SDRAM size: 1 Gbit = 128 Mbyte.
 DEFAULT_SDRAM_BYTES = 128 * 1024 * 1024
@@ -59,7 +64,7 @@ class SDRAM:
     bandwidth_bytes_per_us: float = DEFAULT_BANDWIDTH_BYTES_PER_US
     _next_free: int = 0
     _regions: List[SDRAMRegion] = field(default_factory=list)
-    _store: Dict[int, int] = field(default_factory=dict)
+    _words: array = field(default_factory=lambda: array("I"), repr=False)
     _busy_until: float = 0.0
     total_bytes_read: int = 0
     total_bytes_written: int = 0
@@ -97,7 +102,7 @@ class SDRAM:
 
         The bump allocator only reclaims address space when the freed
         region is the most recent allocation; interior regions are
-        forgotten (their words are dropped and the region no longer shows
+        forgotten (their words are zeroed and the region no longer shows
         up in :attr:`regions`) but their addresses are not reused.  This
         matches the real machine's load-time layout discipline while
         letting the incremental mapping compiler drop the synaptic blocks
@@ -108,8 +113,8 @@ class SDRAM:
         except ValueError:
             raise ValueError("region %r was not allocated from this SDRAM"
                              % (region,))
-        for address in range(region.base, region.end, 4):
-            self._store.pop(address, None)
+        lo, hi = region.base >> 2, min(region.end >> 2, len(self._words))
+        self._words[lo:max(lo, hi)] = array("I", bytes(4 * max(0, hi - lo)))
         if region.end == self._next_free:
             self._next_free = region.base
 
@@ -140,39 +145,57 @@ class SDRAM:
     # ------------------------------------------------------------------
     def write_word(self, address: int, value: int) -> None:
         """Write a 32-bit word at a byte address (must be word-aligned)."""
-        self._check_address(address)
-        self._store[address] = value & 0xFFFFFFFF
-        self.total_bytes_written += 4
+        self.write_block(address, [value])
 
     def read_word(self, address: int) -> int:
         """Read a 32-bit word; unwritten locations read as zero."""
-        self._check_address(address)
-        self.total_bytes_read += 4
-        return self._store.get(address, 0)
+        return self.read_block(address, 1)[0]
 
-    def write_block(self, address: int, words: List[int]) -> None:
-        """Write a block of consecutive 32-bit words starting at ``address``."""
-        for offset, word in enumerate(words):
-            self.write_word(address + 4 * offset, word)
+    def write_block(self, address: int, words) -> None:
+        """Write consecutive 32-bit words starting at ``address``.
+
+        ``words`` is a sequence of ints (masked to 32 bits) or a contiguous
+        ``uint32`` buffer such as a NumPy array; the whole block is checked
+        before any word is written.
+        """
+        try:
+            view = memoryview(words)
+        except TypeError:
+            block = array("I", [word & 0xFFFFFFFF for word in words])
+        else:
+            if view.format != "I":
+                raise TypeError("not a uint32 buffer: %r" % (view.format,))
+            block = array("I", view.cast("B").tobytes())
+        lo, hi = self._span(address, len(block))
+        self._words.frombytes(bytes(4 * max(0, hi - len(self._words))))
+        self._words[lo:hi] = block
+        self.total_bytes_written += 4 * len(block)
 
     def read_block(self, address: int, n_words: int) -> List[int]:
         """Read ``n_words`` consecutive 32-bit words starting at ``address``."""
-        return [self.read_word(address + 4 * i) for i in range(n_words)]
+        block = self.peek_block(address, n_words)
+        self.total_bytes_read += 4 * len(block)
+        return block.tolist()
 
-    def peek_block(self, address: int, n_words: int) -> List[int]:
-        """Read a block *without* charging the traffic counters.
+    def peek_block(self, address: int, n_words: int) -> array:
+        """Read a block, as an ``array('I')``, *without* charging the counters.
 
         For tooling that inspects memory outside the simulated dataflow —
-        e.g. the transport fabric decoding synaptic blocks at compile
+        e.g. the mapping compiler decoding synaptic blocks at compile
         time — so ``total_bytes_read`` keeps meaning "bytes the simulated
         machine moved".
         """
-        words = []
-        for i in range(n_words):
-            word_address = address + 4 * i
-            self._check_address(word_address)
-            words.append(self._store.get(word_address, 0))
-        return words
+        lo, hi = self._span(address, n_words)
+        block = self._words[lo:hi]
+        block.frombytes(bytes(4 * (hi - lo - len(block))))
+        return block
+
+    def _span(self, address: int, n_words: int) -> Tuple[int, int]:
+        """Word indices ``(lo, hi)`` of a block, checked as a whole."""
+        if n_words > 0:
+            self._check_address(address)
+            self._check_address(address + 4 * (n_words - 1))
+        return address >> 2, (address >> 2) + max(n_words, 0)
 
     def _check_address(self, address: int) -> None:
         if address % 4 != 0:

@@ -27,9 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.mapping.keys import KeySpace
 from repro.mapping.placement import Vertex
-from repro.neuron.engine import CSRMatrix
+from repro.neuron.engine import (CSRMatrix, pack_synapse_words,
+                                 unpack_synapse_words)
 
 
 @dataclass(frozen=True)
@@ -107,42 +110,41 @@ class CoreSynapticData:
     regions: List = field(default_factory=list)
 
 
-def pack_block(block: CSRMatrix):
+def pack_block(block: CSRMatrix) -> np.ndarray:
     """Pack one (source vertex -> destination core) CSR block.
 
-    Returns ``(packed_rows, row_lengths, stride_words, n_synapses)`` —
-    the placement-independent artifact the mapping compiler caches: a
+    Returns one zero-padded ``(n_rows, stride)`` ``uint32`` array: per
+    source neuron a synapse count (column 0) and the packed words — the
+    placement-independent artifact the mapping compiler caches: a
     re-map that moves vertices around reuses these words verbatim, only
     the SDRAM addresses and population-table records are rebuilt.
     """
-    packed_rows = block.pack_rows()
-    row_lengths = block.row_lengths()
-    stride = max(len(words) for words in packed_rows)
-    return packed_rows, row_lengths, stride, block.n_synapses
+    counts = block.row_lengths()
+    rows = np.zeros((block.n_pre, 1 + int(counts.max())), dtype=np.uint32)
+    rows[:, 0] = counts
+    column = 1 + np.arange(block.n_synapses) - block.row_ptr[block.pre_index]
+    rows[block.pre_index, column] = pack_synapse_words(
+        block.targets, block.weights, block.delay_ticks)
+    return rows
 
 
 def write_packed_block(chip, data: CoreSynapticData, space: KeySpace,
-                       source_vertex: Vertex, packed_rows, row_lengths,
-                       stride: int) -> None:
-    """Write one packed block into ``chip``'s SDRAM and index it.
+                       source_vertex: Vertex, rows: np.ndarray) -> None:
+    """Write one :func:`pack_block` array into ``chip``'s SDRAM and index it.
 
-    The rows are padded to the fixed ``stride`` so the packet handler can
+    Rows are padded to the fixed stride so the packet handler can
     compute a row address directly from the neuron index, exactly as the
     real master population table does.
     """
     region = chip.sdram.allocate(
-        4 * stride * len(packed_rows),
-        tag="synapses:%s->%s" % (source_vertex, data.vertex))
-    for row_index, words in enumerate(packed_rows):
-        words = words + [0] * (stride - len(words))
-        chip.sdram.write_block(region.base + 4 * row_index * stride, words)
-        data.total_synapses += int(row_lengths[row_index])
-    data.total_sdram_words += stride * len(packed_rows)
+        4 * rows.size, tag="synapses:%s->%s" % (source_vertex, data.vertex))
+    chip.sdram.write_block(region.base, rows)
+    data.total_synapses += int(rows[:, 0].sum())
+    data.total_sdram_words += rows.size
     data.regions.append(region)
     data.population_table.add(PopulationTableEntry(
-        key=space.base_key, mask=space.mask,
-        sdram_address=region.base, row_stride_words=stride,
-        n_rows=len(packed_rows)))
+        key=space.base_key, mask=space.mask, sdram_address=region.base,
+        row_stride_words=rows.shape[1], n_rows=rows.shape[0]))
 
 
 def decode_block(chip, entry: PopulationTableEntry,
@@ -155,7 +157,12 @@ def decode_block(chip, entry: PopulationTableEntry,
     quantisation.
     """
     stride = entry.row_stride_words
-    packed = [chip.sdram.peek_block(
-        entry.sdram_address + 4 * row * stride, stride)
-        for row in range(entry.n_rows)]
-    return CSRMatrix.from_packed_rows(packed, n_post=n_post)
+    words = chip.sdram.peek_block(entry.sdram_address, stride * entry.n_rows)
+    rows = np.frombuffer(words, dtype=np.uint32).reshape(-1, stride)
+    counts = rows[:, 0]
+    if counts.max() > stride - 1:
+        raise ValueError("row header claims %d synapses but only %d words "
+                         "follow" % (counts.max(), stride - 1))
+    keep = np.arange(stride - 1) < counts[:, None]
+    return CSRMatrix(entry.n_rows, n_post, np.append(0, np.cumsum(counts)),
+                     *unpack_synapse_words(rows[:, 1:][keep]))

@@ -23,7 +23,7 @@ these operations are pinned to live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -181,7 +181,7 @@ class CSRMatrix:
         return expand_rows(starts, self.row_ptr[pre_indices + 1] - starts)
 
     # ------------------------------------------------------------------
-    # Mapping-layer views and the packed SDRAM format
+    # Mapping-layer views
     # ------------------------------------------------------------------
     def submatrix(self, pre_start: int, pre_stop: int, post_start: int,
                   post_stop: int) -> "CSRMatrix":
@@ -205,35 +205,6 @@ class CSRMatrix:
                          targets[keep] - post_start,
                          self.weights[lo:hi][keep],
                          self.delay_ticks[lo:hi][keep])
-
-    def pack_rows(self) -> List[List[int]]:
-        """Pack every row for SDRAM: ``[count, word, word, ...]`` per row."""
-        words = pack_synapse_words(self.targets, self.weights,
-                                   self.delay_ticks)
-        packed: List[List[int]] = []
-        for pre in range(self.n_pre):
-            lo, hi = int(self.row_ptr[pre]), int(self.row_ptr[pre + 1])
-            packed.append([hi - lo] + [int(w) for w in words[lo:hi]])
-        return packed
-
-    @classmethod
-    def from_packed_rows(cls, packed: Sequence[Sequence[int]],
-                         n_post: int) -> "CSRMatrix":
-        """Rebuild a matrix from per-row packed SDRAM words (with padding)."""
-        counts = np.zeros(len(packed) + 1, dtype=np.int64)
-        targets_parts, weights_parts, delays_parts = [], [], []
-        for pre, words in enumerate(packed):
-            count, targets, weights, delays = decode_packed_row(words)
-            counts[pre + 1] = count
-            targets_parts.append(targets)
-            weights_parts.append(weights)
-            delays_parts.append(delays)
-        row_ptr = np.cumsum(counts)
-        empty = np.empty(0, dtype=np.int64)
-        return cls(len(packed), n_post, row_ptr,
-                   np.concatenate(targets_parts) if targets_parts else empty,
-                   np.concatenate(weights_parts) if weights_parts else empty,
-                   np.concatenate(delays_parts) if delays_parts else empty)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "CSRMatrix(%d pre, %d post, %d synapses)" % (

@@ -9,6 +9,8 @@ the fast path equals it element for element:
 
 * :class:`Synapse` and :func:`pack_row` / :func:`unpack_row` — the scalar
   32-bit synaptic-word codec;
+* :class:`DictSDRAM` — the SDRAM word store as one dict entry per written
+  word, accessed a word at a time;
 * :func:`build_rows` — the object-building connector loops, making the
   generator calls one synapse at a time;
 * :class:`ScalarRing` — a per-event deferred-event ring that clamps at
@@ -34,6 +36,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.sdram import (
+    DEFAULT_SDRAM_BYTES,
+    SDRAMAllocationError,
+    SDRAMRegion,
+)
 from repro.mapping.keys import KeyAllocator
 from repro.mapping.placement import Placer
 from repro.mapping.routing_generator import build_tree
@@ -126,6 +133,94 @@ def unpack_row(words: Sequence[int]) -> List[Synapse]:
         raise ValueError("row header claims %d synapses but only %d words "
                          "follow" % (count, len(words) - 1))
     return [Synapse.unpack(int(word)) for word in words[1:count + 1]]
+
+
+# ----------------------------------------------------------------------
+# The SDRAM store, one dict entry per written word
+# ----------------------------------------------------------------------
+class DictSDRAM:
+    """The word store of :class:`repro.core.sdram.SDRAM`, one Python dict
+    entry per written word keyed by byte address, every block access a
+    loop of checked single-word accesses.
+
+    Same bump allocator, same results and counters; the one intended
+    difference is a block that crosses the end of the address space: this
+    model writes (and, for ``read_block``, charges) the in-range prefix
+    before raising, where the shipped store raises first.
+    """
+
+    def __init__(self, size_bytes: int = DEFAULT_SDRAM_BYTES) -> None:
+        self.size_bytes = size_bytes
+        self._next_free = 0
+        self._regions: List[SDRAMRegion] = []
+        self._store: Dict[int, int] = {}
+        self.total_bytes_read = 0
+        self.total_bytes_written = 0
+
+    def allocate(self, size: int, tag: str = "") -> SDRAMRegion:
+        if size <= 0:
+            raise ValueError("allocation size must be positive, got %r"
+                             % (size,))
+        aligned = (size + 3) & ~3
+        if self._next_free + aligned > self.size_bytes:
+            raise SDRAMAllocationError(
+                "cannot allocate %d bytes: %d of %d bytes already in use"
+                % (size, self._next_free, self.size_bytes))
+        region = SDRAMRegion(base=self._next_free, size=aligned, tag=tag)
+        self._next_free += aligned
+        self._regions.append(region)
+        return region
+
+    def free(self, region: SDRAMRegion) -> None:
+        try:
+            self._regions.remove(region)
+        except ValueError:
+            raise ValueError("region %r was not allocated from this SDRAM"
+                             % (region,))
+        for address in range(region.base, region.end, 4):
+            self._store.pop(address, None)
+        if region.end == self._next_free:
+            self._next_free = region.base
+
+    @property
+    def bytes_allocated(self) -> int:
+        return self._next_free
+
+    @property
+    def regions(self) -> List[SDRAMRegion]:
+        return list(self._regions)
+
+    def write_word(self, address: int, value: int) -> None:
+        self._check_address(address)
+        self._store[address] = value & 0xFFFFFFFF
+        self.total_bytes_written += 4
+
+    def read_word(self, address: int) -> int:
+        self._check_address(address)
+        self.total_bytes_read += 4
+        return self._store.get(address, 0)
+
+    def write_block(self, address: int, words: Sequence[int]) -> None:
+        for offset, word in enumerate(words):
+            self.write_word(address + 4 * offset, word)
+
+    def read_block(self, address: int, n_words: int) -> List[int]:
+        return [self.read_word(address + 4 * i) for i in range(n_words)]
+
+    def peek_block(self, address: int, n_words: int) -> List[int]:
+        words = []
+        for i in range(n_words):
+            word_address = address + 4 * i
+            self._check_address(word_address)
+            words.append(self._store.get(word_address, 0))
+        return words
+
+    def _check_address(self, address: int) -> None:
+        if address % 4 != 0:
+            raise ValueError("address 0x%x is not word-aligned" % (address,))
+        if not 0 <= address < self.size_bytes:
+            raise ValueError("address 0x%x is outside the %d-byte SDRAM"
+                             % (address, self.size_bytes))
 
 
 # ----------------------------------------------------------------------

@@ -38,37 +38,43 @@ class TestCompareBench:
 
     def test_regression_beyond_tolerance_fails(self):
         deviations = compare_bench(
-            "e17", {"speedup": 100.0},
-            {"speedup": 70.0}, tolerance=0.25)
+            "e18", {"remap_speedup": 100.0},
+            {"remap_speedup": 70.0}, tolerance=0.25)
         assert deviations[0].status == REGRESSED
         assert deviations[0].failed
 
     def test_improvement_beyond_tolerance_is_not_a_failure(self):
         deviations = compare_bench(
-            "e17", {"speedup": 10.0}, {"speedup": 20.0}, tolerance=0.25)
+            "e18", {"remap_speedup": 10.0}, {"remap_speedup": 20.0},
+            tolerance=0.25)
         assert deviations[0].status == IMPROVED
         assert not deviations[0].failed
 
     def test_missing_current_metric_fails(self):
         deviations = compare_bench(
-            "e17", {"speedup": 10.0}, {"fabric_wall_s": 1.0},
+            "e18", {"remap_speedup": 10.0}, {"cold_compile_ms": 1.0},
             tolerance=0.25)  # wall seconds are deliberately ungated
         assert deviations[0].status == MISSING
         assert deviations[0].failed
 
     def test_missing_current_file_fails(self):
-        deviations = compare_bench("e17", {"speedup": 10.0}, None)
+        deviations = compare_bench("e18", {"remap_speedup": 10.0}, None)
         assert deviations[0].status == MISSING
 
     def test_ungated_metrics_are_ignored(self):
-        # Wall-clock figures move with the runner hardware, so a bench
-        # with a same-machine reference gates only its ratio.
+        # Wall-clock figures move with the runner hardware, and e17's
+        # fabric/event ratio falls whenever its reference leg speeds up:
+        # e17 gates its two delivery rates only.
         deviations = compare_bench(
             "e17", {"fabric_wall_s": 1.0, "event_wall_s": 5.0,
-                    "speedup": 10.0},
+                    "speedup": 15.0, "event_events_per_s": 6e5,
+                    "fabric_events_per_s": 8e6},
             {"fabric_wall_s": 99.0, "event_wall_s": 500.0,
-             "speedup": 10.0})
-        assert [d.metric for d in deviations] == ["speedup"]
+             "speedup": 1.0, "event_events_per_s": 6e5,
+             "fabric_events_per_s": 8e6})
+        assert [d.metric for d in deviations] == ["event_events_per_s",
+                                                  "fabric_events_per_s"]
+        assert all(d.status == OK for d in deviations)
 
     def test_single_path_benches_gate_their_absolute_figure_loosely(self):
         # e16 and e20 have no reference leg left to form a ratio with;
@@ -81,6 +87,8 @@ class TestCompareBench:
 
         assert status("e16", "csr_events_per_s", 30e6, 20e6) == OK
         assert status("e16", "csr_events_per_s", 30e6, 10e6) == REGRESSED
+        assert status("e17", "event_events_per_s", 6e5, 4e5) == OK
+        assert status("e17", "fabric_events_per_s", 8e6, 3e6) == REGRESSED
         assert status("e20", "fused_tick_ms", 20.0, 40.0) == OK
         assert status("e20", "fused_tick_ms", 20.0, 60.0) == REGRESSED
         assert "speedup" not in {gated.name for bench in ("e16", "e20")
@@ -121,8 +129,8 @@ class TestCompareBench:
 
 class TestRunGateAndMain:
     def _seed(self, baseline_dir, current_dir, current_speedup):
-        write_bench(baseline_dir, "e17", {"speedup": 20.0})
-        write_bench(current_dir, "e17", {"speedup": current_speedup})
+        write_bench(baseline_dir, "e18", {"remap_speedup": 20.0})
+        write_bench(current_dir, "e18", {"remap_speedup": current_speedup})
 
     def test_passes_against_identical_current(self, tmp_path, capsys):
         baseline_dir = tmp_path / "baselines"
@@ -156,7 +164,7 @@ class TestRunGateAndMain:
         current_dir = tmp_path / "current"
         baseline_dir.mkdir()
         current_dir.mkdir()
-        write_bench(baseline_dir, "e17", {"speedup": 20.0})
+        write_bench(baseline_dir, "e18", {"remap_speedup": 20.0})
         status = main(["--baseline-dir", str(baseline_dir),
                        "--current-dir", str(current_dir)])
         assert status == 1
@@ -174,10 +182,10 @@ class TestRunGateAndMain:
         baseline_dir.mkdir()
         current_dir.mkdir()
         self._seed(baseline_dir, current_dir, 10.0)   # a regression...
-        write_bench(baseline_dir, "e18", {"remap_speedup": 5.0})
-        write_bench(current_dir, "e18", {"remap_speedup": 5.0})
+        write_bench(baseline_dir, "e16", {"csr_events_per_s": 5.0})
+        write_bench(current_dir, "e16", {"csr_events_per_s": 5.0})
         deviations = run_gate(str(baseline_dir), str(current_dir),
-                              benches=["e18"])        # ...filtered out
+                              benches=["e16"])        # ...filtered out
         assert all(not deviation.failed for deviation in deviations)
 
     def test_checked_in_baselines_cover_the_gated_benches(self):

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import copy
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+import repro
 from repro.core.dma import DMAController, DMADirection
 from repro.core.event_kernel import EventKernel
 from repro.core.noc import CommunicationsNoC, SystemNoC
-from repro.core.sdram import SDRAM, SDRAMAllocationError
+from repro.core.sdram import SDRAM, SDRAMAllocationError, SDRAMRegion
 
 
 class TestSDRAMAllocation:
@@ -41,6 +49,19 @@ class TestSDRAMAllocation:
         region = sdram.allocate(64, tag="beta")
         assert sdram.region_for("beta") == region
         assert sdram.region_for("missing") is None
+
+    def test_free_zeroes_the_region_and_returns_the_last_one(self):
+        sdram = SDRAM(size_bytes=64)
+        first = sdram.allocate(8)
+        second = sdram.allocate(8)
+        sdram.write_block(first.base, [1, 2])
+        sdram.write_block(second.base, [3, 4])
+        sdram.free(first)
+        assert sdram.read_block(first.base, 2) == [0, 0]
+        assert sdram.bytes_allocated == 16        # interior: not reused
+        sdram.free(second)
+        assert sdram.read_block(second.base, 2) == [0, 0]
+        assert sdram.bytes_allocated == 8         # last: handed back
 
     def test_bytes_free_accounting(self):
         sdram = SDRAM(size_bytes=1024)
@@ -77,6 +98,134 @@ class TestSDRAMData:
         sdram = SDRAM()
         sdram.write_word(0, 0x1FFFFFFFF)
         assert sdram.read_word(0) == 0xFFFFFFFF
+
+    def test_construction_allocates_no_backing_store(self):
+        assert len(SDRAM()._words) == 0
+
+    def test_reads_past_the_written_words_do_not_grow_the_store(self):
+        sdram = SDRAM()
+        sdram.write_word(0x10, 7)
+        assert sdram.read_block(0x1000, 4) == [0, 0, 0, 0]
+        assert sdram.read_word(0x2000) == 0
+        assert list(sdram.peek_block(0x8, 4)) == [0, 0, 7, 0]
+        assert len(sdram._words) == 5
+
+    def test_block_accepts_a_uint32_buffer_of_any_shape(self):
+        sdram = SDRAM()
+        rows = np.arange(6, dtype=np.uint32).reshape(2, 3)
+        sdram.write_block(0x40, rows)
+        assert sdram.read_block(0x40, 6) == list(range(6))
+        assert sdram.total_bytes_written == 24
+        with pytest.raises(TypeError):
+            sdram.write_block(0x40, rows.astype(np.int64))
+
+    def test_block_crossing_the_end_writes_nothing(self):
+        sdram = SDRAM(size_bytes=64)
+        with pytest.raises(ValueError):
+            sdram.write_block(56, [1, 2, 3])
+        assert sdram.peek_block(0, 16).tolist() == [0] * 16
+        assert sdram.total_bytes_written == 0
+
+    def test_peek_block_charges_nothing(self):
+        sdram = SDRAM()
+        sdram.write_block(0, [1, 2, 3])
+        assert list(sdram.peek_block(0, 3)) == [1, 2, 3]
+        assert sdram.total_bytes_read == 0
+
+
+def test_package_imports_without_numpy():
+    # The CI lint job runs with no third-party packages: importing the
+    # package, its machine model, the service and the linter must not
+    # pull in numpy.
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "import repro, repro.core, repro.service, repro.checks")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
+
+
+#: A small address space, so random accesses hit every edge of it.
+STORE_BYTES = 128
+ADDRESSES = st.one_of(
+    st.integers(min_value=-2, max_value=STORE_BYTES // 4 + 2).map(
+        lambda word: 4 * word),
+    st.integers(min_value=-8, max_value=STORE_BYTES + 8))
+VALUES = st.integers(min_value=-2 ** 33, max_value=2 ** 33)
+STORE_OPS = st.one_of(
+    st.tuples(st.just("allocate"), st.integers(min_value=-4, max_value=48)),
+    st.tuples(st.just("free"), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("write_word"), ADDRESSES, VALUES),
+    st.tuples(st.just("read_word"), ADDRESSES),
+    st.tuples(st.just("write_block"), ADDRESSES,
+              st.lists(VALUES, max_size=10), st.booleans()),
+    st.tuples(st.just("read_block"), ADDRESSES,
+              st.integers(min_value=-1, max_value=12)),
+    st.tuples(st.just("peek_block"), ADDRESSES,
+              st.integers(min_value=-1, max_value=12)))
+
+
+def apply_store_op(model, op):
+    """Run ``op`` on ``model``: its result, or the type of what it raised."""
+    name, *args = op
+    if name == "free":
+        regions = model.regions
+        args = [regions[args[0]] if args[0] < len(regions)
+                else SDRAMRegion(base=STORE_BYTES, size=4)]
+    elif name == "write_block":
+        address, words, as_buffer = args
+        if as_buffer and isinstance(model, SDRAM):
+            words = np.array([word & 0xFFFFFFFF for word in words],
+                             dtype=np.uint32)
+        args = [address, words]
+    try:
+        result = getattr(model, name)(*args)
+    except (ValueError, SDRAMAllocationError) as error:
+        return type(error)
+    return list(result) if name == "peek_block" else result
+
+
+def store_state(model):
+    """Contents (peeked, so uncharged), regions and traffic counters."""
+    return (list(model.peek_block(0, STORE_BYTES // 4)), model.regions,
+            model.bytes_allocated, model.total_bytes_read,
+            model.total_bytes_written)
+
+
+def crosses_the_end(op):
+    """A block access that starts in range and runs past the end."""
+    if op[0] not in ("write_block", "read_block"):
+        return False
+    address = op[1]
+    n_words = len(op[2]) if op[0] == "write_block" else op[2]
+    return (n_words > 0 and address % 4 == 0
+            and 0 <= address < STORE_BYTES < address + 4 * n_words)
+
+
+class TestSDRAMAgainstDictOracle:
+    """The array store against the dict-per-word model it replaced."""
+
+    @given(st.lists(STORE_OPS, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_same_results_exceptions_regions_and_traffic(self, ops):
+        store = SDRAM(size_bytes=STORE_BYTES)
+        oracle = oracles.DictSDRAM(size_bytes=STORE_BYTES)
+        for op in ops:
+            if crosses_the_end(op):
+                # The one intended difference: the array store raises
+                # before touching memory or counters; the dict model
+                # writes (or charges) the in-range prefix first.
+                before = store_state(store)
+                assert apply_store_op(store, op) is ValueError
+                assert store_state(store) == before
+                reference = copy.deepcopy(oracle)
+                assert apply_store_op(reference, op) is ValueError
+                assert store_state(reference) != store_state(oracle)
+                continue
+            n_words = len(store._words)
+            assert apply_store_op(store, op) == apply_store_op(oracle, op)
+            assert store_state(store) == store_state(oracle)
+            if op[0] in ("read_word", "read_block", "peek_block"):
+                assert len(store._words) == n_words
 
 
 class TestSDRAMTiming:

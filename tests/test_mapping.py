@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.bench_e18_mapping_pipeline import sdram_words_per_synapse
 from oracles import unpack_row
 from repro.compile import MappingPipeline
 from repro.core.geometry import ChipCoordinate
@@ -285,6 +286,14 @@ class TestSynapticMatrices:
             chip = medium_machine.chips[chip_coord]
             assert chip.sdram.bytes_allocated > 0
             assert core_data.total_sdram_words >= core_data.total_synapses
+
+    def test_sdram_words_per_synapse_pinned(self, medium_machine):
+        # e18's reported figure, pinned exactly: any change to the row
+        # header, the stride padding or the block layout moves it.
+        _network, _placement, _keys, data = self._built(medium_machine)
+        assert sum(core.total_sdram_words for core in data.values()) == 2162
+        assert sum(core.total_synapses for core in data.values()) == 924
+        assert sdram_words_per_synapse(data) == 2162 / 924
 
     def test_misses_counted_for_unknown_keys(self, medium_machine):
         network, placement, keys, data = self._built(medium_machine)

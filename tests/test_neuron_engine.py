@@ -10,14 +10,26 @@ on both the host simulator and the on-machine runtime.
 from __future__ import annotations
 
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import ScalarRing, Synapse
 from repro.cluster import ClusterApplication
 from repro.core.machine import MachineConfig, SpiNNakerMachine
+from repro.core.sdram import SDRAM
+from repro.mapping.keys import KeySpace
+from repro.mapping.placement import Vertex
+from repro.mapping.synaptic_matrix import (
+    CoreSynapticData,
+    decode_block,
+    pack_block,
+    write_packed_block,
+)
 from repro.neuron.connectors import (
     AllToAllConnector,
     DistanceDependentConnector,
@@ -49,6 +61,38 @@ def random_pair(rng, n_pre=20, n_post=30, p=0.4):
                               np.random.default_rng(seed))
     csr = connector.build_csr(n_pre, n_post, np.random.default_rng(seed))
     return rows, csr
+
+
+@st.composite
+def csr_blocks(draw):
+    """Small random CSR blocks: empty rows, negative weights and weights
+    past the 16-bit saturation point included."""
+    n_pre = draw(st.integers(min_value=1, max_value=10))
+    n_post = draw(st.integers(min_value=1, max_value=40))
+    lengths = draw(st.lists(st.integers(min_value=0, max_value=6),
+                            min_size=n_pre, max_size=n_pre))
+    n = sum(lengths)
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    return CSRMatrix(n_pre, n_post, np.concatenate(([0], np.cumsum(lengths))),
+                     column(st.integers(min_value=0, max_value=n_post - 1)),
+                     column(st.floats(min_value=-3000.0, max_value=3000.0)),
+                     column(st.integers(min_value=1, max_value=16)))
+
+
+def install_block(csr):
+    """Pack ``csr`` into a fresh SDRAM as the synaptic-matrix pass does.
+
+    Returns ``(chip, core data, population-table entry)``; the chip is a
+    bare SDRAM holder, all the codec touches."""
+    chip = SimpleNamespace(sdram=SDRAM())
+    data = CoreSynapticData(vertex=Vertex("post", 0, csr.n_post, 0))
+    write_packed_block(chip, data, KeySpace(base_key=0x800),
+                       Vertex("pre", 0, csr.n_pre, 0), pack_block(csr))
+    (entry,) = data.population_table.entries
+    return chip, data, entry
 
 
 def assert_csr_equals_rows(csr, rows):
@@ -206,30 +250,74 @@ class TestPackedWordCodec:
             CSRMatrix(1, 4, np.array([0, 1]), np.array([0]),
                       np.array([1.0]), np.array([0]))
 
-    def test_pack_rows_matches_synaptic_row_pack(self, rng):
+    def test_pack_block_rows_match_synaptic_row_pack(self, rng):
         rows, csr = random_pair(rng, n_pre=8, n_post=12)
-        packed = csr.pack_rows()
-        for pre in range(8):
-            assert packed[pre] == oracles.pack_row(rows.get(pre, ()))
+        packed = pack_block(csr)
+        literal = [oracles.pack_row(rows.get(pre, ())) for pre in range(8)]
+        stride = max(len(words) for words in literal)
+        assert packed.shape == (8, stride) and packed.dtype == np.uint32
+        for pre, words in enumerate(literal):
+            assert packed[pre].tolist() == words + [0] * (stride - len(words))
 
     def test_decode_packed_row_matches_row_unpack(self, rng):
         rows, csr = random_pair(rng, n_pre=8, n_post=12)
-        for words in csr.pack_rows():
-            padded = words + [0, 0, 0]           # SDRAM stride padding
+        for row in pack_block(csr):
+            padded = row.tolist() + [0, 0, 0]    # more SDRAM stride padding
             count, targets, weights, delays = decode_packed_row(padded)
             literal = oracles.unpack_row(padded)
             assert count == len(literal)
             assert [Synapse(int(t), float(w), int(d)) for t, w, d
                     in zip(targets, weights, delays)] == literal
 
-    def test_packed_rows_round_trip_with_padding(self, rng):
+    def test_block_round_trip_through_sdram(self, rng):
         _rows, csr = random_pair(rng, n_pre=8, n_post=12)
-        packed = [words + [0, 0] for words in csr.pack_rows()]  # SDRAM pad
-        recovered = CSRMatrix.from_packed_rows(packed, 12)
+        chip, _data, entry = install_block(csr)
+        recovered = decode_block(chip, entry, 12)
+        assert np.array_equal(recovered.row_ptr, csr.row_ptr)
         assert np.array_equal(recovered.targets, csr.targets)
         assert np.array_equal(recovered.delay_ticks, csr.delay_ticks)
         # Weights go through fixed-point quantisation.
         assert np.all(np.abs(recovered.weights - csr.weights) <= 1.0 / 16 + 1e-9)
+
+    @given(csr_blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_block_codec_equals_the_word_codec(self, csr):
+        # decode(write(pack(csr))) is the quantised word round trip,
+        # array for array; decoding peeks, so it charges no traffic.
+        chip, data, entry = install_block(csr)
+        decoded = decode_block(chip, entry, csr.n_post)
+        targets, weights, delays = unpack_synapse_words(pack_synapse_words(
+            csr.targets, csr.weights, csr.delay_ticks))
+        assert np.array_equal(decoded.row_ptr, csr.row_ptr)
+        assert np.array_equal(decoded.targets, targets)
+        assert np.array_equal(decoded.weights, weights)
+        assert np.array_equal(decoded.delay_ticks, delays)
+        stride = 1 + int(csr.row_lengths().max())
+        assert (entry.n_rows, entry.row_stride_words) == (csr.n_pre, stride)
+        assert data.total_synapses == csr.n_synapses
+        assert data.total_sdram_words == csr.n_pre * stride
+        assert chip.sdram.total_bytes_written == 4 * csr.n_pre * stride
+        assert chip.sdram.total_bytes_read == 0
+
+    def test_all_empty_block_has_stride_one(self):
+        csr = CSRMatrix(3, 4, np.zeros(4), np.empty(0), np.empty(0),
+                        np.empty(0))
+        chip, data, entry = install_block(csr)
+        assert entry.row_stride_words == 1
+        assert data.total_sdram_words == 3
+        assert decode_block(chip, entry, 4).n_synapses == 0
+
+    def test_decode_block_rejects_an_overlong_header_like_the_row_decoder(self):
+        csr = CSRMatrix(2, 4, np.array([0, 1, 2]), np.array([0, 3]),
+                        np.array([1.0, -1.0]), np.array([1, 2]))
+        chip, _data, entry = install_block(csr)
+        row_address, stride = entry.address_of(entry.key | 1)
+        chip.sdram.write_word(row_address, stride)    # claims one too many
+        with pytest.raises(ValueError) as block_error:
+            decode_block(chip, entry, 4)
+        with pytest.raises(ValueError) as row_error:
+            decode_packed_row(chip.sdram.read_block(row_address, stride))
+        assert str(block_error.value) == str(row_error.value)
 
     def test_decode_packed_row_validation(self):
         for decode in (decode_packed_row, oracles.unpack_row):
