@@ -7,7 +7,7 @@ conservative-lookahead PDES over the board graph (see
 :mod:`repro.cluster.exchange` for the data path):
 
 * boards run ``L = 1 + d_min`` ticks between barriers (``d_min`` = the
-  minimum cross-board synaptic delay, decoded per board pair by the
+  minimum cross-board synaptic delay, read per board pair by the
   ShardByBoard pass) — cross-board spikes cannot arrive sooner, so the
   barrier amortises over the whole super-step;
 * same-board traffic is delivered inside the owning worker and never
@@ -364,7 +364,6 @@ class ClusterApplication:
         self.fabric: Optional[TransportFabric] = None
         self.result: Optional[ApplicationResult] = None
         self.report: Optional[ClusterReport] = None
-        self.unmatched_packets = 0
         #: Shared-memory segment names of the most recent pool run —
         #: all unlinked by the time :meth:`run` returns (leak check).
         self.last_exchange_segments: List[str] = []
@@ -455,8 +454,6 @@ class ClusterApplication:
                 self.fabric.inter_board_traversals - traversals_before)
         for shard in shard_results:
             report.board_compute_s[shard.board] = shard.compute_s
-        self.unmatched_packets = sum(shard.unmatched_packets
-                                     for shard in shard_results)
         self.result = ApplicationResult.merge(
             [shard.result for shard in shard_results])
         self.result.duration_ms = duration_ms

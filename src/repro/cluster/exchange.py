@@ -19,7 +19,7 @@ ingredients:
   the transport fabric for accounting.
 * **Conservative lookahead.**  A cross-board spike emitted at tick ``t``
   cannot influence another board before ``t + 1 + d_min`` (``d_min`` =
-  the minimum cross-board synaptic delay, decoded per board pair by the
+  the minimum cross-board synaptic delay, read per board pair by the
   ShardByBoard pass), so every board may run ``L = 1 + d_min`` ticks
   between barriers.  Batches carry their send tick; the receiver
   re-bases each event's programmable delay by the batch's age
@@ -153,7 +153,7 @@ class ExchangePlan:
 
         destinations: Dict[int, List[int]] = {}
         for board in boards:
-            for key in board_contexts[board].deliveries:
+            for key in board_contexts[board].delivery_index.row_ptr:
                 destinations.setdefault(key, []).append(board)
 
         cross: Dict[int, Tuple[int, ...]] = {}

@@ -10,9 +10,10 @@ location) the on-machine runtime would give it, cores of a model step as
 one stacked block, and all of them share one
 :class:`~repro.neuron.synapse.FusedDeferredEventBuffer`.  What is the
 engine's own is the propagate step: spike batches are delivered through
-the board-level :class:`~repro.compile.context.BoardDeliveryIndex` built
-by the ShardByBoard pass (the same fixed-point SDRAM words the transport
-fabric replays) — one slot gather and one ring scatter per batch list —
+the board-level :class:`~repro.compile.context.BoardDeliveryIndex` the
+ShardByBoard pass merges from the destination cores' delivery legs (the
+legs the event path and the transport fabric read) — one slot gather
+and one ring scatter per batch list —
 landing at ``tick + 1 + delay``, the arrival tick of the fabric
 transport at zero timer stagger; batches on exported keys are handed
 back for the exchange.
@@ -57,8 +58,6 @@ class ShardResult:
 
     board: int
     result: ApplicationResult
-    #: Packets that matched no synaptic block at their destination.
-    unmatched_packets: int = 0
     #: Seconds this board spent stepping neurons and scattering events.
     compute_s: float = 0.0
     #: Engine-side split of :attr:`compute_s` — ``step`` (tick loop),
@@ -105,7 +104,6 @@ class FusedBoardEngine:
         self._arena_cells = translate[index.targets]
         self._arena_weights = index.weights
         self._arena_delays = index.delay_ticks
-        self.unmatched_packets = 0
         self.step_s = 0.0
         self.local_apply_s = 0.0
         self.remote_apply_s = 0.0
@@ -134,21 +132,16 @@ class FusedBoardEngine:
         each leg on its own (as the fabric transport does) because ring
         accumulation of the fixed-point weights is an exact sum.
         """
-        index = self._index
-        none_legs = index.none_legs
-        row_ptr_map = index.row_ptr
+        row_ptr_map = self._index.row_ptr
         result = self.result
         start_parts: List[np.ndarray] = []
         count_parts: List[np.ndarray] = []
         ages: List[int] = []
         sizes: List[int] = []
         for key, age, spiking in batches:
-            matchless = none_legs.get(key)
-            if matchless:
-                self.unmatched_packets += matchless * int(spiking.size)
-            row_ptr = row_ptr_map.get(key)
-            if row_ptr is None:
-                continue
+            # Local and exchanged batches alike only go to boards the
+            # key reaches, so every key has arena rows here.
+            row_ptr = row_ptr_map[key]
             starts = row_ptr[spiking]
             counts = row_ptr[spiking + 1] - starts
             total = int(counts.sum())
@@ -223,7 +216,7 @@ class FusedBoardEngine:
             spec = self._core_of[unit]
             if spec.has_outgoing:
                 self.result.packets_sent += int(spiking.size)
-                if spec.base_key in self.context.deliveries:
+                if spec.base_key in self._index.row_ptr:
                     local.append((spec.base_key, spiking))
                 if spec.base_key in self.export_keys:
                     outbound.append((spec.base_key, spiking))
@@ -241,6 +234,5 @@ class FusedBoardEngine:
         self.result.flush()
         self.result.duration_ms = duration_ms
         return ShardResult(board=self.board, result=self.result,
-                           unmatched_packets=self.unmatched_packets,
                            compute_s=self.compute_s,
                            stage_s=self.stage_s)

@@ -141,23 +141,21 @@ class ShardCore:
 
 @dataclass
 class BoardDeliveryIndex:
-    """One board's per-leg delivery blocks merged into a flat arena.
+    """One board's delivery legs merged into a flat arena.
 
-    The per-core delivery path walks ``deliveries[key]`` leg by leg —
-    a Python loop per (key, destination core) pair.  This index merges
-    every leg of a key into one board-wide CSR: target neuron indices
-    are pre-offset into a *board-flat* numbering (core 0's neurons
-    first, then core 1's, in canonical core order), and each key's rows
-    carry *absolute* bounds into a single targets/weights/delays arena
-    shared by every key.  A fused engine can then scatter a whole
-    batch list with one gather + one ring update instead of the
-    per-key/per-leg loop.
+    Every leg of a key (one destination core's decoded synaptic block,
+    read from :attr:`CoreSynapticData.legs`) is merged into one
+    board-wide CSR: target neuron indices are pre-offset into a
+    *board-flat* numbering (core 0's neurons first, then core 1's, in
+    canonical core order), and each key's rows carry *absolute* bounds
+    into a single targets/weights/delays arena shared by every key.  The
+    fused engine then scatters a whole batch list with one gather + one
+    ring update instead of a loop per (key, destination core) leg.
 
     Merging legs is result-exact: ring accumulation of the fixed-point
     weights is an exact float64 sum, so grouping events per key instead
-    of per leg lands identical charge (the per-core path's documented
-    mid-batch saturation caveat is the only divergence, and it applies
-    equally there).
+    of per leg lands identical charge (mid-batch ring saturation is the
+    only divergence, and only for a mixed-sign batch).
     """
 
     #: First board-flat neuron index of each local core.
@@ -171,12 +169,46 @@ class BoardDeliveryIndex:
     delay_ticks: np.ndarray
     #: key -> ``(n_pre + 1,)`` *absolute* arena bounds of each source
     #: row (rows of a key's several legs are merged, leg-ordered within
-    #: a row).  Keys whose every leg is matchless are absent.
+    #: a row).  Exactly the keys that reach the board.
     row_ptr: Dict[int, np.ndarray] = field(default_factory=dict)
-    #: key -> number of matchless legs (``None`` blocks); a batch of
-    #: ``n`` spikes on such a key counts ``n`` unmatched packets per
-    #: matchless leg, exactly like the per-leg path.
-    none_legs: Dict[int, int] = field(default_factory=dict)
+
+    @classmethod
+    def build(cls, cores: List[ShardCore],
+              legs: Dict[int, List[Tuple[int, CSRMatrix]]]
+              ) -> "BoardDeliveryIndex":
+        """Merge ``key -> [(local core index, leg)]`` over ``cores``.
+
+        Row merge order within a key follows the key's leg order; arena
+        segments follow the key order of ``legs``.
+        """
+        sizes = np.array([core.vertex.n_neurons for core in cores],
+                         dtype=np.intp)
+        core_offsets = np.zeros(len(cores), dtype=np.intp)
+        if sizes.size:
+            core_offsets[1:] = np.cumsum(sizes)[:-1]
+        total = int(sizes.sum())
+        merged = {key: CSRMatrix.merge_rows(
+                      [leg for _, leg in key_legs], total,
+                      [core_offsets[index] for index, _ in key_legs])
+                  for key, key_legs in legs.items()}
+        row_ptr: Dict[int, np.ndarray] = {}
+        base = 0
+        for key, csr in merged.items():
+            row_ptr[key] = base + csr.row_ptr
+            base += csr.n_synapses
+
+        def arena(field_name: str, dtype) -> np.ndarray:
+            if not merged:
+                return np.zeros(0, dtype=dtype)
+            return np.concatenate([getattr(csr, field_name)
+                                   for csr in merged.values()]
+                                  ).astype(dtype, copy=False)
+
+        return cls(core_offsets=core_offsets, total_neurons=total,
+                   targets=arena("targets", np.intp),
+                   weights=arena("weights", float),
+                   delay_ticks=arena("delay_ticks", np.intp),
+                   row_ptr=row_ptr)
 
 
 @dataclass
@@ -184,22 +216,17 @@ class BoardContext:
     """The per-board sub-context the ShardByBoard pass produces.
 
     Everything one board's execution shard needs, detached from the
-    machine model: the board's cores in canonical placement order and,
-    for every source key that reaches the board, the precompiled
-    delivery legs (destination core plus the decoded synaptic block —
-    the same SDRAM words the transport fabric decodes, so fixed-point
+    machine model: the board's cores in canonical placement order and
+    the delivery index of every source key that reaches the board
+    (merged from the destination cores' legs — the same decoded SDRAM
+    words the event path and the transport fabric read, so fixed-point
     quantisation matches the on-machine run exactly).
     """
 
     board: int
     cores: List[ShardCore] = field(default_factory=list)
-    #: source base key -> [(local core index, decoded block)].  A
-    #: ``None`` block mirrors a delivery whose destination core has no
-    #: population-table entry for the key (counted as unmatched).
-    deliveries: Dict[int, List[Tuple[int, Optional[CSRMatrix]]]] = field(
-        default_factory=dict)
-    #: The deliveries flattened for the fused engine (built by the
-    #: ShardByBoard pass via :meth:`build_delivery_index`).
+    #: The board's legs flattened for the fused engine (set by the
+    #: ShardByBoard pass).
     delivery_index: Optional[BoardDeliveryIndex] = None
 
     @property
@@ -207,63 +234,6 @@ class BoardContext:
         """Number of placed vertices on this board (its LPT
         assignment weight)."""
         return len(self.cores)
-
-    def build_delivery_index(self) -> BoardDeliveryIndex:
-        """Merge :attr:`deliveries` into a :class:`BoardDeliveryIndex`.
-
-        Row merge order within a key follows the key's leg order (the
-        canonical delivery order of the per-core path); arena segments
-        follow the key insertion order of :attr:`deliveries`.
-        """
-        sizes = np.array([core.vertex.n_neurons for core in self.cores],
-                         dtype=np.intp)
-        core_offsets = np.zeros(len(self.cores), dtype=np.intp)
-        if sizes.size:
-            core_offsets[1:] = np.cumsum(sizes)[:-1]
-        arena_targets: List[np.ndarray] = []
-        arena_weights: List[np.ndarray] = []
-        arena_delays: List[np.ndarray] = []
-        row_ptr: Dict[int, np.ndarray] = {}
-        none_legs: Dict[int, int] = {}
-        base = 0
-        for key, legs in self.deliveries.items():
-            matchless = sum(1 for _, csr in legs if csr is None)
-            if matchless:
-                none_legs[key] = matchless
-            real = [(index, csr) for index, csr in legs if csr is not None]
-            if not real:
-                continue
-            n_pre = max(csr.n_pre for _, csr in real)
-            pre = np.concatenate([csr.pre_index for _, csr in real])
-            order = np.argsort(pre, kind="stable")
-            arena_targets.append(np.concatenate(
-                [core_offsets[index] + csr.targets
-                 for index, csr in real])[order])
-            arena_weights.append(np.concatenate(
-                [csr.weights for _, csr in real])[order])
-            arena_delays.append(np.concatenate(
-                [csr.delay_ticks for _, csr in real])[order])
-            counts = np.bincount(pre, minlength=n_pre)
-            bounds = np.zeros(n_pre + 1, dtype=np.intp)
-            bounds[1:] = np.cumsum(counts)
-            row_ptr[key] = base + bounds
-            base += int(pre.size)
-
-        def arena(chunks: List[np.ndarray], dtype) -> np.ndarray:
-            if not chunks:
-                return np.zeros(0, dtype=dtype)
-            return np.concatenate(chunks).astype(dtype, copy=False)
-
-        self.delivery_index = BoardDeliveryIndex(
-            core_offsets=core_offsets,
-            total_neurons=int(sizes.sum()),
-            targets=arena(arena_targets, np.intp),
-            weights=arena(arena_weights, float),
-            delay_ticks=arena(arena_delays, np.intp),
-            row_ptr=row_ptr,
-            none_legs=none_legs,
-        )
-        return self.delivery_index
 
 
 @dataclass
@@ -299,9 +269,10 @@ class MappingContext:
     chip_entries: Dict[ChipCoordinate, Dict[int, RoutingEntry]] = field(
         default_factory=dict)
     #: Packed synaptic blocks, placement-independent:
-    #: ``(projection index, source vertex, target vertex) ->`` the
-    #: ``(n_rows, stride)`` ``uint32`` array of ``pack_block``.
-    blocks: Dict[Tuple[int, Vertex, Vertex], np.ndarray] = field(
+    #: ``(source vertex, target vertex) ->`` the ``(n_rows, stride)``
+    #: ``uint32`` array of ``pack_block`` (every projection between the
+    #: two populations merged into the one block their key selects).
+    blocks: Dict[Tuple[Vertex, Vertex], np.ndarray] = field(
         default_factory=dict)
     core_data: Dict[Tuple[ChipCoordinate, int], CoreSynapticData] = field(
         default_factory=dict)
@@ -310,8 +281,8 @@ class MappingContext:
     #: Per-board sub-contexts (ShardByBoard pass; empty when disabled).
     board_contexts: Dict[int, BoardContext] = field(default_factory=dict)
     #: Minimum synaptic delay (ticks) of every *cross-board* delivery,
-    #: per ``(source board, destination board)`` pair — decoded from the
-    #: shard delivery blocks by the ShardByBoard pass.  This is the
+    #: per ``(source board, destination board)`` pair — read off the
+    #: delivery legs by the ShardByBoard pass.  This is the
     #: conservative-lookahead budget of the cluster runner: a spike
     #: emitted at tick ``t`` cannot influence another board before tick
     #: ``t + 1 + d_min``, so boards may run ``1 + d_min`` ticks between
@@ -452,37 +423,46 @@ class MappingContext:
         """True if the projection has synapses from ``source`` to ``target``."""
         return target in self._reach.get(proj_index, {}).get(source, {})
 
-    def feeders_of(self) -> Dict[Vertex, List[Tuple[int, Vertex]]]:
-        """Reverse reach: target vertex -> (projection index, source
-        vertex) pairs, in projection-major then source-slice order — the
-        canonical per-core block order of the synaptic-matrix builder."""
-        feeders: Dict[Vertex, List[Tuple[int, Vertex]]] = {}
+    def feeders_of(self) -> Dict[Vertex, Dict[Vertex, None]]:
+        """Reverse reach: target vertex -> source vertices, in
+        projection-major then source-slice order (a source feeding the
+        target through several projections is listed at its first) —
+        the canonical per-core block order of the synaptic-matrix
+        builder."""
+        feeders: Dict[Vertex, Dict[Vertex, None]] = {}
         for proj_index, projection in enumerate(self.network.projections):
             per_source = self._reach.get(proj_index, {})
             for source in self.partition[projection.pre.label]:
                 for target in per_source.get(source, {}):
-                    feeders.setdefault(target, []).append(
-                        (proj_index, source))
+                    feeders.setdefault(target, {})[source] = None
         return feeders
 
-    def packed_block(self, proj_index: int, source: Vertex,
-                     target: Vertex) -> np.ndarray:
-        """The packed SDRAM block of one (projection, source, target) edge.
+    def packed_block(self, source: Vertex, target: Vertex) -> np.ndarray:
+        """The packed SDRAM block of one (source, target) vertex pair.
 
+        Every projection with synapses from ``source`` to ``target`` is
+        merged into one block (row by row, in projection order): the
+        source's key selects one population-table entry per core.
         Placement-independent and cached: a re-map that moves either
         vertex re-writes these words at a new address without re-packing.
         """
-        cache_key = (proj_index, source, target)
+        cache_key = (source, target)
         cached = self.blocks.get(cache_key)
         if cached is None:
             from repro.mapping.synaptic_matrix import pack_block
             from repro.neuron.population import expansion_rng
-            projection = self.network.projections[proj_index]
-            csr = projection.compile_csr(
-                expansion_rng(self.expansion_seed, proj_index),
-                self.expansion_seed)
-            block = csr.submatrix(source.slice_start, source.slice_stop,
-                                  target.slice_start, target.slice_stop)
+            parts = []
+            for proj_index, projection in enumerate(self.network.projections):
+                if not self.has_block(proj_index, source, target):
+                    continue
+                csr = projection.compile_csr(
+                    expansion_rng(self.expansion_seed, proj_index),
+                    self.expansion_seed)
+                parts.append(csr.submatrix(
+                    source.slice_start, source.slice_stop,
+                    target.slice_start, target.slice_stop))
+            block = (parts[0] if len(parts) == 1 else CSRMatrix.merge_rows(
+                parts, target.n_neurons, [0] * len(parts)))
             cached = pack_block(block)
             self.blocks[cache_key] = cached
         return cached

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.compile.context import (
     BoardContext,
+    BoardDeliveryIndex,
     MappingContext,
     RouteRecord,
     ShardCore,
@@ -42,11 +43,8 @@ from repro.core.geometry import ChipCoordinate
 from repro.mapping.keys import KeyAllocator
 from repro.mapping.placement import Placer, Vertex
 from repro.mapping.routing_generator import build_tree
-from repro.mapping.synaptic_matrix import (
-    CoreSynapticData,
-    decode_block,
-    write_packed_block,
-)
+from repro.mapping.synaptic_matrix import CoreSynapticData, write_packed_block
+from repro.neuron.engine import CSRMatrix
 from repro.router.fabric import compile_route
 from repro.router.routing_table import RoutingEntry
 
@@ -420,10 +418,10 @@ class BuildSynapticMatricesPass(MappingPass):
                 data = ctx.core_data[slot]
                 chip = ctx.machine.chips[slot[0]]
                 for source in sources:
-                    if not ctx.has_block(proj_index, source, target):
-                        continue
-                    self._write(ctx, chip, data, proj_index, source, target)
-        ctx.last_scope[self.name] = "full (%d cores)" % len(ctx.core_data)
+                    if ctx.has_block(proj_index, source, target):
+                        self._write(ctx, chip, data, source, target)
+        ctx.last_scope[self.name] = "full (%s)" % self._scope(
+            ctx.core_data.values())
 
     def _build_incremental(self, ctx: MappingContext) -> None:
         locations = ctx.placement.locations
@@ -435,7 +433,7 @@ class BuildSynapticMatricesPass(MappingPass):
             del ctx.core_data[slot]
         # Rebuild the moved cores from the cached packed blocks.
         feeders = None
-        rebuilt = 0
+        rebuilt = []
         for vertex in ctx.placement.vertices:
             slot = locations[vertex]
             if slot in ctx.core_data:
@@ -445,16 +443,27 @@ class BuildSynapticMatricesPass(MappingPass):
             data = CoreSynapticData(vertex=vertex)
             ctx.core_data[slot] = data
             chip = ctx.machine.chips[slot[0]]
-            for proj_index, source in feeders.get(vertex, []):
-                self._write(ctx, chip, data, proj_index, source, vertex)
-            rebuilt += 1
-        ctx.last_scope[self.name] = "%d cores" % rebuilt
+            for source in feeders.get(vertex, {}):
+                self._write(ctx, chip, data, source, vertex)
+            rebuilt.append(data)
+        ctx.last_scope[self.name] = self._scope(rebuilt)
+
+    @staticmethod
+    def _scope(rebuilt) -> str:
+        """``"<n> cores, <m> legs"``: the cores written and the legs
+        decoded (one per block) by this run."""
+        rebuilt = list(rebuilt)
+        return "%d cores, %d legs" % (
+            len(rebuilt), sum(len(data.legs) for data in rebuilt))
 
     @staticmethod
     def _write(ctx: MappingContext, chip, data: CoreSynapticData,
-               proj_index: int, source: Vertex, target: Vertex) -> None:
-        write_packed_block(chip, data, ctx.keys.key_space(source), source,
-                           ctx.packed_block(proj_index, source, target))
+               source: Vertex, target: Vertex) -> None:
+        space = ctx.keys.key_space(source)
+        if space.base_key in data.legs:
+            return    # a parallel projection's block: already merged in
+        write_packed_block(chip, data, space, source,
+                           ctx.packed_block(source, target))
 
 
 class CompileTransportPass(MappingPass):
@@ -498,14 +507,16 @@ class ShardByBoardPass(MappingPass):
     per board; this pass gives each board everything it needs without
     the machine model in the loop: the board's cores (in canonical
     placement order, so results are independent of how shards are later
-    spread over workers) and the decoded delivery legs of every source
-    key reaching the board.  Sticky keys are preserved — a vertex's AER
-    base key *is* the address cross-board spike batches travel under, so
-    the key spaces of :class:`~repro.mapping.keys.KeyAllocator` are used
-    verbatim.  Delivery blocks are decoded from the destination cores'
-    installed SDRAM blocks (the very words the transport fabric reads),
-    keeping the shards' fixed-point arithmetic identical to an
-    unsharded on-machine run.
+    spread over workers) and a :class:`BoardDeliveryIndex` over the
+    delivery legs of every source key reaching the board.  Sticky keys
+    are preserved — a vertex's AER base key *is* the address cross-board
+    spike batches travel under, so the key spaces of
+    :class:`~repro.mapping.keys.KeyAllocator` are used verbatim.  The
+    legs are the destination cores' own
+    (:attr:`~repro.mapping.synaptic_matrix.CoreSynapticData.legs`,
+    decoded once by the synaptic-matrix pass from the words it wrote), so
+    the shards' fixed-point arithmetic is identical to an unsharded
+    on-machine run.
     """
 
     name = "shard-by-board"
@@ -540,10 +551,12 @@ class ShardByBoardPass(MappingPass):
 
         # Delivery legs, from the routing records (vertex order keeps the
         # per-key lists deterministic across re-maps and worker counts).
-        # Cross-board legs additionally contribute their smallest decoded
+        # Cross-board legs additionally contribute their smallest
         # synaptic delay to the per-board-pair d_min — the lookahead
         # budget the cluster runner's exchange schedule is derived from.
-        n_deliveries = 0
+        legs: Dict[int, Dict[int, List[Tuple[int, CSRMatrix]]]] = {
+            board: {} for board in ctx.board_contexts}
+        n_legs = 0
         for vertex in ctx.placement.vertices:
             record = ctx.routes.get(vertex)
             if record is None:
@@ -551,29 +564,26 @@ class ShardByBoardPass(MappingPass):
             source_board = config.board_of(record.source_chip)
             for target, slot in record.target_slots.items():
                 board, core_index = local_index[slot]
-                # The first matching population-table entry is used; a
-                # missing entry yields ``None`` (the shard counts
-                # unmatched packets, exactly as the fabric transport does).
-                entry = ctx.core_data[slot].population_table.entry_for(
-                    record.key)
-                csr = (None if entry is None else decode_block(
-                    ctx.machine.chips[slot[0]], entry, target.n_neurons))
-                ctx.board_contexts[board].deliveries.setdefault(
-                    record.key, []).append((core_index, csr))
-                n_deliveries += 1
-                if (board != source_board and csr is not None
-                        and csr.delay_ticks.size):
+                # Every reach target was written a block for this key.
+                leg = ctx.core_data[slot].legs.get(record.key)
+                if leg is None:
+                    raise RuntimeError(
+                        "core %s holds no synaptic block for key 0x%08x"
+                        % (slot, record.key))
+                legs[board].setdefault(record.key, []).append(
+                    (core_index, leg))
+                n_legs += 1
+                if board != source_board and leg.n_synapses:
                     pair = (source_board, board)
-                    leg_min = int(csr.delay_ticks.min())
+                    leg_min = int(leg.delay_ticks.min())
                     known = ctx.board_pair_min_delay.get(pair)
                     if known is None or leg_min < known:
                         ctx.board_pair_min_delay[pair] = leg_min
-        # Flatten each board's legs into the arena the fused engine
-        # scatters through (cheap: one argsort per key, built once).
-        for context in ctx.board_contexts.values():
-            context.build_delivery_index()
-        ctx.last_scope[self.name] = "%d boards, %d deliveries" % (
-            len(ctx.board_contexts), n_deliveries)
+        for board, context in ctx.board_contexts.items():
+            context.delivery_index = BoardDeliveryIndex.build(
+                context.cores, legs[board])
+        ctx.last_scope[self.name] = "%d boards, %d legs" % (
+            len(ctx.board_contexts), n_legs)
 
 
 #: The canonical pass order of the mapping compiler.

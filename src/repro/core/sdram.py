@@ -181,9 +181,9 @@ class SDRAM:
         """Read a block, as an ``array('I')``, *without* charging the counters.
 
         For tooling that inspects memory outside the simulated dataflow —
-        e.g. the mapping compiler decoding synaptic blocks at compile
-        time — so ``total_bytes_read`` keeps meaning "bytes the simulated
-        machine moved".
+        e.g. a check reading an installed synaptic block back — so
+        ``total_bytes_read`` keeps meaning "bytes the simulated machine
+        moved".
         """
         lo, hi = self._span(address, n_words)
         block = self._words[lo:hi]

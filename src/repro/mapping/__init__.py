@@ -19,7 +19,8 @@ incrementally — is the pass pipeline of :mod:`repro.compile`:
   routing tables;
 * :mod:`repro.mapping.synaptic_matrix` — pack a projection's synaptic
   rows into the target chip's SDRAM, index them in the master population
-  table the packet-received handler searches, and decode them back.
+  table the packet-received handler searches, and decode each block
+  once into the delivery leg every engine reads.
 """
 
 from repro.mapping.keys import KeyAllocator, KeySpace
@@ -28,7 +29,6 @@ from repro.mapping.routing_generator import RoutingSummary, build_tree
 from repro.mapping.synaptic_matrix import (
     CoreSynapticData,
     MasterPopulationTable,
-    decode_block,
     pack_block,
     write_packed_block,
 )
@@ -43,7 +43,6 @@ __all__ = [
     "build_tree",
     "CoreSynapticData",
     "MasterPopulationTable",
-    "decode_block",
     "pack_block",
     "write_packed_block",
 ]

@@ -17,15 +17,17 @@ The synaptic-matrix pass of :mod:`repro.compile` filters every source
 row down to the synapses that land on each destination vertex
 (:func:`pack_block`) and writes the packed rows into the destination
 chip's SDRAM model (:func:`write_packed_block`), so the on-machine
-runtime fetches exactly the bytes a real SpiNNaker core would;
-:func:`decode_block` reads an installed block back for the engines that
-replay deliveries in bulk.
+runtime fetches exactly the bytes a real SpiNNaker core would.  The
+same write decodes the words once into the core's *delivery leg* for
+the source key — the one decoded form of a block, which the event
+path's DMA-complete handler, the transport fabric and the board shards
+all read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,13 +51,18 @@ class PopulationTableEntry:
         """True if the packet key belongs to this entry's source vertex."""
         return (packet_key & self.mask) == self.key
 
-    def address_of(self, packet_key: int) -> Tuple[int, int]:
-        """SDRAM address and length (words) of the row for ``packet_key``."""
+    def row_of(self, packet_key: int) -> int:
+        """The block row (source neuron) ``packet_key`` selects."""
         neuron_index = packet_key & ~self.mask & 0xFFFFFFFF
         if neuron_index >= self.n_rows:
             raise KeyError("key 0x%08x indexes row %d of a %d-row block"
                            % (packet_key, neuron_index, self.n_rows))
-        return (self.sdram_address + 4 * neuron_index * self.row_stride_words,
+        return neuron_index
+
+    def address_of(self, packet_key: int) -> Tuple[int, int]:
+        """SDRAM address and length (words) of the row for ``packet_key``."""
+        return (self.sdram_address
+                + 4 * self.row_of(packet_key) * self.row_stride_words,
                 self.row_stride_words)
 
 
@@ -68,7 +75,12 @@ class MasterPopulationTable:
         self.misses = 0
 
     def add(self, entry: PopulationTableEntry) -> None:
-        """Register a source vertex's block."""
+        """Register a source vertex's block (one per key: a second entry
+        for the same key would never match, :meth:`entry_for` returns
+        the first)."""
+        if any(existing.key == entry.key for existing in self.entries):
+            raise ValueError("the population table already holds a block "
+                             "for key 0x%08x" % (entry.key,))
         self.entries.append(entry)
 
     def entry_for(self, packet_key: int) -> Optional[PopulationTableEntry]:
@@ -83,14 +95,14 @@ class MasterPopulationTable:
                 return entry
         return None
 
-    def lookup(self, packet_key: int) -> Optional[Tuple[int, int]]:
-        """Resolve a packet key to ``(sdram_address, row_words)`` or ``None``."""
+    def lookup(self, packet_key: int) -> Optional[PopulationTableEntry]:
+        """The packet handler's counted lookup: the matching entry, or
+        ``None`` (a miss)."""
         self.lookups += 1
         entry = self.entry_for(packet_key)
         if entry is None:
             self.misses += 1
-            return None
-        return entry.address_of(packet_key)
+        return entry
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -108,6 +120,9 @@ class CoreSynapticData:
     #: SDRAM regions backing this core's blocks, so an incremental re-map
     #: can free them when the vertex moves off the chip.
     regions: List = field(default_factory=list)
+    #: Source base key -> the block decoded into a CSR leg (core-local
+    #: targets, fixed-point weights), one per population-table entry.
+    legs: Dict[int, CSRMatrix] = field(default_factory=dict)
 
 
 def pack_block(block: CSRMatrix) -> np.ndarray:
@@ -134,35 +149,22 @@ def write_packed_block(chip, data: CoreSynapticData, space: KeySpace,
 
     Rows are padded to the fixed stride so the packet handler can
     compute a row address directly from the neuron index, exactly as the
-    real master population table does.
+    real master population table does.  The array is decoded here, once,
+    into the core's leg for ``space`` — the words themselves, not the
+    CSR they were packed from, so the leg carries the on-machine
+    fixed-point quantisation.
     """
     region = chip.sdram.allocate(
         4 * rows.size, tag="synapses:%s->%s" % (source_vertex, data.vertex))
-    chip.sdram.write_block(region.base, rows)
-    data.total_synapses += int(rows[:, 0].sum())
-    data.total_sdram_words += rows.size
     data.regions.append(region)
+    chip.sdram.write_block(region.base, rows)
     data.population_table.add(PopulationTableEntry(
         key=space.base_key, mask=space.mask, sdram_address=region.base,
         row_stride_words=rows.shape[1], n_rows=rows.shape[0]))
-
-
-def decode_block(chip, entry: PopulationTableEntry,
-                 n_post: int) -> CSRMatrix:
-    """Decode one installed block back out of ``chip``'s SDRAM.
-
-    Reads the words :func:`write_packed_block` wrote (``peek_block``:
-    compile-time decoding must not inflate the SDRAM traffic counters),
-    so the decoded weights carry the on-machine fixed-point
-    quantisation.
-    """
-    stride = entry.row_stride_words
-    words = chip.sdram.peek_block(entry.sdram_address, stride * entry.n_rows)
-    rows = np.frombuffer(words, dtype=np.uint32).reshape(-1, stride)
     counts = rows[:, 0]
-    if counts.max() > stride - 1:
-        raise ValueError("row header claims %d synapses but only %d words "
-                         "follow" % (counts.max(), stride - 1))
-    keep = np.arange(stride - 1) < counts[:, None]
-    return CSRMatrix(entry.n_rows, n_post, np.append(0, np.cumsum(counts)),
-                     *unpack_synapse_words(rows[:, 1:][keep]))
+    data.total_synapses += int(counts.sum())
+    data.total_sdram_words += rows.size
+    keep = np.arange(rows.shape[1] - 1) < counts[:, None]
+    data.legs[space.base_key] = CSRMatrix(
+        rows.shape[0], data.vertex.n_neurons, np.append(0, np.cumsum(counts)),
+        *unpack_synapse_words(rows[:, 1:][keep]))

@@ -39,7 +39,6 @@ from repro.neuron.connectors import (
 )
 from repro.neuron.engine import (
     CSRMatrix,
-    decode_packed_row,
     pack_synapse_words,
     unpack_synapse_words,
 )
@@ -58,7 +57,6 @@ from repro.neuron.synapse import DeferredEventBuffer
 
 __all__ = [
     "CSRMatrix",
-    "decode_packed_row",
     "pack_synapse_words",
     "unpack_synapse_words",
     "AllToAllConnector",

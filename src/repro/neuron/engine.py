@@ -86,24 +86,6 @@ def unpack_synapse_words(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
     return targets, weights, delay_ticks
 
 
-def decode_packed_row(words: Sequence[int]) -> Tuple[int, np.ndarray,
-                                                     np.ndarray, np.ndarray]:
-    """Decode one packed SDRAM row (count header + synapse words).
-
-    Returns ``(count, targets, weights, delay_ticks)``; words past the
-    header's count are SDRAM stride padding and ignored.
-    """
-    if len(words) == 0:
-        raise ValueError("a packed synaptic row has at least a header word")
-    count = int(words[0])
-    if count > len(words) - 1:
-        raise ValueError("row header claims %d synapses but only %d words follow"
-                         % (count, len(words) - 1))
-    targets, weights, delay_ticks = unpack_synapse_words(
-        np.asarray(words[1:count + 1], dtype=np.uint32))
-    return count, targets, weights, delay_ticks
-
-
 def expand_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flat slot indices of rows given as ``(first slot, length)`` spans.
 
@@ -205,6 +187,27 @@ class CSRMatrix:
                          targets[keep] - post_start,
                          self.weights[lo:hi][keep],
                          self.delay_ticks[lo:hi][keep])
+
+    @classmethod
+    def merge_rows(cls, blocks: Sequence["CSRMatrix"], n_post: int,
+                   target_offsets: Sequence[int]) -> "CSRMatrix":
+        """Merge blocks over the same source rows into one matrix.
+
+        Row ``i`` holds every block's row ``i``, block by block and each
+        in storage order; block ``b``'s targets are shifted by
+        ``target_offsets[b]`` into the merged ``n_post`` numbering.
+        """
+        n_pre = blocks[0].n_pre
+        pre = np.concatenate([block.pre_index for block in blocks])
+        order = np.argsort(pre, kind="stable")
+        row_ptr = np.zeros(n_pre + 1, dtype=np.int64)
+        row_ptr[1:] = np.cumsum(np.bincount(pre, minlength=n_pre))
+        return cls(n_pre, n_post, row_ptr,
+                   np.concatenate([offset + block.targets for offset, block
+                                   in zip(target_offsets, blocks)])[order],
+                   np.concatenate([block.weights for block in blocks])[order],
+                   np.concatenate([block.delay_ticks
+                                   for block in blocks])[order])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "CSRMatrix(%d pre, %d post, %d synapses)" % (

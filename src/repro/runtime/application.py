@@ -25,7 +25,7 @@ delivery claim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from repro.core.packets import MulticastPacket
 from repro.core.processor import ProcessorSubsystem
 from repro.mapping.keys import KeyAllocator, KeySpace
 from repro.mapping.placement import Placement, Vertex
-from repro.mapping.synaptic_matrix import CoreSynapticData, decode_block
-from repro.neuron.engine import CSRMatrix, decode_packed_row
+from repro.mapping.synaptic_matrix import CoreSynapticData
+from repro.neuron.engine import CSRMatrix
 from repro.router.fabric import RouteProgram, RouteTarget, TransportFabric
 from repro.neuron.kernel import SpikeRecord, TickKernel, TickUnit
 from repro.neuron.network import Network
@@ -238,15 +238,15 @@ class ApplicationResult(SpikeRecord):
 class _FabricDelivery:
     """One precompiled (source vertex -> destination core) delivery leg.
 
-    Compiled once after mapping: the destination's synaptic block for the
-    source vertex is decoded from SDRAM into a :class:`CSRMatrix`, and
-    the transport latency is extended with the nominal core-side costs
-    (packet handler, DMA fetch, DMA-complete handler) the event path pays
-    per packet, so the two transports report comparable latencies.
+    Compiled once after mapping: the destination core's leg for the
+    source key (:attr:`CoreSynapticData.legs`), plus the transport
+    latency extended with the nominal core-side costs (packet handler,
+    DMA fetch, DMA-complete handler) the event path pays per packet, so
+    the two transports report comparable latencies.
     """
 
     runtime: "CoreRuntime"
-    csr: Optional[CSRMatrix]
+    leg: Optional[CSRMatrix]
     latency_us: float
     distance: int
     stride_words: int
@@ -287,13 +287,6 @@ class CoreRuntime:
                                       DeferredEventBuffer,
                                       application.result)
         self.tick = 0
-        #: Synaptic rows decoded once per SDRAM address.  A row is
-        #: re-fetched by DMA every time its source neuron spikes but
-        #: its contents only change through plasticity write-back (which
-        #: this runtime does not model), so the decoded arrays are reused;
-        #: DMA/processing costs are still charged per fetch.
-        self._decoded_rows: Dict[int, Tuple[int, np.ndarray, np.ndarray,
-                                            np.ndarray]] = {}
 
         core.on_packet(self._on_packet)
         core.on_dma_complete(self._on_dma_complete)
@@ -304,40 +297,48 @@ class CoreRuntime:
     # Figure 7, priority 1: packet received
     # ------------------------------------------------------------------
     def _on_packet(self, packet: MulticastPacket) -> None:
-        lookup = self.synaptic_data.population_table.lookup(packet.key)
-        if lookup is None:
+        entry = self.synaptic_data.population_table.lookup(packet.key)
+        if entry is None:
             # No connectivity block for this key: a routing-table error.
             self.application.unmatched_packets += 1
             return
-        address, row_words = lookup
+        address, row_words = entry.address_of(packet.key)
         self.core.dma.read(address, row_words,
                            on_complete=self.core.dma_completed,
-                           context=packet)
+                           context=(packet, entry))
 
     # ------------------------------------------------------------------
     # Figure 7, priority 2: DMA complete
     # ------------------------------------------------------------------
     def _on_dma_complete(self, request: DMARequest) -> None:
-        packet: MulticastPacket = request.context
-        # Decode the packed row straight into flat arrays (cached per
-        # SDRAM address) and defer the whole row with one scatter.
-        decoded = self._decoded_rows.get(request.sdram_address)
-        if decoded is None:
-            decoded = decode_packed_row(request.data)
-            self._decoded_rows[request.sdram_address] = decoded
-        count, targets, weights, delays = decoded
+        packet, entry = request.context
+        # The DMA fetched (and was charged for) the packed row; its
+        # decoded form is that row of the entry's leg.
+        leg = self.synaptic_data.legs[entry.key]
+        row = entry.row_of(packet.key)
+        count = self.deliver(leg, slice(leg.row_ptr[row],
+                                        leg.row_ptr[row + 1]))
         self.core.charge_cycles(
             self.core.costs.dma_complete_cycles_per_word * count)
-        if count:
-            self.tick_kernel.defer(self.unit, targets, weights, delays)
-        self.application.result.synaptic_events += count
-        self.application.result.delivered_charge_na += float(weights.sum())
         latency = self.application.kernel.now - packet.timestamp
         distance = None
         if packet.source is not None:
             distance = self.application.machine.geometry.distance(
                 packet.source, self.chip_coordinate)
         self.application.result.record_delivery(latency, distance)
+
+    def deliver(self, leg: CSRMatrix, slots) -> int:
+        """Defer the synapses at ``slots`` of ``leg`` into this core's
+        ring — the tail both transports share — and count them."""
+        weights = leg.weights[slots]
+        count = int(weights.size)
+        if count:
+            self.tick_kernel.defer(self.unit, leg.targets[slots], weights,
+                                   leg.delay_ticks[slots])
+        result = self.application.result
+        result.synaptic_events += count
+        result.delivered_charge_na += float(weights.sum())
+        return count
 
     # ------------------------------------------------------------------
     # Figure 7, priority 3: millisecond timer
@@ -548,9 +549,8 @@ class NeuralApplication:
                 continue
             data = ctx.core_data.get((runtime.chip_coordinate,
                                       runtime.core.core_id))
-            if data is not None and data is not runtime.synaptic_data:
+            if data is not None:
                 runtime.synaptic_data = data
-                runtime._decoded_rows.clear()
             kept.append(runtime)
         self.core_runtimes = kept
         built = self._instantiate_runtimes(
@@ -594,7 +594,7 @@ class NeuralApplication:
     def _compile_delivery(self, source: CoreRuntime,
                           destination: Optional[CoreRuntime],
                           target: RouteTarget) -> Optional[_FabricDelivery]:
-        """Compile one delivery leg: decode the SDRAM block, fix the latency."""
+        """Compile one delivery leg: the destination's leg, the latency."""
         if destination is None:
             # Delivered to a core no runtime occupies; the event path
             # would raise a packet interrupt that no application handles.
@@ -612,12 +612,10 @@ class NeuralApplication:
             latency = (target.latency_us
                        + clock.cycles_to_microseconds(
                            costs.packet_received_cycles))
-            return _FabricDelivery(runtime=destination, csr=None,
+            return _FabricDelivery(runtime=destination, leg=None,
                                    latency_us=latency, distance=distance,
                                    stride_words=0)
         stride = entry.row_stride_words
-        # Decoding peeks: _fabric_deliver charges the simulated reads.
-        csr = decode_block(chip, entry, destination.vertex.n_neurons)
         # Nominal per-packet core-side costs the event path pays between
         # arrival and the deferred-event scatter.
         processing = (clock.cycles_to_microseconds(costs.packet_received_cycles)
@@ -626,7 +624,8 @@ class NeuralApplication:
                       + clock.cycles_to_microseconds(
                           costs.dma_complete_fixed_cycles
                           + costs.dma_complete_cycles_per_word * stride))
-        return _FabricDelivery(runtime=destination, csr=csr,
+        return _FabricDelivery(runtime=destination,
+                               leg=destination.synaptic_data.legs[entry.key],
                                latency_us=target.latency_us + processing,
                                distance=distance, stride_words=stride)
 
@@ -660,21 +659,13 @@ class NeuralApplication:
         # population table; replay those lookup counters in bulk too.
         table = destination.synaptic_data.population_table
         table.lookups += n
-        if delivery.csr is None:
+        if delivery.leg is None:
             table.misses += n
             self.unmatched_packets += n
             core.charge_cycles(n * costs.packet_received_cycles)
             return
-        csr = delivery.csr
-        slots = csr.synapse_slots(spiking)
-        count = int(slots.size)
-        charge = 0.0
-        if count:
-            weights = csr.weights[slots]
-            destination.tick_kernel.defer(destination.unit,
-                                          csr.targets[slots], weights,
-                                          csr.delay_ticks[slots])
-            charge = float(weights.sum())
+        count = destination.deliver(delivery.leg,
+                                    delivery.leg.synapse_slots(spiking))
         # Bulk accounting parity with the per-packet path: every spike
         # costs a packet handler, a DMA fetch of the stride-padded row
         # and a DMA-complete handler; row processing is charged per
@@ -693,8 +684,6 @@ class NeuralApplication:
                                      initiator="fabric-dma")
         latency = self.kernel.now - send_time
         self.result.record_delivery_batch(latency, delivery.distance, n)
-        self.result.synaptic_events += count
-        self.result.delivered_charge_na += charge
 
     # ------------------------------------------------------------------
     # Execution

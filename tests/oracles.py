@@ -9,6 +9,10 @@ the fast path equals it element for element:
 
 * :class:`Synapse` and :func:`pack_row` / :func:`unpack_row` — the scalar
   32-bit synaptic-word codec;
+* :func:`decode_packed_row` / :func:`decode_block` — the reference
+  decoders of one packed row and of one installed block, read back out
+  of SDRAM (the shipped legs are decoded from the array as it is
+  written, never read back);
 * :class:`DictSDRAM` — the SDRAM word store as one dict entry per written
   word, accessed a word at a time;
 * :func:`build_rows` — the object-building connector loops, making the
@@ -55,6 +59,7 @@ from repro.neuron.connectors import (
     FromListConnector,
     OneToOneConnector,
 )
+from repro.neuron.engine import CSRMatrix, unpack_synapse_words
 from repro.neuron.network import Network, SimulationResult
 from repro.neuron.population import (
     SpikeSourceArray,
@@ -133,6 +138,38 @@ def unpack_row(words: Sequence[int]) -> List[Synapse]:
         raise ValueError("row header claims %d synapses but only %d words "
                          "follow" % (count, len(words) - 1))
     return [Synapse.unpack(int(word)) for word in words[1:count + 1]]
+
+
+def decode_packed_row(words: Sequence[int]) -> Tuple[int, np.ndarray,
+                                                     np.ndarray, np.ndarray]:
+    """Decode one packed SDRAM row (count header + synapse words).
+
+    Returns ``(count, targets, weights, delay_ticks)``; words past the
+    header's count are SDRAM stride padding and ignored.
+    """
+    if len(words) == 0:
+        raise ValueError("a packed synaptic row has at least a header word")
+    count = int(words[0])
+    if count > len(words) - 1:
+        raise ValueError("row header claims %d synapses but only %d words "
+                         "follow" % (count, len(words) - 1))
+    targets, weights, delay_ticks = unpack_synapse_words(
+        np.asarray(words[1:count + 1], dtype=np.uint32))
+    return count, targets, weights, delay_ticks
+
+
+def decode_block(chip, entry: PopulationTableEntry,
+                 n_post: int) -> CSRMatrix:
+    """Decode one installed block back out of ``chip``'s SDRAM, a row at
+    a time.  Peeks, so it charges no SDRAM traffic."""
+    stride = entry.row_stride_words
+    words = chip.sdram.peek_block(entry.sdram_address, stride * entry.n_rows)
+    rows = [decode_packed_row(words[i:i + stride])
+            for i in range(0, len(words), stride)]
+    return CSRMatrix(entry.n_rows, n_post,
+                     np.append(0, np.cumsum([row[0] for row in rows])),
+                     *(np.concatenate([row[field] for row in rows])
+                       for field in (1, 2, 3)))
 
 
 # ----------------------------------------------------------------------
@@ -680,26 +717,36 @@ def build_synaptic_matrices(machine, network: Network,
     Projection-major, then destination vertex, then source vertex: each
     source row is filtered down to the synapses landing on the core,
     targets rewritten to core-local numbering, packed and padded to the
-    block's fixed stride.  Returns the per-core data keyed by
-    ``(chip, core)``.
+    block's fixed stride.  Parallel projections (same two populations)
+    share their source's key, so their rows go into one block, written
+    at the first projection with synapses on the pair.  Returns the
+    per-core data keyed by ``(chip, core)``.
     """
+    def block_rows(projections, source, target):
+        return [[Synapse(s.target - target.slice_start, s.weight,
+                         s.delay_ticks)
+                 for rows in projections for s in rows.get(neuron, ())
+                 if target.slice_start <= s.target < target.slice_stop]
+                for neuron in range(source.slice_start, source.slice_stop)]
+
     core_data = {location: CoreSynapticData(vertex=vertex)
                  for vertex, location in placement.locations.items()}
     for projection, rows in zip(network.projections, expansion):
+        parallel = [other_rows for other, other_rows
+                    in zip(network.projections, expansion)
+                    if (other.pre.label, other.post.label)
+                    == (projection.pre.label, projection.post.label)]
         for target in placement.vertices_of(projection.post.label):
             location = placement.location_of(target)
             data = core_data[location]
             chip = machine.chips[location[0]]
             for source in placement.vertices_of(projection.pre.label):
-                block = [[Synapse(s.target - target.slice_start, s.weight,
-                                  s.delay_ticks)
-                          for s in rows.get(neuron, ())
-                          if target.slice_start <= s.target
-                          < target.slice_stop]
-                         for neuron in range(source.slice_start,
-                                             source.slice_stop)]
-                if not any(block):
+                space = keys.key_space(source)
+                if (not any(block_rows([rows], source, target))
+                        or any(entry.key == space.base_key
+                               for entry in data.population_table.entries)):
                     continue
+                block = block_rows(parallel, source, target)
                 packed = [pack_row(row) for row in block]
                 stride = max(len(words) for words in packed)
                 region = chip.sdram.allocate(
@@ -712,7 +759,6 @@ def build_synaptic_matrices(machine, network: Network,
                     data.total_synapses += len(block[row_index])
                 data.total_sdram_words += stride * len(packed)
                 data.regions.append(region)
-                space = keys.key_space(source)
                 data.population_table.add(PopulationTableEntry(
                     key=space.base_key, mask=space.mask,
                     sdram_address=region.base, row_stride_words=stride,

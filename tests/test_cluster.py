@@ -225,25 +225,24 @@ class TestShardByBoardPass:
             # Sticky keys: the shard address is the allocator's key space.
             assert core.base_key == ctx.keys.key_space(vertex).base_key
 
-    def test_deliveries_decode_installed_blocks(self):
+    def test_every_route_target_has_its_leg_in_the_board_index(self):
         machine = small_cluster_machine()
         pipeline = MappingPipeline(machine, chained_network(), seed=SEED,
                                    max_neurons_per_core=32,
                                    shard_by_board=True)
         ctx = pipeline.run()
-        n_deliveries = 0
-        for context in ctx.board_contexts.values():
-            for key, legs in context.deliveries.items():
-                assert key in {core.base_key
-                               for board in ctx.board_contexts.values()
-                               for core in board.cores}
-                for core_index, csr in legs:
-                    assert 0 <= core_index < len(context.cores)
-                    assert csr is not None
-                    vertex = context.cores[core_index].vertex
-                    assert csr.n_post == vertex.n_neurons
-                    n_deliveries += 1
-        assert n_deliveries > 0
+        n_legs = 0
+        for record in ctx.routes.values():
+            for target, slot in record.target_slots.items():
+                leg = ctx.core_data[slot].legs[record.key]
+                assert leg.n_post == target.n_neurons
+                board = machine.config.board_of(slot[0])
+                assert record.key in ctx.board_contexts[
+                    board].delivery_index.row_ptr
+                n_legs += 1
+        assert n_legs > 0
+        assert pipeline.records["shard-by-board"].last_scope.endswith(
+            "%d legs" % n_legs)
 
 
 # ----------------------------------------------------------------------

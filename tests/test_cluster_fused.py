@@ -161,8 +161,7 @@ DURATION_MS = 80.0
 def run_cluster(name: str, workers: int, lookahead):
     cluster = ClusterApplication(cluster_machine(), NETWORKS[name](),
                                  seed=SEED, max_neurons_per_core=32)
-    return (cluster.run(DURATION_MS, workers=workers, lookahead=lookahead),
-            cluster.unmatched_packets)
+    return cluster.run(DURATION_MS, workers=workers, lookahead=lookahead)
 
 
 _fabric_references = {}
@@ -178,7 +177,9 @@ def fabric_reference(name: str):
         result = application.run(DURATION_MS)
         assert all(runtime.tick == int(DURATION_MS)
                    for runtime in application.core_runtimes)
-        _fabric_references[name] = (result, application.unmatched_packets)
+        # Every packet finds its block, as every shard leg has one.
+        assert application.unmatched_packets == 0
+        _fabric_references[name] = result
     return _fabric_references[name]
 
 
@@ -216,12 +217,10 @@ class TestFusedEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("name", sorted(NETWORKS))
     def test_fused_matches_the_fabric_engine(self, name, workers, lookahead):
-        fused, unmatched = run_cluster(name, workers, lookahead)
-        reference, reference_unmatched = fabric_reference(name)
-        assert_equivalent(fused, reference)
-        assert unmatched == reference_unmatched
+        fused = run_cluster(name, workers, lookahead)
+        assert_equivalent(fused, fabric_reference(name))
         # Recording order too is independent of the worker count.
-        assert fused.spikes == serial_reference(name, lookahead)[0].spikes
+        assert fused.spikes == serial_reference(name, lookahead).spikes
 
 
 # ----------------------------------------------------------------------
@@ -312,6 +311,7 @@ class TestGeneratedAgreement:
             cluster_machine(), network(), max_neurons_per_core=24,
             transport="fabric", stagger_us=0.0)
         fabric = application.run(self.DURATION_MS)
+        assert application.unmatched_packets == 0
         assert sum(runtime.tick_kernel.ring.saturations
                    for runtime in application.core_runtimes) > 0
         results = {}
@@ -320,7 +320,6 @@ class TestGeneratedAgreement:
                                          max_neurons_per_core=24)
             results[workers] = cluster.run(self.DURATION_MS, workers=workers)
             assert cluster.report.workers == workers
-            assert cluster.unmatched_packets == application.unmatched_packets
             assert_equivalent(results[workers], fabric)
         assert results[2].spikes == results[1].spikes
         assert set(fabric.spikes) == set(host.spikes)
@@ -552,18 +551,18 @@ class TestFusedDeferredEventBuffer:
 # ----------------------------------------------------------------------
 class TestBoardDeliveryIndex:
     @staticmethod
-    def compiled_contexts():
+    def compiled():
         cluster = ClusterApplication(cluster_machine(), mixed_network(),
                                      seed=SEED, max_neurons_per_core=32)
         cluster.prepare()
-        return cluster.board_contexts
+        return cluster.pipeline.ctx, cluster.board_contexts
 
     def test_built_by_the_shard_pass(self):
-        for context in self.compiled_contexts().values():
+        for context in self.compiled()[1].values():
             assert isinstance(context.delivery_index, BoardDeliveryIndex)
 
     def test_core_offsets_partition_the_board(self):
-        for context in self.compiled_contexts().values():
+        for context in self.compiled()[1].values():
             index = context.delivery_index
             sizes = [core.vertex.n_neurons for core in context.cores]
             assert index.total_neurons == sum(sizes)
@@ -573,31 +572,32 @@ class TestBoardDeliveryIndex:
     def test_slots_replay_every_leg(self):
         """For every key and a fan of spike batches, the row expansion
         over the key's absolute arena bounds must enumerate exactly the
-        synapses the per-leg path walks — same board-flat targets,
-        weights and delays."""
+        synapses of the key's legs on the board's cores (read from
+        ``core_data``) — same board-flat targets, weights and delays."""
+        ctx, board_contexts = self.compiled()
         rng = np.random.default_rng(5)
         checked = 0
-        for context in self.compiled_contexts().values():
+        for context in board_contexts.values():
             index = context.delivery_index
-            for key, legs in context.deliveries.items():
-                n_pre = max((csr.n_pre for _, csr in legs
-                             if csr is not None), default=1)
+            legs = {}
+            for core_index, core in enumerate(context.cores):
+                data = ctx.core_data[(core.chip, core.core_id)]
+                for key, leg in data.legs.items():
+                    legs.setdefault(key, []).append((core_index, leg))
+            assert set(index.row_ptr) == set(legs)
+            for key, key_legs in legs.items():
+                row_ptr = index.row_ptr[key]
                 for batch in range(3):
-                    spiking = np.flatnonzero(rng.random(n_pre) < 0.4)
-                    row_ptr = index.row_ptr.get(key)
+                    spiking = np.flatnonzero(
+                        rng.random(key_legs[0][1].n_pre) < 0.4)
                     per_leg = []
-                    for core_index, csr in legs:
-                        if csr is None:
-                            continue
+                    for core_index, csr in key_legs:
                         leg = csr.synapse_slots(spiking)
                         base = index.core_offsets[core_index]
                         per_leg.append(np.stack([
                             csr.targets[leg] + base,
                             csr.delay_ticks[leg],
                             (csr.weights[leg] * 16).astype(np.int64)]))
-                    if not per_leg:
-                        assert row_ptr is None
-                        continue
                     starts = row_ptr[spiking]
                     slots = expand_rows(starts,
                                         row_ptr[spiking + 1] - starts)
@@ -617,10 +617,3 @@ class TestBoardDeliveryIndex:
                         fused[:, np.lexsort(fused)])
                     checked += 1
         assert checked > 0
-
-    def test_none_legs_match_the_delivery_table(self):
-        for context in self.compiled_contexts().values():
-            index = context.delivery_index
-            for key, legs in context.deliveries.items():
-                matchless = sum(1 for _, csr in legs if csr is None)
-                assert index.none_legs.get(key, 0) == matchless

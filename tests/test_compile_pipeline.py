@@ -10,7 +10,12 @@ Acceptance checks of the pipeline refactor:
 * per-pass artifact caching and dependency-tracked invalidation;
 * incremental re-map — a chip condemnation re-runs only the affected
   passes over the affected vertices, and (after a reset) reproduces a
-  cold compile on the shrunken machine spike for spike.
+  cold compile on the shrunken machine spike for spike;
+* the delivery-leg table — every core's decoded legs equal the reference
+  decode of its installed SDRAM words, cold and after a re-map that
+  decoded only the moved cores again;
+* parallel projections — two projections between the same populations
+  share one block per core, and every engine delivers both.
 """
 
 from __future__ import annotations
@@ -20,10 +25,15 @@ import pytest
 
 import oracles
 from repro.alloc.server import AllocationServer
+from repro.cluster import ClusterApplication
 from repro.compile import MappingPipeline
 from repro.core.geometry import ChipCoordinate
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.host.host_system import HostSystem
+from repro.mapping.synaptic_matrix import (
+    MasterPopulationTable,
+    PopulationTableEntry,
+)
 from repro.neuron.connectors import FixedProbabilityConnector, OneToOneConnector
 from repro.neuron.network import Network
 from repro.neuron.population import Population, SpikeSourcePoisson
@@ -54,6 +64,23 @@ def layered_network(seed=SEED):
     network.connect(relay, out,
                     FixedProbabilityConnector(0.25, weight=1.2,
                                               delay_range=(1, 6)))
+    return network
+
+
+def parallel_network(interleaved=False):
+    """``stim -> tgt`` wired twice, 0.5 and 3.0 nA one-to-one;
+    ``interleaved`` adds an unrelated projection between the two, so the
+    merged block's write position counts."""
+    network = Network(seed=SEED)
+    stimulus = SpikeSourcePoisson(20, rate_hz=60.0, label="pp-stim")
+    target = Population(20, "lif", label="pp-tgt")
+    stimulus.record(spikes=True)
+    target.record(spikes=True)
+    network.connect(stimulus, target, OneToOneConnector(weight=0.5))
+    if interleaved:
+        network.connect(stimulus, Population(12, "lif", label="pp-other"),
+                        FixedProbabilityConnector(0.3, weight=0.25))
+    network.connect(stimulus, target, OneToOneConnector(weight=3.0))
     return network
 
 
@@ -122,6 +149,115 @@ class TestPipelineLegacyEquivalence:
         application.prepare(broadcast_routing=True)
         with pytest.raises(RuntimeError):
             application.prepare(broadcast_routing=False)
+
+
+def assert_same_leg(leg, other) -> None:
+    assert (leg.n_pre, leg.n_post) == (other.n_pre, other.n_post)
+    for name in ("row_ptr", "targets", "weights", "delay_ticks"):
+        assert np.array_equal(getattr(leg, name), getattr(other, name)), name
+
+
+class TestLegTable:
+    @pytest.mark.parametrize("network", [
+        layered_network, lambda: parallel_network(interleaved=True)],
+        ids=["layered", "parallel"])
+    def test_every_leg_decodes_its_installed_words(self, network):
+        machine = booted_machine()
+        ctx = MappingPipeline(machine, network(), seed=SEED,
+                              max_neurons_per_core=8).run()
+        checked = 0
+        for (chip, _core_id), data in ctx.core_data.items():
+            entries = data.population_table.entries
+            assert list(data.legs) == [entry.key for entry in entries]
+            for entry in entries:
+                assert_same_leg(data.legs[entry.key], oracles.decode_block(
+                    machine.chips[chip], entry, data.vertex.n_neurons))
+                checked += 1
+        assert checked > 0
+
+    def test_remap_decodes_only_moved_cores_and_matches_a_cold_compile(self):
+        machine = booted_machine(3, 3, 6)
+        pipeline = MappingPipeline(machine, layered_network(), seed=SEED,
+                                   max_neurons_per_core=8)
+        ctx = pipeline.run()
+        before = {slot: dict(data.legs) for slot, data in ctx.core_data.items()}
+        victim = ctx.placement.chips_used()[-1]
+        MonitorService(machine).condemn_chip(victim)
+        pipeline.run()
+
+        cold_machine = booted_machine(3, 3, 6)
+        MonitorService(cold_machine).condemn_chip(victim)
+        cold = MappingPipeline(cold_machine, layered_network(), seed=SEED,
+                               max_neurons_per_core=8).run()
+        assert set(ctx.core_data) == set(cold.core_data)
+        for slot, data in ctx.core_data.items():
+            assert list(data.legs) == list(cold.core_data[slot].legs)
+            for key, leg in data.legs.items():
+                assert_same_leg(leg, cold.core_data[slot].legs[key])
+
+        # Surviving cores keep their very leg objects; only the moved
+        # ones were decoded again, and the pass reports that count.
+        moved = {ctx.placement.locations[vertex]
+                 for vertex in ctx.moved_vertices}
+        assert moved
+        for slot, data in ctx.core_data.items():
+            for key, leg in data.legs.items():
+                assert (before.get(slot, {}).get(key) is leg) == (
+                    slot not in moved)
+        assert pipeline.records["synaptic-matrices"].last_scope == (
+            "%d cores, %d legs" % (len(moved), sum(
+                len(ctx.core_data[slot].legs) for slot in moved)))
+
+
+class TestParallelProjections:
+    def test_blocks_merge_where_the_oracle_writes_them(self):
+        oracle_machine = booted_machine()
+        _placement, _keys, _programs, core_data = oracles.inline_toolchain(
+            oracle_machine, parallel_network(interleaved=True),
+            expansion_seed=SEED)
+        pipeline_machine = booted_machine()
+        ctx = MappingPipeline(pipeline_machine,
+                              parallel_network(interleaved=True),
+                              seed=SEED, max_neurons_per_core=8).run()
+        assert (sdram_blocks(pipeline_machine, ctx.core_data)
+                == sdram_blocks(oracle_machine, core_data))
+        for data in ctx.core_data.values():
+            keys = [entry.key for entry in data.population_table.entries]
+            assert len(keys) == len(set(keys)) == len(data.legs)
+
+    def test_population_table_rejects_a_second_block_for_a_key(self):
+        table = MasterPopulationTable()
+        entry = PopulationTableEntry(key=0x800, mask=0xFFFFF800,
+                                     sdram_address=0, row_stride_words=2,
+                                     n_rows=4)
+        table.add(entry)
+        with pytest.raises(ValueError):
+            table.add(PopulationTableEntry(key=0x800, mask=0xFFFFF800,
+                                           sdram_address=64,
+                                           row_stride_words=3, n_rows=4))
+        assert table.entries == [entry]
+
+    @pytest.mark.parametrize("engine", ["event", "fabric", "cluster"])
+    def test_every_engine_delivers_both_projections(self, engine):
+        # Each stimulus spike lands one synapse of each projection:
+        # 0.5 + 3.0 nA, on every on-machine engine.
+        machine = SpiNNakerMachine(MachineConfig.multi_board(
+            2, 1, board_width=2, board_height=2, cores_per_chip=4))
+        BootController(machine, seed=1).boot()
+        if engine == "cluster":
+            application = ClusterApplication(machine, parallel_network(),
+                                             seed=SEED,
+                                             max_neurons_per_core=8)
+        else:
+            application = NeuralApplication(
+                machine, parallel_network(), max_neurons_per_core=8,
+                seed=SEED, transport=engine, stagger_us=0.0)
+        result = application.run(100.0)
+        stimulus_spikes = result.total_spikes("pp-stim")
+        assert stimulus_spikes > 0
+        assert result.synaptic_events == 2 * stimulus_spikes
+        assert result.delivered_charge_na == 3.5 * stimulus_spikes
+        assert result.total_spikes("pp-tgt") > 0
 
 
 class TestPassCaching:

@@ -272,10 +272,10 @@ class TestSynapticMatrices:
         network, placement, keys, data = self._built(medium_machine)
         key = keys.key_for_neuron("m-stim", 3)
         for (chip_coord, core_id), core_data in data.items():
-            lookup = core_data.population_table.lookup(key)
-            if lookup is None:
+            entry = core_data.population_table.lookup(key)
+            if entry is None:
                 continue
-            address, words = lookup
+            address, words = entry.address_of(key)
             chip = medium_machine.chips[chip_coord]
             row = unpack_row(chip.sdram.read_block(address, words))
             assert all(0 <= s.target < core_data.vertex.n_neurons for s in row)

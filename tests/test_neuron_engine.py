@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import ScalarRing, Synapse
+from oracles import ScalarRing, Synapse, decode_block, decode_packed_row
 from repro.cluster import ClusterApplication
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.core.sdram import SDRAM
@@ -26,7 +26,6 @@ from repro.mapping.keys import KeySpace
 from repro.mapping.placement import Vertex
 from repro.mapping.synaptic_matrix import (
     CoreSynapticData,
-    decode_block,
     pack_block,
     write_packed_block,
 )
@@ -39,7 +38,6 @@ from repro.neuron.connectors import (
 )
 from repro.neuron.engine import (
     CSRMatrix,
-    decode_packed_row,
     pack_synapse_words,
     unpack_synapse_words,
 )
@@ -283,15 +281,17 @@ class TestPackedWordCodec:
     @settings(max_examples=100, deadline=None)
     def test_block_codec_equals_the_word_codec(self, csr):
         # decode(write(pack(csr))) is the quantised word round trip,
-        # array for array; decoding peeks, so it charges no traffic.
+        # array for array; decoding peeks, so it charges no traffic.  The
+        # leg the write decoded from the array is that same matrix.
         chip, data, entry = install_block(csr)
         decoded = decode_block(chip, entry, csr.n_post)
         targets, weights, delays = unpack_synapse_words(pack_synapse_words(
             csr.targets, csr.weights, csr.delay_ticks))
-        assert np.array_equal(decoded.row_ptr, csr.row_ptr)
-        assert np.array_equal(decoded.targets, targets)
-        assert np.array_equal(decoded.weights, weights)
-        assert np.array_equal(decoded.delay_ticks, delays)
+        for matrix in (decoded, data.legs[entry.key]):
+            assert np.array_equal(matrix.row_ptr, csr.row_ptr)
+            assert np.array_equal(matrix.targets, targets)
+            assert np.array_equal(matrix.weights, weights)
+            assert np.array_equal(matrix.delay_ticks, delays)
         stride = 1 + int(csr.row_lengths().max())
         assert (entry.n_rows, entry.row_stride_words) == (csr.n_pre, stride)
         assert data.total_synapses == csr.n_synapses
@@ -502,8 +502,9 @@ class TestUpdateCSREquivalence:
 
 def _literal_dma_complete(self, request):
     """Figure 7's DMA-complete handler, one ``Synapse`` at a time: the
-    literal semantics ``CoreRuntime._on_dma_complete`` is pinned to."""
-    packet = request.context
+    literal semantics ``CoreRuntime._on_dma_complete`` is pinned to,
+    decoding the words the DMA fetched rather than reading the leg."""
+    packet, _entry = request.context
     row = oracles.unpack_row(request.data)
     self.core.charge_cycles(
         self.core.costs.dma_complete_cycles_per_word * len(row))

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ScalarRing, Synapse, pack_row, unpack_row
-from repro.neuron.engine import (
+from oracles import (
+    ScalarRing,
+    Synapse,
     decode_packed_row,
-    pack_synapse_words,
-    unpack_synapse_words,
+    pack_row,
+    unpack_row,
 )
+from repro.neuron.engine import pack_synapse_words, unpack_synapse_words
 from repro.neuron.synapse import (
     MAX_DELAY_TICKS,
     WEIGHT_SATURATION_NA,
