@@ -45,7 +45,8 @@ class LeaseGeometry(TorusGeometry):
     the sub-machine genuinely is a (smaller) torus in that dimension.
     Because dimension-ordered decomposition never leaves the bounding box
     of its endpoints, every route between two lease chips stays inside
-    the lease.
+    the lease.  The displacement table spans the rectangle, so both ends
+    of a query must lie in it.
     """
 
     def __init__(self, lease: Lease, machine_width: int,
@@ -56,20 +57,16 @@ class LeaseGeometry(TorusGeometry):
         self.wraps_x = lease.rect.width == machine_width
         self.wraps_y = lease.rect.height == machine_height
 
-    def displacement(self, source: ChipCoordinate,
-                     target: ChipCoordinate) -> Tuple[int, int]:
-        """Minimal displacement that stays within the lease rectangle."""
-        dx_options = (self._axis_candidates(target.x - source.x, self.width)
-                      if self.wraps_x else (target.x - source.x,))
-        dy_options = (self._axis_candidates(target.y - source.y, self.height)
-                      if self.wraps_y else (target.y - source.y,))
-        best: Optional[Tuple[int, int, int]] = None
-        for dx in dx_options:
-            for dy in dy_options:
-                candidate = (self.hex_distance(dx, dy), dx, dy)
-                if best is None or candidate < best:
-                    best = candidate
-        return best[1], best[2]
+    def _axes(self) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
+        # A wrapping axis spans the machine, so the rect's size is its size.
+        return (self._axis_rows(self.rect.width, self.wraps_x),
+                self._axis_rows(self.rect.height, self.wraps_y))
+
+    def _cell(self, source: ChipCoordinate, target: ChipCoordinate) -> tuple:
+        if not (self.rect.contains(source) and self.rect.contains(target)):
+            raise ValueError("%s -> %s leaves the lease rectangle %s"
+                             % (source, target, self.rect))
+        return super()._cell(source, target)
 
     def all_chips(self) -> Iterator[ChipCoordinate]:
         """Iterate over the lease's usable chips in raster order."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 
 class Direction(IntEnum):
@@ -131,6 +131,10 @@ class TorusGeometry:
     vector to its minimal form, the distance is ``max(|dx|, |dy|)`` when dx
     and dy have the same sign (the diagonal helps) and ``|dx| + |dy|`` when
     they differ in sign.
+
+    The mesh is translation-invariant, so one table with a cell per
+    coordinate difference reduced per axis (``width x height`` on the
+    torus), built on first use, answers every query: no work per chip pair.
     """
 
     def __init__(self, width: int, height: int) -> None:
@@ -138,38 +142,61 @@ class TorusGeometry:
             raise ValueError("torus dimensions must be positive")
         self.width = width
         self.height = height
+        self._cells: Optional[List[tuple]] = None
+        self._rows_x = self._rows_y = 0
+
+    # ------------------------------------------------------------------
+    # The displacement table
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _axis_rows(size: int, wraps: bool = True) -> List[Tuple[int, ...]]:
+        """Candidate displacements of each table row along one axis.
+
+        A wrapping axis has a row per delta modulo ``size``: both ways
+        round.  One that does not wrap has a row per signed delta, taken
+        modulo ``2 * size - 1`` rows.
+        """
+        if wraps:
+            return [(d,) if d == 0 else (d, d - size) for d in range(size)]
+        rows = 2 * size - 1
+        return [(d if d < size else d - rows,) for d in range(rows)]
+
+    def _axes(self) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
+        return self._axis_rows(self.width), self._axis_rows(self.height)
+
+    @classmethod
+    def _reduce(cls, dx_options: Tuple[int, ...],
+                dy_options: Tuple[int, ...]) -> tuple:
+        """Cell ``(dx, dy, hops, first link)`` of the candidate pair with the
+        fewest hops; ties go to the smaller ``(dx, dy)``, keeping the metric
+        symmetric at half the torus."""
+        hops, dx, dy = min((cls.hex_distance(dx, dy), dx, dy)
+                           for dx in dx_options for dy in dy_options)
+        steps = cls.decompose(dx, dy)
+        return dx, dy, hops, steps[0] if steps else None
+
+    def _cell(self, source: ChipCoordinate, target: ChipCoordinate) -> tuple:
+        cells = self._cells
+        if cells is None:
+            x_rows, y_rows = self._axes()
+            self._rows_x, self._rows_y = len(x_rows), len(y_rows)
+            cells = [self._reduce(xs, ys) for xs in x_rows for ys in y_rows]
+            self._cells = cells
+        return cells[(target.x - source.x) % self._rows_x * self._rows_y
+                     + (target.y - source.y) % self._rows_y]
 
     # ------------------------------------------------------------------
     # Displacements and distances
     # ------------------------------------------------------------------
-    def wrap(self, coord: ChipCoordinate) -> ChipCoordinate:
-        """Wrap an arbitrary coordinate onto the torus."""
-        return ChipCoordinate(coord.x % self.width, coord.y % self.height)
+    def contains(self, coordinate: ChipCoordinate) -> bool:
+        """True if ``coordinate`` is a chip of the torus."""
+        return (0 <= coordinate.x < self.width
+                and 0 <= coordinate.y < self.height)
 
     def displacement(self, source: ChipCoordinate,
                      target: ChipCoordinate) -> Tuple[int, int]:
-        """Minimal ``(dx, dy)`` displacement from source to target.
-
-        Each axis has two torus-equivalent candidates (going one way round
-        or the other); the pair minimising the hexagonal hop count is
-        chosen, which keeps the distance metric symmetric even when an axis
-        displacement is exactly half the torus size.
-        """
-        best: Tuple[int, int, int] = None  # type: ignore[assignment]
-        for dx in self._axis_candidates(target.x - source.x, self.width):
-            for dy in self._axis_candidates(target.y - source.y, self.height):
-                hops = self.hex_distance(dx, dy)
-                candidate = (hops, dx, dy)
-                if best is None or candidate < best:
-                    best = candidate
-        return best[1], best[2]
-
-    @staticmethod
-    def _axis_candidates(delta: int, size: int) -> Tuple[int, ...]:
-        delta %= size
-        if delta == 0:
-            return (0,)
-        return (delta, delta - size)
+        """Minimal ``(dx, dy)`` displacement from source to target."""
+        return self._cell(source, target)[:2]
 
     @staticmethod
     def hex_distance(dx: int, dy: int) -> int:
@@ -184,8 +211,12 @@ class TorusGeometry:
 
     def distance(self, source: ChipCoordinate, target: ChipCoordinate) -> int:
         """Shortest hop count between two chips on the torus."""
-        dx, dy = self.displacement(source, target)
-        return self.hex_distance(dx, dy)
+        return self._cell(source, target)[2]
+
+    def first_hop(self, source: ChipCoordinate,
+                  target: ChipCoordinate) -> Optional[Direction]:
+        """First link of :meth:`route` (``None`` when source is target)."""
+        return self._cell(source, target)[3]
 
     # ------------------------------------------------------------------
     # Routes

@@ -6,49 +6,31 @@ chip holds a table giving, for every destination chip, the output link on
 which to forward a packet (or "local" when the destination is this chip).
 
 The tables are configured during the second phase of boot, after the
-coordinate-propagation flood has told every chip where it is.  This module
-builds the table from the torus geometry using the same shortest
-dimension-ordered routes as the multicast default routing, so the p2p and
-multicast fabrics behave consistently.
+coordinate-propagation flood has told every chip where it is.  Each entry
+is the first hop of the shortest dimension-ordered route the multicast
+default routing uses, so the two fabrics behave consistently; a chip's
+table is a view of the geometry's one displacement table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.core.geometry import ChipCoordinate, Direction, TorusGeometry
 
 
-@dataclass
+@dataclass(frozen=True)
 class P2PRoutingTable:
     """One chip's point-to-point routing table.
 
-    The table maps a destination chip coordinate to the link on which to
+    The table maps every chip of ``geometry`` to the link on which to
     forward a packet heading there.  ``None`` means the destination is the
     local chip.
     """
 
     coordinate: ChipCoordinate
-    entries: Dict[ChipCoordinate, Optional[Direction]]
-
-    @classmethod
-    def build(cls, coordinate: ChipCoordinate,
-              geometry: TorusGeometry) -> "P2PRoutingTable":
-        """Build the full table for ``coordinate`` on ``geometry``.
-
-        For every destination the first hop of the shortest dimension-
-        ordered route is stored, exactly what the boot code computes once
-        the chip knows its own position.
-        """
-        entries: Dict[ChipCoordinate, Optional[Direction]] = {}
-        for destination in geometry.all_chips():
-            if destination == coordinate:
-                entries[destination] = None
-            else:
-                route = geometry.route(coordinate, destination)
-                entries[destination] = route[0]
-        return cls(coordinate=coordinate, entries=entries)
+    geometry: TorusGeometry
 
     def next_hop(self, destination: ChipCoordinate) -> Optional[Direction]:
         """The link towards ``destination`` (``None`` if it is this chip).
@@ -56,18 +38,16 @@ class P2PRoutingTable:
         Raises
         ------
         KeyError
-            If the destination is not in the table (the table has not been
-            configured for that chip — for example before boot completes).
+            If the destination is not a chip of the table's geometry (for
+            example a chip outside, or condemned out of, a lease).
         """
-        return self.entries[destination]
+        if not self.geometry.contains(destination):
+            raise KeyError(destination)
+        return self.geometry.first_hop(self.coordinate, destination)
 
     def knows(self, destination: ChipCoordinate) -> bool:
         """True if the table has an entry for ``destination``."""
-        return destination in self.entries
+        return self.geometry.contains(destination)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def reachable_destinations(self) -> List[ChipCoordinate]:
-        """Every destination the table can forward towards."""
-        return list(self.entries)
+        return self.geometry.n_chips

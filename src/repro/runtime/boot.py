@@ -222,10 +222,11 @@ class BootController:
             self.kernel.run()
 
         # Phase 3: p2p routing-table configuration on every located chip.
+        # Each table is a view onto the geometry's one displacement table.
         for coordinate, chip in self.machine.chips.items():
             if chip.state.coordinates_known:
-                chip.p2p_table = P2PRoutingTable.build(coordinate,
-                                                       self.machine.geometry)
+                chip.p2p_table = P2PRoutingTable(coordinate,
+                                                 self.machine.geometry)
                 chip.state.p2p_configured = True
                 self.result.p2p_tables_configured += 1
 

@@ -15,6 +15,10 @@ the fast path equals it element for element:
   written, never read back);
 * :class:`DictSDRAM` — the SDRAM word store as one dict entry per written
   word, accessed a word at a time;
+* :func:`reference_displacement` / :func:`reference_p2p_entries` — the
+  minimal displacement searched per chip pair, and one chip's p2p table
+  built destination by destination from full routes, which pin the
+  geometry's one displacement table;
 * :func:`build_rows` — the object-building connector loops, making the
   generator calls one synapse at a time;
 * :class:`ScalarRing` — a per-event deferred-event ring that clamps at
@@ -40,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.geometry import ChipCoordinate, Direction, TorusGeometry
 from repro.core.sdram import (
     DEFAULT_SDRAM_BYTES,
     SDRAMAllocationError,
@@ -258,6 +263,49 @@ class DictSDRAM:
         if not 0 <= address < self.size_bytes:
             raise ValueError("address 0x%x is outside the %d-byte SDRAM"
                              % (address, self.size_bytes))
+
+
+# ----------------------------------------------------------------------
+# Scalar displacements and p2p tables, one route per chip pair
+# ----------------------------------------------------------------------
+def _axis_options(delta: int, size: int, wraps: bool) -> Tuple[int, ...]:
+    if not wraps:
+        return (delta,)
+    delta %= size
+    if delta == 0:
+        return (0,)
+    return (delta, delta - size)
+
+
+def reference_displacement(geometry, source: ChipCoordinate,
+                           target: ChipCoordinate) -> Tuple[int, int]:
+    """Minimal ``(dx, dy)`` from ``source`` to ``target``, searched per pair.
+
+    Each axis offers its torus-equivalent candidates (a lease axis that
+    does not wrap offers only the signed delta); the pair with the fewest
+    hexagonal hops wins, ties to the smaller ``(dx, dy)``.
+    """
+    best: Optional[Tuple[int, int, int]] = None
+    for dx in _axis_options(target.x - source.x, geometry.width,
+                            getattr(geometry, "wraps_x", True)):
+        for dy in _axis_options(target.y - source.y, geometry.height,
+                                getattr(geometry, "wraps_y", True)):
+            candidate = (TorusGeometry.hex_distance(dx, dy), dx, dy)
+            if best is None or candidate < best:
+                best = candidate
+    return best[1], best[2]
+
+
+def reference_p2p_entries(coordinate: ChipCoordinate, geometry
+                          ) -> Dict[ChipCoordinate, Optional[Direction]]:
+    """One chip's p2p table as boot once built it: for every chip of the
+    geometry, the first link of the full route there (``None`` locally)."""
+    entries: Dict[ChipCoordinate, Optional[Direction]] = {}
+    for destination in geometry.all_chips():
+        route = TorusGeometry.decompose(
+            *reference_displacement(geometry, coordinate, destination))
+        entries[destination] = route[0] if route else None
+    return entries
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_displacement, reference_p2p_entries
+from repro.alloc.machine_view import LeaseGeometry
+from repro.alloc.partition import Lease, Rect
 from repro.core.geometry import ChipCoordinate, Direction, TorusGeometry
 from repro.router.p2p import P2PRoutingTable
 from repro.router.routing_table import (
@@ -187,27 +190,27 @@ class TestIndexedLookup:
 class TestP2PRoutingTable:
     def test_table_covers_every_destination(self):
         geometry = TorusGeometry(4, 4)
-        table = P2PRoutingTable.build(ChipCoordinate(1, 1), geometry)
+        table = P2PRoutingTable(ChipCoordinate(1, 1), geometry)
         assert len(table) == 16
         assert table.next_hop(ChipCoordinate(1, 1)) is None
 
     def test_next_hop_is_first_step_of_shortest_route(self):
         geometry = TorusGeometry(8, 8)
         origin = ChipCoordinate(0, 0)
-        table = P2PRoutingTable.build(origin, geometry)
+        table = P2PRoutingTable(origin, geometry)
         destination = ChipCoordinate(3, 3)
         assert table.next_hop(destination) is Direction.NORTH_EAST
 
     def test_unknown_destination_raises(self):
         geometry = TorusGeometry(2, 2)
-        table = P2PRoutingTable.build(ChipCoordinate(0, 0), geometry)
+        table = P2PRoutingTable(ChipCoordinate(0, 0), geometry)
         with pytest.raises(KeyError):
             table.next_hop(ChipCoordinate(5, 5))
         assert not table.knows(ChipCoordinate(5, 5))
 
     def test_following_next_hops_reaches_destination(self):
         geometry = TorusGeometry(6, 6)
-        tables = {coord: P2PRoutingTable.build(coord, geometry)
+        tables = {coord: P2PRoutingTable(coord, geometry)
                   for coord in geometry.all_chips()}
         source = ChipCoordinate(0, 0)
         destination = ChipCoordinate(4, 2)
@@ -219,3 +222,74 @@ class TestP2PRoutingTable:
             hops += 1
             assert hops <= 12, "p2p forwarding must not loop"
         assert hops == geometry.distance(source, destination)
+
+
+def _lease_geometry(rect, excluded=(), machine=(8, 6)):
+    lease = Lease(lease_id=1, rect=rect, excluded=set(excluded))
+    return LeaseGeometry(lease, *machine)
+
+
+#: A torus (odd and even axes, so half-torus ties occur), and leases that
+#: wrap on both axes, on one, on none, and with condemned chips.
+P2P_GEOMETRIES = {
+    "torus": lambda: TorusGeometry(7, 6),
+    "torus-2x2": lambda: TorusGeometry(2, 2),
+    "lease-wraps-both": lambda: _lease_geometry(
+        Rect(0, 0, 8, 6), excluded={ChipCoordinate(3, 2)}),
+    "lease-wraps-x": lambda: _lease_geometry(Rect(0, 2, 8, 3)),
+    "lease-open": lambda: _lease_geometry(Rect(2, 1, 5, 4)),
+    "lease-excluded": lambda: _lease_geometry(
+        Rect(1, 1, 6, 4), excluded={ChipCoordinate(2, 2),
+                                    ChipCoordinate(6, 4)}),
+}
+
+
+class TestDisplacementTable:
+    """Every p2p entry and every distance, against the scalar per-pair
+    search boot used to run for each chip."""
+
+    @pytest.mark.parametrize("name", sorted(P2P_GEOMETRIES))
+    def test_every_p2p_entry_matches_the_scalar_builder(self, name):
+        geometry = P2P_GEOMETRIES[name]()
+        for chip in geometry.all_chips():
+            table = P2PRoutingTable(chip, geometry)
+            expected = reference_p2p_entries(chip, geometry)
+            assert len(table) == len(expected)
+            assert {destination: table.next_hop(destination)
+                    for destination in expected} == expected
+
+    @pytest.mark.parametrize("name", sorted(P2P_GEOMETRIES))
+    def test_every_displacement_and_distance_matches(self, name):
+        geometry = P2P_GEOMETRIES[name]()
+        chips = list(geometry.all_chips())
+        for source in chips:
+            for target in chips:
+                dx, dy = reference_displacement(geometry, source, target)
+                assert geometry.displacement(source, target) == (dx, dy)
+                assert geometry.distance(source, target) == \
+                    TorusGeometry.hex_distance(dx, dy)
+                assert geometry.route(source, target) == \
+                    TorusGeometry.decompose(dx, dy)
+
+    def test_excluded_lease_chips_stay_unknown(self):
+        geometry = P2P_GEOMETRIES["lease-excluded"]()
+        table = P2PRoutingTable(ChipCoordinate(1, 1), geometry)
+        for condemned in (ChipCoordinate(2, 2), ChipCoordinate(6, 4)):
+            assert not table.knows(condemned)
+            with pytest.raises(KeyError):
+                table.next_hop(condemned)
+        assert not table.knows(ChipCoordinate(0, 0))  # outside the rect
+        assert len(table) == 6 * 4 - 2
+
+    def test_condemning_a_chip_after_boot_forgets_it(self):
+        geometry = _lease_geometry(Rect(0, 0, 4, 4))
+        table = P2PRoutingTable(ChipCoordinate(0, 0), geometry)
+        assert table.knows(ChipCoordinate(2, 2))
+        geometry.lease.excluded.add(ChipCoordinate(2, 2))
+        assert not table.knows(ChipCoordinate(2, 2))
+        assert len(table) == 15
+
+    def test_lease_rejects_queries_leaving_its_rectangle(self):
+        geometry = P2P_GEOMETRIES["lease-open"]()
+        with pytest.raises(ValueError):
+            geometry.distance(ChipCoordinate(2, 1), ChipCoordinate(0, 0))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.geometry import ChipCoordinate
+from repro.alloc.machine_view import LeasedMachineView
+from repro.alloc.partition import Lease, Rect
+from repro.core.geometry import ChipCoordinate, TorusGeometry
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.core.processor import ProcessorState
 from repro.runtime.boot import BootController
@@ -62,6 +64,65 @@ class TestFaultFreeBoot:
         assert result.monitors_elected == 9
         assert result.failed_cores == 0
         assert result.nn_packets_sent > 0
+
+
+class TestBootScalesWithChips:
+    """Phase 3 must cost O(chips): one displacement-table cell per reduced
+    displacement, and no route computed per (chip, destination) pair."""
+
+    @staticmethod
+    def _count_geometry_work(monkeypatch):
+        calls = {"hex_distance": 0, "route": 0}
+        hex_distance = TorusGeometry.hex_distance
+        route = TorusGeometry.route
+
+        def counted_hex_distance(dx, dy):
+            calls["hex_distance"] += 1
+            return hex_distance(dx, dy)
+
+        def counted_route(self, source, target):
+            calls["route"] += 1
+            return route(self, source, target)
+
+        monkeypatch.setattr(TorusGeometry, "hex_distance",
+                            staticmethod(counted_hex_distance))
+        monkeypatch.setattr(TorusGeometry, "route", counted_route)
+        return calls
+
+    @pytest.mark.parametrize("boards", [(1, 1), (2, 1), (2, 2)])
+    def test_boot_geometry_work_is_linear_in_chips(self, monkeypatch,
+                                                   boards):
+        machine = SpiNNakerMachine(MachineConfig.multi_board(
+            *boards, cores_per_chip=2))
+        calls = self._count_geometry_work(monkeypatch)
+        result = BootController(machine, seed=1).boot()
+        assert result.p2p_tables_configured == machine.n_chips
+        # Read every entry of every table: the first read builds the one
+        # table, at most four candidate displacements per cell and one cell
+        # per reduced displacement (width x height on a torus).
+        for source, chip in machine.chips.items():
+            for destination in machine.chips:
+                chip.p2p_table.next_hop(destination)
+        assert calls["route"] == 0
+        assert 0 < calls["hex_distance"] <= 4 * machine.n_chips
+
+    def test_lease_boot_geometry_work_is_linear_in_lease_chips(
+            self, monkeypatch):
+        machine = SpiNNakerMachine(MachineConfig.multi_board(
+            2, 2, cores_per_chip=2))
+        view = LeasedMachineView(machine, Lease(1, Rect(3, 2, 6, 5)))
+        calls = self._count_geometry_work(monkeypatch)
+        result = BootController(view, seed=1).boot()
+        assert result.p2p_tables_configured == view.n_chips == 30
+        for chip in view.chips.values():
+            for destination in view.chips:
+                chip.p2p_table.next_hop(destination)
+        assert calls["route"] == 0
+        # A lease axis that does not wrap has 2 * span - 1 rows.
+        assert calls["hex_distance"] == (2 * 6 - 1) * (2 * 5 - 1)
+        table = view.chips[ChipCoordinate(3, 2)].p2p_table
+        assert len(table) == 30
+        assert not table.knows(ChipCoordinate(0, 0))
 
 
 class TestBootWithFaults:
