@@ -153,7 +153,7 @@ class ExchangePlan:
 
         destinations: Dict[int, List[int]] = {}
         for board in boards:
-            for key in board_contexts[board].delivery_index.row_ptr:
+            for key in board_contexts[board].delivery_index.first_row:
                 destinations.setdefault(key, []).append(board)
 
         cross: Dict[int, Tuple[int, ...]] = {}

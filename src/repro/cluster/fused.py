@@ -12,8 +12,9 @@ one stacked block, and all of them share one
 engine's own is the propagate step: spike batches are delivered through
 the board-level :class:`~repro.compile.context.BoardDeliveryIndex` the
 ShardByBoard pass merges from the destination cores' delivery legs (the
-legs the event path and the transport fabric read) — one slot gather
-and one ring scatter per batch list —
+legs the event path and the transport fabric read), its arena slots
+pre-computed as ring offsets ``delay * ring width + column`` — one
+row-table gather, one offset gather and one ring update per batch list,
 landing at ``tick + 1 + delay``, the arrival tick of the fabric
 transport at zero timer stagger; batches on exported keys are handed
 back for the exchange.
@@ -96,14 +97,20 @@ class FusedBoardEngine:
         self.kernel = TickKernel(units, timestep_ms,
                                  FusedDeferredEventBuffer, self.result)
 
-        # Pre-translate the delivery arena's board-flat targets (core
-        # 0's neurons first, then core 1's...) to ring columns once.
-        index = self._index = context.delivery_index
+        # Each arena slot's ring offset: delay row, then the ring column
+        # of its board-flat target (core 0's neurons first, then 1's...).
+        index = context.delivery_index
+        self._first_row = index.first_row
+        self._row_start = index.row_ptr[:-1]
+        self._row_end = index.row_ptr[1:]
+        self._width = width = self.kernel.ring.total_width
+        # Offsets, and their rotation by up to one ring, fit in int32.
+        assert 2 * self.kernel.ring.n_slots * width <= np.iinfo(np.int32).max
         translate = np.concatenate(
-            [self.kernel.columns(unit) for unit in units])
-        self._arena_cells = translate[index.targets]
+            [self.kernel.columns(unit) for unit in units]).astype(np.int32)
+        self._arena_offsets = translate[index.targets]
+        self._arena_offsets += index.delay_ticks.astype(np.int32) * width
         self._arena_weights = index.weights
-        self._arena_delays = index.delay_ticks
         self.step_s = 0.0
         self.local_apply_s = 0.0
         self.remote_apply_s = 0.0
@@ -127,51 +134,39 @@ class FusedBoardEngine:
             self, batches: Iterable[Tuple[int, int, np.ndarray]]) -> None:
         """Deliver ``(key, age, spiking)`` batches in one fused scatter.
 
-        Gathers every batch's arena slots, concatenates, and lands the
-        lot with a single ring update — result-exact versus delivering
-        each leg on its own (as the fabric transport does) because ring
-        accumulation of the fixed-point weights is an exact sum.
+        A batch costs one add (its sources' row-table rows); the list
+        then costs one gather of each table and one ring update — exact
+        versus delivering each leg on its own (as the fabric transport
+        does): ring accumulation of fixed-point weights is an exact sum.
         """
-        row_ptr_map = self._index.row_ptr
-        result = self.result
-        start_parts: List[np.ndarray] = []
-        count_parts: List[np.ndarray] = []
+        first_row = self._first_row
+        rows: List[np.ndarray] = []
         ages: List[int] = []
-        sizes: List[int] = []
+        spikes: List[int] = []
         for key, age, spiking in batches:
             # Local and exchanged batches alike only go to boards the
-            # key reaches, so every key has arena rows here.
-            row_ptr = row_ptr_map[key]
-            starts = row_ptr[spiking]
-            counts = row_ptr[spiking + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            start_parts.append(starts)
-            count_parts.append(counts)
+            # key reaches, so every key has table rows here.
+            rows.append(spiking + first_row[key])
             ages.append(age)
-            sizes.append(total)
-        if not start_parts:
+            spikes.append(spiking.size)
+        if not rows:
             return
-        # One merged row expansion for the whole batch list, in (batch,
-        # spiking source)-major slot order, without a per-key expansion.
-        starts = (start_parts[0] if len(start_parts) == 1
-                  else np.concatenate(start_parts))
-        counts = (count_parts[0] if len(count_parts) == 1
-                  else np.concatenate(count_parts))
+        rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        starts = self._row_start[rows]
+        counts = self._row_end[rows] - starts
         slots = expand_rows(starts, counts)
+        offsets = self._arena_offsets[slots]
         weights = self._arena_weights[slots]
-        delays = self._arena_delays[slots]
         if any(ages):
-            delays = delays - np.repeat(np.asarray(ages, dtype=np.intp),
-                                        sizes)
-        result.synaptic_events += int(slots.size)
+            # Re-base aged batches: delay - age, one row per tick of age.
+            offsets -= np.repeat(np.repeat(
+                np.array(ages) * self._width, spikes), counts)
+        self.result.synaptic_events += int(slots.size)
         # One charge sum over the merged batches: every weight is an
         # exact multiple of 2^-4 in float64, so the total is exact and
         # grouping-independent — bit-equal to a per-leg accumulation.
-        result.delivered_charge_na += float(weights.sum())
-        self.kernel.ring.add_events(self._arena_cells[slots], weights,
-                                    delays)
+        self.result.delivered_charge_na += float(weights.sum())
+        self.kernel.ring.add_events(offsets, weights)
 
     def apply(self, batches: List[SpikeBatch]) -> None:
         """Scatter inbound spike batches into the fused ring.
@@ -216,7 +211,7 @@ class FusedBoardEngine:
             spec = self._core_of[unit]
             if spec.has_outgoing:
                 self.result.packets_sent += int(spiking.size)
-                if spec.base_key in self._index.row_ptr:
+                if spec.base_key in self._first_row:
                     local.append((spec.base_key, spiking))
                 if spec.base_key in self.export_keys:
                     outbound.append((spec.base_key, spiking))
@@ -233,6 +228,7 @@ class FusedBoardEngine:
         """Close out the board's recording and return its result."""
         self.result.flush()
         self.result.duration_ms = duration_ms
+        self.result.saturations = self.kernel.ring.saturations
         return ShardResult(board=self.board, result=self.result,
                            compute_s=self.compute_s,
                            stage_s=self.stage_s)

@@ -147,9 +147,10 @@ class BoardDeliveryIndex:
     read from :attr:`CoreSynapticData.legs`) is merged into one
     board-wide CSR: target neuron indices are pre-offset into a
     *board-flat* numbering (core 0's neurons first, then core 1's, in
-    canonical core order), and each key's rows carry *absolute* bounds
-    into a single targets/weights/delays arena shared by every key.  The
-    fused engine then scatters a whole batch list with one gather + one
+    canonical core order), and every key's source rows sit back to back
+    in one row table (key ``k``'s row ``i`` is ``first_row[k] + i``) over
+    one targets/weights/delays arena.  The fused engine then scatters a
+    whole batch list with one row-table gather, one arena gather and one
     ring update instead of a loop per (key, destination core) leg.
 
     Merging legs is result-exact: ring accumulation of the fixed-point
@@ -167,10 +168,12 @@ class BoardDeliveryIndex:
     targets: np.ndarray
     weights: np.ndarray
     delay_ticks: np.ndarray
-    #: key -> ``(n_pre + 1,)`` *absolute* arena bounds of each source
-    #: row (rows of a key's several legs are merged, leg-ordered within
-    #: a row).  Exactly the keys that reach the board.
-    row_ptr: Dict[int, np.ndarray] = field(default_factory=dict)
+    #: ``(n_rows + 1,)`` arena bounds of every table row (rows of a key's
+    #: several legs are merged, leg-ordered within a row).
+    row_ptr: np.ndarray
+    #: key -> table row of the key's source neuron 0.  Exactly the keys
+    #: that reach the board, in arena order.
+    first_row: Dict[int, int]
 
     @classmethod
     def build(cls, cores: List[ShardCore],
@@ -191,11 +194,12 @@ class BoardDeliveryIndex:
                       [leg for _, leg in key_legs], total,
                       [core_offsets[index] for index, _ in key_legs])
                   for key, key_legs in legs.items()}
-        row_ptr: Dict[int, np.ndarray] = {}
-        base = 0
+        first_row: Dict[int, int] = {}
+        bounds, n_rows = [np.zeros(1, dtype=np.int64)], 0
         for key, csr in merged.items():
-            row_ptr[key] = base + csr.row_ptr
-            base += csr.n_synapses
+            first_row[key] = n_rows
+            n_rows += csr.n_pre
+            bounds.append(bounds[-1][-1] + csr.row_ptr[1:])
 
         def arena(field_name: str, dtype) -> np.ndarray:
             if not merged:
@@ -208,7 +212,7 @@ class BoardDeliveryIndex:
                    targets=arena("targets", np.intp),
                    weights=arena("weights", float),
                    delay_ticks=arena("delay_ticks", np.intp),
-                   row_ptr=row_ptr)
+                   row_ptr=np.concatenate(bounds), first_row=first_row)
 
 
 @dataclass

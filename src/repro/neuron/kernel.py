@@ -55,7 +55,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.neuron.population import Population, stimulus_mask
-from repro.neuron.synapse import MAX_DELAY_TICKS
+from repro.neuron.synapse import MAX_DELAY_TICKS, DeferredEventBuffer
 from repro.profile import profile_stage
 
 __all__ = ["SpikeRecord", "StackedBlock", "TickKernel", "TickUnit"]
@@ -276,7 +276,8 @@ class TickKernel:
 
     def defer(self, unit: TickUnit, targets: np.ndarray,
               weights: np.ndarray, delay_ticks: np.ndarray) -> None:
-        """Defer events addressed to ``unit``'s local neuron indices."""
+        """Defer events at ``unit``'s local neuron indices (float ring)."""
+        assert isinstance(self.ring, DeferredEventBuffer)
         if unit.base is not None:
             self.ring.add_events(targets + unit.base, weights, delay_ticks)
 

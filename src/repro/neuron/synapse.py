@@ -16,9 +16,9 @@ that implement the algorithmic re-insertion of the delay at the target
 neuron.  There are two because the accumulation rule is a property of
 the weight domain: :class:`DeferredEventBuffer` sums unquantised float
 weights in element order, :class:`FusedDeferredEventBuffer` pre-sums
-fixed-point machine weights exactly and accepts pre-aged delays.  The
-tick kernel (:mod:`repro.neuron.kernel`) lays the cells of the units
-that share a tick out as one ring's columns and is the only caller of
+fixed-point weights exactly, addressed by ring offset.  The tick
+kernel (:mod:`repro.neuron.kernel`) lays the cells of the units that
+share a tick out as one ring's columns and is the only caller of
 ``drain()``.
 
 Both saturate at the 16-bit weight range, clamping once per batch over
@@ -46,8 +46,8 @@ WEIGHT_FIXED_POINT = 1 << 4
 WEIGHT_SATURATION_NA = ((1 << (WEIGHT_BITS - 1)) - 1) / WEIGHT_FIXED_POINT
 
 
-def _clamp_touched(buffer: np.ndarray, cells: np.ndarray,
-                   slots: np.ndarray) -> int:
+def _clamp_touched(buffer: np.ndarray, cells: np.ndarray, slots,
+                   n_rows: int = 0) -> int:
     """Clamp the cells a batch touched at the 16-bit weight range; return
     how many were over it.
 
@@ -55,14 +55,14 @@ def _clamp_touched(buffer: np.ndarray, cells: np.ndarray,
     can have newly crossed the limit (cells clamped by earlier batches
     sit exactly *at* it and are not re-counted).  ``cells`` are the
     batch's flat ring indices, duplicates and all, and ``slots`` the
-    slot rows it touched; the cheaper test is chosen from their sizes —
-    read the touched cells back when the batch is much smaller than the
-    rows it touched (a gathered cell costs about four scanned ones),
-    scan those rows when it is denser — so the cost never depends on how
-    many units share a ring, and either way each saturating cell is
-    clamped and counted once.
+    rows holding them (indices, or slices of ``n_rows`` rows in all);
+    the cheaper test is chosen from their sizes — read the cells back
+    when the batch is much smaller than those rows (a gathered cell
+    costs about four scanned ones), scan the rows when it is denser —
+    so the cost never depends on how many units share a ring, and
+    either way each saturating cell is clamped and counted once.
     """
-    if 4 * cells.size < len(slots) * buffer.shape[1]:
+    if 4 * cells.size < (n_rows or len(slots)) * buffer.shape[1]:
         flat = buffer.ravel()
         over = np.abs(flat[cells]) > WEIGHT_SATURATION_NA
         if not over.any():
@@ -204,16 +204,14 @@ class FusedDeferredEventBuffer:
     scatter per tick can deliver events to every core at once and one
     row drain hands every core its inputs.
 
-    Events address the ring by *cell* — the fused column index, i.e.
-    ``core_offset + target`` — so the caller resolves core offsets once
-    at build time (see ``BoardDeliveryIndex``) and the hot path carries
-    no per-core indirection.  Delays may arrive pre-aged by the
-    conservative-lookahead exchange: a batch sent at tick ``t`` may only
-    reach the ring once it has advanced to ``t + 1 + age``, so the
-    caller re-bases each programmable delay to ``delay - age``.  An
-    effective delay of ``0`` is legal and means "drains this tick";
-    lookahead never exceeds ``1 + d_min`` ticks, so a negative value
-    means the caller violated the lookahead bound.
+    Events address the ring by *offset* ``delay * total_width + cell``
+    from the row draining this tick, ``cell`` being the fused column
+    (``core_offset + target``), computed once per synapse at build time.
+    A batch the conservative-lookahead exchange sent at tick ``t`` may
+    only reach the ring once it has advanced to ``t + 1 + age``, so the
+    caller subtracts ``age * total_width``; lookahead never exceeds
+    ``1 + d_min`` ticks, so a negative offset means the caller violated
+    the lookahead bound.
 
     Bit-identity with per-core rings: weights are fixed-point multiples
     of ``2^-4`` held in float64, so ring accumulation is an exact sum
@@ -244,48 +242,44 @@ class FusedDeferredEventBuffer:
         """The tick whose inputs will be drained next."""
         return self._current_tick
 
-    def add_events(self, cells: np.ndarray, weights: np.ndarray,
-                   effective_delays: np.ndarray) -> None:
-        """Accumulate a batch of events addressed by fused cell index.
+    def add_events(self, offsets: np.ndarray, weights: np.ndarray) -> None:
+        """Accumulate a batch of events addressed by ring offset.
 
-        ``effective_delays`` are already re-based by the batch's age
-        (``delay - age``); ``0`` means the event drains this tick.  The
-        whole batch is validated before any mutation, matching the
-        per-core buffer's all-or-nothing contract.
+        As ``cell < total_width``, ``0 <= offset < n_slots *
+        total_width`` is exactly ``0 <= effective delay <=
+        max_delay_ticks``.  The whole batch is validated before any
+        mutation, matching the per-core buffer's all-or-nothing contract.
         """
-        cells = np.asarray(cells, dtype=np.intp)
-        effective_delays = np.asarray(effective_delays, dtype=np.intp)
-        weights = np.asarray(weights, dtype=float)
-        if cells.size == 0:
+        if offsets.size == 0:
             return
-        if cells.min() < 0 or cells.max() >= self.total_width:
-            raise IndexError("event cells outside the fused width of %d"
-                             % (self.total_width,))
-        if (effective_delays.min() < 0
-                or effective_delays.max() > self.max_delay_ticks):
+        width, size = self.total_width, self._buffer.size
+        low, high = int(offsets.min()), int(offsets.max())
+        if low < 0 or high >= size:
             raise ValueError("effective delays outside 0..%d (lookahead "
                              "bound violated)" % (self.max_delay_ticks,))
-        flat_cells = effective_delays + self._current_tick
-        np.remainder(flat_cells, self.n_slots, out=flat_cells)
-        flat_cells *= self.total_width
-        flat_cells += cells
-        flat = self._buffer.ravel()
-        self.events_deferred += int(cells.size)
-        # A batch smaller than the ring width scatters in place; a
-        # dense one pre-sums per cell instead (exact: fixed-point
-        # weights in float64).  Either way the touched cells are clamped
-        # once, after the batch.
-        if cells.size < self.total_width:
-            np.add.at(flat, flat_cells, weights)
+        # Delay rows first..first + n_rows - 1 sit at ring rows start..,
+        # wrapping at most once; cells are offsets rotated there.  The clamp
+        # may scan span rows the batch missed: none holds a cell over it.
+        first = low // width
+        n_rows = high // width - first + 1
+        start = (self._current_tick + first) % self.n_slots
+        head = min(n_rows, self.n_slots - start)
+        cells = offsets + (start - first) * width
+        if head < n_rows:
+            cells -= (cells >= size) * cells.dtype.type(size)
+        self.events_deferred += int(offsets.size)
+        # A batch narrower than the ring scatters in place; a wider one is
+        # pre-summed per cell (exact in float64) and lands as slab adds.
+        if offsets.size < width:
+            np.add.at(self._buffer.ravel(), cells, weights)
         else:
-            flat += np.bincount(flat_cells, weights=weights,
-                                minlength=flat.size)
-        delay_counts = np.bincount(effective_delays,
-                                   minlength=self.n_slots)
+            sums = np.bincount(offsets - first * width, weights=weights,
+                               minlength=n_rows * width).reshape(-1, width)
+            self._buffer[start:start + head] += sums[:head]
+            self._buffer[:n_rows - head] += sums[head:]
         self.saturations += _clamp_touched(
-            self._buffer, flat_cells,
-            (self._current_tick + np.flatnonzero(delay_counts))
-            % self.n_slots)
+            self._buffer, cells,
+            (slice(start, start + head), slice(0, n_rows - head)), n_rows)
 
     def drain(self) -> np.ndarray:
         """Return and clear every core's inputs for the current tick.

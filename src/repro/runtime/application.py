@@ -150,6 +150,8 @@ class ApplicationResult(SpikeRecord):
     #: Total synaptic charge (nA) delivered; an exact sum of fixed-point
     #: weights, so it is comparable bit-for-bit across transports.
     delivered_charge_na: float = 0.0
+    #: Deferred-event ring cells clamped at the 16-bit weight range.
+    saturations: int = 0
 
     @property
     def delivery_latencies_us(self) -> np.ndarray:
@@ -208,6 +210,7 @@ class ApplicationResult(SpikeRecord):
             merged.emergency_invocations += result.emergency_invocations
             merged.synaptic_events += result.synaptic_events
             merged.delivered_charge_na += result.delivered_charge_na
+            merged.saturations += result.saturations
         for label in merged.spikes:
             merged.spikes[label].sort(key=lambda pair: pair[0])
         return merged
@@ -735,6 +738,8 @@ class NeuralApplication:
         self.result.duration_ms += duration_ms
         self.result.packets_dropped = self.machine.total_dropped_packets()
         self.result.emergency_invocations = self.machine.total_emergency_invocations()
+        self.result.saturations = sum(runtime.tick_kernel.ring.saturations
+                                      for runtime in self.core_runtimes)
         return self.result
 
     def run(self, duration_ms: float) -> ApplicationResult:

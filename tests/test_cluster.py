@@ -238,7 +238,7 @@ class TestShardByBoardPass:
                 assert leg.n_post == target.n_neurons
                 board = machine.config.board_of(slot[0])
                 assert record.key in ctx.board_contexts[
-                    board].delivery_index.row_ptr
+                    board].delivery_index.first_row
                 n_legs += 1
         assert n_legs > 0
         assert pipeline.records["shard-by-board"].last_scope.endswith(

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import ScalarRing
@@ -312,8 +314,10 @@ class TestGeneratedAgreement:
             transport="fabric", stagger_us=0.0)
         fabric = application.run(self.DURATION_MS)
         assert application.unmatched_packets == 0
-        assert sum(runtime.tick_kernel.ring.saturations
-                   for runtime in application.core_runtimes) > 0
+        saturations = sum(runtime.tick_kernel.ring.saturations
+                          for runtime in application.core_runtimes)
+        assert saturations > 0
+        assert fabric.saturations == saturations
         results = {}
         for workers in (1, 2):
             cluster = ClusterApplication(cluster_machine(), network(),
@@ -321,6 +325,7 @@ class TestGeneratedAgreement:
             results[workers] = cluster.run(self.DURATION_MS, workers=workers)
             assert cluster.report.workers == workers
             assert_equivalent(results[workers], fabric)
+            assert results[workers].saturations == saturations
         assert results[2].spikes == results[1].spikes
         assert set(fabric.spikes) == set(host.spikes)
 
@@ -359,6 +364,43 @@ class TestFusedEngine:
         assert_equivalent(prefetched_result, plain_result)
         assert prefetched_result.spikes == plain_result.spikes
         assert plain_result.synaptic_events > 0
+
+    def test_batch_grouping_changes_nothing(self):
+        """Mixed-age batches scattered in one call land the same ring and
+        counters as one call per batch — what pins the age fold."""
+        together, apart = self.single_board_engines(2)
+        for tick in range(25):
+            together.step(tick)
+            apart.step(tick)
+        index = together.context.delivery_index
+        rng = np.random.default_rng(4)
+        keys = sorted(index.first_row, key=index.first_row.get)
+        ends = [index.first_row[key] for key in keys[1:]] + [
+            index.row_ptr.size - 1]
+        batches = []
+        for key, end in zip(keys * 2, ends * 2):
+            first = index.first_row[key]
+            spiking = np.flatnonzero(rng.random(end - first) < 0.3)
+            slots = np.arange(index.row_ptr[first], index.row_ptr[end])
+            # The oldest age that keeps every delay of the key >= 0.
+            oldest = int(index.delay_ticks[slots].min())
+            batches.append((key, int(rng.integers(0, oldest + 1)), spiking))
+        assert len({age for _, age, _ in batches}) > 1
+        together._scatter_batches(batches)
+        for batch in batches:
+            apart._scatter_batches([batch])
+        for name in ("synaptic_events", "delivered_charge_na"):
+            assert getattr(together.result, name) == getattr(apart.result,
+                                                             name)
+        assert together.result.synaptic_events > 0
+        for field in ("_buffer", "events_deferred", "saturations",
+                      "_current_tick"):
+            assert np.array_equal(getattr(together.kernel.ring, field),
+                                  getattr(apart.kernel.ring, field)), field
+        for tick in range(25, 60):
+            assert together.step(tick) == apart.step(tick) == []
+        assert together.finish(60.0).result.spikes == \
+            apart.finish(60.0).result.spikes
 
     def test_stage_counters_cover_compute(self):
         (engine,) = self.single_board_engines(1)
@@ -423,11 +465,78 @@ class TestFusedEngine:
 # ----------------------------------------------------------------------
 # The fused ring buffer
 # ----------------------------------------------------------------------
+def ring_offsets(cells, effective_delays, width) -> np.ndarray:
+    """Events as the board engine addresses them: ``delay * width +
+    cell``."""
+    return (np.asarray(effective_delays, dtype=np.int32) * width
+            + np.asarray(cells, dtype=np.int32))
+
+
+@st.composite
+def ring_batches(draw):
+    """A ring width, a start position and batches of ``(cell, weight,
+    delay, age)`` events: sizes on both sides of the width and of the
+    clamp's ``4 * events < rows * width`` switch, delays spanning one
+    row to the whole ring, ages ``0..delay`` and fixed-point weights of
+    one sign per batch, heavy enough to saturate."""
+    width = draw(st.integers(1, 40))
+    position = draw(st.integers(0, 2 * (MAX_DELAY_TICKS + 1)))
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.sampled_from(
+            [0, 1, max(width // 4 - 1, 0), width // 4 + 1, width - 1, width,
+             width + 1, 2 * width, 5 * width]))
+        age = draw(st.integers(0, MAX_DELAY_TICKS))
+        low = draw(st.integers(max(age, 1), MAX_DELAY_TICKS))
+        high = draw(st.integers(low, MAX_DELAY_TICKS))
+        sign = draw(st.sampled_from([-1, 1]))
+        seed = draw(st.integers(0, 2 ** 16))
+        rng = np.random.default_rng(seed)
+        batches.append((rng.integers(0, width, size),
+                        sign * rng.integers(0, 24000, size) / 16.0,
+                        rng.integers(low, high + 1, size), age))
+    return width, position, batches
+
+
 class TestFusedDeferredEventBuffer:
+    @settings(max_examples=150, deadline=None)
+    @given(ring_batches())
+    def test_offsets_match_the_scalar_ring(self, drawn):
+        """``add_events(offsets, weights)`` lands, wherever the ring
+        stands when a batch arrives, what :class:`ScalarRing` lands:
+        fed event by event, the same cells (a same-sign batch clamps
+        alike per event and per batch); fed each batch's exact charge
+        per cell — the batch contract, one clamp per touched cell — the
+        same cells and the same saturation count too."""
+        width, position, batches = drawn
+        ring = FusedDeferredEventBuffer(width)
+        per_event, per_cell = ScalarRing(width), ScalarRing(width)
+        for _ in range(position):
+            for buffer in (ring, per_event, per_cell):
+                buffer.drain()
+        for cells, weights, delays, age in batches:
+            ring.add_events(ring_offsets(cells, delays - age, width),
+                            weights)
+            charge = {}
+            for cell, weight, delay in zip(cells.tolist(), weights.tolist(),
+                                           delays.tolist()):
+                per_event.add_input(cell, weight, delay, age=age)
+                charge[(cell, delay - age)] = (
+                    charge.get((cell, delay - age), 0.0) + weight)
+            for (cell, effective), total in charge.items():
+                delay = max(effective, 1)
+                per_cell.add_input(cell, total, delay, age=delay - effective)
+            assert np.array_equal(ring._buffer, per_event.buffer)
+            assert np.array_equal(ring._buffer, per_cell.buffer)
+            assert ring.saturations == per_cell.saturations
+        assert ring.events_deferred == per_event.events_deferred
+        for _ in range(MAX_DELAY_TICKS + 1):
+            assert np.array_equal(ring.drain(), per_event.drain())
+
     def test_ring_offsets_land_in_the_right_columns(self):
         ring = FusedDeferredEventBuffer(7)
-        ring.add_events(np.array([0, 3, 6]), np.array([0.5, 1.0, 2.0]),
-                        np.array([0, 0, 1]))
+        ring.add_events(ring_offsets([0, 3, 6], [0, 0, 1], 7),
+                        np.array([0.5, 1.0, 2.0]))
         now = ring.drain()
         assert np.array_equal(now, [0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
         later = ring.drain()
@@ -444,7 +553,7 @@ class TestFusedDeferredEventBuffer:
         cores = [ScalarRing(width, MAX_DELAY_TICKS) for width in widths]
         ring = FusedDeferredEventBuffer(sum(widths), MAX_DELAY_TICKS)
         for _ in range(40):
-            cells, weights, delays = [], [], []
+            events, weights = [], []
             for core, (buffer, width, base) in enumerate(
                     zip(cores, widths, offsets)):
                 n = int(rng.integers(0, 12))
@@ -455,11 +564,10 @@ class TestFusedDeferredEventBuffer:
                 age = int(rng.integers(0, 2))
                 for t, w, d in zip(targets, charge, delay):
                     buffer.add_input(int(t), float(w), int(d), age=age)
-                cells.append(targets + base)
+                events.append(ring_offsets(targets + base, delay - age,
+                                           sum(widths)))
                 weights.append(charge)
-                delays.append(delay - age)
-            ring.add_events(np.concatenate(cells), np.concatenate(weights),
-                            np.concatenate(delays))
+            ring.add_events(np.concatenate(events), np.concatenate(weights))
             row = ring.drain()
             split = np.concatenate([buffer.drain() for buffer in cores])
             assert np.array_equal(row, split)
@@ -471,7 +579,7 @@ class TestFusedDeferredEventBuffer:
         # the same absolute tick a per-tick exchange would have hit.
         aged = FusedDeferredEventBuffer(3)
         aged.drain(); aged.drain()                       # now at tick 2
-        aged.add_events(np.array([1]), np.array([2.0]), np.array([5 - 2]))
+        aged.add_events(ring_offsets([1], [5 - 2], 3), np.array([2.0]))
         reference = ScalarRing(3)
         reference.add_input(1, 2.0, 5)
         for _ in range(2):
@@ -481,58 +589,58 @@ class TestFusedDeferredEventBuffer:
 
     def test_effective_delay_bounds_enforced(self):
         ring = FusedDeferredEventBuffer(4)
-        with pytest.raises(ValueError, match="lookahead"):
-            ring.add_events(np.array([0]), np.array([1.0]),
-                            np.array([-1]))
-        with pytest.raises(ValueError, match="lookahead"):
-            ring.add_events(np.array([0]), np.array([1.0]),
-                            np.array([MAX_DELAY_TICKS + 1]))
-        with pytest.raises(IndexError):
-            ring.add_events(np.array([4]), np.array([1.0]), np.array([0]))
+        for delay in (-1, MAX_DELAY_TICKS + 1):
+            with pytest.raises(ValueError, match="lookahead"):
+                ring.add_events(ring_offsets([0, 3], [1, delay], 4),
+                                np.array([1.0, 1.0]))
         assert ring.pending_charge() == 0.0
+        assert ring.events_deferred == 0
 
     def test_empty_batch_is_a_no_op(self):
         ring = FusedDeferredEventBuffer(4)
-        ring.add_events(np.zeros(0, dtype=np.intp), np.zeros(0),
-                        np.zeros(0, dtype=np.intp))
+        ring.add_events(np.zeros(0, dtype=np.int32), np.zeros(0))
         assert ring.events_deferred == 0
 
     def test_saturation_clamped_once_per_cell(self):
         ring = FusedDeferredEventBuffer(3)
         big = WEIGHT_SATURATION_NA * 0.75
-        ring.add_events(np.array([1, 1]), np.array([big, big]),
-                        np.array([0, 0]))
+        ring.add_events(ring_offsets([1, 1], [0, 0], 3),
+                        np.array([big, big]))
         assert ring.saturations == 1
         row = ring.drain()
         assert row[1] == WEIGHT_SATURATION_NA
 
     def test_accumulate_and_clamp_paths_agree(self):
-        """A batch narrower than the ring scatters in place, a denser
-        one pre-sums; the clamp reads the touched cells back or scans
-        the touched rows.  The same 96 fixed-point events over three
-        slot rows must land the same cells and saturation count on
-        every side of both thresholds (``96 == width`` and
-        ``4 * 96 == 3 * width``)."""
+        """A batch narrower than the ring scatters in place, a wider one
+        pre-sums over its rows; the clamp reads the touched cells back
+        or scans the rows.  The same 96 fixed-point events over three
+        delay rows must land the same cells and saturation count on
+        every side of both thresholds (``96 == width`` and ``4 * 96 ==
+        3 * width``), and at every ring position, so that the row span
+        also wraps."""
         rng = np.random.default_rng(9)
         cells = rng.integers(0, 6, size=96)
         weights = rng.integers(-8000, 24001, size=96) / 16.0
         delays = rng.integers(0, 3, size=96)
 
-        def fill(width):
+        def fill(width, position):
             ring = FusedDeferredEventBuffer(width)
-            ring.add_events(cells, weights, delays)
+            for _ in range(position):
+                ring.drain()
+            ring.add_events(ring_offsets(cells, delays, width), weights)
             return ([ring.drain()[:6].tolist() for _ in range(3)],
                     ring.saturations)
 
-        rows, saturations = fill(6)
+        rows, saturations = fill(6, 0)
         assert saturations > 0
         assert max(max(row) for row in rows) == WEIGHT_SATURATION_NA
-        for width in (95, 96, 97, 127, 128, 129, 500):
-            assert fill(width) == (rows, saturations), width
+        for width in (6, 95, 96, 97, 127, 128, 129, 500):
+            for position in (0, MAX_DELAY_TICKS - 1, MAX_DELAY_TICKS):
+                assert fill(width, position) == (rows, saturations), width
 
     def test_reset_rewinds_everything(self):
         ring = FusedDeferredEventBuffer(3)
-        ring.add_events(np.array([0]), np.array([1.0]), np.array([2]))
+        ring.add_events(ring_offsets([0], [2], 3), np.array([1.0]))
         ring.drain()
         ring.reset()
         assert ring.current_tick == 0
@@ -571,8 +679,8 @@ class TestBoardDeliveryIndex:
 
     def test_slots_replay_every_leg(self):
         """For every key and a fan of spike batches, the row expansion
-        over the key's absolute arena bounds must enumerate exactly the
-        synapses of the key's legs on the board's cores (read from
+        over the key's slice of the flat row table must enumerate exactly
+        the synapses of the key's legs on the board's cores (read from
         ``core_data``) — same board-flat targets, weights and delays."""
         ctx, board_contexts = self.compiled()
         rng = np.random.default_rng(5)
@@ -584,9 +692,17 @@ class TestBoardDeliveryIndex:
                 data = ctx.core_data[(core.chip, core.core_id)]
                 for key, leg in data.legs.items():
                     legs.setdefault(key, []).append((core_index, leg))
-            assert set(index.row_ptr) == set(legs)
+            assert set(index.first_row) == set(legs)
+            assert index.row_ptr[0] == 0
+            assert index.row_ptr[-1] == index.targets.size
+            assert (np.diff(index.row_ptr) >= 0).all()
+            # Keys own consecutive runs of table rows, in arena order.
+            assert index.row_ptr.size - 1 == sum(
+                key_legs[0][1].n_pre for key_legs in legs.values())
             for key, key_legs in legs.items():
-                row_ptr = index.row_ptr[key]
+                first = index.first_row[key]
+                row_ptr = index.row_ptr[first:first + key_legs[0][1].n_pre
+                                        + 1]
                 for batch in range(3):
                     spiking = np.flatnonzero(
                         rng.random(key_legs[0][1].n_pre) < 0.4)

@@ -80,6 +80,18 @@ def drive(units, rng, fixed_point):
         yield unit, targets, weights, delays
 
 
+def defer(kernel, unit, targets, weights, delays) -> None:
+    """Defer as the kernel's engine does: by local index into a float
+    ring, by ring offset (``delay * width + column``) into a fused one,
+    as the board engine addresses its ring."""
+    ring = kernel.ring
+    if isinstance(ring, FusedDeferredEventBuffer):
+        ring.add_events(delays * ring.total_width
+                        + kernel.columns(unit)[targets], weights)
+    else:
+        kernel.defer(unit, targets, weights, delays)
+
+
 class TestUnitIndependence:
     @pytest.mark.parametrize("ring_class", [DeferredEventBuffer,
                                             FusedDeferredEventBuffer])
@@ -117,8 +129,8 @@ class TestUnitIndependence:
             for (unit, *events), (twin, *same), kernel in zip(
                     drive(together_units, rng_a, fixed_point),
                     drive(apart_units, rng_b, fixed_point), apart):
-                together.defer(unit, *events)
-                kernel.defer(twin, *same)
+                defer(together, unit, *events)
+                defer(kernel, twin, *same)
         assert fired_total > 500
         together_record.flush()
         apart_record.flush()
