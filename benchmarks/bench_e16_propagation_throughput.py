@@ -16,9 +16,8 @@ import time
 import numpy as np
 
 from repro.neuron.connectors import FixedProbabilityConnector
-from repro.neuron.network import Network
-from repro.neuron.population import (Population, SpikeSourcePoisson,
-                                     expansion_rng)
+from repro.neuron.network import Network, expand_projections
+from repro.neuron.population import Population, SpikeSourcePoisson
 
 from .reporting import emit_json, print_table
 
@@ -47,13 +46,11 @@ def _prewarm(network: Network) -> int:
     """Expand every projection outside the timed region.
 
     Expansion happens once per (projection, seed) in steady state; the
-    benchmark measures propagation, not connector expansion.  (One
-    generator is drawn through both projections in turn — the stream
-    pairing the checked-in baseline's connectivity was built with.)
+    benchmark measures propagation, not connector expansion.
     """
-    rng = expansion_rng(SEED)
-    return sum(projection.compile_csr(rng, SEED).n_synapses
-               for projection in network.projections)
+    return sum(csr.n_synapses
+               for _index, _projection, csr in expand_projections(network,
+                                                                   SEED))
 
 
 def _synaptic_events(network: Network, result) -> int:
@@ -64,9 +61,8 @@ def _synaptic_events(network: Network, result) -> int:
     length.
     """
     events = 0
-    rng = expansion_rng(SEED)          # cache hits; never drawn from
-    for projection in network.projections:
-        lengths = projection.compile_csr(rng, SEED).row_lengths()
+    for _index, projection, csr in expand_projections(network, SEED):
+        lengths = csr.row_lengths()
         counts = result.spike_counts[projection.pre.label]
         events += int(np.dot(counts[:lengths.size], lengths))
     return events

@@ -17,8 +17,9 @@ last ran, and re-run only over the vertices the change actually touched.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -26,8 +27,9 @@ from repro.core.geometry import ChipCoordinate
 from repro.mapping.keys import KeyAllocator
 from repro.mapping.placement import Placement, Vertex
 from repro.mapping.routing_generator import RoutingSummary
-from repro.mapping.synaptic_matrix import CoreSynapticData
-from repro.neuron.engine import CSRMatrix
+from repro.mapping.synaptic_matrix import CoreSynapticData, pack_block
+from repro.neuron.engine import (CSRMatrix, pack_synapse_words,
+                                 unpack_synapse_words)
 from repro.neuron.network import Network, expand_projections
 from repro.router.fabric import RouteProgram
 from repro.router.routing_table import RoutingEntry
@@ -36,6 +38,7 @@ __all__ = [
     "BoardContext",
     "BoardDeliveryIndex",
     "MappingContext",
+    "ProjectionSplit",
     "RouteRecord",
     "ShardCore",
     "network_fingerprint",
@@ -96,6 +99,70 @@ def machine_fingerprint(machine: Any) -> Tuple:
                  or core.state.value not in ("failed", "disabled")))
         chips.append((coordinate.x, coordinate.y, monitor, cores))
     return (machine.config.width, machine.config.height, tuple(chips))
+
+
+#: (source vertex, target vertex): the pair one packed block serves.
+VertexPair = Tuple[Vertex, Vertex]
+
+
+@dataclass
+class ProjectionSplit:
+    """One projection's synapses grouped by (target vertex, source vertex).
+
+    Group ``t * len(sources) + s`` holds the synapses from ``sources[s]``
+    onto ``targets[t]``; the non-empty groups are the projection's reach.
+    One stable sort by group id makes each group a contiguous,
+    row-ordered run: the block the synaptic-matrix pass packs for it.
+    """
+
+    sources: List[Vertex]
+    targets: List[Vertex]
+    #: ``(len(targets), len(sources))`` synapse count of every group.
+    sizes: np.ndarray
+    #: Group id of every synapse (CSR order); dropped by :meth:`blocks`.
+    group: Optional[np.ndarray]
+
+    @classmethod
+    def build(cls, csr: CSRMatrix, sources: List[Vertex],
+              targets: List[Vertex]) -> "ProjectionSplit":
+        """Group ``csr`` over the source and target partitions."""
+        n_groups = len(targets) * len(sources)
+        group = len(sources) * (np.searchsorted(
+            [v.slice_start for v in targets], csr.targets, "right") - 1)
+        group += np.repeat(np.arange(len(sources)), np.diff(
+            csr.row_ptr[[v.slice_start for v in sources] + [csr.n_pre]]))
+        sizes = np.bincount(group, minlength=n_groups)
+        # Kept narrow (a radix sort; still holds ``len(sources)``).
+        return cls(sources, targets, sizes.reshape(len(targets), -1),
+                   group.astype(np.min_scalar_type(n_groups)))
+
+    def pairs(self) -> Iterator[VertexPair]:
+        """``(source, target)`` of every non-empty group, target-major."""
+        n_sources = len(self.sources)
+        for g in np.flatnonzero(self.sizes):
+            yield self.sources[g % n_sources], self.targets[g // n_sources]
+
+    def blocks(self, csr: CSRMatrix) -> Iterator[Tuple[VertexPair, List]]:
+        """Pack every non-empty group of ``csr``, in :meth:`pairs` order.
+
+        One stable sort, one :func:`pack_synapse_words` and one decode
+        serve the projection.  Yields each pair with its slices of
+        ``[block-local source rows, words, *decoded words]``.
+        """
+        group, self.group = self.group, None
+        order = np.argsort(group, kind="stable")
+        target, source = np.divmod(group[order], len(self.sources))
+        rows = csr.pre_index[order] - np.array(
+            [v.slice_start for v in self.sources])[source]
+        words = pack_synapse_words(csr.targets[order] - np.array(
+            [v.slice_start for v in self.targets])[target],
+            csr.weights[order], csr.delay_ticks[order])
+        columns = [rows, words, *unpack_synapse_words(words)]
+        sizes = self.sizes.ravel()
+        ends = np.cumsum(sizes)
+        for pair, g in zip(self.pairs(), np.flatnonzero(sizes)):
+            yield pair, [column[ends[g] - sizes[g]:ends[g]]
+                         for column in columns]
 
 
 @dataclass
@@ -276,8 +343,7 @@ class MappingContext:
     #: ``(source vertex, target vertex) ->`` the ``(n_rows, stride)``
     #: ``uint32`` array of ``pack_block`` (every projection between the
     #: two populations merged into the one block their key selects).
-    blocks: Dict[Tuple[Vertex, Vertex], np.ndarray] = field(
-        default_factory=dict)
+    blocks: Dict[VertexPair, np.ndarray] = field(default_factory=dict)
     core_data: Dict[Tuple[ChipCoordinate, int], CoreSynapticData] = field(
         default_factory=dict)
     route_programs: Dict[int, RouteProgram] = field(default_factory=dict)
@@ -322,10 +388,10 @@ class MappingContext:
     #: Per-pass scope notes for the report ("full", "12 vertices", ...).
     last_scope: Dict[str, str] = field(default_factory=dict)
 
-    # Reach cache: projection index -> source vertex -> target vertices
-    # with >= 1 synapse, plus the (network fingerprint, expansion seed,
-    # partition version) tag it was computed for.
-    _reach: Optional[Dict[int, Dict[Vertex, Dict[Vertex, None]]]] = None
+    # Reach: one :class:`ProjectionSplit` per projection, in network
+    # order, plus the (network fingerprint, expansion seed, partition
+    # version) tag it was computed for.
+    _splits: Optional[List[ProjectionSplit]] = None
     _reach_tag: Optional[Tuple] = None
     #: Network fingerprint computed once per run (several pass
     #: signatures read it; re-deriving it each time would make every
@@ -337,16 +403,6 @@ class MappingContext:
         if self._network_fp is None:
             self._network_fp = network_fingerprint(self.network)
         return self._network_fp
-
-    def min_inter_board_delay(self) -> Optional[int]:
-        """The global ``d_min`` over every cross-board delivery.
-
-        ``None`` when no synapse crosses a board boundary (the sharded
-        run then has no exchange-timing constraint at all).
-        """
-        if not self.board_pair_min_delay:
-            return None
-        return min(self.board_pair_min_delay.values())
 
     def begin_run(self) -> None:
         """Reset the per-run change-tracking state."""
@@ -366,7 +422,7 @@ class MappingContext:
         self.blocks.clear()
         self.core_data.clear()
         self.route_programs.clear()
-        self._reach = None
+        self._splits = None
         self._reach_tag = None
 
     # ------------------------------------------------------------------
@@ -378,39 +434,26 @@ class MappingContext:
                 self.partition_version)
 
     def ensure_reach(self) -> bool:
-        """Compute (or reuse) the source -> target vertex reach map.
-
-        Reach is derived from the shared connectivity expansion and the
-        partition only — placement does not enter — so it survives every
-        re-map.  Returns ``True`` when it had to be recomputed (every
-        downstream routing record is then stale).
+        """Group every projection once (:class:`ProjectionSplit`), or
+        reuse the grouping: the reach the route pass follows and the
+        blocks the synaptic-matrix pass packs.  It derives from the shared
+        connectivity expansion and the partition only — not placement —
+        so it survives every re-map.  Returns ``True`` when it had to be
+        recomputed (every downstream routing record is then stale).
         """
         tag = self.expansion_tag()
-        if self._reach is not None and self._reach_tag == tag:
+        if self._splits is not None and self._reach_tag == tag:
             return False
         # The expansion changed: every packed block derived from it is
         # stale (connector parameters may have changed without changing
         # the partition, so this cannot ride on partition invalidation).
         self.blocks.clear()
         self.reach_rebuilt = True
-        reach: Dict[int, Dict[Vertex, Dict[Vertex, None]]] = {}
-        expanded = expand_projections(self.network, self.expansion_seed)
-        for proj_index, projection, csr in expanded:
-            sources = self.partition[projection.pre.label]
-            targets = self.partition[projection.post.label]
-            starts = np.array([t.slice_start for t in targets])
-            per_source = reach.setdefault(proj_index, {})
-            for source in sources:
-                lo = int(csr.row_ptr[source.slice_start])
-                hi = int(csr.row_ptr[source.slice_stop])
-                hit = csr.targets[lo:hi]
-                if hit.size == 0:
-                    continue
-                bucket = per_source.setdefault(source, {})
-                for index in np.unique(
-                        np.searchsorted(starts, hit, side="right") - 1):
-                    bucket[targets[int(index)]] = None
-        self._reach = reach
+        self._splits = [
+            ProjectionSplit.build(csr, self.partition[projection.pre.label],
+                                  self.partition[projection.post.label])
+            for _index, projection, csr
+            in expand_projections(self.network, self.expansion_seed)]
         self._reach_tag = tag
         return True
 
@@ -418,14 +461,13 @@ class MappingContext:
         """Target vertices receiving at least one synapse from ``vertex``,
         merged over every projection (insertion-ordered)."""
         merged: Dict[Vertex, None] = {}
-        for per_source in self._reach.values():
-            merged.update(per_source.get(vertex, {}))
+        for split in self._splits:
+            first = split.sources[0]
+            if first.population_label == vertex.population_label:
+                hit = split.sizes[:, vertex.index - first.index]
+                merged.update(dict.fromkeys(
+                    split.targets[t] for t in np.flatnonzero(hit)))
         return merged
-
-    def has_block(self, proj_index: int, source: Vertex,
-                  target: Vertex) -> bool:
-        """True if the projection has synapses from ``source`` to ``target``."""
-        return target in self._reach.get(proj_index, {}).get(source, {})
 
     def feeders_of(self) -> Dict[Vertex, Dict[Vertex, None]]:
         """Reverse reach: target vertex -> source vertices, in
@@ -434,39 +476,35 @@ class MappingContext:
         the canonical per-core block order of the synaptic-matrix
         builder."""
         feeders: Dict[Vertex, Dict[Vertex, None]] = {}
-        for proj_index, projection in enumerate(self.network.projections):
-            per_source = self._reach.get(proj_index, {})
-            for source in self.partition[projection.pre.label]:
-                for target in per_source.get(source, {}):
-                    feeders.setdefault(target, {})[source] = None
+        for split in self._splits:
+            for s, t in zip(*np.nonzero(split.sizes.T)):
+                feeders.setdefault(split.targets[t],
+                                   {})[split.sources[s]] = None
         return feeders
 
-    def packed_block(self, source: Vertex, target: Vertex) -> np.ndarray:
-        """The packed SDRAM block of one (source, target) vertex pair.
+    def pack_blocks(self) -> Dict[VertexPair, List[np.ndarray]]:
+        """Pack every block into :attr:`blocks`, one projection at a time.
 
-        Every projection with synapses from ``source`` to ``target`` is
-        merged into one block (row by row, in projection order): the
-        source's key selects one population-table entry per core.
-        Placement-independent and cached: a re-map that moves either
-        vertex re-writes these words at a new address without re-packing.
+        Returns the pairs in the canonical cold-build write order
+        (projection, target, source), each mapped to its decoded words.
+        Parallel projections share the source's key: their rows merge
+        into one block, row by row in projection order.
         """
-        cache_key = (source, target)
-        cached = self.blocks.get(cache_key)
-        if cached is None:
-            from repro.mapping.synaptic_matrix import pack_block
-            from repro.neuron.population import expansion_rng
-            parts = []
-            for proj_index, projection in enumerate(self.network.projections):
-                if not self.has_block(proj_index, source, target):
+        shared = Counter(pair for split in self._splits
+                         for pair in split.pairs())
+        decoded: Dict[VertexPair, List[np.ndarray]] = dict.fromkeys(shared)
+        pending: Dict[VertexPair, List] = {}
+        expanded = expand_projections(self.network, self.expansion_seed)
+        for (_index, _projection, csr), split in zip(expanded, self._splits):
+            for pair, part in split.blocks(csr):
+                parts = pending.pop(pair, []) + [part]
+                if len(parts) < shared[pair]:
+                    pending[pair] = parts
                     continue
-                csr = projection.compile_csr(
-                    expansion_rng(self.expansion_seed, proj_index),
-                    self.expansion_seed)
-                parts.append(csr.submatrix(
-                    source.slice_start, source.slice_stop,
-                    target.slice_start, target.slice_stop))
-            block = (parts[0] if len(parts) == 1 else CSRMatrix.merge_rows(
-                parts, target.n_neurons, [0] * len(parts)))
-            cached = pack_block(block)
-            self.blocks[cache_key] = cached
-        return cached
+                if len(parts) > 1:
+                    merged = [np.concatenate(column) for column in zip(*parts)]
+                    order = np.argsort(merged[0], kind="stable")
+                    parts = [[column[order] for column in merged]]
+                rows, words, *decoded[pair] = parts[0]
+                self.blocks[pair] = pack_block(pair[0].n_neurons, rows, words)
+        return decoded

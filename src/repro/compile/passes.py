@@ -367,10 +367,13 @@ class CompressPass(MappingPass):
 class BuildSynapticMatricesPass(MappingPass):
     """Pack synaptic blocks into SDRAM and build the population tables.
 
-    The packed words of a block depend only on the connectivity expansion
-    and the partition — never on the placement — and the key indexing a
-    block is sticky, so a re-map rebuilds just the cores whose vertex
-    moved, re-writing cached words at a fresh address.
+    A cold build packs and decodes each projection once, through the
+    grouping of :meth:`MappingContext.ensure_reach`; per block there is
+    left only its SDRAM allocation, write and population-table entry.
+    The packed words depend only on the connectivity expansion and the
+    partition — never on the placement — and the key indexing a block
+    is sticky, so a re-map rebuilds just the cores whose vertex moved,
+    re-writing cached words at a fresh address.
     """
 
     name = "synaptic-matrices"
@@ -410,16 +413,8 @@ class BuildSynapticMatricesPass(MappingPass):
         locations = ctx.placement.locations
         ctx.core_data = {slot: CoreSynapticData(vertex=vertex)
                          for vertex, slot in locations.items()}
-        for proj_index, projection in enumerate(ctx.network.projections):
-            sources = ctx.partition[projection.pre.label]
-            targets = ctx.partition[projection.post.label]
-            for target in targets:
-                slot = locations[target]
-                data = ctx.core_data[slot]
-                chip = ctx.machine.chips[slot[0]]
-                for source in sources:
-                    if ctx.has_block(proj_index, source, target):
-                        self._write(ctx, chip, data, source, target)
+        for (source, target), synapses in ctx.pack_blocks().items():
+            self._write(ctx, locations[target], source, synapses)
         ctx.last_scope[self.name] = "full (%s)" % self._scope(
             ctx.core_data.values())
 
@@ -440,12 +435,10 @@ class BuildSynapticMatricesPass(MappingPass):
                 continue
             if feeders is None:
                 feeders = ctx.feeders_of()
-            data = CoreSynapticData(vertex=vertex)
-            ctx.core_data[slot] = data
-            chip = ctx.machine.chips[slot[0]]
+            ctx.core_data[slot] = CoreSynapticData(vertex=vertex)
             for source in feeders.get(vertex, {}):
-                self._write(ctx, chip, data, source, vertex)
-            rebuilt.append(data)
+                self._write(ctx, slot, source)
+            rebuilt.append(ctx.core_data[slot])
         ctx.last_scope[self.name] = self._scope(rebuilt)
 
     @staticmethod
@@ -457,13 +450,12 @@ class BuildSynapticMatricesPass(MappingPass):
             len(rebuilt), sum(len(data.legs) for data in rebuilt))
 
     @staticmethod
-    def _write(ctx: MappingContext, chip, data: CoreSynapticData,
-               source: Vertex, target: Vertex) -> None:
-        space = ctx.keys.key_space(source)
-        if space.base_key in data.legs:
-            return    # a parallel projection's block: already merged in
-        write_packed_block(chip, data, space, source,
-                           ctx.packed_block(source, target))
+    def _write(ctx: MappingContext, slot, source: Vertex,
+               synapses=None) -> None:
+        data = ctx.core_data[slot]
+        write_packed_block(ctx.machine.chips[slot[0]], data,
+                           ctx.keys.key_space(source), source,
+                           ctx.blocks[(source, data.vertex)], synapses)
 
 
 class CompileTransportPass(MappingPass):

@@ -13,15 +13,15 @@ information" (Figure 7).  Two data structures make that possible:
   onto the *local* neurons of the core (target indices rewritten to the
   core-local numbering).
 
-The synaptic-matrix pass of :mod:`repro.compile` filters every source
-row down to the synapses that land on each destination vertex
-(:func:`pack_block`) and writes the packed rows into the destination
-chip's SDRAM model (:func:`write_packed_block`), so the on-machine
-runtime fetches exactly the bytes a real SpiNNaker core would.  The
-same write decodes the words once into the core's *delivery leg* for
-the source key — the one decoded form of a block, which the event
-path's DMA-complete handler, the transport fabric and the board shards
-all read.
+The synaptic-matrix pass of :mod:`repro.compile` splits every
+projection once into the synapses that land on each destination vertex,
+lays each block's packed words out as fixed-stride rows
+(:func:`pack_block`) and writes them into the destination chip's SDRAM
+model (:func:`write_packed_block`), so the on-machine runtime fetches
+exactly the bytes a real SpiNNaker core would.  The same write records
+the block as the core's *delivery leg* for the source key — the one
+decoded form of a block, which the event path's DMA-complete handler,
+the transport fabric and the board shards all read.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ import numpy as np
 
 from repro.mapping.keys import KeySpace
 from repro.mapping.placement import Vertex
-from repro.neuron.engine import (CSRMatrix, pack_synapse_words,
-                                 unpack_synapse_words)
+from repro.neuron.engine import CSRMatrix, unpack_synapse_words
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,10 @@ class CoreSynapticData:
     legs: Dict[int, CSRMatrix] = field(default_factory=dict)
 
 
-def pack_block(block: CSRMatrix) -> np.ndarray:
-    """Pack one (source vertex -> destination core) CSR block.
+def pack_block(n_rows: int, rows: np.ndarray,
+               words: np.ndarray) -> np.ndarray:
+    """Lay one (source vertex -> destination core) block's packed words
+    (in row order, ``rows`` their block-local source rows) out as rows.
 
     Returns one zero-padded ``(n_rows, stride)`` ``uint32`` array: per
     source neuron a synapse count (column 0) and the packed words — the
@@ -134,25 +135,25 @@ def pack_block(block: CSRMatrix) -> np.ndarray:
     re-map that moves vertices around reuses these words verbatim, only
     the SDRAM addresses and population-table records are rebuilt.
     """
-    counts = block.row_lengths()
-    rows = np.zeros((block.n_pre, 1 + int(counts.max())), dtype=np.uint32)
-    rows[:, 0] = counts
-    column = 1 + np.arange(block.n_synapses) - block.row_ptr[block.pre_index]
-    rows[block.pre_index, column] = pack_synapse_words(
-        block.targets, block.weights, block.delay_ticks)
-    return rows
+    counts = np.bincount(rows, minlength=n_rows)
+    block = np.zeros((n_rows, 1 + int(counts.max())), dtype=np.uint32)
+    block[:, 0] = counts
+    first = np.cumsum(counts) - counts
+    block[rows, 1 + np.arange(rows.size) - first[rows]] = words
+    return block
 
 
 def write_packed_block(chip, data: CoreSynapticData, space: KeySpace,
-                       source_vertex: Vertex, rows: np.ndarray) -> None:
+                       source_vertex: Vertex, rows: np.ndarray,
+                       synapses: Optional[List[np.ndarray]] = None) -> None:
     """Write one :func:`pack_block` array into ``chip``'s SDRAM and index it.
 
     Rows are padded to the fixed stride so the packet handler can
     compute a row address directly from the neuron index, exactly as the
-    real master population table does.  The array is decoded here, once,
-    into the core's leg for ``space`` — the words themselves, not the
-    CSR they were packed from, so the leg carries the on-machine
-    fixed-point quantisation.
+    real master population table does.  The block is the core's leg for
+    ``space``: ``synapses`` (the caller's decode of the words, in row
+    order) or else decoded here — the words, not the CSR they were
+    packed from, so the leg carries the fixed-point quantisation.
     """
     region = chip.sdram.allocate(
         4 * rows.size, tag="synapses:%s->%s" % (source_vertex, data.vertex))
@@ -164,7 +165,9 @@ def write_packed_block(chip, data: CoreSynapticData, space: KeySpace,
     counts = rows[:, 0]
     data.total_synapses += int(counts.sum())
     data.total_sdram_words += rows.size
-    keep = np.arange(rows.shape[1] - 1) < counts[:, None]
+    if synapses is None:
+        keep = np.arange(rows.shape[1] - 1) < counts[:, None]
+        synapses = unpack_synapse_words(rows[:, 1:][keep])
     data.legs[space.base_key] = CSRMatrix(
         rows.shape[0], data.vertex.n_neurons, np.append(0, np.cumsum(counts)),
-        *unpack_synapse_words(rows[:, 1:][keep]))
+        *synapses)

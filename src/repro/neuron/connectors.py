@@ -116,11 +116,14 @@ class FixedProbabilityConnector(Connector):
         target_rows: List[np.ndarray] = []
         weight_rows: List[np.ndarray] = []
         delay_rows: List[np.ndarray] = []
+        # One uniform buffer and one mask serve every row (same doubles).
+        uniforms = np.empty(n_post)
+        mask = np.empty(n_post, dtype=bool)
         for pre in range(n_pre):
-            mask = rng.random(n_post) < self.p_connect
+            np.less(rng.random(out=uniforms), self.p_connect, out=mask)
             if not self.allow_self_connections and pre < n_post:
                 mask[pre] = False
-            targets = np.flatnonzero(mask)
+            targets = mask.nonzero()[0]
             target_rows.append(targets)
             if weight_range is not None and delay_range is not None:
                 # Two distributions interleave per synapse; drawing

@@ -165,29 +165,6 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     # Mapping-layer views
     # ------------------------------------------------------------------
-    def submatrix(self, pre_start: int, pre_stop: int, post_start: int,
-                  post_stop: int) -> "CSRMatrix":
-        """Restrict to a (source-slice, target-slice) block.
-
-        Source rows are renumbered from ``pre_start`` and target indices
-        are rewritten into the target slice's local numbering — the view a
-        destination core's synaptic-matrix block needs.
-        """
-        n_pre = pre_stop - pre_start
-        n_post = post_stop - post_start
-        lo, hi = int(self.row_ptr[pre_start]), int(self.row_ptr[pre_stop])
-        targets = self.targets[lo:hi]
-        keep = (targets >= post_start) & (targets < post_stop)
-        counts = np.zeros(n_pre + 1, dtype=np.int64)
-        if keep.any():
-            kept_rows = self.pre_index[lo:hi][keep] - pre_start
-            np.add.at(counts, kept_rows + 1, 1)
-        row_ptr = np.cumsum(counts)
-        return CSRMatrix(n_pre, n_post, row_ptr,
-                         targets[keep] - post_start,
-                         self.weights[lo:hi][keep],
-                         self.delay_ticks[lo:hi][keep])
-
     @classmethod
     def merge_rows(cls, blocks: Sequence["CSRMatrix"], n_post: int,
                    target_offsets: Sequence[int]) -> "CSRMatrix":

@@ -25,7 +25,6 @@ from repro.neuron.kernel import SpikeRecord, TickKernel, TickUnit
 from repro.neuron.population import (
     Population,
     Projection,
-    expansion_rng,
     simulation_rng,
 )
 from repro.neuron.synapse import DeferredEventBuffer
@@ -49,8 +48,7 @@ def expand_projections(network: "Network", seed: Optional[int]):
     Returns ``[(index, projection, csr)]`` with projections in network
     order.
     """
-    return [(index, projection,
-             projection.compile_csr(expansion_rng(seed, index), seed))
+    return [(index, projection, projection.compile_csr(seed, index))
             for index, projection in enumerate(network.projections)]
 
 

@@ -256,15 +256,13 @@ class Projection:
     _csr_cache: Dict[object, CSRMatrix] = field(
         default_factory=dict, repr=False, compare=False)
 
-    def compile_csr(self, rng: np.random.Generator,
-                    seed: Optional[int]) -> CSRMatrix:
+    def compile_csr(self, seed: Optional[int], index: int) -> CSRMatrix:
         """The projection's connectivity under ``seed`` (expanded once).
 
-        ``seed`` is the cache key.  Callers MUST derive ``rng`` from
-        :func:`expansion_rng` with that seed and this projection's index
-        in its network — the cache trusts the pairing, and a mismatched
-        generator would register wrong connectivity for every later
-        consumer of that seed.  ``None`` keys the one unseeded expansion.
+        ``seed`` is the cache key and ``index`` is the projection's
+        position in its network: a cache miss expands the connector with
+        :func:`expansion_rng` for that pair, a hit builds no generator at
+        all.  ``None`` keys the one unseeded expansion.
 
         The returned matrix is the cache entry itself: plasticity
         mutates its weight array in place, and that is the learned state
@@ -273,15 +271,5 @@ class Projection:
         csr = self._csr_cache.get(seed)
         if csr is None:
             csr = self._csr_cache[seed] = self.connector.build_csr(
-                self.pre.size, self.post.size, rng)
+                self.pre.size, self.post.size, expansion_rng(seed, index))
         return csr
-
-    def n_synapses(self, rng: np.random.Generator,
-                   seed: Optional[int]) -> int:
-        """Total number of synapses in the projection."""
-        return self.compile_csr(rng, seed).n_synapses
-
-    def max_delay(self, rng: np.random.Generator,
-                  seed: Optional[int]) -> int:
-        """Largest programmable delay used by the projection."""
-        return self.compile_csr(rng, seed).max_delay()

@@ -33,7 +33,12 @@ the fast path equals it element for element:
   one entry set per source vertex, minimise, pack every block into
   SDRAM), which pins what the :mod:`repro.compile` pass pipeline
   installs: placements, keys, per-chip tables, route programs and SDRAM
-  bytes.
+  bytes;
+* :class:`PerPairSynapticMatrices` — the synaptic-matrix pass one
+  (source, target) vertex pair at a time (a per-source reach scan, one
+  :func:`submatrix` per projection on the pair, each block packed by
+  :func:`pack_csr_block` and decoded from its words), which pins the
+  per-projection split the shipped pass packs and decodes through.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.compile.passes import BuildSynapticMatricesPass
 from repro.core.geometry import ChipCoordinate, Direction, TorusGeometry
 from repro.core.sdram import (
     DEFAULT_SDRAM_BYTES,
@@ -56,6 +62,7 @@ from repro.mapping.routing_generator import build_tree
 from repro.mapping.synaptic_matrix import (
     CoreSynapticData,
     PopulationTableEntry,
+    write_packed_block,
 )
 from repro.neuron.connectors import (
     AllToAllConnector,
@@ -64,7 +71,8 @@ from repro.neuron.connectors import (
     FromListConnector,
     OneToOneConnector,
 )
-from repro.neuron.engine import CSRMatrix, unpack_synapse_words
+from repro.neuron.engine import (CSRMatrix, pack_synapse_words,
+                                 unpack_synapse_words)
 from repro.neuron.network import Network, SimulationResult
 from repro.neuron.population import (
     SpikeSourceArray,
@@ -835,3 +843,151 @@ def inline_toolchain(machine, network: Network, *,
     core_data = build_synaptic_matrices(machine, network, expansion,
                                         placement, keys)
     return placement, keys, programs, core_data
+
+
+# ----------------------------------------------------------------------
+# The synaptic-matrix pass, one (source, target) vertex pair at a time
+# ----------------------------------------------------------------------
+def submatrix(csr, pre_start: int, pre_stop: int, post_start: int,
+              post_stop: int) -> CSRMatrix:
+    """Restrict ``csr`` to one (source-slice, target-slice) block.
+
+    Source rows are renumbered from ``pre_start`` and target indices are
+    rewritten into the target slice's local numbering, each row keeping
+    its storage order.
+    """
+    lo, hi = int(csr.row_ptr[pre_start]), int(csr.row_ptr[pre_stop])
+    targets = csr.targets[lo:hi]
+    keep = (targets >= post_start) & (targets < post_stop)
+    counts = np.bincount(csr.pre_index[lo:hi][keep] - pre_start,
+                         minlength=pre_stop - pre_start)
+    return CSRMatrix(pre_stop - pre_start, post_stop - post_start,
+                     np.concatenate(([0], np.cumsum(counts))),
+                     targets[keep] - post_start, csr.weights[lo:hi][keep],
+                     csr.delay_ticks[lo:hi][keep])
+
+
+def pack_csr_block(block) -> np.ndarray:
+    """One CSR block as zero-padded ``(n_rows, stride)`` packed rows: per
+    source row the synapse count, then the row's words in storage order."""
+    counts = block.row_lengths()
+    rows = np.zeros((block.n_pre, 1 + int(counts.max())), dtype=np.uint32)
+    rows[:, 0] = counts
+    column = 1 + np.arange(block.n_synapses) - block.row_ptr[block.pre_index]
+    rows[block.pre_index, column] = pack_synapse_words(
+        block.targets, block.weights, block.delay_ticks)
+    return rows
+
+
+class PerPairSynapticMatrices(BuildSynapticMatricesPass):
+    """The synaptic-matrix pass with a per-pair reach and per-pair blocks.
+
+    Reach is a per-source scan of every projection's rows; each block is
+    its own ``submatrix`` of every projection with synapses on the pair,
+    merged row by row and packed on its own, then decoded from the
+    written words.  It keeps its own reach and block caches and has the
+    shipped pass's name, so it drops into a ``MappingPipeline`` in place
+    of :class:`BuildSynapticMatricesPass` (``reach_of`` / ``feeders_of``
+    mirror the context's).
+    """
+
+    def __init__(self) -> None:
+        self.tag = None
+        #: projection index -> source vertex -> target vertices hit.
+        self.reach: Dict[int, Dict] = {}
+        self.blocks: Dict[Tuple, np.ndarray] = {}
+
+    def run(self, ctx) -> None:
+        ctx.ensure_reach()
+        if self.tag != ctx.expansion_tag():
+            self.tag, self.blocks = ctx.expansion_tag(), {}
+            self.reach = {}
+            for index, projection in enumerate(ctx.network.projections):
+                csr = projection.compile_csr(ctx.expansion_seed, index)
+                targets = ctx.partition[projection.post.label]
+                starts = np.array([t.slice_start for t in targets])
+                per_source = self.reach.setdefault(index, {})
+                for source in ctx.partition[projection.pre.label]:
+                    hit = csr.targets[int(csr.row_ptr[source.slice_start]):
+                                      int(csr.row_ptr[source.slice_stop])]
+                    if hit.size:
+                        per_source[source] = dict.fromkeys(
+                            targets[int(t)] for t in np.unique(
+                                np.searchsorted(starts, hit, "right") - 1))
+        if ctx.reach_rebuilt or not ctx.core_data:
+            self._build_full(ctx)
+        else:
+            self._build_incremental(ctx)
+
+    def has_block(self, index: int, source, target) -> bool:
+        return target in self.reach.get(index, {}).get(source, {})
+
+    def reach_of(self, vertex) -> Dict:
+        merged: Dict = {}
+        for per_source in self.reach.values():
+            merged.update(per_source.get(vertex, {}))
+        return merged
+
+    def feeders_of(self, ctx) -> Dict:
+        feeders: Dict = {}
+        for index, projection in enumerate(ctx.network.projections):
+            per_source = self.reach.get(index, {})
+            for source in ctx.partition[projection.pre.label]:
+                for target in per_source.get(source, {}):
+                    feeders.setdefault(target, {})[source] = None
+        return feeders
+
+    def packed_block(self, ctx, source, target) -> np.ndarray:
+        """Every projection's ``submatrix`` on (source, target), merged
+        row by row in projection order and packed (cached per pair)."""
+        if (source, target) not in self.blocks:
+            parts = [submatrix(projection.compile_csr(ctx.expansion_seed,
+                                                      index),
+                               source.slice_start, source.slice_stop,
+                               target.slice_start, target.slice_stop)
+                     for index, projection
+                     in enumerate(ctx.network.projections)
+                     if self.has_block(index, source, target)]
+            block = (parts[0] if len(parts) == 1 else CSRMatrix.merge_rows(
+                parts, target.n_neurons, [0] * len(parts)))
+            self.blocks[(source, target)] = pack_csr_block(block)
+        return self.blocks[(source, target)]
+
+    def _build_full(self, ctx) -> None:
+        for slot, data in ctx.core_data.items():
+            self._free_core(ctx, slot, data)
+        locations = ctx.placement.locations
+        ctx.core_data = {slot: CoreSynapticData(vertex=vertex)
+                         for vertex, slot in locations.items()}
+        for index, projection in enumerate(ctx.network.projections):
+            for target in ctx.partition[projection.post.label]:
+                for source in ctx.partition[projection.pre.label]:
+                    if self.has_block(index, source, target):
+                        self._write_pair(ctx, locations[target], source)
+        ctx.last_scope[self.name] = "full (%s)" % self._scope(
+            ctx.core_data.values())
+
+    def _build_incremental(self, ctx) -> None:
+        locations = ctx.placement.locations
+        for slot, data in list(ctx.core_data.items()):
+            if locations.get(data.vertex) != slot:
+                self._free_core(ctx, slot, data)
+                del ctx.core_data[slot]
+        feeders = self.feeders_of(ctx)
+        rebuilt = []
+        for vertex in ctx.placement.vertices:
+            slot = locations[vertex]
+            if slot not in ctx.core_data:
+                ctx.core_data[slot] = CoreSynapticData(vertex=vertex)
+                for source in feeders.get(vertex, {}):
+                    self._write_pair(ctx, slot, source)
+                rebuilt.append(ctx.core_data[slot])
+        ctx.last_scope[self.name] = self._scope(rebuilt)
+
+    def _write_pair(self, ctx, slot, source) -> None:
+        data = ctx.core_data[slot]
+        space = ctx.keys.key_space(source)
+        if space.base_key in data.legs:
+            return    # a parallel projection's block: already merged in
+        write_packed_block(ctx.machine.chips[slot[0]], data, space, source,
+                           self.packed_block(ctx, source, data.vertex))

@@ -30,35 +30,36 @@ def write_bench(directory, bench_id, metrics):
 class TestCompareBench:
     def test_within_tolerance_is_ok(self):
         deviations = compare_bench(
-            "e18", {"remap_speedup": 100.0, "pass_cache_hit_rate": 0.10},
-            {"remap_speedup": 90.0, "pass_cache_hit_rate": 0.11},
+            "e19", {"speedup_bound": 4.0, "stage_overhead_ratio": 0.2},
+            {"speedup_bound": 3.6, "stage_overhead_ratio": 0.2},
             tolerance=0.25)
         assert [d.status for d in deviations] == [OK, OK]
         assert deviations[0].change == pytest.approx(-0.10)
 
     def test_regression_beyond_tolerance_fails(self):
         deviations = compare_bench(
-            "e18", {"remap_speedup": 100.0},
-            {"remap_speedup": 70.0}, tolerance=0.25)
+            "e18", {"pass_cache_hit_rate": 0.5},
+            {"pass_cache_hit_rate": 0.35}, tolerance=0.25)
         assert deviations[0].status == REGRESSED
         assert deviations[0].failed
 
     def test_improvement_beyond_tolerance_is_not_a_failure(self):
         deviations = compare_bench(
-            "e18", {"remap_speedup": 10.0}, {"remap_speedup": 20.0},
-            tolerance=0.25)
+            "e18", {"pass_cache_hit_rate": 0.1},
+            {"pass_cache_hit_rate": 0.2}, tolerance=0.25)
         assert deviations[0].status == IMPROVED
         assert not deviations[0].failed
 
     def test_missing_current_metric_fails(self):
         deviations = compare_bench(
-            "e18", {"remap_speedup": 10.0}, {"cold_compile_ms": 1.0},
-            tolerance=0.25)  # wall seconds are deliberately ungated
+            "e18", {"pass_cache_hit_rate": 0.1}, {"remap_speedup": 1.0},
+            tolerance=0.25)  # the ratio is deliberately ungated
         assert deviations[0].status == MISSING
         assert deviations[0].failed
 
     def test_missing_current_file_fails(self):
-        deviations = compare_bench("e18", {"remap_speedup": 10.0}, None)
+        deviations = compare_bench("e18", {"pass_cache_hit_rate": 0.1},
+                                   None)
         assert deviations[0].status == MISSING
 
     def test_ungated_metrics_are_ignored(self):
@@ -93,6 +94,20 @@ class TestCompareBench:
         assert status("e20", "fused_tick_ms", 20.0, 60.0) == REGRESSED
         assert "speedup" not in {gated.name for bench in ("e16", "e20")
                                  for gated in KEY_METRICS[bench]}
+
+    def test_e18_gates_compile_times_not_their_ratio(self):
+        # A faster cold compile lowers remap_speedup (cold / re-map):
+        # e18 gates both absolute times loosely and the ratio not at all.
+        deviations = compare_bench(
+            "e18", {"cold_compile_ms": 500.0, "incremental_remap_ms": 8.0,
+                    "remap_speedup": 62.5},
+            {"cold_compile_ms": 250.0, "incremental_remap_ms": 16.0,
+             "remap_speedup": 15.6})
+        assert {d.metric: d.status for d in deviations} == {
+            "cold_compile_ms": OK, "incremental_remap_ms": OK}
+        (remap,) = compare_bench("e18", {"incremental_remap_ms": 8.0},
+                                 {"incremental_remap_ms": 24.0})
+        assert remap.status == REGRESSED
 
     def test_unknown_bench_gates_nothing(self):
         assert compare_bench("e99", {"anything": 1.0},
@@ -129,8 +144,8 @@ class TestCompareBench:
 
 class TestRunGateAndMain:
     def _seed(self, baseline_dir, current_dir, current_speedup):
-        write_bench(baseline_dir, "e18", {"remap_speedup": 20.0})
-        write_bench(current_dir, "e18", {"remap_speedup": current_speedup})
+        write_bench(baseline_dir, "e19", {"speedup_bound": 20.0})
+        write_bench(current_dir, "e19", {"speedup_bound": current_speedup})
 
     def test_passes_against_identical_current(self, tmp_path, capsys):
         baseline_dir = tmp_path / "baselines"
@@ -164,7 +179,7 @@ class TestRunGateAndMain:
         current_dir = tmp_path / "current"
         baseline_dir.mkdir()
         current_dir.mkdir()
-        write_bench(baseline_dir, "e18", {"remap_speedup": 20.0})
+        write_bench(baseline_dir, "e19", {"speedup_bound": 20.0})
         status = main(["--baseline-dir", str(baseline_dir),
                        "--current-dir", str(current_dir)])
         assert status == 1

@@ -15,28 +15,43 @@ Acceptance checks of the pipeline refactor:
   decode of its installed SDRAM words, cold and after a re-map that
   decoded only the moved cores again;
 * parallel projections — two projections between the same populations
-  share one block per core, and every engine delivers both.
+  share one block per core, and every engine delivers both;
+* the per-projection split — on drawn networks the pass that groups,
+  packs and decodes each projection once writes exactly what the
+  per-pair reference (``oracles.PerPairSynapticMatrices``) writes, cold,
+  after a re-map and after a connector change, and a compile plus a
+  re-map builds one expansion generator per projection.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from repro.alloc.server import AllocationServer
 from repro.cluster import ClusterApplication
 from repro.compile import MappingPipeline
+from repro.compile.context import ProjectionSplit
 from repro.core.geometry import ChipCoordinate
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.host.host_system import HostSystem
+from repro.mapping.placement import Vertex
 from repro.mapping.synaptic_matrix import (
     MasterPopulationTable,
     PopulationTableEntry,
 )
-from repro.neuron.connectors import FixedProbabilityConnector, OneToOneConnector
+from repro.neuron import population as population_module
+from repro.neuron.connectors import (
+    AllToAllConnector,
+    FixedProbabilityConnector,
+    FromListConnector,
+    OneToOneConnector,
+)
 from repro.neuron.network import Network
-from repro.neuron.population import Population, SpikeSourcePoisson
+from repro.neuron.population import Population, Projection, SpikeSourcePoisson
 from repro.runtime.application import NeuralApplication
 from repro.runtime.boot import BootController
 from repro.runtime.monitor import MonitorService
@@ -258,6 +273,169 @@ class TestParallelProjections:
         assert result.synaptic_events == 2 * stimulus_spikes
         assert result.delivered_charge_na == 3.5 * stimulus_spikes
         assert result.total_spikes("pp-tgt") > 0
+
+
+@st.composite
+def drawn_connectors(draw, n_pre, n_post):
+    """One connector of each block shape the split must reproduce."""
+    kind = draw(st.sampled_from(["one-to-one", "fixed", "list", "hub"]))
+    weights = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+    if kind == "one-to-one":
+        return OneToOneConnector(weight=draw(weights),
+                                 delay_ticks=draw(st.integers(1, 16)))
+    if kind == "fixed":
+        # p = 0 leaves every block empty; small p leaves most empty.
+        return FixedProbabilityConnector(
+            draw(st.sampled_from([0.0, 0.05, 0.3, 0.9])),
+            weight_range=(-1.0, 2.0), delay_range=(1, 16))
+    if kind == "list":
+        # Listed in drawn (unsorted) order, duplicates and clipped
+        # delays included.
+        return FromListConnector(draw(st.lists(st.tuples(
+            st.integers(0, n_pre - 1), st.integers(0, n_post - 1),
+            weights, st.integers(0, 20)), max_size=60)))
+    # Hub-heavy: a few sources reach nearly every target, the rest one
+    # or none — the same mean degree can hide very different block
+    # sizes (arXiv:0908.0976).
+    degrees = draw(st.lists(st.sampled_from([0, 0, 1, 1, n_post]),
+                            min_size=n_pre, max_size=n_pre))
+    order = draw(st.permutations(range(n_post)))
+    return FromListConnector([
+        (pre, post, 0.25 + 0.5 * (pre % 3), 1 + (pre + post) % 16)
+        for pre, degree in enumerate(degrees) for post in order[:degree]])
+
+
+@st.composite
+def drawn_networks(draw):
+    """``(network, max_neurons_per_core)``: 2-4 populations whose sizes
+    leave uneven last slices, wired by 1-4 drawn projections, each
+    possibly doubled by a parallel one."""
+    sizes = draw(st.lists(st.integers(1, 24), min_size=2, max_size=4))
+    network = Network(seed=SEED)
+    populations = [Population(size, "lif", label="split-%d" % index)
+                   for index, size in enumerate(sizes)]
+    for population in populations:
+        network.add_population(population)
+    for _ in range(draw(st.integers(1, 4))):
+        pre = draw(st.sampled_from(populations))
+        post = draw(st.sampled_from(populations))
+        for _copy in range(draw(st.sampled_from([1, 1, 2]))):
+            network.connect(pre, post,
+                            draw(drawn_connectors(pre.size, post.size)))
+    return network, draw(st.integers(3, 8))
+
+
+def assert_split_matches_per_pair(shipped, machine, reference,
+                                  reference_machine, per_pair) -> None:
+    """Words, addresses, population-table records, legs, cached blocks,
+    reach order and feeder order all equal the per-pair reference."""
+    assert (sdram_blocks(machine, shipped.core_data)
+            == sdram_blocks(reference_machine, reference.core_data))
+    for slot, data in shipped.core_data.items():
+        legs = reference.core_data[slot].legs
+        assert list(data.legs) == list(legs)
+        for key, leg in data.legs.items():
+            assert_same_leg(leg, legs[key])
+    assert shipped.blocks.keys() == per_pair.blocks.keys()
+    for pair, rows in shipped.blocks.items():
+        assert np.array_equal(rows, per_pair.blocks[pair])
+    for vertex in shipped.placement.vertices:
+        assert list(shipped.reach_of(vertex)) == list(
+            per_pair.reach_of(vertex))
+    assert ([(target, list(sources))
+             for target, sources in shipped.feeders_of().items()]
+            == [(target, list(sources)) for target, sources
+                in per_pair.feeders_of(reference).items()])
+    # Only the packed words outlive the pass: no per-synapse split.
+    assert all(split.group is None for split in shipped._splits)
+
+
+class TestProjectionSplit:
+    @settings(max_examples=30, deadline=None)
+    @given(drawn=drawn_networks())
+    def test_split_pass_matches_per_pair_reference(self, drawn):
+        network, per_core = drawn
+        machine, reference_machine = booted_machine(), booted_machine()
+        pipeline = MappingPipeline(machine, network, seed=SEED,
+                                   max_neurons_per_core=per_core)
+        oracle = MappingPipeline(reference_machine, network, seed=SEED,
+                                 max_neurons_per_core=per_core)
+        per_pair = oracles.PerPairSynapticMatrices()
+        oracle.passes[oracle._index_of(per_pair.name)] = per_pair
+
+        def check():
+            shipped, reference = pipeline.run(), oracle.run()
+            assert (pipeline.records["synaptic-matrices"].last_scope
+                    == oracle.records["synaptic-matrices"].last_scope)
+            assert_split_matches_per_pair(shipped, machine, reference,
+                                          reference_machine, per_pair)
+            return shipped
+
+        ctx = check()
+        # A condemned chip: only the displaced cores are rewritten, from
+        # the cached words.
+        victim = ctx.placement.chips_used()[-1]
+        for booted in (machine, reference_machine):
+            MonitorService(booted).condemn_chip(victim)
+        ctx = check()
+        assert "full" not in pipeline.records["synaptic-matrices"].last_scope
+        # A connector change keeps the partition but must regroup the
+        # projection: a full rebuild that maps every new synapse.
+        first = network.projections[0]
+        network.projections[0] = Projection(
+            first.pre, first.post, OneToOneConnector(weight=1.5,
+                                                     delay_ticks=2))
+        ctx = check()
+        assert "full" in pipeline.records["synaptic-matrices"].last_scope
+        assert sum(data.total_synapses for data in ctx.core_data.values()
+                   ) == network.n_synapses()
+
+
+class TestProjectionSplitEdges:
+    def test_group_ids_fit_the_source_count(self):
+        # 256 one-neuron sources onto one target: 256 groups, and the
+        # narrow group-id dtype must still divide by the source count.
+        sources = [Vertex("pre", i, i + 1, i) for i in range(256)]
+        targets = [Vertex("post", 0, 3, 256)]
+        csr = AllToAllConnector(weight=0.5).build_csr(256, 3, None)
+        split = ProjectionSplit.build(csr, sources, targets)
+        blocks = list(split.blocks(csr))
+        assert [pair for pair, _part in blocks] == [
+            (source, targets[0]) for source in sources]
+        for _pair, (rows, _words, post, _weights, _delays) in blocks:
+            assert rows.tolist() == [0, 0, 0]
+            assert post.tolist() == [0, 1, 2]
+        assert split.group is None
+
+
+class TestExpansionGenerators:
+    def test_one_generator_per_projection_per_seed(self, monkeypatch):
+        built = []
+        expansion_rng = population_module.expansion_rng
+
+        def counting(seed, index=0):
+            built.append((seed, index))
+            return expansion_rng(seed, index)
+
+        monkeypatch.setattr(population_module, "expansion_rng", counting)
+        machine = booted_machine()
+        network = layered_network()
+        pipeline = MappingPipeline(machine, network, seed=SEED,
+                                   max_neurons_per_core=8)
+        ctx = pipeline.run()
+        MonitorService(machine).condemn_chip(ctx.placement.chips_used()[-1])
+        pipeline.run()
+        assert "full" not in pipeline.records["synaptic-matrices"].last_scope
+        one_each = [(SEED, index)
+                    for index in range(len(network.projections))]
+        assert built == one_each
+        # Every later consumer of the seed hits the cache.
+        network.run(5.0)
+        network.n_synapses()
+        assert built == one_each
+        network.run(5.0, seed=SEED + 1)
+        assert built == one_each + [(SEED + 1, index) for index
+                                    in range(len(network.projections))]
 
 
 class TestPassCaching:
