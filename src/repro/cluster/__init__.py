@@ -39,7 +39,7 @@ from repro.cluster.exchange import (
     SharedMemoryExchange,
     superstep_schedule,
 )
-from repro.cluster.fused import FusedBoardEngine, ShardResult
+from repro.cluster.fused import FusedBoardEngine
 
 __all__ = [
     "BoardTopology",
@@ -50,6 +50,5 @@ __all__ = [
     "FusedBoardEngine",
     "InProcessExchange",
     "SharedMemoryExchange",
-    "ShardResult",
     "superstep_schedule",
 ]

@@ -61,7 +61,7 @@ from repro.cluster.exchange import (
     SharedMemoryExchange,
     superstep_schedule,
 )
-from repro.cluster.fused import FusedBoardEngine, ShardResult
+from repro.cluster.fused import FusedBoardEngine
 from repro.compile import MappingPipeline
 from repro.compile.context import BoardContext
 from repro.core.machine import SpiNNakerMachine
@@ -78,6 +78,9 @@ __all__ = ["ClusterApplication", "ClusterReport", "ClusterWorkerError"]
 #: shared memory / draining + applying inbound regions / blocked waiting
 #: for the next barrier command.
 STAGES = ("compute", "serialize", "exchange", "barrier_wait")
+
+#: One board's closed-out result and its compute seconds.
+_BoardOutcome = Tuple[ApplicationResult, float]
 
 
 class ClusterWorkerError(RuntimeError):
@@ -322,7 +325,7 @@ def _shard_worker(conn, contexts: Dict[int, BoardContext], populations,
         except threading.BrokenBarrierError:
             return
         released.set()
-        results = {board: engine.finish(duration_ms)
+        results = {board: (engine.finish(duration_ms), engine.compute_s)
                    for board, engine in engines.items()}
         if profile:
             # The engines keep their own always-on counters; adopt them
@@ -405,9 +408,9 @@ class ClusterApplication:
     # ------------------------------------------------------------------
     def run(self, duration_ms: float, workers: int = 1,
             lookahead: Optional[int] = None) -> ApplicationResult:
-        """Run for ``duration_ms`` of biological time; return the merged
-        result (also kept on :attr:`result`, statistics on
-        :attr:`report`).
+        """Run ``duration_ms`` of biological time afresh from tick 0;
+        return a new merged result (also kept on :attr:`result`,
+        statistics on :attr:`report`).
 
         ``workers`` is the pool size (``1``: in-process, no pool).
         ``lookahead`` caps the ticks per super-step; ``None`` runs at
@@ -442,20 +445,17 @@ class ClusterApplication:
         # Fresh per run, so a bench flattening it sees this run only.
         self.registry = ProfileRegistry(enabled=profile_enabled())
         began = perf_now()
-        if effective == 1:
-            shard_results = self._run_serial(n_ticks, duration_ms, report,
-                                             plan)
-        else:
-            shard_results = self._run_pool(n_ticks, duration_ms, report,
-                                           plan)
+        run_boards = self._run_serial if effective == 1 else self._run_pool
+        outcomes = run_boards(n_ticks, duration_ms, report, plan)
         report.wall_s = perf_now() - began
         if self.fabric is not None:
             report.inter_board_traversals = (
                 self.fabric.inter_board_traversals - traversals_before)
-        for shard in shard_results:
-            report.board_compute_s[shard.board] = shard.compute_s
+        # Canonical board order, whichever worker ran which board.
+        for board in sorted(outcomes):
+            report.board_compute_s[board] = outcomes[board][1]
         self.result = ApplicationResult.merge(
-            [shard.result for shard in shard_results])
+            [outcomes[board][0] for board in sorted(outcomes)])
         self.result.duration_ms = duration_ms
         self.report = report
         return self.result
@@ -501,7 +501,7 @@ class ClusterApplication:
     # ------------------------------------------------------------------
     def _run_serial(self, n_ticks: int, duration_ms: float,
                     report: ClusterReport,
-                    plan: ExchangePlan) -> List[ShardResult]:
+                    plan: ExchangePlan) -> Dict[int, _BoardOutcome]:
         populations = self._populations()
         engines = {board: FusedBoardEngine(
                        context, populations, self.seed, self.timestep_ms,
@@ -516,15 +516,15 @@ class ClusterApplication:
             self.registry.add("compute", sum(engine.compute_s
                                              for engine in engines.values()))
             report.worker_stages[0] = _stage_dict(self.registry.snapshot())
-        return [engines[board].finish(duration_ms)
-                for board in sorted(engines)]
+        return {board: (engine.finish(duration_ms), engine.compute_s)
+                for board, engine in engines.items()}
 
     # ------------------------------------------------------------------
     # Pool path
     # ------------------------------------------------------------------
     def _run_pool(self, n_ticks: int, duration_ms: float,
                   report: ClusterReport,
-                  plan: ExchangePlan) -> List[ShardResult]:
+                  plan: ExchangePlan) -> Dict[int, _BoardOutcome]:
         populations = self._populations()
         try:
             mp_context = multiprocessing.get_context("fork")
@@ -591,15 +591,15 @@ class ClusterApplication:
                 self._fail_dead_worker(processes, worker_boards)
             if prev_bank is not None:
                 self._account_bank(exchange, prev_bank, plan, report)
-            shard_results: Dict[int, ShardResult] = {}
+            outcomes: Dict[int, _BoardOutcome] = {}
             for worker in range(len(connections)):
                 results, snapshot = self._recv_checked(
                     worker, connections, processes, worker_boards)
-                shard_results.update(results)
+                outcomes.update(results)
                 if snapshot is not None:
                     report.worker_stages[worker] = _stage_dict(snapshot)
                     self.registry.merge(snapshot)
-            return [shard_results[board] for board in sorted(shard_results)]
+            return outcomes
         finally:
             stop_writer.send(True)
             stop_writer.close()

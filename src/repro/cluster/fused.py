@@ -33,7 +33,6 @@ spike-train-equivalent to the unsharded engine
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -46,25 +45,11 @@ from repro.neuron.synapse import FusedDeferredEventBuffer
 from repro.profile import perf_now
 from repro.runtime.application import ApplicationResult
 
-__all__ = ["FusedBoardEngine", "ShardResult", "SpikeBatch"]
+__all__ = ["FusedBoardEngine", "SpikeBatch"]
 
 #: One cross-core spike batch: the source vertex's sticky AER base key
 #: plus the spiking neurons' vertex-local indices.
 SpikeBatch = Tuple[int, np.ndarray]
-
-
-@dataclass
-class ShardResult:
-    """What one board's engine hands back after a run."""
-
-    board: int
-    result: ApplicationResult
-    #: Seconds this board spent stepping neurons and scattering events.
-    compute_s: float = 0.0
-    #: Engine-side split of :attr:`compute_s` — ``step`` (tick loop),
-    #: ``local_apply`` (same-board scatters) and ``remote_apply``
-    #: (cross-board scatters).
-    stage_s: Dict[str, float] = field(default_factory=dict)
 
 
 class FusedBoardEngine:
@@ -76,7 +61,6 @@ class FusedBoardEngine:
                  seed: Optional[int], timestep_ms: float,
                  export_keys: Set[int]) -> None:
         self.context = context
-        self.board = context.board
         #: Keys whose spiking indices :meth:`step` must hand back for
         #: the exchange (this board's entry of
         #: :attr:`~repro.cluster.exchange.ExchangePlan.export_keys`).
@@ -121,12 +105,6 @@ class FusedBoardEngine:
         """Seconds spent stepping neurons and scattering events."""
         return self.step_s + self.local_apply_s + self.remote_apply_s
 
-    @property
-    def stage_s(self) -> Dict[str, float]:
-        """The engine-stage split reported in :class:`ShardResult`."""
-        return {"step": self.step_s, "local_apply": self.local_apply_s,
-                "remote_apply": self.remote_apply_s}
-
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
@@ -168,19 +146,6 @@ class FusedBoardEngine:
         self.result.delivered_charge_na += float(weights.sum())
         self.kernel.ring.add_events(offsets, weights)
 
-    def apply(self, batches: List[SpikeBatch]) -> None:
-        """Scatter inbound spike batches into the fused ring.
-
-        Called at the tick barrier with the previous tick's batches, so
-        the ring's current tick is already one past the send tick and a
-        delay-``d`` synapse lands ``d`` ticks ahead — the arrival slot
-        of the fabric transport.
-        """
-        began = perf_now()
-        self._scatter_batches(
-            (key, 0, spiking) for key, spiking in batches)
-        self.local_apply_s += perf_now() - began
-
     def apply_remote(self,
                      batches: Iterable[Tuple[int, int, np.ndarray]]) -> None:
         """Scatter exchanged cross-board batches at a super-step barrier.
@@ -215,20 +180,22 @@ class FusedBoardEngine:
                     local.append((spec.base_key, spiking))
                 if spec.base_key in self.export_keys:
                     outbound.append((spec.base_key, spiking))
-        self.step_s += perf_now() - began
+        stepped = perf_now()
+        self.step_s += stepped - began
         self.ticks_run = tick + 1
         if local:
-            self.apply(local)
+            # The ring is already one past the send tick, so a delay-d
+            # synapse lands d ticks ahead: the fabric's arrival slot.
+            self._scatter_batches((key, 0, spiking) for key, spiking in local)
+            self.local_apply_s += perf_now() - stepped
         return outbound
 
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
-    def finish(self, duration_ms: float) -> ShardResult:
+    def finish(self, duration_ms: float) -> ApplicationResult:
         """Close out the board's recording and return its result."""
         self.result.flush()
         self.result.duration_ms = duration_ms
         self.result.saturations = self.kernel.ring.saturations
-        return ShardResult(board=self.board, result=self.result,
-                           compute_s=self.compute_s,
-                           stage_s=self.stage_s)
+        return self.result

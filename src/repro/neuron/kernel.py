@@ -31,8 +31,8 @@ engine passes its board's cores.  The kernel
   at a time in unit order, optionally ahead of time
   (:meth:`TickKernel.prefetch_sources`);
 * records through the engine's :class:`SpikeRecord`: counts per tick,
-  ``(time_ms, index)`` tuples materialised once by
-  :meth:`SpikeRecord.flush`.
+  and ``(time_ms, indices)`` chunks that :meth:`SpikeRecord.flush`
+  appends to each population's array-backed :class:`SpikeTrain`.
 
 A spike source integrates nothing, so charge aimed at one lands nowhere:
 :meth:`TickKernel.defer` drops it, and :meth:`TickKernel.columns` maps a
@@ -47,9 +47,8 @@ cluster agree.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import abc, deque
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +57,8 @@ from repro.neuron.population import Population, stimulus_mask
 from repro.neuron.synapse import MAX_DELAY_TICKS, DeferredEventBuffer
 from repro.profile import profile_stage
 
-__all__ = ["SpikeRecord", "StackedBlock", "TickKernel", "TickUnit"]
+__all__ = ["SpikeRecord", "SpikeTrain", "StackedBlock", "TickKernel",
+           "TickUnit"]
 
 # The kernel's phases of the timer tick, hoisted so every tick re-enters
 # the same stage objects (a disabled entry is one flag check).
@@ -67,17 +67,54 @@ _NEURON_UPDATE_STAGE = profile_stage("neuron_update")
 _RECORD_STAGE = profile_stage("record")
 
 
+class SpikeTrain(abc.Sequence):
+    """One population's recorded spikes: ``times_ms`` (``float64``) and
+    ``neurons`` (``int64``), in recording order.  Read as a sequence it
+    is the list of ``(time_ms, neuron)`` pairs, and compares equal to
+    that list; ``np.asarray(train)`` is the ``(n, 2)`` pair array.
+    """
+
+    __slots__ = ("times_ms", "neurons")
+
+    def __init__(self, times_ms=(), neurons=()) -> None:
+        self.times_ms = np.asarray(times_ms, dtype=np.float64)
+        self.neurons = np.asarray(neurons, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.times_ms.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SpikeTrain(self.times_ms[index], self.neurons[index])
+        return float(self.times_ms[index]), int(self.neurons[index])
+
+    def __iter__(self):
+        return zip(self.times_ms.tolist(), self.neurons.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SpikeTrain):
+            return (np.array_equal(self.times_ms, other.times_ms)
+                    and np.array_equal(self.neurons, other.neurons))
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        pairs = np.stack((self.times_ms, self.neurons), axis=1)
+        return pairs if dtype is None else pairs.astype(dtype, copy=False)
+
+
 @dataclass
 class SpikeRecord:
     """The recorded part of every engine's result, and its recorder.
 
-    ``spikes`` maps a population label to a list of ``(time_ms, neuron)``
-    pairs in population numbering (recorded populations only);
-    ``spike_counts`` maps every label to per-neuron totals.
+    ``spikes`` maps a recorded population's label to its
+    :class:`SpikeTrain` (population numbering), which every flush
+    extends in place; ``spike_counts`` maps every label to totals.
     """
 
     duration_ms: float
-    spikes: Dict[str, List[Tuple[float, int]]] = field(default_factory=dict)
+    spikes: Dict[str, SpikeTrain] = field(default_factory=dict)
     spike_counts: Dict[str, np.ndarray] = field(default_factory=dict)
     #: label -> ``(time_ms, indices)`` chunks not yet in :attr:`spikes`.
     _chunks: Dict[str, List[Tuple[float, np.ndarray]]] = field(
@@ -90,7 +127,7 @@ class SpikeRecord:
             self.spike_counts[population.label] = np.zeros(population.size,
                                                            dtype=int)
             if population.record_spikes:
-                self.spikes[population.label] = []
+                self.spikes[population.label] = SpikeTrain()
                 self._chunks[population.label] = []
 
     def add(self, label: str, time_ms: float, indices: np.ndarray) -> None:
@@ -101,16 +138,19 @@ class SpikeRecord:
             chunks.append((time_ms, indices))
 
     def flush(self) -> None:
-        """Materialise the pending chunks into :attr:`spikes`.
+        """Append the pending chunks to :attr:`spikes`.
 
         Chunks were appended in tick order with in-tick indices already
-        ascending per unit, so the expansion is the recording order.
+        ascending per unit, so concatenating them is the recording order.
         """
         for label, chunks in self._chunks.items():
-            out = self.spikes[label]
-            for time_ms, indices in chunks:
-                out.extend(zip(repeat(time_ms), indices.tolist()))
-            chunks.clear()
+            if chunks:
+                times, indices = zip(*chunks)
+                train = self.spikes[label]
+                train.times_ms = np.concatenate((train.times_ms, np.repeat(
+                    times, [part.size for part in indices])))
+                train.neurons = np.concatenate((train.neurons, *indices))
+                chunks.clear()
 
     def _counts(self, label: str) -> np.ndarray:
         if label not in self.spike_counts:

@@ -73,10 +73,6 @@ class SimulationResult(SpikeRecord):
     timestep_ms: float = 1.0
     voltages: Dict[str, np.ndarray] = field(default_factory=dict)
 
-    def spike_times(self, label: str, neuron: int) -> List[float]:
-        """Spike times (ms) of one neuron in one population."""
-        return [t for t, n in self.spikes.get(label, []) if n == neuron]
-
 
 class Network:
     """A container of populations and projections plus the reference simulator."""

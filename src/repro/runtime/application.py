@@ -41,7 +41,7 @@ from repro.mapping.placement import Placement, Vertex
 from repro.mapping.synaptic_matrix import CoreSynapticData
 from repro.neuron.engine import CSRMatrix
 from repro.router.fabric import RouteProgram, RouteTarget, TransportFabric
-from repro.neuron.kernel import SpikeRecord, TickKernel, TickUnit
+from repro.neuron.kernel import SpikeRecord, SpikeTrain, TickKernel, TickUnit
 from repro.neuron.network import Network
 from repro.neuron.population import Population, core_rng
 from repro.neuron.synapse import DeferredEventBuffer
@@ -117,15 +117,6 @@ class _SampleAccumulator:
         """
         return self._data[:self._size].copy()
 
-    def __len__(self) -> int:
-        return self._size
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _SampleAccumulator):
-            return NotImplemented
-        return bool(np.array_equal(self._data[:self._size],
-                                   other._data[:other._size]))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "_SampleAccumulator(%d samples)" % (self._size,)
 
@@ -189,20 +180,18 @@ class ApplicationResult(SpikeRecord):
         merged *in list order*, so callers that always present shards in
         canonical board order get a bit-identical merge regardless of how
         many workers produced them.  Spike counts are summed per label,
-        spike records are stably sorted by time (preserving the
-        board-order tie-break within a tick), and scalar counters add up.
+        trains are concatenated and stably sorted by time (preserving
+        the board-order tie-break within a tick), and counters add up.
         """
         merged = cls(duration_ms=max(
             (result.duration_ms for result in results), default=0.0))
+        trains: Dict[str, List[SpikeTrain]] = {}
         for result in results:
             for label, counts in result.spike_counts.items():
-                existing = merged.spike_counts.get(label)
-                if existing is None:
-                    merged.spike_counts[label] = counts.copy()
-                else:
-                    existing += counts
-            for label, spikes in result.spikes.items():
-                merged.spikes.setdefault(label, []).extend(spikes)
+                merged.spike_counts[label] = (
+                    merged.spike_counts.get(label, 0) + counts)
+            for label, train in result.spikes.items():
+                trains.setdefault(label, []).append(train)
             merged.latency_samples.extend(result.latency_samples.view())
             merged.distance_samples.extend(result.distance_samples.view())
             merged.packets_sent += result.packets_sent
@@ -211,8 +200,11 @@ class ApplicationResult(SpikeRecord):
             merged.synaptic_events += result.synaptic_events
             merged.delivered_charge_na += result.delivered_charge_na
             merged.saturations += result.saturations
-        for label in merged.spikes:
-            merged.spikes[label].sort(key=lambda pair: pair[0])
+        for label, parts in trains.items():
+            times = np.concatenate([part.times_ms for part in parts])
+            order = np.argsort(times, kind="stable")
+            merged.spikes[label] = SpikeTrain(times[order], np.concatenate(
+                [part.neurons for part in parts])[order])
         return merged
 
     def max_delivery_latency_us(self) -> float:
@@ -743,7 +735,8 @@ class NeuralApplication:
         return self.result
 
     def run(self, duration_ms: float) -> ApplicationResult:
-        """Run the application for ``duration_ms`` of biological time."""
+        """Run the application for ``duration_ms`` of biological time; a
+        later call continues the run, growing :attr:`result` in place."""
         end_time = self.launch(duration_ms)
         self.kernel.run_until(end_time)
         self.halt()

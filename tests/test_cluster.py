@@ -38,6 +38,7 @@ from repro.core.machine import (
     SpiNNakerMachine,
 )
 from repro.neuron.connectors import FixedProbabilityConnector
+from repro.neuron.kernel import SpikeTrain
 from repro.neuron.network import Network
 from repro.neuron.population import Population, SpikeSourcePoisson
 from repro.runtime.application import ApplicationResult, NeuralApplication
@@ -314,6 +315,27 @@ class TestClusterApplication:
         # counters accumulate over the application's lifetime.
         assert cluster.report.inter_board_traversals == first_traversals
         assert cluster.fabric.inter_board_traversals == 2 * first_traversals
+
+    def test_each_run_starts_afresh(self):
+        """Unlike ``NeuralApplication.run`` (which continues one run),
+        every cluster run restarts at tick 0 into a new result: equal
+        trains, and the earlier result is left as it was."""
+        cluster = sharded_app()
+        first = cluster.run(40.0)
+        kept = {label: (train.times_ms.copy(), train.neurons.copy())
+                for label, train in first.spikes.items()}
+        counts = {label: c.copy() for label, c in first.spike_counts.items()}
+        second = cluster.run(40.0)
+        assert second is not first and cluster.result is second
+        assert first.spikes == second.spikes
+        assert first.total_spikes() > 0
+        assert first.duration_ms == second.duration_ms == 40.0
+        for label, (times, neurons) in kept.items():
+            assert first.spikes[label] is not second.spikes[label]
+            assert np.array_equal(first.spikes[label].times_ms, times)
+            assert np.array_equal(first.spikes[label].neurons, neurons)
+        for label, c in counts.items():
+            assert np.array_equal(first.spike_counts[label], c)
 
     def test_rejects_bad_arguments(self):
         cluster = sharded_app()
@@ -656,29 +678,49 @@ class TestProfiling:
 # ----------------------------------------------------------------------
 class TestApplicationResultMerge:
     def test_merge_sums_and_sorts(self):
-        left = ApplicationResult(duration_ms=50.0)
-        left.spike_counts["a"] = np.array([1, 0])
-        left.spikes["a"] = [(1.0, 0), (2.0, 0)]
-        left.packets_sent = 3
-        left.synaptic_events = 10
-        left.delivered_charge_na = 1.5
-        right = ApplicationResult(duration_ms=50.0)
-        right.spike_counts["a"] = np.array([0, 2])
-        right.spike_counts["b"] = np.array([4])
-        right.spikes["a"] = [(1.0, 1)]
-        right.packets_sent = 2
-        right.synaptic_events = 5
-        right.delivered_charge_na = 0.25
+        def shard(trains, counts, **counters):
+            result = ApplicationResult(duration_ms=50.0)
+            result.spike_counts.update(
+                (label, np.array(c)) for label, c in counts.items())
+            result.spikes.update(
+                (label, SpikeTrain(times, neurons))
+                for label, (times, neurons) in trains.items())
+            for name, value in counters.items():
+                setattr(result, name, value)
+            return result
 
-        merged = ApplicationResult.merge([left, right])
+        first = shard({"a": ([1.0, 2.0], [0, 0]), "b": ([], []),
+                       "c": ([], [])},
+                      {"a": [1, 0], "b": [0], "c": [0]},
+                      packets_sent=3, synaptic_events=10,
+                      delivered_charge_na=1.5)
+        # No "b" train: a label missing from one shard.
+        second = shard({"a": ([1.0], [1])}, {"a": [0, 2], "b": [4]},
+                       packets_sent=2, synaptic_events=5,
+                       delivered_charge_na=0.25)
+        third = shard({"a": ([0.0, 1.0, 3.0], [1, 0, 1]),
+                       "b": ([2.0], [0])},
+                      {"a": [1, 1], "b": [1]}, saturations=1)
+
+        merged = ApplicationResult.merge([first, second, third])
         assert merged.duration_ms == 50.0
-        assert np.array_equal(merged.spike_counts["a"], [1, 2])
-        assert np.array_equal(merged.spike_counts["b"], [4])
-        # Stable by time: the tick-1 spikes keep shard order.
-        assert merged.spikes["a"] == [(1.0, 0), (1.0, 1), (2.0, 0)]
+        assert np.array_equal(merged.spike_counts["a"], [2, 3])
+        assert np.array_equal(merged.spike_counts["b"], [5])
+        assert np.array_equal(merged.spike_counts["c"], [0])
+        assert all(isinstance(train, SpikeTrain)
+                   for train in merged.spikes.values())
+        # Stable by time: the tick-1 spikes of all three shards keep
+        # shard order.
+        assert merged.spikes["a"] == [(0.0, 1), (1.0, 0), (1.0, 1),
+                                      (1.0, 0), (2.0, 0), (3.0, 1)]
+        assert merged.spikes["b"] == [(2.0, 0)]
+        assert merged.spikes["c"] == []
+        assert merged.spikes["c"].times_ms.dtype == np.float64
+        assert merged.spikes["c"].neurons.dtype == np.int64
         assert merged.packets_sent == 5
         assert merged.synaptic_events == 15
         assert merged.delivered_charge_na == 1.75
+        assert merged.saturations == 1
 
     def test_merge_of_nothing(self):
         merged = ApplicationResult.merge([])

@@ -9,13 +9,14 @@ units computes, cell for cell, what N one-unit kernels compute.
 from __future__ import annotations
 
 import ast
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.neuron.izhikevich import IzhikevichParameters
-from repro.neuron.kernel import SpikeRecord, TickKernel, TickUnit
+from repro.neuron.kernel import SpikeRecord, SpikeTrain, TickKernel, TickUnit
 from repro.neuron.lif import LIFParameters
 from repro.neuron.population import (
     Population,
@@ -256,6 +257,69 @@ class TestSpikeRecord:
             record.total_spikes("missing")
 
 
+class TestSpikeTrain:
+    """A train is arrays underneath and the list of ``(time_ms, neuron)``
+    pairs it replaced on top."""
+
+    PAIRS = [(0.0, 3), (1.0, 0), (1.0, 7), (4.0, 2)]
+
+    @staticmethod
+    def train(pairs=PAIRS):
+        return SpikeTrain([time for time, _ in pairs],
+                          [neuron for _, neuron in pairs])
+
+    def test_compares_equal_to_its_pair_list_both_ways(self):
+        train = self.train()
+        assert train == self.PAIRS
+        assert self.PAIRS == train
+        assert not train != self.PAIRS
+        assert train != self.PAIRS[:-1]
+        assert self.PAIRS[::-1] != train
+        assert train == self.train()
+        assert SpikeTrain() == [] and [] == SpikeTrain()
+        assert {"a": train, "b": SpikeTrain()} == {"a": self.PAIRS,
+                                                    "b": []}
+        assert {"a": self.PAIRS} == {"a": self.train()}
+        assert {"a": train} != {"a": self.train(self.PAIRS[1:])}
+
+    def test_reads_like_a_list(self):
+        train = self.train()
+        assert len(train) == 4 and bool(train) and not SpikeTrain()
+        assert train[1] == (1.0, 0)
+        assert type(train[1][0]) is float and type(train[1][1]) is int
+        assert train[-1] == (4.0, 2)
+        assert train[1:3] == self.PAIRS[1:3]
+        assert isinstance(train[1:3], SpikeTrain)
+        assert list(train) == self.PAIRS
+        assert sorted(train, key=lambda pair: pair[1]) == sorted(
+            self.PAIRS, key=lambda pair: pair[1])
+        assert sorted(self.train(self.PAIRS[::-1])) == self.PAIRS
+        assert (1.0, 7) in train
+
+    def test_is_an_n_by_2_float_array(self):
+        pairs = np.asarray(self.train(), dtype=np.float64).reshape(-1, 2)
+        assert pairs.dtype == np.float64
+        assert pairs.tolist() == [list(pair) for pair in self.PAIRS]
+        empty = np.asarray(SpikeTrain(), dtype=np.float64).reshape(-1, 2)
+        assert empty.shape == (0, 2) and empty.dtype == np.float64
+        assert np.asarray(self.train()).shape == (4, 2)
+        assert np.asarray(self.train(), dtype=np.int64)[:, 1].tolist() \
+            == [3, 0, 7, 2]
+
+    def test_pickles_as_its_two_arrays(self):
+        train = self.train()
+        back = pickle.loads(pickle.dumps(train))
+        assert isinstance(back, SpikeTrain) and back == train
+        assert back.times_ms.dtype == np.float64
+        assert back.neurons.dtype == np.int64
+        assert np.array_equal(back.times_ms, train.times_ms)
+        assert np.array_equal(back.neurons, train.neurons)
+
+    def test_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(self.train())
+
+
 class TestOneTickBody:
     """The timer task exists once: nothing outside the kernel module
     builds neuron state, injects ring input or draws stimulus."""
@@ -288,3 +352,26 @@ class TestOneTickBody:
                   and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "drain"]
         assert drains == ["repro/neuron/kernel.py"]
+
+    def test_spike_trains_are_built_by_the_record_and_the_merge_only(self):
+        """One record: only the recorder and the shard merge make a
+        :class:`SpikeTrain`, and nothing re-sorts a train per spike."""
+        builders, resorts = set(), []
+        for path in sorted(SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                function = node.func
+                name = (function.attr if isinstance(function, ast.Attribute)
+                        else getattr(function, "id", None))
+                if name == "SpikeTrain":
+                    builders.add(str(path.relative_to(SRC)))
+                elif (name == "sort"
+                      and any(k.arg == "key" for k in node.keywords)
+                      and any(word in ast.unparse(function.value).lower()
+                              for word in ("spike", "train"))):
+                    resorts.append("%s:%d" % (path.relative_to(SRC),
+                                              node.lineno))
+        assert builders == {"repro/neuron/kernel.py",
+                            "repro/runtime/application.py"}
+        assert not resorts, resorts
