@@ -128,7 +128,7 @@ class Chip:
 
         self.cores: List[ProcessorSubsystem] = []
         for core_id in range(n_cores):
-            dma = DMAController(kernel, self.sdram)
+            dma = DMAController(kernel, self.sdram, self.system_noc)
             core = ProcessorSubsystem(
                 kernel, core_id, self.clocks.core_domain(core_id), dma,
                 send_packet=self._inject_from_core)

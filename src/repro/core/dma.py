@@ -23,6 +23,7 @@ from enum import Enum
 from typing import Any, Callable, Deque, List, Optional
 
 from repro.core.event_kernel import EventKernel
+from repro.core.noc import SystemNoC
 from repro.core.sdram import SDRAM
 
 
@@ -87,11 +88,13 @@ class DMAController:
 
     The controller owns a FIFO of outstanding requests; one request is in
     flight at a time.  Transfer timing is delegated to the SDRAM model,
-    which also accounts for contention between the cores of a chip.
+    which also accounts for contention between the cores of a chip; each
+    read also crosses the chip's System NoC.
     """
 
     kernel: EventKernel
     sdram: SDRAM
+    system_noc: SystemNoC
     #: Fixed per-request setup cost (descriptor write + bridge crossing).
     setup_time_us: float = 0.2
     _queue: Deque[DMARequest] = field(default_factory=deque)
@@ -158,18 +161,29 @@ class DMAController:
     def _complete(self, _kernel: EventKernel, request: DMARequest) -> None:
         # Perform the data movement at completion time.
         if request.direction is DMADirection.READ:
-            request.data = self.sdram.read_block(request.sdram_address,
-                                                 request.n_words)
+            request.data = self.sdram.peek_block(request.sdram_address,
+                                                 request.n_words).tolist()
+            self.record_reads(1, request.n_words)
         else:
             if request.data is None:
                 raise RuntimeError("write DMA issued without data")
             self.sdram.write_block(request.sdram_address, request.data)
+            self.completed_transfers += 1
+            self.total_words_transferred += request.n_words
         request.complete_time = self.kernel.now
-        self.completed_transfers += 1
-        self.total_words_transferred += request.n_words
         self._active = None
         # The DMA-complete handler of Figure 7 initiates the next scheduled
         # transfer before processing the data, which is what we do here.
         self._start_next()
         if request.on_complete is not None:
             request.on_complete(request)
+
+    def record_reads(self, n: int, n_words: int) -> None:
+        """Count ``n`` completed reads of ``n_words`` words each: transfers,
+        words, SDRAM bytes read and one System NoC transfer per read (no
+        timing; the compiled transport fabric counts a batch at once)."""
+        n_bytes = 4 * n * n_words
+        self.completed_transfers += n
+        self.total_words_transferred += n * n_words
+        self.sdram.total_bytes_read += n_bytes
+        self.system_noc.record_batch(n, n_bytes, initiator="dma")

@@ -72,6 +72,15 @@ class HandlerCosts:
     timer_cycles_per_neuron: float = 120.0
     timer_fixed_cycles: float = 200.0
 
+    def dma_complete_cycles(self, row_words: int) -> float:
+        """One DMA-complete handler for a fetched ``row_words``-word row."""
+        return (self.dma_complete_fixed_cycles
+                + self.dma_complete_cycles_per_word * row_words)
+
+    def row_cycles(self, synapses: int) -> float:
+        """Processing ``synapses`` synaptic events out of fetched rows."""
+        return self.dma_complete_cycles_per_word * synapses
+
 
 @dataclass
 class _PendingInterrupt:
@@ -248,31 +257,41 @@ class ProcessorSubsystem:
     # ------------------------------------------------------------------
     def deliver_packet(self, packet: Any) -> None:
         """Deliver a router packet to the communications controller."""
-        self.packets_received += 1
-        if self._packet_handler is None or not self.is_application_core:
-            return
-        self.handler_invocations["packet"] += 1
-        self._raise_interrupt(InterruptPriority.PACKET_RECEIVED,
-                              self.costs.packet_received_cycles,
-                              self._packet_handler, packet=packet)
+        if self.record_received():
+            self._raise_interrupt(InterruptPriority.PACKET_RECEIVED,
+                                  self.costs.packet_received_cycles,
+                                  self._packet_handler, packet=packet)
 
     def dma_completed(self, request: DMARequest) -> None:
         """Signal completion of a DMA transfer (wired by the application)."""
-        if self._dma_handler is None or not self.is_application_core:
-            return
-        self.handler_invocations["dma"] += 1
-        cycles = (self.costs.dma_complete_fixed_cycles +
-                  self.costs.dma_complete_cycles_per_word * request.n_words)
-        self._raise_interrupt(InterruptPriority.DMA_COMPLETE, cycles,
-                              self._dma_handler, request=request)
+        if self.record_dma_completions():
+            self._raise_interrupt(
+                InterruptPriority.DMA_COMPLETE,
+                self.costs.dma_complete_cycles(request.n_words),
+                self._dma_handler, request=request)
+
+    def record_received(self, n: int = 1) -> bool:
+        """Count ``n`` packets arriving at the communications controller;
+        True when an application's packet handler takes (and counts) them."""
+        self.packets_received += n
+        return self._record_invocations("packet", self._packet_handler, n)
+
+    def record_dma_completions(self, n: int = 1) -> bool:
+        """Count ``n`` DMA-complete handler invocations, if one is bound."""
+        return self._record_invocations("dma", self._dma_handler, n)
+
+    def _record_invocations(self, kind: str, handler: Optional[Callable],
+                            n: int) -> bool:
+        if handler is None or not self.is_application_core:
+            return False
+        self.handler_invocations[kind] += n
+        return True
 
     def _timer_tick(self, _kernel: EventKernel) -> None:
-        if self._timer_handler is None or not self.is_application_core:
-            return
-        self.handler_invocations["timer"] += 1
-        self._raise_interrupt(InterruptPriority.MILLISECOND_TIMER,
-                              self.costs.timer_fixed_cycles,
-                              self._timer_handler)
+        if self._record_invocations("timer", self._timer_handler, 1):
+            self._raise_interrupt(InterruptPriority.MILLISECOND_TIMER,
+                                  self.costs.timer_fixed_cycles,
+                                  self._timer_handler)
 
     # ------------------------------------------------------------------
     # Interrupt execution model
@@ -336,8 +355,12 @@ class ProcessorSubsystem:
         if self._send_packet is None:
             raise RuntimeError("core %d has no communications controller wired"
                                % (self.core_id,))
-        self.packets_sent += 1
+        self.record_sent()
         self._send_packet(self.core_id, packet)
+
+    def record_sent(self, n: int = 1) -> None:
+        """Count ``n`` packets injected into the router."""
+        self.packets_sent += n
 
     # ------------------------------------------------------------------
     # Accounting

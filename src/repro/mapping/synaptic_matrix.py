@@ -97,11 +97,17 @@ class MasterPopulationTable:
     def lookup(self, packet_key: int) -> Optional[PopulationTableEntry]:
         """The packet handler's counted lookup: the matching entry, or
         ``None`` (a miss)."""
-        self.lookups += 1
         entry = self.entry_for(packet_key)
-        if entry is None:
-            self.misses += 1
+        self.record_lookups(1, hit=entry is not None)
         return entry
+
+    def record_lookups(self, n: int, hit: bool) -> None:
+        """Count ``n`` lookups that all hit or all missed, without
+        searching (the compiled transport fabric resolved its entry at
+        load time and counts a whole batch)."""
+        self.lookups += n
+        if not hit:
+            self.misses += n
 
     def __len__(self) -> int:
         return len(self.entries)

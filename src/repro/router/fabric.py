@@ -19,8 +19,9 @@ delivered with one scheduled callback per destination core and one bulk
 counter update per tree element, instead of O(spikes x hops) discrete
 events.  Because the program is derived from the very tables the event
 path consults, both transports move identical traffic over identical
-trees; the runtime layer (:mod:`repro.runtime.application`) asserts the
-two produce identical spike trains on seeded networks.
+trees; the transport-equivalence tests hold the two to identical spike
+trains and counters on seeded networks (latencies differ: the fabric's
+are the uncongested nominal ones).
 
 The fabric assumes the lightly-loaded, fault-free regime the paper says
 the interconnect is designed for.  Congestion back-pressure, emergency

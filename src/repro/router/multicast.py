@@ -191,24 +191,18 @@ class Router:
         if self._transmit is None or self._deliver_local is None:
             raise RuntimeError("router at %s is not connected to its chip"
                                % (self.coordinate,))
-        self.stats.multicast_routed += 1
-        if arrival is None:
-            self.stats.injected_local += 1
         if arrival is not None and packet.hops >= self.config.max_hops:
             # Time-phase expiry: the packet has been travelling (most likely
             # default-routed with no matching table entry anywhere) for too
             # long; drop it rather than let it circulate forever.
-            self.stats.aged_out += 1
-            self._drop(packet, reason="time-phase-expired")
+            self._count_routed(1, injected=False)
+            self._drop("time-phase-expired", packet)
             return RoutingDecision()
         decision = self.decide(packet, arrival)
-        if decision.table_hit:
-            self.stats.table_hits += 1
-        if decision.default_routed:
-            self.stats.default_routed += 1
+        self._count_routed(1, arrival is None, decision.table_hit,
+                           decision.default_routed, len(decision.cores))
 
         for core_id in decision.cores:
-            self.stats.delivered_local += 1
             self._deliver_local(core_id, packet)
 
         forward_packet = packet.aged()
@@ -217,8 +211,21 @@ class Router:
 
         if (not decision.links and not decision.cores
                 and decision.default_routed and arrival is None):
-            self._drop(packet, reason="no-route-for-local-key")
+            self._drop("no-route-for-local-key", packet)
         return decision
+
+    def _count_routed(self, n: int, injected: bool, table_hit: bool = False,
+                      default_routed: bool = False, n_cores: int = 0) -> None:
+        """Count ``n`` packets through the router (from a local core when
+        ``injected``): their routing decision and local deliveries."""
+        self.stats.multicast_routed += n
+        if injected:
+            self.stats.injected_local += n
+        if table_hit:
+            self.stats.table_hits += n
+        if default_routed:
+            self.stats.default_routed += n
+        self.stats.delivered_local += n * n_cores
 
     # ------------------------------------------------------------------
     # Blocked-link recovery: wait -> emergency -> drop (Section 5.3)
@@ -265,8 +272,7 @@ class Router:
         if phase == "normal" and self.config.emergency_routing_enabled:
             self._invoke_emergency(packet, direction)
         else:
-            self._drop(packet, reason="blocked-link",
-                       direction=direction)
+            self._drop("blocked-link", packet, direction=direction)
 
     def _invoke_emergency(self, packet: MulticastPacket,
                           direction: Direction) -> None:
@@ -286,13 +292,13 @@ class Router:
         self._schedule_retry(emergency_packet, first_leg, attempt=1,
                              phase="emergency")
 
-    def _record_forward(self, direction: Direction) -> None:
-        """Count one successful forward on ``direction``."""
-        self.stats.forwarded += 1
+    def _record_forward(self, direction: Direction, n: int = 1) -> None:
+        """Count ``n`` successful forwards on ``direction``."""
+        self.stats.forwarded += n
         self.stats.forwarded_by_link[direction] = (
-            self.stats.forwarded_by_link.get(direction, 0) + 1)
+            self.stats.forwarded_by_link.get(direction, 0) + n)
         if direction in self.inter_board_directions:
-            self.stats.inter_board_forwarded += 1
+            self.stats.inter_board_forwarded += n
 
     # ------------------------------------------------------------------
     # Bulk accounting (compiled transport fabric)
@@ -311,7 +317,8 @@ class Router:
         it calls this per tree chip to keep the Monitor-visible statistics
         — including the per-link load counters and the routing table's
         lookup/miss counters — identical to what the per-packet event
-        path would have recorded for the same traffic.  (Drop diagnostics
+        path would have recorded for the same traffic, through the same
+        counting methods called with ``n = n_packets``.  (Drop diagnostics
         reach the Monitor mailbox as one batched notification carrying a
         count, where the event path posts one entry per packet.)
         ``table_hit=None`` means no routing decision was made (time-phase
@@ -321,43 +328,33 @@ class Router:
             raise ValueError("batch sizes must be non-negative")
         if n_packets == 0:
             return
-        stats = self.stats
-        stats.fabric_batches += 1
-        stats.multicast_routed += n_packets
-        if injected:
-            stats.injected_local += n_packets
+        self.stats.fabric_batches += 1
+        self._count_routed(n_packets, injected, table_hit is True,
+                           table_hit is False, n_local_cores)
         if table_hit is not None:
             # The event path consults the table once per packet.
-            self.table.lookups += n_packets
-            if table_hit:
-                stats.table_hits += n_packets
-            else:
-                self.table.misses += n_packets
-                stats.default_routed += n_packets
-        stats.delivered_local += n_packets * n_local_cores
+            self.table.record_lookups(n_packets, hit=table_hit)
         for direction in link_directions:
-            stats.forwarded += n_packets
-            stats.forwarded_by_link[direction] = (
-                stats.forwarded_by_link.get(direction, 0) + n_packets)
-            if direction in self.inter_board_directions:
-                stats.inter_board_forwarded += n_packets
-        if aged_out:
-            stats.aged_out += n_packets
+            self._record_forward(direction, n_packets)
         if dropped or aged_out:
-            stats.dropped += n_packets
-            if self._notify_monitor is not None:
-                self._notify_monitor(
-                    "packet-dropped",
-                    reason=("time-phase-expired" if aged_out
-                            else "no-route-for-local-key"),
-                    direction=None, key=None, packet=None,
-                    count=n_packets)
+            self._drop("time-phase-expired" if aged_out
+                       else "no-route-for-local-key", count=n_packets)
 
-    def _drop(self, packet: MulticastPacket, reason: str,
-              direction: Optional[Direction] = None) -> None:
-        """Drop a packet and inform the Monitor Processor (Section 5.3)."""
-        self.stats.dropped += 1
-        if self._notify_monitor is not None:
+    def _drop(self, reason: str, packet: Optional[MulticastPacket] = None,
+              direction: Optional[Direction] = None, count: int = 1) -> None:
+        """Drop ``count`` packets and inform the Monitor Processor (Section
+        5.3).  A time-phase expiry also counts as aged out.  A compiled
+        batch (no ``packet``) posts one notification carrying its count."""
+        if reason == "time-phase-expired":
+            self.stats.aged_out += count
+        self.stats.dropped += count
+        if self._notify_monitor is None:
+            return
+        if packet is None:
+            self._notify_monitor("packet-dropped", reason=reason,
+                                 direction=None, key=None, packet=None,
+                                 count=count)
+        else:
             self._notify_monitor("packet-dropped", reason=reason,
                                  direction=direction, key=packet.key,
                                  packet=packet)

@@ -173,11 +173,16 @@ class MulticastRoutingTable:
 
     def lookup(self, key: int) -> Optional[RoutingEntry]:
         """Return the first entry matching ``key``, or ``None`` on a miss."""
-        self.lookups += 1
         entry = self.route_for(key)
-        if entry is None:
-            self.misses += 1
+        self.record_lookups(1, hit=entry is not None)
         return entry
+
+    def record_lookups(self, n: int, hit: bool) -> None:
+        """Count ``n`` lookups that all hit or all missed, without
+        searching (the compiled transport fabric replays a batch)."""
+        self.lookups += n
+        if not hit:
+            self.misses += n
 
     def lookup_linear(self, key: int) -> Optional[RoutingEntry]:
         """Reference linear-scan lookup (the hardware CAM walk).

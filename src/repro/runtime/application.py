@@ -24,6 +24,7 @@ delivery claim.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -54,85 +55,16 @@ TIMER_PERIOD_US = 1000.0
 UNKNOWN_DISTANCE = -1
 
 
-class _SampleAccumulator:
-    """A growable flat array for per-delivery samples.
-
-    Replaces the old per-packet Python-list appends: the event transport
-    appends single samples, the compiled transport fabric lands whole
-    batches with one slice assignment, and readers get a NumPy view
-    without a list->array conversion per query.
-    """
-
-    __slots__ = ("_data", "_size")
-
-    def __init__(self, dtype=np.float64, capacity: int = 64) -> None:
-        self._data = np.empty(capacity, dtype=dtype)
-        self._size = 0
-
-    def _reserve(self, extra: int) -> None:
-        needed = self._size + extra
-        capacity = self._data.shape[0]
-        if needed <= capacity:
-            return
-        grown = np.empty(max(needed, 2 * capacity), dtype=self._data.dtype)
-        grown[:self._size] = self._data[:self._size]
-        self._data = grown
-
-    def append(self, value) -> None:
-        """Record one sample."""
-        self._reserve(1)
-        self._data[self._size] = value
-        self._size += 1
-
-    def extend_constant(self, value, count: int) -> None:
-        """Record ``count`` copies of ``value`` (one fabric batch)."""
-        if count <= 0:
-            return
-        self._reserve(count)
-        self._data[self._size:self._size + count] = value
-        self._size += count
-
-    def extend(self, values: np.ndarray) -> None:
-        """Append a whole sample array (merging shard results)."""
-        values = np.asarray(values, dtype=self._data.dtype)
-        if values.size == 0:
-            return
-        self._reserve(values.size)
-        self._data[self._size:self._size + values.size] = values
-        self._size += values.size
-
-    def view(self) -> np.ndarray:
-        """Read-only internal view of the samples (no allocation).
-
-        For the result's own statistics methods; external readers get
-        the copying :meth:`array` instead.
-        """
-        return self._data[:self._size]
-
-    def array(self) -> np.ndarray:
-        """The recorded samples as an independent array.
-
-        A copy, so a reference taken mid-run neither goes stale nor
-        aliases cells later appends write into.
-        """
-        return self._data[:self._size].copy()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "_SampleAccumulator(%d samples)" % (self._size,)
-
-
 @dataclass
 class ApplicationResult(SpikeRecord):
     """Spike records and timing statistics from an on-machine run."""
 
-    #: Per-delivery latency samples (microseconds), array-accumulated.
-    latency_samples: _SampleAccumulator = field(
-        default_factory=_SampleAccumulator)
+    #: Per-delivery latency samples (microseconds), in delivery order.
+    latency_samples: array = field(default_factory=lambda: array("d"))
     #: Per-delivery hop distances, aligned one-to-one with the latency
     #: samples; :data:`UNKNOWN_DISTANCE` marks deliveries whose packet
     #: carried no source coordinate.
-    distance_samples: _SampleAccumulator = field(
-        default_factory=lambda: _SampleAccumulator(dtype=np.int64))
+    distance_samples: array = field(default_factory=lambda: array("q"))
     packets_sent: int = 0
     packets_dropped: int = 0
     emergency_invocations: int = 0
@@ -146,31 +78,33 @@ class ApplicationResult(SpikeRecord):
 
     @property
     def delivery_latencies_us(self) -> np.ndarray:
-        """Per-delivery latency samples in microseconds (send to processing)."""
-        return self.latency_samples.array()
+        """Per-delivery latency samples in microseconds (send to
+        processing), as an independent array."""
+        return np.array(self.latency_samples)
 
     @property
     def delivery_distances(self) -> np.ndarray:
         """Per-delivery hop distances, aligned with ``delivery_latencies_us``."""
-        return self.distance_samples.array()
+        return np.array(self.distance_samples)
 
     def record_delivery(self, latency_us: float,
-                        distance: Optional[int] = None) -> None:
-        """Record one spike delivery (event transport).
+                        distance: Optional[int] = None,
+                        count: int = 1) -> None:
+        """Record ``count`` spike deliveries of one latency and distance:
+        one packet on the event transport, a batch on the fabric.
 
         ``distance=None`` (a packet with no source coordinate) records
         :data:`UNKNOWN_DISTANCE` so the latency and distance arrays stay
         aligned sample-for-sample.
         """
-        self.latency_samples.append(latency_us)
-        self.distance_samples.append(
-            UNKNOWN_DISTANCE if distance is None else distance)
-
-    def record_delivery_batch(self, latency_us: float, distance: int,
-                              count: int) -> None:
-        """Record a whole delivered batch (compiled transport fabric)."""
-        self.latency_samples.extend_constant(latency_us, count)
-        self.distance_samples.extend_constant(distance, count)
+        if distance is None:
+            distance = UNKNOWN_DISTANCE
+        if count == 1:
+            self.latency_samples.append(latency_us)
+            self.distance_samples.append(distance)
+        else:
+            self.latency_samples.extend([latency_us] * count)
+            self.distance_samples.extend([distance] * count)
 
     @classmethod
     def merge(cls, results: List["ApplicationResult"]) -> "ApplicationResult":
@@ -192,8 +126,8 @@ class ApplicationResult(SpikeRecord):
                     merged.spike_counts.get(label, 0) + counts)
             for label, train in result.spikes.items():
                 trains.setdefault(label, []).append(train)
-            merged.latency_samples.extend(result.latency_samples.view())
-            merged.distance_samples.extend(result.distance_samples.view())
+            merged.latency_samples.extend(result.latency_samples)
+            merged.distance_samples.extend(result.distance_samples)
             merged.packets_sent += result.packets_sent
             merged.packets_dropped += result.packets_dropped
             merged.emergency_invocations += result.emergency_invocations
@@ -209,12 +143,12 @@ class ApplicationResult(SpikeRecord):
 
     def max_delivery_latency_us(self) -> float:
         """Worst spike-delivery latency observed (0 if nothing delivered)."""
-        samples = self.latency_samples.view()
+        samples = np.frombuffer(self.latency_samples)
         return float(samples.max()) if samples.size else 0.0
 
     def mean_delivery_latency_us(self) -> float:
         """Mean spike-delivery latency (0 for an empty run)."""
-        samples = self.latency_samples.view()
+        samples = np.frombuffer(self.latency_samples)
         return float(samples.mean()) if samples.size else 0.0
 
     def within_deadline_fraction(self, deadline_us: float = 1000.0) -> float:
@@ -223,7 +157,7 @@ class ApplicationResult(SpikeRecord):
         An empty run (nothing delivered) trivially meets every deadline
         and reports 1.0.
         """
-        samples = self.latency_samples.view()
+        samples = np.frombuffer(self.latency_samples)
         if samples.size == 0:
             return 1.0
         return float(np.count_nonzero(samples <= deadline_us) / samples.size)
@@ -236,8 +170,10 @@ class _FabricDelivery:
     Compiled once after mapping: the destination core's leg for the
     source key (:attr:`CoreSynapticData.legs`), plus the transport
     latency extended with the nominal core-side costs (packet handler,
-    DMA fetch, DMA-complete handler) the event path pays per packet, so
-    the two transports report comparable latencies.
+    DMA fetch, DMA-complete handler) the event path pays per packet.
+    That is the uncongested latency: the event path's samples also hold
+    NoC, DMA and handler queueing, so the two transports' latencies
+    differ (their counters and delivery counts do not).
     """
 
     runtime: "CoreRuntime"
@@ -313,8 +249,7 @@ class CoreRuntime:
         row = entry.row_of(packet.key)
         count = self.deliver(leg, slice(leg.row_ptr[row],
                                         leg.row_ptr[row + 1]))
-        self.core.charge_cycles(
-            self.core.costs.dma_complete_cycles_per_word * count)
+        self.core.charge_cycles(self.core.costs.row_cycles(count))
         latency = self.application.kernel.now - packet.timestamp
         distance = None
         if packet.source is not None:
@@ -351,12 +286,11 @@ class CoreRuntime:
                 self.application.fabric_send(self, spiking)
             else:
                 for local_index in spiking:
-                    packet = MulticastPacket(
+                    self.core.send_multicast(MulticastPacket(
                         key=self.key_space.key_for(int(local_index)),
                         timestamp=self.application.kernel.now,
-                        source=self.chip_coordinate)
-                    self.core.send_multicast(packet)
-                    self.application.result.packets_sent += 1
+                        source=self.chip_coordinate))
+            self.application.result.packets_sent += int(spiking.size)
         self.tick += 1
 
 
@@ -617,8 +551,7 @@ class NeuralApplication:
                       + destination.core.dma.setup_time_us
                       + chip.sdram.transfer_time(4 * stride)
                       + clock.cycles_to_microseconds(
-                          costs.dma_complete_fixed_cycles
-                          + costs.dma_complete_cycles_per_word * stride))
+                          costs.dma_complete_cycles(stride)))
         return _FabricDelivery(runtime=destination,
                                leg=destination.synaptic_data.legs[entry.key],
                                latency_us=target.latency_us + processing,
@@ -631,8 +564,7 @@ class NeuralApplication:
             return
         n = int(spiking.size)
         self.fabric.account_batch(program, n)
-        runtime.core.packets_sent += n
-        self.result.packets_sent += n
+        runtime.core.record_sent(n)
         send_time = self.kernel.now
         for delivery in runtime.fabric_deliveries:
             self.kernel.schedule_batch(
@@ -643,42 +575,32 @@ class NeuralApplication:
     def _fabric_deliver(self, _kernel: EventKernel,
                         delivery: _FabricDelivery, spiking: np.ndarray,
                         send_time: float) -> None:
-        """Scatter one delivered batch into the destination's buffers."""
+        """Run one delivered batch through the event path's steps at the
+        destination — arrival, population-table lookup, row DMA,
+        DMA-complete handler — counting each with ``n = batch``, and
+        scatter it into the destination's buffers."""
         destination = delivery.runtime
         core = destination.core
         costs = core.costs
         n = int(spiking.size)
-        core.packets_received += n
-        core.handler_invocations["packet"] += n
-        # The event path resolves every packet through the master
-        # population table; replay those lookup counters in bulk too.
-        table = destination.synaptic_data.population_table
-        table.lookups += n
+        if not core.record_received(n):
+            return
+        destination.synaptic_data.population_table.record_lookups(
+            n, hit=delivery.leg is not None)
         if delivery.leg is None:
-            table.misses += n
             self.unmatched_packets += n
             core.charge_cycles(n * costs.packet_received_cycles)
             return
         count = destination.deliver(delivery.leg,
                                     delivery.leg.synapse_slots(spiking))
-        # Bulk accounting parity with the per-packet path: every spike
-        # costs a packet handler, a DMA fetch of the stride-padded row
-        # and a DMA-complete handler; row processing is charged per
-        # synaptic event.
-        core.handler_invocations["dma"] += n
+        core.dma.record_reads(n, delivery.stride_words)
+        core.record_dma_completions(n)
         core.charge_cycles(
             n * (costs.packet_received_cycles
-                 + costs.dma_complete_fixed_cycles
-                 + costs.dma_complete_cycles_per_word * delivery.stride_words)
-            + costs.dma_complete_cycles_per_word * count)
-        core.dma.completed_transfers += n
-        core.dma.total_words_transferred += n * delivery.stride_words
-        chip = self.machine.chips[destination.chip_coordinate]
-        chip.sdram.total_bytes_read += 4 * n * delivery.stride_words
-        chip.system_noc.record_batch(n, 4 * n * delivery.stride_words,
-                                     initiator="fabric-dma")
-        latency = self.kernel.now - send_time
-        self.result.record_delivery_batch(latency, delivery.distance, n)
+                 + costs.dma_complete_cycles(delivery.stride_words))
+            + costs.row_cycles(count))
+        self.result.record_delivery(self.kernel.now - send_time,
+                                    delivery.distance, n)
 
     # ------------------------------------------------------------------
     # Execution

@@ -702,8 +702,22 @@ class TestApplicationResultMerge:
                        "b": ([2.0], [0])},
                       {"a": [1, 1], "b": [1]}, saturations=1)
 
+        first.record_delivery(3.5, 1)
+        first.record_delivery(1.25, count=2)
+        third.record_delivery(7.0, 4, count=3)
+        third.record_delivery(0.5, 0)
+
         merged = ApplicationResult.merge([first, second, third])
         assert merged.duration_ms == 50.0
+        # Delivery samples concatenate in shard order, each latency
+        # still paired with its own distance.
+        assert merged.delivery_latencies_us.tolist() == [
+            3.5, 1.25, 1.25, 7.0, 7.0, 7.0, 0.5]
+        assert merged.delivery_distances.tolist() == [1, -1, -1, 4, 4, 4, 0]
+        assert merged.max_delivery_latency_us() == 7.0
+        # Readers copy: recording more into a shard leaves the merge alone.
+        first.record_delivery(99.0, 9)
+        assert len(merged.delivery_latencies_us) == 7
         assert np.array_equal(merged.spike_counts["a"], [2, 3])
         assert np.array_equal(merged.spike_counts["b"], [5])
         assert np.array_equal(merged.spike_counts["c"], [0])

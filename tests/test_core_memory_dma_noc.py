@@ -252,7 +252,7 @@ class TestDMAController:
     def _make(self):
         kernel = EventKernel()
         sdram = SDRAM()
-        return kernel, sdram, DMAController(kernel, sdram)
+        return kernel, sdram, DMAController(kernel, sdram, SystemNoC())
 
     def test_read_returns_sdram_contents(self):
         kernel, sdram, dma = self._make()

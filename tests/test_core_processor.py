@@ -7,6 +7,7 @@ import pytest
 from repro.core.clock import ClockDomain
 from repro.core.dma import DMAController
 from repro.core.event_kernel import EventKernel
+from repro.core.noc import SystemNoC
 from repro.core.packets import MulticastPacket
 from repro.core.processor import ProcessorState, ProcessorSubsystem
 from repro.core.sdram import SDRAM
@@ -15,7 +16,7 @@ from repro.core.sdram import SDRAM
 def make_core(kernel=None, send_packet=None):
     kernel = kernel or EventKernel()
     sdram = SDRAM()
-    dma = DMAController(kernel, sdram)
+    dma = DMAController(kernel, sdram, SystemNoC())
     core = ProcessorSubsystem(kernel, core_id=0,
                               clock=ClockDomain("core-0", 200.0),
                               dma=dma, send_packet=send_packet)

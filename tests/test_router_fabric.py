@@ -5,11 +5,15 @@ latency/hop accounting), the bulk statistics replay, and — most
 importantly — the transport equivalence suite: seeded networks must
 produce identical spike trains and delivered-weight totals under
 ``transport="fabric"`` and ``transport="event"``, on both a localized
-and a long-range (multi-hop) topology, with link loads readable from
-either source.
+and a long-range (multi-hop) topology, with link loads and every core,
+chip and table counter equal whichever transport carried the traffic.
 """
 
 from __future__ import annotations
+
+import ast
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,8 @@ from repro.neuron.population import Population, SpikeSourcePoisson
 from repro.router.fabric import TransportFabric, compile_route
 from repro.runtime.application import NeuralApplication
 from repro.runtime.boot import BootController
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ----------------------------------------------------------------------
@@ -190,11 +196,71 @@ def run_topology(name, transport):
     return application, result, machine
 
 
+@pytest.fixture(scope="module")
+def runs():
+    """``runs(topology, transport)``: each run simulated once per module
+    and shared by every test here (they only read it)."""
+    cache = {}
+
+    def run(topology, transport):
+        if (topology, transport) not in cache:
+            cache[topology, transport] = run_topology(topology, transport)
+        return cache[topology, transport]
+    return run
+
+
+def _counters(application, machine):
+    """Every transport-visible counter, keyed by core, chip and table.
+
+    Floats (busy times) are compared with a relative tolerance: the event
+    path sums one handler at a time, the fabric one batch at a time.
+    Two things are left out on purpose: ``max_interrupt_latency_us`` (the
+    fabric raises no delivery interrupts) and the latency values (the
+    event path's include core-side queueing; the fabric's are nominal).
+    The router's ``fabric_batches`` counts the fabric's own batches and
+    is checked on its own.
+    """
+    counters = {"unmatched_packets": application.unmatched_packets}
+    for coordinate, chip in machine.chips.items():
+        stats = asdict(chip.router.stats)
+        stats.pop("fabric_batches")
+        counters[coordinate, "router"] = stats
+        counters[coordinate, "routing table"] = (chip.router.table.lookups,
+                                                 chip.router.table.misses)
+        counters[coordinate, "sdram bytes read"] = chip.sdram.total_bytes_read
+        counters[coordinate, "system noc"] = asdict(chip.system_noc.stats)
+        counters[coordinate, "system noc initiators"] = dict(
+            chip.system_noc.traffic_by_initiator)
+        counters[coordinate, "comms noc"] = asdict(chip.comms_noc.stats)
+        for core in chip.cores:
+            counters[coordinate, core.core_id] = dict(
+                packets_received=core.packets_received,
+                packets_sent=core.packets_sent,
+                handler_invocations=dict(core.handler_invocations),
+                dma_transfers=core.dma.completed_transfers,
+                dma_words=core.dma.total_words_transferred)
+            counters[coordinate, core.core_id, "busy"] = core.busy_time_us
+    for runtime in application.core_runtimes:
+        table = runtime.synaptic_data.population_table
+        counters[runtime.chip_coordinate, runtime.core.core_id,
+                 "population table"] = (table.lookups, table.misses)
+    return counters
+
+
+def _approx_floats(value):
+    if isinstance(value, float):
+        return pytest.approx(value, rel=1e-12)
+    if isinstance(value, dict):
+        return {key: _approx_floats(item) for key, item in value.items()}
+    return value
+
+
 class TestTransportEquivalence:
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-    def test_identical_spike_trains_and_delivered_weight(self, topology):
-        event_app, event, event_machine = run_topology(topology, "event")
-        fabric_app, fabric, fabric_machine = run_topology(topology, "fabric")
+    def test_identical_spike_trains_and_delivered_weight(self, runs,
+                                                         topology):
+        event_app, event, event_machine = runs(topology, "event")
+        fabric_app, fabric, fabric_machine = runs(topology, "fabric")
         assert event.total_spikes() > 0
         assert event.spikes == fabric.spikes
         for label in event.spike_counts:
@@ -206,16 +272,16 @@ class TestTransportEquivalence:
         assert event.packets_dropped == fabric.packets_dropped == 0
         assert event_app.unmatched_packets == fabric_app.unmatched_packets == 0
 
-    def test_long_range_topology_really_is_long_range(self):
-        application, _result, _machine = run_topology("long-range", "fabric")
+    def test_long_range_topology_really_is_long_range(self, runs):
+        application, _result, _machine = runs("long-range", "fabric")
         depths = [program.max_hops
                   for program in application.fabric.programs.values()]
         assert max(depths) >= 3
 
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-    def test_link_loads_readable_from_either_transport(self, topology):
-        _, _, event_machine = run_topology(topology, "event")
-        _, _, fabric_machine = run_topology(topology, "fabric")
+    def test_link_loads_readable_from_either_transport(self, runs, topology):
+        _, _, event_machine = runs(topology, "event")
+        _, _, fabric_machine = runs(topology, "fabric")
         # congestion.py and traffic.py read the same per-link counters the
         # fabric increments in bulk, so both transports report identical
         # loads for identical traffic.
@@ -232,27 +298,44 @@ class TestTransportEquivalence:
         assert report.total_packets == event_traffic.total_packets
         assert report.dropped_packets == 0
 
-    def test_router_statistics_match_between_transports(self):
-        _, _, event_machine = run_topology("localized", "event")
-        _, _, fabric_machine = run_topology("localized", "fabric")
-        event_mix = transport_mix(event_machine)
-        fabric_mix = transport_mix(fabric_machine)
-        assert event_mix["fabric_batches"] == 0
-        assert fabric_mix["fabric_batches"] > 0
-        assert (event_mix["multicast_routed"]
-                == fabric_mix["multicast_routed"] > 0)
-        for coordinate in event_machine.chips:
-            event_stats = event_machine.chips[coordinate].router.stats
-            fabric_stats = fabric_machine.chips[coordinate].router.stats
-            assert event_stats.multicast_routed == fabric_stats.multicast_routed
-            assert event_stats.table_hits == fabric_stats.table_hits
-            assert event_stats.delivered_local == fabric_stats.delivered_local
-            assert event_stats.forwarded == fabric_stats.forwarded
-            assert (event_stats.forwarded_by_link
-                    == fabric_stats.forwarded_by_link)
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_every_counter_matches_between_transports(self, runs, topology):
+        event_app, event, event_machine = runs(topology, "event")
+        fabric_app, fabric, fabric_machine = runs(topology, "fabric")
+        event_counters = _counters(event_app, event_machine)
+        fabric_counters = _counters(fabric_app, fabric_machine)
+        assert event_counters.keys() == fabric_counters.keys()
+        for key, value in event_counters.items():
+            assert _approx_floats(value) == fabric_counters[key], key
+        # The only counter that tells the transports apart.
+        assert transport_mix(event_machine)["fabric_batches"] == 0
+        assert transport_mix(fabric_machine)["fabric_batches"] > 0
+        assert transport_mix(event_machine)["multicast_routed"] > 0
+        # One delivery sample per packet delivered, per DMA row read.
+        samples = len(event.delivery_latencies_us)
+        assert samples == len(fabric.delivery_latencies_us) > 0
+        assert samples == sum(core.dma.completed_transfers
+                              for chip in fabric_machine.chips.values()
+                              for core in chip.cores)
+        assert (sorted(event.delivery_distances)
+                == sorted(fabric.delivery_distances))
 
-    def test_fabric_latencies_are_sane_and_recorded_in_bulk(self):
-        _, result, _ = run_topology("long-range", "fabric")
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_dma_row_reads_cross_the_system_noc_on_both_transports(
+            self, runs, topology):
+        _, _, event_machine = runs(topology, "event")
+        _, _, fabric_machine = runs(topology, "fabric")
+        for coordinate, chip in event_machine.chips.items():
+            event_noc = chip.system_noc.stats
+            fabric_noc = fabric_machine.chips[coordinate].system_noc.stats
+            reads = sum(core.dma.completed_transfers for core in chip.cores)
+            assert event_noc.transfers == fabric_noc.transfers == reads
+            assert event_noc.total_bits == fabric_noc.total_bits
+            assert event_noc.busy_time_us == pytest.approx(
+                fabric_noc.busy_time_us, rel=1e-12)
+
+    def test_fabric_latencies_are_sane_and_recorded_in_bulk(self, runs):
+        _, result, _ = runs("long-range", "fabric")
         latencies = result.delivery_latencies_us
         distances = result.delivery_distances
         assert len(latencies) == len(distances) > 0
@@ -263,14 +346,115 @@ class TestTransportEquivalence:
         assert (latencies[distances == distances.max()].mean()
                 > latencies[distances == distances.min()].mean())
 
-    def test_dma_accounting_parity(self):
-        _, event, event_machine = run_topology("localized", "event")
-        fabric_app, fabric, _ = run_topology("localized", "fabric")
-        transfers = sum(runtime.core.dma.completed_transfers
-                        for runtime in fabric_app.core_runtimes)
-        assert transfers == len(fabric.delivery_latencies_us)
-        assert len(fabric.delivery_latencies_us) == \
-            len(event.delivery_latencies_us)
+
+class TestOneCountingHome:
+    """Each delivery counter of a core, DMA engine, SDRAM, table or
+    router is written only by the component that owns it: the transports
+    call its counting method (``n = 1`` per packet, ``n = batch`` on the
+    fabric) and never re-state the arithmetic.  The application's own
+    records (its ``result``, a shard merge's ``merged`` result and its
+    ``unmatched_packets``) are the runtime layer's to write."""
+
+    FILES = ("runtime/application.py", "router/fabric.py",
+             "router/multicast.py")
+    COUNTERS = {"packets_received", "packets_sent", "handler_invocations",
+                "completed_transfers", "total_words_transferred",
+                "total_bytes_read", "lookups", "misses"}
+    OWN_RECORDS = {"self", "result", "merged"}
+
+    @classmethod
+    def holder(cls, target):
+        """The expression owning the counter ``target`` writes, if any."""
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        if not isinstance(target, ast.Attribute):
+            return None
+        if target.attr in cls.COUNTERS:
+            return target.value
+        if (isinstance(target.value, ast.Attribute)
+                and target.value.attr == "stats"):
+            return target.value.value
+        return None
+
+    @staticmethod
+    def name_of(holder):
+        """``self`` for ``self``, ``result`` for ``self.application.result``."""
+        if isinstance(holder, ast.Name):
+            return holder.id
+        return holder.attr if isinstance(holder, ast.Attribute) else None
+
+    def test_no_counter_is_incremented_by_another_class(self):
+        offenders = []
+        for name in self.FILES:
+            path = SRC / "repro" / name
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.AugAssign):
+                    continue
+                holder = self.holder(node.target)
+                if holder is not None and self.name_of(
+                        holder) not in self.OWN_RECORDS:
+                    offenders.append("%s:%d %s" % (
+                        name, node.lineno, ast.unparse(node.target)))
+        assert not offenders, offenders
+
+
+def run_with_disabled_destination(transport):
+    """Disable the only target core just after a tick's spikes are sent
+    (the fabric's batches are scheduled, not landed; the event path's
+    packets are in flight) and keep running.  Returns the target core's
+    counters and the result's delivery totals at the disable and at the
+    end."""
+    machine = SpiNNakerMachine(MachineConfig(width=2, height=2,
+                                             cores_per_chip=4))
+    BootController(machine, seed=1).boot()
+    network = Network(seed=41)
+    stimulus = SpikeSourcePoisson(24, rate_hz=120.0, label="stim")
+    target = Population(16, "lif", label="tgt")
+    network.connect(stimulus, target,
+                    FixedProbabilityConnector(0.5, weight=1.0))
+    application = NeuralApplication(machine, network,
+                                    max_neurons_per_core=16, seed=41,
+                                    transport=transport, stagger_us=0.0)
+    application.prepare()
+    core, = [runtime.core for runtime in application.core_runtimes
+             if runtime.population.label == "tgt"]
+    result = application.result
+
+    def snapshot():
+        return dict(received=core.packets_received,
+                    handlers=dict(core.handler_invocations),
+                    dma_reads=core.dma.completed_transfers,
+                    synaptic_events=result.synaptic_events,
+                    charge=result.delivered_charge_na,
+                    deliveries=len(result.delivery_latencies_us))
+
+    at_disable = {}
+
+    def disable(_kernel):
+        at_disable.update(snapshot())
+        core.disable()
+
+    application.kernel.schedule(application.kernel.now + 20_000.5, disable)
+    application.run(40.0)
+    return at_disable, snapshot()
+
+
+class TestDisabledDestination:
+    """Batches and packets that reach a core after it is disabled count
+    as received there and run no handler, DMA or synaptic delivery, on
+    either transport."""
+
+    def test_arrivals_at_a_disabled_core_are_received_not_processed(self):
+        ends = {}
+        for transport in ("event", "fabric"):
+            at_disable, end = run_with_disabled_destination(transport)
+            assert at_disable["synaptic_events"] > 0
+            assert end["received"] > at_disable["received"]
+            for counter in ("handlers", "dma_reads", "synaptic_events",
+                            "charge", "deliveries"):
+                assert end[counter] == at_disable[counter], counter
+            ends[transport] = end
+        assert ends["event"] == ends["fabric"]
 
 
 class TestTransportConfiguration:
@@ -287,7 +471,6 @@ class TestTransportConfiguration:
             NeuralApplication(machine, Network(seed=1), stagger_us=-1.0)
 
     def test_fabric_programs_emitted_by_mapping_layer(self):
-        _, _, _ = run_topology("localized", "fabric")
         # prepare() adopts the generator's programs; compile once more via
         # the application and confirm a program exists per source vertex.
         machine = SpiNNakerMachine(MachineConfig(width=3, height=3,

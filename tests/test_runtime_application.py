@@ -312,10 +312,10 @@ class TestApplicationResultEdgeCases:
         assert result.total_spikes("known") == 0
         assert result.total_spikes() == 0
 
-    def test_record_delivery_batch_matches_scalar_records(self):
+    def test_record_delivery_count_matches_scalar_records(self):
         batched = ApplicationResult(duration_ms=10.0)
         scalar = ApplicationResult(duration_ms=10.0)
-        batched.record_delivery_batch(12.5, 3, count=4)
+        batched.record_delivery(12.5, 3, count=4)
         for _ in range(4):
             scalar.record_delivery(12.5, 3)
         assert np.array_equal(batched.delivery_latencies_us,
@@ -324,6 +324,13 @@ class TestApplicationResultEdgeCases:
                               scalar.delivery_distances)
         assert batched.within_deadline_fraction(12.5) == 1.0
         assert batched.within_deadline_fraction(12.0) == 0.0
+        # Readers get copies: an array taken earlier neither grows nor
+        # sees later records.
+        latencies = batched.delivery_latencies_us
+        latencies[0] = -1.0
+        batched.record_delivery(1.0, 1)
+        assert latencies.tolist() == [-1.0, 12.5, 12.5, 12.5]
+        assert batched.delivery_latencies_us.tolist() == [12.5] * 4 + [1.0]
 
     def test_delivery_without_distance_stays_aligned(self):
         from repro.runtime.application import UNKNOWN_DISTANCE
