@@ -12,6 +12,13 @@ from repro.neuron.population import Population, SpikeSourcePoisson
 from repro.runtime.boot import BootController
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-answers", action="store_true", default=False,
+        help="rewrite tests/answers.json from the current code instead "
+             "of comparing against it")
+
+
 @pytest.fixture
 def small_machine() -> SpiNNakerMachine:
     """A 3x3 machine with 4 cores per chip (fast to build and run)."""
