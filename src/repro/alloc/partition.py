@@ -82,11 +82,6 @@ class Rect:
         return (self.x <= coordinate.x < self.x2
                 and self.y <= coordinate.y < self.y2)
 
-    def contains_rect(self, other: "Rect") -> bool:
-        """True if ``other`` lies entirely inside this rectangle."""
-        return (self.x <= other.x and other.x2 <= self.x2
-                and self.y <= other.y and other.y2 <= self.y2)
-
     def intersects(self, other: "Rect") -> bool:
         """True if the two rectangles share at least one chip."""
         return (self.x < other.x2 and other.x < self.x2
@@ -483,8 +478,3 @@ class MachinePartitioner:
         if free == 0:
             return 0.0
         return 1.0 - self.largest_free_rectangle() / free
-
-    def can_fit(self, width: int, height: int) -> bool:
-        """True if a ``width x height`` request could be satisfied now."""
-        return any(rect.width >= width and rect.height >= height
-                   for rect in self._free)

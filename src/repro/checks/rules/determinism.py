@@ -2,12 +2,12 @@
 
 The reproduction's equivalence gates (bit-identical spike trains across
 engines, transports and worker counts) only hold because every random
-number is derived from the run's seed through one of three sanctioned
+number is derived from the run's seed through one of four sanctioned
 seams in :mod:`repro.neuron.population`:
 
 * :func:`~repro.neuron.population.core_rng` — per-core machine streams,
-* :func:`~repro.neuron.population.expansion_rng` — connectivity
-  expansion,
+* :func:`~repro.neuron.population.expansion_rng` and ``tile_rng`` —
+  connectivity expansion (a projection's root key, its tile streams),
 * :func:`~repro.neuron.population.simulation_rng` — the host
   simulator / workload stream.
 
@@ -63,7 +63,7 @@ class DeterminismChecker(Checker):
     name = "determinism"
     description = ("no hidden-global or unseeded RNGs; in src/repro, "
                    "generators come only from the core_rng/expansion_rng/"
-                   "simulation_rng seams")
+                   "tile_rng/simulation_rng seams")
 
     def check_file(self, ctx: CheckContext) -> Iterable[Violation]:
         imports = ImportMap(ctx.tree)
@@ -107,9 +107,9 @@ class DeterminismChecker(Checker):
             yield ctx.violation(
                 self.name, node,
                 "direct `np.random.default_rng(...)` in shipped code — "
-                "route through core_rng/expansion_rng/simulation_rng "
-                "(repro.neuron.population) so streams stay pinned to "
-                "the run's seed")
+                "route through core_rng/expansion_rng/tile_rng/"
+                "simulation_rng (repro.neuron.population) so streams "
+                "stay pinned to the run's seed")
         elif not call_has_argument(node):
             yield ctx.violation(
                 self.name, node,

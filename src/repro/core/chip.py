@@ -141,22 +141,13 @@ class Chip:
         self.assigned_coordinate: Optional[ChipCoordinate] = None
         #: Handlers the runtime layers register for management packets.
         self._nn_handler: Optional[Callable[[NearestNeighbourPacket, Direction], None]] = None
-        self._p2p_handler: Optional[Callable[[PointToPointPacket], None]] = None
 
     # ------------------------------------------------------------------
     # Wiring helpers
     # ------------------------------------------------------------------
-    def connect_machine(self, transmit: Callable[[ChipCoordinate, Direction, Any], bool]) -> None:
-        """Attach the machine-level link-transmit callback."""
-        self._machine_transmit = transmit
-
     def on_nearest_neighbour(self, handler: Callable[[NearestNeighbourPacket, Direction], None]) -> None:
         """Register the handler for incoming nn packets (boot code)."""
         self._nn_handler = handler
-
-    def on_point_to_point(self, handler: Callable[[PointToPointPacket], None]) -> None:
-        """Register the handler for p2p packets addressed to this chip."""
-        self._p2p_handler = handler
 
     # ------------------------------------------------------------------
     # Packet plumbing
@@ -219,8 +210,6 @@ class Chip:
         destination = packet.destination
         if destination == self.coordinate:
             self.router.stats.p2p_routed += 1
-            if self._p2p_handler is not None:
-                self._p2p_handler(packet)
             return True
         if self.p2p_table is None or not self.p2p_table.knows(destination):
             # The p2p fabric is only usable after boot phase two.

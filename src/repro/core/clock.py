@@ -154,16 +154,6 @@ class GALSClockSystem:
         """The clock domain of processor ``core_id``."""
         return self.domains["core-%d" % core_id]
 
-    @property
-    def router_domain(self) -> ClockDomain:
-        """The router's clock domain."""
-        return self.domains["router"]
-
-    @property
-    def memory_domain(self) -> ClockDomain:
-        """The SDRAM interface's clock domain."""
-        return self.domains["memory"]
-
     def apply_process_variation(self, sigma_fraction: float,
                                 seed: Optional[int] = None) -> None:
         """Apply independent frequency variation to every domain on the chip."""

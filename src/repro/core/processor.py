@@ -371,11 +371,6 @@ class ProcessorSubsystem:
             return 0.0
         return min(1.0, self.busy_time_us / elapsed_us)
 
-    @property
-    def pending_interrupts(self) -> int:
-        """Number of interrupts waiting for the core."""
-        return len(self._pending)
-
     def load_application(self, code_bytes: int, data_bytes: int = 0) -> None:
         """Model loading application code/data into the local memories.
 

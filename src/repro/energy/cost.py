@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.energy.model import EMBEDDED_NODE, HIGH_END_DESKTOP, ProcessorSpec
+from repro.energy.model import EMBEDDED_NODE, HIGH_END_DESKTOP
 
 #: The paper's electricity price: one watt-year costs about one dollar.
 DEFAULT_DOLLARS_PER_WATT_YEAR = 1.0
@@ -82,14 +82,6 @@ class OwnershipCostModel:
     # ------------------------------------------------------------------
     # Constructors and comparisons
     # ------------------------------------------------------------------
-    @classmethod
-    def for_spec(cls, spec: ProcessorSpec,
-                 dollars_per_watt_year: float = DEFAULT_DOLLARS_PER_WATT_YEAR
-                 ) -> "OwnershipCostModel":
-        """Build a cost model from a :class:`ProcessorSpec`."""
-        return cls(purchase_cost_usd=spec.unit_cost_usd, power_w=spec.power_w,
-                   dollars_per_watt_year=dollars_per_watt_year)
-
     @classmethod
     def typical_pc(cls) -> "OwnershipCostModel":
         """The paper's PC: $1,000 purchase, 300 W."""

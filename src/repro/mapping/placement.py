@@ -70,11 +70,6 @@ class Placement:
         """The vertices of one population, in slice order."""
         return self.by_population[population_label]
 
-    def vertices_on_chip(self, coordinate: ChipCoordinate) -> List[Tuple[Vertex, int]]:
-        """All ``(vertex, core)`` pairs placed on one chip."""
-        return [(vertex, core) for vertex, (chip, core) in self.locations.items()
-                if chip == coordinate]
-
     def vertex_for_neuron(self, population_label: str,
                           neuron: int) -> Tuple[Vertex, int]:
         """The vertex holding ``neuron`` and the neuron's index within it."""

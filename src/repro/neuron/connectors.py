@@ -11,18 +11,37 @@ one-to-one, all-to-all, fixed-probability (the sparse random connectivity
 of cortical models) and distance-dependent (the local receptive-field
 connectivity of Section 5.4, where delay grows with Euclidean distance as
 in three-dimensional biological tissue).
+
+Fixed-probability connectivity is a *keyed* stream: the projection's
+generator yields one root key, and each ``TILE x TILE`` (source block x
+target block) tile draws its cells, weights and delays from streams
+seeded by ``root_key + (src_tile, tgt_tile, quantity)``.  A tile's kept
+cells are running sums of ``geometric(p)`` gaps over its row-major
+cells, so expansion costs O(synapses), not O(pre x post), and any tile
+expands alone, in any order, to the same synapses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.neuron.engine import CSRMatrix
 from repro.neuron.synapse import MAX_DELAY_TICKS
+
+#: Side of a keyed expansion's square tiles.  Fixed, so a projection's
+#: synapses do not depend on how the mapping layer partitions it.
+TILE = 256
+
+#: The per-tile streams: kept cells, then weights, then delays.
+_CELLS, _WEIGHTS, _DELAYS = 0, 1, 2
+
+#: One expanded tile: ``(src_tile, tgt_tile, sources, targets, weights,
+#: delay_ticks)``, its synapses row-major in the projection's indices.
+Tile = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _row_ptr(counts) -> np.ndarray:
@@ -93,7 +112,8 @@ class FixedProbabilityConnector(Connector):
 
     Weights and delays may be fixed values or ranges; ranges are sampled
     uniformly per synapse, which is how delays spread over several
-    milliseconds are usually specified in SpiNNaker workloads.
+    milliseconds are usually specified in SpiNNaker workloads.  Synapses
+    come tile by tile from the keyed stream (module docstring).
     """
 
     p_connect: float = 0.1
@@ -109,48 +129,75 @@ class FixedProbabilityConnector(Connector):
 
     def build_csr(self, n_pre: int, n_post: int,
                   rng: np.random.Generator) -> CSRMatrix:
-        # The generator is consumed row by row — one mask draw, then that
-        # row's per-synapse weight/delay draws — so the stream position
-        # of every synapse is fixed by the seed alone.
-        weight_range, delay_range = self.weight_range, self.delay_range
-        target_rows: List[np.ndarray] = []
-        weight_rows: List[np.ndarray] = []
-        delay_rows: List[np.ndarray] = []
-        # One uniform buffer and one mask serve every row (same doubles).
-        uniforms = np.empty(n_post)
-        mask = np.empty(n_post, dtype=bool)
-        for pre in range(n_pre):
-            np.less(rng.random(out=uniforms), self.p_connect, out=mask)
-            if not self.allow_self_connections and pre < n_post:
-                mask[pre] = False
-            targets = mask.nonzero()[0]
-            target_rows.append(targets)
-            if weight_range is not None and delay_range is not None:
-                # Two distributions interleave per synapse; drawing
-                # either as a block would reorder the stream.
-                weights = np.empty(targets.size)
-                delays = np.empty(targets.size, dtype=np.int64)
-                for slot in range(targets.size):
-                    weights[slot] = rng.uniform(*weight_range)
-                    delays[slot] = rng.integers(delay_range[0],
-                                                delay_range[1] + 1)
-                weight_rows.append(weights)
-                delay_rows.append(delays)
-            elif weight_range is not None:
-                weight_rows.append(rng.uniform(*weight_range,
-                                               size=targets.size))
-            elif delay_range is not None:
-                delay_rows.append(rng.integers(
-                    delay_range[0], delay_range[1] + 1, size=targets.size))
-        targets = np.concatenate(target_rows)
-        weights = (np.full(targets.size, self.weight, dtype=float)
-                   if weight_range is None else np.concatenate(weight_rows))
-        delays = (np.full(targets.size, self.delay_ticks)
-                  if delay_range is None else np.concatenate(delay_rows))
-        return CSRMatrix(n_pre, n_post,
-                         _row_ptr([row.size for row in target_rows]),
-                         targets, weights,
-                         np.clip(delays, 1, MAX_DELAY_TICKS))
+        root_key = tuple(rng.integers(1 << 32, size=4).tolist())
+        return assemble_tiles(n_pre, n_post, [
+            self.expand_tile(root_key, src_tile, tgt_tile, n_pre, n_post)
+            for src_tile in range(-(-n_pre // TILE))
+            for tgt_tile in range(-(-n_post // TILE))])
+
+    def expand_tile(self, root_key: Tuple[int, ...], src_tile: int,
+                    tgt_tile: int, n_pre: int, n_post: int) -> Tile:
+        """The synapses of one tile, a pure function of its key: kept
+        cells first (self-connections dropped), then one block each of
+        weights and delays from the tile's own streams."""
+        from repro.neuron.population import tile_rng  # imports us
+        row0, col0 = src_tile * TILE, tgt_tile * TILE
+        width = min(TILE, n_post - col0)
+        n_cells = min(TILE, n_pre - row0) * width
+        if self.p_connect in (0.0, 1.0):
+            cells = np.arange(n_cells if self.p_connect else 0)
+        else:
+            cells = _geometric_cells(
+                tile_rng(root_key, src_tile, tgt_tile, _CELLS),
+                self.p_connect, n_cells)
+        sources, targets = np.divmod(cells, width)
+        sources += row0
+        targets += col0
+        if not self.allow_self_connections and src_tile == tgt_tile:
+            keep = sources != targets
+            sources, targets = sources[keep], targets[keep]
+        n = targets.size
+        weights = np.full(n, self.weight, dtype=float)
+        delays = np.full(n, self.delay_ticks)
+        if self.weight_range is not None and n:
+            weights = tile_rng(root_key, src_tile, tgt_tile,
+                               _WEIGHTS).uniform(*self.weight_range, size=n)
+        if self.delay_range is not None and n:
+            low, high = self.delay_range
+            delays = tile_rng(root_key, src_tile, tgt_tile,
+                              _DELAYS).integers(low, high + 1, size=n)
+        return src_tile, tgt_tile, sources, targets, weights, delays
+
+
+def _geometric_cells(rng: np.random.Generator, p: float,
+                     n_cells: int) -> np.ndarray:
+    """The kept cells of ``n_cells``: cumulative ``geometric(p)`` gaps,
+    drawn in chunks sized past the expected count (the cells do not
+    depend on the chunk size).  A gap past the tile ends it, so gaps are
+    capped there: numpy saturates them at the int64 maximum for tiny p."""
+    mean = n_cells * p
+    size = int(mean + 4.0 * math.sqrt(mean)) + 16
+    cells = np.array([-1])
+    while cells[-1] < n_cells:
+        gaps = np.minimum(rng.geometric(p, size=size), n_cells + 1)
+        cells = np.concatenate((cells, cells[-1] + np.cumsum(gaps)))
+    return cells[1:np.searchsorted(cells, n_cells)]
+
+
+def assemble_tiles(n_pre: int, n_post: int,
+                   tiles: Sequence[Tile]) -> CSRMatrix:
+    """Merge the expanded tiles of a projection, given in any order, into
+    its CSR: source rows in order, ascending targets within each row."""
+    ordered = sorted(tiles, key=lambda tile: tile[:2])
+    sources, targets, weights, delays = (
+        np.concatenate(column) for column in list(zip(*ordered))[2:])
+    # In (source, target) tile order each tile is a row-major run, so a
+    # stable sort on the source interleaves a band's runs row by row.
+    order = np.argsort(sources, kind="stable")
+    return CSRMatrix(n_pre, n_post,
+                     _row_ptr(np.bincount(sources, minlength=n_pre)),
+                     targets[order], weights[order],
+                     np.clip(delays[order], 1, MAX_DELAY_TICKS))
 
 
 @dataclass
@@ -176,10 +223,6 @@ class DistanceDependentConnector(Connector):
     delay_per_unit_distance_ticks: float = 1.0
     min_delay_ticks: int = 1
 
-    def _position(self, index: int, shape: Tuple[int, int]) -> Tuple[float, float]:
-        rows, cols = shape
-        return float(index // cols), float(index % cols)
-
     def build_csr(self, n_pre: int, n_post: int,
                   rng: np.random.Generator) -> CSRMatrix:
         pre_rows, pre_cols = self.pre_shape
@@ -193,9 +236,9 @@ class DistanceDependentConnector(Connector):
         targets: List[int] = []
         delays: List[int] = []
         for pre in range(n_pre):
-            pre_r, pre_c = self._position(pre, self.pre_shape)
+            pre_r, pre_c = divmod(pre, pre_cols)
             for post in range(n_post):
-                post_r, post_c = self._position(post, self.post_shape)
+                post_r, post_c = divmod(post, post_cols)
                 # Map the target position into source-grid coordinates.
                 distance = math.hypot(pre_r - post_r * row_scale,
                                       pre_c - post_c * col_scale)

@@ -202,11 +202,6 @@ class TrainingResult:
     accuracies: List[float] = field(default_factory=list)
 
     @property
-    def final_loss(self) -> float:
-        """Loss after the last epoch (infinity if never trained)."""
-        return self.losses[-1] if self.losses else float("inf")
-
-    @property
     def final_accuracy(self) -> float:
         """Training accuracy after the last epoch."""
         return self.accuracies[-1] if self.accuracies else 0.0

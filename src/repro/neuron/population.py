@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +60,7 @@ def simulation_rng(seed: Optional[int]) -> np.random.Generator:
     Exactly ``np.random.default_rng(seed)`` — the stream that drives
     membrane initialisation, stimulus draws and host-side workloads,
     decorrelated from :func:`expansion_rng` and :func:`core_rng` by
-    their stream-split constants.  The third sanctioned seam: shipped
+    their stream-split constants.  A sanctioned seam: shipped
     code constructs generators only here (``repro.checks`` enforces
     it), so every stream stays pinned to the run's seed and audits of
     "where does randomness enter?" have one module to read.  Passing
@@ -84,6 +84,16 @@ def expansion_rng(seed: Optional[int],
     if seed is None:
         return np.random.default_rng()
     return np.random.default_rng([_EXPANSION_STREAM, projection_index, seed])
+
+
+def tile_rng(root_key: Tuple[int, ...], src_tile: int, tgt_tile: int,
+             quantity: int) -> np.random.Generator:
+    """The ``quantity`` stream (cells, weights or delays) of one tile of
+    a keyed expansion, seeded by the root key a connector draws from
+    :func:`expansion_rng` and the tile's coordinates alone.  Entropy as
+    32-bit words: the tuple's stream at half the cost."""
+    return np.random.default_rng(np.array(
+        root_key + (src_tile, tgt_tile, quantity), dtype=np.uint32))
 
 
 class Population:
@@ -261,8 +271,9 @@ class Projection:
 
         ``seed`` is the cache key and ``index`` is the projection's
         position in its network: a cache miss expands the connector with
-        :func:`expansion_rng` for that pair, a hit builds no generator at
-        all.  ``None`` keys the one unseeded expansion.
+        :func:`expansion_rng` for that pair (and :func:`tile_rng` per
+        tile), a hit builds no generator at all.  ``None`` keys the one
+        unseeded expansion.
 
         The returned matrix is the cache entry itself: plasticity
         mutates its weight array in place, and that is the learned state

@@ -20,7 +20,8 @@ the fast path equals it element for element:
   built destination by destination from full routes, which pin the
   geometry's one displacement table;
 * :func:`build_rows` — the object-building connector loops, making the
-  generator calls one synapse at a time;
+  generator calls one synapse at a time (for fixed probability, one
+  geometric gap at a time through each tile's keyed streams);
 * :class:`ScalarRing` — a per-event deferred-event ring that clamps at
   the 16-bit weight range after *every* event;
 * :func:`stdp_update` — the per-synapse additive pair-based STDP rule;
@@ -335,22 +336,56 @@ def _all_to_all(c: AllToAllConnector, n_pre, n_post, rng) -> Rows:
             for pre in range(n_pre)}
 
 
+#: The keyed stream's tile side, stated here again so a change to the
+#: shipped constant shows up as a changed stream.
+KEYED_TILE = 256
+
+
 def _fixed_probability(c: FixedProbabilityConnector, n_pre, n_post,
                        rng) -> Rows:
-    rows: Rows = {}
-    for pre in range(n_pre):
-        mask = rng.random(n_post) < c.p_connect
-        if not c.allow_self_connections and pre < n_post:
-            mask[pre] = False
-        row = []
-        for post in np.flatnonzero(mask):
-            weight = (c.weight if c.weight_range is None
-                      else float(rng.uniform(*c.weight_range)))
-            delay = (c.delay_ticks if c.delay_range is None
-                     else int(rng.integers(c.delay_range[0],
-                                           c.delay_range[1] + 1)))
-            row.append(Synapse(int(post), weight, _clip_delay(delay)))
-        rows[pre] = row
+    """The keyed tile stream, one scalar draw at a time.
+
+    ``rng`` yields only the four-word root key.  Each square tile of
+    side ``KEYED_TILE`` walks its cells row-major, one ``geometric`` gap
+    per kept cell, from its own ``SeedSequence(root_key + (src_tile,
+    tgt_tile, 0))`` stream; its kept synapses (self-connections dropped)
+    then draw one weight each from stream 1 and one delay each from
+    stream 2.
+    """
+    root_key = tuple(int(word) for word in rng.integers(1 << 32, size=4))
+
+    def stream(src_tile, tgt_tile, quantity):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            root_key + (src_tile, tgt_tile, quantity))))
+
+    rows: Rows = {pre: [] for pre in range(n_pre)}
+    for src_tile in range(math.ceil(n_pre / KEYED_TILE)):
+        for tgt_tile in range(math.ceil(n_post / KEYED_TILE)):
+            row0, col0 = src_tile * KEYED_TILE, tgt_tile * KEYED_TILE
+            width = min(KEYED_TILE, n_post - col0)
+            n_cells = min(KEYED_TILE, n_pre - row0) * width
+            kept = []
+            if c.p_connect == 1.0:
+                kept = list(range(n_cells))
+            elif c.p_connect > 0.0:
+                cells = stream(src_tile, tgt_tile, 0)
+                cell = int(cells.geometric(c.p_connect)) - 1
+                while cell < n_cells:
+                    kept.append(cell)
+                    cell += int(cells.geometric(c.p_connect))
+            pairs = [(row0 + cell // width, col0 + cell % width)
+                     for cell in kept]
+            pairs = [(pre, post) for pre, post in pairs
+                     if c.allow_self_connections or pre != post]
+            weights = stream(src_tile, tgt_tile, 1)
+            delays = stream(src_tile, tgt_tile, 2)
+            for pre, post in pairs:
+                weight = (c.weight if c.weight_range is None
+                          else float(weights.uniform(*c.weight_range)))
+                delay = (c.delay_ticks if c.delay_range is None
+                         else int(delays.integers(c.delay_range[0],
+                                                  c.delay_range[1] + 1)))
+                rows[pre].append(Synapse(post, weight, _clip_delay(delay)))
     return rows
 
 

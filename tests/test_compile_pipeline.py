@@ -409,15 +409,28 @@ class TestProjectionSplitEdges:
 
 
 class TestExpansionGenerators:
-    def test_one_generator_per_projection_per_seed(self, monkeypatch):
-        built = []
+    @staticmethod
+    def counting(monkeypatch):
+        """Record every projection and tile generator built."""
+        built, tiles = [], []
         expansion_rng = population_module.expansion_rng
+        tile_rng = population_module.tile_rng
 
-        def counting(seed, index=0):
+        def counting_expansion(seed, index=0):
             built.append((seed, index))
             return expansion_rng(seed, index)
 
-        monkeypatch.setattr(population_module, "expansion_rng", counting)
+        def counting_tile(root_key, src_tile, tgt_tile, quantity):
+            tiles.append((root_key, src_tile, tgt_tile, quantity))
+            return tile_rng(root_key, src_tile, tgt_tile, quantity)
+
+        monkeypatch.setattr(population_module, "expansion_rng",
+                            counting_expansion)
+        monkeypatch.setattr(population_module, "tile_rng", counting_tile)
+        return built, tiles
+
+    def test_one_generator_per_projection_per_seed(self, monkeypatch):
+        built, tiles = self.counting(monkeypatch)
         machine = booted_machine()
         network = layered_network()
         pipeline = MappingPipeline(machine, network, seed=SEED,
@@ -429,13 +442,42 @@ class TestExpansionGenerators:
         one_each = [(SEED, index)
                     for index in range(len(network.projections))]
         assert built == one_each
-        # Every later consumer of the seed hits the cache.
+        # The one fixed-probability projection is one tile: its cells
+        # and its delays (the weight is fixed), each built once.
+        assert [tile[1:] for tile in tiles] == [(0, 0, 0), (0, 0, 2)]
+        # Every later consumer of the seed hits the cache: no generator
+        # of either kind.
+        seen = list(tiles)
         network.run(5.0)
         network.n_synapses()
         assert built == one_each
+        assert tiles == seen
         network.run(5.0, seed=SEED + 1)
         assert built == one_each + [(SEED + 1, index) for index
                                     in range(len(network.projections))]
+        assert len(tiles) == 2 * len(seen)
+        assert tiles[2][0] != tiles[0][0]     # a new seed, a new root key
+
+    def test_one_set_of_tile_generators_per_tile(self, monkeypatch):
+        _built, tiles = self.counting(monkeypatch)
+        network = Network(seed=SEED)
+        small = Population(300, "lif", label="tg-small")
+        large = Population(520, "lif", label="tg-large")
+        network.connect(small, large, FixedProbabilityConnector(
+            0.1, weight_range=(0.1, 0.2), delay_range=(1, 4)))
+        network.connect(large, small, FixedProbabilityConnector(0.1))
+        network.n_synapses()
+        # One root key per projection; its 2 x 3 tiles draw cells,
+        # weights and delays, the other's 3 x 2 tiles draw cells only.
+        per_key = sorted(
+            sorted(tile[1:] for tile in tiles if tile[0] == key)
+            for key in {tile[0] for tile in tiles})
+        assert per_key == sorted([
+            [(src, tgt, quantity) for src in range(2) for tgt in range(3)
+             for quantity in range(3)],
+            [(src, tgt, 0) for src in range(3) for tgt in range(2)]])
+        network.n_synapses()
+        assert len(tiles) == 6 * 3 + 6
 
 
 class TestPassCaching:

@@ -291,9 +291,9 @@ class TestSynapticMatrices:
         # e18's reported figure, pinned exactly: any change to the row
         # header, the stride padding or the block layout moves it.
         _network, _placement, _keys, data = self._built(medium_machine)
-        assert sum(core.total_sdram_words for core in data.values()) == 2162
-        assert sum(core.total_synapses for core in data.values()) == 924
-        assert sdram_words_per_synapse(data) == 2162 / 924
+        assert sum(core.total_sdram_words for core in data.values()) == 2086
+        assert sum(core.total_synapses for core in data.values()) == 895
+        assert sdram_words_per_synapse(data) == 2086 / 895
 
     def test_misses_counted_for_unknown_keys(self, medium_machine):
         network, placement, keys, data = self._built(medium_machine)

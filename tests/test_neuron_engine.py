@@ -10,6 +10,7 @@ on both the host simulator and the on-machine runtime.
 from __future__ import annotations
 
 import inspect
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,12 +30,14 @@ from repro.mapping.synaptic_matrix import (
     pack_block,
     write_packed_block,
 )
+from repro.neuron import population as population_module
 from repro.neuron.connectors import (
     AllToAllConnector,
     DistanceDependentConnector,
     FixedProbabilityConnector,
     FromListConnector,
     OneToOneConnector,
+    assemble_tiles,
 )
 from repro.neuron.engine import (
     CSRMatrix,
@@ -164,15 +167,16 @@ class TestConnectorOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(n_pre=st.integers(1, 40), n_post=st.integers(1, 40),
-           p_connect=st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
+           p_connect=st.sampled_from([0.0, 1e-20, 0.05, 0.3, 0.7, 1.0]),
            weight_range=st.sampled_from([None, (-1.0, 2.0)]),
            delay_range=st.sampled_from([(1, 16), (0, 20), (3, 3)]),
            allow_self=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     def test_fixed_probability_row_loop_equals_oracle(
             self, n_pre, n_post, p_connect, weight_range, delay_range,
             allow_self, seed):
-        # The row loop reuses one uniform buffer and one mask across
-        # rows; the synapses and the stream position must not notice.
+        # The shipped tiles draw gaps in chunks (capped for tiny p) and
+        # parameters in blocks; the synapses and the projection
+        # generator's position must not notice.
         connector = FixedProbabilityConnector(
             p_connect, weight=0.4, weight_range=weight_range,
             delay_range=delay_range, allow_self_connections=allow_self)
@@ -184,10 +188,155 @@ class TestConnectorOracle:
             connector.build_csr(n_pre, n_post, shipped_rng), rows)
         assert oracle_rng.random() == shipped_rng.random()
 
+    @pytest.mark.parametrize("shape", [(257, 513), (600, 530), (1, 300),
+                                       (300, 1)])
+    @pytest.mark.parametrize("allow_self", [True, False])
+    def test_fixed_probability_tiles_equal_oracle(self, shape, allow_self):
+        # Several tiles, edge tiles narrower or shorter than TILE, and
+        # off-square diagonal tiles (600 x 530 ends in an 88 x 18 tile).
+        connector = FixedProbabilityConnector(
+            0.02, weight_range=(-1.0, 2.0), delay_range=(1, 16),
+            allow_self_connections=allow_self)
+        oracle_rng = np.random.default_rng(7)
+        shipped_rng = np.random.default_rng(7)
+        rows = oracles.build_rows(connector, *shape, oracle_rng)
+        assert_csr_equals_rows(connector.build_csr(*shape, shipped_rng),
+                               rows)
+        assert oracle_rng.random() == shipped_rng.random()
+
     def test_matrix_has_synapses_to_compare(self):
         for name, connector in CONNECTORS.items():
             csr = connector.build_csr(30, 36, np.random.default_rng(1))
             assert (csr.n_synapses > 0) == (not name.endswith("empty")), name
+
+
+def chi_square_bound(dof: int) -> float:
+    """The 0.999 quantile of chi-square with ``dof`` degrees of freedom
+    (Wilson-Hilferty): a fit worse than this at a fixed seed is not
+    chance."""
+    scale = 2.0 / (9.0 * dof)
+    return dof * (1.0 - scale + 3.09 * np.sqrt(scale)) ** 3
+
+
+def chi_square(observed: np.ndarray, expected: np.ndarray) -> float:
+    """Pearson's statistic, adjacent bins pooled until each expects at
+    least five; returns ``statistic / chi_square_bound(dof)``."""
+    pooled_obs, pooled_exp, obs, exp = [], [], 0.0, 0.0
+    for o, e in zip(observed, expected):
+        obs, exp = obs + o, exp + e
+        if exp >= 5.0:
+            pooled_obs.append(obs)
+            pooled_exp.append(exp)
+            obs = exp = 0.0
+    pooled_obs[-1] += obs
+    pooled_exp[-1] += exp
+    o, e = np.array(pooled_obs), np.array(pooled_exp)
+    return float(((o - e) ** 2 / e).sum()) / chi_square_bound(o.size - 1)
+
+
+def binomial_fit(counts: np.ndarray, n: int, p: float) -> float:
+    """``chi_square`` of ``counts`` against Binomial(n, p)."""
+    k = np.arange(n + 1)
+    log_pmf = np.array([math.lgamma(n + 1) - math.lgamma(i + 1)
+                        - math.lgamma(n - i + 1) for i in k]) \
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+    return chi_square(np.bincount(counts, minlength=n + 1),
+                      counts.size * np.exp(log_pmf))
+
+
+class TestKeyedStream:
+    """The keyed tile stream is judged by its distributions: the same
+    degree sequence can mean different dynamics, so a stream change is
+    checked against the laws it must follow, not only its digest."""
+
+    N_PRE, N_POST, P = 2000, 700, 0.05
+
+    @pytest.fixture(scope="class")
+    def csr(self):
+        connector = FixedProbabilityConnector(
+            self.P, weight_range=(-1.0, 2.0), delay_range=(1, 16))
+        return connector.build_csr(self.N_PRE, self.N_POST,
+                                   np.random.default_rng(2024))
+
+    def test_row_counts_are_binomial(self, csr):
+        assert binomial_fit(csr.row_lengths(), self.N_POST, self.P) < 1.0
+
+    def test_column_counts_are_binomial(self, csr):
+        in_degree = np.bincount(csr.targets, minlength=self.N_POST)
+        assert binomial_fit(in_degree, self.N_PRE, self.P) < 1.0
+
+    def test_rows_sorted_and_unique(self, csr):
+        keys = csr.pre_index * self.N_POST + csr.targets
+        assert np.all(np.diff(keys) > 0)
+
+    def test_delay_histogram_is_flat(self, csr):
+        observed = np.bincount(csr.delay_ticks, minlength=17)[1:]
+        assert observed.sum() == csr.n_synapses
+        assert chi_square(observed, np.full(16, csr.n_synapses / 16)) < 1.0
+
+    def test_weights_are_uniform(self, csr):
+        assert csr.weights.min() >= -1.0 and csr.weights.max() < 2.0
+        observed, _ = np.histogram(csr.weights, bins=30, range=(-1.0, 2.0))
+        assert chi_square(observed, np.full(30, csr.n_synapses / 30)) < 1.0
+
+    @pytest.mark.parametrize("shape", [(600, 600), (600, 530), (530, 600)])
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_no_self_connections(self, shape, p):
+        csr = FixedProbabilityConnector(
+            p, allow_self_connections=False).build_csr(
+                *shape, np.random.default_rng(3))
+        assert not np.any(csr.pre_index == csr.targets)
+        if p == 1.0:
+            assert csr.n_synapses == shape[0] * shape[1] - min(shape)
+
+    def test_zero_probability_draws_nothing(self, monkeypatch):
+        def no_tile_streams(*args):
+            raise AssertionError("p = 0 must draw nothing")
+
+        monkeypatch.setattr(population_module, "tile_rng", no_tile_streams)
+        csr = FixedProbabilityConnector(
+            0.0, weight_range=(0.1, 0.2), delay_range=(1, 4)).build_csr(
+                300, 520, np.random.default_rng(1))
+        assert csr.n_synapses == 0
+        assert np.array_equal(csr.row_ptr, np.zeros(301))
+
+    def test_full_probability_keeps_every_cell(self):
+        csr = FixedProbabilityConnector(1.0, delay_range=(1, 4)).build_csr(
+            300, 520, np.random.default_rng(1))
+        assert np.array_equal(csr.row_lengths(), np.full(300, 520))
+        assert np.array_equal(csr.targets, np.tile(np.arange(520), 300))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (255, 257), (513, 256),
+                                       (1000, 3)])
+    def test_sizes_off_the_tile_grid(self, shape):
+        csr = FixedProbabilityConnector(0.3).build_csr(
+            *shape, np.random.default_rng(5))
+        assert (csr.n_pre, csr.n_post) == shape
+        assert csr.row_ptr.shape == (shape[0] + 1,)
+        assert csr.targets.max(initial=0) < shape[1]
+        if shape[0] * shape[1] > 1000:
+            expected = shape[0] * shape[1] * 0.3
+            assert abs(csr.n_synapses - expected) < 5 * math.sqrt(expected)
+
+    def test_tile_order_does_not_matter(self):
+        connector = FixedProbabilityConnector(
+            0.1, weight_range=(0.0, 1.0), delay_range=(1, 9),
+            allow_self_connections=False)
+        n_pre, n_post, root_key = 600, 530, (1, 2, 3, 4)
+        tiles = [connector.expand_tile(root_key, src, tgt, n_pre, n_post)
+                 for src in range(3) for tgt in range(3)]
+        in_order = assemble_tiles(n_pre, n_post, tiles)
+        np.random.default_rng(0).shuffle(tiles)
+        shuffled = assemble_tiles(n_pre, n_post, tiles)
+        for name in ("row_ptr", "targets", "weights", "delay_ticks"):
+            assert np.array_equal(getattr(in_order, name),
+                                  getattr(shuffled, name)), name
+        # And a tile is a pure function of its key: built alone, late,
+        # it equals the one built in sequence.
+        again = connector.expand_tile(root_key, 2, 1, n_pre, n_post)
+        (same,) = [tile for tile in tiles if tile[:2] == (2, 1)]
+        for ours, theirs in zip(again[2:], same[2:]):
+            assert np.array_equal(ours, theirs)
 
 
 class TestCSRMatrix:
