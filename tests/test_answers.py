@@ -38,6 +38,7 @@ from repro.neuron.network import Network
 from repro.neuron.population import Population, SpikeSourcePoisson
 from repro.runtime.application import NeuralApplication
 from repro.runtime.boot import BootController
+from repro.runtime.monitor import MonitorService
 from test_cluster_fused import generated_network
 
 ANSWERS = Path(__file__).with_name("answers.json")
@@ -89,6 +90,40 @@ def ring8(n: int, wiring, run_ms: float) -> Figures:
         booted(workloads.four_board_config(), seed), run_ms, seed=seed,
         max_neurons_per_core=n // workloads.VERTICES_PER_POPULATION,
         placement_strategy=workloads.PLACEMENT)
+
+
+def compile_remap() -> Figures:
+    """compile_remap's network re-mapped after two condemnations of the
+    last chip in use, then run serially over the re-mapped shards."""
+    seed, n = 11, 96
+    machine = booted(workloads.four_board_config(), seed)
+    network = workloads.ring8(n, seed, workloads.DENSE)
+    app = ClusterApplication(
+        machine, network, seed=seed,
+        max_neurons_per_core=n // workloads.VERTICES_PER_POPULATION,
+        placement_strategy=workloads.PLACEMENT)
+    app.prepare()
+    monitor = MonitorService(machine)
+    displaced = 0
+    for _ in range(2):
+        placement = app.pipeline.ctx.placement
+        victim = placement.chips_used()[-1]
+        displaced += sum(1 for chip, _core in placement.locations.values()
+                         if chip == victim)
+        monitor.condemn_chip(victim)
+        ctx = app.pipeline.run()
+        app.board_contexts = dict(sorted(ctx.board_contexts.items()))
+        app.board_pair_min_delay = dict(ctx.board_pair_min_delay)
+    result = app.run(50.0, workers=1)
+    return dict(
+        machine_figures(network, app, result),
+        supersteps=app.report.supersteps,
+        cross_board_spikes=app.report.cross_board_spikes,
+        vertices=len(app.pipeline.ctx.placement.locations),
+        displaced_vertices=displaced,
+        board_pair_min_delay=sorted(
+            [*pair, delay]
+            for pair, delay in app.pipeline.ctx.board_pair_min_delay.items()))
 
 
 def scenario_matrix_cluster() -> Figures:
@@ -150,6 +185,7 @@ def control() -> Figures:
 
 
 SCENARIOS: Dict[str, Callable[[], Figures]] = {
+    "compile_remap": compile_remap,
     "scenario_matrix_cluster": scenario_matrix_cluster,
     "ring8_96_dense": lambda: ring8(96, workloads.DENSE, 50.0),
     "ring8_960_sparse": lambda: ring8(960, workloads.SPARSE, 400.0),

@@ -11,6 +11,9 @@ Acceptance checks of the pipeline refactor:
 * incremental re-map — a chip condemnation re-runs only the affected
   passes over the affected vertices, and (after a reset) reproduces a
   cold compile on the shrunken machine spike for spike;
+* sharded re-map — after every condemnation or pinned move, each board's
+  shard (cores, delivery index) and the per-board-pair minimum delays
+  equal a cold compile's on an identically condemned machine;
 * the delivery-leg table — every core's decoded legs equal the reference
   decode of its installed SDRAM words, cold and after a re-map that
   decoded only the moved cores again;
@@ -25,16 +28,21 @@ Acceptance checks of the pipeline refactor:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from benchmarks.e2e import workloads
 from repro.alloc.server import AllocationServer
 from repro.cluster import ClusterApplication
 from repro.compile import MappingPipeline
 from repro.compile.context import ProjectionSplit
+from repro.compile.passes import ShardByBoardPass
 from repro.core.geometry import ChipCoordinate
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.host.host_system import HostSystem
@@ -635,6 +643,133 @@ class TestIncrementalRemap:
         assert survivors <= kept
         assert result.total_spikes() > before
         assert application.unmatched_packets == 0
+
+
+RING_SEED, RING_N = 11, 96
+
+
+def ring_pipeline(condemned=()):
+    """The e2e four-board machine, ``condemned`` chips mapped out, and a
+    sharded pipeline for ring8(96) dense, placed round-robin."""
+    machine = SpiNNakerMachine(workloads.four_board_config())
+    BootController(machine, seed=RING_SEED).boot()
+    monitor = MonitorService(machine)
+    for chip in condemned:
+        monitor.condemn_chip(chip)
+    return monitor, MappingPipeline(
+        machine, workloads.ring8(RING_N, RING_SEED, workloads.DENSE),
+        seed=RING_SEED,
+        max_neurons_per_core=RING_N // workloads.VERTICES_PER_POPULATION,
+        placement_strategy=workloads.PLACEMENT, shard_by_board=True)
+
+
+def cold_shard(ctx):
+    """The shard pass run from nothing over ``ctx``'s compiled artifacts."""
+    cold = copy.copy(ctx)
+    cold.board_contexts, cold.board_pair_min_delay = {}, {}
+    cold.last_scope = {}
+    ShardByBoardPass().run(cold)
+    return cold
+
+
+def assert_same_shards(ctx, cold) -> None:
+    """Every board context and every pair delay equal ``cold``'s.
+
+    Keys are sticky, so a re-mapped vertex keeps the key of its first
+    home while a cold compile keys it by its new one: keys are compared
+    through the vertex they belong to.
+    """
+    keys = {ctx.keys.key_space(vertex).base_key:
+            cold.keys.key_space(vertex).base_key
+            for vertex in ctx.placement.locations}
+    assert sorted(ctx.board_contexts) == sorted(cold.board_contexts)
+    for board, expected in cold.board_contexts.items():
+        context = ctx.board_contexts[board]
+        assert [dataclasses.replace(core, base_key=keys[core.base_key])
+                for core in context.cores] == expected.cores, board
+        for field in dataclasses.fields(expected.delivery_index):
+            mine = getattr(context.delivery_index, field.name)
+            theirs = getattr(expected.delivery_index, field.name)
+            if isinstance(theirs, dict):
+                # In order too: the arena follows the key order.
+                assert [(keys[key], value) for key, value in mine.items()
+                        ] == list(theirs.items()), (board, field.name)
+            else:
+                assert np.asarray(mine).dtype == np.asarray(theirs).dtype
+                assert np.array_equal(mine, theirs), (board, field.name)
+    assert ctx.board_pair_min_delay == cold.board_pair_min_delay
+
+
+def free_core(machine, chip):
+    """An available application core of ``chip``."""
+    chip_model = machine.chips[chip]
+    return next(core.core_id for core in chip_model.cores
+                if core.core_id != chip_model.monitor_core_id
+                and core.is_available)
+
+
+class TestShardedRemap:
+    def test_remap_matches_a_cold_compile_after_every_step(self):
+        monitor, pipeline = ring_pipeline()
+        ctx = pipeline.run()
+        config = pipeline.ctx.machine.config
+        condemned = []
+
+        def condemn_last_chip():
+            victim = ctx.placement.chips_used()[-1]
+            condemned.append(victim)
+            monitor.condemn_chip(victim)
+            pipeline.run()
+            _, cold = ring_pipeline(condemned)
+            assert ctx.placement.locations == cold.run().placement.locations
+            assert_same_shards(ctx, cold.ctx)
+
+        # The last chip's vertices leave board 3 for the next free chip
+        # on board 0: a cross-board move.
+        moved = [v for v, (chip, _) in ctx.placement.locations.items()
+                 if chip == ctx.placement.chips_used()[-1]]
+        condemn_last_chip()
+        assert {config.board_of(ctx.placement.locations[v][0])
+                for v in moved} == {0}
+        # A pinned move of a source-only vertex from board 1 to board 2.
+        stimulus = next(v for v, (chip, _) in ctx.placement.locations.items()
+                        if v.population_label.startswith("stim")
+                        and config.board_of(chip) == 1)
+        chip = ChipCoordinate(20, 2)
+        assert config.board_of(chip) == 2
+        pipeline.remap_moves({stimulus: (chip, free_core(ctx.machine,
+                                                         chip))})
+        assert_same_shards(ctx, cold_shard(ctx))
+        # Condemning the pinned chip re-places from scratch: the stimulus
+        # vertex goes home.  Then one move within board 0.
+        condemn_last_chip()
+        condemn_last_chip()
+        assert len(condemned) == 3
+
+    def test_a_pair_that_loses_its_last_cross_board_leg_disappears(self):
+        machine = SpiNNakerMachine(MachineConfig.multi_board(
+            2, 1, board_width=2, board_height=2, cores_per_chip=3))
+        BootController(machine, seed=1).boot()
+        network = Network(seed=SEED)
+        network.connect(SpikeSourcePoisson(8, rate_hz=50.0, label="x-src"),
+                        Population(8, "lif", label="x-dst"),
+                        OneToOneConnector(weight=2.0, delay_ticks=3))
+        pipeline = MappingPipeline(machine, network, seed=SEED,
+                                   max_neurons_per_core=8,
+                                   placement_strategy="round-robin",
+                                   shard_by_board=True)
+        ctx = pipeline.run()
+        assert ctx.board_pair_min_delay == {}
+        (source, home), = [(v, slot) for v, slot in
+                           ctx.placement.locations.items()
+                           if v.population_label == "x-src"]
+        away = ChipCoordinate(2, 0)
+        pipeline.remap_moves({source: (away, free_core(machine, away))})
+        assert ctx.board_pair_min_delay == {(1, 0): 3}
+        assert_same_shards(ctx, cold_shard(ctx))
+        pipeline.remap_moves({source: home})
+        assert ctx.board_pair_min_delay == {}
+        assert_same_shards(ctx, cold_shard(ctx))
 
 
 class TestSharedArtifacts:
