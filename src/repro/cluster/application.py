@@ -63,7 +63,7 @@ from repro.cluster.exchange import (
 )
 from repro.cluster.fused import FusedBoardEngine
 from repro.compile import MappingPipeline
-from repro.compile.context import BoardContext
+from repro.compile.context import BoardContext, MappingContext
 from repro.core.machine import SpiNNakerMachine
 from repro.neuron.network import Network
 from repro.profile import ProfileRegistry, perf_now
@@ -386,13 +386,29 @@ class ClusterApplication:
             placement_strategy=self.placement_strategy,
             compile_transport=self.account_transport,
             shard_by_board=True)
+        self._adopt(self.pipeline.run())
+        self._prepared = True
+
+    def remap(self, reset: bool = False) -> MappingContext:
+        """Re-map after a chip condemnation, core fault or lease shrink:
+        re-run the pipeline (only what the change touched does any work)
+        and adopt its shards, pair delays and route programs.  ``reset``
+        is the monitor's argument; every cluster run starts afresh at
+        tick 0 either way."""
+        if not self._prepared:
+            raise RuntimeError("prepare() the application before remapping")
         ctx = self.pipeline.run()
-        self.board_contexts = dict(sorted(ctx.board_contexts.items()))
+        self._adopt(ctx)
+        return ctx
+
+    def _adopt(self, ctx: MappingContext) -> None:
+        self.board_contexts = dict(ctx.board_contexts)
         self.board_pair_min_delay = dict(ctx.board_pair_min_delay)
         if self.account_transport:
-            self.fabric = TransportFabric(self.machine)
+            if self.fabric is None:
+                self.fabric = TransportFabric(self.machine)
+            self.fabric.programs.clear()
             self.fabric.adopt(ctx.route_programs)
-        self._prepared = True
 
     @property
     def n_boards(self) -> int:

@@ -241,6 +241,9 @@ class BoardDeliveryIndex:
     #: key -> table row of the key's source neuron 0.  Exactly the keys
     #: that reach the board, in arena order.
     first_row: Dict[int, int]
+    #: key -> smallest delay of the key's synapses on the board (keys
+    #: with at least one synapse): what board-pair lookahead reads.
+    min_delay: Dict[int, int]
 
     @classmethod
     def build(cls, cores: List[ShardCore],
@@ -249,37 +252,61 @@ class BoardDeliveryIndex:
         """Merge ``key -> [(local core index, leg)]`` over ``cores``.
 
         Row merge order within a key follows the key's leg order; arena
-        segments follow the key order of ``legs``.
+        segments follow the key order of ``legs``.  Every leg's synapses
+        are numbered by table row and one stable sort over the board
+        merges all keys at once.
         """
         sizes = np.array([core.vertex.n_neurons for core in cores],
                          dtype=np.intp)
         core_offsets = np.zeros(len(cores), dtype=np.intp)
         if sizes.size:
             core_offsets[1:] = np.cumsum(sizes)[:-1]
-        total = int(sizes.sum())
-        merged = {key: CSRMatrix.merge_rows(
-                      [leg for _, leg in key_legs], total,
-                      [core_offsets[index] for index, _ in key_legs])
-                  for key, key_legs in legs.items()}
         first_row: Dict[int, int] = {}
-        bounds, n_rows = [np.zeros(1, dtype=np.int64)], 0
-        for key, csr in merged.items():
+        flat: List[CSRMatrix] = []
+        row_offsets: List[int] = []
+        target_offsets: List[int] = []
+        n_rows = 0
+        for key, key_legs in legs.items():
             first_row[key] = n_rows
-            n_rows += csr.n_pre
-            bounds.append(bounds[-1][-1] + csr.row_ptr[1:])
+            for index, leg in key_legs:
+                flat.append(leg)
+                row_offsets.append(n_rows)
+                target_offsets.append(core_offsets[index])
+            n_rows += key_legs[0][1].n_pre
 
-        def arena(field_name: str, dtype) -> np.ndarray:
-            if not merged:
-                return np.zeros(0, dtype=dtype)
-            return np.concatenate([getattr(csr, field_name)
-                                   for csr in merged.values()]
-                                  ).astype(dtype, copy=False)
+        counts = [leg.n_synapses for leg in flat]
 
-        return cls(core_offsets=core_offsets, total_neurons=total,
-                   targets=arena("targets", np.intp),
-                   weights=arena("weights", float),
-                   delay_ticks=arena("delay_ticks", np.intp),
-                   row_ptr=np.concatenate(bounds), first_row=first_row)
+        def column(name: str, offsets=None) -> np.ndarray:
+            if not flat:
+                return np.zeros(0, dtype=np.int64)
+            values = np.concatenate([getattr(leg, name) for leg in flat])
+            if offsets is not None:
+                values += np.repeat(np.array(offsets, dtype=np.int64), counts)
+            return values
+
+        rows = column("pre_index", row_offsets)
+        order = np.argsort(rows, kind="stable")
+        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+        row_ptr[1:] = np.cumsum(np.bincount(rows, minlength=n_rows))
+        # One column at a time, so a large board's build holds at most
+        # two unsorted columns beside the arena.
+        del rows
+        targets = column("targets", target_offsets)[order]
+        weights = column("weights")[order]
+        delays = column("delay_ticks")[order].astype(np.intp, copy=False)
+        # Each key's synapses are one arena segment; the empty ones
+        # have no minimum.
+        starts = row_ptr[list(first_row.values())]
+        filled = np.flatnonzero(np.diff(starts, append=row_ptr[-1]))
+        minima = (np.minimum.reduceat(delays, starts[filled]).tolist()
+                  if filled.size else [])
+        keys = list(first_row)
+        return cls(core_offsets=core_offsets, total_neurons=int(sizes.sum()),
+                   targets=targets.astype(np.intp, copy=False),
+                   weights=weights.astype(float, copy=False),
+                   delay_ticks=delays, row_ptr=row_ptr, first_row=first_row,
+                   min_delay={keys[i]: delay
+                              for i, delay in zip(filled, minima)})
 
 
 @dataclass
@@ -348,8 +375,12 @@ class MappingContext:
         default_factory=dict)
     route_programs: Dict[int, RouteProgram] = field(default_factory=dict)
     routing_summary: RoutingSummary = field(default_factory=RoutingSummary)
-    #: Per-board sub-contexts (ShardByBoard pass; empty when disabled).
+    #: Per-board sub-contexts (ShardByBoard pass; empty when disabled),
+    #: in board order.  Kept across runs: a re-map rebuilds only the
+    #: boards it touched.
     board_contexts: Dict[int, BoardContext] = field(default_factory=dict)
+    #: ``(board_width, board_height)`` the board contexts were cut for.
+    board_geometry: Optional[Tuple] = None
     #: Minimum synaptic delay (ticks) of every *cross-board* delivery,
     #: per ``(source board, destination board)`` pair — read off the
     #: delivery legs by the ShardByBoard pass.  This is the
@@ -385,13 +416,19 @@ class MappingContext:
     removed_vertices: Set[Vertex] = field(default_factory=set)
     dirty_chips: Set[ChipCoordinate] = field(default_factory=set)
     dirty_keys: Set[int] = field(default_factory=set)
+    #: Slots whose :class:`CoreSynapticData` the synaptic-matrix pass
+    #: (re)built this run.
+    rebuilt_cores: Set[Tuple[ChipCoordinate, int]] = field(
+        default_factory=set)
     #: Per-pass scope notes for the report ("full", "12 vertices", ...).
     last_scope: Dict[str, str] = field(default_factory=dict)
 
     # Reach: one :class:`ProjectionSplit` per projection, in network
-    # order, plus the (network fingerprint, expansion seed, partition
-    # version) tag it was computed for.
+    # order, its reverse (:meth:`feeders_of`, built on first use), plus
+    # the (network fingerprint, expansion seed, partition version) tag
+    # it was computed for.
     _splits: Optional[List[ProjectionSplit]] = None
+    _feeders: Optional[Dict[Vertex, Dict[Vertex, None]]] = None
     _reach_tag: Optional[Tuple] = None
     #: Network fingerprint computed once per run (several pass
     #: signatures read it; re-deriving it each time would make every
@@ -413,6 +450,7 @@ class MappingContext:
         self.removed_vertices = set()
         self.dirty_chips = set()
         self.dirty_keys = set()
+        self.rebuilt_cores = set()
         self.last_scope = {}
 
     def invalidate_artifacts(self) -> None:
@@ -423,6 +461,7 @@ class MappingContext:
         self.core_data.clear()
         self.route_programs.clear()
         self._splits = None
+        self._feeders = None
         self._reach_tag = None
 
     # ------------------------------------------------------------------
@@ -449,6 +488,7 @@ class MappingContext:
         # the partition, so this cannot ride on partition invalidation).
         self.blocks.clear()
         self.reach_rebuilt = True
+        self._feeders = None
         self._splits = [
             ProjectionSplit.build(csr, self.partition[projection.pre.label],
                                   self.partition[projection.post.label])
@@ -474,13 +514,14 @@ class MappingContext:
         projection-major then source-slice order (a source feeding the
         target through several projections is listed at its first) —
         the canonical per-core block order of the synaptic-matrix
-        builder."""
-        feeders: Dict[Vertex, Dict[Vertex, None]] = {}
-        for split in self._splits:
-            for s, t in zip(*np.nonzero(split.sizes.T)):
-                feeders.setdefault(split.targets[t],
-                                   {})[split.sources[s]] = None
-        return feeders
+        builder.  Placement-independent, so cached with the reach."""
+        if self._feeders is None:
+            self._feeders = {}
+            for split in self._splits:
+                for s, t in zip(*np.nonzero(split.sizes.T)):
+                    self._feeders.setdefault(split.targets[t],
+                                             {})[split.sources[s]] = None
+        return self._feeders
 
     def pack_blocks(self) -> Dict[VertexPair, List[np.ndarray]]:
         """Pack every block into :attr:`blocks`, one projection at a time.

@@ -413,6 +413,7 @@ class BuildSynapticMatricesPass(MappingPass):
         locations = ctx.placement.locations
         ctx.core_data = {slot: CoreSynapticData(vertex=vertex)
                          for vertex, slot in locations.items()}
+        ctx.rebuilt_cores = set(ctx.core_data)
         for (source, target), synapses in ctx.pack_blocks().items():
             self._write(ctx, locations[target], source, synapses)
         ctx.last_scope[self.name] = "full (%s)" % self._scope(
@@ -436,6 +437,7 @@ class BuildSynapticMatricesPass(MappingPass):
             if feeders is None:
                 feeders = ctx.feeders_of()
             ctx.core_data[slot] = CoreSynapticData(vertex=vertex)
+            ctx.rebuilt_cores.add(slot)
             for source in feeders.get(vertex, {}):
                 self._write(ctx, slot, source)
             rebuilt.append(ctx.core_data[slot])
@@ -509,6 +511,17 @@ class ShardByBoardPass(MappingPass):
     decoded once by the synaptic-matrix pass from the words it wrote), so
     the shards' fixed-point arithmetic is identical to an unsharded
     on-machine run.
+
+    Board contexts are kept across runs and only *dirty* boards are
+    rebuilt: a board is dirty when it gained or lost a core (the old and
+    new boards of every moved or removed vertex) or holds a core whose
+    synaptic data the synaptic-matrix pass rebuilt.  A cold compile, a
+    reach rebuild or a board-geometry change makes every board dirty.
+    A clean board's index is unchanged: its cores and slots are the
+    same, and the keys reaching it are sticky and arrive in source
+    order.  The per-board-pair minimum delays are re-derived from every
+    board's per-key minima, so a moved *source* re-homes its pairs and a
+    pair left without a cross-board leg disappears.
     """
 
     name = "shard-by-board"
@@ -520,62 +533,93 @@ class ShardByBoardPass(MappingPass):
                 ctx.network_fp(), ctx.expansion_seed)
 
     def run(self, ctx: MappingContext) -> None:
-        ctx.board_contexts.clear()
-        ctx.board_pair_min_delay.clear()
         if not ctx.shard_by_board:
+            ctx.board_contexts.clear()
+            ctx.board_pair_min_delay.clear()
             ctx.last_scope[self.name] = "disabled"
             return
         config = ctx.machine.config
+        geometry = (config.board_width, config.board_height)
+        if ctx.reach_rebuilt or geometry != ctx.board_geometry:
+            ctx.board_contexts.clear()
+        ctx.board_geometry = geometry
+        home = {vertex: config.board_of(chip)
+                for vertex, (chip, _core) in ctx.placement.locations.items()}
+        if ctx.board_contexts:
+            changed = ctx.moved_vertices | ctx.removed_vertices
+            dirty = {home[vertex] for vertex in ctx.moved_vertices}
+            dirty |= {config.board_of(chip) for chip, _ in ctx.rebuilt_cores}
+            dirty |= {board for board, context in ctx.board_contexts.items()
+                      if any(core.vertex in changed for core in context.cores)}
+        else:
+            dirty = set(home.values())
+        # Dropped before the rebuild: no board's arena is held twice.
+        ctx.board_contexts = kept = {
+            board: context for board, context in ctx.board_contexts.items()
+            if board not in dirty}
         projecting = {projection.pre.label
                       for projection in ctx.network.projections}
 
-        # Cores, grouped by board in canonical placement order.
+        # The dirty boards' cores, in canonical placement order.
+        rebuilt: Dict[int, BoardContext] = {}
         local_index: Dict[Tuple[ChipCoordinate, int], Tuple[int, int]] = {}
         for vertex, (chip, core_id) in ctx.placement.locations.items():
-            board = config.board_of(chip)
-            context = ctx.board_contexts.setdefault(board,
-                                                    BoardContext(board=board))
+            board = home[vertex]
+            if board not in dirty:
+                continue
+            context = rebuilt.setdefault(board, BoardContext(board=board))
             local_index[(chip, core_id)] = (board, len(context.cores))
             context.cores.append(ShardCore(
                 chip=chip, core_id=core_id, vertex=vertex,
                 base_key=ctx.keys.key_space(vertex).base_key,
                 has_outgoing=vertex.population_label in projecting))
 
-        # Delivery legs, from the routing records (vertex order keeps the
-        # per-key lists deterministic across re-maps and worker counts).
-        # Cross-board legs additionally contribute their smallest
-        # synaptic delay to the per-board-pair d_min — the lookahead
-        # budget the cluster runner's exchange schedule is derived from.
+        # Their delivery legs, from the routing records (vertex order keeps
+        # the per-key lists deterministic across re-maps and worker
+        # counts).
+        feeders = ctx.feeders_of()
+        feeding = {source for context in rebuilt.values()
+                   for core in context.cores
+                   for source in feeders.get(core.vertex, ())}
         legs: Dict[int, Dict[int, List[Tuple[int, CSRMatrix]]]] = {
-            board: {} for board in ctx.board_contexts}
+            board: {} for board in rebuilt}
         n_legs = 0
         for vertex in ctx.placement.vertices:
-            record = ctx.routes.get(vertex)
+            record = ctx.routes.get(vertex) if vertex in feeding else None
             if record is None:
                 continue
-            source_board = config.board_of(record.source_chip)
-            for target, slot in record.target_slots.items():
-                board, core_index = local_index[slot]
+            for slot in record.target_slots.values():
+                hit = local_index.get(slot)
+                if hit is None:
+                    continue
                 # Every reach target was written a block for this key.
                 leg = ctx.core_data[slot].legs.get(record.key)
                 if leg is None:
                     raise RuntimeError(
                         "core %s holds no synaptic block for key 0x%08x"
                         % (slot, record.key))
-                legs[board].setdefault(record.key, []).append(
-                    (core_index, leg))
+                legs[hit[0]].setdefault(record.key, []).append(
+                    (hit[1], leg))
                 n_legs += 1
-                if board != source_board and leg.n_synapses:
-                    pair = (source_board, board)
-                    leg_min = int(leg.delay_ticks.min())
-                    known = ctx.board_pair_min_delay.get(pair)
-                    if known is None or leg_min < known:
-                        ctx.board_pair_min_delay[pair] = leg_min
-        for board, context in ctx.board_contexts.items():
+        for board, context in rebuilt.items():
             context.delivery_index = BoardDeliveryIndex.build(
                 context.cores, legs[board])
-        ctx.last_scope[self.name] = "%d boards, %d legs" % (
-            len(ctx.board_contexts), n_legs)
+        ctx.board_contexts = dict(sorted({**kept, **rebuilt}.items()))
+
+        # Cross-board keys contribute their smallest synaptic delay to
+        # the per-board-pair d_min — the lookahead budget the cluster
+        # runner's exchange schedule is derived from.
+        source_board = {record.key: home[vertex]
+                        for vertex, record in ctx.routes.items()}
+        pair_min: Dict[Tuple[int, int], int] = {}
+        for board, context in ctx.board_contexts.items():
+            for key, delay in context.delivery_index.min_delay.items():
+                pair = (source_board[key], board)
+                if pair[0] != board and delay < pair_min.get(pair, delay + 1):
+                    pair_min[pair] = delay
+        ctx.board_pair_min_delay = pair_min
+        ctx.last_scope[self.name] = "%d/%d boards rebuilt, %d legs" % (
+            len(rebuilt), len(ctx.board_contexts), n_legs)
 
 
 #: The canonical pass order of the mapping compiler.

@@ -104,6 +104,7 @@ def compile_remap() -> Figures:
         placement_strategy=workloads.PLACEMENT)
     app.prepare()
     monitor = MonitorService(machine)
+    monitor.attach_application(app)
     displaced = 0
     for _ in range(2):
         placement = app.pipeline.ctx.placement
@@ -111,9 +112,6 @@ def compile_remap() -> Figures:
         displaced += sum(1 for chip, _core in placement.locations.values()
                          if chip == victim)
         monitor.condemn_chip(victim)
-        ctx = app.pipeline.run()
-        app.board_contexts = dict(sorted(ctx.board_contexts.items()))
-        app.board_pair_min_delay = dict(ctx.board_pair_min_delay)
     result = app.run(50.0, workers=1)
     return dict(
         machine_figures(network, app, result),

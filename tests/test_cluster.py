@@ -43,6 +43,7 @@ from repro.neuron.network import Network
 from repro.neuron.population import Population, SpikeSourcePoisson
 from repro.runtime.application import ApplicationResult, NeuralApplication
 from repro.runtime.boot import BootController
+from repro.runtime.monitor import MonitorService
 
 SEED = 7
 
@@ -336,6 +337,36 @@ class TestClusterApplication:
             assert np.array_equal(first.spikes[label].neurons, neurons)
         for label, c in counts.items():
             assert np.array_equal(first.spike_counts[label], c)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_remap_after_a_condemnation_matches_a_cold_run(self, workers):
+        cluster = sharded_app(account_transport=True)
+        monitor = MonitorService(cluster.machine)
+        monitor.attach_application(cluster)
+        cluster.run(20.0, workers=workers)
+        victim = cluster.pipeline.ctx.placement.chips_used()[-1]
+        monitor.condemn_chip(victim)
+        assert monitor.report.remaps_requested == 1
+        remapped = cluster.run(60.0, workers=workers)
+
+        cold_machine = small_cluster_machine()
+        MonitorService(cold_machine).condemn_chip(victim)
+        cold_cluster = ClusterApplication(
+            cold_machine, chained_network(), seed=SEED,
+            max_neurons_per_core=32, account_transport=True)
+        cold = cold_cluster.run(60.0, workers=workers)
+
+        assert (cluster.pipeline.ctx.placement.locations
+                == cold_cluster.pipeline.ctx.placement.locations)
+        assert victim not in cluster.pipeline.ctx.placement.chips_used()
+        assert remapped.total_spikes() > 0
+        assert remapped.spikes == cold.spikes
+        assert remapped.synaptic_events == cold.synaptic_events
+        assert remapped.delivered_charge_na == cold.delivered_charge_na
+        assert cluster.report.cross_board_spikes == (
+            cold_cluster.report.cross_board_spikes)
+        assert cluster.report.inter_board_traversals == (
+            cold_cluster.report.inter_board_traversals)
 
     def test_rejects_bad_arguments(self):
         cluster = sharded_app()

@@ -746,6 +746,25 @@ class TestShardedRemap:
         condemn_last_chip()
         assert len(condemned) == 3
 
+    def test_a_condemnation_rebuilds_only_the_boards_it_touched(self):
+        monitor, pipeline = ring_pipeline()
+        ctx = pipeline.run()
+        record = pipeline.records["shard-by-board"]
+        assert record.last_scope == "4/4 boards rebuilt, 864 legs"
+        feeders = ctx.feeders_of()
+        monitor.condemn_chip(ctx.placement.chips_used()[-1])
+        pipeline.run()
+        rebuilt, total = map(int, record.last_scope.split()[0].split("/"))
+        assert total == 4 and 1 <= rebuilt <= 2
+        # The reverse reach does not depend on placement.
+        assert ctx.feeders_of() is feeders
+        # Nothing changed: a cache hit, every board kept as it was.
+        contexts = dict(ctx.board_contexts)
+        pipeline.run()
+        assert record.last_scope == "cached"
+        assert all(ctx.board_contexts[board] is context
+                   for board, context in contexts.items())
+
     def test_a_pair_that_loses_its_last_cross_board_leg_disappears(self):
         machine = SpiNNakerMachine(MachineConfig.multi_board(
             2, 1, board_width=2, board_height=2, cores_per_chip=3))
