@@ -144,6 +144,12 @@ def fabric_e17() -> Figures:
     return machine_figures(network, app, app.run(run_ms))
 
 
+def host_e17() -> Figures:
+    """e17's network through the host reference loop."""
+    network = workloads.fabric_network(4, 128, 11)
+    return result_figures(network, network.run(30.0))
+
+
 def generated(scenario: int) -> Figures:
     network = generated_network(np.random.default_rng(scenario))
     return result_figures(network, network.run(50.0))
@@ -188,6 +194,7 @@ SCENARIOS: Dict[str, Callable[[], Figures]] = {
     "ring8_96_dense": lambda: ring8(96, workloads.DENSE, 50.0),
     "ring8_960_sparse": lambda: ring8(960, workloads.SPARSE, 400.0),
     "fabric_e17": fabric_e17,
+    "host_e17": host_e17,
     "generated_1": lambda: generated(1),
     "generated_2": lambda: generated(2),
     "generated_3": lambda: generated(3),

@@ -605,18 +605,32 @@ class TestHostEquivalence:
     """``Network.run`` must replay ``oracles.reference_run`` exactly."""
 
     @staticmethod
-    def build_network(plastic=False):
+    def build_network(plastic=None):
+        """Four static projections, a parallel pair onto ``exc`` with
+        non-dyadic weights (its float sums depend on delivery order) and
+        one ``stim -> exc`` projection, learning when ``plastic`` says
+        where: ``"first"`` in network order, or ``"between"`` the pair."""
         network = Network(seed=7)
         stimulus = SpikeSourcePoisson(60, rate_hz=90.0, label="stim")
         excitatory = Population(120, "lif", label="exc")
         inhibitory = Population(40, "izhikevich", label="inh")
         excitatory.record(spikes=True, voltages=True)
         inhibitory.record(spikes=True)
-        plasticity = STDPMechanism(60, 120) if plastic else None
-        network.connect(stimulus, excitatory,
-                        FixedProbabilityConnector(0.25, weight=1.2,
-                                                  delay_range=(1, 8)),
-                        plasticity=plasticity)
+
+        def learning():
+            network.connect(stimulus, excitatory,
+                            FixedProbabilityConnector(0.25, weight=1.2,
+                                                      delay_range=(1, 8)),
+                            plasticity=(STDPMechanism(60, 120) if plastic
+                                        else None))
+
+        def parallel(weight):
+            network.connect(stimulus, excitatory,
+                            FixedProbabilityConnector(0.2, weight=weight,
+                                                      delay_range=(1, 3)))
+
+        if plastic != "between":
+            learning()
         network.connect(excitatory, inhibitory,
                         FixedProbabilityConnector(0.2, weight=0.8,
                                                   delay_range=(1, 4)))
@@ -625,6 +639,10 @@ class TestHostEquivalence:
         network.connect(excitatory, excitatory,
                         FixedProbabilityConnector(0.05, weight=0.3,
                                                   weight_range=(0.1, 0.5)))
+        parallel(0.1)
+        if plastic == "between":
+            learning()
+        parallel(0.7)
         return network
 
     def test_spike_trains_identical(self):
@@ -642,17 +660,26 @@ class TestHostEquivalence:
         assert np.array_equal(reference.voltages["exc"],
                               fast.voltages["exc"])
 
-    def test_stdp_learning_identical(self):
-        reference_network = self.build_network(plastic=True)
-        _result, rows = oracles.reference_run(reference_network, 250.0)
-        ref_weights = [s.weight for pre in sorted(rows[0])
-                       for s in rows[0][pre]]
-        ref_mech = reference_network.projections[0].plasticity
+    @pytest.mark.parametrize("plastic", ["first", "between"])
+    def test_stdp_learning_identical(self, plastic):
+        """Spikes, voltages, learned weights and STDP counters, wherever
+        the learning projection sits among the static ones."""
+        reference_network = self.build_network(plastic)
+        reference, rows = oracles.reference_run(reference_network, 250.0)
+        network = self.build_network(plastic)
+        fast = network.run(250.0)
+        assert reference.spikes == fast.spikes
+        assert np.array_equal(reference.voltages["exc"],
+                              fast.voltages["exc"])
 
-        network = self.build_network(plastic=True)
-        network.run(250.0)
-        _index, plastic, csr = expand_projections(network, network.seed)[0]
-        csr_mech = plastic.plasticity
+        index = next(i for i, projection in enumerate(network.projections)
+                     if projection.plasticity is not None)
+        ref_weights = [s.weight for pre in sorted(rows[index])
+                       for s in rows[index][pre]]
+        ref_mech = reference_network.projections[index].plasticity
+        _index, plastic_projection, csr = expand_projections(
+            network, network.seed)[index]
+        csr_mech = plastic_projection.plasticity
 
         assert any(abs(w - 1.2) > 1e-9 for w in ref_weights)
         assert ref_weights == list(csr.weights)
