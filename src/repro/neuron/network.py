@@ -4,8 +4,10 @@ This simulator executes a population/projection network directly on the
 host, with the same 1 ms tick, the same deferred-event (soft-delay) ring
 and the same tick kernel (:mod:`repro.neuron.kernel`) as the on-machine
 runtime (:mod:`repro.runtime.application`); what is the host's own is the
-propagate step — unquantised float CSR rows scattered in element order,
-plasticity, and membrane-voltage recording.  It serves two purposes:
+propagate step — every projection's unquantised float CSR rows stacked
+into one row table, so a tick's spikes reach the ring in one scatter in
+element order — plasticity, and membrane-voltage recording.  It serves
+two purposes:
 
 * it is the behavioural baseline the on-machine simulation is checked
   against (same network, same seed, same spike counts); and
@@ -21,6 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.neuron.engine import expand_rows
 from repro.neuron.kernel import SpikeRecord, TickKernel, TickUnit
 from repro.neuron.population import (
     Population,
@@ -139,10 +142,15 @@ class Network:
         """Simulate the network on the host for ``duration_ms``.
 
         Each tick the kernel generates the stimulus, drains the ring into
-        the neuron models, integrates and records; the loop then
-        batch-scatters the spikes' synaptic consequences through each
-        projection's :class:`~repro.neuron.engine.CSRMatrix` back into
-        the ring with the programmed delays.
+        the neuron models, integrates and records; the loop then looks
+        every projection's spiking rows up in one table stacked from their
+        CSR matrices and defers them, with the programmed delays, in one
+        ring call — in projection order, spiking rows ascending, storage
+        order within a row: the order per-projection scatters sum in.
+        Plastic projections then update in network order.  The ring
+        clamps once per tick, so a cell one projection drives past the
+        16-bit range and another drives back lands on the clamped tick
+        sum (the oracle clamps per event, the board engine per batch list).
         """
         if duration_ms < 0:
             raise ValueError("duration must be non-negative")
@@ -169,12 +177,35 @@ class Network:
         # :func:`expand_projections` — so results do not depend on
         # expansion order or on cache hits/misses.  A projection onto a
         # spike source delivers nowhere (the kernel discards its charge)
-        # and the host counts no events, so it is left out of the loop.
+        # and the host counts no events, so it is left out of the table.
         expanded = [(projection, csr, units[projection.pre.label],
                      units[projection.post.label])
                     for _index, projection, csr
                     in expand_projections(self, effective_seed)
                     if not projection.post.is_spike_source]
+        # One row table over them all, in network order, for this run only:
+        # a synapse is a ring column (int32), delay (uint8) and weight
+        # (float64), 13 B; ``feeds`` holds each projection's first row.
+        n_synapses = sum(csr.n_synapses for _p, csr, _pre, _post in expanded)
+        row_ptr = np.empty(sum(csr.n_pre for _p, csr, _pre, _post in expanded)
+                           + 1, dtype=np.int64)
+        columns = np.empty(n_synapses, dtype=np.int32)
+        delays = np.empty(n_synapses, dtype=np.uint8)
+        weights = np.empty(n_synapses)
+        feeds, learners, rows, first = [], [], 0, 0
+        for projection, csr, pre, post in expanded:
+            np.add(csr.row_ptr[:-1], first,
+                   out=row_ptr[rows:rows + csr.n_pre])
+            span = slice(first, first + csr.n_synapses)
+            np.add(csr.targets, post.base, out=columns[span],
+                   casting="unsafe")
+            delays[span] = csr.delay_ticks
+            weights[span] = csr.weights
+            feeds.append((pre, rows))
+            if projection.plasticity is not None:
+                learners.append((projection.plasticity, csr, pre, post, span))
+            rows, first = rows + csr.n_pre, span.stop
+        row_ptr[-1] = n_synapses
 
         for tick in range(n_ticks):
             with _TICK_STAGE:
@@ -183,18 +214,24 @@ class Network:
                     result.voltages[unit.population.label][tick] = \
                         kernel.voltages(unit)
                 with _PROPAGATE_STAGE:
-                    for projection, csr, pre, post in expanded:
-                        spiking = fired.get(pre)
-                        if spiking is not None:
-                            slots = csr.synapse_slots(spiking)
-                            if slots.size:
-                                kernel.defer(post, csr.targets[slots],
-                                             csr.weights[slots],
-                                             csr.delay_ticks[slots])
-                        if projection.plasticity is not None:
-                            projection.plasticity.update_csr(
-                                csr, _spike_mask(pre, fired),
-                                _spike_mask(post, fired),
-                                tick * self.timestep_ms)
+                    spiking = [fired[pre] + first_row
+                               for pre, first_row in feeds if pre in fired]
+                    if spiking:
+                        spiking = np.concatenate(spiking)
+                        starts = row_ptr[spiking]
+                        slots = expand_rows(
+                            starts, row_ptr[spiking + 1] - starts)
+                        if slots.size:
+                            kernel.ring.add_events(columns[slots],
+                                                   weights[slots],
+                                                   delays[slots])
+                    # An update reads only its own weights and this tick's
+                    # masks, so running it after every delivery changes
+                    # nothing; the table then takes the learned weights.
+                    for plasticity, csr, pre, post, span in learners:
+                        plasticity.update_csr(csr, _spike_mask(pre, fired),
+                                              _spike_mask(post, fired),
+                                              tick * self.timestep_ms)
+                        weights[span] = csr.weights
         result.flush()
         return result

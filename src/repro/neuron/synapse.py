@@ -122,7 +122,9 @@ class DeferredEventBuffer:
         target)`` pairs sum in element order.  Saturation is clamped once
         per touched buffer cell after each call, so a cell driven past
         the 16-bit weight range mid-batch by mixed-sign weights lands on
-        the clamped batch sum, not on a per-event clamp.
+        the clamped batch sum: the clamp runs per event in the oracle,
+        once per tick on the host (one call for every projection) and
+        once per batch list on the board engine.
         """
         targets = np.asarray(targets, dtype=np.intp)
         delay_ticks = np.asarray(delay_ticks, dtype=np.intp)

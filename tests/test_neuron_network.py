@@ -24,6 +24,7 @@ from repro.neuron.population import (
 )
 from repro.neuron.engine import CSRMatrix
 from repro.neuron.stdp import STDPMechanism, STDPParameters
+from repro.neuron.synapse import WEIGHT_SATURATION_NA, DeferredEventBuffer
 
 from oracles import csr_rows
 
@@ -257,6 +258,57 @@ class TestNetworkSimulation:
         network.connect(a, b, AllToAllConnector())
         network.connect(b, a, OneToOneConnector())
         assert network.n_synapses() == 110
+
+    def test_one_ring_update_per_tick(self, monkeypatch):
+        """Every projection's events of a tick reach the ring in one
+        call, so the calls are the ticks that delivered anything — at
+        most one a tick, however many projections there are."""
+        calls = []
+        add_events = DeferredEventBuffer.add_events
+
+        def counted(ring, targets, weights, delay_ticks):
+            calls.append((ring.current_tick, len(targets)))
+            add_events(ring, targets, weights, delay_ticks)
+
+        monkeypatch.setattr(DeferredEventBuffer, "add_events", counted)
+        network = Network(seed=8)
+        stimulus = SpikeSourcePoisson(40, rate_hz=60.0, label="stim")
+        a = Population(40, "lif", label="a")
+        b = Population(30, "izhikevich", label="b")
+        network.connect(stimulus, a, FixedProbabilityConnector(
+            0.2, weight=2.0, delay_range=(1, 5)))
+        network.connect(stimulus, b, FixedProbabilityConnector(0.2,
+                                                               weight=2.0))
+        network.connect(a, b, FixedProbabilityConnector(0.3, weight=1.0))
+        network.connect(b, a, FixedProbabilityConnector(0.3, weight=-1.0))
+        network.run(100.0)
+        ticks = {tick for tick, size in calls if size}
+        assert len(ticks) > 50
+        assert len(calls) == len(ticks) <= 100
+
+    def test_saturation_clamps_the_tick_sum(self, monkeypatch):
+        """The host clamps a cell once per tick, over every projection's
+        events: +3000 then -500 nA lands on clamp(2500), one saturation;
+        +3000 then -1500 nA lands on 1500, none."""
+        drained = []
+        drain = DeferredEventBuffer.drain
+
+        def recorded(ring):
+            drained.append((ring, drain(ring)))
+            return drained[-1][1]
+
+        monkeypatch.setattr(DeferredEventBuffer, "drain", recorded)
+        network = Network(seed=9)
+        source = SpikeSourceArray([[0.0]], label="src")
+        target = Population(2, "lif", label="tgt")
+        network.connect(source, target, FromListConnector(
+            [(0, cell, 1500.0, 1) for cell in (0, 0, 1, 1)]))
+        network.connect(source, target, FromListConnector(
+            [(0, 0, -500.0, 1), (0, 1, -1500.0, 1)]))
+        network.run(4.0)
+        ring, inputs = next((ring, row) for ring, row in drained if row.any())
+        assert inputs[:2].tolist() == [WEIGHT_SATURATION_NA, 1500.0]
+        assert ring.saturations == 1
 
 
 class TestSTDP:
