@@ -5,7 +5,8 @@ code, so a change that moves every engine together (a new expansion
 stream, a connector change, a tick-count fix) passes all of them.  The
 exact counts of a seeded run do not depend on the host, so this module
 pins them against ``answers.json``: each scenario is recomputed and every
-figure compared exactly.
+figure compared exactly.  A cluster scenario runs once serially and once
+pooled (:data:`CLUSTER_WORKERS`), and both runs must give the one answer.
 
 A change that moves answers on purpose regenerates the file with::
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Union
 
 import numpy as np
 import pytest
@@ -44,6 +45,10 @@ from test_cluster_fused import generated_network
 ANSWERS = Path(__file__).with_name("answers.json")
 
 Figures = Dict[str, object]
+
+#: The worker counts every cluster scenario runs at: the serial runner
+#: and the pool, which must both reproduce the scenario's answer.
+CLUSTER_WORKERS = (1, 2)
 
 
 def booted(config: MachineConfig, seed: int = 1) -> SpiNNakerMachine:
@@ -72,17 +77,27 @@ def machine_figures(network: Network, app, result) -> Figures:
             app.pipeline.ctx.routing_summary.entries_after_minimisation))
 
 
+def cluster_runs(network: Network, app: ClusterApplication,
+                 duration_ms: float, **extra) -> List[Figures]:
+    """One run per :data:`CLUSTER_WORKERS` entry; a cluster run adds its
+    super-steps and cable traffic."""
+    runs = []
+    for workers in CLUSTER_WORKERS:
+        result = app.run(duration_ms, workers=workers)
+        runs.append(dict(machine_figures(network, app, result),
+                         supersteps=app.report.supersteps,
+                         cross_board_spikes=app.report.cross_board_spikes,
+                         **extra))
+    return runs
+
+
 def cluster_figures(network: Network, machine: SpiNNakerMachine,
-                    duration_ms: float, **kwargs) -> Figures:
-    """A serial cluster run adds its super-steps and cable traffic."""
-    app = ClusterApplication(machine, network, **kwargs)
-    result = app.run(duration_ms, workers=1)
-    return dict(machine_figures(network, app, result),
-                supersteps=app.report.supersteps,
-                cross_board_spikes=app.report.cross_board_spikes)
+                    duration_ms: float, **kwargs) -> List[Figures]:
+    return cluster_runs(network, ClusterApplication(machine, network,
+                                                    **kwargs), duration_ms)
 
 
-def ring8(n: int, wiring, run_ms: float) -> Figures:
+def ring8(n: int, wiring, run_ms: float) -> List[Figures]:
     """An e2e workload's network on the four-board machine."""
     seed = 11
     return cluster_figures(
@@ -92,9 +107,9 @@ def ring8(n: int, wiring, run_ms: float) -> Figures:
         placement_strategy=workloads.PLACEMENT)
 
 
-def compile_remap() -> Figures:
+def compile_remap() -> List[Figures]:
     """compile_remap's network re-mapped after two condemnations of the
-    last chip in use, then run serially over the re-mapped shards."""
+    last chip in use, then run over the re-mapped shards."""
     seed, n = 11, 96
     machine = booted(workloads.four_board_config(), seed)
     network = workloads.ring8(n, seed, workloads.DENSE)
@@ -112,11 +127,8 @@ def compile_remap() -> Figures:
         displaced += sum(1 for chip, _core in placement.locations.values()
                          if chip == victim)
         monitor.condemn_chip(victim)
-    result = app.run(50.0, workers=1)
-    return dict(
-        machine_figures(network, app, result),
-        supersteps=app.report.supersteps,
-        cross_board_spikes=app.report.cross_board_spikes,
+    return cluster_runs(
+        network, app, 50.0,
         vertices=len(app.pipeline.ctx.placement.locations),
         displaced_vertices=displaced,
         board_pair_min_delay=sorted(
@@ -124,7 +136,7 @@ def compile_remap() -> Figures:
             for pair, delay in app.pipeline.ctx.board_pair_min_delay.items()))
 
 
-def scenario_matrix_cluster() -> Figures:
+def scenario_matrix_cluster() -> List[Figures]:
     return cluster_figures(
         scenario_matrix._build_network(), scenario_matrix._machine(),
         scenario_matrix.DURATION_MS, seed=scenario_matrix.SEED,
@@ -179,7 +191,7 @@ def control_network() -> Network:
     return network
 
 
-def control() -> Figures:
+def control() -> List[Figures]:
     return cluster_figures(
         control_network(),
         booted(MachineConfig.multi_board(2, 1, board_width=2, board_height=2,
@@ -188,7 +200,9 @@ def control() -> Figures:
         placement_strategy="round-robin")
 
 
-SCENARIOS: Dict[str, Callable[[], Figures]] = {
+#: Each scenario gives its figures, a cluster scenario one set per
+#: :data:`CLUSTER_WORKERS` entry.
+SCENARIOS: Dict[str, Callable[[], Union[Figures, List[Figures]]]] = {
     "compile_remap": compile_remap,
     "scenario_matrix_cluster": scenario_matrix_cluster,
     "ring8_96_dense": lambda: ring8(96, workloads.DENSE, 50.0),
@@ -208,14 +222,17 @@ def load_answers() -> Dict[str, Figures]:
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_answers_unchanged(name, request):
-    figures = SCENARIOS[name]()
+    runs = SCENARIOS[name]()
+    if isinstance(runs, dict):
+        runs = [runs]
     if request.config.getoption("--update-answers"):
         answers = load_answers()
-        answers[name] = figures
+        answers[name] = runs[0]
         ANSWERS.write_text(json.dumps(answers, indent=2, sort_keys=True)
                            + "\n")
-        return
-    assert figures == load_answers()[name]
+    answer = load_answers()[name]
+    for index, figures in enumerate(runs):
+        assert figures == answer, "run %d of %s" % (index, name)
 
 
 def test_every_scenario_has_answers():
