@@ -9,22 +9,24 @@ models that assembly and exploits it for execution:
   multi-board :class:`~repro.core.machine.MachineConfig` (board ids,
   tile rectangles, the inter-board link census, an ASCII diagram);
 * :class:`~repro.cluster.fused.FusedBoardEngine` — the deterministic,
-  tick-synchronous executor of one board's compiled sub-context (see
-  the ShardByBoard pass of :mod:`repro.compile`): per-model stacked
-  state blocks, one shared deferred-event ring, one fused scatter per
-  batch list;
-* :class:`~repro.cluster.exchange.ExchangePlan` and the two exchange
-  implementations — the cluster's spike data path: worker-side routing
-  tables, preallocated shared-memory regions of packed ``uint32``
-  batches, and the conservative-lookahead super-step schedule
-  (``L = 1 + d_min`` ticks between barriers);
+  tick-synchronous executor of a sequence of boards' compiled
+  sub-contexts (see the ShardByBoard pass of :mod:`repro.compile`):
+  per-model stacked state blocks, one shared deferred-event ring, one
+  fused scatter per batch list;
+* :class:`~repro.cluster.exchange.ExchangePlan` and
+  :class:`~repro.cluster.exchange.SharedMemoryExchange` — the pool's
+  spike data path: worker-side routing tables, preallocated
+  shared-memory regions of packed ``uint32`` batches, and the
+  conservative-lookahead super-step schedule (``L = 1 + d_min`` ticks
+  between barriers);
 * :class:`~repro.cluster.application.ClusterApplication` — the sharded
-  runner: one engine per board, spread over a pool of persistent worker
-  processes exchanging cross-board spike batches through shared memory
-  at super-step barriers.  Results are bit-identical whatever the
-  worker count or lookahead depth, and spike-train-equivalent to the
-  unsharded on-machine engine
-  (``NeuralApplication(transport="fabric", stagger_us=0)``).
+  runner: serially, one engine over every board with no exchange; in a
+  pool of persistent worker processes, one engine per board, exchanging
+  cross-board spike batches through shared memory at super-step
+  barriers.  Results are bit-identical whatever the worker count or
+  lookahead depth, and spike-train-equivalent to the unsharded
+  on-machine engine (``NeuralApplication(transport="fabric",
+  stagger_us=0)``).
 """
 
 from repro.cluster.application import (
@@ -35,7 +37,6 @@ from repro.cluster.application import (
 from repro.cluster.board import BoardTopology
 from repro.cluster.exchange import (
     ExchangePlan,
-    InProcessExchange,
     SharedMemoryExchange,
     superstep_schedule,
 )
@@ -48,7 +49,6 @@ __all__ = [
     "ClusterWorkerError",
     "ExchangePlan",
     "FusedBoardEngine",
-    "InProcessExchange",
     "SharedMemoryExchange",
     "superstep_schedule",
 ]

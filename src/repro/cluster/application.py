@@ -1,9 +1,11 @@
 """The sharded cluster runner (:class:`ClusterApplication`).
 
-Runs a compiled network as one
-:class:`~repro.cluster.fused.FusedBoardEngine` per board, spread over a
-pool of persistent worker processes.  The execution is a
-conservative-lookahead PDES over the board graph (see
+Runs a compiled network sharded by board.  ``workers=1`` is one
+:class:`~repro.cluster.fused.FusedBoardEngine` over every board, stepped
+tick by tick: each spike batch is delivered on every board it reaches
+in the same scatter, so there is nothing to exchange and no barrier to
+take.  A pool of persistent worker processes runs one engine per board
+instead, as a conservative-lookahead PDES over the board graph (see
 :mod:`repro.cluster.exchange` for the data path):
 
 * boards run ``L = 1 + d_min`` ticks between barriers (``d_min`` = the
@@ -15,9 +17,9 @@ conservative-lookahead PDES over the board graph (see
 * cross-board batches travel as packed ``uint32`` records through
   preallocated shared-memory regions, routed worker-side via the
   ``key -> destination boards`` table — the parent joins a shared
-  *split barrier* per super-step and (with ``account_transport=True``)
-  replays the same shared regions through the transport fabric, but is
-  never on the per-spike data path;
+  *split barrier* per super-step and tallies the same shared regions
+  (and, with ``account_transport=True``, replays them through the
+  transport fabric), but is never on the per-spike data path;
 * the super-step schedule is shipped to the workers up front, so the
   only synchronisation left is one ``multiprocessing.Barrier`` per
   super-step: workers publish their batches, prefetch the next
@@ -32,19 +34,24 @@ Three properties the tests and benchmark E19 rely on:
 
 * **Worker-count and lookahead independence** — boards are stepped in
   canonical board order, inbound regions are drained in canonical
-  source order, and ring-buffer accumulation is exact (fixed-point
-  weights), so ``workers=4`` at full lookahead produces results
-  bit-identical to ``workers=1`` exchanging every tick.
+  source order, an exchanged event lands in the ring slot a local
+  delivery would have used, and ring-buffer accumulation is exact
+  (fixed-point weights), so ``workers=4`` at full lookahead produces
+  results bit-identical to the serial engine.  Ring ``saturations`` are
+  counted per scatter call, so they differ when a cell is pushed past
+  the weight range by a same-board and a cross-board batch for one tick.
 * **Engine equivalence** — the board-engine semantics replicate the
   unsharded on-machine engine at zero timer stagger
   (``NeuralApplication(transport="fabric", stagger_us=0)``): identical
   spike trains, spike counts, synaptic-event totals and delivered
   charge.
-* **Inter-board accounting** — with ``account_transport=True`` every
-  outbound batch is replayed through the compiled route programs
-  (cross-board batches from their exchange regions, local-only batches
-  from count-only stub records), so routers, links and NoCs show the
-  same loads the unsharded fabric transport would record.
+* **One traffic count** — the report's cross-board figures are counted
+  from the plan and the exported spike counts by one per-batch tally,
+  which the serial loop calls on each tick's exports and the pool on
+  each bank's batch headers; with ``account_transport=True`` the same
+  tally replays every outbound batch through its compiled route program
+  once, so routers, links and NoCs show the loads the unsharded fabric
+  transport would record.
 """
 
 from __future__ import annotations
@@ -53,11 +60,10 @@ import multiprocessing
 import threading
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.exchange import (
     ExchangePlan,
-    InProcessExchange,
     SharedMemoryExchange,
     superstep_schedule,
 )
@@ -76,11 +82,8 @@ __all__ = ["ClusterApplication", "ClusterReport", "ClusterWorkerError"]
 #: The per-worker wall-clock decomposition the profiler reports:
 #: stepping neurons + local delivery / packing outbound batches into
 #: shared memory / draining + applying inbound regions / blocked waiting
-#: for the next barrier command.
+#: for the next barrier command (the last three are pool-only).
 STAGES = ("compute", "serialize", "exchange", "barrier_wait")
-
-#: One board's closed-out result and its compute seconds.
-_BoardOutcome = Tuple[ApplicationResult, float]
 
 
 class ClusterWorkerError(RuntimeError):
@@ -114,52 +117,55 @@ class ClusterReport:
     #: Minimum cross-board synaptic delay (``0``: no synapse crosses a
     #: board boundary, so lookahead was unconstrained).
     d_min: int = 0
-    #: Barriers taken (``ceil(n_ticks / lookahead)``).
+    #: Super-steps of the plan's schedule (``ceil(n_ticks /
+    #: lookahead)``): the pool takes one barrier per super-step, the
+    #: serial run none.
     supersteps: int = 0
-    #: Seconds each board's engine spent computing (stepping + local
-    #: same-board delivery; exchange work is profiled separately).
-    board_compute_s: Dict[int, float] = field(default_factory=dict)
+    #: Seconds each worker's engines spent computing (stepping + local
+    #: delivery; exchange work is profiled separately).  The serial run
+    #: is worker ``0``.
+    worker_compute_s: Dict[int, float] = field(default_factory=dict)
     #: Board -> worker assignment used by the run.
     assignment: Dict[int, int] = field(default_factory=dict)
-    #: Cross-board batch copies / spikes that went through the exchange
-    #: (same-board traffic is delivered worker-locally and not counted).
+    #: Cross-board batch copies / spikes: one per destination board other
+    #: than the source's (same-board traffic is delivered locally and not
+    #: counted).
     exchanged_batches: int = 0
     exchanged_spikes: int = 0
-    #: Synonyms of the exchanged figures, kept because the exchange now
-    #: carries exactly the traffic that crosses board cables.
-    cross_board_batches: int = 0
-    cross_board_spikes: int = 0
     #: Board-to-board link traversals replayed through the transport
     #: fabric (``account_transport=True`` only).
     inter_board_traversals: int = 0
     #: Per-worker stage seconds (:data:`STAGES`), filled when
     #: :func:`repro.profile.enabled` is true at
-    #: :meth:`ClusterApplication.run`.  The serial path reports itself
-    #: as worker ``0``.
+    #: :meth:`ClusterApplication.run`.  The serial run is worker ``0``.
     worker_stages: Dict[int, Dict[str, float]] = field(default_factory=dict)
-    #: Parent-side seconds spent scanning regions for the report's
-    #: traffic counters and the fabric replay.
+    #: Parent-side seconds spent on the traffic tally and the fabric
+    #: replay (for a pool, including the region header scans).
     parent_exchange_s: float = 0.0
     #: Size of the shared-memory segment backing the exchange (pool
-    #: runs only; the serial path exchanges in-process).
+    #: runs only; the serial run exchanges nothing).
     exchange_segment_bytes: int = 0
 
     @property
-    def total_compute_s(self) -> float:
-        """Engine compute summed over every board."""
-        return sum(self.board_compute_s.values())
+    def cross_board_batches(self) -> int:
+        """Synonym of :attr:`exchanged_batches`: the exchange carries
+        exactly the traffic that crosses board cables."""
+        return self.exchanged_batches
 
-    def worker_compute_s(self) -> List[float]:
-        """Engine compute binned by the worker that ran each board."""
-        bins = [0.0] * max(self.workers, 1)
-        for board, seconds in self.board_compute_s.items():
-            bins[self.assignment.get(board, 0)] += seconds
-        return bins
+    @property
+    def cross_board_spikes(self) -> int:
+        """Synonym of :attr:`exchanged_spikes`."""
+        return self.exchanged_spikes
+
+    @property
+    def total_compute_s(self) -> float:
+        """Engine compute summed over every worker."""
+        return sum(self.worker_compute_s.values())
 
     @property
     def critical_path_s(self) -> float:
         """The busiest worker's compute — the parallel lower bound."""
-        return max(self.worker_compute_s(), default=0.0)
+        return max(self.worker_compute_s.values(), default=0.0)
 
     @property
     def speedup_bound(self) -> float:
@@ -204,7 +210,7 @@ def _stage_dict(snapshot) -> Dict[str, float]:
 
     Every :data:`STAGES` key is present (0.0 when the stage never ran);
     stage names outside the canonical set — e.g. the parent's own
-    accounting span on the serial path — are left to the registry.
+    accounting span on the serial run — are left to the registry.
     """
     stages = dict.fromkeys(STAGES, 0.0)
     for path, _calls, cum_s, _self_s in snapshot:
@@ -212,52 +218,6 @@ def _stage_dict(snapshot) -> Dict[str, float]:
         if name in stages:
             stages[name] += cum_s
     return stages
-
-
-def _run_supersteps(engines: Dict[int, FusedBoardEngine], exchange,
-                    registry: ProfileRegistry, n_ticks: int,
-                    enter, leave) -> None:
-    """The super-step loop of the in-process and the pooled run alike.
-
-    Per super-step: ``enter()`` (the barrier: every writer of the
-    previous bank has finished), apply the previous bank's inbound
-    batches, then compute the super-step's ticks and publish what each
-    board exports, then ``leave(bank, start, length)`` (accounting,
-    prefetch).  After a last ``enter()`` the final bank's in-flight
-    deliveries are drained (the on-machine run drains after halting,
-    too).  Boards, and each destination's source regions, are visited
-    in canonical order — the same order whatever the worker count.
-    """
-    my_boards = sorted(engines)
-    exchange_stage = registry.stage("exchange")
-    serialize_stage = registry.stage("serialize")
-
-    def apply_inbound(bank: int) -> None:
-        with exchange_stage:
-            for dst in my_boards:
-                for src, _ in exchange.plan.inbound_pairs(dst):
-                    engines[dst].apply_remote(exchange.read(src, dst, bank))
-
-    prev_bank = None
-    for index, (start, length) in enumerate(
-            superstep_schedule(n_ticks, exchange.plan.lookahead)):
-        bank = index % 2
-        enter()
-        if prev_bank is not None:
-            apply_inbound(prev_bank)
-        exchange.begin(bank, my_boards)
-        for tick in range(start, start + length):
-            for board in my_boards:
-                exported = engines[board].step(tick)
-                if exported:
-                    with serialize_stage:
-                        exchange.write_board_batches(board, bank, tick,
-                                                     exported)
-        leave(bank, start, length)
-        prev_bank = bank
-    enter()
-    if prev_bank is not None:
-        apply_inbound(prev_bank)
 
 
 def _watch_workers(processes, stop_conn, barrier, released) -> None:
@@ -288,13 +248,19 @@ def _shard_worker(conn, contexts: Dict[int, BoardContext], populations,
     shared split barrier; the pipe carries only the run request and the
     final results.
 
-    The parent accounts the previous bank while the workers compute the
-    next super-step.  Before blocking on the next barrier the worker
-    prefetches the coming super-step's stimulus masks, so barrier wait
-    time does useful work.  A broken barrier means some process died;
-    the worker just exits (the parent diagnoses who).
+    Per super-step: wait at the barrier (every writer of the previous
+    bank has finished), apply the previous bank's inbound batches, then
+    compute the super-step's ticks and publish what each board exports.
+    Before blocking on the next barrier the worker prefetches the coming
+    super-step's stimulus masks, so barrier wait time does useful work,
+    while the parent accounts the bank just written.  After a last
+    barrier the final bank's in-flight deliveries are drained (the
+    on-machine run drains after halting, too).  Boards, and each
+    destination's source regions, are visited in canonical order.  A
+    broken barrier means some process died; the worker just exits (the
+    parent diagnoses who).
     """
-    engines = {board: FusedBoardEngine(context, populations, seed,
+    engines = {board: FusedBoardEngine([context], populations, seed,
                                        timestep_ms,
                                        export_keys=plan.export_keys[board])
                for board, context in sorted(contexts.items())}
@@ -303,36 +269,56 @@ def _shard_worker(conn, contexts: Dict[int, BoardContext], populations,
     # check, so the un-profiled tick loop stays clean of clock reads.
     registry = ProfileRegistry(enabled=profile)
     barrier_stage = registry.stage("barrier_wait")
+    exchange_stage = registry.stage("exchange")
+    serialize_stage = registry.stage("serialize")
 
-    def wait_at_barrier() -> None:
+    def enter(inbound_bank: Optional[int]) -> None:
+        """Wait at the barrier, then apply ``inbound_bank``'s batches."""
         with barrier_stage:
             barrier.wait()
+        if inbound_bank is None:
+            return
+        with exchange_stage:
+            for dst, engine in engines.items():
+                for src, _ in plan.inbound_pairs(dst):
+                    engine.apply_remote(exchange.read(src, dst, inbound_bank))
 
     try:
         message = conn.recv()
         if message[0] != "run":  # pragma: no cover - protocol misuse
             raise ValueError("unknown worker message %r" % (message[0],))
         _, n_ticks, duration_ms = message
-
-        def prefetch(_bank: int, start: int, length: int) -> None:
-            upto = min(start + 2 * length, n_ticks) - 1
-            for engine in engines.values():
-                engine.kernel.prefetch_sources(upto)
-
+        prev_bank = None
         try:
-            _run_supersteps(engines, exchange, registry, n_ticks,
-                            enter=wait_at_barrier, leave=prefetch)
+            for index, (start, length) in enumerate(
+                    superstep_schedule(n_ticks, plan.lookahead)):
+                bank = index % 2
+                enter(prev_bank)
+                exchange.begin(bank, engines)
+                for tick in range(start, start + length):
+                    for board, engine in engines.items():
+                        exported = engine.step(tick)
+                        if exported:
+                            with serialize_stage:
+                                exchange.write_board_batches(
+                                    board, bank, tick, exported)
+                upto = min(start + 2 * length, n_ticks) - 1
+                for engine in engines.values():
+                    engine.kernel.prefetch_sources(upto)
+                prev_bank = bank
+            enter(prev_bank)
         except threading.BrokenBarrierError:
             return
         released.set()
-        results = {board: (engine.finish(duration_ms), engine.compute_s)
+        results = {board: engine.finish(duration_ms)
                    for board, engine in engines.items()}
+        compute_s = sum(engine.compute_s for engine in engines.values())
         if profile:
             # The engines keep their own always-on counters; adopt them
             # so "compute" sits beside the stage spans.
-            registry.add("compute", sum(engine.compute_s
-                                        for engine in engines.values()))
-        conn.send((results, registry.snapshot() if profile else None))
+            registry.add("compute", compute_s)
+        conn.send((results, compute_s,
+                   registry.snapshot() if profile else None))
     finally:
         conn.close()
 
@@ -425,10 +411,11 @@ class ClusterApplication:
     def run(self, duration_ms: float, workers: int = 1,
             lookahead: Optional[int] = None) -> ApplicationResult:
         """Run ``duration_ms`` of biological time afresh from tick 0;
-        return a new merged result (also kept on :attr:`result`,
-        statistics on :attr:`report`).
+        return a new result (also kept on :attr:`result`, statistics on
+        :attr:`report`).
 
-        ``workers`` is the pool size (``1``: in-process, no pool).
+        ``workers`` is the pool size (``1``: one engine over every
+        board, no pool).
         ``lookahead`` caps the ticks per super-step; ``None`` runs at
         the deepest safe depth (``1 + d_min``) and an explicit depth is
         clamped to that bound.  Stage profiling follows
@@ -462,85 +449,85 @@ class ClusterApplication:
         self.registry = ProfileRegistry(enabled=profile_enabled())
         began = perf_now()
         run_boards = self._run_serial if effective == 1 else self._run_pool
-        outcomes = run_boards(n_ticks, duration_ms, report, plan)
+        self.result = run_boards(n_ticks, duration_ms, report, plan)
         report.wall_s = perf_now() - began
         if self.fabric is not None:
             report.inter_board_traversals = (
                 self.fabric.inter_board_traversals - traversals_before)
-        # Canonical board order, whichever worker ran which board.
-        for board in sorted(outcomes):
-            report.board_compute_s[board] = outcomes[board][1]
-        self.result = ApplicationResult.merge(
-            [outcomes[board][0] for board in sorted(outcomes)])
-        self.result.duration_ms = duration_ms
         self.report = report
         return self.result
 
     # ------------------------------------------------------------------
     # Accounting (the only per-batch work left on the parent)
     # ------------------------------------------------------------------
-    def _account_bank(self, exchange, bank: int, plan: ExchangePlan,
-                      report: ClusterReport) -> None:
-        """Scan one bank for the traffic counters and fabric replay.
+    def _tally(self, batches: Iterable[Tuple[int, int]], plan: ExchangePlan,
+               report: ClusterReport) -> None:
+        """Count outbound ``(key, spike count)`` batches into the report.
 
-        Reads only batch headers (key + count; payloads are skipped), so
-        the parent's cost per super-step is proportional to the batch
-        count, not the spike count.  Each outbound batch is replayed
-        exactly once: cross-board batches from their first destination's
-        region, local-only batches from their count-only stub record.
+        The one counting rule of both runs: a batch counts once per
+        board it crosses to, and with a fabric it is replayed once
+        through its key's route program.
         """
         began = perf_now()
         fabric = self.fabric
-        first_cross = plan.first_cross_destination
-        for src in plan.boards:
-            for dst in plan.boards:
-                if (src, dst) not in plan.region_capacity:
-                    continue
-                for key, count in exchange.read_counts(src, dst, bank):
-                    if dst != src:
-                        report.exchanged_batches += 1
-                        report.exchanged_spikes += count
-                        report.cross_board_batches += 1
-                        report.cross_board_spikes += count
-                    if fabric is not None and (
-                            dst == src or dst == first_cross.get(key)):
-                        program = fabric.program_for(key)
-                        if program is not None:
-                            fabric.account_batch(program, count)
+        cross = plan.cross_destinations
+        for key, count in batches:
+            copies = len(cross.get(key, ()))
+            report.exchanged_batches += copies
+            report.exchanged_spikes += copies * count
+            if fabric is not None:
+                program = fabric.program_for(key)
+                if program is not None:
+                    fabric.account_batch(program, count)
         elapsed = perf_now() - began
         report.parent_exchange_s += elapsed
         if self.registry.enabled:
             self.registry.add("parent_account", elapsed)
 
+    def _account_bank(self, exchange: SharedMemoryExchange, bank: int,
+                      plan: ExchangePlan, report: ClusterReport) -> None:
+        """Tally one bank of the pool's exchange.
+
+        Reads only batch headers (key + count; payloads are skipped), so
+        the parent's cost per super-step is proportional to the batch
+        count, not the spike count.  Each outbound batch is read once:
+        a cross-board batch from its first destination's region, a
+        local-only batch from its count-only stub record.
+        """
+        first_cross = plan.first_cross_destination
+        self._tally(((key, count)
+                     for src, dst in sorted(plan.region_capacity)
+                     for key, count in exchange.read_counts(src, dst, bank)
+                     if dst == src or dst == first_cross.get(key)),
+                    plan, report)
+
     # ------------------------------------------------------------------
-    # Serial path (workers=1: same super-step schedule, no processes)
+    # Serial path (workers=1: one engine, no exchange, no barrier)
     # ------------------------------------------------------------------
     def _run_serial(self, n_ticks: int, duration_ms: float,
                     report: ClusterReport,
-                    plan: ExchangePlan) -> Dict[int, _BoardOutcome]:
-        populations = self._populations()
-        engines = {board: FusedBoardEngine(
-                       context, populations, self.seed, self.timestep_ms,
-                       export_keys=plan.export_keys[board])
-                   for board, context in self.board_contexts.items()}
-        exchange = InProcessExchange(plan)
-        _run_supersteps(
-            engines, exchange, self.registry, n_ticks, enter=lambda: None,
-            leave=lambda bank, _start, _length: self._account_bank(
-                exchange, bank, plan, report))
+                    plan: ExchangePlan) -> ApplicationResult:
+        engine = FusedBoardEngine(
+            [self.board_contexts[board] for board in plan.boards],
+            self._populations(), self.seed, self.timestep_ms,
+            export_keys=frozenset().union(*plan.export_keys.values()))
+        for tick in range(n_ticks):
+            exported = engine.step(tick)
+            if exported:
+                self._tally(((key, spiking.size) for key, spiking in exported),
+                            plan, report)
+        report.worker_compute_s[0] = engine.compute_s
         if self.registry.enabled:
-            self.registry.add("compute", sum(engine.compute_s
-                                             for engine in engines.values()))
+            self.registry.add("compute", engine.compute_s)
             report.worker_stages[0] = _stage_dict(self.registry.snapshot())
-        return {board: (engine.finish(duration_ms), engine.compute_s)
-                for board, engine in engines.items()}
+        return engine.finish(duration_ms)
 
     # ------------------------------------------------------------------
     # Pool path
     # ------------------------------------------------------------------
     def _run_pool(self, n_ticks: int, duration_ms: float,
                   report: ClusterReport,
-                  plan: ExchangePlan) -> Dict[int, _BoardOutcome]:
+                  plan: ExchangePlan) -> ApplicationResult:
         populations = self._populations()
         try:
             mp_context = multiprocessing.get_context("fork")
@@ -607,15 +594,18 @@ class ClusterApplication:
                 self._fail_dead_worker(processes, worker_boards)
             if prev_bank is not None:
                 self._account_bank(exchange, prev_bank, plan, report)
-            outcomes: Dict[int, _BoardOutcome] = {}
+            results: Dict[int, ApplicationResult] = {}
             for worker in range(len(connections)):
-                results, snapshot = self._recv_checked(
+                board_results, compute_s, snapshot = self._recv_checked(
                     worker, connections, processes, worker_boards)
-                outcomes.update(results)
+                results.update(board_results)
+                report.worker_compute_s[worker] = compute_s
                 if snapshot is not None:
                     report.worker_stages[worker] = _stage_dict(snapshot)
                     self.registry.merge(snapshot)
-            return outcomes
+            # Canonical board order, whichever worker ran which board.
+            return ApplicationResult.merge(
+                [results[board] for board in sorted(results)])
         finally:
             stop_writer.send(True)
             stop_writer.close()

@@ -1,9 +1,11 @@
 """The cluster's spike-exchange data path (shared memory + lookahead).
 
-Pickling per-tick batches through ``multiprocessing`` pipes under a
-parent-mediated barrier every tick costs more than the parallelism
-gains, so the data path is built from the three classic PDES
-ingredients:
+Only a pooled run exchanges spikes: the serial run steps every board in
+one engine, which delivers each batch on every board it reaches, so it
+reads nothing here but the plan's key tables.  Pickling per-tick batches
+through ``multiprocessing`` pipes under a parent-mediated barrier every
+tick costs more than the parallelism gains, so the pool's data path is
+built from the three classic PDES ingredients:
 
 * **Preallocated shared-memory regions.**  One
   :class:`multiprocessing.shared_memory.SharedMemory` segment holds a
@@ -34,9 +36,10 @@ mutable state is guarded by a lock because none is concurrently
 written.
 
 Determinism: readers always drain regions in canonical (source board,
-destination board) order and ring-buffer accumulation is exact
-(fixed-point weights in float64), so results are bit-identical across
-worker counts *and* lookahead depths.
+destination board) order, a re-based event lands in the slot a local
+delivery at its send tick would have used, and ring-buffer accumulation
+is exact (fixed-point weights in float64), so results are bit-identical
+across worker counts *and* lookahead depths.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from repro.neuron.synapse import MAX_DELAY_TICKS
 __all__ = [
     "BATCH_HEADER_WORDS",
     "ExchangePlan",
-    "InProcessExchange",
     "SharedMemoryExchange",
     "superstep_schedule",
 ]
@@ -82,7 +84,8 @@ class ExchangePlan:
 
     Built once per run from the compiled board contexts; shipped to the
     workers at startup (worker-side routing) and kept by the parent
-    (accounting replay reads the same regions).
+    (accounting replay reads the same regions).  The serial run reads
+    only its key tables.
     """
 
     #: Boards in canonical order.
@@ -205,91 +208,7 @@ class ExchangePlan:
                    stub_keys=stub_keys, region_capacity=capacity)
 
 
-class _ExchangeBase:
-    """Shared bank arithmetic of the two exchange implementations."""
-
-    def __init__(self, plan: ExchangePlan) -> None:
-        self.plan = plan
-
-    def write_board_batches(self, src: int, bank: int, tick: int,
-                            exported) -> int:
-        """Route one board's exported batches into its write regions.
-
-        Returns the number of cross-board batch copies written (the
-        figure the profiler calls "serialize" work).  Stub keys become
-        count-only records in the board's own ``(src, src)`` region.
-        """
-        plan = self.plan
-        remote = plan.remote_keys[src]
-        copies = 0
-        for key, spiking in exported:
-            if key in remote:
-                for dst in plan.cross_destinations[key]:
-                    self.write_batch(src, dst, bank, key, tick, spiking)
-                    copies += 1
-            else:
-                self.write_stub(src, bank, key, tick, int(spiking.size))
-        return copies
-
-    # Implemented by the concrete exchanges:
-    def begin(self, bank, sources):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def write_batch(self, src, dst, bank, key, tick,
-                    indices):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def write_stub(self, src, bank, key, tick,
-                   count):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def read(self, src, dst, bank):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def read_counts(self, src, dst, bank):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class InProcessExchange(_ExchangeBase):
-    """The same exchange protocol over plain lists — the serial runner.
-
-    ``workers=1`` needs no shared memory, but runs the identical
-    super-step schedule, bank rotation and read order, so serial and
-    pooled results are produced by one code path and stay bit-identical.
-    """
-
-    def __init__(self, plan: ExchangePlan) -> None:
-        super().__init__(plan)
-        self._banks: Dict[Tuple[int, int, int], List[Tuple]] = {
-            (src, dst, bank): []
-            for (src, dst) in plan.region_capacity for bank in (0, 1)}
-
-    def begin(self, bank: int, sources) -> None:
-        for (src, dst) in self.plan.region_capacity:
-            if src in sources:
-                self._banks[(src, dst, bank)].clear()
-
-    def write_batch(self, src: int, dst: int, bank: int, key: int,
-                    tick: int, indices: np.ndarray) -> None:
-        self._banks[(src, dst, bank)].append((key, tick, indices))
-
-    def write_stub(self, src: int, bank: int, key: int, tick: int,
-                   count: int) -> None:
-        self._banks[(src, src, bank)].append((key, tick, count))
-
-    def read(self, src: int, dst: int,
-             bank: int) -> Iterator[Tuple[int, int, np.ndarray]]:
-        return iter(self._banks[(src, dst, bank)])
-
-    def read_counts(self, src: int, dst: int,
-                    bank: int) -> Iterator[Tuple[int, int]]:
-        for record in self._banks[(src, dst, bank)]:
-            payload = record[2]
-            yield record[0], (payload if isinstance(payload, int)
-                              else int(payload.size))
-
-
-class SharedMemoryExchange(_ExchangeBase):
+class SharedMemoryExchange:
     """The packed ``uint32`` exchange over one shared-memory segment.
 
     Layout: per region (in plan order) two banks, each ``1 + capacity``
@@ -305,7 +224,7 @@ class SharedMemoryExchange(_ExchangeBase):
     _sequence = itertools.count()
 
     def __init__(self, plan: ExchangePlan) -> None:
-        super().__init__(plan)
+        self.plan = plan
         self._offsets: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
         word = 0
         for pair in sorted(plan.region_capacity):
@@ -332,6 +251,23 @@ class SharedMemoryExchange(_ExchangeBase):
             if src in sources:
                 self._view(src, dst, bank)[0] = 0
                 self._used[(src, dst, bank)] = 0
+
+    def write_board_batches(self, src: int, bank: int, tick: int,
+                            exported) -> None:
+        """Route one board's exported batches into its write regions.
+
+        A cross-board batch is copied into the inbound region of each of
+        its destination boards; a stub key becomes a count-only record in
+        the board's own ``(src, src)`` region.
+        """
+        plan = self.plan
+        remote = plan.remote_keys[src]
+        for key, spiking in exported:
+            if key in remote:
+                for dst in plan.cross_destinations[key]:
+                    self.write_batch(src, dst, bank, key, tick, spiking)
+            else:
+                self.write_stub(src, bank, key, tick, int(spiking.size))
 
     def write_batch(self, src: int, dst: int, bank: int, key: int,
                     tick: int, indices: np.ndarray) -> None:

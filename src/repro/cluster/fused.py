@@ -1,23 +1,26 @@
 """The board engine (:class:`FusedBoardEngine`).
 
-The engine replays the on-machine application model of Figure 7 for one
-board's compiled sub-context, tick-synchronously and without the event
-kernel in the loop.  The timer task itself is the tick kernel
-(:mod:`repro.neuron.kernel`) over the board's cores: every placed vertex
-is a unit with the per-core generator
-(:func:`~repro.neuron.population.core_rng` keyed by the core's physical
-location) the on-machine runtime would give it, cores of a model step as
-one stacked block, and all of them share one
+The engine replays the on-machine application model of Figure 7 for the
+compiled sub-contexts of a sequence of boards, tick-synchronously and
+without the event kernel in the loop: a pool worker's engine steps one
+board, the serial cluster run's one engine steps every board.  The timer
+task itself is the tick kernel (:mod:`repro.neuron.kernel`) over the
+boards' cores, concatenated in board order: every placed vertex is a unit
+with the per-core generator (:func:`~repro.neuron.population.core_rng`
+keyed by the core's physical location) the on-machine runtime would give
+it, cores of a model step as one stacked block, and all of them share one
 :class:`~repro.neuron.synapse.FusedDeferredEventBuffer`.  What is the
 engine's own is the propagate step: spike batches are delivered through
-the board-level :class:`~repro.compile.context.BoardDeliveryIndex` the
-ShardByBoard pass merges from the destination cores' delivery legs (the
-legs the event path and the transport fabric read), its arena slots
-pre-computed as ring offsets ``delay * ring width + column`` — one
-row-table gather, one offset gather and one ring update per batch list,
-landing at ``tick + 1 + delay``, the arrival tick of the fabric
-transport at zero timer stagger; batches on exported keys are handed
-back for the exchange.
+the boards' :class:`~repro.compile.context.BoardDeliveryIndex` row
+tables (merged by the ShardByBoard pass from the destination cores'
+delivery legs, the legs the event path and the transport fabric read)
+stacked back to back, their arena slots pre-computed as ring offsets
+``delay * ring width + column`` — one row-table gather, one offset
+gather and one ring update per batch list, landing at ``tick + 1 +
+delay``, the arrival tick of the fabric transport at zero timer stagger.
+A key that reaches several of the engine's boards is delivered to each
+of them locally; batches on exported keys are also handed back, for the
+exchange or the report's tally.
 
 Determinism: the kernel's steps are elementwise per cell, ring
 accumulation sums fixed-point weights (exact multiples of 2^-4 in
@@ -28,12 +31,15 @@ next to whatever it runs — the property the cluster runner relies on for
 worker-count-independent results, and the reason the sharded run is
 spike-train-equivalent to the unsharded engine
 (``NeuralApplication(transport="fabric", stagger_us=0)``), which
-``tests/test_cluster_fused.py`` pins.
+``tests/test_cluster_fused.py`` pins.  Units are board-major, so within
+a tick each population's spikes are recorded in board order, the order
+:meth:`~repro.runtime.application.ApplicationResult.merge` gives the
+per-board results of a pooled run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -53,48 +59,69 @@ SpikeBatch = Tuple[int, np.ndarray]
 
 
 class FusedBoardEngine:
-    """Tick-synchronous, vectorised executor of one board's compiled
-    sub-context."""
+    """Tick-synchronous, vectorised executor of a sequence of boards'
+    compiled sub-contexts."""
 
-    def __init__(self, context: BoardContext,
+    def __init__(self, contexts: Sequence[BoardContext],
                  populations: Dict[str, Population],
                  seed: Optional[int], timestep_ms: float,
                  export_keys: Set[int]) -> None:
-        self.context = context
-        #: Keys whose spiking indices :meth:`step` must hand back for
-        #: the exchange (this board's entry of
+        #: The boards the engine steps, in board order.
+        self.contexts = list(contexts)
+        #: Keys whose spiking indices :meth:`step` must hand back (for a
+        #: pool worker, its board's entry of
         #: :attr:`~repro.cluster.exchange.ExchangePlan.export_keys`).
-        #: The board's own legs are delivered *locally* at the
-        #: end of each tick (worker-side routing: same-board traffic
-        #: never leaves the process).
+        #: The engine's own boards are delivered *locally* at the end of
+        #: each tick (worker-side routing: traffic between them never
+        #: leaves the process).
         self.export_keys = export_keys
 
         self.result = ApplicationResult(duration_ms=0.0)
         self.result.track(populations.values())
+        cores = [spec for context in self.contexts for spec in context.cores]
         units = [TickUnit(populations[spec.vertex.population_label],
                           spec.vertex.slice_start, spec.vertex.slice_stop,
                           core_rng(seed, spec.chip.x, spec.chip.y,
                                    spec.core_id))
-                 for spec in context.cores]
-        self._core_of = dict(zip(units, context.cores))
-        #: The board's timer task (see :mod:`repro.neuron.kernel`).
+                 for spec in cores]
+        self._core_of = dict(zip(units, cores))
+        #: The boards' timer task (see :mod:`repro.neuron.kernel`).
         self.kernel = TickKernel(units, timestep_ms,
                                  FusedDeferredEventBuffer, self.result)
 
-        # Each arena slot's ring offset: delay row, then the ring column
-        # of its board-flat target (core 0's neurons first, then 1's...).
-        index = context.delivery_index
-        self._first_row = index.first_row
-        self._row_start = index.row_ptr[:-1]
-        self._row_end = index.row_ptr[1:]
+        # The boards' row tables back to back: board b's rows, arena
+        # slots and neurons follow board b - 1's, and a key keeps one
+        # first row per board it reaches.  Each arena slot's ring offset
+        # is its delay row, then the ring column of its board-flat target.
+        indexes = [context.delivery_index for context in self.contexts]
         self._width = width = self.kernel.ring.total_width
         # Offsets, and their rotation by up to one ring, fit in int32.
         assert 2 * self.kernel.ring.n_slots * width <= np.iinfo(np.int32).max
         translate = np.concatenate(
-            [self.kernel.columns(unit) for unit in units]).astype(np.int32)
-        self._arena_offsets = translate[index.targets]
-        self._arena_offsets += index.delay_ticks.astype(np.int32) * width
-        self._arena_weights = index.weights
+            [np.zeros(0, dtype=np.intp)]
+            + [self.kernel.columns(unit) for unit in units]).astype(np.int32)
+        self._first_rows: Dict[int, List[int]] = {}
+        row_ptr = [np.zeros(1, dtype=np.int64)]
+        self._arena_offsets = np.empty(
+            sum(index.targets.size for index in indexes), dtype=np.int32)
+        n_rows = n_slots = n_neurons = 0
+        for index in indexes:
+            for key, row in index.first_row.items():
+                self._first_rows.setdefault(key, []).append(n_rows + row)
+            row_ptr.append(index.row_ptr[1:] + n_slots)
+            arena = self._arena_offsets[n_slots:n_slots + index.targets.size]
+            arena[:] = translate[n_neurons:][index.targets]
+            arena += index.delay_ticks.astype(np.int32) * width
+            n_rows += index.row_ptr.size - 1
+            n_slots += index.targets.size
+            n_neurons += index.total_neurons
+        row_ptr = np.concatenate(row_ptr)
+        self._row_start = row_ptr[:-1]
+        self._row_end = row_ptr[1:]
+        # One board's engine reads its index's weights in place.
+        weights = [index.weights for index in indexes]
+        self._arena_weights = (weights[0] if len(weights) == 1
+                               else np.concatenate([np.zeros(0), *weights]))
         self.step_s = 0.0
         self.local_apply_s = 0.0
         self.remote_apply_s = 0.0
@@ -117,16 +144,18 @@ class FusedBoardEngine:
         versus delivering each leg on its own (as the fabric transport
         does): ring accumulation of fixed-point weights is an exact sum.
         """
-        first_row = self._first_row
+        first_rows = self._first_rows
         rows: List[np.ndarray] = []
         ages: List[int] = []
         spikes: List[int] = []
         for key, age, spiking in batches:
             # Local and exchanged batches alike only go to boards the
-            # key reaches, so every key has table rows here.
-            rows.append(spiking + first_row[key])
-            ages.append(age)
-            spikes.append(spiking.size)
+            # key reaches, so every key has table rows here: one run of
+            # rows per board it reaches.
+            for first_row in first_rows[key]:
+                rows.append(spiking + first_row)
+                ages.append(age)
+                spikes.append(spiking.size)
         if not rows:
             return
         rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
@@ -135,11 +164,14 @@ class FusedBoardEngine:
         slots = expand_rows(starts, counts)
         offsets = self._arena_offsets[slots]
         weights = self._arena_weights[slots]
+        # Freed before the ring update, which makes per-event copies of
+        # its own: an engine over every board scatters a whole tick here.
+        del slots
         if any(ages):
             # Re-base aged batches: delay - age, one row per tick of age.
             offsets -= np.repeat(np.repeat(
                 np.array(ages) * self._width, spikes), counts)
-        self.result.synaptic_events += int(slots.size)
+        self.result.synaptic_events += int(offsets.size)
         # One charge sum over the merged batches: every weight is an
         # exact multiple of 2^-4 in float64, so the total is exact and
         # grouping-independent — bit-equal to a per-leg accumulation.
@@ -167,8 +199,8 @@ class FusedBoardEngine:
     # One tick
     # ------------------------------------------------------------------
     def step(self, tick: int) -> List[SpikeBatch]:
-        """Run one tick over every core, deliver the board's own legs
-        and return the batches to export."""
+        """Run one tick over every core, deliver to the engine's own
+        boards and return the batches to export."""
         began = perf_now()
         outbound: List[SpikeBatch] = []
         local: List[SpikeBatch] = []
@@ -176,7 +208,7 @@ class FusedBoardEngine:
             spec = self._core_of[unit]
             if spec.has_outgoing:
                 self.result.packets_sent += int(spiking.size)
-                if spec.base_key in self._first_row:
+                if spec.base_key in self._first_rows:
                     local.append((spec.base_key, spiking))
                 if spec.base_key in self.export_keys:
                     outbound.append((spec.base_key, spiking))
@@ -194,7 +226,7 @@ class FusedBoardEngine:
     # Completion
     # ------------------------------------------------------------------
     def finish(self, duration_ms: float) -> ApplicationResult:
-        """Close out the board's recording and return its result."""
+        """Close out the boards' recording and return their result."""
         self.result.flush()
         self.result.duration_ms = duration_ms
         self.result.saturations = self.kernel.ring.saturations

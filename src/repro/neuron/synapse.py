@@ -266,19 +266,23 @@ class FusedDeferredEventBuffer:
         n_rows = high // width - first + 1
         start = (self._current_tick + first) % self.n_slots
         head = min(n_rows, self.n_slots - start)
+        self.events_deferred += int(offsets.size)
+        # A batch narrower than the ring scatters in place; a wider one is
+        # pre-summed per cell (exact in float64) and lands as slab adds —
+        # before its cells exist, so it never holds both per-event arrays.
+        wide = offsets.size >= width
+        if wide:
+            sums = np.bincount(offsets, weights=weights,
+                               minlength=(first + n_rows) * width)
+            sums = sums[first * width:].reshape(-1, width)
+            self._buffer[start:start + head] += sums[:head]
+            self._buffer[:n_rows - head] += sums[head:]
+            del sums
         cells = offsets + (start - first) * width
         if head < n_rows:
             cells -= (cells >= size) * cells.dtype.type(size)
-        self.events_deferred += int(offsets.size)
-        # A batch narrower than the ring scatters in place; a wider one is
-        # pre-summed per cell (exact in float64) and lands as slab adds.
-        if offsets.size < width:
+        if not wide:
             np.add.at(self._buffer.ravel(), cells, weights)
-        else:
-            sums = np.bincount(offsets - first * width, weights=weights,
-                               minlength=n_rows * width).reshape(-1, width)
-            self._buffer[start:start + head] += sums[:head]
-            self._buffer[:n_rows - head] += sums[head:]
         self.saturations += _clamp_touched(
             self._buffer, cells,
             (slice(start, start + head), slice(0, n_rows - head)), n_rows)

@@ -368,6 +368,15 @@ class TestClusterApplication:
         assert cluster.report.inter_board_traversals == (
             cold_cluster.report.inter_board_traversals)
 
+    def test_a_network_with_nothing_placed_runs_empty(self):
+        cluster = ClusterApplication(small_cluster_machine(),
+                                     Network(seed=SEED))
+        result = cluster.run(10.0)
+        assert cluster.n_boards == 0
+        assert result.total_spikes() == 0
+        assert result.duration_ms == 10.0
+        assert cluster.report.cross_board_spikes == 0
+
     def test_rejects_bad_arguments(self):
         cluster = sharded_app()
         with pytest.raises(ValueError):
@@ -395,9 +404,9 @@ class TestRemovedOptions:
         context = next(iter(cluster.board_contexts.values()))
         populations = {p.label: p for p in cluster.network.populations}
         with pytest.raises(TypeError):
-            FusedBoardEngine(context, populations, SEED,
+            FusedBoardEngine([context], populations, SEED,
                              cluster.timestep_ms)
-        engine = FusedBoardEngine(context, populations, SEED,
+        engine = FusedBoardEngine([context], populations, SEED,
                                   cluster.timestep_ms, export_keys=set())
         with pytest.raises(TypeError):
             engine.step(0, [])
@@ -495,23 +504,21 @@ class TestBoardAssignment:
             0: 0, 1: 1, 2: 0, 3: 1}
 
     def test_lpt_raises_the_speedup_bound_on_skew(self):
-        # Same skewed compute, two workers: the busiest-worker bound is
-        # strictly better under LPT than under round-robin.
-        compute = {0: 10.0, 1: 4.0, 2: 3.0, 3: 3.0}
-        weights = {board: int(seconds) for board, seconds
-                   in compute.items()}
+        # Same skewed weights, two workers: the busiest worker's load,
+        # and so the load-balance bound total / busiest, is strictly
+        # better under LPT than under round-robin.
+        weights = {0: 10, 1: 4, 2: 3, 3: 3}
 
-        def bound(assignment):
-            from repro.cluster import ClusterReport
-            report = ClusterReport(n_boards=4, workers=2, n_ticks=1,
-                                   board_compute_s=compute,
-                                   assignment=assignment)
-            return report.speedup_bound
+        def busiest(assignment):
+            loads = [0, 0]
+            for board, worker in assignment.items():
+                loads[worker] += weights[board]
+            return max(loads)
 
-        lpt = bound(_assign_boards([0, 1, 2, 3], 2, weights))
-        round_robin = bound({board: board % 2 for board in range(4)})
-        assert lpt > round_robin
-        assert lpt == pytest.approx(2.0)
+        lpt = busiest(_assign_boards([0, 1, 2, 3], 2, weights))
+        round_robin = busiest({board: board % 2 for board in range(4)})
+        assert lpt < round_robin
+        assert sum(weights.values()) / lpt == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------

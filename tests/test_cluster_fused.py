@@ -308,7 +308,7 @@ class TestGeneratedAgreement:
             assert np.array_equal(host.spike_counts[label], counts)
 
         # Fixed-point domain: the on-machine fabric run at zero stagger,
-        # the cluster in-process and the cluster pooled.
+        # the cluster serially (one engine) and the cluster pooled.
         application = NeuralApplication(
             cluster_machine(), network(), max_neurons_per_core=24,
             transport="fabric", stagger_us=0.0)
@@ -346,7 +346,7 @@ class TestFusedEngine:
         cluster.prepare()
         (context,) = cluster.board_contexts.values()
         populations = cluster._populations()
-        return [FusedBoardEngine(context, populations, SEED,
+        return [FusedBoardEngine([context], populations, SEED,
                                  cluster.timestep_ms, export_keys=set())
                 for _ in range(count)]
 
@@ -372,7 +372,7 @@ class TestFusedEngine:
         for tick in range(25):
             together.step(tick)
             apart.step(tick)
-        index = together.context.delivery_index
+        index = together.contexts[0].delivery_index
         rng = np.random.default_rng(4)
         keys = sorted(index.first_row, key=index.first_row.get)
         ends = [index.first_row[key] for key in keys[1:]] + [
