@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import statistics
 import sys
 import threading
 import time
@@ -152,12 +153,16 @@ class TestDisabledPath:
         assert record.calls == 1
 
     def test_disabled_overhead_under_five_percent(self):
-        # The acceptance bound: a tight loop over a disabled stage costs
-        # < 5 % over the bare loop.  Both sides take their best of
-        # several interleaved rounds to shed scheduler jitter.
+        # The acceptance bound: a loop body inside a disabled stage costs
+        # < 5 % over the bare body.  The two are timed in many short
+        # chunks, back to back in alternating order, so each pair of
+        # chunks ran under the same host load; the median of the pairs'
+        # ratios sheds the pairs a preemption or a load change split.
+        # (Minima of either side, taken separately, can come from
+        # different load phases and misjudge the ratio by several %.)
         registry = ProfileRegistry(enabled=False)
         stage = registry.stage("tick")
-        iterations = 400
+        iterations, chunks = 8, 300
 
         def bare():
             began = perf_now()
@@ -172,11 +177,15 @@ class TestDisabledPath:
                     sum(range(2000))
             return perf_now() - began
 
-        bare_s, inst_s = [], []
-        for _ in range(7):
-            bare_s.append(bare())
-            inst_s.append(instrumented())
-        overhead = min(inst_s) / min(bare_s) - 1.0
+        ratios = []
+        for chunk in range(chunks):
+            if chunk % 2:
+                bare_s = bare()
+                ratios.append(instrumented() / bare_s)
+            else:
+                inst_s = instrumented()
+                ratios.append(inst_s / bare())
+        overhead = statistics.median(ratios) - 1.0
         assert overhead < 0.05, "disabled-path overhead %.2f%%" % (
             100.0 * overhead)
 
