@@ -36,10 +36,9 @@ Three properties the tests and benchmark E19 rely on:
   canonical board order, inbound regions are drained in canonical
   source order, an exchanged event lands in the ring slot a local
   delivery would have used, and ring-buffer accumulation is exact
-  (fixed-point weights), so ``workers=4`` at full lookahead produces
-  results bit-identical to the serial engine.  Ring ``saturations`` are
-  counted per scatter call, so they differ when a cell is pushed past
-  the weight range by a same-board and a cross-board batch for one tick.
+  (fixed-point weights) and clamped only as the tick drains it, so
+  ``workers=4`` at full lookahead produces results bit-identical to the
+  serial engine, ring ``saturations`` included.
 * **Engine equivalence** — the board-engine semantics replicate the
   unsharded on-machine engine at zero timer stagger
   (``NeuralApplication(transport="fabric", stagger_us=0)``): identical

@@ -22,15 +22,15 @@ A key that reaches several of the engine's boards is delivered to each
 of them locally; batches on exported keys are also handed back, for the
 exchange or the report's tally.
 
-Determinism: the kernel's steps are elementwise per cell, ring
-accumulation sums fixed-point weights (exact multiples of 2^-4 in
-float64) and is therefore independent of delivery order and batching,
-each core owns its generator, and the engine touches no shared machine
-state.  A board therefore computes the same spike trains wherever and
-next to whatever it runs — the property the cluster runner relies on for
-worker-count-independent results, and the reason the sharded run is
-spike-train-equivalent to the unsharded engine
-(``NeuralApplication(transport="fabric", stagger_us=0)``), which
+Determinism: the kernel's steps are elementwise per cell, the ring sums
+fixed-point weights (exact multiples of 2^-4 in float64) and clamps a
+cell only as its tick drains it, so its inputs are independent of
+delivery order and batching, each core owns its generator, and the
+engine touches no shared machine state.  A board therefore computes the
+same spike trains wherever and next to whatever it runs — the property
+the cluster runner relies on for worker-count-independent results, and
+the reason the sharded run is spike-train-equivalent to the unsharded
+engine (``NeuralApplication(transport="fabric", stagger_us=0)``), which
 ``tests/test_cluster_fused.py`` pins.  Units are board-major, so within
 a tick each population's spikes are recorded in board order, the order
 :meth:`~repro.runtime.application.ApplicationResult.merge` gives the

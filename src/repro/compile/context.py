@@ -222,8 +222,7 @@ class BoardDeliveryIndex:
 
     Merging legs is result-exact: ring accumulation of the fixed-point
     weights is an exact float64 sum, so grouping events per key instead
-    of per leg lands identical charge (mid-batch ring saturation is the
-    only divergence, and only for a mixed-sign batch).
+    of per leg lands identical charge, and the drain clamps it alike.
     """
 
     #: First board-flat neuron index of each local core.

@@ -147,10 +147,7 @@ class Network:
         CSR matrices and defers them, with the programmed delays, in one
         ring call — in projection order, spiking rows ascending, storage
         order within a row: the order per-projection scatters sum in.
-        Plastic projections then update in network order.  The ring
-        clamps once per tick, so a cell one projection drives past the
-        16-bit range and another drives back lands on the clamped tick
-        sum (the oracle clamps per event, the board engine per batch list).
+        Plastic projections then update in network order.
         """
         if duration_ms < 0:
             raise ValueError("duration must be non-negative")

@@ -21,8 +21,11 @@ kernel (:mod:`repro.neuron.kernel`) lays the cells of the units that
 share a tick out as one ring's columns and is the only caller of
 ``drain()``.
 
-Both saturate at the 16-bit weight range, clamping once per batch over
-the cells the batch touched (:func:`_clamp_touched`).
+Both hold each cell's exact charge and saturate it at the 16-bit weight
+range once, when the tick drains it (:meth:`_Ring.drain`), counting one
+saturation per clamped cell.  A cell's input therefore depends only on
+the charge that reached it, not on how that charge was batched: per
+event, per projection, per board or per worker.
 """
 
 from __future__ import annotations
@@ -40,49 +43,66 @@ INDEX_BITS = 12
 #: Fixed-point scaling of the 16-bit weight field.
 WEIGHT_FIXED_POINT = 1 << 4
 #: Largest charge magnitude (nA) representable in the 16-bit fixed-point
-#: weight format (paper Section 5.3).  The deferred-event ring buffer
-#: accumulates in the same format on the real machine, so accumulated
-#: charge saturates — it cannot wrap — at this value.
+#: weight format (paper Section 5.3).  The deferred-event ring hands
+#: the neuron its input in the same format, so a cell's accumulated
+#: charge saturates — it cannot wrap — at this value when drained.
 WEIGHT_SATURATION_NA = ((1 << (WEIGHT_BITS - 1)) - 1) / WEIGHT_FIXED_POINT
 
 
-def _clamp_touched(buffer: np.ndarray, cells: np.ndarray, slots,
-                   n_rows: int = 0) -> int:
-    """Clamp the cells a batch touched at the 16-bit weight range; return
-    how many were over it.
+class _Ring:
+    """What both rings share: ``max_delay_ticks + 1`` slot rows of
+    ``width`` cells, one row drained (and clamped) per tick."""
 
-    The post-batch clamp of both rings.  Only cells the batch touched
-    can have newly crossed the limit (cells clamped by earlier batches
-    sit exactly *at* it and are not re-counted).  ``cells`` are the
-    batch's flat ring indices, duplicates and all, and ``slots`` the
-    rows holding them (indices, or slices of ``n_rows`` rows in all);
-    the cheaper test is chosen from their sizes — read the cells back
-    when the batch is much smaller than those rows (a gathered cell
-    costs about four scanned ones), scan the rows when it is denser —
-    so the cost never depends on how many units share a ring, and
-    either way each saturating cell is clamped and counted once.
-    """
-    if 4 * cells.size < (n_rows or len(slots)) * buffer.shape[1]:
-        flat = buffer.ravel()
-        over = np.abs(flat[cells]) > WEIGHT_SATURATION_NA
-        if not over.any():
-            return 0
-        hot = np.unique(cells[over])
-        flat[hot] = np.clip(flat[hot], -WEIGHT_SATURATION_NA,
-                            WEIGHT_SATURATION_NA)
-        return int(hot.size)
-    saturated = 0
-    for slot in slots:
-        row = buffer[slot]
-        n_over = int(np.count_nonzero(np.abs(row) > WEIGHT_SATURATION_NA))
-        if n_over:
-            saturated += n_over
-            np.clip(row, -WEIGHT_SATURATION_NA, WEIGHT_SATURATION_NA,
-                    out=row)
-    return saturated
+    def __init__(self, width: int, max_delay_ticks: int) -> None:
+        if max_delay_ticks < 1:
+            raise ValueError("max_delay_ticks must be at least 1")
+        self.max_delay_ticks = max_delay_ticks
+        self.n_slots = max_delay_ticks + 1
+        self._buffer = np.zeros((self.n_slots, width), dtype=float)
+        self._current_tick = 0
+        self.events_deferred = 0
+        #: Drained cells whose charge lay beyond the 16-bit weight range.
+        self.saturations = 0
+
+    @property
+    def current_tick(self) -> int:
+        """The tick whose inputs will be drained next."""
+        return self._current_tick
+
+    def drain(self) -> np.ndarray:
+        """Return and clear the inputs scheduled for the current tick.
+
+        Advances the ring to the next tick, exactly as the
+        timer-interrupt handler does before integrating the neuron
+        equations.  One ``(width,)`` copy, each cell clamped at the
+        16-bit weight range; the caller slices it into per-core (or
+        per-group) views.
+        """
+        slot = self._current_tick % self.n_slots
+        inputs = self._buffer[slot].copy()
+        self._buffer[slot] = 0.0
+        self._current_tick += 1
+        if (inputs.max() > WEIGHT_SATURATION_NA
+                or inputs.min() < -WEIGHT_SATURATION_NA):
+            self.saturations += int(np.count_nonzero(
+                np.abs(inputs) > WEIGHT_SATURATION_NA))
+            np.clip(inputs, -WEIGHT_SATURATION_NA, WEIGHT_SATURATION_NA,
+                    out=inputs)
+        return inputs
+
+    def pending_charge(self) -> float:
+        """Total charge currently waiting in the ring (for tests)."""
+        return float(np.sum(self._buffer))
+
+    def reset(self) -> None:
+        """Clear the ring and rewind the tick and counters."""
+        self._buffer[:] = 0.0
+        self._current_tick = 0
+        self.events_deferred = 0
+        self.saturations = 0
 
 
-class DeferredEventBuffer:
+class DeferredEventBuffer(_Ring):
     """The post-synaptic input ring buffer (the deferred-event model).
 
     The buffer holds one row per future timestep (up to ``max_delay``
@@ -98,20 +118,8 @@ class DeferredEventBuffer:
                  max_delay_ticks: int = MAX_DELAY_TICKS) -> None:
         if n_neurons <= 0:
             raise ValueError("n_neurons must be positive")
-        if max_delay_ticks < 1:
-            raise ValueError("max_delay_ticks must be at least 1")
+        super().__init__(n_neurons, max_delay_ticks)
         self.n_neurons = n_neurons
-        self.max_delay_ticks = max_delay_ticks
-        self.n_slots = max_delay_ticks + 1
-        self._buffer = np.zeros((self.n_slots, n_neurons), dtype=float)
-        self._current_tick = 0
-        self.events_deferred = 0
-        self.saturations = 0
-
-    @property
-    def current_tick(self) -> int:
-        """The tick whose inputs will be drained next."""
-        return self._current_tick
 
     def add_events(self, targets: np.ndarray, weights: np.ndarray,
                    delay_ticks: np.ndarray) -> None:
@@ -119,12 +127,7 @@ class DeferredEventBuffer:
 
         All three arrays are aligned per-event; the accumulation into the
         ring is performed with ``np.add.at`` so repeated ``(slot,
-        target)`` pairs sum in element order.  Saturation is clamped once
-        per touched buffer cell after each call, so a cell driven past
-        the 16-bit weight range mid-batch by mixed-sign weights lands on
-        the clamped batch sum: the clamp runs per event in the oracle,
-        once per tick on the host (one call for every projection) and
-        once per batch list on the board engine.
+        target)`` pairs sum in element order.
         """
         targets = np.asarray(targets, dtype=np.intp)
         delay_ticks = np.asarray(delay_ticks, dtype=np.intp)
@@ -139,65 +142,24 @@ class DeferredEventBuffer:
         if delay_ticks.min() < 1 or delay_ticks.max() > self.max_delay_ticks:
             raise ValueError("event delays outside 1..%d"
                              % (self.max_delay_ticks,))
+        self.events_deferred += int(targets.size)
         if targets.size <= 32:
             # Small batches (single DMA rows on the machine model) are
-            # cheaper through a scalar accumulate than through the fixed
-            # overhead of a vectorized scatter.  Clamping still happens
-            # per touched cell after the batch, so results never depend
-            # on which side of this threshold a batch falls.
-            touched_cells = set()
+            # cheaper through a scalar accumulate, in the same element
+            # order, than through the fixed overhead of a vectorized
+            # scatter.
             tick = self._current_tick
             for target, weight, delay in zip(targets.tolist(),
                                              weights.tolist(),
                                              delay_ticks.tolist()):
-                slot = (tick + delay) % self.n_slots
-                self._buffer[slot, target] += weight
-                touched_cells.add((slot, target))
-            self.events_deferred += int(targets.size)
-            for slot, target in touched_cells:
-                value = self._buffer[slot, target]
-                if value > WEIGHT_SATURATION_NA:
-                    self._buffer[slot, target] = WEIGHT_SATURATION_NA
-                    self.saturations += 1
-                elif value < -WEIGHT_SATURATION_NA:
-                    self._buffer[slot, target] = -WEIGHT_SATURATION_NA
-                    self.saturations += 1
+                self._buffer[(tick + delay) % self.n_slots, target] += weight
             return
         slots = (self._current_tick + delay_ticks) % self.n_slots
-        cells = slots * self.n_neurons + targets
-        np.add.at(self._buffer.ravel(), cells, weights)
-        self.events_deferred += int(targets.size)
-
-        touched = np.zeros(self.n_slots, dtype=bool)
-        touched[slots] = True
-        self.saturations += _clamp_touched(self._buffer, cells,
-                                           np.flatnonzero(touched))
-
-    def drain(self) -> np.ndarray:
-        """Return and clear the inputs scheduled for the current tick.
-
-        Advances the buffer to the next tick, exactly as the timer-interrupt
-        handler does before integrating the neuron equations.
-        """
-        slot = self._current_tick % self.n_slots
-        inputs = self._buffer[slot].copy()
-        self._buffer[slot] = 0.0
-        self._current_tick += 1
-        return inputs
-
-    def pending_charge(self) -> float:
-        """Total charge currently waiting in the buffer (for tests)."""
-        return float(np.sum(self._buffer))
-
-    def reset(self) -> None:
-        """Clear the buffer and rewind the tick and event/saturation counters."""
-        self._buffer[:] = 0.0
-        self._current_tick = 0
-        self.events_deferred = 0
-        self.saturations = 0
+        np.add.at(self._buffer.ravel(), slots * self.n_neurons + targets,
+                  weights)
 
 
-class FusedDeferredEventBuffer:
+class FusedDeferredEventBuffer(_Ring):
     """One deferred-event ring shared by every core of a board, for
     fixed-point weights.
 
@@ -218,31 +180,16 @@ class FusedDeferredEventBuffer:
     Bit-identity with per-core rings: weights are fixed-point multiples
     of ``2^-4`` held in float64, so ring accumulation is an exact sum
     and independent of event order or batch grouping — a single fused
-    scatter lands the same values as many per-core ones.  Saturation is
-    clamped once per touched cell after each call, as in
-    :meth:`DeferredEventBuffer.add_events`, so the two layouts agree
-    exactly whenever accumulated charge stays inside the 16-bit weight
-    range.
+    scatter lands the same values as many per-core ones, and the drain
+    clamps the same cells.
     """
 
     def __init__(self, total_width: int,
                  max_delay_ticks: int = MAX_DELAY_TICKS) -> None:
         if total_width <= 0:
             raise ValueError("total_width must be positive")
-        if max_delay_ticks < 1:
-            raise ValueError("max_delay_ticks must be at least 1")
+        super().__init__(total_width, max_delay_ticks)
         self.total_width = total_width
-        self.max_delay_ticks = max_delay_ticks
-        self.n_slots = max_delay_ticks + 1
-        self._buffer = np.zeros((self.n_slots, total_width), dtype=float)
-        self._current_tick = 0
-        self.events_deferred = 0
-        self.saturations = 0
-
-    @property
-    def current_tick(self) -> int:
-        """The tick whose inputs will be drained next."""
-        return self._current_tick
 
     def add_events(self, offsets: np.ndarray, weights: np.ndarray) -> None:
         """Accumulate a batch of events addressed by ring offset.
@@ -260,53 +207,24 @@ class FusedDeferredEventBuffer:
             raise ValueError("effective delays outside 0..%d (lookahead "
                              "bound violated)" % (self.max_delay_ticks,))
         # Delay rows first..first + n_rows - 1 sit at ring rows start..,
-        # wrapping at most once; cells are offsets rotated there.  The clamp
-        # may scan span rows the batch missed: none holds a cell over it.
+        # wrapping at most once.
         first = low // width
         n_rows = high // width - first + 1
         start = (self._current_tick + first) % self.n_slots
         head = min(n_rows, self.n_slots - start)
         self.events_deferred += int(offsets.size)
-        # A batch narrower than the ring scatters in place; a wider one is
-        # pre-summed per cell (exact in float64) and lands as slab adds —
-        # before its cells exist, so it never holds both per-event arrays.
-        wide = offsets.size >= width
-        if wide:
-            sums = np.bincount(offsets, weights=weights,
-                               minlength=(first + n_rows) * width)
-            sums = sums[first * width:].reshape(-1, width)
-            self._buffer[start:start + head] += sums[:head]
-            self._buffer[:n_rows - head] += sums[head:]
-            del sums
-        cells = offsets + (start - first) * width
-        if head < n_rows:
-            cells -= (cells >= size) * cells.dtype.type(size)
-        if not wide:
+        if offsets.size < width:
+            # A batch narrower than the ring scatters in place: its cells
+            # are its offsets rotated to the ring's rows.
+            cells = offsets + (start - first) * width
+            if head < n_rows:
+                cells -= (cells >= size) * cells.dtype.type(size)
             np.add.at(self._buffer.ravel(), cells, weights)
-        self.saturations += _clamp_touched(
-            self._buffer, cells,
-            (slice(start, start + head), slice(0, n_rows - head)), n_rows)
-
-    def drain(self) -> np.ndarray:
-        """Return and clear every core's inputs for the current tick.
-
-        One ``(total_width,)`` copy; the caller slices it into per-core
-        (or per-group) views.  Advances the ring exactly as the
-        per-core :meth:`DeferredEventBuffer.drain` does.
-        """
-        slot = self._current_tick % self.n_slots
-        inputs = self._buffer[slot].copy()
-        self._buffer[slot] = 0.0
-        self._current_tick += 1
-        return inputs
-
-    def pending_charge(self) -> float:
-        """Total charge currently waiting in the ring (for tests)."""
-        return float(np.sum(self._buffer))
-
-    def reset(self) -> None:
-        """Clear the ring and rewind the tick and counters."""
-        self._buffer[:] = 0.0
-        self._current_tick = 0
-        self.events_deferred = 0
-        self.saturations = 0
+            return
+        # A wider one is pre-summed per cell (exact in float64) and lands
+        # as slab adds.
+        sums = np.bincount(offsets, weights=weights,
+                           minlength=(first + n_rows) * width)
+        sums = sums[first * width:].reshape(-1, width)
+        self._buffer[start:start + head] += sums[:head]
+        self._buffer[:n_rows - head] += sums[head:]

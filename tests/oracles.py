@@ -22,8 +22,9 @@ the fast path equals it element for element:
 * :func:`build_rows` — the object-building connector loops, making the
   generator calls one synapse at a time (for fixed probability, one
   geometric gap at a time through each tile's keyed streams);
-* :class:`ScalarRing` — a per-event deferred-event ring that clamps at
-  the 16-bit weight range after *every* event;
+* :class:`ScalarRing` — a per-event deferred-event ring that clamps
+  each cell at the 16-bit weight range as it drains it, one cell at a
+  time;
 * :func:`stdp_update` — the per-synapse additive pair-based STDP rule;
 * :class:`ScalarLIF` / :class:`ScalarIzhikevich` — one neuron's membrane
   equations in Python floats, which pin the one array update each model
@@ -474,7 +475,8 @@ def csr_rows(csr) -> Rows:
 # The per-event deferred-event ring
 # ----------------------------------------------------------------------
 class ScalarRing:
-    """One core's input ring, updated and clamped one event at a time."""
+    """One core's input ring, updated one event at a time and clamped one
+    cell at a time as each tick drains."""
 
     def __init__(self, n_neurons: int,
                  max_delay_ticks: int = MAX_DELAY_TICKS) -> None:
@@ -499,14 +501,7 @@ class ScalarRing:
         if not 0 <= age <= delay_ticks:
             raise ValueError("age %d outside 0..%d" % (age, delay_ticks))
         slot = (self.current_tick + delay_ticks - age) % self.n_slots
-        accumulated = self.buffer[slot, target] + weight
-        if accumulated > WEIGHT_SATURATION_NA:
-            accumulated = WEIGHT_SATURATION_NA
-            self.saturations += 1
-        elif accumulated < -WEIGHT_SATURATION_NA:
-            accumulated = -WEIGHT_SATURATION_NA
-            self.saturations += 1
-        self.buffer[slot, target] = accumulated
+        self.buffer[slot, target] += weight
         self.events_deferred += 1
 
     def add_synapse(self, synapse: Synapse) -> None:
@@ -517,6 +512,13 @@ class ScalarRing:
         inputs = self.buffer[slot].copy()
         self.buffer[slot] = 0.0
         self.current_tick += 1
+        for cell, charge in enumerate(inputs.tolist()):
+            if charge > WEIGHT_SATURATION_NA:
+                inputs[cell] = WEIGHT_SATURATION_NA
+                self.saturations += 1
+            elif charge < -WEIGHT_SATURATION_NA:
+                inputs[cell] = -WEIGHT_SATURATION_NA
+                self.saturations += 1
         return inputs
 
     def pending_charge(self) -> float:

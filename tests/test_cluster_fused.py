@@ -25,6 +25,7 @@ from repro.cluster import ClusterApplication, FusedBoardEngine
 from repro.compile.context import BoardDeliveryIndex
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.neuron.connectors import (
+    AllToAllConnector,
     FixedProbabilityConnector,
     FromListConnector,
 )
@@ -235,10 +236,6 @@ def generated_network(draw: np.random.Generator) -> Network:
     sources carrying most of the synapses (the degree sequence
     arXiv:0908.0976 shows behaves unlike a uniform graph of the same
     density), with weights heavy enough to saturate ring cells.
-
-    The hubs' target receives excitation only: clamping a mixed-sign
-    batch depends on how the engine groups events, clamping a same-sign
-    one does not.
     """
     def size() -> int:
         return int(draw.integers(20, 70))
@@ -328,6 +325,59 @@ class TestGeneratedAgreement:
             assert results[workers].saturations == saturations
         assert results[2].spikes == results[1].spikes
         assert set(fabric.spikes) == set(host.spikes)
+
+
+class TestMixedSignSaturation:
+    """One ring cell driven past the 16-bit range by a same-board hub
+    and back by a cross-board one in the same tick.  The serial engine
+    scatters both batches in one call, a pool in a local call and then
+    at the barrier, the fabric one packet at a time: the cell must land
+    on the clamp of its exact sum in all three."""
+
+    @staticmethod
+    def network() -> Network:
+        network = Network(seed=SEED)
+        excitatory = network.add_population(
+            Population(24, "lif", label="m-exc"))
+        target = network.add_population(Population(8, "lif", label="m-tgt"))
+        # Unconnected cores that push the inhibitory hub onto board 1
+        # under round-robin placement.
+        network.add_population(Population(240, "lif", label="m-filler"))
+        inhibitory = network.add_population(
+            Population(24, "lif", label="m-inh"))
+        for hub in (excitatory, inhibitory):
+            hub.bias_current_na = 3.5
+        for population in (excitatory, target, inhibitory):
+            population.record(spikes=True)
+        # +3000 nA and -2880 nA per target cell and tick: +120 nA drives
+        # the targets; the clamp of +3000 first would leave -832 nA.
+        network.connect(excitatory, target,
+                        AllToAllConnector(weight=125.0, delay_ticks=3))
+        network.connect(inhibitory, target,
+                        AllToAllConnector(weight=-120.0, delay_ticks=3))
+        return network
+
+    def test_every_grouping_lands_the_exact_sum(self):
+        fabric = NeuralApplication(
+            cluster_machine(), self.network(), max_neurons_per_core=24,
+            placement_strategy="round-robin", transport="fabric",
+            stagger_us=0.0).run(60.0)
+        assert fabric.spikes["m-exc"] == fabric.spikes["m-inh"]
+        assert fabric.total_spikes("m-tgt") > 0
+        assert fabric.saturations == 0
+        results = {}
+        for workers in (1, 2):
+            cluster = ClusterApplication(
+                cluster_machine(), self.network(), max_neurons_per_core=24,
+                placement_strategy="round-robin")
+            results[workers] = cluster.run(60.0, workers=workers)
+            board_of = {spec.vertex.population_label: board
+                        for board, context in cluster.board_contexts.items()
+                        for spec in context.cores}
+            assert board_of["m-exc"] == board_of["m-tgt"] != board_of["m-inh"]
+            assert_equivalent(results[workers], fabric)
+            assert results[workers].saturations == 0
+        assert results[2].spikes == results[1].spikes
 
 
 # ----------------------------------------------------------------------
@@ -473,10 +523,9 @@ def ring_offsets(cells, effective_delays, width) -> np.ndarray:
 @st.composite
 def ring_batches(draw):
     """A ring width, a start position and batches of ``(cell, weight,
-    delay, age)`` events: sizes on both sides of the width and of the
-    clamp's ``4 * events < rows * width`` switch, delays spanning one
-    row to the whole ring, ages ``0..delay`` and fixed-point weights of
-    one sign per batch, heavy enough to saturate."""
+    delay, age)`` events: sizes on both sides of the width, delays
+    spanning one row to the whole ring, ages ``0..delay`` and
+    fixed-point weights of both signs, heavy enough to saturate."""
     width = draw(st.integers(1, 40))
     position = draw(st.integers(0, 2 * (MAX_DELAY_TICKS + 1)))
     batches = []
@@ -487,11 +536,10 @@ def ring_batches(draw):
         age = draw(st.integers(0, MAX_DELAY_TICKS))
         low = draw(st.integers(max(age, 1), MAX_DELAY_TICKS))
         high = draw(st.integers(low, MAX_DELAY_TICKS))
-        sign = draw(st.sampled_from([-1, 1]))
         seed = draw(st.integers(0, 2 ** 16))
         rng = np.random.default_rng(seed)
         batches.append((rng.integers(0, width, size),
-                        sign * rng.integers(0, 24000, size) / 16.0,
+                        rng.integers(-24000, 24000, size) / 16.0,
                         rng.integers(low, high + 1, size), age))
     return width, position, batches
 
@@ -501,35 +549,26 @@ class TestFusedDeferredEventBuffer:
     @given(ring_batches())
     def test_offsets_match_the_scalar_ring(self, drawn):
         """``add_events(offsets, weights)`` lands, wherever the ring
-        stands when a batch arrives, what :class:`ScalarRing` lands:
-        fed event by event, the same cells (a same-sign batch clamps
-        alike per event and per batch); fed each batch's exact charge
-        per cell — the batch contract, one clamp per touched cell — the
-        same cells and the same saturation count too."""
+        stands when a batch arrives, what :class:`ScalarRing` fed event
+        by event lands — the same exact charge in every cell — and
+        drains the same clamped rows and saturation count."""
         width, position, batches = drawn
         ring = FusedDeferredEventBuffer(width)
-        per_event, per_cell = ScalarRing(width), ScalarRing(width)
+        scalar = ScalarRing(width)
         for _ in range(position):
-            for buffer in (ring, per_event, per_cell):
-                buffer.drain()
+            ring.drain()
+            scalar.drain()
         for cells, weights, delays, age in batches:
             ring.add_events(ring_offsets(cells, delays - age, width),
                             weights)
-            charge = {}
             for cell, weight, delay in zip(cells.tolist(), weights.tolist(),
                                            delays.tolist()):
-                per_event.add_input(cell, weight, delay, age=age)
-                charge[(cell, delay - age)] = (
-                    charge.get((cell, delay - age), 0.0) + weight)
-            for (cell, effective), total in charge.items():
-                delay = max(effective, 1)
-                per_cell.add_input(cell, total, delay, age=delay - effective)
-            assert np.array_equal(ring._buffer, per_event.buffer)
-            assert np.array_equal(ring._buffer, per_cell.buffer)
-            assert ring.saturations == per_cell.saturations
-        assert ring.events_deferred == per_event.events_deferred
+                scalar.add_input(cell, weight, delay, age=age)
+            assert np.array_equal(ring._buffer, scalar.buffer)
+        assert ring.events_deferred == scalar.events_deferred
         for _ in range(MAX_DELAY_TICKS + 1):
-            assert np.array_equal(ring.drain(), per_event.drain())
+            assert np.array_equal(ring.drain(), scalar.drain())
+        assert ring.saturations == scalar.saturations
 
     def test_ring_offsets_land_in_the_right_columns(self):
         ring = FusedDeferredEventBuffer(7)
@@ -604,18 +643,17 @@ class TestFusedDeferredEventBuffer:
         big = WEIGHT_SATURATION_NA * 0.75
         ring.add_events(ring_offsets([1, 1], [0, 0], 3),
                         np.array([big, big]))
-        assert ring.saturations == 1
+        ring.add_events(ring_offsets([1], [0], 3), np.array([big]))
         row = ring.drain()
         assert row[1] == WEIGHT_SATURATION_NA
+        assert ring.saturations == 1
 
-    def test_accumulate_and_clamp_paths_agree(self):
+    def test_scatter_and_presum_paths_agree(self):
         """A batch narrower than the ring scatters in place, a wider one
-        pre-sums over its rows; the clamp reads the touched cells back
-        or scans the rows.  The same 96 fixed-point events over three
-        delay rows must land the same cells and saturation count on
-        every side of both thresholds (``96 == width`` and ``4 * 96 ==
-        3 * width``), and at every ring position, so that the row span
-        also wraps."""
+        pre-sums over its rows.  The same 96 fixed-point events over
+        three delay rows must land the same cells and saturation count
+        on both sides of ``96 == width``, and at every ring position, so
+        that the row span also wraps."""
         rng = np.random.default_rng(9)
         cells = rng.integers(0, 6, size=96)
         weights = rng.integers(-8000, 24001, size=96) / 16.0

@@ -552,38 +552,42 @@ class TestVectorizedBufferScatter:
         assert large_value == pytest.approx(expected)
         assert small_sats == large_sats == 1
 
-    def test_dense_and_sparse_clamp_paths_agree(self):
-        # The post-batch clamp reads the touched cells back when the
-        # batch is much smaller than the slot rows it touched and scans
-        # those rows when it is denser; the same 64 events over two slot
-        # rows must land the same cells and saturation count in rings
-        # either side of ``4 * 64 == 2 * width`` — i.e. however many
-        # units share the ring.
+    def test_saturation_independent_of_batching_and_width(self):
+        # The clamp runs per drained cell on the exact charge sum, so the
+        # same 64 events over two slot rows land the same cells and
+        # saturation count whether they arrive one call each, in
+        # scalar-path batches of 8 or as one vectorized batch, and however
+        # many units share the ring.
         from repro.neuron.synapse import WEIGHT_SATURATION_NA
 
-        def fill(n_neurons):
+        def fill(n_neurons, batch):
             buffer = DeferredEventBuffer(n_neurons)
             n_events = 64
             targets = np.arange(n_events) % 4
             # Cell 0 saturates positive, cell 1 negative, cell 2 crosses
-            # the limit mid-batch and comes back, cell 3 stays small.
+            # the limit mid-tick and comes back, cell 3 stays small.
             weights = np.choose(targets, [WEIGHT_SATURATION_NA / 4.0,
                                           -WEIGHT_SATURATION_NA / 4.0,
                                           0.0, 0.5])
             weights[2] = 1.5 * WEIGHT_SATURATION_NA
             weights[6] = -WEIGHT_SATURATION_NA
             delays = 1 + (np.arange(n_events) // 8) % 2
-            buffer.add_events(targets, weights, delays)
+            for first in range(0, n_events, batch):
+                part = slice(first, first + batch)
+                buffer.add_events(targets[part], weights[part],
+                                  delays[part])
             buffer.drain()
             rows = [buffer.drain()[:4].tolist() for _ in range(2)]
             return rows, buffer.saturations
 
-        rows, saturations = fill(4)            # dense: row scan
+        rows, saturations = fill(4, 64)
         assert saturations == 4
         assert rows[0][:2] == [WEIGHT_SATURATION_NA, -WEIGHT_SATURATION_NA]
         assert rows[0][2] == 0.5 * WEIGHT_SATURATION_NA
-        for n_neurons in (127, 128, 129, 1000):   # 128: last scanned width
-            assert fill(n_neurons) == (rows, saturations), n_neurons
+        for n_neurons in (4, 128, 1000):
+            for batch in (1, 8, 64):
+                assert fill(n_neurons, batch) == (rows, saturations), (
+                    n_neurons, batch)
 
     def test_scatter_equals_object_loop(self, rng):
         rows, csr = random_pair(rng, n_pre=30, n_post=25)

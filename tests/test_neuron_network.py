@@ -287,9 +287,9 @@ class TestNetworkSimulation:
         assert len(calls) == len(ticks) <= 100
 
     def test_saturation_clamps_the_tick_sum(self, monkeypatch):
-        """The host clamps a cell once per tick, over every projection's
-        events: +3000 then -500 nA lands on clamp(2500), one saturation;
-        +3000 then -1500 nA lands on 1500, none."""
+        """The ring clamps a cell once, as its tick drains it, over every
+        projection's events: +3000 then -500 nA lands on clamp(2500), one
+        saturation; +3000 then -1500 nA lands on 1500, none."""
         drained = []
         drain = DeferredEventBuffer.drain
 

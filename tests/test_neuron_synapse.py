@@ -179,28 +179,38 @@ class TestDeferredEventBuffer:
         assert buffer.current_tick == 0
 
     def test_accumulated_charge_saturates_at_weight_range(self):
-        # Paper Section 5.3: ring-buffer slots accumulate in the 16-bit
-        # fixed-point weight format, so they saturate rather than wrap.
+        # Paper Section 5.3: the ring hands the neuron its input in the
+        # 16-bit fixed-point weight format, so a cell saturates rather
+        # than wraps — clamped, and counted, when its tick drains it.
         buffer = DeferredEventBuffer(2)
         defer(buffer, 0, WEIGHT_SATURATION_NA + 500.0, 1)
-        assert buffer.saturations == 1
+        assert buffer.saturations == 0
         assert buffer.drain().sum() == 0.0
         assert buffer.drain()[0] == pytest.approx(WEIGHT_SATURATION_NA)
+        assert buffer.saturations == 1
 
-    def test_saturation_counts_each_clamping_event(self):
-        buffer = DeferredEventBuffer(1)
+    def test_saturation_counts_each_clamped_cell_once(self):
+        # However many calls push a cell past the limit, its drain clamps
+        # it once; a cell pushed past it and back lands on the exact sum.
+        buffer = DeferredEventBuffer(2)
         defer(buffer, 0, 0.75 * WEIGHT_SATURATION_NA, 1)
-        assert buffer.saturations == 0
         defer(buffer, 0, 0.75 * WEIGHT_SATURATION_NA, 1)
         defer(buffer, 0, 1.0, 1)
-        assert buffer.saturations == 2
+        defer(buffer, 1, 1.5 * WEIGHT_SATURATION_NA, 1)
+        defer(buffer, 1, -WEIGHT_SATURATION_NA, 1)
+        buffer.drain()
+        drained = buffer.drain()
+        assert drained[0] == WEIGHT_SATURATION_NA
+        assert drained[1] == pytest.approx(0.5 * WEIGHT_SATURATION_NA)
+        assert buffer.saturations == 1
 
     def test_negative_charge_saturates_symmetrically(self):
         buffer = DeferredEventBuffer(1)
         defer(buffer, 0, -2.0 * WEIGHT_SATURATION_NA, 3)
-        assert buffer.saturations == 1
         buffer.drain(); buffer.drain(); buffer.drain()
+        assert buffer.saturations == 0
         assert buffer.drain()[0] == pytest.approx(-WEIGHT_SATURATION_NA)
+        assert buffer.saturations == 1
 
     def test_vectorized_scatter_saturates_and_counts(self):
         buffer = DeferredEventBuffer(4)
@@ -208,15 +218,16 @@ class TestDeferredEventBuffer:
                           np.array([WEIGHT_SATURATION_NA,
                                     WEIGHT_SATURATION_NA, 1.0]),
                           np.array([1, 1, 1]))
-        assert buffer.saturations == 1
         buffer.drain()
         drained = buffer.drain()
         assert drained[0] == pytest.approx(WEIGHT_SATURATION_NA)
         assert drained[2] == pytest.approx(1.0)
+        assert buffer.saturations == 1
 
     def test_reset_clears_saturation_counter(self):
         buffer = DeferredEventBuffer(1)
         defer(buffer, 0, 2.0 * WEIGHT_SATURATION_NA, 1)
+        buffer.drain(); buffer.drain()
         assert buffer.saturations == 1
         buffer.reset()
         assert buffer.saturations == 0
@@ -230,8 +241,8 @@ class TestDeferredEventBuffer:
     def test_charge_is_conserved(self, events):
         # Property: everything added to the buffer is drained exactly once
         # within max_delay ticks — no charge is lost or duplicated.
-        # One event per call clamps per event, so the batch entry point
-        # must also equal the scalar ring slot for slot.
+        # The batch entry point must also equal the scalar ring slot for
+        # slot.
         buffer = DeferredEventBuffer(10)
         scalar = ScalarRing(10)
         total_in = 0.0
