@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Dict, List, Union
+from typing import Callable, Dict, List
 
 import numpy as np
 import pytest
@@ -144,7 +144,7 @@ def scenario_matrix_cluster() -> List[Figures]:
         placement_strategy="round-robin")
 
 
-def fabric_e17() -> Figures:
+def fabric_e17() -> List[Figures]:
     seed, pairs, n, run_ms = 11, 4, 128, 30.0
     network = workloads.fabric_network(pairs, n, seed)
     app = NeuralApplication(
@@ -153,18 +153,18 @@ def fabric_e17() -> Figures:
                              cores_per_chip=workloads.FABRIC_CORES), seed),
         network, max_neurons_per_core=n, seed=seed, transport="fabric",
         stagger_us=0.0)
-    return machine_figures(network, app, app.run(run_ms))
+    return [machine_figures(network, app, app.run(run_ms))]
 
 
-def host_e17() -> Figures:
+def host_e17() -> List[Figures]:
     """e17's network through the host reference loop."""
     network = workloads.fabric_network(4, 128, 11)
-    return result_figures(network, network.run(30.0))
+    return [result_figures(network, network.run(30.0))]
 
 
-def generated(scenario: int) -> Figures:
+def generated(scenario: int) -> List[Figures]:
     network = generated_network(np.random.default_rng(scenario))
-    return result_figures(network, network.run(50.0))
+    return [result_figures(network, network.run(50.0))]
 
 
 def control_network() -> Network:
@@ -200,9 +200,10 @@ def control() -> List[Figures]:
         placement_strategy="round-robin")
 
 
-#: Each scenario gives its figures, a cluster scenario one set per
-#: :data:`CLUSTER_WORKERS` entry.
-SCENARIOS: Dict[str, Callable[[], Union[Figures, List[Figures]]]] = {
+#: Each scenario gives a list of runs' figures, which must all equal its
+#: one answer: a cluster scenario one run per :data:`CLUSTER_WORKERS`
+#: entry, any other scenario one run.
+SCENARIOS: Dict[str, Callable[[], List[Figures]]] = {
     "compile_remap": compile_remap,
     "scenario_matrix_cluster": scenario_matrix_cluster,
     "ring8_96_dense": lambda: ring8(96, workloads.DENSE, 50.0),
@@ -223,8 +224,6 @@ def load_answers() -> Dict[str, Figures]:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_answers_unchanged(name, request):
     runs = SCENARIOS[name]()
-    if isinstance(runs, dict):
-        runs = [runs]
     if request.config.getoption("--update-answers"):
         answers = load_answers()
         answers[name] = runs[0]

@@ -28,7 +28,7 @@ from repro.cluster import (
     FusedBoardEngine,
     superstep_schedule,
 )
-from repro.cluster.application import _assign_boards
+from repro.cluster.application import ClusterReport, _assign_boards
 from repro.compile import MappingPipeline
 from repro.core.geometry import ChipCoordinate, Direction
 from repro.core.machine import (
@@ -519,6 +519,19 @@ class TestBoardAssignment:
         round_robin = busiest({board: board % 2 for board in range(4)})
         assert lpt < round_robin
         assert sum(weights.values()) / lpt == pytest.approx(2.0)
+
+    def test_report_bound_is_total_over_busiest_worker(self):
+        pooled = ClusterReport(n_boards=4, workers=2, n_ticks=10,
+                               worker_compute_s={0: 10.0, 1: 5.0})
+        assert pooled.total_compute_s == 15.0
+        assert pooled.critical_path_s == 10.0
+        assert pooled.speedup_bound == 1.5
+        serial = ClusterReport(n_boards=4, workers=1, n_ticks=10,
+                               worker_compute_s={0: 7.0})
+        assert serial.critical_path_s == 7.0
+        assert serial.speedup_bound == 1.0
+        assert ClusterReport(n_boards=4, workers=1,
+                             n_ticks=0).speedup_bound == 1.0
 
 
 # ----------------------------------------------------------------------
