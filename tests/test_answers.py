@@ -47,8 +47,9 @@ ANSWERS = Path(__file__).with_name("answers.json")
 Figures = Dict[str, object]
 
 #: The worker counts every cluster scenario runs at: the serial runner
-#: and the pool, which must both reproduce the scenario's answer.
-CLUSTER_WORKERS = (1, 2)
+#: and pools of two and three workers (three is an uneven cut of a
+#: four-board machine), which must all reproduce the scenario's answer.
+CLUSTER_WORKERS = (1, 2, 3)
 
 
 def booted(config: MachineConfig, seed: int = 1) -> SpiNNakerMachine:

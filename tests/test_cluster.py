@@ -100,8 +100,19 @@ def small_cluster_machine() -> SpiNNakerMachine:
     return machine
 
 
-def sharded_app(network: Network = None, **kwargs) -> ClusterApplication:
-    return ClusterApplication(small_cluster_machine(),
+def four_board_machine() -> SpiNNakerMachine:
+    """Four boards in a row, small enough that the chained network's 24
+    cores land six on each board."""
+    machine = SpiNNakerMachine(MachineConfig.multi_board(
+        4, 1, board_width=2, board_height=2, cores_per_chip=4))
+    BootController(machine, seed=1).boot()
+    return machine
+
+
+def sharded_app(network: Network = None, machine: SpiNNakerMachine = None,
+                **kwargs) -> ClusterApplication:
+    return ClusterApplication(machine if machine is not None
+                              else small_cluster_machine(),
                               network if network is not None
                               else chained_network(),
                               seed=SEED, max_neurons_per_core=32, **kwargs)
@@ -273,10 +284,15 @@ class TestClusterApplication:
         assert sharded.delivered_charge_na == unsharded.delivered_charge_na
         assert sharded.packets_sent == unsharded.packets_sent
 
-    def test_results_are_worker_count_independent(self):
-        serial = sharded_app().run(60.0, workers=1)
-        pooled_app = sharded_app()
-        pooled = pooled_app.run(60.0, workers=2)
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_results_are_worker_count_independent(self, workers):
+        """Trains compare order-sensitively: within a tick each label's
+        spikes must come in board order whatever the cut (three workers
+        on four boards is the uneven one)."""
+        serial = sharded_app(machine=four_board_machine()).run(
+            60.0, workers=1)
+        pooled_app = sharded_app(machine=four_board_machine())
+        pooled = pooled_app.run(60.0, workers=workers)
         assert pooled.spikes == serial.spikes
         for label in serial.spike_counts:
             assert np.array_equal(serial.spike_counts[label],
@@ -284,8 +300,9 @@ class TestClusterApplication:
         assert pooled.synaptic_events == serial.synaptic_events
         assert pooled.delivered_charge_na == serial.delivered_charge_na
         report = pooled_app.report
-        assert report.workers == 2
-        assert set(report.assignment.values()) == {0, 1}
+        assert report.n_boards == 4
+        assert report.workers == workers
+        assert set(report.assignment.values()) == set(range(workers))
         assert report.total_compute_s > 0
         assert report.speedup_bound >= 1.0
 
