@@ -12,11 +12,13 @@ four production 8x6 boards, 96 vertices of 256 LIF neurons):
   because they exclude one-time engine construction and result
   materialisation; the figure is the best of ``ROUNDS`` rounds to shed
   scheduler jitter.
-* **Bit-identity** — a pooled run (4 workers) reproduces the serial run
-  bit for bit: spike trains, spike counts, synaptic events, delivered
-  charge and packet counters.  Its per-stage split is emitted too, so
-  the split-barrier overlap (barrier-wait share of worker time) stays
-  visible in the gated JSON.
+* **Bit-identity** — pooled runs reproduce the serial run bit for bit:
+  spike trains, spike counts, synaptic events, delivered charge and
+  packet counters.  Four workers step one board each; two workers step
+  two boards each as one engine, so a spike between a worker's own
+  boards never enters the exchange.  The four-worker run's per-stage
+  split is emitted too, so the split-barrier overlap (barrier-wait
+  share of worker time) stays visible in the gated JSON.
 
 That the engine equals the unsharded on-machine run is pinned by
 ``tests/test_cluster_fused.py``; this file only measures.
@@ -50,6 +52,8 @@ RATE_HZ = 120.0
 DURATION_MS = 80.0
 ROUNDS = 3                     # best-of-N, jitter suppression
 WORKERS = 4
+#: A pool whose workers own two boards each.
+PAIRED_WORKERS = 2
 
 
 def _build_network() -> Network:
@@ -127,6 +131,8 @@ def test_e20_fused_engine(benchmark, stage_profiling):
     # ------------------------------------------------------------------
     # Pooled run: bit-identical to serial, barrier share visible
     # ------------------------------------------------------------------
+    paired = app.run(DURATION_MS, workers=PAIRED_WORKERS)
+    paired_identical = _bit_identical(serial, paired)
     pooled = app.run(DURATION_MS, workers=WORKERS)
     pooled_report = app.report
     bit_identical = _bit_identical(serial, pooled)
@@ -148,6 +154,7 @@ def test_e20_fused_engine(benchmark, stage_profiling):
         "fused_compute_s": best,
         "fused_tick_ms": 1e3 * best / n_ticks,
         "bit_identical": bit_identical,
+        "bit_identical_paired": paired_identical,
         "pool_workers": pooled_report.workers,
         "pool_compute_s": stage_totals["compute"],
         "pool_barrier_wait_s": stage_totals["barrier_wait"],
@@ -163,3 +170,5 @@ def test_e20_fused_engine(benchmark, stage_profiling):
 
     assert serial.total_spikes() > 0
     assert bit_identical, "pooled run diverged from the serial run"
+    assert paired_identical, \
+        "two-worker run diverged from the serial run"

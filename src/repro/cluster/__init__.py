@@ -16,13 +16,14 @@ models that assembly and exploits it for execution:
 * :class:`~repro.cluster.exchange.ExchangePlan` and
   :class:`~repro.cluster.exchange.SharedMemoryExchange` — the pool's
   spike data path: worker-side routing tables, preallocated
-  shared-memory regions of packed ``uint32`` batches, and the
-  conservative-lookahead super-step schedule (``L = 1 + d_min`` ticks
-  between barriers);
+  shared-memory regions of packed ``uint32`` batches (one per worker
+  pair), and the conservative-lookahead super-step schedule (``L = 1 +
+  d_min`` ticks between barriers);
 * :class:`~repro.cluster.application.ClusterApplication` — the sharded
-  runner: serially, one engine over every board with no exchange; in a
-  pool of persistent worker processes, one engine per board, exchanging
-  cross-board spike batches through shared memory at super-step
+  runner: each worker steps a contiguous run of boards as one engine.
+  Serially that is one engine over every board with no exchange; in a
+  pool of persistent worker processes, the engines exchange the batches
+  that cross between workers through shared memory at super-step
   barriers.  Results are bit-identical whatever the worker count or
   lookahead depth, and spike-train-equivalent to the unsharded
   on-machine engine (``NeuralApplication(transport="fabric",

@@ -1,44 +1,43 @@
 """The sharded cluster runner (:class:`ClusterApplication`).
 
-Runs a compiled network sharded by board.  ``workers=1`` is one
-:class:`~repro.cluster.fused.FusedBoardEngine` over every board, stepped
-tick by tick: each spike batch is delivered on every board it reaches
-in the same scatter, so there is nothing to exchange and no barrier to
-take.  A pool of persistent worker processes runs one engine per board
-instead, as a conservative-lookahead PDES over the board graph (see
-:mod:`repro.cluster.exchange` for the data path):
+Runs a compiled network sharded by board.  The boards are cut, in board
+order, into one contiguous run per worker, and each worker steps its run
+as one :class:`~repro.cluster.fused.FusedBoardEngine` (per-model stacked
+state blocks, one shared event ring, one scatter per batch list), which
+delivers each spike batch on every board of its own it reaches.
+``workers=1`` is that engine over every board, stepped tick by tick, with
+nothing to exchange and no barrier to take.  A pool of persistent worker
+processes runs the engines as a conservative-lookahead PDES over the
+worker cut (see :mod:`repro.cluster.exchange` for the data path):
 
-* boards run ``L = 1 + d_min`` ticks between barriers (``d_min`` = the
+* workers run ``L = 1 + d_min`` ticks between barriers (``d_min`` = the
   minimum cross-board synaptic delay, read per board pair by the
   ShardByBoard pass) — cross-board spikes cannot arrive sooner, so the
   barrier amortises over the whole super-step;
-* same-board traffic is delivered inside the owning worker and never
-  serialised at all;
-* cross-board batches travel as packed ``uint32`` records through
-  preallocated shared-memory regions, routed worker-side via the
-  ``key -> destination boards`` table — the parent joins a shared
-  *split barrier* per super-step and tallies the same shared regions
-  (and, with ``account_transport=True``, replays them through the
-  transport fabric), but is never on the per-spike data path;
+* traffic between a worker's own boards is delivered inside its engine;
+  traffic between workers travels as packed ``uint32`` records through
+  preallocated shared-memory regions, one per worker pair, routed
+  worker-side via the ``key -> destination workers`` table — the parent
+  joins a shared *split barrier* per super-step and tallies the same
+  regions (and, with ``account_transport=True``, replays them through
+  the transport fabric), but is never on the per-spike data path;
 * the super-step schedule is shipped to the workers up front, so the
   only synchronisation left is one ``multiprocessing.Barrier`` per
-  super-step: workers publish their batches, prefetch the next
-  super-step's stimulus while the slowest party catches up, and resume
-  compute the moment the barrier opens — the parent's accounting of the
-  previous bank overlaps the workers' compute instead of gating it;
-* boards are stepped by the fused engine
-  (:class:`~repro.cluster.fused.FusedBoardEngine`: per-model stacked
-  state blocks, one shared event ring, one scatter per batch list).
+  super-step: workers publish their batches, draw the next super-step's
+  stimulus while the slowest party catches up, and resume compute the
+  moment the barrier opens — the parent's accounting of the previous
+  bank overlaps the workers' compute instead of gating it.
 
 Three properties the tests and benchmark E19 rely on:
 
-* **Worker-count and lookahead independence** — boards are stepped in
-  canonical board order, inbound regions are drained in canonical
-  source order, an exchanged event lands in the ring slot a local
-  delivery would have used, and ring-buffer accumulation is exact
-  (fixed-point weights) and clamped only as the tick drains it, so
-  ``workers=4`` at full lookahead produces results bit-identical to the
-  serial engine, ring ``saturations`` included.
+* **Worker-count and lookahead independence** — engines are board-major
+  and the cut contiguous, so the workers' results merged in worker
+  order keep each tick's spikes in board order; an exchanged event
+  lands in the ring slot a local delivery would have used, and
+  ring-buffer accumulation is exact (fixed-point weights) and clamped
+  only as the tick drains it, so a pool at full lookahead produces
+  results bit-identical to the serial engine, ring ``saturations``
+  included.
 * **Engine equivalence** — the board-engine semantics replicate the
   unsharded on-machine engine at zero timer stagger
   (``NeuralApplication(transport="fabric", stagger_us=0)``): identical
@@ -55,6 +54,8 @@ Three properties the tests and benchmark E19 rely on:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import multiprocessing
 import threading
 from dataclasses import dataclass, field
@@ -62,6 +63,7 @@ from multiprocessing.connection import wait as connection_wait
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.exchange import (
+    UNCONSTRAINED_LOOKAHEAD,
     ExchangePlan,
     SharedMemoryExchange,
     superstep_schedule,
@@ -120,15 +122,14 @@ class ClusterReport:
     #: lookahead)``): the pool takes one barrier per super-step, the
     #: serial run none.
     supersteps: int = 0
-    #: Seconds each worker's engines spent computing (stepping + local
+    #: Seconds each worker's engine spent computing (stepping + local
     #: delivery; exchange work is profiled separately).  The serial run
     #: is worker ``0``.
     worker_compute_s: Dict[int, float] = field(default_factory=dict)
     #: Board -> worker assignment used by the run.
     assignment: Dict[int, int] = field(default_factory=dict)
     #: Cross-board batch copies / spikes: one per destination board other
-    #: than the source's (same-board traffic is delivered locally and not
-    #: counted).
+    #: than the source's, whatever the worker cut.
     exchanged_batches: int = 0
     exchanged_spikes: int = 0
     #: Board-to-board link traversals replayed through the transport
@@ -188,20 +189,35 @@ class ClusterReport:
 
 def _assign_boards(boards: List[int], workers: int,
                    weights: Dict[int, int]) -> Dict[int, int]:
-    """Assign boards to workers, greedy longest-processing-time.
+    """Cut the boards, in board order, into ``workers`` contiguous runs.
 
-    Boards are taken heaviest-first (weight = placed-vertex count) and
-    each lands on the least-loaded worker, which raises the load-balance
-    ``speedup_bound`` on skewed placements.  Fully deterministic (ties
-    break on lowest board id / lowest worker index).
+    The cut is exact (a linear partition over board prefixes): it
+    minimises the heaviest run's weight (placed cores), which sets the
+    load-balance ``speedup_bound``, and gives every worker a board.
+    Contiguity lets the workers' results merge, in worker order, into
+    board order.  Ties take the earliest cuts.
     """
-    loads = [0.0] * workers
-    assignment: Dict[int, int] = {}
-    for board in sorted(boards, key=lambda b: (-weights[b], b)):
-        worker = min(range(workers), key=lambda w: (loads[w], w))
-        assignment[board] = worker
-        loads[worker] += weights[board]
-    return {board: assignment[board] for board in boards}
+    prefix = list(itertools.accumulate((weights[b] for b in boards),
+                                       initial=0))
+    n = len(boards)
+
+    @functools.lru_cache(maxsize=None)
+    def cut(runs: int, start: int) -> Tuple[int, Tuple[int, ...]]:
+        """The heaviest run and the run ends of boards[start:]'s best
+        cut into ``runs`` runs."""
+        if runs == 1:
+            return prefix[n] - prefix[start], (n,)
+        options = []
+        for end in range(start + 1, n - runs + 2):
+            heaviest, ends = cut(runs - 1, end)
+            options.append((max(prefix[end] - prefix[start], heaviest),
+                            (end,) + ends))
+        return min(options)
+
+    ends = cut(workers, 0)[1]
+    return {board: worker
+            for worker, (start, end) in enumerate(zip((0,) + ends, ends))
+            for board in boards[start:end]}
 
 
 def _stage_dict(snapshot) -> Dict[str, float]:
@@ -239,30 +255,27 @@ def _watch_workers(processes, stop_conn, barrier, released) -> None:
     barrier.abort()
 
 
-def _shard_worker(conn, contexts: Dict[int, BoardContext], populations,
-                  seed: Optional[int], timestep_ms: float,
+def _shard_worker(conn, worker: int, contexts: List[BoardContext],
+                  populations, seed: Optional[int], timestep_ms: float,
                   plan: ExchangePlan, exchange: SharedMemoryExchange,
                   barrier, released, profile: bool) -> None:
-    """Worker-process loop: run the whole super-step schedule against a
-    shared split barrier; the pipe carries only the run request and the
-    final results.
+    """Worker-process loop: one engine over the worker's boards runs the
+    whole super-step schedule against a shared split barrier; the pipe
+    carries only the run request and the final result.
 
     Per super-step: wait at the barrier (every writer of the previous
-    bank has finished), apply the previous bank's inbound batches, then
-    compute the super-step's ticks and publish what each board exports.
-    Before blocking on the next barrier the worker prefetches the coming
-    super-step's stimulus masks, so barrier wait time does useful work,
-    while the parent accounts the bank just written.  After a last
-    barrier the final bank's in-flight deliveries are drained (the
-    on-machine run drains after halting, too).  Boards, and each
-    destination's source regions, are visited in canonical order.  A
-    broken barrier means some process died; the worker just exits (the
-    parent diagnoses who).
+    bank has finished), apply the previous bank's inbound batches in one
+    scatter, then compute the super-step's ticks and publish what the
+    engine exports.  Before blocking on the next barrier the worker
+    draws the coming super-step's stimulus, so barrier wait time does
+    useful work, while the parent accounts the bank just written.  After
+    a last barrier the final bank's in-flight deliveries are drained
+    (the on-machine run drains after halting, too).  A broken barrier
+    means some process died; the worker just exits (the parent
+    diagnoses who).
     """
-    engines = {board: FusedBoardEngine([context], populations, seed,
-                                       timestep_ms,
-                                       export_keys=plan.export_keys[board])
-               for board, context in sorted(contexts.items())}
+    engine = FusedBoardEngine(contexts, populations, seed, timestep_ms,
+                              export_keys=plan.export_keys[worker])
     # A worker-local registry; its snapshot rides the existing result
     # pipe and the parent merges it.  A disabled stage entry is one flag
     # check, so the un-profiled tick loop stays clean of clock reads.
@@ -278,9 +291,9 @@ def _shard_worker(conn, contexts: Dict[int, BoardContext], populations,
         if inbound_bank is None:
             return
         with exchange_stage:
-            for dst, engine in engines.items():
-                for src, _ in plan.inbound_pairs(dst):
-                    engine.apply_remote(exchange.read(src, dst, inbound_bank))
+            engine.apply_remote(
+                batch for src, dst in plan.inbound_pairs(worker)
+                for batch in exchange.read(src, dst, inbound_bank))
 
     try:
         message = conn.recv()
@@ -289,34 +302,31 @@ def _shard_worker(conn, contexts: Dict[int, BoardContext], populations,
         _, n_ticks, duration_ms = message
         prev_bank = None
         try:
+            engine.kernel.prefetch_sources(min(plan.lookahead, n_ticks) - 1)
             for index, (start, length) in enumerate(
                     superstep_schedule(n_ticks, plan.lookahead)):
                 bank = index % 2
                 enter(prev_bank)
-                exchange.begin(bank, engines)
+                exchange.begin(bank, worker)
                 for tick in range(start, start + length):
-                    for board, engine in engines.items():
-                        exported = engine.step(tick)
-                        if exported:
-                            with serialize_stage:
-                                exchange.write_board_batches(
-                                    board, bank, tick, exported)
-                upto = min(start + 2 * length, n_ticks) - 1
-                for engine in engines.values():
-                    engine.kernel.prefetch_sources(upto)
+                    exported = engine.step(tick)
+                    if exported:
+                        with serialize_stage:
+                            exchange.write_batches(worker, bank, tick,
+                                                   exported)
+                engine.kernel.prefetch_sources(
+                    min(start + 2 * length, n_ticks) - 1)
                 prev_bank = bank
             enter(prev_bank)
         except threading.BrokenBarrierError:
             return
         released.set()
-        results = {board: engine.finish(duration_ms)
-                   for board, engine in engines.items()}
-        compute_s = sum(engine.compute_s for engine in engines.values())
+        result = engine.finish(duration_ms)
         if profile:
-            # The engines keep their own always-on counters; adopt them
-            # so "compute" sits beside the stage spans.
-            registry.add("compute", compute_s)
-        conn.send((results, compute_s,
+            # The engine keeps its own always-on counters; adopt them so
+            # "compute" sits beside the stage spans.
+            registry.add("compute", engine.compute_s)
+        conn.send((result, engine.compute_s,
                    registry.snapshot() if profile else None))
     finally:
         conn.close()
@@ -430,16 +440,17 @@ class ClusterApplication:
         n_ticks = int(round(duration_ms / self.timestep_ms))
         boards = sorted(self.board_contexts)
         effective = min(workers, max(len(boards), 1))
-        plan = ExchangePlan.build(
-            self.board_contexts, self.board_pair_min_delay,
-            lookahead=lookahead, account_transport=self.account_transport)
         weights = {board: self.board_contexts[board].n_cores
                    for board in boards}
+        assignment = _assign_boards(boards, effective, weights)
+        plan = ExchangePlan.build(
+            self.board_contexts, self.board_pair_min_delay, assignment,
+            lookahead=lookahead, account_transport=self.account_transport)
         report = ClusterReport(
             n_boards=len(boards), workers=effective, n_ticks=n_ticks,
             lookahead=plan.lookahead, d_min=plan.d_min or 0,
             supersteps=len(superstep_schedule(n_ticks, plan.lookahead)),
-            assignment=_assign_boards(boards, effective, weights))
+            assignment=assignment)
         # The fabric's counters are cumulative over the application's
         # lifetime; the report carries this run's delta.
         traversals_before = (self.fabric.inter_board_traversals
@@ -490,14 +501,14 @@ class ClusterApplication:
         Reads only batch headers (key + count; payloads are skipped), so
         the parent's cost per super-step is proportional to the batch
         count, not the spike count.  Each outbound batch is read once:
-        a cross-board batch from its first destination's region, a
-        local-only batch from its count-only stub record.
+        from its first destination worker's region, or from its
+        count-only stub record.
         """
-        first_cross = plan.first_cross_destination
+        remote = plan.remote_workers
         self._tally(((key, count)
                      for src, dst in sorted(plan.region_capacity)
                      for key, count in exchange.read_counts(src, dst, bank)
-                     if dst == src or dst == first_cross.get(key)),
+                     if dst == src or dst == remote[key][0]),
                     plan, report)
 
     # ------------------------------------------------------------------
@@ -509,8 +520,11 @@ class ClusterApplication:
         engine = FusedBoardEngine(
             [self.board_contexts[board] for board in plan.boards],
             self._populations(), self.seed, self.timestep_ms,
-            export_keys=frozenset().union(*plan.export_keys.values()))
+            export_keys=plan.export_keys[0])
         for tick in range(n_ticks):
+            if tick % UNCONSTRAINED_LOOKAHEAD == 0:
+                engine.kernel.prefetch_sources(
+                    min(tick + UNCONSTRAINED_LOOKAHEAD, n_ticks) - 1)
             exported = engine.step(tick)
             if exported:
                 self._tally(((key, spiking.size) for key, spiking in exported),
@@ -532,12 +546,9 @@ class ClusterApplication:
             mp_context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             mp_context = multiprocessing.get_context()
-        by_worker: Dict[int, Dict[int, BoardContext]] = {}
-        for board, worker in report.assignment.items():
-            by_worker.setdefault(worker, {})[board] = (
-                self.board_contexts[board])
-        worker_boards = {worker: sorted(owned)
-                         for worker, owned in by_worker.items()}
+        worker_boards: Dict[int, List[int]] = {}
+        for board in plan.boards:
+            worker_boards.setdefault(plan.assignment[board], []).append(board)
         exchange = SharedMemoryExchange(plan)
         self.last_exchange_segments = [exchange.name]
         report.exchange_segment_bytes = 4 * plan.total_words
@@ -545,7 +556,7 @@ class ClusterApplication:
         # wait at super-step ``s`` is the only synchronisation point —
         # it certifies every bank-``(s-1) % 2`` write is published and
         # every bank-``s % 2`` read (two super-steps ago) retired.
-        barrier = mp_context.Barrier(len(by_worker) + 1)
+        barrier = mp_context.Barrier(len(worker_boards) + 1)
         #: Set once the final barrier has opened (see _watch_workers).
         released = mp_context.Event()
         connections: List = []
@@ -553,13 +564,15 @@ class ClusterApplication:
         watcher: Optional[threading.Thread] = None
         stop_reader, stop_writer = mp_context.Pipe(duplex=False)
         try:
-            for worker in sorted(by_worker):
+            for worker, owned in sorted(worker_boards.items()):
                 parent_end, child_end = mp_context.Pipe()
                 process = mp_context.Process(
                     target=_shard_worker,
-                    args=(child_end, by_worker[worker], populations,
-                          self.seed, self.timestep_ms, plan, exchange,
-                          barrier, released, self.registry.enabled),
+                    args=(child_end, worker,
+                          [self.board_contexts[board] for board in owned],
+                          populations, self.seed, self.timestep_ms, plan,
+                          exchange, barrier, released,
+                          self.registry.enabled),
                     daemon=True)
                 process.start()
                 child_end.close()
@@ -593,18 +606,17 @@ class ClusterApplication:
                 self._fail_dead_worker(processes, worker_boards)
             if prev_bank is not None:
                 self._account_bank(exchange, prev_bank, plan, report)
-            results: Dict[int, ApplicationResult] = {}
+            results: List[ApplicationResult] = []
             for worker in range(len(connections)):
-                board_results, compute_s, snapshot = self._recv_checked(
+                result, compute_s, snapshot = self._recv_checked(
                     worker, connections, processes, worker_boards)
-                results.update(board_results)
+                results.append(result)
                 report.worker_compute_s[worker] = compute_s
                 if snapshot is not None:
                     report.worker_stages[worker] = _stage_dict(snapshot)
                     self.registry.merge(snapshot)
-            # Canonical board order, whichever worker ran which board.
-            return ApplicationResult.merge(
-                [results[board] for board in sorted(results)])
+            # Worker order over a contiguous cut is board order.
+            return ApplicationResult.merge(results)
         finally:
             stop_writer.send(True)
             stop_writer.close()

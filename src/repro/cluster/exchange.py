@@ -1,45 +1,45 @@
 """The cluster's spike-exchange data path (shared memory + lookahead).
 
-Only a pooled run exchanges spikes: the serial run steps every board in
-one engine, which delivers each batch on every board it reaches, so it
-reads nothing here but the plan's key tables.  Pickling per-tick batches
+Only traffic between pool workers is exchanged: a worker's one engine
+delivers each batch on every board of its own it reaches, and the serial
+run is the one-worker plan, with no regions.  Pickling per-tick batches
 through ``multiprocessing`` pipes under a parent-mediated barrier every
 tick costs more than the parallelism gains, so the pool's data path is
 built from the three classic PDES ingredients:
 
 * **Preallocated shared-memory regions.**  One
   :class:`multiprocessing.shared_memory.SharedMemory` segment holds a
-  packed ``uint32`` region per *(source board, destination board)* pair
-  that can exchange spikes.  A batch is ``[key, send_tick, count,
+  packed ``uint32`` region per *(source worker, destination worker)*
+  pair that can exchange spikes.  A batch is ``[key, send_tick, count,
   index...]`` — a couple of array copies per tick instead of a pickle
   round-trip.
-* **Worker-side routing.**  The ``key -> destination boards`` table is
+* **Worker-side routing.**  The ``key -> destination workers`` table is
   part of the :class:`ExchangePlan` shipped to every worker at startup,
-  so workers write batches straight into their destinations' inbound
-  regions.  The parent never touches per-tick spike data; it only
-  sequences barriers and (optionally) replays the same regions through
-  the transport fabric for accounting.
+  so a worker writes each batch once into the inbound region of every
+  other worker it reaches, and the receiving engine scatters it onto
+  every board of its own the key reaches.  The parent only sequences
+  barriers and tallies (optionally replaying through the transport
+  fabric) the same regions.
 * **Conservative lookahead.**  A cross-board spike emitted at tick ``t``
   cannot influence another board before ``t + 1 + d_min`` (``d_min`` =
   the minimum cross-board synaptic delay, read per board pair by the
-  ShardByBoard pass), so every board may run ``L = 1 + d_min`` ticks
-  between barriers.  Batches carry their send tick; the receiver
-  re-bases each event's programmable delay by the batch's age
+  ShardByBoard pass, over every board pair so the schedule does not
+  depend on the worker count), so every worker may run ``L = 1 +
+  d_min`` ticks between barriers.  Batches carry their send tick; the
+  receiver re-bases each event's programmable delay by the batch's age
   (:meth:`~repro.cluster.fused.FusedBoardEngine.apply_remote`).
 
 Synchronisation is lock-free by construction: every region has exactly
-one writer (the worker owning the source board), regions are double
--banked (super-step ``s`` writes bank ``s % 2`` while readers drain bank
-``(s - 1) % 2``), and the parent's pipe barrier provides the
-happens-before edge between a bank's writes and its reads.  No shared
-mutable state is guarded by a lock because none is concurrently
-written.
+one writer (its source worker), regions are double-banked (super-step
+``s`` writes bank ``s % 2`` while readers drain bank ``(s - 1) % 2``),
+and the split barrier provides the happens-before edge between a bank's
+writes and its reads.  No shared mutable state is guarded by a lock
+because none is concurrently written.
 
-Determinism: readers always drain regions in canonical (source board,
-destination board) order, a re-based event lands in the slot a local
-delivery at its send tick would have used, and ring-buffer accumulation
-is exact (fixed-point weights in float64), so results are bit-identical
-across worker counts *and* lookahead depths.
+Determinism: an exchanged event lands in the ring slot a local delivery
+at its send tick would have used, and ring-buffer accumulation is exact
+(fixed-point weights in float64) and clamped only as its tick drains, so
+results are bit-identical across worker counts *and* lookahead depths.
 """
 
 from __future__ import annotations
@@ -82,14 +82,16 @@ def superstep_schedule(n_ticks: int, lookahead: int) -> List[Tuple[int, int]]:
 class ExchangePlan:
     """Everything both sides of the exchange agree on before the run.
 
-    Built once per run from the compiled board contexts; shipped to the
-    workers at startup (worker-side routing) and kept by the parent
-    (accounting replay reads the same regions).  The serial run reads
-    only its key tables.
+    Built once per run from the compiled board contexts and the board ->
+    worker assignment; shipped to the workers at startup (worker-side
+    routing) and kept by the parent (the tally reads the same regions).
+    The serial run's one-worker plan has no regions, only tally stubs.
     """
 
     #: Boards in canonical order.
     boards: List[int]
+    #: Board -> worker.
+    assignment: Dict[int, int]
     #: Effective super-step depth (``1`` = exchange every tick).
     lookahead: int
     #: Minimum cross-board synaptic delay; ``None`` when no synapse
@@ -98,61 +100,59 @@ class ExchangePlan:
     #: The largest safe lookahead (``1 + d_min``).
     max_lookahead: int
     #: key -> destination boards *other than* the key's home board, in
-    #: board order.  The worker-side routing table.
+    #: board order: what the tally counts as crossing board cables.
     cross_destinations: Dict[int, Tuple[int, ...]]
-    #: key -> lowest cross destination: the single region the parent
-    #: replays the batch from, so accounting charges each batch once.
-    first_cross_destination: Dict[int, int]
-    #: board -> keys the board's engine must hand to the exchange
-    #: (cross-board batches plus, under accounting, local-only stubs).
+    #: key -> destination workers *other than* the key's home worker, in
+    #: worker order.  The worker-side routing table; its first entry is
+    #: the one region the parent tallies the batch from.
+    remote_workers: Dict[int, Tuple[int, ...]]
+    #: worker -> keys its engine must hand to the exchange (batches for
+    #: other workers plus count-only tally stubs).
     export_keys: Dict[int, FrozenSet[int]]
-    #: board -> keys exported as full cross-board batches.
-    remote_keys: Dict[int, FrozenSet[int]]
-    #: board -> local-only keys exported as count-only accounting stubs
-    #: through the ``(board, board)`` region (empty unless accounting).
+    #: worker -> keys exported as count-only tally stubs through the
+    #: ``(worker, worker)`` region: keys that cross boards only within
+    #: the worker, plus, under accounting, board-local keys.
     stub_keys: Dict[int, FrozenSet[int]]
-    #: (source board, destination board) -> payload capacity in words of
-    #: one bank.  ``(b, b)`` entries are the accounting-stub regions.
+    #: (source worker, destination worker) -> payload capacity in words
+    #: of one bank.  ``(w, w)`` entries are the tally-stub regions.
     region_capacity: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
     @property
-    def words_per_bank(self) -> Dict[Tuple[int, int], int]:
-        """Bank size per region: one used-words header + the payload."""
-        return {pair: 1 + capacity
-                for pair, capacity in self.region_capacity.items()}
-
-    @property
     def total_words(self) -> int:
-        """Segment size in words (two banks per region)."""
-        return 2 * sum(self.words_per_bank.values())
+        """Segment size in words: two banks per region, each a used-words
+        header and the payload."""
+        return 2 * sum(1 + words for words in self.region_capacity.values())
 
-    def inbound_pairs(self, board: int) -> List[Tuple[int, int]]:
-        """Regions a board drains, in canonical source order."""
-        return [(src, board) for src in self.boards
-                if src != board and (src, board) in self.region_capacity]
+    def inbound_pairs(self, worker: int) -> List[Tuple[int, int]]:
+        """Regions a worker drains, in canonical source order."""
+        return sorted(pair for pair in self.region_capacity
+                      if pair[1] == worker != pair[0])
 
     @classmethod
     def build(cls, board_contexts: Dict[int, BoardContext],
               pair_min_delay: Dict[Tuple[int, int], int],
+              assignment: Dict[int, int],
               lookahead: Optional[int] = None,
               account_transport: bool = False) -> "ExchangePlan":
         """Derive the plan from the compiled per-board sub-contexts.
 
-        ``lookahead=None`` selects the deepest safe depth; an explicit
-        request is clamped into ``1..max_lookahead`` (running deeper
-        than ``1 + d_min`` would deliver spikes late, so the clamp is a
-        correctness guard, not a heuristic).
+        ``assignment`` maps each board to its worker.  ``lookahead=None``
+        selects the deepest safe depth; an explicit request is clamped into
+        ``1..max_lookahead`` (running deeper than ``1 + d_min`` would
+        deliver spikes late, so the clamp is a correctness guard, not a
+        heuristic).
         """
         boards = sorted(board_contexts)
+        workers = sorted(set(assignment.values())) or [0]
         key_home: Dict[int, int] = {}
         key_neurons: Dict[int, int] = {}
-        outgoing: Dict[int, List[int]] = {board: [] for board in boards}
+        outgoing: Dict[int, List[int]] = {worker: [] for worker in workers}
         for board in boards:
             for core in board_contexts[board].cores:
                 if core.has_outgoing:
                     key_home[core.base_key] = board
                     key_neurons[core.base_key] = core.vertex.n_neurons
-                    outgoing[board].append(core.base_key)
+                    outgoing[assignment[board]].append(core.base_key)
 
         destinations: Dict[int, List[int]] = {}
         for board in boards:
@@ -160,13 +160,16 @@ class ExchangePlan:
                 destinations.setdefault(key, []).append(board)
 
         cross: Dict[int, Tuple[int, ...]] = {}
-        first_cross: Dict[int, int] = {}
+        remote: Dict[int, Tuple[int, ...]] = {}
         for key, dests in destinations.items():
             home = key_home.get(key)
-            remote = tuple(dst for dst in dests if dst != home)
-            if remote:
-                cross[key] = remote
-                first_cross[key] = remote[0]
+            cross_boards = tuple(dst for dst in dests if dst != home)
+            if cross_boards:
+                cross[key] = cross_boards
+                to_workers = {assignment[dst] for dst in cross_boards}
+                to_workers.discard(assignment.get(home))
+                if to_workers:
+                    remote[key] = tuple(sorted(to_workers))
 
         d_min = min(pair_min_delay.values()) if pair_min_delay else None
         max_lookahead = (1 + d_min) if d_min is not None \
@@ -178,33 +181,34 @@ class ExchangePlan:
                 raise ValueError("lookahead must be at least 1")
             effective = min(lookahead, max_lookahead)
 
-        remote_keys = {board: frozenset(
-            key for key in outgoing[board] if key in cross)
-            for board in boards}
-        stub_keys = {board: frozenset(
-            key for key in outgoing[board]
-            if key not in cross and key in destinations) if account_transport
-            else frozenset() for board in boards}
-        export_keys = {board: remote_keys[board] | stub_keys[board]
-                       for board in boards}
+        remote_keys = {worker: frozenset(
+            key for key in outgoing[worker] if key in remote)
+            for worker in workers}
+        stub_keys = {worker: frozenset(
+            key for key in outgoing[worker] if key not in remote
+            and (key in cross or account_transport and key in destinations))
+            for worker in workers}
+        export_keys = {worker: remote_keys[worker] | stub_keys[worker]
+                       for worker in workers}
 
         capacity: Dict[Tuple[int, int], int] = {}
-        for board in boards:
-            for key in remote_keys[board]:
+        for worker in workers:
+            for key in remote_keys[worker]:
                 words = BATCH_HEADER_WORDS + key_neurons[key]
-                for dst in cross[key]:
-                    capacity[(board, dst)] = (
-                        capacity.get((board, dst), 0) + words)
-            if stub_keys[board]:
-                capacity[(board, board)] = (
-                    BATCH_HEADER_WORDS * len(stub_keys[board]))
+                for dst in remote[key]:
+                    capacity[(worker, dst)] = (
+                        capacity.get((worker, dst), 0) + words)
+            # The serial run tallies its stubs straight from the engine.
+            if stub_keys[worker] and len(workers) > 1:
+                capacity[(worker, worker)] = (
+                    BATCH_HEADER_WORDS * len(stub_keys[worker]))
         capacity = {pair: words * effective
                     for pair, words in capacity.items()}
 
-        return cls(boards=boards, lookahead=effective, d_min=d_min,
+        return cls(boards=boards, assignment=dict(assignment),
+                   lookahead=effective, d_min=d_min,
                    max_lookahead=max_lookahead, cross_destinations=cross,
-                   first_cross_destination=first_cross,
-                   export_keys=export_keys, remote_keys=remote_keys,
+                   remote_workers=remote, export_keys=export_keys,
                    stub_keys=stub_keys, region_capacity=capacity)
 
 
@@ -214,7 +218,7 @@ class SharedMemoryExchange:
     Layout: per region (in plan order) two banks, each ``1 + capacity``
     words — word 0 of a bank is the used-payload-words count, written by
     the region's single writer after every append (no reader looks
-    before the pipe barrier, so no memory-ordering machinery is
+    before the split barrier, so no memory-ordering machinery is
     needed).  The segment is created by the parent before the workers
     fork and unlinked by the parent in a ``finally`` — including when a
     worker crashed mid-run — so a run can never leak ``/dev/shm``
@@ -246,25 +250,25 @@ class SharedMemoryExchange:
         offset, capacity = self._offsets[(src, dst, bank)]
         return self._words[offset:offset + 1 + capacity]
 
-    def begin(self, bank: int, sources) -> None:
+    def begin(self, bank: int, worker: int) -> None:
+        """Empty ``worker``'s write regions of ``bank``."""
         for (src, dst) in self.plan.region_capacity:
-            if src in sources:
+            if src == worker:
                 self._view(src, dst, bank)[0] = 0
                 self._used[(src, dst, bank)] = 0
 
-    def write_board_batches(self, src: int, bank: int, tick: int,
-                            exported) -> None:
-        """Route one board's exported batches into its write regions.
+    def write_batches(self, src: int, bank: int, tick: int,
+                      exported) -> None:
+        """Route one worker's exported batches into its write regions.
 
-        A cross-board batch is copied into the inbound region of each of
-        its destination boards; a stub key becomes a count-only record in
-        the board's own ``(src, src)`` region.
+        A batch for other workers is copied once into the inbound region
+        of each of them; a stub key becomes a count-only record in the
+        worker's own ``(src, src)`` region.
         """
-        plan = self.plan
-        remote = plan.remote_keys[src]
+        remote = self.plan.remote_workers
         for key, spiking in exported:
             if key in remote:
-                for dst in plan.cross_destinations[key]:
+                for dst in remote[key]:
                     self.write_batch(src, dst, bank, key, tick, spiking)
             else:
                 self.write_stub(src, bank, key, tick, int(spiking.size))

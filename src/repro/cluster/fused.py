@@ -2,8 +2,8 @@
 
 The engine replays the on-machine application model of Figure 7 for the
 compiled sub-contexts of a sequence of boards, tick-synchronously and
-without the event kernel in the loop: a pool worker's engine steps one
-board, the serial cluster run's one engine steps every board.  The timer
+without the event kernel in the loop: a pool worker's engine steps the
+worker's boards, the serial cluster run's one engine every board.  The timer
 task itself is the tick kernel (:mod:`repro.neuron.kernel`) over the
 boards' cores, concatenated in board order: every placed vertex is a unit
 with the per-core generator (:func:`~repro.neuron.population.core_rng`
@@ -19,8 +19,8 @@ stacked back to back, their arena slots pre-computed as ring offsets
 gather and one ring update per batch list, landing at ``tick + 1 +
 delay``, the arrival tick of the fabric transport at zero timer stagger.
 A key that reaches several of the engine's boards is delivered to each
-of them locally; batches on exported keys are also handed back, for the
-exchange or the report's tally.
+of them locally, as is an exchanged batch; batches on exported keys are
+also handed back, for the exchange or the report's tally.
 
 Determinism: the kernel's steps are elementwise per cell, the ring sums
 fixed-point weights (exact multiples of 2^-4 in float64) and clamps a
@@ -32,9 +32,9 @@ the cluster runner relies on for worker-count-independent results, and
 the reason the sharded run is spike-train-equivalent to the unsharded
 engine (``NeuralApplication(transport="fabric", stagger_us=0)``), which
 ``tests/test_cluster_fused.py`` pins.  Units are board-major, so within
-a tick each population's spikes are recorded in board order, the order
-:meth:`~repro.runtime.application.ApplicationResult.merge` gives the
-per-board results of a pooled run.
+a tick each population's spikes are recorded in board order; merging a
+pool's per-worker results in worker order, over a contiguous cut, keeps
+that order.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class FusedBoardEngine:
                  export_keys: Set[int]) -> None:
         #: The boards the engine steps, in board order.
         self.contexts = list(contexts)
-        #: Keys whose spiking indices :meth:`step` must hand back (for a
-        #: pool worker, its board's entry of
+        #: Keys whose spiking indices :meth:`step` must hand back (the
+        #: worker's entry of
         #: :attr:`~repro.cluster.exchange.ExchangePlan.export_keys`).
         #: The engine's own boards are delivered *locally* at the end of
         #: each tick (worker-side routing: traffic between them never
@@ -139,13 +139,14 @@ class FusedBoardEngine:
             self, batches: Iterable[Tuple[int, int, np.ndarray]]) -> None:
         """Deliver ``(key, age, spiking)`` batches in one fused scatter.
 
-        A batch costs one add (its sources' row-table rows); the list
-        then costs one gather of each table and one ring update — exact
+        A batch costs a few list appends; the list then costs one row
+        offset, one gather of each table and one ring update — exact
         versus delivering each leg on its own (as the fabric transport
         does): ring accumulation of fixed-point weights is an exact sum.
         """
         first_rows = self._first_rows
-        rows: List[np.ndarray] = []
+        parts: List[np.ndarray] = []
+        firsts: List[int] = []
         ages: List[int] = []
         spikes: List[int] = []
         for key, age, spiking in batches:
@@ -153,12 +154,13 @@ class FusedBoardEngine:
             # key reaches, so every key has table rows here: one run of
             # rows per board it reaches.
             for first_row in first_rows[key]:
-                rows.append(spiking + first_row)
+                parts.append(spiking)
+                firsts.append(first_row)
                 ages.append(age)
                 spikes.append(spiking.size)
-        if not rows:
+        if not parts:
             return
-        rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        rows = np.concatenate(parts) + np.repeat(firsts, spikes)
         starts = self._row_start[rows]
         counts = self._row_end[rows] - starts
         slots = expand_rows(starts, counts)

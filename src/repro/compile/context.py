@@ -328,7 +328,7 @@ class BoardContext:
 
     @property
     def n_cores(self) -> int:
-        """Number of placed vertices on this board (its LPT
+        """Number of placed vertices on this board (its worker-cut
         assignment weight)."""
         return len(self.cores)
 

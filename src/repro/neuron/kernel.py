@@ -27,12 +27,12 @@ engine passes its board's cores.  The kernel
   (:class:`~repro.neuron.synapse.DeferredEventBuffer`, the host's and
   a single core's ring), fixed-point weights may be pre-summed, exactly
   (:class:`~repro.neuron.synapse.FusedDeferredEventBuffer`, a board's);
-* draws each source unit's mask from the unit's own generator, one tick
-  at a time in unit order, optionally ahead of time
+* draws each source unit's spikes from the unit's own generator, a
+  block of ticks per call when asked to draw ahead
   (:meth:`TickKernel.prefetch_sources`);
-* records through the engine's :class:`SpikeRecord`: counts per tick,
-  and ``(time_ms, indices)`` chunks that :meth:`SpikeRecord.flush`
-  appends to each population's array-backed :class:`SpikeTrain`.
+* records through the engine's :class:`SpikeRecord`: ``(time_ms,
+  indices)`` chunks that :meth:`SpikeRecord.flush` counts and appends
+  to each population's array-backed :class:`SpikeTrain`.
 
 A spike source integrates nothing, so charge aimed at one lands nowhere:
 :meth:`TickKernel.defer` drops it, and :meth:`TickKernel.columns` maps a
@@ -53,7 +53,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.neuron.population import Population, stimulus_mask
+from repro.neuron.population import Population, stimulus_spikes
 from repro.neuron.synapse import MAX_DELAY_TICKS, DeferredEventBuffer
 from repro.profile import profile_stage
 
@@ -109,8 +109,8 @@ class SpikeRecord:
     """The recorded part of every engine's result, and its recorder.
 
     ``spikes`` maps a recorded population's label to its
-    :class:`SpikeTrain` (population numbering), which every flush
-    extends in place; ``spike_counts`` maps every label to totals.
+    :class:`SpikeTrain` (population numbering) and ``spike_counts`` maps
+    every label to totals; every flush brings both up to date.
     """
 
     duration_ms: float
@@ -126,19 +126,16 @@ class SpikeRecord:
         for population in populations:
             self.spike_counts[population.label] = np.zeros(population.size,
                                                            dtype=int)
+            self._chunks[population.label] = []
             if population.record_spikes:
                 self.spikes[population.label] = SpikeTrain()
-                self._chunks[population.label] = []
 
     def add(self, label: str, time_ms: float, indices: np.ndarray) -> None:
         """Record one tick's spikes of (a slice of) a population."""
-        self.spike_counts[label][indices] += 1
-        chunks = self._chunks.get(label)
-        if chunks is not None:
-            chunks.append((time_ms, indices))
+        self._chunks[label].append((time_ms, indices))
 
     def flush(self) -> None:
-        """Append the pending chunks to :attr:`spikes`.
+        """Count the pending chunks and append them to :attr:`spikes`.
 
         Chunks were appended in tick order with in-tick indices already
         ascending per unit, so concatenating them is the recording order.
@@ -146,10 +143,14 @@ class SpikeRecord:
         for label, chunks in self._chunks.items():
             if chunks:
                 times, indices = zip(*chunks)
-                train = self.spikes[label]
-                train.times_ms = np.concatenate((train.times_ms, np.repeat(
-                    times, [part.size for part in indices])))
-                train.neurons = np.concatenate((train.neurons, *indices))
+                neurons = np.concatenate(indices)
+                counts = self.spike_counts[label]
+                counts += np.bincount(neurons, minlength=counts.size)
+                train = self.spikes.get(label)
+                if train is not None:
+                    train.times_ms = np.concatenate((train.times_ms, np.repeat(
+                        times, [part.size for part in indices])))
+                    train.neurons = np.concatenate((train.neurons, neurons))
                 chunks.clear()
 
     def _counts(self, label: str) -> np.ndarray:
@@ -299,7 +300,7 @@ class TickKernel:
         #: The deferred-event ring under every unit of the kernel.
         self.ring = ring_class(max(width + bool(self._sources), 1),
                                MAX_DELAY_TICKS)
-        #: Drawn-ahead source masks, one list (in unit order) per tick
+        #: Drawn-ahead source spikes, one tuple (in unit order) per tick
         #: from ``_next_source_tick - len(_queued)`` on.
         self._queued: deque = deque()
         self._next_source_tick = 0
@@ -329,20 +330,26 @@ class TickKernel:
     # One tick
     # ------------------------------------------------------------------
     def prefetch_sources(self, upto_tick: int) -> None:
-        """Draw the source masks up to and including ``upto_tick``.
+        """Draw the source spikes up to and including ``upto_tick``.
 
-        Worth calling right before a barrier wait.  Masks are drawn one
-        tick at a time in unit order — the order :meth:`step` draws them
-        in — so every generator, shared between units or not, sees the
-        same sequence of calls and the spikes are unchanged.
+        Worth calling right before a barrier wait.  Each source draws
+        its whole block in one call, the same stream as one draw per
+        tick when no two sources share a generator — true of every
+        engine that draws ahead (one generator per core), and asserted;
+        a shared generator (the host's) is drawn one tick at a time.
         """
-        for tick in range(self._next_source_tick, upto_tick + 1):
-            self._queued.append([
-                stimulus_mask(unit.population, unit.slice_start,
-                              unit.slice_stop, tick, self.timestep_ms,
-                              unit.rng)
-                for unit in self._sources])
-        self._next_source_tick = max(self._next_source_tick, upto_tick + 1)
+        ahead = upto_tick + 1 - self._next_source_tick
+        if ahead <= 0:
+            return
+        assert ahead == 1 or len({id(unit.rng) for unit in self._sources}
+                                 ) == len(self._sources), \
+            "sources sharing a generator must be drawn one tick at a time"
+        drawn = [stimulus_spikes(unit.population, unit.slice_start,
+                                 unit.slice_stop, self._next_source_tick,
+                                 ahead, self.timestep_ms, unit.rng)
+                 for unit in self._sources]
+        self._queued.extend(zip(*drawn) if drawn else [()] * ahead)
+        self._next_source_tick = upto_tick + 1
 
     def step(self, tick: int) -> List[Tuple[TickUnit, np.ndarray]]:
         """Run one timer tick; return ``(unit, spiking local indices)``
@@ -350,8 +357,7 @@ class TickKernel:
         fired: List[Tuple[TickUnit, np.ndarray]] = []
         with _STIMULUS_STAGE:
             self.prefetch_sources(tick)
-            for unit, mask in zip(self._sources, self._queued.popleft()):
-                spiking = np.flatnonzero(mask)
+            for unit, spiking in zip(self._sources, self._queued.popleft()):
                 if spiking.size:
                     fired.append((unit, spiking))
         with _NEURON_UPDATE_STAGE:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -228,21 +228,30 @@ class SpikeSourceArray(Population):
         return mask
 
 
-def stimulus_mask(population: Population, slice_start: int,
-                  slice_stop: int, tick: int, timestep_ms: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """This tick's spike mask of one core's slice of a stimulus population.
+def stimulus_spikes(population: Population, slice_start: int,
+                    slice_stop: int, first_tick: int, n_ticks: int,
+                    timestep_ms: float,
+                    rng: np.random.Generator) -> List[np.ndarray]:
+    """The spiking slice-local indices of one core's slice of a stimulus
+    population, for each of ``n_ticks`` ticks from ``first_tick`` on.
 
     ``rng`` is the owning core's generator (:func:`core_rng`): a Poisson
-    slice draws exactly one ``random(n)`` per tick from it, so the mask
-    depends only on the seed, the core's location and the tick count.
+    slice draws its whole block in one ``random((n_ticks, n))`` call, the
+    same stream as one ``random(n)`` per tick, so the spikes depend only
+    on the seed, the core's location and the tick count.
     """
     if isinstance(population, SpikeSourcePoisson):
         probability = SpikeSourcePoisson.spike_probability(
             population.rate_hz, timestep_ms)
-        return rng.random(slice_stop - slice_start) < probability
-    return population.spikes_for_tick(tick, timestep_ms)[
-        slice_start:slice_stop]
+        fired = rng.random((n_ticks, slice_stop - slice_start)) < probability
+        if n_ticks == 1:  # the per-tick draw of the host and the machine
+            return [np.flatnonzero(fired)]
+        ticks, cells = np.nonzero(fired)
+        bounds = np.searchsorted(ticks, np.arange(n_ticks + 1)).tolist()
+        return [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return [np.flatnonzero(population.spikes_for_tick(tick, timestep_ms)[
+        slice_start:slice_stop])
+        for tick in range(first_tick, first_tick + n_ticks)]
 
 
 @dataclass

@@ -8,6 +8,7 @@ accounting, board-aligned allocation and the merged-result semantics.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import threading
@@ -116,6 +117,11 @@ def sharded_app(network: Network = None, machine: SpiNNakerMachine = None,
                               network if network is not None
                               else chained_network(),
                               seed=SEED, max_neurons_per_core=32, **kwargs)
+
+
+def one_worker(cluster: ClusterApplication):
+    """The serial run's board -> worker assignment."""
+    return dict.fromkeys(cluster.board_contexts, 0)
 
 
 def assert_shm_unlinked(cluster: ClusterApplication) -> None:
@@ -454,7 +460,8 @@ class TestExchangePlan:
     def test_lookahead_defaults_to_the_conservative_bound(self):
         cluster = self._prepared()
         plan = ExchangePlan.build(cluster.board_contexts,
-                                  cluster.board_pair_min_delay)
+                                  cluster.board_pair_min_delay,
+                                  one_worker(cluster))
         assert plan.d_min is not None and plan.d_min >= 1
         assert plan.max_lookahead == 1 + plan.d_min
         assert plan.lookahead == plan.max_lookahead
@@ -463,39 +470,86 @@ class TestExchangePlan:
         cluster = self._prepared()
         contexts = cluster.board_contexts
         delays = cluster.board_pair_min_delay
-        clamped = ExchangePlan.build(contexts, delays, lookahead=99)
+        serial = one_worker(cluster)
+        clamped = ExchangePlan.build(contexts, delays, serial, lookahead=99)
         assert clamped.lookahead == clamped.max_lookahead
-        per_tick = ExchangePlan.build(contexts, delays, lookahead=1)
+        per_tick = ExchangePlan.build(contexts, delays, serial, lookahead=1)
         assert per_tick.lookahead == 1
         with pytest.raises(ValueError):
-            ExchangePlan.build(contexts, delays, lookahead=0)
+            ExchangePlan.build(contexts, delays, serial, lookahead=0)
 
-    def test_routing_table_is_cross_board_only(self):
-        cluster = self._prepared()
-        plan = ExchangePlan.build(cluster.board_contexts,
-                                  cluster.board_pair_min_delay)
-        assert any(plan.remote_keys.values())
-        for board, keys in plan.remote_keys.items():
+    def _two_worker_plan(self, **kwargs):
+        """A four-board run cut for two workers: two boards each, so the
+        chain crosses boards both within a worker and between them."""
+        cluster = sharded_app(machine=four_board_machine())
+        cluster.prepare()
+        contexts = cluster.board_contexts
+        assignment = _assign_boards(sorted(contexts), 2,
+                                    dict.fromkeys(contexts, 1))
+        return cluster, ExchangePlan.build(
+            contexts, cluster.board_pair_min_delay, assignment, **kwargs)
+
+    def test_regions_join_workers_never_boards_of_one_worker(self):
+        cluster, plan = self._two_worker_plan()
+        assert set(plan.assignment.values()) == {0, 1}
+        home = {core.base_key: board
+                for board, context in cluster.board_contexts.items()
+                for core in context.cores}
+        assert plan.region_capacity
+        for src, dst in plan.region_capacity:
+            assert {src, dst} <= {0, 1}
+        remote_keys = {worker: plan.export_keys[worker] - stubs
+                       for worker, stubs in plan.stub_keys.items()}
+        assert any(remote_keys.values())
+        for worker, keys in remote_keys.items():
             for key in keys:
-                destinations = plan.cross_destinations[key]
-                assert destinations
-                assert board not in destinations
-                assert plan.first_cross_destination[key] == destinations[0]
-        # Accounting stubs exist only when accounting is requested.
-        assert all(not keys for keys in plan.stub_keys.values())
-        accounted = ExchangePlan.build(cluster.board_contexts,
-                                       cluster.board_pair_min_delay,
-                                       account_transport=True)
-        for board in accounted.boards:
-            assert accounted.export_keys[board] == (
-                accounted.remote_keys[board] | accounted.stub_keys[board])
+                assert plan.assignment[home[key]] == worker
+                destinations = plan.remote_workers[key]
+                # Written once per destination worker, never to its own.
+                assert worker not in destinations
+                assert sorted(set(destinations)) == list(destinations)
+                assert set(destinations) == {
+                    plan.assignment[board]
+                    for board in plan.cross_destinations[key]} - {worker}
+        # A key that crosses boards only inside its worker is a stub:
+        # the engine delivers it and the parent only counts it.
+        within = set(plan.cross_destinations) - set(plan.remote_workers)
+        assert within
+        assert within == set().union(*plan.stub_keys.values())
+        # No stub region without stubs to tally.
+        assert all((worker, worker) in plan.region_capacity
+                   for worker, keys in plan.stub_keys.items() if keys)
+
+    def test_one_worker_plan_has_no_region_and_stubs_every_cross_key(self):
+        cluster = sharded_app(machine=four_board_machine())
+        cluster.prepare()
+        contexts = cluster.board_contexts
+        reached = {key for context in contexts.values()
+                   for key in context.delivery_index.first_row}
+        for account_transport in (False, True):
+            plan = ExchangePlan.build(contexts, cluster.board_pair_min_delay,
+                                      one_worker(cluster),
+                                      account_transport=account_transport)
+            assert plan.region_capacity == {} and plan.total_words == 0
+            assert plan.remote_workers == {}
+            assert plan.cross_destinations
+            expected = reached if account_transport else set(
+                plan.cross_destinations)
+            assert plan.stub_keys == {0: frozenset(expected)}
+            assert plan.export_keys == plan.stub_keys
+
+    def test_accounting_adds_board_local_stubs(self):
+        _, plan = self._two_worker_plan()
+        _, accounted = self._two_worker_plan(account_transport=True)
+        assert accounted.remote_workers == plan.remote_workers
+        for worker in (0, 1):
+            assert accounted.stub_keys[worker] > plan.stub_keys[worker]
+            assert accounted.export_keys[worker] - accounted.stub_keys[
+                worker] == plan.export_keys[worker] - plan.stub_keys[worker]
 
     def test_region_capacity_scales_with_lookahead(self):
-        cluster = self._prepared()
-        contexts = cluster.board_contexts
-        delays = cluster.board_pair_min_delay
-        one = ExchangePlan.build(contexts, delays, lookahead=1)
-        two = ExchangePlan.build(contexts, delays, lookahead=2)
+        _, one = self._two_worker_plan(lookahead=1)
+        _, two = self._two_worker_plan(lookahead=2)
         assert set(one.region_capacity) == set(two.region_capacity)
         for pair, words in one.region_capacity.items():
             assert two.region_capacity[pair] == 2 * words
@@ -505,37 +559,58 @@ class TestExchangePlan:
 # ----------------------------------------------------------------------
 # Board -> worker assignment
 # ----------------------------------------------------------------------
+def _loads(assignment, weights):
+    loads = {}
+    for board, worker in assignment.items():
+        loads[worker] = loads.get(worker, 0) + weights[board]
+    return loads
+
+
 class TestBoardAssignment:
-    def test_lpt_balances_skewed_weights(self):
+    def test_equal_weights_cut_into_contiguous_halves(self):
+        weights = dict.fromkeys(range(4), 1)
+        assert _assign_boards([0, 1, 2, 3], 2, weights) == {
+            0: 0, 1: 0, 2: 1, 3: 1}
+
+    def test_cut_balances_skewed_weights(self):
         weights = {0: 10, 1: 4, 2: 3, 3: 3}
         assignment = _assign_boards([0, 1, 2, 3], 2, weights)
-        loads = {0: 0, 1: 0}
-        for board, worker in assignment.items():
-            loads[worker] += weights[board]
-        # Round-robin would split 13 / 7; LPT lands 10 / 10.
-        assert sorted(loads.values()) == [10, 10]
+        # Round-robin would split 13 / 7; the cut lands 10 / 10.
+        assert sorted(_loads(assignment, weights).values()) == [10, 10]
+        assert sum(weights.values()) / max(
+            _loads(assignment, weights).values()) == pytest.approx(2.0)
+        round_robin = {board: board % 2 for board in range(4)}
+        assert max(_loads(round_robin, weights).values()) == 13
 
-    def test_lpt_is_deterministic_on_ties(self):
-        weights = {board: 1 for board in range(4)}
-        assert _assign_boards([0, 1, 2, 3], 2, weights) == {
-            0: 0, 1: 1, 2: 0, 3: 1}
+    @pytest.mark.parametrize("boards,workers", [(4, 3), (4, 4), (7, 3),
+                                                (9, 4)])
+    def test_every_worker_owns_a_contiguous_run(self, boards, workers):
+        for weights in (dict.fromkeys(range(boards), 1),
+                        {board: 1 + (board * 7) % 5
+                         for board in range(boards)}):
+            assignment = _assign_boards(list(range(boards)), workers,
+                                        weights)
+            order = [assignment[board] for board in range(boards)]
+            # Non-decreasing and covering 0..workers-1: every worker
+            # owns one contiguous, non-empty run, in worker order.
+            assert order == sorted(order)
+            assert set(order) == set(range(workers))
 
-    def test_lpt_raises_the_speedup_bound_on_skew(self):
-        # Same skewed weights, two workers: the busiest worker's load,
-        # and so the load-balance bound total / busiest, is strictly
-        # better under LPT than under round-robin.
-        weights = {0: 10, 1: 4, 2: 3, 3: 3}
-
-        def busiest(assignment):
-            loads = [0, 0]
-            for board, worker in assignment.items():
-                loads[worker] += weights[board]
-            return max(loads)
-
-        lpt = busiest(_assign_boards([0, 1, 2, 3], 2, weights))
-        round_robin = busiest({board: board % 2 for board in range(4)})
-        assert lpt < round_robin
-        assert sum(weights.values()) / lpt == pytest.approx(2.0)
+    def test_cut_is_the_lightest_busiest_run(self):
+        """Exact against brute force over every contiguous cut."""
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            boards = int(rng.integers(2, 8))
+            workers = int(rng.integers(1, boards + 1))
+            weights = dict(enumerate(rng.integers(1, 20, boards).tolist()))
+            best = min(
+                max(sum(weights[b] for b in range(lo, hi))
+                    for lo, hi in zip((0,) + cuts, cuts + (boards,)))
+                for cuts in itertools.combinations(range(1, boards),
+                                                   workers - 1))
+            assignment = _assign_boards(list(range(boards)), workers,
+                                        weights)
+            assert max(_loads(assignment, weights).values()) == best
 
     def test_report_bound_is_total_over_busiest_worker(self):
         pooled = ClusterReport(n_boards=4, workers=2, n_ticks=10,

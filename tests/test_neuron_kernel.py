@@ -183,18 +183,27 @@ class TestStimulus:
         record.flush()
         return fired, record.spikes
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_prefetching_changes_nothing(self, shared):
-        """Draws stay in tick order per generator — also when every unit
-        draws from one generator, as on the host."""
-        def rng_factory():
-            one = np.random.default_rng(5)
-            return (lambda i, start: one) if shared else own_rng
-
-        plain = self.run({}, rng_factory())
-        ahead = self.run({0: 59, 30: 40, 70: 85}, rng_factory())
+    def test_block_draws_change_nothing(self):
+        """One ``random((k, n))`` per source is its k per-tick draws when
+        every source owns its generator, as on a core or a board."""
+        plain = self.run({}, own_rng)
+        ahead = self.run({0: 59, 30: 40, 70: 85}, own_rng)
         assert plain == ahead
         assert sum(len(spikes) for spikes in plain[1].values()) > 0
+
+    def test_a_shared_generator_is_drawn_one_tick_at_a_time(self):
+        """Sources sharing one generator, as on the host, interleave
+        their draws per tick, so a block draw would move spikes: the
+        kernel refuses it."""
+        def shared():
+            one = np.random.default_rng(5)
+            return lambda i, start: one
+
+        plain = self.run({}, shared())
+        assert self.run({tick: tick for tick in range(90)},
+                        shared()) == plain
+        with pytest.raises(AssertionError):
+            self.run({0: 59}, shared())
 
     def test_charge_aimed_at_a_source_lands_nowhere(self):
         members = populations()
@@ -324,7 +333,7 @@ class TestOneTickBody:
     """The timer task exists once: nothing outside the kernel module
     builds neuron state, injects ring input or draws stimulus."""
 
-    KERNEL_ONLY = {"inject_synaptic_input", "build_state", "stimulus_mask"}
+    KERNEL_ONLY = {"inject_synaptic_input", "build_state", "stimulus_spikes"}
 
     def test_only_the_kernel_calls_the_tick_primitives(self):
         offenders = []
