@@ -302,7 +302,6 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
         _, n_ticks, duration_ms = message
         prev_bank = None
         try:
-            engine.kernel.prefetch_sources(min(plan.lookahead, n_ticks) - 1)
             for index, (start, length) in enumerate(
                     superstep_schedule(n_ticks, plan.lookahead)):
                 bank = index % 2
@@ -547,8 +546,8 @@ class ClusterApplication:
         except ValueError:  # pragma: no cover - non-POSIX fallback
             mp_context = multiprocessing.get_context()
         worker_boards: Dict[int, List[int]] = {}
-        for board in plan.boards:
-            worker_boards.setdefault(plan.assignment[board], []).append(board)
+        for board, worker in report.assignment.items():
+            worker_boards.setdefault(worker, []).append(board)
         exchange = SharedMemoryExchange(plan)
         self.last_exchange_segments = [exchange.name]
         report.exchange_segment_bytes = 4 * plan.total_words

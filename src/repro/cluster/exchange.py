@@ -90,8 +90,6 @@ class ExchangePlan:
 
     #: Boards in canonical order.
     boards: List[int]
-    #: Board -> worker.
-    assignment: Dict[int, int]
     #: Effective super-step depth (``1`` = exchange every tick).
     lookahead: int
     #: Minimum cross-board synaptic delay; ``None`` when no synapse
@@ -205,8 +203,7 @@ class ExchangePlan:
         capacity = {pair: words * effective
                     for pair, words in capacity.items()}
 
-        return cls(boards=boards, assignment=dict(assignment),
-                   lookahead=effective, d_min=d_min,
+        return cls(boards=boards, lookahead=effective, d_min=d_min,
                    max_lookahead=max_lookahead, cross_destinations=cross,
                    remote_workers=remote, export_keys=export_keys,
                    stub_keys=stub_keys, region_capacity=capacity)

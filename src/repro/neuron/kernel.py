@@ -341,8 +341,8 @@ class TickKernel:
         ahead = upto_tick + 1 - self._next_source_tick
         if ahead <= 0:
             return
-        assert ahead == 1 or len({id(unit.rng) for unit in self._sources}
-                                 ) == len(self._sources), \
+        generators = {id(unit.rng) for unit in self._sources}
+        assert ahead == 1 or len(generators) == len(self._sources), \
             "sources sharing a generator must be drawn one tick at a time"
         drawn = [stimulus_spikes(unit.population, unit.slice_start,
                                  unit.slice_stop, self._next_source_tick,

@@ -486,12 +486,12 @@ class TestExchangePlan:
         contexts = cluster.board_contexts
         assignment = _assign_boards(sorted(contexts), 2,
                                     dict.fromkeys(contexts, 1))
-        return cluster, ExchangePlan.build(
+        return cluster, assignment, ExchangePlan.build(
             contexts, cluster.board_pair_min_delay, assignment, **kwargs)
 
     def test_regions_join_workers_never_boards_of_one_worker(self):
-        cluster, plan = self._two_worker_plan()
-        assert set(plan.assignment.values()) == {0, 1}
+        cluster, assignment, plan = self._two_worker_plan()
+        assert assignment == {0: 0, 1: 0, 2: 1, 3: 1}
         home = {core.base_key: board
                 for board, context in cluster.board_contexts.items()
                 for core in context.cores}
@@ -503,13 +503,13 @@ class TestExchangePlan:
         assert any(remote_keys.values())
         for worker, keys in remote_keys.items():
             for key in keys:
-                assert plan.assignment[home[key]] == worker
+                assert assignment[home[key]] == worker
                 destinations = plan.remote_workers[key]
                 # Written once per destination worker, never to its own.
                 assert worker not in destinations
                 assert sorted(set(destinations)) == list(destinations)
                 assert set(destinations) == {
-                    plan.assignment[board]
+                    assignment[board]
                     for board in plan.cross_destinations[key]} - {worker}
         # A key that crosses boards only inside its worker is a stub:
         # the engine delivers it and the parent only counts it.
@@ -539,8 +539,8 @@ class TestExchangePlan:
             assert plan.export_keys == plan.stub_keys
 
     def test_accounting_adds_board_local_stubs(self):
-        _, plan = self._two_worker_plan()
-        _, accounted = self._two_worker_plan(account_transport=True)
+        *_, plan = self._two_worker_plan()
+        *_, accounted = self._two_worker_plan(account_transport=True)
         assert accounted.remote_workers == plan.remote_workers
         for worker in (0, 1):
             assert accounted.stub_keys[worker] > plan.stub_keys[worker]
@@ -548,8 +548,8 @@ class TestExchangePlan:
                 worker] == plan.export_keys[worker] - plan.stub_keys[worker]
 
     def test_region_capacity_scales_with_lookahead(self):
-        _, one = self._two_worker_plan(lookahead=1)
-        _, two = self._two_worker_plan(lookahead=2)
+        *_, one = self._two_worker_plan(lookahead=1)
+        *_, two = self._two_worker_plan(lookahead=2)
         assert set(one.region_capacity) == set(two.region_capacity)
         for pair, words in one.region_capacity.items():
             assert two.region_capacity[pair] == 2 * words
