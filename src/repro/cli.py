@@ -25,7 +25,7 @@ import argparse
 import math
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -543,6 +543,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         report = reports[workers]
         rows.append([str(workers), "%d" % result.total_spikes(),
                      "%d" % report.cross_board_spikes,
+                     "%d" % report.exchanged_batches,
                      "%d" % report.inter_board_traversals,
                      "%d" % report.lookahead,
                      "%d" % report.supersteps,
@@ -550,18 +551,25 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                      "%.3f" % report.total_compute_s,
                      "%.2f" % report.speedup_bound])
     _print_table(rows, header=["workers", "spikes", "cross-board spikes",
-                               "inter-board hops", "lookahead",
+                               "cross-board batches", "inter-board hops",
+                               "lookahead",
                                "supersteps", "wall s", "compute s",
                                "speedup bound"])
 
     reference = results[1]
+
+    def traffic(report) -> Tuple[int, int, int]:
+        return (report.cross_board_spikes, report.exchanged_batches,
+                report.inter_board_traversals)
+
     identical = all(
         other.spikes == reference.spikes
         and other.delivered_charge_na == reference.delivered_charge_na
         and all(np.array_equal(other.spike_counts[label],
                                reference.spike_counts[label])
                 for label in reference.spike_counts)
-        for other in results.values())
+        and traffic(reports[workers]) == traffic(reports[1])
+        for workers, other in results.items())
     print("  worker-count independence: %s"
           % ("IDENTICAL" if identical else "DIVERGED"))
 

@@ -17,16 +17,15 @@ worker cut (see :mod:`repro.cluster.exchange` for the data path):
 * traffic between a worker's own boards is delivered inside its engine;
   traffic between workers travels as packed ``uint32`` records through
   preallocated shared-memory regions, one per worker pair, routed
-  worker-side via the ``key -> destination workers`` table — the parent
-  joins a shared *split barrier* per super-step and tallies the same
-  regions (and, with ``account_transport=True``, replays them through
-  the transport fabric), but is never on the per-spike data path;
-* the super-step schedule is shipped to the workers up front, so the
-  only synchronisation left is one ``multiprocessing.Barrier`` per
-  super-step: workers publish their batches, draw the next super-step's
-  stimulus while the slowest party catches up, and resume compute the
-  moment the barrier opens — the parent's accounting of the previous
-  bank overlaps the workers' compute instead of gating it.
+  worker-side via the ``key -> destination workers`` table;
+* the super-step schedule and the run's length are shipped to the
+  workers when they start, so the only synchronisation left is one
+  ``multiprocessing.Barrier`` of the workers per super-step: workers
+  publish their batches, draw the next super-step's stimulus while the
+  slowest party catches up, and resume compute the moment the barrier
+  opens.  The parent is not a party to it, as the host is never on a
+  SpiNNaker machine's spike path: it starts the workers, watches for a
+  dead one, and reads their results when the run is over.
 
 Three properties the tests and benchmark E19 rely on:
 
@@ -43,13 +42,13 @@ Three properties the tests and benchmark E19 rely on:
   (``NeuralApplication(transport="fabric", stagger_us=0)``): identical
   spike trains, spike counts, synaptic-event totals and delivered
   charge.
-* **One traffic count** — the report's cross-board figures are counted
-  from the plan and the exported spike counts by one per-batch tally,
-  which the serial loop calls on each tick's exports and the pool on
-  each bank's batch headers; with ``account_transport=True`` the same
-  tally replays every outbound batch through its compiled route program
-  once, so routers, links and NoCs show the loads the unsharded fabric
-  transport would record.
+* **One traffic count** — each engine records the size of every batch
+  a key of its own sends towards some board, and the parent tallies the
+  report's cross-board figures from those sizes once, after the run,
+  whatever the worker count; with ``account_transport=True`` the same
+  tally replays every recorded batch through its key's compiled route
+  program once, so routers, links and NoCs show the loads the unsharded
+  fabric transport would record.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ import multiprocessing
 import threading
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.cluster.exchange import (
     UNCONSTRAINED_LOOKAHEAD,
@@ -140,7 +139,7 @@ class ClusterReport:
     #: :meth:`ClusterApplication.run`.  The serial run is worker ``0``.
     worker_stages: Dict[int, Dict[str, float]] = field(default_factory=dict)
     #: Parent-side seconds spent on the traffic tally and the fabric
-    #: replay (for a pool, including the region header scans).
+    #: replay, made once after the run.
     parent_exchange_s: float = 0.0
     #: Size of the shared-memory segment backing the exchange (pool
     #: runs only; the serial run exchanges nothing).
@@ -240,13 +239,13 @@ def _watch_workers(processes, stop_conn, barrier, released) -> None:
 
     Blocks on the worker process sentinels plus a stop pipe; a sentinel
     firing while the run is live means a worker died mid-barrier-cycle,
-    so every other party would wait forever — ``barrier.abort()`` turns
-    the hang into a ``BrokenBarrierError`` in the parent and the
-    surviving workers.  ``released`` is set by every worker as it leaves
-    the final barrier: from then on every party has arrived, nobody can
-    hang, and a worker exiting is the normal end of the run — aborting
-    then would break the barrier under a slower party still waking
-    inside that same final ``wait()`` and fail a correct run.
+    so every other worker would wait forever — ``barrier.abort()`` turns
+    the hang into a ``BrokenBarrierError`` in the surviving workers.
+    ``released`` is set by every worker as it leaves the final barrier:
+    from then on every worker has arrived, nobody can hang, and a worker
+    exiting is the normal end of the run — aborting then would break the
+    barrier under a slower worker still waking inside that same final
+    ``wait()`` and fail a correct run.
     """
     sentinels = [process.sentinel for process in processes]
     ready = connection_wait(sentinels + [stop_conn])
@@ -258,21 +257,21 @@ def _watch_workers(processes, stop_conn, barrier, released) -> None:
 def _shard_worker(conn, worker: int, contexts: List[BoardContext],
                   populations, seed: Optional[int], timestep_ms: float,
                   plan: ExchangePlan, exchange: SharedMemoryExchange,
-                  barrier, released, profile: bool) -> None:
+                  barrier, released, profile: bool, n_ticks: int,
+                  duration_ms: float) -> None:
     """Worker-process loop: one engine over the worker's boards runs the
-    whole super-step schedule against a shared split barrier; the pipe
-    carries only the run request and the final result.
+    whole super-step schedule against the workers' split barrier; the
+    pipe carries only the final result.
 
     Per super-step: wait at the barrier (every writer of the previous
     bank has finished), apply the previous bank's inbound batches in one
     scatter, then compute the super-step's ticks and publish what the
     engine exports.  Before blocking on the next barrier the worker
     draws the coming super-step's stimulus, so barrier wait time does
-    useful work, while the parent accounts the bank just written.  After
-    a last barrier the final bank's in-flight deliveries are drained
-    (the on-machine run drains after halting, too).  A broken barrier
-    means some process died; the worker just exits (the parent
-    diagnoses who).
+    useful work.  After a last barrier the final bank's in-flight
+    deliveries are drained (the on-machine run drains after halting,
+    too).  A broken barrier means some worker died; the worker just
+    exits without a result (the parent diagnoses who).
     """
     engine = FusedBoardEngine(contexts, populations, seed, timestep_ms,
                               export_keys=plan.export_keys[worker])
@@ -296,10 +295,6 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
                 for batch in exchange.read(src, dst, inbound_bank))
 
     try:
-        message = conn.recv()
-        if message[0] != "run":  # pragma: no cover - protocol misuse
-            raise ValueError("unknown worker message %r" % (message[0],))
-        _, n_ticks, duration_ms = message
         prev_bank = None
         try:
             for index, (start, length) in enumerate(
@@ -325,7 +320,7 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
             # The engine keeps its own always-on counters; adopt them so
             # "compute" sits beside the stage spans.
             registry.add("compute", engine.compute_s)
-        conn.send((result, engine.compute_s,
+        conn.send((result, engine.batch_sizes, engine.compute_s,
                    registry.snapshot() if profile else None))
     finally:
         conn.close()
@@ -444,7 +439,7 @@ class ClusterApplication:
         assignment = _assign_boards(boards, effective, weights)
         plan = ExchangePlan.build(
             self.board_contexts, self.board_pair_min_delay, assignment,
-            lookahead=lookahead, account_transport=self.account_transport)
+            lookahead=lookahead)
         report = ClusterReport(
             n_boards=len(boards), workers=effective, n_ticks=n_ticks,
             lookahead=plan.lookahead, d_min=plan.d_min or 0,
@@ -458,7 +453,9 @@ class ClusterApplication:
         self.registry = ProfileRegistry(enabled=profile_enabled())
         began = perf_now()
         run_boards = self._run_serial if effective == 1 else self._run_pool
-        self.result = run_boards(n_ticks, duration_ms, report, plan)
+        self.result, batch_sizes = run_boards(n_ticks, duration_ms, report,
+                                              plan)
+        self._tally(batch_sizes, plan, report)
         report.wall_s = perf_now() - began
         if self.fabric is not None:
             report.inter_board_traversals = (
@@ -467,55 +464,39 @@ class ClusterApplication:
         return self.result
 
     # ------------------------------------------------------------------
-    # Accounting (the only per-batch work left on the parent)
+    # Accounting (the parent's one pass over the traffic, after the run)
     # ------------------------------------------------------------------
-    def _tally(self, batches: Iterable[Tuple[int, int]], plan: ExchangePlan,
+    def _tally(self, batch_sizes: Dict[int, List[int]], plan: ExchangePlan,
                report: ClusterReport) -> None:
-        """Count outbound ``(key, spike count)`` batches into the report.
+        """Count the engines' recorded batches into the report.
 
-        The one counting rule of both runs: a batch counts once per
-        board it crosses to, and with a fabric it is replayed once
-        through its key's route program.
+        ``batch_sizes`` maps each key some board reaches to the spike
+        count of every tick it fired.  A batch counts once per board it
+        crosses to, and with a fabric it is replayed once through its
+        key's route program.
         """
         began = perf_now()
         fabric = self.fabric
         cross = plan.cross_destinations
-        for key, count in batches:
+        for key, sizes in batch_sizes.items():
             copies = len(cross.get(key, ()))
-            report.exchanged_batches += copies
-            report.exchanged_spikes += copies * count
-            if fabric is not None:
-                program = fabric.program_for(key)
-                if program is not None:
+            report.exchanged_batches += copies * len(sizes)
+            report.exchanged_spikes += copies * sum(sizes)
+            program = fabric.program_for(key) if fabric is not None else None
+            if program is not None:
+                for count in sizes:
                     fabric.account_batch(program, count)
         elapsed = perf_now() - began
         report.parent_exchange_s += elapsed
         if self.registry.enabled:
             self.registry.add("parent_account", elapsed)
 
-    def _account_bank(self, exchange: SharedMemoryExchange, bank: int,
-                      plan: ExchangePlan, report: ClusterReport) -> None:
-        """Tally one bank of the pool's exchange.
-
-        Reads only batch headers (key + count; payloads are skipped), so
-        the parent's cost per super-step is proportional to the batch
-        count, not the spike count.  Each outbound batch is read once:
-        from its first destination worker's region, or from its
-        count-only stub record.
-        """
-        remote = plan.remote_workers
-        self._tally(((key, count)
-                     for src, dst in sorted(plan.region_capacity)
-                     for key, count in exchange.read_counts(src, dst, bank)
-                     if dst == src or dst == remote[key][0]),
-                    plan, report)
-
     # ------------------------------------------------------------------
     # Serial path (workers=1: one engine, no exchange, no barrier)
     # ------------------------------------------------------------------
     def _run_serial(self, n_ticks: int, duration_ms: float,
-                    report: ClusterReport,
-                    plan: ExchangePlan) -> ApplicationResult:
+                    report: ClusterReport, plan: ExchangePlan
+                    ) -> Tuple[ApplicationResult, Dict[int, List[int]]]:
         engine = FusedBoardEngine(
             [self.board_contexts[board] for board in plan.boards],
             self._populations(), self.seed, self.timestep_ms,
@@ -524,22 +505,19 @@ class ClusterApplication:
             if tick % UNCONSTRAINED_LOOKAHEAD == 0:
                 engine.kernel.prefetch_sources(
                     min(tick + UNCONSTRAINED_LOOKAHEAD, n_ticks) - 1)
-            exported = engine.step(tick)
-            if exported:
-                self._tally(((key, spiking.size) for key, spiking in exported),
-                            plan, report)
+            engine.step(tick)
         report.worker_compute_s[0] = engine.compute_s
         if self.registry.enabled:
             self.registry.add("compute", engine.compute_s)
             report.worker_stages[0] = _stage_dict(self.registry.snapshot())
-        return engine.finish(duration_ms)
+        return engine.finish(duration_ms), engine.batch_sizes
 
     # ------------------------------------------------------------------
     # Pool path
     # ------------------------------------------------------------------
     def _run_pool(self, n_ticks: int, duration_ms: float,
-                  report: ClusterReport,
-                  plan: ExchangePlan) -> ApplicationResult:
+                  report: ClusterReport, plan: ExchangePlan
+                  ) -> Tuple[ApplicationResult, Dict[int, List[int]]]:
         populations = self._populations()
         try:
             mp_context = multiprocessing.get_context("fork")
@@ -551,11 +529,11 @@ class ClusterApplication:
         exchange = SharedMemoryExchange(plan)
         self.last_exchange_segments = [exchange.name]
         report.exchange_segment_bytes = 4 * plan.total_words
-        # One split barrier shared by every worker plus the parent: the
-        # wait at super-step ``s`` is the only synchronisation point —
-        # it certifies every bank-``(s-1) % 2`` write is published and
+        # One split barrier shared by the workers: the wait at
+        # super-step ``s`` is the only synchronisation point — it
+        # certifies every bank-``(s-1) % 2`` write is published and
         # every bank-``s % 2`` read (two super-steps ago) retired.
-        barrier = mp_context.Barrier(len(worker_boards) + 1)
+        barrier = mp_context.Barrier(len(worker_boards))
         #: Set once the final barrier has opened (see _watch_workers).
         released = mp_context.Event()
         connections: List = []
@@ -571,13 +549,13 @@ class ClusterApplication:
                           [self.board_contexts[board] for board in owned],
                           populations, self.seed, self.timestep_ms, plan,
                           exchange, barrier, released,
-                          self.registry.enabled),
+                          self.registry.enabled, n_ticks, duration_ms),
                     daemon=True)
                 process.start()
                 child_end.close()
                 connections.append(parent_end)
                 processes.append(process)
-            # A worker dying mid-run would leave every other party stuck
+            # A worker dying mid-run would leave every other worker stuck
             # at the barrier forever; the watcher turns the death into a
             # BrokenBarrierError for everyone instead.
             watcher = threading.Thread(
@@ -585,37 +563,24 @@ class ClusterApplication:
                 args=(processes, stop_reader, barrier, released),
                 daemon=True)
             watcher.start()
-            self._broadcast(connections, processes, worker_boards,
-                            ("run", n_ticks, duration_ms))
-            prev_bank = None
-            try:
-                for index, _ in enumerate(
-                        superstep_schedule(n_ticks, plan.lookahead)):
-                    bank = index % 2
-                    barrier.wait()
-                    # Account the previous bank while the workers
-                    # compute the new super-step — both only read it,
-                    # and it is not recycled before the next barrier.
-                    if prev_bank is not None:
-                        self._account_bank(exchange, prev_bank, plan,
-                                           report)
-                    prev_bank = bank
-                barrier.wait()
-            except threading.BrokenBarrierError:
-                self._fail_dead_worker(processes, worker_boards)
-            if prev_bank is not None:
-                self._account_bank(exchange, prev_bank, plan, report)
             results: List[ApplicationResult] = []
-            for worker in range(len(connections)):
-                result, compute_s, snapshot = self._recv_checked(
-                    worker, connections, processes, worker_boards)
+            batch_sizes: Dict[int, List[int]] = {}
+            for worker, connection in enumerate(connections):
+                try:
+                    result, sizes, compute_s, snapshot = connection.recv()
+                except (EOFError, ConnectionResetError):
+                    # A dying peer surfaces as EOF or, when it still held
+                    # unread data, as a connection reset.
+                    self._fail_dead_worker(worker, processes, worker_boards)
                 results.append(result)
+                # Each key is one worker's own: the union is the run's.
+                batch_sizes.update(sizes)
                 report.worker_compute_s[worker] = compute_s
                 if snapshot is not None:
                     report.worker_stages[worker] = _stage_dict(snapshot)
                     self.registry.merge(snapshot)
             # Worker order over a contiguous cut is board order.
-            return ApplicationResult.merge(results)
+            return ApplicationResult.merge(results), batch_sizes
         finally:
             stop_writer.send(True)
             stop_writer.close()
@@ -638,64 +603,20 @@ class ClusterApplication:
             exchange.close()
             exchange.unlink()
 
-    def _broadcast(self, connections, processes, worker_boards,
-                   message) -> None:
-        for worker, connection in enumerate(connections):
-            try:
-                connection.send(message)
-            except (BrokenPipeError, OSError):
-                self._fail_pool(worker, processes, worker_boards)
+    def _fail_dead_worker(self, closed: int, processes,
+                          worker_boards) -> NoReturn:
+        """Worker ``closed``'s pipe ended without a result: raise for the
+        worker that died.
 
-    def _fail_dead_worker(self, processes, worker_boards) -> None:
-        """The barrier broke: find which worker died and raise for it.
-
-        Goes by the fired sentinel, not ``is_alive()`` — an exiting
-        process closes its sentinel before it becomes reapable, so a
-        liveness poll in that window would miss it (``_fail_pool``'s
-        join then waits out the window and gets the real exit code).
+        A worker that survives the barrier a peer's death broke exits
+        cleanly without a result, so the blame goes by exit code: the
+        first worker whose process ended nonzero, else ``closed`` itself.
+        Joining waits out the window in which an exiting process has
+        closed its pipe but is not yet reapable.
         """
-        sentinels = {process.sentinel: worker
-                     for worker, process in enumerate(processes)}
-        ready = connection_wait(list(sentinels), timeout=10.0)
-        for fired in ready:
-            self._fail_pool(sentinels[fired], processes, worker_boards)
-        # No sentinel fired: the abort had another cause (e.g. a
-        # parent-side interrupt); blame worker 0 with no exit code.
-        raise ClusterWorkerError(0, worker_boards.get(0, ()), None)
-
-    def _recv_checked(self, worker: int, connections, processes,
-                      worker_boards):
-        """Receive one message, detecting a dead worker instead of
-        surfacing a bare ``EOFError`` or hanging forever."""
-        connection = connections[worker]
-        process = processes[worker]
-        # A dying peer surfaces as EOF or, when it still held unread
-        # data, as a connection reset — both mean "worker died".
-        dead = (EOFError, ConnectionResetError)
-        while True:
-            ready = connection_wait([connection, process.sentinel])
-            if connection in ready:
-                try:
-                    return connection.recv()
-                except dead:
-                    break
-            if not process.is_alive():
-                # The process died; a final message may still have
-                # raced into the pipe ahead of the EOF.
-                if connection.poll(0):
-                    try:
-                        return connection.recv()
-                    except dead:
-                        break
-                break
-        self._fail_pool(worker, processes, worker_boards)
-
-    def _fail_pool(self, worker: int, processes, worker_boards) -> None:
-        process = processes[worker]
-        process.join(timeout=5.0)
-        exitcode = process.exitcode
-        for other in processes:
-            if other.is_alive():
-                other.terminate()
-        raise ClusterWorkerError(worker, worker_boards.get(worker, ()),
-                                 exitcode)
+        for process in processes:
+            process.join(timeout=10.0)
+        dead = next((worker for worker, process in enumerate(processes)
+                     if process.exitcode), closed)
+        raise ClusterWorkerError(dead, worker_boards.get(dead, ()),
+                                 processes[dead].exitcode)

@@ -17,9 +17,9 @@ built from the three classic PDES ingredients:
   part of the :class:`ExchangePlan` shipped to every worker at startup,
   so a worker writes each batch once into the inbound region of every
   other worker it reaches, and the receiving engine scatters it onto
-  every board of its own the key reaches.  The parent only sequences
-  barriers and tallies (optionally replaying through the transport
-  fabric) the same regions.
+  every board of its own the key reaches.  The parent is not a party to
+  the exchange at all: it starts the workers and, after the run, tallies
+  the traffic from the batch sizes the engines recorded.
 * **Conservative lookahead.**  A cross-board spike emitted at tick ``t``
   cannot influence another board before ``t + 1 + d_min`` (``d_min`` =
   the minimum cross-board synaptic delay, read per board pair by the
@@ -32,9 +32,9 @@ built from the three classic PDES ingredients:
 Synchronisation is lock-free by construction: every region has exactly
 one writer (its source worker), regions are double-banked (super-step
 ``s`` writes bank ``s % 2`` while readers drain bank ``(s - 1) % 2``),
-and the split barrier provides the happens-before edge between a bank's
-writes and its reads.  No shared mutable state is guarded by a lock
-because none is concurrently written.
+and the workers' split barrier provides the happens-before edge between
+a bank's writes and its reads.  No shared mutable state is guarded by a
+lock because none is concurrently written.
 
 Determinism: an exchanged event lands in the ring slot a local delivery
 at its send tick would have used, and ring-buffer accumulation is exact
@@ -84,8 +84,9 @@ class ExchangePlan:
 
     Built once per run from the compiled board contexts and the board ->
     worker assignment; shipped to the workers at startup (worker-side
-    routing) and kept by the parent (the tally reads the same regions).
-    The serial run's one-worker plan has no regions, only tally stubs.
+    routing) and kept by the parent (the tally reads the cross-board
+    destinations).  The serial run's one-worker plan has no regions and
+    no export keys.
     """
 
     #: Boards in canonical order.
@@ -101,18 +102,13 @@ class ExchangePlan:
     #: board order: what the tally counts as crossing board cables.
     cross_destinations: Dict[int, Tuple[int, ...]]
     #: key -> destination workers *other than* the key's home worker, in
-    #: worker order.  The worker-side routing table; its first entry is
-    #: the one region the parent tallies the batch from.
+    #: worker order: the worker-side routing table.
     remote_workers: Dict[int, Tuple[int, ...]]
-    #: worker -> keys its engine must hand to the exchange (batches for
-    #: other workers plus count-only tally stubs).
+    #: worker -> keys its engine must hand to the exchange: its keys
+    #: that have remote workers.
     export_keys: Dict[int, FrozenSet[int]]
-    #: worker -> keys exported as count-only tally stubs through the
-    #: ``(worker, worker)`` region: keys that cross boards only within
-    #: the worker, plus, under accounting, board-local keys.
-    stub_keys: Dict[int, FrozenSet[int]]
     #: (source worker, destination worker) -> payload capacity in words
-    #: of one bank.  ``(w, w)`` entries are the tally-stub regions.
+    #: of one bank; source and destination always differ.
     region_capacity: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
     @property
@@ -124,14 +120,13 @@ class ExchangePlan:
     def inbound_pairs(self, worker: int) -> List[Tuple[int, int]]:
         """Regions a worker drains, in canonical source order."""
         return sorted(pair for pair in self.region_capacity
-                      if pair[1] == worker != pair[0])
+                      if pair[1] == worker)
 
     @classmethod
     def build(cls, board_contexts: Dict[int, BoardContext],
               pair_min_delay: Dict[Tuple[int, int], int],
               assignment: Dict[int, int],
-              lookahead: Optional[int] = None,
-              account_transport: bool = False) -> "ExchangePlan":
+              lookahead: Optional[int] = None) -> "ExchangePlan":
         """Derive the plan from the compiled per-board sub-contexts.
 
         ``assignment`` maps each board to its worker.  ``lookahead=None``
@@ -179,34 +174,24 @@ class ExchangePlan:
                 raise ValueError("lookahead must be at least 1")
             effective = min(lookahead, max_lookahead)
 
-        remote_keys = {worker: frozenset(
+        export_keys = {worker: frozenset(
             key for key in outgoing[worker] if key in remote)
             for worker in workers}
-        stub_keys = {worker: frozenset(
-            key for key in outgoing[worker] if key not in remote
-            and (key in cross or account_transport and key in destinations))
-            for worker in workers}
-        export_keys = {worker: remote_keys[worker] | stub_keys[worker]
-                       for worker in workers}
 
         capacity: Dict[Tuple[int, int], int] = {}
         for worker in workers:
-            for key in remote_keys[worker]:
+            for key in export_keys[worker]:
                 words = BATCH_HEADER_WORDS + key_neurons[key]
                 for dst in remote[key]:
                     capacity[(worker, dst)] = (
                         capacity.get((worker, dst), 0) + words)
-            # The serial run tallies its stubs straight from the engine.
-            if stub_keys[worker] and len(workers) > 1:
-                capacity[(worker, worker)] = (
-                    BATCH_HEADER_WORDS * len(stub_keys[worker]))
         capacity = {pair: words * effective
                     for pair, words in capacity.items()}
 
         return cls(boards=boards, lookahead=effective, d_min=d_min,
                    max_lookahead=max_lookahead, cross_destinations=cross,
                    remote_workers=remote, export_keys=export_keys,
-                   stub_keys=stub_keys, region_capacity=capacity)
+                   region_capacity=capacity)
 
 
 class SharedMemoryExchange:
@@ -256,19 +241,13 @@ class SharedMemoryExchange:
 
     def write_batches(self, src: int, bank: int, tick: int,
                       exported) -> None:
-        """Route one worker's exported batches into its write regions.
-
-        A batch for other workers is copied once into the inbound region
-        of each of them; a stub key becomes a count-only record in the
-        worker's own ``(src, src)`` region.
-        """
+        """Route one worker's exported batches into its write regions:
+        each is copied once into the inbound region of every other
+        worker its key reaches."""
         remote = self.plan.remote_workers
         for key, spiking in exported:
-            if key in remote:
-                for dst in remote[key]:
-                    self.write_batch(src, dst, bank, key, tick, spiking)
-            else:
-                self.write_stub(src, bank, key, tick, int(spiking.size))
+            for dst in remote[key]:
+                self.write_batch(src, dst, bank, key, tick, spiking)
 
     def write_batch(self, src: int, dst: int, bank: int, key: int,
                     tick: int, indices: np.ndarray) -> None:
@@ -288,17 +267,6 @@ class SharedMemoryExchange:
         self._used[(src, dst, bank)] = used + needed
         view[0] = used + needed
 
-    def write_stub(self, src: int, bank: int, key: int, tick: int,
-                   count: int) -> None:
-        view = self._view(src, src, bank)
-        used = self._used[(src, src, bank)]
-        pos = 1 + used
-        view[pos] = key
-        view[pos + 1] = tick
-        view[pos + 2] = count
-        self._used[(src, src, bank)] = used + BATCH_HEADER_WORDS
-        view[0] = used + BATCH_HEADER_WORDS
-
     def read(self, src: int, dst: int,
              bank: int) -> Iterator[Tuple[int, int, np.ndarray]]:
         view = self._view(src, dst, bank)
@@ -311,18 +279,6 @@ class SharedMemoryExchange:
             yield (int(view[pos]), int(view[pos + 1]),
                    view[pos + 3:pos + 3 + count].astype(np.int64))
             pos += BATCH_HEADER_WORDS + count
-
-    def read_counts(self, src: int, dst: int,
-                    bank: int) -> Iterator[Tuple[int, int]]:
-        view = self._view(src, dst, bank)
-        end = 1 + int(view[0])
-        pos = 1
-        payload = 0 if src == dst else None
-        while pos < end:
-            count = int(view[pos + 2])
-            yield int(view[pos]), count
-            pos += BATCH_HEADER_WORDS + (payload if payload is not None
-                                         else count)
 
     def close(self) -> None:
         """Detach this process's mapping (workers, and the parent before

@@ -20,7 +20,10 @@ gather and one ring update per batch list, landing at ``tick + 1 +
 delay``, the arrival tick of the fabric transport at zero timer stagger.
 A key that reaches several of the engine's boards is delivered to each
 of them locally, as is an exchanged batch; batches on exported keys are
-also handed back, for the exchange or the report's tally.
+also handed back, for the exchange.  For every key of its own that some
+board reaches, the engine also records each tick's batch size
+(:attr:`FusedBoardEngine.batch_sizes`): the run's traffic is tallied
+from those once, after the run.
 
 Determinism: the kernel's steps are elementwise per cell, the ring sums
 fixed-point weights (exact multiples of 2^-4 in float64) and clamps a
@@ -70,10 +73,10 @@ class FusedBoardEngine:
         self.contexts = list(contexts)
         #: Keys whose spiking indices :meth:`step` must hand back (the
         #: worker's entry of
-        #: :attr:`~repro.cluster.exchange.ExchangePlan.export_keys`).
-        #: The engine's own boards are delivered *locally* at the end of
-        #: each tick (worker-side routing: traffic between them never
-        #: leaves the process).
+        #: :attr:`~repro.cluster.exchange.ExchangePlan.export_keys`: the
+        #: keys other workers' boards reach).  The engine's own boards
+        #: are delivered *locally* at the end of each tick (worker-side
+        #: routing: traffic between them never leaves the process).
         self.export_keys = export_keys
 
         self.result = ApplicationResult(duration_ms=0.0)
@@ -122,6 +125,13 @@ class FusedBoardEngine:
         weights = [index.weights for index in indexes]
         self._arena_weights = (weights[0] if len(weights) == 1
                                else np.concatenate([np.zeros(0), *weights]))
+        #: key -> the spike count of every tick the key fired, for each
+        #: of the engine's keys some board reaches (its own boards or,
+        #: through the export keys, another worker's).
+        self.batch_sizes: Dict[int, List[int]] = {
+            spec.base_key: [] for spec in cores if spec.has_outgoing
+            and (spec.base_key in self._first_rows
+                 or spec.base_key in export_keys)}
         self.step_s = 0.0
         self.local_apply_s = 0.0
         self.remote_apply_s = 0.0
@@ -209,11 +219,15 @@ class FusedBoardEngine:
         for unit, spiking in self.kernel.step(tick):
             spec = self._core_of[unit]
             if spec.has_outgoing:
+                key = spec.base_key
                 self.result.packets_sent += int(spiking.size)
-                if spec.base_key in self._first_rows:
-                    local.append((spec.base_key, spiking))
-                if spec.base_key in self.export_keys:
-                    outbound.append((spec.base_key, spiking))
+                sizes = self.batch_sizes.get(key)
+                if sizes is not None:
+                    sizes.append(int(spiking.size))
+                if key in self._first_rows:
+                    local.append((key, spiking))
+                if key in self.export_keys:
+                    outbound.append((key, spiking))
         stepped = perf_now()
         self.step_s += stepped - began
         self.ticks_run = tick + 1

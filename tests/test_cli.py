@@ -90,7 +90,9 @@ class TestTransportCommand:
 
 class TestClusterCommand:
     def test_demo_reports_identical_shards(self, capsys):
-        status = main(["cluster", "demo", "--boards", "2x1", "--pairs", "2",
+        # Four pairs on two boards: the chain crosses the board cable,
+        # so the verdict also compares non-zero traffic figures.
+        status = main(["cluster", "demo", "--boards", "2x1", "--pairs", "4",
                        "--neurons", "64", "--neurons-per-core", "32",
                        "--duration", "30", "--workers", "2"])
         out = capsys.readouterr().out

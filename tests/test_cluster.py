@@ -328,6 +328,27 @@ class TestClusterApplication:
         assert sum(chip.router.stats.inter_board_forwarded
                    for chip in machine) >= report.inter_board_traversals
 
+    def test_transport_replay_is_worker_count_independent(self):
+        """The parent's one tally after the run replays the engines'
+        recorded batches whatever the cut: the report's traffic figures,
+        the fabric's totals and every router's counters match at 1, 2
+        and 3 workers (three is the uneven cut of four boards)."""
+        def replay(workers):
+            cluster = sharded_app(machine=four_board_machine(),
+                                  account_transport=True)
+            cluster.run(60.0, workers=workers)
+            report, fabric = cluster.report, cluster.fabric
+            return ((report.inter_board_traversals,
+                     report.exchanged_batches, report.cross_board_spikes),
+                    (fabric.batches_accounted, fabric.packets_accounted),
+                    {chip.coordinate: chip.router.stats
+                     for chip in cluster.machine})
+
+        serial = replay(1)
+        assert min(serial[0]) > 0 and min(serial[1]) > 0
+        for workers in (2, 3):
+            assert replay(workers) == serial, workers
+
     def test_reruns_are_reproducible(self):
         cluster = sharded_app(account_transport=True)
         first = cluster.run(40.0)
@@ -497,11 +518,10 @@ class TestExchangePlan:
                 for core in context.cores}
         assert plan.region_capacity
         for src, dst in plan.region_capacity:
-            assert {src, dst} <= {0, 1}
-        remote_keys = {worker: plan.export_keys[worker] - stubs
-                       for worker, stubs in plan.stub_keys.items()}
-        assert any(remote_keys.values())
-        for worker, keys in remote_keys.items():
+            # No ``(w, w)`` region: a worker's own traffic stays inside it.
+            assert {src, dst} == {0, 1}
+        assert any(plan.export_keys.values())
+        for worker, keys in plan.export_keys.items():
             for key in keys:
                 assert assignment[home[key]] == worker
                 destinations = plan.remote_workers[key]
@@ -511,41 +531,32 @@ class TestExchangePlan:
                 assert set(destinations) == {
                     assignment[board]
                     for board in plan.cross_destinations[key]} - {worker}
-        # A key that crosses boards only inside its worker is a stub:
-        # the engine delivers it and the parent only counts it.
+        # A key that crosses boards only inside its worker is delivered
+        # by the worker's engine and never exported.
         within = set(plan.cross_destinations) - set(plan.remote_workers)
         assert within
-        assert within == set().union(*plan.stub_keys.values())
-        # No stub region without stubs to tally.
-        assert all((worker, worker) in plan.region_capacity
-                   for worker, keys in plan.stub_keys.items() if keys)
+        assert not within & set().union(*plan.export_keys.values())
 
-    def test_one_worker_plan_has_no_region_and_stubs_every_cross_key(self):
+    def test_export_keys_are_the_keys_with_remote_workers(self):
+        cluster, assignment, plan = self._two_worker_plan()
+        home = {core.base_key: assignment[board]
+                for board, context in cluster.board_contexts.items()
+                for core in context.cores}
+        assert plan.export_keys == {
+            worker: frozenset(key for key in plan.remote_workers
+                              if home[key] == worker)
+            for worker in (0, 1)}
+
+    def test_one_worker_plan_has_neither_regions_nor_export_keys(self):
         cluster = sharded_app(machine=four_board_machine())
         cluster.prepare()
-        contexts = cluster.board_contexts
-        reached = {key for context in contexts.values()
-                   for key in context.delivery_index.first_row}
-        for account_transport in (False, True):
-            plan = ExchangePlan.build(contexts, cluster.board_pair_min_delay,
-                                      one_worker(cluster),
-                                      account_transport=account_transport)
-            assert plan.region_capacity == {} and plan.total_words == 0
-            assert plan.remote_workers == {}
-            assert plan.cross_destinations
-            expected = reached if account_transport else set(
-                plan.cross_destinations)
-            assert plan.stub_keys == {0: frozenset(expected)}
-            assert plan.export_keys == plan.stub_keys
-
-    def test_accounting_adds_board_local_stubs(self):
-        *_, plan = self._two_worker_plan()
-        *_, accounted = self._two_worker_plan(account_transport=True)
-        assert accounted.remote_workers == plan.remote_workers
-        for worker in (0, 1):
-            assert accounted.stub_keys[worker] > plan.stub_keys[worker]
-            assert accounted.export_keys[worker] - accounted.stub_keys[
-                worker] == plan.export_keys[worker] - plan.stub_keys[worker]
+        plan = ExchangePlan.build(cluster.board_contexts,
+                                  cluster.board_pair_min_delay,
+                                  one_worker(cluster))
+        assert plan.region_capacity == {} and plan.total_words == 0
+        assert plan.remote_workers == {}
+        assert plan.export_keys == {0: frozenset()}
+        assert plan.cross_destinations
 
     def test_region_capacity_scales_with_lookahead(self):
         *_, one = self._two_worker_plan(lookahead=1)
@@ -695,6 +706,40 @@ class TestWorkerFailure:
         assert "exit code 3" in str(error)
         assert str(list(error.boards)) in str(error)
 
+    def test_one_worker_dying_is_blamed_not_its_survivor(self,
+                                                         monkeypatch):
+        """Worker 1 dies after its first super-step.  Worker 0 then
+        leaves the broken barrier cleanly, without a result; the error
+        must still name worker 1, its boards and its exit code."""
+        cluster = sharded_app()
+        cluster.prepare()
+        boards = sorted(cluster.board_contexts)
+        assignment = _assign_boards(
+            boards, 2, {board: cluster.board_contexts[board].n_cores
+                        for board in boards})
+        doomed = [board for board in boards if assignment[board] == 1]
+        lookahead = ExchangePlan.build(cluster.board_contexts,
+                                       cluster.board_pair_min_delay,
+                                       assignment).lookahead
+
+        class DyingAfterFirstSuperstep(FusedBoardEngine):
+            def step(self, tick):
+                if (tick == lookahead and self.contexts[0]
+                        is cluster.board_contexts[doomed[0]]):
+                    os._exit(5)
+                return super().step(tick)
+
+        monkeypatch.setattr(cluster_application, "FusedBoardEngine",
+                            DyingAfterFirstSuperstep)
+        with pytest.raises(ClusterWorkerError) as excinfo:
+            cluster.run(20.0, workers=2)
+        error = excinfo.value
+        assert error.worker == 1
+        assert error.boards == tuple(doomed)
+        assert error.exitcode == 5
+        assert "worker 1" in str(error) and "exit code 5" in str(error)
+        assert_shm_unlinked(cluster)
+
     def test_worker_death_still_unlinks_the_segment(self, monkeypatch):
         def _dying_worker(conn, contexts, *args, **kwargs):
             os._exit(1)
@@ -710,27 +755,32 @@ class TestWorkerFailure:
             self, monkeypatch):
         """Regression: a worker that left the final barrier, sent its
         results and exited cleanly made the watchdog abort the barrier
-        under a slower party still waking inside that same ``wait()``,
+        under a slower worker still waking inside that same ``wait()``,
         failing a correct run with ``ClusterWorkerError(... exit code
-        0)``.  The parent is made that slow party deterministically."""
-        duration_ms, parent_pid = 3.0, os.getpid()
+        0)``.  One worker is made that slow party deterministically."""
+        duration_ms = 3.0
         final_wait = len(superstep_schedule(3, 1)) + 1
         fork = multiprocessing.get_context("fork")
 
         class LateWakingBarrier:
-            """Released with everyone else, but resumes a second later
-            — and, like any party still inside ``wait()``, then sees
-            whether the barrier was broken in the meantime."""
+            """Released with everyone else, but the first worker out of
+            the final ``wait()`` resumes a second later — and, like any
+            party still inside ``wait()``, then sees whether the barrier
+            was broken in the meantime."""
 
             def __init__(self, parties):
                 self.inner = fork.Barrier(parties)
-                self.parent_waits = 0
+                self.late_claimed = fork.Value("b", 0)
+                self.waits = 0  # per process: each worker has a copy
 
             def wait(self, timeout=None):
                 index = self.inner.wait(timeout)
-                if os.getpid() == parent_pid:
-                    self.parent_waits += 1
-                    if self.parent_waits == final_wait:
+                self.waits += 1
+                if self.waits == final_wait:
+                    with self.late_claimed.get_lock():
+                        late = not self.late_claimed.value
+                        self.late_claimed.value = 1
+                    if late:
                         time.sleep(1.0)
                         if self.inner.broken:
                             raise threading.BrokenBarrierError

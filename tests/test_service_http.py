@@ -72,12 +72,18 @@ class TestLifecycle:
         assert released["released"] and released["state"] == "freed"
 
     def test_session_heartbeats_and_releases_on_exit(self, client):
-        with client.session(2, 2, keepalive_ms=120.0) as session:
+        # A heartbeat every third of the keepalive leaves a 250 ms margin:
+        # only a scheduler stall longer than that can free the lease.
+        with client.session(2, 2, keepalive_ms=375.0) as session:
             ready = session.wait_ready(timeout_s=10.0)
             assert ready["state"] == "ready"
-            # Hold well past the keepalive interval: only the heartbeat
-            # thread keeps the lease alive.
-            time.sleep(0.5)
+            # Hold for two keepalive intervals, counted in heartbeats
+            # rather than slept: only the heartbeat thread keeps the
+            # lease alive meanwhile.
+            deadline = time.monotonic() + 10.0
+            while session.heartbeats_sent < 6:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
             assert client.status(session.job_id)["state"] == "ready"
             assert session.heartbeats_sent > 0
         assert client.status(session.job_id)["state"] == "freed"
