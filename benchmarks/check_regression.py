@@ -85,13 +85,15 @@ KEY_METRICS: Dict[str, Tuple[GatedMetric, ...]] = {
             GatedMetric("pass_cache_hit_rate"),
             GatedMetric("profile_pass_total_s", higher_is_better=False,
                         tolerance=1.5)),
-    # e19 gates the load-balance bound plus the exchange-overhead ratio
-    # (worker seconds spent serialising/exchanging/waiting per second of
-    # compute).  The ratio is scheduler-sensitive, so it carries a loose
-    # per-metric tolerance instead of the gate-wide one.
+    # e19 gates the load-balance bound plus the exchange overhead: worker
+    # seconds spent serialising/exchanging/waiting per worker super-step.
+    # Per compute second (stage_overhead_ratio, still reported) a faster
+    # engine would read as more overhead, since barrier waits are set by
+    # the scheduler.  Overhead is scheduler-sensitive, so it carries a
+    # loose per-metric tolerance instead of the gate-wide one.
     "e19": (GatedMetric("speedup_bound"),
-            GatedMetric("stage_overhead_ratio", higher_is_better=False,
-                        tolerance=1.5)),
+            GatedMetric("overhead_s_per_worker_superstep",
+                        higher_is_better=False, tolerance=1.5)),
     # e20 gates the fused engine's serial per-tick compute cost and the
     # pooled workers' merged compute stage (profile_compute_s) — both
     # absolute, so both carry the loose stage-timing tolerance of e18's

@@ -12,17 +12,18 @@ models that assembly and exploits it for execution:
   tick-synchronous executor of a sequence of boards' compiled
   sub-contexts (see the ShardByBoard pass of :mod:`repro.compile`):
   per-model stacked state blocks, one shared deferred-event ring, one
-  fused scatter per batch list;
+  fused scatter of a tick's fired cells;
 * :class:`~repro.cluster.exchange.ExchangePlan` and
   :class:`~repro.cluster.exchange.SharedMemoryExchange` — the pool's
-  spike data path: worker-side routing tables, preallocated
-  shared-memory regions of packed ``uint32`` batches (one per worker
-  pair), and the conservative-lookahead super-step schedule (``L = 1 +
-  d_min`` ticks between barriers);
+  spike data path: the run's plan-cell numbering, worker-side routing
+  tables, preallocated shared-memory regions of packed ``uint32``
+  records (one region per worker pair, one record per tick and
+  destination), and the conservative-lookahead super-step schedule
+  (``L = 1 + d_min`` ticks between barriers);
 * :class:`~repro.cluster.application.ClusterApplication` — the sharded
   runner: each worker steps a contiguous run of boards as one engine.
   Serially that is one engine over every board with no exchange; in a
-  pool of persistent worker processes, the engines exchange the batches
+  pool of persistent worker processes, the engines exchange the spikes
   that cross between workers through shared memory at super-step
   barriers.  Results are bit-identical whatever the worker count or
   lookahead depth, and spike-train-equivalent to the unsharded

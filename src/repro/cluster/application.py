@@ -3,8 +3,8 @@
 Runs a compiled network sharded by board.  The boards are cut, in board
 order, into one contiguous run per worker, and each worker steps its run
 as one :class:`~repro.cluster.fused.FusedBoardEngine` (per-model stacked
-state blocks, one shared event ring, one scatter per batch list), which
-delivers each spike batch on every board of its own it reaches.
+state blocks, one shared event ring, one scatter per tick), which
+delivers each fired neuron on every board of its own its key reaches.
 ``workers=1`` is that engine over every board, stepped tick by tick, with
 nothing to exchange and no barrier to take.  A pool of persistent worker
 processes runs the engines as a conservative-lookahead PDES over the
@@ -15,13 +15,14 @@ worker cut (see :mod:`repro.cluster.exchange` for the data path):
   ShardByBoard pass) — cross-board spikes cannot arrive sooner, so the
   barrier amortises over the whole super-step;
 * traffic between a worker's own boards is delivered inside its engine;
-  traffic between workers travels as packed ``uint32`` records through
-  preallocated shared-memory regions, one per worker pair, routed
-  worker-side via the ``key -> destination workers`` table;
+  traffic between workers travels as packed ``uint32`` records of plan
+  cells, one per tick and destination worker, through preallocated
+  shared-memory regions, one per worker pair, routed worker-side via
+  the ``key -> destination workers`` table;
 * the super-step schedule and the run's length are shipped to the
   workers when they start, so the only synchronisation left is one
   ``multiprocessing.Barrier`` of the workers per super-step: workers
-  publish their batches, draw the next super-step's stimulus while the
+  publish their records, draw the next super-step's stimulus while the
   slowest party catches up, and resume compute the moment the barrier
   opens.  The parent is not a party to it, as the host is never on a
   SpiNNaker machine's spike path: it starts the workers, watches for a
@@ -264,17 +265,17 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
     pipe carries only the final result.
 
     Per super-step: wait at the barrier (every writer of the previous
-    bank has finished), apply the previous bank's inbound batches in one
-    scatter, then compute the super-step's ticks and publish what the
-    engine exports.  Before blocking on the next barrier the worker
-    draws the coming super-step's stimulus, so barrier wait time does
-    useful work.  After a last barrier the final bank's in-flight
+    bank has finished), apply the previous bank's inbound records in one
+    scatter, then compute the super-step's ticks and publish the fired
+    cells other workers' boards take.  Before blocking on the next
+    barrier the worker draws the coming super-step's stimulus, so
+    barrier wait time does useful work.  After a last barrier the final bank's in-flight
     deliveries are drained (the on-machine run drains after halting,
     too).  A broken barrier means some worker died; the worker just
     exits without a result (the parent diagnoses who).
     """
     engine = FusedBoardEngine(contexts, populations, seed, timestep_ms,
-                              export_keys=plan.export_keys[worker])
+                              plan, worker)
     # A worker-local registry; its snapshot rides the existing result
     # pipe and the parent merges it.  A disabled stage entry is one flag
     # check, so the un-profiled tick loop stays clean of clock reads.
@@ -284,15 +285,13 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
     serialize_stage = registry.stage("serialize")
 
     def enter(inbound_bank: Optional[int]) -> None:
-        """Wait at the barrier, then apply ``inbound_bank``'s batches."""
+        """Wait at the barrier, then apply ``inbound_bank``'s records."""
         with barrier_stage:
             barrier.wait()
         if inbound_bank is None:
             return
         with exchange_stage:
-            engine.apply_remote(
-                batch for src, dst in plan.inbound_pairs(worker)
-                for batch in exchange.read(src, dst, inbound_bank))
+            engine.apply_remote(*exchange.inbound(worker, inbound_bank))
 
     try:
         prev_bank = None
@@ -303,11 +302,10 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
                 enter(prev_bank)
                 exchange.begin(bank, worker)
                 for tick in range(start, start + length):
-                    exported = engine.step(tick)
-                    if exported:
+                    fired = engine.step(tick)
+                    if fired.size:
                         with serialize_stage:
-                            exchange.write_batches(worker, bank, tick,
-                                                   exported)
+                            exchange.write(worker, bank, tick, fired)
                 engine.kernel.prefetch_sources(
                     min(start + 2 * length, n_ticks) - 1)
                 prev_bank = bank
@@ -499,8 +497,7 @@ class ClusterApplication:
                     ) -> Tuple[ApplicationResult, Dict[int, List[int]]]:
         engine = FusedBoardEngine(
             [self.board_contexts[board] for board in plan.boards],
-            self._populations(), self.seed, self.timestep_ms,
-            export_keys=plan.export_keys[0])
+            self._populations(), self.seed, self.timestep_ms, plan, 0)
         for tick in range(n_ticks):
             if tick % UNCONSTRAINED_LOOKAHEAD == 0:
                 engine.kernel.prefetch_sources(

@@ -1,32 +1,37 @@
 """The cluster's spike-exchange data path (shared memory + lookahead).
 
 Only traffic between pool workers is exchanged: a worker's one engine
-delivers each batch on every board of its own it reaches, and the serial
-run is the one-worker plan, with no regions.  Pickling per-tick batches
-through ``multiprocessing`` pipes under a parent-mediated barrier every
-tick costs more than the parallelism gains, so the pool's data path is
-built from the three classic PDES ingredients:
+delivers each fired neuron on every board of its own its key reaches,
+and the serial run is the one-worker plan, with no regions.  Pickling
+per-tick spikes through ``multiprocessing`` pipes under a
+parent-mediated barrier every tick costs more than the parallelism
+gains, so the pool's data path is built from the three classic PDES
+ingredients:
 
 * **Preallocated shared-memory regions.**  One
   :class:`multiprocessing.shared_memory.SharedMemory` segment holds a
   packed ``uint32`` region per *(source worker, destination worker)*
-  pair that can exchange spikes.  A batch is ``[key, send_tick, count,
-  index...]`` — a couple of array copies per tick instead of a pickle
-  round-trip.
+  pair that can exchange spikes.  A record is ``[send_tick, count, plan
+  cell...]``, one per tick and destination worker — a couple of array
+  copies per tick instead of a pickle round-trip.  A *plan cell*
+  numbers every placed neuron of the run: boards in order, cores in
+  board order, neurons in slice order (:attr:`ExchangePlan.key_cells`).
 * **Worker-side routing.**  The ``key -> destination workers`` table is
-  part of the :class:`ExchangePlan` shipped to every worker at startup,
-  so a worker writes each batch once into the inbound region of every
-  other worker it reaches, and the receiving engine scatters it onto
-  every board of its own the key reaches.  The parent is not a party to
-  the exchange at all: it starts the workers and, after the run, tallies
-  the traffic from the batch sizes the engines recorded.
+  part of the :class:`ExchangePlan` shipped to every worker at startup;
+  the exchange turns it into one cell mask per region, so a worker
+  writes each tick's exported cells once into the inbound region of
+  every other worker they reach, and the receiving engine scatters
+  them onto every board of its own their keys reach.  The parent is
+  not a party to the exchange at all: it starts the workers and, after
+  the run, tallies the traffic from the batch sizes the engines
+  recorded.
 * **Conservative lookahead.**  A cross-board spike emitted at tick ``t``
   cannot influence another board before ``t + 1 + d_min`` (``d_min`` =
   the minimum cross-board synaptic delay, read per board pair by the
   ShardByBoard pass, over every board pair so the schedule does not
   depend on the worker count), so every worker may run ``L = 1 +
-  d_min`` ticks between barriers.  Batches carry their send tick; the
-  receiver re-bases each event's programmable delay by the batch's age
+  d_min`` ticks between barriers.  Records carry their send tick; the
+  receiver re-bases each event's programmable delay by the record's age
   (:meth:`~repro.cluster.fused.FusedBoardEngine.apply_remote`).
 
 Synchronisation is lock-free by construction: every region has exactly
@@ -48,7 +53,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,14 +61,14 @@ from repro.compile.context import BoardContext
 from repro.neuron.synapse import MAX_DELAY_TICKS
 
 __all__ = [
-    "BATCH_HEADER_WORDS",
+    "RECORD_HEADER_WORDS",
     "ExchangePlan",
     "SharedMemoryExchange",
     "superstep_schedule",
 ]
 
-#: Words prefixed to every batch record: ``key, send_tick, count``.
-BATCH_HEADER_WORDS = 3
+#: Words prefixed to every record: ``send_tick, count``.
+RECORD_HEADER_WORDS = 2
 
 #: Lookahead cap when *no* synapse crosses a board boundary (any depth
 #: is then safe; the cap just bounds region capacity).
@@ -107,9 +112,17 @@ class ExchangePlan:
     #: worker -> keys its engine must hand to the exchange: its keys
     #: that have remote workers.
     export_keys: Dict[int, FrozenSet[int]]
+    #: key -> the plan cells of its core's neurons (every placed core).
+    key_cells: Dict[int, range]
     #: (source worker, destination worker) -> payload capacity in words
     #: of one bank; source and destination always differ.
     region_capacity: Dict[Tuple[int, int], int] = field(default_factory=dict)
+
+    @property
+    def n_cells(self) -> int:
+        """Placed neurons of the run: the plan cells."""
+        return max((cells.stop for cells in self.key_cells.values()),
+                   default=0)
 
     @property
     def total_words(self) -> int:
@@ -138,13 +151,16 @@ class ExchangePlan:
         boards = sorted(board_contexts)
         workers = sorted(set(assignment.values())) or [0]
         key_home: Dict[int, int] = {}
-        key_neurons: Dict[int, int] = {}
+        key_cells: Dict[int, range] = {}
         outgoing: Dict[int, List[int]] = {worker: [] for worker in workers}
+        cell = 0
         for board in boards:
             for core in board_contexts[board].cores:
+                key_cells[core.base_key] = range(
+                    cell, cell + core.vertex.n_neurons)
+                cell += core.vertex.n_neurons
                 if core.has_outgoing:
                     key_home[core.base_key] = board
-                    key_neurons[core.base_key] = core.vertex.n_neurons
                     outgoing[assignment[board]].append(core.base_key)
 
         destinations: Dict[int, List[int]] = {}
@@ -178,28 +194,29 @@ class ExchangePlan:
             key for key in outgoing[worker] if key in remote)
             for worker in workers}
 
+        # A region holds at most one record per tick of a super-step,
+        # each at most every cell its source exports to its destination.
         capacity: Dict[Tuple[int, int], int] = {}
         for worker in workers:
             for key in export_keys[worker]:
-                words = BATCH_HEADER_WORDS + key_neurons[key]
                 for dst in remote[key]:
-                    capacity[(worker, dst)] = (
-                        capacity.get((worker, dst), 0) + words)
-        capacity = {pair: words * effective
-                    for pair, words in capacity.items()}
+                    capacity[(worker, dst)] = (capacity.get((worker, dst), 0)
+                                               + len(key_cells[key]))
+        capacity = {pair: (RECORD_HEADER_WORDS + cells) * effective
+                    for pair, cells in capacity.items()}
 
         return cls(boards=boards, lookahead=effective, d_min=d_min,
                    max_lookahead=max_lookahead, cross_destinations=cross,
                    remote_workers=remote, export_keys=export_keys,
-                   region_capacity=capacity)
+                   key_cells=key_cells, region_capacity=capacity)
 
 
 class SharedMemoryExchange:
     """The packed ``uint32`` exchange over one shared-memory segment.
 
     Layout: per region (in plan order) two banks, each ``1 + capacity``
-    words — word 0 of a bank is the used-payload-words count, written by
-    the region's single writer after every append (no reader looks
+    words — word 0 of a bank is the used-payload-words count, written
+    (and read back) by the region's single writer after every append (no reader looks
     before the split barrier, so no memory-ordering machinery is
     needed).  The segment is created by the parent before the workers
     fork and unlinked by the parent in a ``finally`` — including when a
@@ -218,6 +235,16 @@ class SharedMemoryExchange:
             for bank in (0, 1):
                 self._offsets[pair + (bank,)] = (word, capacity)
                 word += 1 + capacity
+        # The routing table as one plan-cell mask per region: which of
+        # the source's cells the destination takes.
+        self._routes: Dict[int, List[Tuple[int, np.ndarray]]] = {}
+        for src, dst in sorted(plan.region_capacity):
+            mask = np.zeros(plan.n_cells, dtype=bool)
+            for key in plan.export_keys[src]:
+                if dst in plan.remote_workers[key]:
+                    cells = plan.key_cells[key]
+                    mask[cells.start:cells.stop] = True
+            self._routes.setdefault(src, []).append((dst, mask))
         self._shm = shared_memory.SharedMemory(
             create=True, size=max(4 * word, 1),
             name="repro-cluster-%d-%d" % (os.getpid(),
@@ -225,7 +252,6 @@ class SharedMemoryExchange:
         self.name = self._shm.name
         self._words = np.ndarray((word,), dtype=np.uint32,
                                  buffer=self._shm.buf) if word else None
-        self._used: Dict[Tuple[int, int, int], int] = {}
         self._unlinked = False
 
     def _view(self, src: int, dst: int, bank: int) -> np.ndarray:
@@ -237,48 +263,48 @@ class SharedMemoryExchange:
         for (src, dst) in self.plan.region_capacity:
             if src == worker:
                 self._view(src, dst, bank)[0] = 0
-                self._used[(src, dst, bank)] = 0
 
-    def write_batches(self, src: int, bank: int, tick: int,
-                      exported) -> None:
-        """Route one worker's exported batches into its write regions:
-        each is copied once into the inbound region of every other
-        worker its key reaches."""
-        remote = self.plan.remote_workers
-        for key, spiking in exported:
-            for dst in remote[key]:
-                self.write_batch(src, dst, bank, key, tick, spiking)
+    def write(self, src: int, bank: int, tick: int,
+              cells: np.ndarray) -> None:
+        """Route one tick's fired plan cells of worker ``src`` into its
+        write regions: one record per other worker their keys reach,
+        of the cells it takes."""
+        for dst, mask in self._routes.get(src, ()):
+            sent = cells[mask[cells]]
+            if not sent.size:
+                continue
+            view = self._view(src, dst, bank)
+            pos = 1 + int(view[0])
+            end = pos + RECORD_HEADER_WORDS + sent.size
+            if end > view.size:
+                raise RuntimeError(
+                    "exchange region %d->%d overflow" % (src, dst))
+            view[pos] = tick
+            view[pos + 1] = sent.size
+            view[pos + 2:end] = sent
+            view[0] = end - 1
 
-    def write_batch(self, src: int, dst: int, bank: int, key: int,
-                    tick: int, indices: np.ndarray) -> None:
-        view = self._view(src, dst, bank)
-        used = self._used[(src, dst, bank)]
-        count = int(indices.size)
-        needed = BATCH_HEADER_WORDS + count
-        if 1 + used + needed > view.size:  # pragma: no cover - capacity
-            raise RuntimeError(               # bound is worst-case exact
-                "exchange region %d->%d overflow" % (src, dst))
-        pos = 1 + used
-        view[pos] = key
-        view[pos + 1] = tick
-        view[pos + 2] = count
-        if count:
-            view[pos + 3:pos + 3 + count] = indices
-        self._used[(src, dst, bank)] = used + needed
-        view[0] = used + needed
-
-    def read(self, src: int, dst: int,
-             bank: int) -> Iterator[Tuple[int, int, np.ndarray]]:
-        view = self._view(src, dst, bank)
-        end = 1 + int(view[0])
-        pos = 1
-        while pos < end:
-            count = int(view[pos + 2])
-            # astype copies out of the segment: the bank is recycled two
-            # super-steps later, while ring scatters may hold the array.
-            yield (int(view[pos]), int(view[pos + 1]),
-                   view[pos + 3:pos + 3 + count].astype(np.int64))
-            pos += BATCH_HEADER_WORDS + count
+    def inbound(self, dst: int, bank: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Worker ``dst``'s inbound records of ``bank``, in canonical
+        source order, as ``(plan cells, each cell's send tick)``."""
+        cells: List[np.ndarray] = [np.zeros(0, dtype=np.uint32)]
+        ticks: List[int] = []
+        sizes: List[int] = []
+        for src, _dst in self.plan.inbound_pairs(dst):
+            view = self._view(src, dst, bank)
+            end = 1 + int(view[0])
+            pos = 1
+            while pos < end:
+                tick, count = view[pos:pos + RECORD_HEADER_WORDS].tolist()
+                pos += RECORD_HEADER_WORDS
+                cells.append(view[pos:pos + count])
+                ticks.append(tick)
+                sizes.append(count)
+                pos += count
+        # Copied out of the segment: the bank is recycled two super-steps
+        # later.
+        return (np.concatenate(cells, dtype=np.intp),
+                np.repeat(np.array(ticks, dtype=np.intp), sizes))
 
     def close(self) -> None:
         """Detach this process's mapping (workers, and the parent before

@@ -217,8 +217,9 @@ class BoardDeliveryIndex:
     canonical core order), and every key's source rows sit back to back
     in one row table (key ``k``'s row ``i`` is ``first_row[k] + i``) over
     one targets/weights/delays arena.  The fused engine then scatters a
-    whole batch list with one row-table gather, one arena gather and one
-    ring update instead of a loop per (key, destination core) leg.
+    whole tick's fired neurons with one row-table gather, one arena
+    gather and one ring update instead of a loop per (key, destination
+    core) leg.
 
     Merging legs is result-exact: ring accumulation of the fixed-point
     weights is an exact float64 sum, so grouping events per key instead

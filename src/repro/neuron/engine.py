@@ -92,9 +92,9 @@ def expand_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     The one CSR row expansion: spans are expanded in the order given,
     each row's slots kept in storage order.  :meth:`CSRMatrix.synapse_slots`
-    feeds it one matrix's spiking rows; the board engine reads the spans
-    of a whole batch list off its flat row table and expands them in one
-    call.
+    feeds it one matrix's spiking rows; the board engine and the host
+    loop expand a tick's fired cells into table rows, and those rows
+    into slots, with it.
     """
     slots = np.arange(int(counts.sum()), dtype=np.intp)
     slots += np.repeat(starts - (np.cumsum(counts) - counts), counts)

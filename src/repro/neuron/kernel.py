@@ -27,11 +27,20 @@ engine passes its board's cores.  The kernel
   (:class:`~repro.neuron.synapse.DeferredEventBuffer`, the host's and
   a single core's ring), fixed-point weights may be pre-summed, exactly
   (:class:`~repro.neuron.synapse.FusedDeferredEventBuffer`, a board's);
+* numbers the units' neurons as contiguous *cells* in unit order
+  (:attr:`TickUnit.cell` is a unit's first); :meth:`TickKernel.step`
+  returns a tick's fired cells as one integer array — the sources',
+  then each group's lanes in unit order, ascending within a unit — so
+  an engine propagates a whole tick with array operations, never a
+  loop over units;
 * draws each source unit's spikes from the unit's own generator, a
   block of ticks per call when asked to draw ahead
-  (:meth:`TickKernel.prefetch_sources`);
-* records through the engine's :class:`SpikeRecord`: ``(time_ms,
-  indices)`` chunks that :meth:`SpikeRecord.flush` counts and appends
+  (:meth:`TickKernel.prefetch_sources`), and queues them as one cell
+  array per tick;
+* records through the engine's :class:`SpikeRecord`: one ``(time_ms,
+  label codes, population indices)`` chunk per tick, both gathered
+  from per-cell tables, which :meth:`SpikeRecord.flush` sorts by label
+  once (stably: chunk order stays recording order), counts and appends
   to each population's array-backed :class:`SpikeTrain`.
 
 A spike source integrates nothing, so charge aimed at one lands nowhere:
@@ -47,6 +56,7 @@ cluster agree.
 
 from __future__ import annotations
 
+import itertools
 from collections import abc, deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -65,6 +75,9 @@ __all__ = ["SpikeRecord", "SpikeTrain", "StackedBlock", "TickKernel",
 _STIMULUS_STAGE = profile_stage("stimulus")
 _NEURON_UPDATE_STAGE = profile_stage("neuron_update")
 _RECORD_STAGE = profile_stage("record")
+
+#: A tick's fired cells when none fired.
+_NO_CELLS = np.zeros(0, dtype=np.intp)
 
 
 class SpikeTrain(abc.Sequence):
@@ -110,48 +123,71 @@ class SpikeRecord:
 
     ``spikes`` maps a recorded population's label to its
     :class:`SpikeTrain` (population numbering) and ``spike_counts`` maps
-    every label to totals; every flush brings both up to date.
+    every label to totals; every flush brings both up to date.  A label
+    has an integer *code* (:meth:`label_code`), so a kernel records a
+    whole tick as two arrays gathered from per-cell tables.
     """
 
     duration_ms: float
     spikes: Dict[str, SpikeTrain] = field(default_factory=dict)
     spike_counts: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: label -> ``(time_ms, indices)`` chunks not yet in :attr:`spikes`.
-    _chunks: Dict[str, List[Tuple[float, np.ndarray]]] = field(
+    #: label -> code, in the order labels were first seen.
+    _codes: Dict[str, int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    #: ``(time_ms, codes, neurons)`` chunks not yet in :attr:`spikes`.
+    _pending: List[Tuple[float, np.ndarray, np.ndarray]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
 
     def track(self, populations: Iterable[Population]) -> None:
         """Start fresh counts (and trains, where requested) for
         ``populations``."""
         for population in populations:
+            self.label_code(population.label)
             self.spike_counts[population.label] = np.zeros(population.size,
                                                            dtype=int)
-            self._chunks[population.label] = []
             if population.record_spikes:
                 self.spikes[population.label] = SpikeTrain()
 
-    def add(self, label: str, time_ms: float, indices: np.ndarray) -> None:
-        """Record one tick's spikes of (a slice of) a population."""
-        self._chunks[label].append((time_ms, indices))
+    def label_code(self, label: str) -> int:
+        """The code :meth:`add` takes for ``label``'s spikes."""
+        return self._codes.setdefault(label, len(self._codes))
+
+    def add(self, time_ms: float, codes: np.ndarray,
+            neurons: np.ndarray) -> None:
+        """Record one tick's spikes of one kernel: each spike's label
+        code and population index."""
+        self._pending.append((time_ms, codes, neurons))
 
     def flush(self) -> None:
         """Count the pending chunks and append them to :attr:`spikes`.
 
-        Chunks were appended in tick order with in-tick indices already
-        ascending per unit, so concatenating them is the recording order.
+        One stable sort by label code over every chunk keeps each
+        label's spikes in chunk order — tick order, and within a tick
+        the order the kernels recorded them in.
         """
-        for label, chunks in self._chunks.items():
-            if chunks:
-                times, indices = zip(*chunks)
-                neurons = np.concatenate(indices)
-                counts = self.spike_counts[label]
-                counts += np.bincount(neurons, minlength=counts.size)
-                train = self.spikes.get(label)
-                if train is not None:
-                    train.times_ms = np.concatenate((train.times_ms, np.repeat(
-                        times, [part.size for part in indices])))
-                    train.neurons = np.concatenate((train.neurons, neurons))
-                chunks.clear()
+        if not self._pending:
+            return
+        times, codes, neurons = zip(*self._pending)
+        self._pending.clear()
+        sizes = [part.size for part in codes]
+        codes = np.concatenate(codes)
+        order = np.argsort(codes, kind="stable")
+        bounds = np.searchsorted(codes[order],
+                                 np.arange(len(self._codes) + 1)).tolist()
+        neurons = np.concatenate(neurons)[order]
+        times = np.repeat(times, sizes)[order]
+        for label, code in self._codes.items():
+            lo, hi = bounds[code], bounds[code + 1]
+            if lo == hi:
+                continue
+            counts = self.spike_counts[label]
+            counts += np.bincount(neurons[lo:hi], minlength=counts.size)
+            train = self.spikes.get(label)
+            if train is not None:
+                train.times_ms = np.concatenate((train.times_ms,
+                                                 times[lo:hi]))
+                train.neurons = np.concatenate((train.neurons,
+                                                neurons[lo:hi]))
 
     def _counts(self, label: str) -> np.ndarray:
         if label not in self.spike_counts:
@@ -183,7 +219,7 @@ class TickUnit:
     """One ``(population, slice, generator)`` sharing a kernel's tick."""
 
     __slots__ = ("population", "slice_start", "slice_stop", "rng",
-                 "base", "group", "lane")
+                 "cell", "base", "group", "lane")
 
     def __init__(self, population: Population, slice_start: int,
                  slice_stop: int, rng: np.random.Generator) -> None:
@@ -191,6 +227,8 @@ class TickUnit:
         self.slice_start = slice_start
         self.slice_stop = slice_stop
         self.rng = rng
+        #: The kernel's cell of the unit's first neuron.
+        self.cell = 0
         #: Ring column of the unit's first neuron; ``None`` for a source.
         self.base: Optional[int] = None
         #: The stacked group and lane holding a neuron unit's state.
@@ -261,15 +299,20 @@ class _Group(StackedBlock):
                        label=unit.population.label).build_state(
                            timestep_ms, unit.rng)
             for unit in units])
-        self.units = units
         #: Ring columns ``base:base + span`` are the block, lane-major.
         self.base = base
         self.span = self.n_lanes * self.width
         bias = np.zeros((self.n_lanes, self.width), dtype=float)
+        #: The kernel cell of every block position, lane-major (padding
+        #: never fires).
+        self.cells = np.zeros(self.span, dtype=np.intp)
         for lane, unit in enumerate(units):
             unit.group, unit.lane = self, lane
             unit.base = base + lane * self.width
             bias[lane, :unit.n_neurons] = unit.population.bias_current_na
+            start = lane * self.width
+            self.cells[start:start + unit.n_neurons] = unit.cell + np.arange(
+                unit.n_neurons)
         # Padding keeps a zero bias; a group nobody biases skips the add.
         self.bias = bias if bias.any() else None
 
@@ -281,6 +324,22 @@ class TickKernel:
                  ring_class, record: SpikeRecord) -> None:
         self.timestep_ms = timestep_ms
         self.record = record
+        # Cells: every unit's neurons, back to back in unit order.
+        sizes = [unit.n_neurons for unit in units]
+        for unit, cell in zip(units, itertools.accumulate(sizes,
+                                                          initial=0)):
+            unit.cell = cell
+        #: Neurons over every unit: the cells :meth:`step` numbers.
+        self.n_cells = sum(sizes)
+        # What recording reads of a fired cell: its label's code and
+        # its population index.
+        self._cell_codes = np.repeat(np.array(
+            [record.label_code(unit.population.label) for unit in units],
+            dtype=np.int32), sizes)
+        self._cell_neurons = np.concatenate(
+            [np.zeros(0, dtype=np.int64)]
+            + [np.arange(unit.slice_start, unit.slice_stop, dtype=np.int64)
+               for unit in units])
         self._sources = [unit for unit in units
                          if unit.population.is_spike_source]
         grouped: Dict[str, List[TickUnit]] = {}
@@ -300,8 +359,8 @@ class TickKernel:
         #: The deferred-event ring under every unit of the kernel.
         self.ring = ring_class(max(width + bool(self._sources), 1),
                                MAX_DELAY_TICKS)
-        #: Drawn-ahead source spikes, one tuple (in unit order) per tick
-        #: from ``_next_source_tick - len(_queued)`` on.
+        #: Drawn-ahead source spikes, one cell array per tick from
+        #: ``_next_source_tick - len(_queued)`` on.
         self._queued: deque = deque()
         self._next_source_tick = 0
 
@@ -337,6 +396,8 @@ class TickKernel:
         tick when no two sources share a generator — true of every
         engine that draws ahead (one generator per core), and asserted;
         a shared generator (the host's) is drawn one tick at a time.
+        One stable sort by tick turns the block into a cell array per
+        tick, sources in unit order within it.
         """
         ahead = upto_tick + 1 - self._next_source_tick
         if ahead <= 0:
@@ -344,22 +405,31 @@ class TickKernel:
         generators = {id(unit.rng) for unit in self._sources}
         assert ahead == 1 or len(generators) == len(self._sources), \
             "sources sharing a generator must be drawn one tick at a time"
-        drawn = [stimulus_spikes(unit.population, unit.slice_start,
-                                 unit.slice_stop, self._next_source_tick,
-                                 ahead, self.timestep_ms, unit.rng)
-                 for unit in self._sources]
-        self._queued.extend(zip(*drawn) if drawn else [()] * ahead)
+        if not self._sources:
+            self._queued.extend([_NO_CELLS] * ahead)
+        else:
+            drawn = [stimulus_spikes(
+                unit.population, unit.slice_start, unit.slice_stop,
+                self._next_source_tick, ahead, self.timestep_ms, unit.rng)
+                for unit in self._sources]
+            cells = np.concatenate([spiking + unit.cell for unit, (_, spiking)
+                                    in zip(self._sources, drawn)])
+            if ahead == 1:
+                self._queued.append(cells)
+            else:
+                ticks = np.concatenate([offsets for offsets, _ in drawn])
+                order = np.argsort(ticks, kind="stable")
+                self._queued.extend(np.split(cells[order], np.searchsorted(
+                    ticks[order], np.arange(1, ahead))))
         self._next_source_tick = upto_tick + 1
 
-    def step(self, tick: int) -> List[Tuple[TickUnit, np.ndarray]]:
-        """Run one timer tick; return ``(unit, spiking local indices)``
-        for every unit that fired, sources first."""
-        fired: List[Tuple[TickUnit, np.ndarray]] = []
+    def step(self, tick: int) -> np.ndarray:
+        """Run one timer tick; return the fired cells: the sources',
+        then each group's lanes in unit order, ascending within a
+        unit."""
         with _STIMULUS_STAGE:
             self.prefetch_sources(tick)
-            for unit, spiking in zip(self._sources, self._queued.popleft()):
-                if spiking.size:
-                    fired.append((unit, spiking))
+            fired = [self._queued.popleft()]
         with _NEURON_UPDATE_STAGE:
             row = self.ring.drain()
             grids = []
@@ -369,20 +439,12 @@ class TickKernel:
                         group.n_lanes, group.width))
                 grids.append(group.step(group.bias))
         with _RECORD_STAGE:
-            for group, spikes in zip(self._groups, grids):
-                lanes, cells = np.nonzero(spikes)
-                if lanes.size == 0:
-                    continue
-                # Row-major nonzero: lanes ascend, so slicing per lane
-                # keeps unit order within the group.
-                bounds = np.searchsorted(
-                    lanes, np.arange(group.n_lanes + 1)).tolist()
-                for lane, unit in enumerate(group.units):
-                    lo, hi = bounds[lane], bounds[lane + 1]
-                    if lo != hi:
-                        fired.append((unit, cells[lo:hi]))
-            time_ms = tick * self.timestep_ms
-            for unit, spiking in fired:
-                self.record.add(unit.population.label, time_ms,
-                                spiking + unit.slice_start)
+            # Row-major: lanes ascend, so each group keeps unit order.
+            fired.extend(group.cells[np.flatnonzero(spikes)]
+                         for group, spikes in zip(self._groups, grids))
+            fired = np.concatenate(fired)
+            if fired.size:
+                self.record.add(tick * self.timestep_ms,
+                                self._cell_codes[fired],
+                                self._cell_neurons[fired])
         return fired

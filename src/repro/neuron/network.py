@@ -55,16 +55,6 @@ def expand_projections(network: "Network", seed: Optional[int]):
             for index, projection in enumerate(network.projections)]
 
 
-def _spike_mask(unit: TickUnit, fired: Dict[TickUnit, np.ndarray]
-                ) -> np.ndarray:
-    """This tick's boolean spike mask of ``unit`` (what STDP reads)."""
-    mask = np.zeros(unit.n_neurons, dtype=bool)
-    spiking = fired.get(unit)
-    if spiking is not None:
-        mask[spiking] = True
-    return mask
-
-
 @dataclass
 class SimulationResult(SpikeRecord):
     """Recorded output of a network run.
@@ -182,14 +172,15 @@ class Network:
                     if not projection.post.is_spike_source]
         # One row table over them all, in network order, for this run only:
         # a synapse is a ring column (int32), delay (uint8) and weight
-        # (float64), 13 B; ``feeds`` holds each projection's first row.
+        # (float64), 13 B.  A fired cell reaches one row per projection
+        # it feeds: ``cell_rows[cell_ptr[c]:cell_ptr[c + 1]]``.
         n_synapses = sum(csr.n_synapses for _p, csr, _pre, _post in expanded)
         row_ptr = np.empty(sum(csr.n_pre for _p, csr, _pre, _post in expanded)
                            + 1, dtype=np.int64)
         columns = np.empty(n_synapses, dtype=np.int32)
         delays = np.empty(n_synapses, dtype=np.uint8)
         weights = np.empty(n_synapses)
-        feeds, learners, rows, first = [], [], 0, 0
+        row_cells, learners, rows, first = [], [], 0, 0
         for projection, csr, pre, post in expanded:
             np.add(csr.row_ptr[:-1], first,
                    out=row_ptr[rows:rows + csr.n_pre])
@@ -198,37 +189,47 @@ class Network:
                    casting="unsafe")
             delays[span] = csr.delay_ticks
             weights[span] = csr.weights
-            feeds.append((pre, rows))
+            row_cells.append(pre.cell + np.arange(csr.n_pre))
             if projection.plasticity is not None:
                 learners.append((projection.plasticity, csr, pre, post, span))
             rows, first = rows + csr.n_pre, span.stop
         row_ptr[-1] = n_synapses
+        row_cells = np.concatenate([np.zeros(0, dtype=np.intp)] + row_cells)
+        cell_rows = np.argsort(row_cells, kind="stable")
+        cell_ptr = np.zeros(kernel.n_cells + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_cells, minlength=kernel.n_cells),
+                  out=cell_ptr[1:])
+        fired_mask = np.zeros(kernel.n_cells, dtype=bool)
 
         for tick in range(n_ticks):
             with _TICK_STAGE:
-                fired = dict(kernel.step(tick))
+                fired = kernel.step(tick)
                 for unit in probed:
                     result.voltages[unit.population.label][tick] = \
                         kernel.voltages(unit)
                 with _PROPAGATE_STAGE:
-                    spiking = [fired[pre] + first_row
-                               for pre, first_row in feeds if pre in fired]
-                    if spiking:
-                        spiking = np.concatenate(spiking)
-                        starts = row_ptr[spiking]
-                        slots = expand_rows(
-                            starts, row_ptr[spiking + 1] - starts)
-                        if slots.size:
-                            kernel.ring.add_events(columns[slots],
-                                                   weights[slots],
-                                                   delays[slots])
+                    starts = cell_ptr[fired]
+                    # Rows ascend in projection order, then by pre
+                    # neuron: sorted, they are the per-projection order.
+                    spiking = np.sort(cell_rows[expand_rows(
+                        starts, cell_ptr[fired + 1] - starts)])
+                    starts = row_ptr[spiking]
+                    slots = expand_rows(starts, row_ptr[spiking + 1] - starts)
+                    if slots.size:
+                        kernel.ring.add_events(columns[slots],
+                                               weights[slots],
+                                               delays[slots])
                     # An update reads only its own weights and this tick's
                     # masks, so running it after every delivery changes
                     # nothing; the table then takes the learned weights.
+                    if learners:
+                        fired_mask[:] = False
+                        fired_mask[fired] = True
                     for plasticity, csr, pre, post, span in learners:
-                        plasticity.update_csr(csr, _spike_mask(pre, fired),
-                                              _spike_mask(post, fired),
-                                              tick * self.timestep_ms)
+                        plasticity.update_csr(
+                            csr, fired_mask[pre.cell:pre.cell + pre.n_neurons],
+                            fired_mask[post.cell:post.cell + post.n_neurons],
+                            tick * self.timestep_ms)
                         weights[span] = csr.weights
         result.flush()
         return result

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -230,10 +230,12 @@ class SpikeSourceArray(Population):
 
 def stimulus_spikes(population: Population, slice_start: int,
                     slice_stop: int, first_tick: int, n_ticks: int,
-                    timestep_ms: float,
-                    rng: np.random.Generator) -> List[np.ndarray]:
-    """The spiking slice-local indices of one core's slice of a stimulus
-    population, for each of ``n_ticks`` ticks from ``first_tick`` on.
+                    timestep_ms: float, rng: np.random.Generator
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """The spikes of one core's slice of a stimulus population over
+    ``n_ticks`` ticks from ``first_tick`` on, as ``(tick offsets,
+    slice-local indices)`` in tick order, indices ascending within a
+    tick.
 
     ``rng`` is the owning core's generator (:func:`core_rng`): a Poisson
     slice draws its whole block in one ``random((n_ticks, n))`` call, the
@@ -244,14 +246,11 @@ def stimulus_spikes(population: Population, slice_start: int,
         probability = SpikeSourcePoisson.spike_probability(
             population.rate_hz, timestep_ms)
         fired = rng.random((n_ticks, slice_stop - slice_start)) < probability
-        if n_ticks == 1:  # the per-tick draw of the host and the machine
-            return [np.flatnonzero(fired)]
-        ticks, cells = np.nonzero(fired)
-        bounds = np.searchsorted(ticks, np.arange(n_ticks + 1)).tolist()
-        return [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    return [np.flatnonzero(population.spikes_for_tick(tick, timestep_ms)[
-        slice_start:slice_stop])
-        for tick in range(first_tick, first_tick + n_ticks)]
+    else:
+        fired = np.array([population.spikes_for_tick(tick, timestep_ms)[
+            slice_start:slice_stop]
+            for tick in range(first_tick, first_tick + n_ticks)])
+    return np.nonzero(fired)
 
 
 @dataclass

@@ -274,12 +274,12 @@ class CoreRuntime:
     # Figure 7, priority 3: millisecond timer
     # ------------------------------------------------------------------
     def _on_timer(self) -> None:
-        fired = self.tick_kernel.step(self.tick)
+        # The kernel's one unit is the vertex: its cells are local indices.
+        spiking = self.tick_kernel.step(self.tick)
         if not self.population.is_spike_source:
             self.core.charge_cycles(
                 self.core.costs.timer_cycles_per_neuron * self.vertex.n_neurons)
-        if fired and self.has_outgoing_projections:
-            (_unit, spiking), = fired
+        if spiking.size and self.has_outgoing_projections:
             if self.transport == "fabric":
                 # Compiled transport: one batched send for the whole
                 # tick's spikes instead of a packet per neuron.

@@ -20,6 +20,10 @@ from benchmarks.check_regression import (
 )
 
 
+#: e19's gated overhead figure.
+OVERHEAD = "overhead_s_per_worker_superstep"
+
+
 def write_bench(directory, bench_id, metrics):
     path = os.path.join(str(directory), "BENCH_%s.json" % bench_id)
     with open(path, "w") as handle:
@@ -30,8 +34,8 @@ def write_bench(directory, bench_id, metrics):
 class TestCompareBench:
     def test_within_tolerance_is_ok(self):
         deviations = compare_bench(
-            "e19", {"speedup_bound": 4.0, "stage_overhead_ratio": 0.2},
-            {"speedup_bound": 3.6, "stage_overhead_ratio": 0.2},
+            "e19", {"speedup_bound": 4.0, OVERHEAD: 0.2},
+            {"speedup_bound": 3.6, OVERHEAD: 0.2},
             tolerance=0.25)
         assert [d.status for d in deviations] == [OK, OK]
         assert deviations[0].change == pytest.approx(-0.10)
@@ -119,26 +123,41 @@ class TestCompareBench:
                              {"speedup_bound": 4.0}) == []
 
     def test_per_metric_tolerance_overrides_the_gate_wide_one(self):
-        # e19's stage_overhead_ratio carries a loose per-metric
+        # e19's overhead_s_per_worker_superstep carries a loose per-metric
         # tolerance (1.5): a 2x move passes where the gate-wide 25 %
         # would have failed it...
         deviations = compare_bench(
-            "e19", {"speedup_bound": 4.0, "stage_overhead_ratio": 0.2},
-            {"speedup_bound": 4.0, "stage_overhead_ratio": 0.4},
+            "e19", {"speedup_bound": 4.0, OVERHEAD: 0.2},
+            {"speedup_bound": 4.0, OVERHEAD: 0.4},
             tolerance=0.25)
         by_name = {d.metric: d for d in deviations}
-        assert by_name["stage_overhead_ratio"].status == OK
+        assert by_name[OVERHEAD].status == OK
         assert by_name["speedup_bound"].status == OK
+
+    def test_e19_gates_overhead_per_superstep_not_per_compute_second(self):
+        # A cheaper engine raises overhead per compute second while the
+        # barrier seconds stay set by the scheduler: only the overhead
+        # per worker super-step is gated.
+        deviations = compare_bench(
+            "e19", {"speedup_bound": 4.0, OVERHEAD: 0.01,
+                    "stage_overhead_ratio": 0.4},
+            {"speedup_bound": 4.0, OVERHEAD: 0.01,
+             "stage_overhead_ratio": 1.6})
+        assert {d.metric: d.status for d in deviations} == {
+            "speedup_bound": OK, OVERHEAD: OK}
+        (overhead,) = compare_bench("e19", {OVERHEAD: 0.01},
+                                    {OVERHEAD: 0.026})
+        assert overhead.status == REGRESSED
 
     def test_per_metric_tolerance_still_gates(self):
         # ...but a 4x overhead blow-up regresses even the loose gate,
         # and a tight metric still uses the gate-wide tolerance.
         deviations = compare_bench(
-            "e19", {"speedup_bound": 4.0, "stage_overhead_ratio": 0.2},
-            {"speedup_bound": 2.0, "stage_overhead_ratio": 0.8},
+            "e19", {"speedup_bound": 4.0, OVERHEAD: 0.2},
+            {"speedup_bound": 2.0, OVERHEAD: 0.8},
             tolerance=0.25)
         by_name = {d.metric: d for d in deviations}
-        assert by_name["stage_overhead_ratio"].status == REGRESSED
+        assert by_name[OVERHEAD].status == REGRESSED
         assert by_name["speedup_bound"].status == REGRESSED
 
 

@@ -27,6 +27,7 @@ from repro.cluster import (
     ClusterWorkerError,
     ExchangePlan,
     FusedBoardEngine,
+    SharedMemoryExchange,
     superstep_schedule,
 )
 from repro.cluster.application import ClusterReport, _assign_boards
@@ -442,7 +443,7 @@ class TestRemovedOptions:
         with pytest.raises(TypeError):
             sharded_app(**option)
 
-    def test_board_engine_needs_its_export_keys(self):
+    def test_board_engine_needs_its_plan(self):
         cluster = sharded_app()
         cluster.prepare()
         context = next(iter(cluster.board_contexts.values()))
@@ -450,10 +451,13 @@ class TestRemovedOptions:
         with pytest.raises(TypeError):
             FusedBoardEngine([context], populations, SEED,
                              cluster.timestep_ms)
+        plan = ExchangePlan.build(cluster.board_contexts,
+                                  cluster.board_pair_min_delay,
+                                  one_worker(cluster))
         engine = FusedBoardEngine([context], populations, SEED,
-                                  cluster.timestep_ms, export_keys=set())
+                                  cluster.timestep_ms, plan, 0)
         with pytest.raises(TypeError):
-            engine.step(0, [])
+            engine.step(0, np.zeros(0, dtype=np.intp))
 
     def test_profiling_env_alias_is_gone(self, monkeypatch):
         monkeypatch.setenv("REPRO_CLUSTER_PROFILE", "1")
@@ -557,6 +561,43 @@ class TestExchangePlan:
         assert plan.remote_workers == {}
         assert plan.export_keys == {0: frozenset()}
         assert plan.cross_destinations
+
+    def test_plan_cells_number_every_neuron_in_board_order(self):
+        cluster, _assignment, plan = self._two_worker_plan()
+        cores = [core for board in sorted(cluster.board_contexts)
+                 for core in cluster.board_contexts[board].cores]
+        assert [plan.key_cells[core.base_key] for core in cores] == [
+            range(start, start + core.vertex.n_neurons)
+            for start, core in zip(itertools.accumulate(
+                (core.vertex.n_neurons for core in cores), initial=0),
+                cores)]
+
+    def test_a_full_bank_refuses_one_more_record(self):
+        """A bank holds ``lookahead`` worst-case records — every cell the
+        source exports to the destination, each tick — exactly."""
+        _cluster, _assignment, plan = self._two_worker_plan()
+        worst = np.concatenate([
+            np.arange(plan.key_cells[key].start, plan.key_cells[key].stop)
+            for key in sorted(plan.export_keys[0])
+            if 1 in plan.remote_workers[key]])
+        assert plan.region_capacity[(0, 1)] == plan.lookahead * (
+            2 + worst.size)
+        exchange = SharedMemoryExchange(plan)
+        try:
+            exchange.begin(0, 0)
+            for tick in range(plan.lookahead):
+                exchange.write(0, 0, tick, worst)
+            cells, send_ticks = exchange.inbound(1, 0)
+            assert np.array_equal(cells, np.tile(worst, plan.lookahead))
+            assert np.array_equal(send_ticks, np.repeat(
+                np.arange(plan.lookahead), worst.size))
+            with pytest.raises(RuntimeError, match="0->1 overflow"):
+                exchange.write(0, 0, plan.lookahead, worst[:1])
+            # The refused record left the bank as it was.
+            assert np.array_equal(exchange.inbound(1, 0)[0], cells)
+        finally:
+            exchange.close()
+            exchange.unlink()
 
     def test_region_capacity_scales_with_lookahead(self):
         *_, one = self._two_worker_plan(lookahead=1)

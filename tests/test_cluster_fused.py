@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import ScalarRing
-from repro.cluster import ClusterApplication, FusedBoardEngine
+from repro.cluster import ClusterApplication, ExchangePlan, FusedBoardEngine
 from repro.compile.context import BoardDeliveryIndex
 from repro.core.machine import MachineConfig, SpiNNakerMachine
 from repro.neuron.connectors import (
@@ -396,16 +396,17 @@ class TestFusedEngine:
         cluster.prepare()
         (context,) = cluster.board_contexts.values()
         populations = cluster._populations()
+        plan = ExchangePlan.build({context.board: context}, {},
+                                  {context.board: 0})
         return [FusedBoardEngine([context], populations, SEED,
-                                 cluster.timestep_ms, export_keys=set())
+                                 cluster.timestep_ms, plan, 0)
                 for _ in range(count)]
 
     def test_prefetched_sources_change_nothing(self):
         plain, prefetched = self.single_board_engines(2)
         prefetched.kernel.prefetch_sources(59)
         for tick in range(90):
-            assert plain.step(tick) == []
-            assert prefetched.step(tick) == []
+            assert np.array_equal(plain.step(tick), prefetched.step(tick))
             # Re-prefetch mid-run: draws stay in tick order per stream.
             if tick == 70:
                 prefetched.kernel.prefetch_sources(85)
@@ -416,29 +417,36 @@ class TestFusedEngine:
         assert plain_result.synaptic_events > 0
 
     def test_batch_grouping_changes_nothing(self):
-        """Mixed-age batches scattered in one call land the same ring and
-        counters as one call per batch — what pins the age fold."""
+        """Mixed-age cells delivered in one call land the same ring and
+        counters as one call per key's cells — what pins the age fold."""
         together, apart = self.single_board_engines(2)
         for tick in range(25):
             together.step(tick)
             apart.step(tick)
-        index = together.contexts[0].delivery_index
+        context = together.contexts[0]
+        index = context.delivery_index
+        key_cells = ExchangePlan.build({context.board: context}, {},
+                                       {context.board: 0}).key_cells
         rng = np.random.default_rng(4)
         keys = sorted(index.first_row, key=index.first_row.get)
         ends = [index.first_row[key] for key in keys[1:]] + [
             index.row_ptr.size - 1]
-        batches = []
+        records = []
         for key, end in zip(keys * 2, ends * 2):
             first = index.first_row[key]
             spiking = np.flatnonzero(rng.random(end - first) < 0.3)
             slots = np.arange(index.row_ptr[first], index.row_ptr[end])
             # The oldest age that keeps every delay of the key >= 0.
             oldest = int(index.delay_ticks[slots].min())
-            batches.append((key, int(rng.integers(0, oldest + 1)), spiking))
-        assert len({age for _, age, _ in batches}) > 1
-        together._scatter_batches(batches)
-        for batch in batches:
-            apart._scatter_batches([batch])
+            records.append((spiking + key_cells[key].start,
+                            int(rng.integers(0, oldest + 1))))
+        assert len({age for _, age in records}) > 1
+        together._deliver(
+            np.concatenate([cells for cells, _ in records]),
+            np.concatenate([np.full(cells.size, age)
+                            for cells, age in records]))
+        for cells, age in records:
+            apart._deliver(cells, np.full(cells.size, age))
         for name in ("synaptic_events", "delivered_charge_na"):
             assert getattr(together.result, name) == getattr(apart.result,
                                                              name)
@@ -448,7 +456,7 @@ class TestFusedEngine:
             assert np.array_equal(getattr(together.kernel.ring, field),
                                   getattr(apart.kernel.ring, field)), field
         for tick in range(25, 60):
-            assert together.step(tick) == apart.step(tick) == []
+            assert np.array_equal(together.step(tick), apart.step(tick))
         assert together.finish(60.0).spikes == apart.finish(60.0).spikes
 
     def test_stage_counters_cover_compute(self):

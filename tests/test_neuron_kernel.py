@@ -62,6 +62,15 @@ def own_rng(i, start):
     return np.random.default_rng([7, i, start])
 
 
+def fired_by_unit(units, cells):
+    """One step's fired cells as ``{unit: local indices}``, each unit's
+    in the order the step returned them (``units`` in cell order)."""
+    owner = np.searchsorted([unit.cell for unit in units], cells,
+                            side="right") - 1
+    return {units[i]: cells[owner == i] - units[i].cell
+            for i in np.unique(owner).tolist()}
+
+
 #: Every population split in two, as a partitioner would place it.
 SLICES = [(0, 0, 10), (0, 10, 19), (1, 0, 8), (1, 8, 13), (2, 0, 11),
           (3, 0, 3), (3, 3, 7), (4, 0, 2), (4, 2, 6), (5, 0, 5)]
@@ -114,10 +123,10 @@ class TestUnitIndependence:
         rng_a, rng_b = (np.random.default_rng(3) for _ in range(2))
         fired_total = 0
         for tick in range(200):
-            fired = dict(together.step(tick))
+            fired = fired_by_unit(together_units, together.step(tick))
             for unit, twin, kernel in zip(together_units, apart_units,
                                           apart):
-                expected = dict(kernel.step(tick)).get(twin)
+                expected = fired_by_unit([twin], kernel.step(tick)).get(twin)
                 got = fired.get(unit)
                 if expected is None:
                     assert got is None
@@ -178,8 +187,7 @@ class TestStimulus:
         for tick in range(90):
             if tick in prefetch:
                 kernel.prefetch_sources(prefetch[tick])
-            fired.append([(units.index(unit), spiking.tolist())
-                          for unit, spiking in kernel.step(tick)])
+            fired.append(kernel.step(tick).tolist())
         record.flush()
         return fired, record.spikes
 
@@ -251,12 +259,47 @@ class TestSpikeRecord:
                 assert snapshot[label] == [pair for pair in spikes
                                            if pair[0] <= tick]
 
+    def test_a_label_records_its_units_in_unit_order_each_tick(self):
+        """Several units per label, sources and both models interleaved,
+        a label's units out of slice order: within every tick, a label's
+        spikes are its units' in unit order, each ascending — what one
+        stable sort by label code at flush keeps."""
+        scrambled = [(0, 10, 19), (2, 0, 11), (1, 8, 13), (3, 3, 7),
+                     (0, 0, 10), (4, 2, 6), (1, 0, 8), (5, 0, 5),
+                     (3, 0, 3), (4, 0, 2)]
+        members = populations()
+        record = SpikeRecord(duration_ms=0.0)
+        record.track(members)
+        units = units_of(members, scrambled, own_rng)
+        kernel = TickKernel(units, 1.0, DeferredEventBuffer, record)
+        expected = {member.label: [] for member in members}
+        rng = np.random.default_rng(8)
+        for tick in range(120):
+            for unit, *events in drive(units, rng, False):
+                defer(kernel, unit, *events)
+            fired = fired_by_unit(units, kernel.step(tick))
+            for unit in units:
+                spiking = fired.get(unit, np.zeros(0, dtype=int))
+                assert np.array_equal(spiking, np.sort(spiking))
+                expected[unit.population.label].extend(
+                    (float(tick), neuron)
+                    for neuron in (spiking + unit.slice_start).tolist())
+        record.flush()
+        for label, pairs in expected.items():
+            assert len(pairs) > 10, label
+            assert record.spikes[label] == pairs, label
+        # Some tick records a label's later slice before its earlier one.
+        quick = expected["k-quick"]
+        assert any(a[0] == b[0] and a[1] > b[1]
+                   for a, b in zip(quick, quick[1:]))
+
     def test_unrecorded_populations_keep_counts_only(self):
         quiet = Population(4, "lif", label="k-quiet")
         record = SpikeRecord(duration_ms=1000.0)
         record.track([quiet])
-        record.add("k-quiet", 0.0, np.array([1, 3]))
-        record.add("k-quiet", 1.0, np.array([3]))
+        code = record.label_code("k-quiet")
+        record.add(0.0, np.array([code, code]), np.array([1, 3]))
+        record.add(1.0, np.array([code]), np.array([3]))
         record.flush()
         assert record.spikes == {}
         assert record.spike_counts["k-quiet"].tolist() == [0, 1, 0, 2]
