@@ -202,7 +202,7 @@ def test_e19_cluster_scaling(benchmark, stage_profiling):
         "exchange_segment_bytes": pooled_report.exchange_segment_bytes,
         "host_cpus": os.cpu_count() or 1,
     }
-    # Stage registry of the pooled run (merged worker snapshots), as
+    # Stage registry of the pooled run (every worker's stage table), as
     # profile_* keys beside the report-shaped stage totals above.
     attach_profile(metrics, pooled_registry)
     print_metrics("E19: cluster scaling (%d boards, %d workers)"

@@ -497,9 +497,26 @@ def _cluster_network(args: argparse.Namespace) -> "Network":
     return network
 
 
+def _board_diagram(config: MachineConfig) -> str:
+    """A multi-board config's board grid as ASCII, y growing upwards."""
+    size = " %dx%d" % (config.board_width, config.board_height)
+    width = max(8, len(size) + 2)
+    rule = "+" + ("-" * width + "+") * config.boards_x
+    lines = [rule]
+    for row in reversed(range(config.boards_y)):
+        first = row * config.boards_x
+        lines.append("|" + "|".join(
+            (" b%d" % board).ljust(width)
+            for board in range(first, first + config.boards_x)) + "|")
+        lines.append("|" + "|".join([size.ljust(width)] * config.boards_x)
+                     + "|")
+        lines.append(rule)
+    return "\n".join(lines)
+
+
 def cmd_cluster(args: argparse.Namespace) -> int:
     """Dispatch the ``cluster`` subcommand group (currently: demo)."""
-    from repro.cluster import BoardTopology, ClusterApplication
+    from repro.cluster import ClusterApplication
 
     try:
         boards_x, boards_y = (int(part) for part in args.boards.split("x"))
@@ -515,11 +532,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                                        board_width=args.board_width,
                                        board_height=args.board_height,
                                        cores_per_chip=args.cores)
-    topology = BoardTopology(config)
     print("Board topology: %d boards of %dx%d chips (%d chips, %d cores)"
-          % (topology.n_boards, topology.board_width, topology.board_height,
+          % (config.n_boards, config.board_width, config.board_height,
              config.n_chips, config.n_cores))
-    print(topology.ascii_diagram())
+    print(_board_diagram(config))
 
     def build_machine() -> SpiNNakerMachine:
         machine = SpiNNakerMachine(MachineConfig.multi_board(

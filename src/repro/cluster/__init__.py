@@ -2,12 +2,10 @@
 
 The paper's machine is assembled from 48-chip boards scaled towards a
 million cores; everything below one board is a PCB trace, everything
-between boards goes through slower serialising cables.  This package
-models that assembly and exploits it for execution:
+between boards goes through slower serialising cables.  The board grid
+itself is :class:`~repro.core.machine.MachineConfig`'s tiling; this
+package exploits it for execution:
 
-* :class:`~repro.cluster.board.BoardTopology` — the board grid of a
-  multi-board :class:`~repro.core.machine.MachineConfig` (board ids,
-  tile rectangles, the inter-board link census, an ASCII diagram);
 * :class:`~repro.cluster.fused.FusedBoardEngine` — the deterministic,
   tick-synchronous executor of a sequence of boards' compiled
   sub-contexts (see the ShardByBoard pass of :mod:`repro.compile`):
@@ -28,7 +26,10 @@ models that assembly and exploits it for execution:
   barriers.  Results are bit-identical whatever the worker count or
   lookahead depth, and spike-train-equivalent to the unsharded
   on-machine engine (``NeuralApplication(transport="fabric",
-  stagger_us=0)``).
+  stagger_us=0)``).  Every run times each worker once, into one table
+  of compute / serialize / exchange / barrier-wait seconds
+  (:data:`~repro.cluster.application.STAGES`); the engine itself reads
+  no clock.
 """
 
 from repro.cluster.application import (
@@ -36,7 +37,6 @@ from repro.cluster.application import (
     ClusterReport,
     ClusterWorkerError,
 )
-from repro.cluster.board import BoardTopology
 from repro.cluster.exchange import (
     ExchangePlan,
     SharedMemoryExchange,
@@ -45,7 +45,6 @@ from repro.cluster.exchange import (
 from repro.cluster.fused import FusedBoardEngine
 
 __all__ = [
-    "BoardTopology",
     "ClusterApplication",
     "ClusterReport",
     "ClusterWorkerError",

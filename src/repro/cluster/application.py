@@ -80,10 +80,11 @@ from repro.runtime.application import ApplicationResult
 
 __all__ = ["ClusterApplication", "ClusterReport", "ClusterWorkerError"]
 
-#: The per-worker wall-clock decomposition the profiler reports:
-#: stepping neurons + local delivery / packing outbound batches into
-#: shared memory / draining + applying inbound regions / blocked waiting
-#: for the next barrier command (the last three are pool-only).
+#: The per-worker wall-clock decomposition every run records, each
+#: second in one stage: inside ``engine.step`` (stepping neurons and
+#: delivering to the worker's own boards) / packing fired cells into
+#: shared memory / draining inbound regions and applying them / blocked
+#: at the barrier (the last three are pool-only).
 STAGES = ("compute", "serialize", "exchange", "barrier_wait")
 
 
@@ -107,7 +108,8 @@ class ClusterWorkerError(RuntimeError):
 
 @dataclass
 class ClusterReport:
-    """Execution statistics of one sharded run."""
+    """Execution statistics of one sharded run: its schedule, its
+    cross-board traffic and every worker's :data:`STAGES` seconds."""
 
     n_boards: int
     workers: int
@@ -122,22 +124,17 @@ class ClusterReport:
     #: lookahead)``): the pool takes one barrier per super-step, the
     #: serial run none.
     supersteps: int = 0
-    #: Seconds each worker's engine spent computing (stepping + local
-    #: delivery; exchange work is profiled separately).  The serial run
-    #: is worker ``0``.
-    worker_compute_s: Dict[int, float] = field(default_factory=dict)
     #: Board -> worker assignment used by the run.
     assignment: Dict[int, int] = field(default_factory=dict)
     #: Cross-board batch copies / spikes: one per destination board other
     #: than the source's, whatever the worker cut.
     exchanged_batches: int = 0
-    exchanged_spikes: int = 0
+    cross_board_spikes: int = 0
     #: Board-to-board link traversals replayed through the transport
     #: fabric (``account_transport=True`` only).
     inter_board_traversals: int = 0
-    #: Per-worker stage seconds (:data:`STAGES`), filled when
-    #: :func:`repro.profile.enabled` is true at
-    #: :meth:`ClusterApplication.run`.  The serial run is worker ``0``.
+    #: Worker -> seconds of each of :data:`STAGES`, filled on every run.
+    #: The serial run is worker ``0``.
     worker_stages: Dict[int, Dict[str, float]] = field(default_factory=dict)
     #: Parent-side seconds spent on the traffic tally and the fabric
     #: replay, made once after the run.
@@ -147,25 +144,15 @@ class ClusterReport:
     exchange_segment_bytes: int = 0
 
     @property
-    def cross_board_batches(self) -> int:
-        """Synonym of :attr:`exchanged_batches`: the exchange carries
-        exactly the traffic that crosses board cables."""
-        return self.exchanged_batches
-
-    @property
-    def cross_board_spikes(self) -> int:
-        """Synonym of :attr:`exchanged_spikes`."""
-        return self.exchanged_spikes
-
-    @property
     def total_compute_s(self) -> float:
         """Engine compute summed over every worker."""
-        return sum(self.worker_compute_s.values())
+        return self.stage_total("compute")
 
     @property
     def critical_path_s(self) -> float:
         """The busiest worker's compute — the parallel lower bound."""
-        return max(self.worker_compute_s.values(), default=0.0)
+        return max((stages["compute"]
+                    for stages in self.worker_stages.values()), default=0.0)
 
     @property
     def speedup_bound(self) -> float:
@@ -182,9 +169,8 @@ class ClusterReport:
         return self.total_compute_s / critical
 
     def stage_total(self, stage: str) -> float:
-        """One stage's seconds summed over every profiled worker."""
-        return sum(stages.get(stage, 0.0)
-                   for stages in self.worker_stages.values())
+        """One stage's seconds summed over every worker."""
+        return sum(stages[stage] for stages in self.worker_stages.values())
 
 
 def _assign_boards(boards: List[int], workers: int,
@@ -220,21 +206,6 @@ def _assign_boards(boards: List[int], workers: int,
             for board in boards[start:end]}
 
 
-def _stage_dict(snapshot) -> Dict[str, float]:
-    """A registry snapshot as the stable ``worker_stages`` shape.
-
-    Every :data:`STAGES` key is present (0.0 when the stage never ran);
-    stage names outside the canonical set — e.g. the parent's own
-    accounting span on the serial run — are left to the registry.
-    """
-    stages = dict.fromkeys(STAGES, 0.0)
-    for path, _calls, cum_s, _self_s in snapshot:
-        name = path[-1]
-        if name in stages:
-            stages[name] += cum_s
-    return stages
-
-
 def _watch_workers(processes, stop_conn, barrier, released) -> None:
     """Parent-side watchdog: break the split barrier if a worker dies.
 
@@ -258,7 +229,7 @@ def _watch_workers(processes, stop_conn, barrier, released) -> None:
 def _shard_worker(conn, worker: int, contexts: List[BoardContext],
                   populations, seed: Optional[int], timestep_ms: float,
                   plan: ExchangePlan, exchange: SharedMemoryExchange,
-                  barrier, released, profile: bool, n_ticks: int,
+                  barrier, released, n_ticks: int,
                   duration_ms: float) -> None:
     """Worker-process loop: one engine over the worker's boards runs the
     whole super-step schedule against the workers' split barrier; the
@@ -269,29 +240,26 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
     scatter, then compute the super-step's ticks and publish the fired
     cells other workers' boards take.  Before blocking on the next
     barrier the worker draws the coming super-step's stimulus, so
-    barrier wait time does useful work.  After a last barrier the final bank's in-flight
-    deliveries are drained (the on-machine run drains after halting,
-    too).  A broken barrier means some worker died; the worker just
-    exits without a result (the parent diagnoses who).
+    barrier wait time does useful work.  After a last barrier the final
+    bank's in-flight deliveries are drained (the on-machine run drains
+    after halting, too).  The worker's seconds go into its table of
+    :data:`STAGES`, which rides the result pipe with the result.  A
+    broken barrier means some worker died; the worker just exits without
+    a result (the parent diagnoses who).
     """
     engine = FusedBoardEngine(contexts, populations, seed, timestep_ms,
                               plan, worker)
-    # A worker-local registry; its snapshot rides the existing result
-    # pipe and the parent merges it.  A disabled stage entry is one flag
-    # check, so the un-profiled tick loop stays clean of clock reads.
-    registry = ProfileRegistry(enabled=profile)
-    barrier_stage = registry.stage("barrier_wait")
-    exchange_stage = registry.stage("exchange")
-    serialize_stage = registry.stage("serialize")
+    stages = dict.fromkeys(STAGES, 0.0)
 
     def enter(inbound_bank: Optional[int]) -> None:
         """Wait at the barrier, then apply ``inbound_bank``'s records."""
-        with barrier_stage:
-            barrier.wait()
-        if inbound_bank is None:
-            return
-        with exchange_stage:
+        began = perf_now()
+        barrier.wait()
+        opened = perf_now()
+        stages["barrier_wait"] += opened - began
+        if inbound_bank is not None:
             engine.apply_remote(*exchange.inbound(worker, inbound_bank))
+            stages["exchange"] += perf_now() - opened
 
     try:
         prev_bank = None
@@ -302,10 +270,13 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
                 enter(prev_bank)
                 exchange.begin(bank, worker)
                 for tick in range(start, start + length):
+                    began = perf_now()
                     fired = engine.step(tick)
+                    stepped = perf_now()
+                    stages["compute"] += stepped - began
                     if fired.size:
-                        with serialize_stage:
-                            exchange.write(worker, bank, tick, fired)
+                        exchange.write(worker, bank, tick, fired)
+                        stages["serialize"] += perf_now() - stepped
                 engine.kernel.prefetch_sources(
                     min(start + 2 * length, n_ticks) - 1)
                 prev_bank = bank
@@ -313,13 +284,7 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
         except threading.BrokenBarrierError:
             return
         released.set()
-        result = engine.finish(duration_ms)
-        if profile:
-            # The engine keeps its own always-on counters; adopt them so
-            # "compute" sits beside the stage spans.
-            registry.add("compute", engine.compute_s)
-        conn.send((result, engine.batch_sizes, engine.compute_s,
-                   registry.snapshot() if profile else None))
+        conn.send((engine.finish(duration_ms), engine.batch_sizes, stages))
     finally:
         conn.close()
 
@@ -340,8 +305,8 @@ class ClusterApplication:
         self.max_neurons_per_core = max_neurons_per_core
         self.placement_strategy = placement_strategy
         self.account_transport = account_transport
-        #: Merged stage registry of the most recent :meth:`run` — worker
-        #: snapshots plus the parent's accounting span; feeds
+        #: Stage registry of the most recent :meth:`run` — every worker's
+        #: stage table plus the parent's accounting span; feeds
         #: ``flatten()`` -> ``profile_*`` bench keys.  Records only when
         #: :func:`repro.profile.enabled` was true at that run.
         self.registry = ProfileRegistry(enabled=False)
@@ -419,8 +384,9 @@ class ClusterApplication:
         board, no pool).
         ``lookahead`` caps the ticks per super-step; ``None`` runs at
         the deepest safe depth (``1 + d_min``) and an explicit depth is
-        clamped to that bound.  Stage profiling follows
-        :func:`repro.profile.enabled` as of this call.
+        clamped to that bound.  Every run fills the report's
+        ``worker_stages``; :attr:`registry` records them only when
+        :func:`repro.profile.enabled` is true as of this call.
         """
         if duration_ms < 0:
             raise ValueError("duration must be non-negative")
@@ -453,6 +419,10 @@ class ClusterApplication:
         run_boards = self._run_serial if effective == 1 else self._run_pool
         self.result, batch_sizes = run_boards(n_ticks, duration_ms, report,
                                               plan)
+        if self.registry.enabled:
+            for stages in report.worker_stages.values():
+                for stage, seconds in stages.items():
+                    self.registry.add(stage, seconds)
         self._tally(batch_sizes, plan, report)
         report.wall_s = perf_now() - began
         if self.fabric is not None:
@@ -479,7 +449,7 @@ class ClusterApplication:
         for key, sizes in batch_sizes.items():
             copies = len(cross.get(key, ()))
             report.exchanged_batches += copies * len(sizes)
-            report.exchanged_spikes += copies * sum(sizes)
+            report.cross_board_spikes += copies * sum(sizes)
             program = fabric.program_for(key) if fabric is not None else None
             if program is not None:
                 for count in sizes:
@@ -498,15 +468,14 @@ class ClusterApplication:
         engine = FusedBoardEngine(
             [self.board_contexts[board] for board in plan.boards],
             self._populations(), self.seed, self.timestep_ms, plan, 0)
+        stages = report.worker_stages[0] = dict.fromkeys(STAGES, 0.0)
         for tick in range(n_ticks):
             if tick % UNCONSTRAINED_LOOKAHEAD == 0:
                 engine.kernel.prefetch_sources(
                     min(tick + UNCONSTRAINED_LOOKAHEAD, n_ticks) - 1)
+            began = perf_now()
             engine.step(tick)
-        report.worker_compute_s[0] = engine.compute_s
-        if self.registry.enabled:
-            self.registry.add("compute", engine.compute_s)
-            report.worker_stages[0] = _stage_dict(self.registry.snapshot())
+            stages["compute"] += perf_now() - began
         return engine.finish(duration_ms), engine.batch_sizes
 
     # ------------------------------------------------------------------
@@ -545,8 +514,8 @@ class ClusterApplication:
                     args=(child_end, worker,
                           [self.board_contexts[board] for board in owned],
                           populations, self.seed, self.timestep_ms, plan,
-                          exchange, barrier, released,
-                          self.registry.enabled, n_ticks, duration_ms),
+                          exchange, barrier, released, n_ticks,
+                          duration_ms),
                     daemon=True)
                 process.start()
                 child_end.close()
@@ -564,7 +533,7 @@ class ClusterApplication:
             batch_sizes: Dict[int, List[int]] = {}
             for worker, connection in enumerate(connections):
                 try:
-                    result, sizes, compute_s, snapshot = connection.recv()
+                    result, sizes, stages = connection.recv()
                 except (EOFError, ConnectionResetError):
                     # A dying peer surfaces as EOF or, when it still held
                     # unread data, as a connection reset.
@@ -572,10 +541,7 @@ class ClusterApplication:
                 results.append(result)
                 # Each key is one worker's own: the union is the run's.
                 batch_sizes.update(sizes)
-                report.worker_compute_s[worker] = compute_s
-                if snapshot is not None:
-                    report.worker_stages[worker] = _stage_dict(snapshot)
-                    self.registry.merge(snapshot)
+                report.worker_stages[worker] = stages
             # Worker order over a contiguous cut is board order.
             return ApplicationResult.merge(results), batch_sizes
         finally:

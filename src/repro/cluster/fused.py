@@ -36,6 +36,10 @@ no loop over cores:
   the tick's fired plan cells to the exchange, whose per-region cell
   masks pick what each other worker takes.
 
+The engine reads no clock: the runner that calls :meth:`step` and
+:meth:`apply_remote` times each call into its own stage table
+(:data:`repro.cluster.application.STAGES`).
+
 Determinism: the kernel's steps are elementwise per cell, the ring sums
 fixed-point weights (exact multiples of 2^-4 in float64) and clamps a
 cell only as its tick drains it, so its inputs are independent of
@@ -63,7 +67,6 @@ from repro.neuron.engine import expand_rows
 from repro.neuron.kernel import TickKernel, TickUnit
 from repro.neuron.population import Population, core_rng
 from repro.neuron.synapse import FusedDeferredEventBuffer
-from repro.profile import perf_now
 from repro.runtime.application import ApplicationResult
 
 __all__ = ["FusedBoardEngine"]
@@ -165,15 +168,7 @@ class FusedBoardEngine:
             sizes).astype(np.intp)
         #: Per tick, the spikes of every keyed core (and, last, the rest).
         self._tick_sizes: List[np.ndarray] = []
-        self.step_s = 0.0
-        self.local_apply_s = 0.0
-        self.remote_apply_s = 0.0
         self.ticks_run = 0
-
-    @property
-    def compute_s(self) -> float:
-        """Seconds spent stepping neurons and scattering events."""
-        return self.step_s + self.local_apply_s + self.remote_apply_s
 
     @property
     def batch_sizes(self) -> Dict[int, List[int]]:
@@ -228,10 +223,8 @@ class FusedBoardEngine:
         re-based by the cell's age (``delay - age``; the lookahead bound
         ``L <= 1 + d_min`` guarantees this never goes negative).
         """
-        began = perf_now()
         if cells.size:
             self._deliver(cells, self.ticks_run - 1 - send_ticks)
-        self.remote_apply_s += perf_now() - began
 
     # ------------------------------------------------------------------
     # One tick
@@ -240,20 +233,16 @@ class FusedBoardEngine:
         """Run one tick over every core, deliver to the engine's own
         boards and return the tick's fired plan cells (the exchange
         routes those other workers' boards take)."""
-        began = perf_now()
         fired = self.kernel.step(tick)
         self.result.packets_sent += int(np.count_nonzero(self._sends[fired]))
         self._tick_sizes.append(np.bincount(self._cell_keyed[fired],
                                             minlength=len(self._keyed) + 1))
         fired = fired + self.first_cell
-        stepped = perf_now()
-        self.step_s += stepped - began
         self.ticks_run = tick + 1
         if fired.size:
             # The ring is already one past the send tick, so a delay-d
             # synapse lands d ticks ahead: the fabric's arrival slot.
             self._deliver(fired)
-            self.local_apply_s += perf_now() - stepped
         return fired
 
     # ------------------------------------------------------------------

@@ -15,8 +15,8 @@ the one substrate they all report through:
 * the registry records, per path, the **call count**, **cumulative
   seconds** (whole span) and **self seconds** (span minus profiled
   children);
-* :meth:`snapshot` / :meth:`merge` move registries across the cluster
-  runner's worker pipes (plain tuples, picklable);
+* :meth:`snapshot` / :meth:`merge` copy a registry as plain, picklable
+  tuples and fold one registry into another;
 * :meth:`flatten` renders ``profile_<stage>_s`` / ``_self_s`` /
   ``_calls`` keys for ``benchmarks/reporting.emit_json``, which is how
   stage timings land in the ``BENCH_*.json`` files the perf-regression
@@ -30,8 +30,9 @@ return (no frame push, no clock read, no allocation beyond the reused
 stage object), so instrumentation can stay in the tick loops of
 production runs.  The compile pipeline, whose per-pass report must
 always measure, constructs its own always-enabled registry instead; the
-cluster runner builds a per-run registry of its own (so a bench sees
-one run's stages) but under this same flag, read at ``run()``.
+cluster runner times its workers into always-on stage tables and, under
+this same flag (read at ``run()``), folds them into a per-run registry
+of its own, so a bench sees one run's stages.
 
 ``time.perf_counter`` itself is sanctioned *only here* (enforced by the
 ``clock-discipline`` rule of :mod:`repro.checks`): everything else in
@@ -239,8 +240,8 @@ class ProfileRegistry:
             calls: int = 1, self_s: Optional[float] = None) -> None:
         """Fold an externally measured duration into the registry.
 
-        For counters a subsystem accumulates itself (the board engines'
-        per-instance stage seconds, the service's request latencies)
+        For counters a subsystem accumulates itself (the cluster
+        workers' stage tables, the service's request latencies)
         rather than timing through a live stage entry.  ``self_s``
         defaults to ``seconds`` (no profiled children).
         """
@@ -273,12 +274,7 @@ class ProfileRegistry:
 
     def merge(self, other: Union["ProfileRegistry",
                                  Iterable[Tuple]]) -> None:
-        """Fold another registry (or a :meth:`snapshot`) into this one.
-
-        How the cluster runner unifies its child-worker registries: each
-        worker snapshots at the end of the run, the parent merges the
-        snapshots it receives over the result pipes.
-        """
+        """Fold another registry (or a :meth:`snapshot`) into this one."""
         rows = other.snapshot() if isinstance(other, ProfileRegistry) \
             else other
         for path, calls, cum_s, self_s in rows:

@@ -21,8 +21,8 @@ import pytest
 import repro.cluster.application as cluster_application
 from repro import profile
 from repro.alloc.partition import MachinePartitioner
+from repro.cli import main
 from repro.cluster import (
-    BoardTopology,
     ClusterApplication,
     ClusterWorkerError,
     ExchangePlan,
@@ -198,19 +198,15 @@ class TestBoardGeometry:
         interior = machine.chip(1, 1).router
         assert not interior.inter_board_directions
 
-    def test_topology_census_and_diagram(self):
-        config = MachineConfig.multi_board(2, 2, board_width=4,
-                                           board_height=3)
-        topology = BoardTopology(config)
-        assert topology.boards() == [0, 1, 2, 3]
-        assert topology.chips_per_board == 12
-        assert topology.rect(3) == (4, 3, 4, 3)
-        machine = SpiNNakerMachine(config)
-        census = topology.inter_board_link_census(machine)
-        assert sum(census.values()) == len(machine.inter_board_links())
-        assert census[(0, 1)] > 0
-        diagram = topology.ascii_diagram()
-        assert "b0" in diagram and "b3" in diagram
+    def test_demo_prints_the_board_grid(self, capsys):
+        assert main(["cluster", "demo", "--boards", "2x2", "--pairs", "1",
+                     "--neurons", "8", "--duration", "2", "--workers", "1",
+                     "--no-verify"]) == 0
+        out = capsys.readouterr().out
+        assert "4 boards of 4x3 chips" in out
+        # y grows upwards: the top row of the grid is boards 2 and 3.
+        rows = [line for line in out.splitlines() if line.startswith("| b")]
+        assert rows == ["| b2     | b3     |", "| b0     | b1     |"]
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +316,7 @@ class TestClusterApplication:
         cluster.run(60.0)
         report = cluster.report
         assert report.cross_board_spikes > 0
-        assert report.cross_board_batches > 0
+        assert report.exchanged_batches > 0
         assert report.inter_board_traversals > 0
         # The fabric replay lands on the same link counters the event
         # path would have charged.
@@ -463,7 +459,8 @@ class TestRemovedOptions:
         monkeypatch.setenv("REPRO_CLUSTER_PROFILE", "1")
         cluster = sharded_app()
         cluster.run(5.0)
-        assert cluster.report.worker_stages == {}
+        assert_stages_recorded(cluster.report)
+        assert cluster.registry.flatten() == {}
 
 
 # ----------------------------------------------------------------------
@@ -666,12 +663,13 @@ class TestBoardAssignment:
 
     def test_report_bound_is_total_over_busiest_worker(self):
         pooled = ClusterReport(n_boards=4, workers=2, n_ticks=10,
-                               worker_compute_s={0: 10.0, 1: 5.0})
+                               worker_stages={0: {"compute": 10.0},
+                                              1: {"compute": 5.0}})
         assert pooled.total_compute_s == 15.0
         assert pooled.critical_path_s == 10.0
         assert pooled.speedup_bound == 1.5
         serial = ClusterReport(n_boards=4, workers=1, n_ticks=10,
-                               worker_compute_s={0: 7.0})
+                               worker_stages={0: {"compute": 7.0}})
         assert serial.critical_path_s == 7.0
         assert serial.speedup_bound == 1.0
         assert ClusterReport(n_boards=4, workers=1,
@@ -851,57 +849,82 @@ class TestWorkerFailure:
 
 
 # ----------------------------------------------------------------------
-# Per-stage profiling
+# Per-stage timing
 # ----------------------------------------------------------------------
-@pytest.fixture
-def stage_profiling():
-    """Turn the one profiling flag on for a test, off afterwards."""
-    profile.enable()
-    yield
-    profile.enable(False)
+def assert_stages_recorded(report: ClusterReport) -> None:
+    """Every worker of the run has its table of the four stages."""
+    assert set(report.worker_stages) == set(range(report.workers))
+    for stages in report.worker_stages.values():
+        assert set(stages) == set(cluster_application.STAGES)
+        assert stages["compute"] > 0.0
 
 
 class TestProfiling:
     def test_off_by_default(self):
         cluster = sharded_app()
         cluster.run(20.0)
-        assert cluster.report.worker_stages == {}
+        assert_stages_recorded(cluster.report)
         assert cluster.registry.flatten() == {}
 
     def test_flag_is_read_at_run_not_at_construction(self):
         # Regression: the flag used to be frozen in __init__, so
         # enabling profiling on an already-built application was
-        # silently ignored and worker_stages stayed empty.
+        # silently ignored and the registry stayed empty.
         cluster = sharded_app()
         profile.enable()
         try:
             cluster.run(10.0)
             assert set(cluster.report.worker_stages) == {0}
-            assert cluster.registry.flatten()["profile_compute_s"] > 0.0
+            assert cluster.registry.flatten()["profile_compute_s"] == (
+                cluster.report.stage_total("compute"))
             cluster.run(10.0, workers=2)
             assert len(cluster.report.worker_stages) == 2
+            assert cluster.registry.flatten()["profile_compute_calls"] == 2
         finally:
             profile.enable(False)
         cluster.run(10.0)
-        assert cluster.report.worker_stages == {}
+        assert_stages_recorded(cluster.report)
         assert cluster.registry.flatten() == {}
 
-    def test_stage_timers_cover_serial_and_pool(self, stage_profiling):
+    def test_remote_delivery_is_counted_once(self, monkeypatch):
+        """Remote delivery is exchange time, not compute: slowed by a
+        known sleep, it lands in the exchange stage and each worker's
+        four stages still fit inside the run's wall clock."""
+        sleep_s = 0.02
+        fork = multiprocessing.get_context("fork")
+        sleeps = fork.Value("i", 0)
+        deliver = FusedBoardEngine._deliver
+
+        def slow_remote(engine, cells, ages=None):
+            if ages is not None:
+                with sleeps.get_lock():
+                    sleeps.value += 1
+                time.sleep(sleep_s)
+            deliver(engine, cells, ages)
+
+        monkeypatch.setattr(FusedBoardEngine, "_deliver", slow_remote)
+        cluster = sharded_app()
+        cluster.run(40.0, workers=2)
+        report = cluster.report
+        assert_stages_recorded(report)
+        assert sleeps.value > 10
+        for stages in report.worker_stages.values():
+            assert sum(stages.values()) <= report.wall_s
+        assert report.stage_total("exchange") >= sleeps.value * sleep_s
+
+    def test_stage_timers_cover_serial_and_pool(self):
         serial = sharded_app()
         serial.run(20.0, workers=1)
-        assert set(serial.report.worker_stages) == {0}
+        assert_stages_recorded(serial.report)
         stages = serial.report.worker_stages[0]
-        assert set(stages) == set(cluster_application.STAGES)
-        assert stages["compute"] > 0.0
+        # The serial run has no exchange and no barrier.
+        assert (stages["serialize"] == stages["exchange"]
+                == stages["barrier_wait"] == 0.0)
 
         pooled = sharded_app()
         pooled.run(20.0, workers=2)
         report = pooled.report
-        assert set(report.worker_stages) == set(
-            report.assignment.values())
-        for stages in report.worker_stages.values():
-            assert set(stages) == set(cluster_application.STAGES)
-            assert stages["compute"] > 0.0
+        assert_stages_recorded(report)
         assert report.stage_total("compute") == pytest.approx(
             sum(stages["compute"]
                 for stages in report.worker_stages.values()))

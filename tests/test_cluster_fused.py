@@ -459,15 +459,6 @@ class TestFusedEngine:
             assert np.array_equal(together.step(tick), apart.step(tick))
         assert together.finish(60.0).spikes == apart.finish(60.0).spikes
 
-    def test_stage_counters_cover_compute(self):
-        (engine,) = self.single_board_engines(1)
-        for tick in range(30):
-            engine.step(tick)
-        assert engine.compute_s == (engine.step_s + engine.local_apply_s
-                                    + engine.remote_apply_s)
-        assert engine.step_s > 0.0
-        assert engine.finish(30.0) is engine.result
-
     def test_projection_onto_a_source_is_counted_but_lands_nowhere(self):
         """A source integrates nothing: events aimed at one are counted
         like any other, but their charge must neither leak into a real

@@ -2,9 +2,9 @@
 
 Covers the contract every instrumented subsystem relies on: nesting and
 self-time arithmetic, the near-free disabled path, thread-safety of
-concurrent stage entry, the picklable snapshot/merge wire form the
-cluster runner ships over its worker pipes, and the ``flatten()`` round
-trip through ``benchmarks/reporting.emit_json``.
+concurrent stage entry, the picklable snapshot/merge wire form, the
+cluster runner's worker stage tables folded into its registry, and the
+``flatten()`` round trip through ``benchmarks/reporting.emit_json``.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ class TestThreadSafety:
 
 
 # ----------------------------------------------------------------------
-# Snapshot / merge (the worker-pipe wire form)
+# Snapshot / merge (the picklable wire form)
 # ----------------------------------------------------------------------
 class TestSnapshotMerge:
     def test_snapshot_is_picklable_and_merges_back(self):
@@ -260,9 +260,9 @@ class TestSnapshotMerge:
         assert by_path[("exchange",)].cum_s == pytest.approx(0.5)
 
     def test_merge_across_the_cluster_pipe_protocol(self):
-        # The real thing: a pooled cluster run ships each worker's
-        # snapshot over its result pipe; the parent merges them and
-        # keeps the report's per-worker stage shape.
+        # A pooled cluster run ships each worker's stage table over its
+        # result pipe; the parent folds them into its registry, which
+        # then agrees with the report's per-worker stage tables.
         network = Network(seed=7)
         populations = []
         for pair in range(2):
@@ -299,7 +299,7 @@ class TestSnapshotMerge:
         flat = cluster.registry.flatten()
         assert flat["profile_compute_s"] == pytest.approx(
             seconds["compute"])
-        assert flat["profile_compute_calls"] >= 1.0
+        assert flat["profile_compute_calls"] == 2.0   # one per worker
 
 
 # ----------------------------------------------------------------------
