@@ -32,7 +32,7 @@ million processors" (Furber & Brown, DATE 2011).  It provides:
   metrics used by the benchmarks.
 * ``repro.alloc`` — multi-tenant machine allocation and job scheduling:
   rectangular torus-aware leases, priority queues with per-tenant quotas,
-  keepalive/expiry reclamation and the host-facing allocation server.
+  keepalive/expiry reclamation and the host-side allocation server.
 """
 
 from repro.alloc import (

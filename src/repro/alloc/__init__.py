@@ -14,8 +14,9 @@ in the style of the SpiNNaker ecosystem's spalloc server:
   (first-fit / best-fit / locality-fit), expiry sweeps and statistics;
 * :mod:`repro.alloc.machine_view` — the scoped sub-machine a READY job
   boots and loads with the unchanged runtime layers;
-* :mod:`repro.alloc.server` — the host-facing SDP command surface
-  (CREATE_JOB / JOB_KEEPALIVE / RELEASE_JOB);
+* :mod:`repro.alloc.server` — the host-side object API jobs are
+  admitted, kept alive and released through (HTTP via
+  :mod:`repro.service`);
 * :mod:`repro.alloc.workload` — synthetic Poisson job streams for the
   CLI demos and the throughput benchmark.
 """

@@ -161,7 +161,7 @@ class Job:
         return now_ms - self.submitted_ms
 
     def describe(self) -> Dict[str, object]:
-        """A wire-friendly summary (used by the SDP allocation server)."""
+        """A wire-friendly summary (the HTTP service's job body)."""
         summary: Dict[str, object] = {
             "job_id": self.job_id,
             "tenant": self.request.tenant,

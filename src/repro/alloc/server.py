@@ -1,21 +1,12 @@
-"""The host-facing allocation server (spalloc's role in this reproduction).
+"""The host-side allocation server (spalloc's role in this reproduction).
 
-The server extends the management protocol of
-:mod:`repro.host.host_system` with three allocation commands carried in
-the same SDP-style datagrams as every other host operation:
-
-* ``CREATE_JOB`` — submit a job (tenant, width, height, priority,
-  keepalive interval); the response carries the job id and its initial
-  state (``queued`` or ``rejected``);
-* ``JOB_KEEPALIVE`` — refresh a job's keepalive and read back its state;
-* ``RELEASE_JOB`` — give the lease back.
-
-Attaching the server to a :class:`~repro.host.host_system.HostSystem`
-(`host.attach_allocation_server`) routes those commands here; everything
-else continues to behave exactly as before.  Python-side callers can use
-the richer object API (:meth:`create_job`, :meth:`machine_view`) to get
-the actual :class:`~repro.alloc.machine_view.LeasedMachineView` a READY
-job boots and loads.
+The server admits multi-tenant jobs on the machine its
+:class:`~repro.host.host_system.HostSystem` drives.  Python callers use
+the object API (:meth:`create_job`, :meth:`keepalive`, :meth:`release`,
+:meth:`machine_view`) to get the actual
+:class:`~repro.alloc.machine_view.LeasedMachineView` a READY job boots
+and loads; remote tenants reach the same API over HTTP through
+:mod:`repro.service`.
 
 The server can also subscribe to the
 :class:`~repro.runtime.monitor.MonitorService`: chips the monitor
@@ -24,32 +15,18 @@ condemns shrink the owning lease and leave the allocatable pool for good.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.alloc.job import Job, JobRequest
 from repro.alloc.machine_view import LeasedMachineView
 from repro.alloc.scheduler import AllocationScheduler
-from repro.host.host_system import HostCommand, HostSystem
+from repro.host.host_system import HostSystem
 
-__all__ = ["AllocationServer", "ERROR_BAD_REQUEST", "ERROR_NO_SUCH_JOB",
-           "ERROR_BAD_COMMAND", "ERROR_INTERNAL"]
-
-#: Typed error codes carried in the ``code`` field of error responses.
-#: The wire path (SDP today, HTTP via :mod:`repro.service`) maps these to
-#: transport-level statuses; internal exceptions never cross the wire.
-ERROR_BAD_REQUEST = "bad-request"
-ERROR_NO_SUCH_JOB = "no-such-job"
-ERROR_BAD_COMMAND = "bad-command"
-ERROR_INTERNAL = "internal-error"
-
-
-def error_response(code: str, message: str) -> Dict[str, Any]:
-    """A structured error body (``error`` text plus a typed ``code``)."""
-    return {"error": message, "code": code}
+__all__ = ["AllocationServer"]
 
 
 class AllocationServer:
-    """Multi-tenant job admission over the host's management channel."""
+    """Multi-tenant job admission on the machine ``host`` drives."""
 
     def __init__(self, host: HostSystem,
                  scheduler: Optional[AllocationScheduler] = None,
@@ -61,74 +38,6 @@ class AllocationServer:
                              "scheduler or as keyword arguments, not both")
         self.scheduler = scheduler or AllocationScheduler(self.machine,
                                                           **scheduler_kwargs)
-        host.attach_allocation_server(self)
-
-    # ------------------------------------------------------------------
-    # SDP command dispatch (called by HostSystem._execute)
-    # ------------------------------------------------------------------
-    def handle(self, command: HostCommand,
-               arguments: Dict[str, Any]) -> Dict[str, Any]:
-        """Execute one allocation command and build its response.
-
-        Every failure comes back as a structured error body with a typed
-        ``code``; no exception — malformed arguments *or* an internal
-        scheduler fault — ever propagates into the host's dispatch loop.
-        """
-        try:
-            if not isinstance(arguments, dict):
-                return error_response(
-                    ERROR_BAD_REQUEST,
-                    "arguments must be a mapping, got %s"
-                    % type(arguments).__name__)
-            if command is HostCommand.CREATE_JOB:
-                return self._handle_create(arguments)
-            if command is HostCommand.JOB_KEEPALIVE:
-                return self._handle_keepalive(arguments)
-            if command is HostCommand.RELEASE_JOB:
-                return self._handle_release(arguments)
-            return error_response(ERROR_BAD_COMMAND,
-                                  "not an allocation command: %s" % (command,))
-        except Exception as error:  # the wire path must never crash
-            return error_response(ERROR_INTERNAL,
-                                  "%s: %s" % (type(error).__name__, error))
-
-    def _handle_create(self, arguments: Dict[str, Any]) -> Dict[str, Any]:
-        try:
-            request = JobRequest(
-                tenant=str(arguments.get("tenant", "")),
-                width=int(arguments.get("width", 1)),
-                height=int(arguments.get("height", 1)),
-                priority=int(arguments.get("priority", 5)),
-                keepalive_ms=float(arguments.get("keepalive_ms", 1000.0)),
-                label=str(arguments.get("label", "")))
-        except (TypeError, ValueError) as error:
-            return error_response(ERROR_BAD_REQUEST, str(error))
-        job = self.scheduler.submit(request)
-        return job.describe()
-
-    def _handle_keepalive(self, arguments: Dict[str, Any]) -> Dict[str, Any]:
-        job = self._job_from(arguments)
-        if job is None:
-            return error_response(ERROR_NO_SUCH_JOB, "no such job")
-        alive = self.scheduler.keepalive(job.job_id)
-        response = job.describe()
-        response["alive"] = alive
-        return response
-
-    def _handle_release(self, arguments: Dict[str, Any]) -> Dict[str, Any]:
-        job = self._job_from(arguments)
-        if job is None:
-            return error_response(ERROR_NO_SUCH_JOB, "no such job")
-        released = self.scheduler.release(job.job_id)
-        response = job.describe()
-        response["released"] = released
-        return response
-
-    def _job_from(self, arguments: Dict[str, Any]) -> Optional[Job]:
-        try:
-            return self.scheduler.job(int(arguments["job_id"]))
-        except (KeyError, TypeError, ValueError):
-            return None
 
     # ------------------------------------------------------------------
     # Object API (host-side Python callers)

@@ -163,13 +163,6 @@ class Project:
 
     files: List[CheckContext] = field(default_factory=list)
 
-    def find(self, suffix: str) -> Optional[CheckContext]:
-        """The first scanned file whose posix path ends with ``suffix``."""
-        for ctx in self.files:
-            if ctx.posix_path.endswith(suffix):
-                return ctx
-        return None
-
     def matching(self, pattern: str) -> List[CheckContext]:
         """Scanned files whose posix path matches ``pattern`` (regex)."""
         compiled = re.compile(pattern)

@@ -11,9 +11,7 @@ quickest way to sanity-check an installation::
     spinnaker-repro saturation --width 48     # lightly-loaded-regime check
     spinnaker-repro alloc demo --jobs 40      # multi-tenant job stream
     spinnaker-repro alloc policies            # compare placement policies
-    spinnaker-repro transport demo --chips 16 # fabric vs event transport
     spinnaker-repro compile report --chips 16 # mapping-compiler pass report
-    spinnaker-repro cluster demo --boards 2x2 # multi-board sharded run
 
 All output goes to stdout; the exit status is zero unless a subcommand
 fails (for example a boot in which chips stay dead).
@@ -25,9 +23,7 @@ import argparse
 import math
 import sys
 import time
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.alloc.partition import PLACEMENT_POLICIES
 from repro.alloc.scheduler import AllocationScheduler
@@ -414,204 +410,6 @@ def _transport_network(args: argparse.Namespace) -> "Network":
     return network
 
 
-def cmd_transport(args: argparse.Namespace) -> int:
-    """Run one seeded network under both transports; report the verdict."""
-    if args.chips < 4 or args.neurons < 8:
-        print("error: need --chips >= 4 and --neurons >= 8")
-        return 2
-    width, height = _transport_mesh(args.chips)
-    results = {}
-    for transport in ("event", "fabric"):
-        machine = SpiNNakerMachine(MachineConfig(width=width, height=height,
-                                                 cores_per_chip=4))
-        BootController(machine, seed=args.seed).boot()
-        application = NeuralApplication(
-            machine, _transport_network(args),
-            max_neurons_per_core=args.neurons_per_core, seed=args.seed,
-            transport=transport, stagger_us=0.0)
-        application.prepare()
-        start = perf_now()
-        result = application.run(args.duration)
-        results[transport] = (result, perf_now() - start)
-
-    event, event_wall = results["event"]
-    fabric, fabric_wall = results["fabric"]
-    rows = []
-    for name, (result, wall) in results.items():
-        throughput = result.synaptic_events / wall if wall > 0 else 0.0
-        rows.append([name, "%d" % result.packets_sent,
-                     "%d" % result.synaptic_events, "%.3f" % wall,
-                     "%.3e" % throughput,
-                     "%.1f" % result.mean_delivery_latency_us()])
-    print("Transport comparison: %dx%d machine (%d chips), %d+%d neurons, "
-          "%.0f ms" % (width, height, width * height, args.neurons,
-                       args.neurons, args.duration))
-    _print_table(rows, header=["transport", "packets", "synaptic events",
-                               "wall s", "events/s", "mean latency us"])
-    if event_wall > 0 and fabric_wall > 0 and event.synaptic_events:
-        speedup = ((fabric.synaptic_events / fabric_wall)
-                   / (event.synaptic_events / event_wall))
-        print("  fabric speedup:      %.1fx" % speedup)
-
-    equivalent = (event.spikes == fabric.spikes
-                  and event.delivered_charge_na == fabric.delivered_charge_na
-                  and all(np.array_equal(event.spike_counts[label],
-                                         fabric.spike_counts[label])
-                          for label in event.spike_counts))
-    print("  spikes (event):      %d" % event.total_spikes())
-    print("  spikes (fabric):     %d" % fabric.total_spikes())
-    print("  delivered charge:    %.3f / %.3f nA"
-          % (event.delivered_charge_na, fabric.delivered_charge_na))
-    print("  equivalence verdict: %s"
-          % ("IDENTICAL" if equivalent else "DIVERGED"))
-    if not equivalent and event.packets_dropped:
-        print("  note: the event transport dropped %d packets (congestion);"
-              " the fabric assumes the lightly-loaded regime"
-              % event.packets_dropped)
-    return 0 if equivalent else 1
-
-
-def _cluster_network(args: argparse.Namespace) -> "Network":
-    """A ring of stimulus->excitatory pairs with cross-pair projections.
-
-    The chain guarantees cross-board connectivity however the placer
-    tiles the pairs over the boards, so the demo always exercises the
-    inter-board exchange.
-    """
-    network = Network(seed=args.seed)
-    excitatory = []
-    for pair in range(args.pairs):
-        stimulus = SpikeSourcePoisson(args.neurons, rate_hz=args.rate,
-                                      label="stim-%d" % pair)
-        population = Population(args.neurons, "lif", label="exc-%d" % pair)
-        population.record(spikes=True)
-        network.connect(stimulus, population,
-                        FixedProbabilityConnector(p_connect=0.25, weight=0.9,
-                                                  delay_range=(1, 6)))
-        excitatory.append(population)
-    for index, population in enumerate(excitatory):
-        network.connect(population,
-                        excitatory[(index + 1) % len(excitatory)],
-                        FixedProbabilityConnector(p_connect=0.1, weight=0.4,
-                                                  delay_range=(1, 12)))
-    return network
-
-
-def _board_diagram(config: MachineConfig) -> str:
-    """A multi-board config's board grid as ASCII, y growing upwards."""
-    size = " %dx%d" % (config.board_width, config.board_height)
-    width = max(8, len(size) + 2)
-    rule = "+" + ("-" * width + "+") * config.boards_x
-    lines = [rule]
-    for row in reversed(range(config.boards_y)):
-        first = row * config.boards_x
-        lines.append("|" + "|".join(
-            (" b%d" % board).ljust(width)
-            for board in range(first, first + config.boards_x)) + "|")
-        lines.append("|" + "|".join([size.ljust(width)] * config.boards_x)
-                     + "|")
-        lines.append(rule)
-    return "\n".join(lines)
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    """Dispatch the ``cluster`` subcommand group (currently: demo)."""
-    from repro.cluster import ClusterApplication
-
-    try:
-        boards_x, boards_y = (int(part) for part in args.boards.split("x"))
-    except ValueError:
-        boards_x = boards_y = 0
-    if boards_x < 1 or boards_y < 1:
-        print("error: --boards must look like 2x2")
-        return 2
-    if args.workers < 1:
-        print("error: --workers must be at least 1")
-        return 2
-    config = MachineConfig.multi_board(boards_x, boards_y,
-                                       board_width=args.board_width,
-                                       board_height=args.board_height,
-                                       cores_per_chip=args.cores)
-    print("Board topology: %d boards of %dx%d chips (%d chips, %d cores)"
-          % (config.n_boards, config.board_width, config.board_height,
-             config.n_chips, config.n_cores))
-    print(_board_diagram(config))
-
-    def build_machine() -> SpiNNakerMachine:
-        machine = SpiNNakerMachine(MachineConfig.multi_board(
-            boards_x, boards_y, board_width=args.board_width,
-            board_height=args.board_height, cores_per_chip=args.cores))
-        BootController(machine, seed=args.seed).boot()
-        return machine
-
-    results = {}
-    reports = {}
-    for workers in sorted({1, args.workers}):
-        application = ClusterApplication(
-            build_machine(), _cluster_network(args), seed=args.seed,
-            max_neurons_per_core=args.neurons_per_core,
-            account_transport=True)
-        results[workers] = application.run(args.duration, workers=workers)
-        reports[workers] = application.report
-
-    rows = []
-    for workers, result in results.items():
-        report = reports[workers]
-        rows.append([str(workers), "%d" % result.total_spikes(),
-                     "%d" % report.cross_board_spikes,
-                     "%d" % report.exchanged_batches,
-                     "%d" % report.inter_board_traversals,
-                     "%d" % report.lookahead,
-                     "%d" % report.supersteps,
-                     "%.3f" % report.wall_s,
-                     "%.3f" % report.total_compute_s,
-                     "%.2f" % report.speedup_bound])
-    _print_table(rows, header=["workers", "spikes", "cross-board spikes",
-                               "cross-board batches", "inter-board hops",
-                               "lookahead",
-                               "supersteps", "wall s", "compute s",
-                               "speedup bound"])
-
-    reference = results[1]
-
-    def traffic(report) -> Tuple[int, int, int]:
-        return (report.cross_board_spikes, report.exchanged_batches,
-                report.inter_board_traversals)
-
-    identical = all(
-        other.spikes == reference.spikes
-        and other.delivered_charge_na == reference.delivered_charge_na
-        and all(np.array_equal(other.spike_counts[label],
-                               reference.spike_counts[label])
-                for label in reference.spike_counts)
-        and traffic(reports[workers]) == traffic(reports[1])
-        for workers, other in results.items())
-    print("  worker-count independence: %s"
-          % ("IDENTICAL" if identical else "DIVERGED"))
-
-    verdict = "not checked (--no-verify)"
-    equivalent = True
-    if args.verify:
-        machine = build_machine()
-        application = NeuralApplication(
-            machine, _cluster_network(args),
-            max_neurons_per_core=args.neurons_per_core, seed=args.seed,
-            transport="fabric", stagger_us=0.0)
-        unsharded = application.run(args.duration)
-        equivalent = (
-            unsharded.total_spikes() == reference.total_spikes()
-            and unsharded.delivered_charge_na == reference.delivered_charge_na
-            and all(np.array_equal(unsharded.spike_counts[label],
-                                   reference.spike_counts[label])
-                    for label in unsharded.spike_counts)
-            and all(sorted(unsharded.spikes[label])
-                    == sorted(reference.spikes[label])
-                    for label in unsharded.spikes))
-        verdict = "IDENTICAL" if equivalent else "DIVERGED"
-    print("  unsharded-engine equivalence: %s" % verdict)
-    return 0 if (identical and equivalent) else 1
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -727,52 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="chips to condemn afterwards, each triggering "
                              "an incremental re-map (0 = cold compile only)")
 
-    transport = subparsers.add_parser(
-        "transport", help="compiled fabric vs per-packet event transport")
-    transport_sub = transport.add_subparsers(dest="transport_command",
-                                             required=True)
-    demo = transport_sub.add_parser(
-        "demo", help="run one seeded network under both transports")
-    demo.add_argument("--chips", type=int, default=16,
-                      help="approximate machine size in chips")
-    demo.add_argument("--neurons", type=int, default=384,
-                      help="neurons per population (stimulus + excitatory)")
-    demo.add_argument("--neurons-per-core", type=int, default=48)
-    demo.add_argument("--rate", type=float, default=30.0,
-                      help="stimulus rate in Hz; keep modest so the event "
-                           "transport stays in the lightly-loaded regime")
-    demo.add_argument("--duration", type=float, default=60.0)
-    demo.add_argument("--seed", type=int, default=11)
-
-    cluster = subparsers.add_parser(
-        "cluster", help="multi-board sharded simulation")
-    cluster_sub = cluster.add_subparsers(dest="cluster_command",
-                                         required=True)
-    cluster_demo = cluster_sub.add_parser(
-        "demo", help="run one seeded network sharded by board, checking "
-                     "worker-count independence and unsharded equivalence")
-    cluster_demo.add_argument("--boards", default="2x2",
-                              help="board grid, e.g. 2x2")
-    cluster_demo.add_argument("--board-width", type=int, default=4,
-                              help="chips per board along x (8 for the "
-                                   "production 48-chip board)")
-    cluster_demo.add_argument("--board-height", type=int, default=3,
-                              help="chips per board along y (6 for the "
-                                   "production 48-chip board)")
-    cluster_demo.add_argument("--cores", type=int, default=4)
-    cluster_demo.add_argument("--pairs", type=int, default=4,
-                              help="stimulus->excitatory population pairs")
-    cluster_demo.add_argument("--neurons", type=int, default=96,
-                              help="neurons per population")
-    cluster_demo.add_argument("--neurons-per-core", type=int, default=32)
-    cluster_demo.add_argument("--rate", type=float, default=40.0)
-    cluster_demo.add_argument("--duration", type=float, default=60.0)
-    cluster_demo.add_argument("--workers", type=int, default=2)
-    cluster_demo.add_argument("--seed", type=int, default=7)
-    cluster_demo.add_argument("--no-verify", dest="verify",
-                              action="store_false",
-                              help="skip the unsharded-engine equivalence "
-                                   "run")
     return parser
 
 
@@ -784,8 +536,6 @@ _COMMANDS = {
     "saturation": cmd_saturation,
     "alloc": cmd_alloc,
     "compile": cmd_compile,
-    "transport": cmd_transport,
-    "cluster": cmd_cluster,
 }
 
 

@@ -27,7 +27,7 @@ package exploits it for execution:
   lookahead depth, and spike-train-equivalent to the unsharded
   on-machine engine (``NeuralApplication(transport="fabric",
   stagger_us=0)``).  Every run times each worker once, into one table
-  of compute / serialize / exchange / barrier-wait seconds
+  of compute / prefetch / serialize / exchange / barrier-wait seconds
   (:data:`~repro.cluster.application.STAGES`); the engine itself reads
   no clock.
 """

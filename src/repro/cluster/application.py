@@ -82,10 +82,12 @@ __all__ = ["ClusterApplication", "ClusterReport", "ClusterWorkerError"]
 
 #: The per-worker wall-clock decomposition every run records, each
 #: second in one stage: inside ``engine.step`` (stepping neurons and
-#: delivering to the worker's own boards) / packing fired cells into
-#: shared memory / draining inbound regions and applying them / blocked
-#: at the barrier (the last three are pool-only).
-STAGES = ("compute", "serialize", "exchange", "barrier_wait")
+#: delivering to the worker's own boards) / drawing a block of source
+#: spikes ahead of the ticks that take them / packing fired cells into
+#: shared memory / draining inbound regions, applying them and emptying
+#: the outbound ones / blocked at the barrier (the last three are
+#: pool-only).
+STAGES = ("compute", "prefetch", "serialize", "exchange", "barrier_wait")
 
 
 class ClusterWorkerError(RuntimeError):
@@ -251,15 +253,19 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
                               plan, worker)
     stages = dict.fromkeys(STAGES, 0.0)
 
-    def enter(inbound_bank: Optional[int]) -> None:
-        """Wait at the barrier, then apply ``inbound_bank``'s records."""
+    def enter(inbound_bank: Optional[int],
+              outbound_bank: Optional[int] = None) -> None:
+        """Wait at the barrier, apply ``inbound_bank``'s records, then
+        empty this worker's write regions of ``outbound_bank``."""
         began = perf_now()
         barrier.wait()
         opened = perf_now()
         stages["barrier_wait"] += opened - began
         if inbound_bank is not None:
             engine.apply_remote(*exchange.inbound(worker, inbound_bank))
-            stages["exchange"] += perf_now() - opened
+        if outbound_bank is not None:
+            exchange.begin(outbound_bank, worker)
+        stages["exchange"] += perf_now() - opened
 
     try:
         prev_bank = None
@@ -267,8 +273,7 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
             for index, (start, length) in enumerate(
                     superstep_schedule(n_ticks, plan.lookahead)):
                 bank = index % 2
-                enter(prev_bank)
-                exchange.begin(bank, worker)
+                enter(prev_bank, bank)
                 for tick in range(start, start + length):
                     began = perf_now()
                     fired = engine.step(tick)
@@ -277,8 +282,10 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
                     if fired.size:
                         exchange.write(worker, bank, tick, fired)
                         stages["serialize"] += perf_now() - stepped
+                drawing = perf_now()
                 engine.kernel.prefetch_sources(
                     min(start + 2 * length, n_ticks) - 1)
+                stages["prefetch"] += perf_now() - drawing
                 prev_bank = bank
             enter(prev_bank)
         except threading.BrokenBarrierError:
@@ -471,8 +478,10 @@ class ClusterApplication:
         stages = report.worker_stages[0] = dict.fromkeys(STAGES, 0.0)
         for tick in range(n_ticks):
             if tick % UNCONSTRAINED_LOOKAHEAD == 0:
+                drawing = perf_now()
                 engine.kernel.prefetch_sources(
                     min(tick + UNCONSTRAINED_LOOKAHEAD, n_ticks) - 1)
+                stages["prefetch"] += perf_now() - drawing
             began = perf_now()
             engine.step(tick)
             stages["compute"] += perf_now() - began

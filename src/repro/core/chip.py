@@ -64,11 +64,6 @@ class SystemController:
         self._monitor_claimed = False
         self.monitor_core_id = None
 
-    @property
-    def monitor_elected(self) -> bool:
-        """True once some core has claimed the monitor role."""
-        return self._monitor_claimed
-
 
 @dataclass
 class ChipState:

@@ -103,7 +103,7 @@ class Link:
         The fabric delivers whole spike batches along precompiled trees;
         this keeps :attr:`packets_carried` / :attr:`bits_carried` — and
         therefore every load/utilisation analysis built on them — correct
-        without a per-packet event.  The congestion state (``busy_until``)
+        without a per-packet event.  The congestion state (``_busy_until``)
         is untouched: the fabric is the lightly-loaded fast path, the
         event transport remains the congestion-faithful reference.
         """

@@ -79,7 +79,7 @@ class CommunicationsNoC:
         The compiled transport fabric moves a whole spike batch at once,
         so it charges the fabric's statistics in bulk: transfer count,
         bits and the busy time the packets would have occupied.  The
-        serialisation state (``busy_until``) is left alone — the fabric
+        serialisation state (``_busy_until``) is left alone — the fabric
         bypasses per-packet queueing by construction.
         """
         if n_packets < 0:
@@ -89,11 +89,6 @@ class CommunicationsNoC:
         self.stats.transfers += n_packets
         self.stats.total_bits += n_packets * bit_length
         self.stats.busy_time_us += n_packets / self.packets_per_us
-
-    @property
-    def busy_until(self) -> float:
-        """Time at which the fabric becomes idle."""
-        return self._busy_until
 
     def queue_delay(self, now: float) -> float:
         """How long a packet arriving at ``now`` would wait before service."""
@@ -148,8 +143,3 @@ class SystemNoC:
         self.stats.busy_time_us += total_bytes / self.bandwidth_bytes_per_us
         self.traffic_by_initiator[initiator] = (
             self.traffic_by_initiator.get(initiator, 0) + total_bytes)
-
-    @property
-    def busy_until(self) -> float:
-        """Time at which the fabric becomes idle."""
-        return self._busy_until

@@ -223,8 +223,3 @@ class SDRAM:
         finish = start + self.transfer_time(n_bytes)
         self._busy_until = finish
         return finish
-
-    @property
-    def busy_until(self) -> float:
-        """Simulated time at which the memory interface becomes idle."""
-        return self._busy_until

@@ -32,19 +32,6 @@ class HostCommand(Enum):
     READ_ROUTER_DIAGNOSTICS = "read-router-diagnostics"
     READ_CORE_STATE = "read-core-state"
     INJECT_SPIKE = "inject-spike"
-    # Allocation commands, served host-side by an attached
-    # repro.alloc.server.AllocationServer rather than by a chip.
-    CREATE_JOB = "create-job"
-    JOB_KEEPALIVE = "job-keepalive"
-    RELEASE_JOB = "release-job"
-
-
-#: Commands handled by the allocation server instead of chip-side state.
-ALLOCATION_COMMANDS = frozenset({
-    HostCommand.CREATE_JOB,
-    HostCommand.JOB_KEEPALIVE,
-    HostCommand.RELEASE_JOB,
-})
 
 
 @dataclass
@@ -70,22 +57,6 @@ class HostSystem:
         self.gateway = machine.ethernet_chips[0]
         self.messages_sent: List[SDPMessage] = []
         self.p2p_hops_used = 0
-        #: Set by repro.alloc.server.AllocationServer when one is attached.
-        self.allocation_server = None
-
-    def attach_allocation_server(self, server) -> None:
-        """Route the allocation commands to ``server`` from now on."""
-        self.allocation_server = server
-
-    def detach_allocation_server(self, server=None) -> None:
-        """Stop routing allocation commands (a stopping service detaches).
-
-        Passing the server makes the detach idempotent and safe against
-        interleaving: only the currently attached server is removed, so a
-        replacement attached in the meantime keeps serving.
-        """
-        if server is None or self.allocation_server is server:
-            self.allocation_server = None
 
     # ------------------------------------------------------------------
     # Transport
@@ -120,11 +91,6 @@ class HostSystem:
     # Command execution (chip-side behaviour)
     # ------------------------------------------------------------------
     def _execute(self, message: SDPMessage) -> Dict[str, Any]:
-        if message.command in ALLOCATION_COMMANDS:
-            if self.allocation_server is None:
-                return {"error": "no allocation server attached"}
-            return self.allocation_server.handle(message.command,
-                                                 message.arguments)
         chip = self.machine.chips[message.destination]
         if message.command is HostCommand.QUERY_STATUS:
             return {
@@ -214,24 +180,3 @@ class HostSystem:
         source_chip, _core = keys.placement.location_of(vertex)
         self.send(SDPMessage(HostCommand.INJECT_SPIKE, source_chip,
                              {"key": key}))
-
-    # ------------------------------------------------------------------
-    # Allocation commands (require an attached allocation server)
-    # ------------------------------------------------------------------
-    def create_job(self, tenant: str, width: int, height: int,
-                   **arguments: Any) -> Dict[str, Any]:
-        """Submit an allocation job over the management channel."""
-        payload = {"tenant": tenant, "width": width, "height": height}
-        payload.update(arguments)
-        return self.send(SDPMessage(HostCommand.CREATE_JOB, self.gateway,
-                                    payload)).response
-
-    def job_keepalive(self, job_id: int) -> Dict[str, Any]:
-        """Refresh a job's keepalive and read back its state."""
-        return self.send(SDPMessage(HostCommand.JOB_KEEPALIVE, self.gateway,
-                                    {"job_id": job_id})).response
-
-    def release_job(self, job_id: int) -> Dict[str, Any]:
-        """Release a job's lease."""
-        return self.send(SDPMessage(HostCommand.RELEASE_JOB, self.gateway,
-                                    {"job_id": job_id})).response

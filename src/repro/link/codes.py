@@ -129,10 +129,6 @@ class DelayInsensitiveCode:
         """
         return 2 if self.return_to_zero else 1
 
-    def transitions_per_bit(self) -> float:
-        """Wire transitions per transmitted data bit."""
-        return self.transitions_per_symbol() / BITS_PER_SYMBOL
-
 
 def _build_codebook(n_wires: int, n_active: int) -> Tuple[Dict[int, FrozenSet[int]],
                                                           FrozenSet[int]]:
@@ -200,10 +196,6 @@ class LinkPerformanceModel:
     def energy_per_symbol_pj(self, code: DelayInsensitiveCode) -> float:
         """Off-chip signalling energy per 4-bit symbol."""
         return code.transitions_per_symbol() * self.energy_per_transition_pj
-
-    def energy_per_bit_pj(self, code: DelayInsensitiveCode) -> float:
-        """Off-chip signalling energy per data bit."""
-        return self.energy_per_symbol_pj(code) / BITS_PER_SYMBOL
 
     def packet_transfer_time_ns(self, code: DelayInsensitiveCode,
                                 packet_bits: int = 40) -> float:

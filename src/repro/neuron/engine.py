@@ -24,7 +24,7 @@ these operations are pinned to live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -162,30 +162,6 @@ class CSRMatrix:
         pre_indices = np.asarray(pre_indices, dtype=np.intp)
         starts = self.row_ptr[pre_indices]
         return expand_rows(starts, self.row_ptr[pre_indices + 1] - starts)
-
-    # ------------------------------------------------------------------
-    # Mapping-layer views
-    # ------------------------------------------------------------------
-    @classmethod
-    def merge_rows(cls, blocks: Sequence["CSRMatrix"], n_post: int,
-                   target_offsets: Sequence[int]) -> "CSRMatrix":
-        """Merge blocks over the same source rows into one matrix.
-
-        Row ``i`` holds every block's row ``i``, block by block and each
-        in storage order; block ``b``'s targets are shifted by
-        ``target_offsets[b]`` into the merged ``n_post`` numbering.
-        """
-        n_pre = blocks[0].n_pre
-        pre = np.concatenate([block.pre_index for block in blocks])
-        order = np.argsort(pre, kind="stable")
-        row_ptr = np.zeros(n_pre + 1, dtype=np.int64)
-        row_ptr[1:] = np.cumsum(np.bincount(pre, minlength=n_pre))
-        return cls(n_pre, n_post, row_ptr,
-                   np.concatenate([offset + block.targets for offset, block
-                                   in zip(target_offsets, blocks)])[order],
-                   np.concatenate([block.weights for block in blocks])[order],
-                   np.concatenate([block.delay_ticks
-                                   for block in blocks])[order])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "CSRMatrix(%d pre, %d post, %d synapses)" % (

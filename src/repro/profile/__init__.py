@@ -24,13 +24,11 @@ from repro.profile.registry import (  # noqa: F401
     enabled,
     flatten,
     get_registry,
-    merge,
     perf_now,
     profile_stage,
     record_stage,
     reset,
     sanitise,
-    snapshot,
 )
 
 __all__ = [
@@ -41,11 +39,9 @@ __all__ = [
     "enabled",
     "flatten",
     "get_registry",
-    "merge",
     "perf_now",
     "profile_stage",
     "record_stage",
     "reset",
     "sanitise",
-    "snapshot",
 ]

@@ -15,8 +15,6 @@ the one substrate they all report through:
 * the registry records, per path, the **call count**, **cumulative
   seconds** (whole span) and **self seconds** (span minus profiled
   children);
-* :meth:`snapshot` / :meth:`merge` copy a registry as plain, picklable
-  tuples and fold one registry into another;
 * :meth:`flatten` renders ``profile_<stage>_s`` / ``_self_s`` /
   ``_calls`` keys for ``benchmarks/reporting.emit_json``, which is how
   stage timings land in the ``BENCH_*.json`` files the perf-regression
@@ -47,12 +45,12 @@ import os
 import re
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "ENV_FLAG", "StageRecord", "ProfileRegistry", "perf_now",
     "profile_stage", "record_stage", "get_registry", "enabled", "enable",
-    "reset", "flatten", "snapshot", "merge",
+    "reset", "flatten",
 ]
 
 #: Set (to anything but empty/``0``) to enable the process-global
@@ -99,10 +97,6 @@ class StageRecord:
     def depth(self) -> int:
         """Nesting depth (1 = top level)."""
         return len(self.path)
-
-    def as_tuple(self) -> Tuple[Tuple[str, ...], int, float, float]:
-        """The picklable wire form used by :meth:`ProfileRegistry.snapshot`."""
-        return (self.path, self.calls, self.cum_s, self.self_s)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "StageRecord(%s: %d calls, %.6fs cum, %.6fs self)" % (
@@ -266,20 +260,6 @@ class ProfileRegistry:
             totals[name] = totals.get(name, 0.0) + record.cum_s
         return totals
 
-    def snapshot(self) -> List[Tuple[Tuple[str, ...], int, float, float]]:
-        """A picklable copy of every record (the worker-pipe wire form)."""
-        with self._lock:
-            return [self._records[path].as_tuple()
-                    for path in sorted(self._records)]
-
-    def merge(self, other: Union["ProfileRegistry",
-                                 Iterable[Tuple]]) -> None:
-        """Fold another registry (or a :meth:`snapshot`) into this one."""
-        rows = other.snapshot() if isinstance(other, ProfileRegistry) \
-            else other
-        for path, calls, cum_s, self_s in rows:
-            self._record(tuple(path), calls, cum_s, self_s)
-
     def flatten(self, prefix: str = "profile_") -> Dict[str, float]:
         """Stage figures as flat ``{metric_name: float}`` pairs.
 
@@ -365,13 +345,3 @@ def record_stage(name: str, seconds: float, calls: int = 1) -> None:
 def flatten(prefix: str = "profile_") -> Dict[str, float]:
     """Flatten the process-global registry (see the method)."""
     return _REGISTRY.flatten(prefix)
-
-
-def snapshot() -> List[Tuple[Tuple[str, ...], int, float, float]]:
-    """Snapshot the process-global registry (see the method)."""
-    return _REGISTRY.snapshot()
-
-
-def merge(other: Union[ProfileRegistry, Iterable[Tuple]]) -> None:
-    """Merge into the process-global registry (see the method)."""
-    _REGISTRY.merge(other)

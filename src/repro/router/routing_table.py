@@ -184,19 +184,6 @@ class MulticastRoutingTable:
         if not hit:
             self.misses += n
 
-    def lookup_linear(self, key: int) -> Optional[RoutingEntry]:
-        """Reference linear-scan lookup (the hardware CAM walk).
-
-        Kept as the behavioural oracle for the indexed cache: for every
-        key, ``lookup_linear`` and :meth:`route_for` must agree — a
-        property the test suite asserts before and after minimisation.
-        Does not touch the lookup/miss counters.
-        """
-        for entry in self._entries:
-            if entry.matches(key):
-                return entry
-        return None
-
     def compile_routes(self, keys: Iterable[int]
                        ) -> Dict[int, Optional[Tuple[FrozenSet[Direction],
                                                      FrozenSet[int]]]]:

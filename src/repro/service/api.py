@@ -1,9 +1,8 @@
 """The versioned HTTP/JSON wire protocol of the allocation service.
 
 One place defines what travels over the network: the endpoint table
-(also rendered into the README and the CLI help), the typed error codes
-shared with the SDP command surface of :mod:`repro.alloc.server`, and
-the :class:`ServiceError` exception the server raises internally and
+(also rendered into the README and the CLI help), the typed error codes,
+and the :class:`ServiceError` exception the server raises internally and
 maps onto an HTTP status plus a structured JSON error body::
 
     {"error": "<human-readable message>", "code": "<typed code>",

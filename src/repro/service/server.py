@@ -71,7 +71,7 @@ class AllocationService:
     @classmethod
     def build(cls, width: int = 16, height: int = 16,
               cores_per_chip: int = 1, **kwargs: Any) -> "AllocationService":
-        """Construct a machine + host + SDP server + HTTP service."""
+        """Construct a machine + host + allocation server + HTTP service."""
         machine = SpiNNakerMachine(MachineConfig(width=width, height=height,
                                                  cores_per_chip=cores_per_chip))
         return cls(AllocationServer(HostSystem(machine)), **kwargs)
@@ -137,7 +137,6 @@ class AllocationService:
                         break
                     for job in jobs:
                         self.scheduler.release(job.job_id)
-        self.server.host.detach_allocation_server(self.server)
         return drained
 
     # ------------------------------------------------------------------

@@ -19,6 +19,8 @@ the fast path equals it element for element:
   minimal displacement searched per chip pair, and one chip's p2p table
   built destination by destination from full routes, which pin the
   geometry's one displacement table;
+* :func:`linear_lookup` — the multicast router's CAM walked entry by
+  entry, which pins the routing table's indexed first-match lookup;
 * :func:`build_rows` — the object-building connector loops, making the
   generator calls one synapse at a time (for fixed probability, one
   geometric gap at a time through each tile's keyed streams);
@@ -38,9 +40,10 @@ the fast path equals it element for element:
   bytes;
 * :class:`PerPairSynapticMatrices` — the synaptic-matrix pass one
   (source, target) vertex pair at a time (a per-source reach scan, one
-  :func:`submatrix` per projection on the pair, each block packed by
-  :func:`pack_csr_block` and decoded from its words), which pins the
-  per-projection split the shipped pass packs and decodes through.
+  :func:`submatrix` per projection on the pair, merged by
+  :func:`merge_rows`, each block packed by :func:`pack_csr_block` and
+  decoded from its words), which pins the per-projection split the
+  shipped pass packs and decodes through.
 """
 
 from __future__ import annotations
@@ -316,6 +319,18 @@ def reference_p2p_entries(coordinate: ChipCoordinate, geometry
             *reference_displacement(geometry, coordinate, destination))
         entries[destination] = route[0] if route else None
     return entries
+
+
+# ----------------------------------------------------------------------
+# The multicast CAM walked entry by entry
+# ----------------------------------------------------------------------
+def linear_lookup(table, key: int):
+    """The first entry of ``table`` (in lookup order) matching ``key``,
+    or ``None`` on a miss; the lookup/miss counters are left alone."""
+    for entry in table.entries:
+        if entry.matches(key):
+            return entry
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -904,6 +919,21 @@ def submatrix(csr, pre_start: int, pre_stop: int, post_start: int,
                      csr.delay_ticks[lo:hi][keep])
 
 
+def merge_rows(blocks: Sequence[CSRMatrix], n_post: int) -> CSRMatrix:
+    """Merge blocks over the same source rows into one matrix: row ``i``
+    holds every block's row ``i``, block by block, each in storage order."""
+    n_pre = blocks[0].n_pre
+    pre = np.concatenate([block.pre_index for block in blocks])
+    order = np.argsort(pre, kind="stable")
+    row_ptr = np.zeros(n_pre + 1, dtype=np.int64)
+    row_ptr[1:] = np.cumsum(np.bincount(pre, minlength=n_pre))
+    return CSRMatrix(n_pre, n_post, row_ptr,
+                     np.concatenate([block.targets for block in blocks])[order],
+                     np.concatenate([block.weights for block in blocks])[order],
+                     np.concatenate([block.delay_ticks
+                                     for block in blocks])[order])
+
+
 def pack_csr_block(block) -> np.ndarray:
     """One CSR block as zero-padded ``(n_rows, stride)`` packed rows: per
     source row the synapse count, then the row's words in storage order."""
@@ -985,8 +1015,8 @@ class PerPairSynapticMatrices(BuildSynapticMatricesPass):
                      for index, projection
                      in enumerate(ctx.network.projections)
                      if self.has_block(index, source, target)]
-            block = (parts[0] if len(parts) == 1 else CSRMatrix.merge_rows(
-                parts, target.n_neurons, [0] * len(parts)))
+            block = (parts[0] if len(parts) == 1
+                     else merge_rows(parts, target.n_neurons))
             self.blocks[(source, target)] = pack_csr_block(block)
         return self.blocks[(source, target)]
 

@@ -50,7 +50,7 @@ def small_network(seed: int) -> Network:
 
 
 def test_two_concurrent_jobs_and_a_queued_third(facility):
-    machine, host, server = facility
+    machine, _host, server = facility
     server.scheduler.queue.set_quota(TenantQuota(
         tenant="shared-lab", max_leased_chips=32, submission_burst=8))
 
@@ -99,7 +99,7 @@ def test_two_concurrent_jobs_and_a_queued_third(facility):
         assert job.machine_view.total_emergency_invocations() == 0
 
     # Releasing A makes room for C within the quota; C then runs too.
-    assert host.release_job(job_a.job_id)["released"]
+    assert server.release(job_a.job_id)
     machine.run()
     assert job_c.state is JobState.READY
     chips_c = set(job_c.machine_view.chips)
@@ -116,8 +116,8 @@ def test_two_concurrent_jobs_and_a_queued_third(facility):
 
     # Everything can be handed back; the pool ends whole minus the dead
     # chip, with zero fragmentation after coalescing.
-    host.release_job(job_b.job_id)
-    host.release_job(job_c.job_id)
+    server.release(job_b.job_id)
+    server.release(job_c.job_id)
     partitioner = server.scheduler.partitioner
     assert partitioner.leased_area == 0
     assert partitioner.free_area == 63

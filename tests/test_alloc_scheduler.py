@@ -8,12 +8,10 @@ from repro.alloc.job import JobRequest, JobState
 from repro.alloc.partition import MachinePartitioner, Rect, subtract
 from repro.alloc.queue import TenantQuota
 from repro.alloc.scheduler import AllocationScheduler
-from repro.alloc.server import (ERROR_BAD_COMMAND, ERROR_BAD_REQUEST,
-                                ERROR_INTERNAL, ERROR_NO_SUCH_JOB,
-                                AllocationServer)
+from repro.alloc.server import AllocationServer
 from repro.core.geometry import ChipCoordinate, Direction
 from repro.core.machine import MachineConfig, SpiNNakerMachine
-from repro.host.host_system import HostCommand, HostSystem, SDPMessage
+from repro.host.host_system import HostSystem
 from repro.runtime.monitor import MonitorService
 
 
@@ -390,7 +388,8 @@ class TestMonitorIntegration:
         server = AllocationServer(host, power_on_delay_us=0.0)
         job = server.create_job("alice", 2, 2)
         machine.run()
-        released = host.release_job(job.job_id)
+        assert server.release(job.job_id)
+        released = job.describe()
         assert released["state"] == "freed"
         assert "lease" not in released  # the chips went back to the pool
         assert job.lease is None
@@ -405,87 +404,3 @@ class TestMonitorIntegration:
         lease = server.scheduler.partitioner.allocate(8, 8)
         assert lease is None  # the full square no longer exists
         assert server.scheduler.partitioner.free_area == 63
-
-
-# ----------------------------------------------------------------------
-# SDP command surface
-# ----------------------------------------------------------------------
-class TestAllocationServerSDP:
-    def test_create_keepalive_release_round_trip(self):
-        machine = make_machine()
-        host = HostSystem(machine)
-        AllocationServer(host, power_on_delay_us=0.0)
-        created = host.create_job("alice", 3, 3, priority=2,
-                                  keepalive_ms=50.0)
-        assert created["state"] in ("queued", "powering")
-        machine.run()
-        job_id = created["job_id"]
-        alive = host.job_keepalive(job_id)
-        assert alive["alive"] and alive["state"] == "ready"
-        released = host.release_job(job_id)
-        assert released["released"] and released["state"] == "freed"
-
-    def test_unknown_job_and_bad_arguments_report_errors(self):
-        machine = make_machine()
-        host = HostSystem(machine)
-        AllocationServer(host)
-        assert "error" in host.job_keepalive(999)
-        assert "error" in host.release_job(999)
-        assert "error" in host.create_job("", 2, 2)  # unnamed tenant
-
-    def test_commands_without_server_report_errors(self):
-        machine = make_machine()
-        host = HostSystem(machine)
-        response = host.send(SDPMessage(HostCommand.CREATE_JOB, host.gateway,
-                                        {"tenant": "alice", "width": 1,
-                                         "height": 1})).response
-        assert "error" in response
-
-    def test_chip_commands_are_unaffected(self):
-        machine = make_machine()
-        host = HostSystem(machine)
-        AllocationServer(host)
-        status = host.query_status(host.gateway)
-        assert "booted" in status
-
-    def test_malformed_create_job_gets_a_typed_error_not_a_crash(self):
-        machine = make_machine()
-        host = HostSystem(machine)
-        server = AllocationServer(host)
-        # Arguments that are not even a mapping must not raise.
-        response = server.handle(HostCommand.CREATE_JOB, None)
-        assert response["code"] == ERROR_BAD_REQUEST
-        # A mapping whose fields do not coerce is a bad request too.
-        response = host.send(SDPMessage(HostCommand.CREATE_JOB, host.gateway,
-                                        {"tenant": "alice", "width": "wide",
-                                         "height": 2})).response
-        assert response["code"] == ERROR_BAD_REQUEST
-        # The dispatch loop survived: a well-formed command still works.
-        created = host.create_job("alice", 2, 2)
-        assert created["state"] in ("queued", "powering")
-
-    def test_unknown_jobs_and_commands_carry_typed_codes(self):
-        machine = make_machine()
-        host = HostSystem(machine)
-        server = AllocationServer(host)
-        assert host.job_keepalive(999)["code"] == ERROR_NO_SUCH_JOB
-        assert host.release_job(999)["code"] == ERROR_NO_SUCH_JOB
-        response = server.handle(HostCommand.QUERY_STATUS, {})
-        assert response["code"] == ERROR_BAD_COMMAND
-
-    def test_internal_faults_map_to_internal_error(self, monkeypatch):
-        machine = make_machine()
-        host = HostSystem(machine)
-        server = AllocationServer(host)
-
-        def explode(_request):
-            raise RuntimeError("scheduler fault")
-
-        monkeypatch.setattr(server.scheduler, "submit", explode)
-        response = host.send(SDPMessage(HostCommand.CREATE_JOB, host.gateway,
-                                        {"tenant": "alice", "width": 1,
-                                         "height": 1})).response
-        assert response["code"] == ERROR_INTERNAL
-        assert "scheduler fault" in response["error"]
-        # The host is still serving: the fault never crossed the wire.
-        assert "booted" in host.query_status(host.gateway)

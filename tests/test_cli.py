@@ -67,52 +67,6 @@ class TestRunCommand:
         assert "packets dropped:     0" in out
 
 
-class TestTransportCommand:
-    def test_demo_reports_identical_transports(self, capsys):
-        status = main(["transport", "demo", "--chips", "9", "--neurons",
-                       "128", "--neurons-per-core", "32", "--duration",
-                       "30", "--seed", "11"])
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "equivalence verdict: IDENTICAL" in out
-        assert "fabric" in out and "event" in out
-        assert "events/s" in out
-
-    def test_demo_rejects_tiny_arguments(self, capsys):
-        assert main(["transport", "demo", "--chips", "2"]) == 2
-
-    def test_demo_parser_defaults(self):
-        args = build_parser().parse_args(["transport", "demo"])
-        assert args.transport_command == "demo"
-        assert args.chips == 16
-        assert args.duration == pytest.approx(60.0)
-
-
-class TestClusterCommand:
-    def test_demo_reports_identical_shards(self, capsys):
-        # Four pairs on two boards: the chain crosses the board cable,
-        # so the verdict also compares non-zero traffic figures.
-        status = main(["cluster", "demo", "--boards", "2x1", "--pairs", "4",
-                       "--neurons", "64", "--neurons-per-core", "32",
-                       "--duration", "30", "--workers", "2"])
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "Board topology" in out
-        assert "worker-count independence: IDENTICAL" in out
-        assert "unsharded-engine equivalence: IDENTICAL" in out
-        assert "cross-board spikes" in out
-
-    def test_demo_rejects_bad_board_grid(self, capsys):
-        assert main(["cluster", "demo", "--boards", "two-by-two"]) == 2
-
-    def test_demo_parser_defaults(self):
-        args = build_parser().parse_args(["cluster", "demo"])
-        assert args.cluster_command == "demo"
-        assert args.boards == "2x2"
-        assert args.workers == 2
-        assert args.verify is True
-
-
 class TestCompileCommand:
     def test_report_prints_pass_table_and_remap(self, capsys):
         status = main(["compile", "report", "--chips", "9", "--neurons",

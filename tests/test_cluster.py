@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
+import sys
 import threading
 import time
 from multiprocessing import shared_memory
@@ -21,7 +22,6 @@ import pytest
 import repro.cluster.application as cluster_application
 from repro import profile
 from repro.alloc.partition import MachinePartitioner
-from repro.cli import main
 from repro.cluster import (
     ClusterApplication,
     ClusterWorkerError,
@@ -40,7 +40,7 @@ from repro.core.machine import (
     SpiNNakerMachine,
 )
 from repro.neuron.connectors import FixedProbabilityConnector
-from repro.neuron.kernel import SpikeTrain
+from repro.neuron.kernel import SpikeTrain, TickKernel
 from repro.neuron.network import Network
 from repro.neuron.population import Population, SpikeSourcePoisson
 from repro.runtime.application import ApplicationResult, NeuralApplication
@@ -197,16 +197,6 @@ class TestBoardGeometry:
         assert Direction.EAST in edge.inter_board_directions
         interior = machine.chip(1, 1).router
         assert not interior.inter_board_directions
-
-    def test_demo_prints_the_board_grid(self, capsys):
-        assert main(["cluster", "demo", "--boards", "2x2", "--pairs", "1",
-                     "--neurons", "8", "--duration", "2", "--workers", "1",
-                     "--no-verify"]) == 0
-        out = capsys.readouterr().out
-        assert "4 boards of 4x3 chips" in out
-        # y grows upwards: the top row of the grid is boards 2 and 3.
-        rows = [line for line in out.splitlines() if line.startswith("| b")]
-        assert rows == ["| b2     | b3     |", "| b0     | b1     |"]
 
 
 # ----------------------------------------------------------------------
@@ -852,7 +842,7 @@ class TestWorkerFailure:
 # Per-stage timing
 # ----------------------------------------------------------------------
 def assert_stages_recorded(report: ClusterReport) -> None:
-    """Every worker of the run has its table of the four stages."""
+    """Every worker of the run has its table of :data:`STAGES`."""
     assert set(report.worker_stages) == set(range(report.workers))
     for stages in report.worker_stages.values():
         assert set(stages) == set(cluster_application.STAGES)
@@ -889,7 +879,7 @@ class TestProfiling:
     def test_remote_delivery_is_counted_once(self, monkeypatch):
         """Remote delivery is exchange time, not compute: slowed by a
         known sleep, it lands in the exchange stage and each worker's
-        four stages still fit inside the run's wall clock."""
+        stages still fit inside the run's wall clock."""
         sleep_s = 0.02
         fork = multiprocessing.get_context("fork")
         sleeps = fork.Value("i", 0)
@@ -911,6 +901,35 @@ class TestProfiling:
         for stages in report.worker_stages.values():
             assert sum(stages.values()) <= report.wall_s
         assert report.stage_total("exchange") >= sleeps.value * sleep_s
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_draws_are_counted_as_prefetch(self, monkeypatch,
+                                                 workers):
+        """The runners' block draws of source spikes are timed: slowed
+        by a known sleep, they land in the prefetch stage (a tick's own
+        draw inside ``step`` stays compute)."""
+        sleep_s = 0.02
+        fork = multiprocessing.get_context("fork")
+        draws = fork.Value("i", 0)
+        prefetch = TickKernel.prefetch_sources
+
+        def slow_block_draw(kernel, upto_tick):
+            if sys._getframe(1).f_code.co_name != "step":
+                with draws.get_lock():
+                    draws.value += 1
+                time.sleep(sleep_s)
+            prefetch(kernel, upto_tick)
+
+        monkeypatch.setattr(TickKernel, "prefetch_sources", slow_block_draw)
+        cluster = sharded_app()
+        cluster.run(40.0, workers=workers)
+        report = cluster.report
+        assert report.workers == workers
+        assert_stages_recorded(report)
+        assert draws.value >= 2
+        for stages in report.worker_stages.values():
+            assert sum(stages.values()) <= report.wall_s
+        assert report.stage_total("prefetch") >= draws.value * sleep_s
 
     def test_stage_timers_cover_serial_and_pool(self):
         serial = sharded_app()

@@ -2,8 +2,8 @@
 
 Covers the contract every instrumented subsystem relies on: nesting and
 self-time arithmetic, the near-free disabled path, thread-safety of
-concurrent stage entry, the picklable snapshot/merge wire form, the
-cluster runner's worker stage tables folded into its registry, and the
+concurrent stage entry, the cluster runner's worker stage tables
+folded into its registry, and the
 ``flatten()`` round trip through ``benchmarks/reporting.emit_json``.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import statistics
 import sys
 import threading
@@ -241,24 +240,9 @@ class TestThreadSafety:
 
 
 # ----------------------------------------------------------------------
-# Snapshot / merge (the picklable wire form)
+# The cluster runner's worker stage tables
 # ----------------------------------------------------------------------
-class TestSnapshotMerge:
-    def test_snapshot_is_picklable_and_merges_back(self):
-        source = ProfileRegistry(enabled=True)
-        with source.stage("compute"):
-            pass
-        source.add("exchange", 0.25, calls=4)
-        wire = pickle.loads(pickle.dumps(source.snapshot()))
-
-        target = ProfileRegistry(enabled=True)
-        target.merge(wire)
-        target.merge(source)            # a registry merges directly too
-        by_path = {record.path: record for record in target.records()}
-        assert by_path[("compute",)].calls == 2
-        assert by_path[("exchange",)].calls == 8
-        assert by_path[("exchange",)].cum_s == pytest.approx(0.5)
-
+class TestClusterStageTables:
     def test_merge_across_the_cluster_pipe_protocol(self):
         # A pooled cluster run ships each worker's stage table over its
         # result pipe; the parent folds them into its registry, which
@@ -388,11 +372,8 @@ class TestGlobalRegistry:
                 "profile_tick_s", "profile_tick_self_s",
                 "profile_tick_calls", "profile_io_s",
                 "profile_io_self_s", "profile_io_calls"}
-            wire = profile.snapshot()
             profile.reset()
             assert profile.flatten() == {}
-            profile.merge(wire)
-            assert profile.flatten()["profile_io_s"] == pytest.approx(0.25)
         finally:
             profile.enable(False)
             profile.reset()

@@ -277,7 +277,6 @@ class TestShutdown:
             client.close()
         assert service.stop() is True
         assert service.scheduler.partitioner.leased_area == 0
-        assert service.server.host.allocation_server is None
 
     def test_stop_is_idempotent(self, service):
         assert service.stop() is True
