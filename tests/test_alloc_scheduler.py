@@ -404,3 +404,81 @@ class TestMonitorIntegration:
         lease = server.scheduler.partitioner.allocate(8, 8)
         assert lease is None  # the full square no longer exists
         assert server.scheduler.partitioner.free_area == 63
+
+
+# ----------------------------------------------------------------------
+# The server's object API (the host-side front door for jobs)
+# ----------------------------------------------------------------------
+class TestAllocationServerObjectAPI:
+    def test_create_keepalive_release_round_trip(self):
+        machine = make_machine()
+        server = AllocationServer(HostSystem(machine), power_on_delay_us=0.0)
+        job = server.create_job("alice", 3, 3, priority=2, keepalive_ms=50.0)
+        assert job.state in (JobState.QUEUED, JobState.POWERING)
+        assert server.job(job.job_id) is job
+        machine.run()
+        assert server.keepalive(job.job_id)
+        assert job.describe()["state"] == "ready"
+        assert server.release(job.job_id)
+        assert job.describe()["state"] == "freed"
+        assert server.scheduler.partitioner.leased_area == 0
+
+    def test_unknown_jobs_report_false_or_none(self):
+        server = AllocationServer(HostSystem(make_machine()))
+        assert server.keepalive(999) is False
+        assert server.release(999) is False
+        assert server.job(999) is None
+        assert server.machine_view(999) is None
+
+    def test_bad_arguments_raise_and_queue_nothing(self):
+        server = AllocationServer(HostSystem(make_machine()))
+        with pytest.raises(ValueError, match="tenant"):
+            server.create_job("", 2, 2)
+        with pytest.raises(ValueError, match="dimensions"):
+            server.create_job("alice", 0, 2)
+        with pytest.raises(ValueError, match="keepalive"):
+            server.create_job("alice", 2, 2, keepalive_ms=0.0)
+        assert server.scheduler.jobs == {}
+        assert server.scheduler.queue_depth() == 0
+        # A well-formed request still goes through afterwards.
+        assert server.create_job("alice", 2, 2).state is not JobState.REJECTED
+
+    def test_chip_commands_are_unaffected(self):
+        machine = make_machine()
+        host = HostSystem(machine)
+        AllocationServer(host)
+        status = host.query_status(host.gateway)
+        assert "booted" in status
+
+    def test_scheduler_and_scheduler_options_are_exclusive(self):
+        machine = make_machine()
+        scheduler = AllocationScheduler(machine)
+        with pytest.raises(ValueError, match="not both"):
+            AllocationServer(HostSystem(machine), scheduler,
+                             power_on_delay_us=0.0)
+        server = AllocationServer(HostSystem(machine), scheduler)
+        assert server.scheduler is scheduler
+
+    def test_machine_view_exists_only_while_ready(self):
+        machine = make_machine()
+        server = AllocationServer(HostSystem(machine), power_on_delay_us=50.0)
+        job = server.create_job("alice", 2, 2)
+        assert job.state is JobState.POWERING
+        assert server.machine_view(job.job_id) is None
+        machine.run()
+        view = server.machine_view(job.job_id)
+        assert view is job.machine_view and len(view.chips) == 4
+        server.release(job.job_id)
+        assert server.machine_view(job.job_id) is None
+
+    def test_second_release_and_late_keepalive_change_nothing(self):
+        machine = make_machine()
+        server = AllocationServer(HostSystem(machine), power_on_delay_us=0.0)
+        job = server.create_job("alice", 2, 2)
+        machine.run()
+        assert server.release(job.job_id)
+        freed = server.scheduler.stats.freed
+        assert server.release(job.job_id) is False
+        assert server.keepalive(job.job_id) is False
+        assert job.state is JobState.FREED
+        assert server.scheduler.stats.freed == freed

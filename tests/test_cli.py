@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _transport_mesh, build_parser, main
 
 
 class TestParser:
@@ -90,6 +90,31 @@ class TestCompileCommand:
 
     def test_report_rejects_tiny_arguments(self, capsys):
         assert main(["compile", "report", "--chips", "2"]) == 2
+
+    def test_report_parser_defaults(self):
+        args = build_parser().parse_args(["compile", "report"])
+        assert args.compile_command == "report"
+        assert args.chips == 16
+        assert args.condemn == 1
+
+    def test_transport_mesh_is_near_square_and_covers_the_chips(self):
+        for chips in range(1, 200):
+            width, height = _transport_mesh(chips)
+            assert width >= 2 and height >= 2
+            assert width * height >= chips
+            assert abs(width - height) <= 2
+        assert _transport_mesh(16) == (4, 4)
+        assert _transport_mesh(9) == (3, 3)
+
+
+@pytest.mark.parametrize("command", ["transport", "cluster"])
+def test_removed_subcommands_are_usage_errors(command, capsys):
+    # The transport and cluster demos re-ran equivalence checks the
+    # tests and benchmarks pin; the CLI no longer offers them.
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "demo"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 class TestSaturationCommand:

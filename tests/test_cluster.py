@@ -931,6 +931,32 @@ class TestProfiling:
             assert sum(stages.values()) <= report.wall_s
         assert report.stage_total("prefetch") >= draws.value * sleep_s
 
+    def test_exchange_begin_is_counted_as_exchange(self, monkeypatch):
+        """Emptying a worker's write regions before a super-step is
+        exchange work: slowed by a known sleep, it lands in the exchange
+        stage and each worker's stages still fit inside the wall clock."""
+        sleep_s = 0.02
+        fork = multiprocessing.get_context("fork")
+        begins = fork.Value("i", 0)
+        begin = SharedMemoryExchange.begin
+
+        def slow_begin(exchange, bank, worker):
+            with begins.get_lock():
+                begins.value += 1
+            time.sleep(sleep_s)
+            begin(exchange, bank, worker)
+
+        monkeypatch.setattr(SharedMemoryExchange, "begin", slow_begin)
+        cluster = sharded_app()
+        cluster.run(40.0, workers=2)
+        report = cluster.report
+        assert report.workers == 2
+        assert_stages_recorded(report)
+        assert begins.value >= 4
+        for stages in report.worker_stages.values():
+            assert sum(stages.values()) <= report.wall_s
+        assert report.stage_total("exchange") >= begins.value * sleep_s
+
     def test_stage_timers_cover_serial_and_pool(self):
         serial = sharded_app()
         serial.run(20.0, workers=1)

@@ -146,6 +146,38 @@ class TestErrorSurface:
         with pytest.raises(NoSuchJob):
             client.release(999)
 
+    def test_unknown_job_keepalive_is_a_typed_404(self, client):
+        status, payload, _retry = client.request(
+            "POST", "/v1/jobs/999/keepalive")
+        assert status == 404 and payload["code"] == api.CODE_NO_SUCH_JOB
+        with pytest.raises(NoSuchJob):
+            client.keepalive(999)
+
+    def test_internal_faults_are_typed_500s_and_serving_goes_on(
+            self, monkeypatch):
+        faulty = AllocationService.build(width=4, height=4).start()
+        try:
+            def explode(_request):
+                raise RuntimeError("scheduler fault")
+
+            monkeypatch.setattr(faulty.scheduler, "submit", explode)
+            status, payload, _retry = raw_request(
+                faulty, "POST", "/v1/jobs",
+                body=json.dumps({"tenant": "alice", "width": 1,
+                                 "height": 1}).encode("utf-8"),
+                headers={"Content-Type": "application/json"})
+            assert status == 500
+            assert payload["code"] == api.CODE_INTERNAL
+            assert "scheduler fault" in payload["error"]
+            # The fault never crossed the wire as a traceback, and the
+            # service still answers.
+            status, payload, _retry = raw_request(faulty, "GET",
+                                                  "/v1/machine")
+            assert status == 200 and payload["width"] == 4
+            assert faulty.metrics.status_total(500, 599) == 1
+        finally:
+            faulty.stop()
+
     def test_nothing_in_this_file_produced_a_500(self, service, client):
         client.request("GET", "/v1/jobs")
         assert service.metrics.status_total(500, 599) == 0
