@@ -228,6 +228,20 @@ def _watch_workers(processes, stop_conn, barrier, released) -> None:
     barrier.abort()
 
 
+def _draw_ahead(engine: FusedBoardEngine, through_tick: int, n_ticks: int,
+                stages: Dict[str, float]) -> None:
+    """Both runners' one prefetch rule: if ``through_tick``'s stimulus
+    is not drawn yet, draw the next ``UNCONSTRAINED_LOOKAHEAD`` ticks'
+    (fewer at the run's end) in one block, timed as ``prefetch``.  A
+    super-step is never longer than a block, so one draw covers it."""
+    kernel = engine.kernel
+    if through_tick >= kernel.next_source_tick:
+        drawing = perf_now()
+        kernel.prefetch_sources(min(kernel.next_source_tick
+                                    + UNCONSTRAINED_LOOKAHEAD, n_ticks) - 1)
+        stages["prefetch"] += perf_now() - drawing
+
+
 def _shard_worker(conn, worker: int, contexts: List[BoardContext],
                   populations, seed: Optional[int], timestep_ms: float,
                   plan: ExchangePlan, exchange: SharedMemoryExchange,
@@ -240,14 +254,15 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
     Per super-step: wait at the barrier (every writer of the previous
     bank has finished), apply the previous bank's inbound records in one
     scatter, then compute the super-step's ticks and publish the fired
-    cells other workers' boards take.  Before blocking on the next
-    barrier the worker draws the coming super-step's stimulus, so
-    barrier wait time does useful work.  After a last barrier the final
-    bank's in-flight deliveries are drained (the on-machine run drains
-    after halting, too).  The worker's seconds go into its table of
-    :data:`STAGES`, which rides the result pipe with the result.  A
-    broken barrier means some worker died; the worker just exits without
-    a result (the parent diagnoses who).
+    cells other workers' boards take.  Before each barrier the worker
+    draws the coming super-step's stimulus if it is not drawn yet, a
+    block at a time as the serial runner does (:func:`_draw_ahead`).
+    After a last barrier the final bank's in-flight deliveries are
+    drained (the on-machine run drains after halting, too).  The
+    worker's seconds go into its table of :data:`STAGES`, which rides
+    the result pipe with the result.  A broken barrier means some worker
+    died; the worker just exits without a result (the parent diagnoses
+    who).
     """
     engine = FusedBoardEngine(contexts, populations, seed, timestep_ms,
                               plan, worker)
@@ -273,6 +288,7 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
             for index, (start, length) in enumerate(
                     superstep_schedule(n_ticks, plan.lookahead)):
                 bank = index % 2
+                _draw_ahead(engine, start + length - 1, n_ticks, stages)
                 enter(prev_bank, bank)
                 for tick in range(start, start + length):
                     began = perf_now()
@@ -282,10 +298,6 @@ def _shard_worker(conn, worker: int, contexts: List[BoardContext],
                     if fired.size:
                         exchange.write(worker, bank, tick, fired)
                         stages["serialize"] += perf_now() - stepped
-                drawing = perf_now()
-                engine.kernel.prefetch_sources(
-                    min(start + 2 * length, n_ticks) - 1)
-                stages["prefetch"] += perf_now() - drawing
                 prev_bank = bank
             enter(prev_bank)
         except threading.BrokenBarrierError:
@@ -477,11 +489,7 @@ class ClusterApplication:
             self._populations(), self.seed, self.timestep_ms, plan, 0)
         stages = report.worker_stages[0] = dict.fromkeys(STAGES, 0.0)
         for tick in range(n_ticks):
-            if tick % UNCONSTRAINED_LOOKAHEAD == 0:
-                drawing = perf_now()
-                engine.kernel.prefetch_sources(
-                    min(tick + UNCONSTRAINED_LOOKAHEAD, n_ticks) - 1)
-                stages["prefetch"] += perf_now() - drawing
+            _draw_ahead(engine, tick, n_ticks, stages)
             began = perf_now()
             engine.step(tick)
             stages["compute"] += perf_now() - began

@@ -9,7 +9,8 @@ boards' cores, concatenated in board order: every placed vertex is a unit
 with the per-core generator (:func:`~repro.neuron.population.core_rng`
 keyed by the core's physical location) the on-machine runtime would give
 it, cores of a model step as one stacked block, and all of them share one
-:class:`~repro.neuron.synapse.FusedDeferredEventBuffer`.  What is the
+:class:`~repro.neuron.synapse.DeferredEventBuffer`, fed through its
+fixed-point rule (``add_fixed_point``).  What is the
 engine's own is the propagate step, and a tick of it is array work with
 no loop over cores:
 
@@ -66,7 +67,6 @@ from repro.compile.context import BoardContext
 from repro.neuron.engine import expand_rows
 from repro.neuron.kernel import TickKernel, TickUnit
 from repro.neuron.population import Population, core_rng
-from repro.neuron.synapse import FusedDeferredEventBuffer
 from repro.runtime.application import ApplicationResult
 
 __all__ = ["FusedBoardEngine"]
@@ -93,8 +93,7 @@ class FusedBoardEngine:
                                    spec.core_id))
                  for spec in cores]
         #: The boards' timer task (see :mod:`repro.neuron.kernel`).
-        self.kernel = TickKernel(units, timestep_ms,
-                                 FusedDeferredEventBuffer, self.result)
+        self.kernel = TickKernel(units, timestep_ms, self.result)
         #: The plan cell of the engine's cell 0: the engine's cores are
         #: the plan's, in plan order, from here on.
         self.first_cell = (plan.key_cells[cores[0].base_key].start
@@ -108,7 +107,7 @@ class FusedBoardEngine:
         # offset is its delay row, then the ring column of its
         # board-flat target.
         indexes = [context.delivery_index for context in self.contexts]
-        self._width = width = self.kernel.ring.total_width
+        self._width = width = self.kernel.ring.width
         # Offsets, and their rotation by up to one ring, fit in int32.
         assert 2 * self.kernel.ring.n_slots * width <= np.iinfo(np.int32).max
         translate = np.concatenate(
@@ -211,7 +210,7 @@ class FusedBoardEngine:
         # multiple of 2^-4 in float64, so the total is exact and
         # grouping-independent — bit-equal to a per-leg accumulation.
         self.result.delivered_charge_na += float(weights.sum())
-        self.kernel.ring.add_events(offsets, weights)
+        self.kernel.ring.add_fixed_point(offsets, weights)
 
     def apply_remote(self, cells: np.ndarray,
                      send_ticks: np.ndarray) -> None:

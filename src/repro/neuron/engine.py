@@ -12,10 +12,11 @@ expanded projection exists in exactly one form — a compressed-sparse-row
 * ``weights``  — synaptic efficacy (nA) per synapse;
 * ``delay_ticks`` — programmable soft delay per synapse.
 
-The host loop stacks every projection's arrays into one row table and
-scatters all spikes of a tick into the
+The host loop stacks every projection's arrays into one row table of
+ring offsets (``delay * width + column``) and weights, and scatters all
+spikes of a tick into the
 :class:`~repro.neuron.synapse.DeferredEventBuffer` ring with one
-``np.add.at``; the same arrays drive the STDP update
+element-order ``add_events``; the same arrays drive the STDP update
 (:meth:`repro.neuron.stdp.STDPMechanism.update_csr`, which mutates
 ``weights`` in place — the learned state) and the packed-word SDRAM
 blocks written by the mapping layer.  The literal per-synapse semantics

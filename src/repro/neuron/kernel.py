@@ -19,14 +19,13 @@ engine passes its board's cores.  The kernel
 * groups the neuron units by model into :class:`StackedBlock` lanes
   with a bias grid — one set of array operations steps every unit of a
   model;
-* lays the units' cells out as the columns of one deferred-event ring
-  (group blocks back to back, lane-major, padded; then one sink column
-  when the set holds a spike source).  The ring's *class* comes from the
-  engine, because the accumulation rule is a property of the weight
-  domain: unquantised float weights must sum in element order
-  (:class:`~repro.neuron.synapse.DeferredEventBuffer`, the host's and
-  a single core's ring), fixed-point weights may be pre-summed, exactly
-  (:class:`~repro.neuron.synapse.FusedDeferredEventBuffer`, a board's);
+* lays the units' cells out as the columns of the one deferred-event
+  ring it builds (:class:`~repro.neuron.synapse.DeferredEventBuffer`;
+  group blocks back to back, lane-major, padded; then one sink column
+  when the set holds a spike source).  An engine addresses the ring by
+  offset ``delay * ring.width + column`` (:meth:`TickKernel.columns`)
+  and picks the add rule that fits its weights: element-order float
+  sums for the host, exact fixed-point pre-sums for a core or a board;
 * numbers the units' neurons as contiguous *cells* in unit order
   (:attr:`TickUnit.cell` is a unit's first); :meth:`TickKernel.step`
   returns a tick's fired cells as one integer array — the sources',
@@ -44,9 +43,9 @@ engine passes its board's cores.  The kernel
   to each population's array-backed :class:`SpikeTrain`.
 
 A spike source integrates nothing, so charge aimed at one lands nowhere:
-:meth:`TickKernel.defer` drops it, and :meth:`TickKernel.columns` maps a
-source's cells to the sink column, which no unit reads.  The engine still
-counts those events and their charge.
+:meth:`TickKernel.columns` maps a source's cells to the sink column,
+which no unit reads.  The engine still counts those events and their
+charge.
 
 Every step is elementwise per cell and every generator is drawn in tick
 order, so a kernel of N units computes, cell for cell, what N one-unit
@@ -321,7 +320,7 @@ class TickKernel:
     """Stimulus, update and record for the units that share a tick."""
 
     def __init__(self, units: Sequence[TickUnit], timestep_ms: float,
-                 ring_class, record: SpikeRecord) -> None:
+                 record: SpikeRecord) -> None:
         self.timestep_ms = timestep_ms
         self.record = record
         # Cells: every unit's neurons, back to back in unit order.
@@ -357,8 +356,8 @@ class TickKernel:
         #: (last, and only there when the kernel holds a source).
         self.sink = width
         #: The deferred-event ring under every unit of the kernel.
-        self.ring = ring_class(max(width + bool(self._sources), 1),
-                               MAX_DELAY_TICKS)
+        self.ring = DeferredEventBuffer(max(width + bool(self._sources), 1),
+                                        MAX_DELAY_TICKS)
         #: Drawn-ahead source spikes, one cell array per tick from
         #: ``_next_source_tick - len(_queued)`` on.
         self._queued: deque = deque()
@@ -369,17 +368,11 @@ class TickKernel:
     # ------------------------------------------------------------------
     def columns(self, unit: TickUnit) -> np.ndarray:
         """The ring column of each of ``unit``'s neurons (the sink, for
-        a source), for engines that address events by cell."""
+        a source): an event at local index ``i`` with delay ``d`` is
+        ring offset ``d * ring.width + columns(unit)[i]``."""
         if unit.base is None:
             return np.full(unit.n_neurons, self.sink, dtype=np.intp)
         return unit.base + np.arange(unit.n_neurons, dtype=np.intp)
-
-    def defer(self, unit: TickUnit, targets: np.ndarray,
-              weights: np.ndarray, delay_ticks: np.ndarray) -> None:
-        """Defer events at ``unit``'s local neuron indices (float ring)."""
-        assert isinstance(self.ring, DeferredEventBuffer)
-        if unit.base is not None:
-            self.ring.add_events(targets + unit.base, weights, delay_ticks)
 
     def voltages(self, unit: TickUnit) -> np.ndarray:
         """A neuron unit's membrane potentials after the latest step."""
@@ -422,6 +415,11 @@ class TickKernel:
                 self._queued.extend(np.split(cells[order], np.searchsorted(
                     ticks[order], np.arange(1, ahead))))
         self._next_source_tick = upto_tick + 1
+
+    @property
+    def next_source_tick(self) -> int:
+        """The first tick whose source spikes are not drawn yet."""
+        return self._next_source_tick
 
     def step(self, tick: int) -> np.ndarray:
         """Run one timer tick; return the fired cells: the sources',

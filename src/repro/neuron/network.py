@@ -5,9 +5,9 @@ host, with the same 1 ms tick, the same deferred-event (soft-delay) ring
 and the same tick kernel (:mod:`repro.neuron.kernel`) as the on-machine
 runtime (:mod:`repro.runtime.application`); what is the host's own is the
 propagate step — every projection's unquantised float CSR rows stacked
-into one row table, so a tick's spikes reach the ring in one scatter in
-element order — plasticity, and membrane-voltage recording.  It serves
-two purposes:
+into one row table of ring offsets and weights, so a tick's spikes reach
+the ring in one element-order scatter (``add_events``) — plasticity, and
+membrane-voltage recording.  It serves two purposes:
 
 * it is the behavioural baseline the on-machine simulation is checked
   against (same network, same seed, same spike counts); and
@@ -30,7 +30,6 @@ from repro.neuron.population import (
     Projection,
     simulation_rng,
 )
-from repro.neuron.synapse import DeferredEventBuffer
 from repro.profile import profile_stage
 
 # The host loop's own stages; the kernel's ``stimulus``, ``neuron_update``
@@ -151,8 +150,7 @@ class Network:
         units = {population.label: TickUnit(population, 0, population.size,
                                             rng)
                  for population in self.populations}
-        kernel = TickKernel(list(units.values()), self.timestep_ms,
-                            DeferredEventBuffer, result)
+        kernel = TickKernel(list(units.values()), self.timestep_ms, result)
         probed = [units[population.label] for population in self.populations
                   if population.record_voltages
                   and not population.is_spike_source]
@@ -171,23 +169,24 @@ class Network:
                     in expand_projections(self, effective_seed)
                     if not projection.post.is_spike_source]
         # One row table over them all, in network order, for this run only:
-        # a synapse is a ring column (int32), delay (uint8) and weight
-        # (float64), 13 B.  A fired cell reaches one row per projection
-        # it feeds: ``cell_rows[cell_ptr[c]:cell_ptr[c + 1]]``.
+        # a synapse is a ring offset ``delay * width + column`` (int32)
+        # and a weight (float64), 12 B.  A fired cell reaches one row per
+        # projection it feeds: ``cell_rows[cell_ptr[c]:cell_ptr[c + 1]]``.
+        width = kernel.ring.width
+        # Offsets, and their rotation by up to one ring, fit in int32.
+        assert 2 * kernel.ring.n_slots * width <= np.iinfo(np.int32).max
         n_synapses = sum(csr.n_synapses for _p, csr, _pre, _post in expanded)
         row_ptr = np.empty(sum(csr.n_pre for _p, csr, _pre, _post in expanded)
                            + 1, dtype=np.int64)
-        columns = np.empty(n_synapses, dtype=np.int32)
-        delays = np.empty(n_synapses, dtype=np.uint8)
+        offsets = np.empty(n_synapses, dtype=np.int32)
         weights = np.empty(n_synapses)
         row_cells, learners, rows, first = [], [], 0, 0
         for projection, csr, pre, post in expanded:
             np.add(csr.row_ptr[:-1], first,
                    out=row_ptr[rows:rows + csr.n_pre])
             span = slice(first, first + csr.n_synapses)
-            np.add(csr.targets, post.base, out=columns[span],
-                   casting="unsafe")
-            delays[span] = csr.delay_ticks
+            np.add(csr.delay_ticks * width + post.base, csr.targets,
+                   out=offsets[span], casting="unsafe")
             weights[span] = csr.weights
             row_cells.append(pre.cell + np.arange(csr.n_pre))
             if projection.plasticity is not None:
@@ -216,9 +215,8 @@ class Network:
                     starts = row_ptr[spiking]
                     slots = expand_rows(starts, row_ptr[spiking + 1] - starts)
                     if slots.size:
-                        kernel.ring.add_events(columns[slots],
-                                               weights[slots],
-                                               delays[slots])
+                        kernel.ring.add_events(offsets[slots],
+                                               weights[slots])
                     # An update reads only its own weights and this tick's
                     # masks, so running it after every delivery changes
                     # nothing; the table then takes the learned weights.

@@ -10,22 +10,26 @@ of the most expensive functions of the neuron models in terms of the cost
 of data storage held locally".
 
 This module provides the field widths of the packed 32-bit synaptic word
-(the codec itself is in :mod:`repro.neuron.engine`) and the circular
-post-synaptic input buffers indexed by ``(arrival_tick mod max_delay)``
-that implement the algorithmic re-insertion of the delay at the target
-neuron.  There are two because the accumulation rule is a property of
-the weight domain: :class:`DeferredEventBuffer` sums unquantised float
-weights in element order, :class:`FusedDeferredEventBuffer` pre-sums
-fixed-point weights exactly, addressed by ring offset.  The tick
-kernel (:mod:`repro.neuron.kernel`) lays the cells of the units that
-share a tick out as one ring's columns and is the only caller of
-``drain()``.
+(the codec itself is in :mod:`repro.neuron.engine`) and the one circular
+post-synaptic input ring, :class:`DeferredEventBuffer`, that implements
+the algorithmic re-insertion of the delay at the target neuron for the
+host, a core and a board alike.  Every event is addressed by its ring
+offset ``delay * width + column`` from the row that drains next.  The
+accumulation rule belongs to the weights a caller delivers, not to the
+ring: unquantised float weights go through
+:meth:`~DeferredEventBuffer.add_events`, which sums in element order;
+fixed-point weights (decoded 16-bit words) through
+:meth:`~DeferredEventBuffer.add_fixed_point`, which may pre-sum them
+exactly.  The tick kernel (:mod:`repro.neuron.kernel`) builds the
+ring, lays the cells of the units that share a tick out as its columns
+and is the only caller of ``drain()``.
 
-Both hold each cell's exact charge and saturate it at the 16-bit weight
-range once, when the tick drains it (:meth:`_Ring.drain`), counting one
-saturation per clamped cell.  A cell's input therefore depends only on
-the charge that reached it, not on how that charge was batched: per
-event, per projection, per board or per worker.
+The ring holds each cell's exact charge and saturates it at the 16-bit
+weight range once, when the tick drains it
+(:meth:`DeferredEventBuffer.drain`), counting one saturation per clamped
+cell.  A cell's input therefore depends only on the charge that reached
+it, not on how that charge was batched: per event, per projection, per
+board or per worker.
 """
 
 from __future__ import annotations
@@ -49,13 +53,34 @@ WEIGHT_FIXED_POINT = 1 << 4
 WEIGHT_SATURATION_NA = ((1 << (WEIGHT_BITS - 1)) - 1) / WEIGHT_FIXED_POINT
 
 
-class _Ring:
-    """What both rings share: ``max_delay_ticks + 1`` slot rows of
-    ``width`` cells, one row drained (and clamped) per tick."""
+class DeferredEventBuffer:
+    """The post-synaptic input ring (the deferred-event model).
 
-    def __init__(self, width: int, max_delay_ticks: int) -> None:
+    ``max_delay_ticks + 1`` slot rows of ``width`` cells: one row per
+    future tick, one column per neuron of the units sharing the ring
+    (the tick kernel's layout).  An event is addressed by its *offset*
+    ``delay * width + column`` from the row that drains next, so
+    ``0 <= offset < n_slots * width`` is exactly ``0 <= delay <=
+    max_delay_ticks``; at the start of each timer tick the current row
+    is drained into the neuron models and cleared.  This is how the
+    programmable delay is "re-inserted algorithmically at the target
+    neuron" (Section 3.2).
+
+    The accumulation rule belongs to the weights a caller delivers, so
+    there are two ways in.  :meth:`add_events` sums in element order and
+    is exact for any float weights (the host's unquantised CSR).
+    :meth:`add_fixed_point` takes weights that are multiples of 2^-4
+    (decoded 16-bit words), whose float64 sums are exact in any order,
+    and pre-sums a wide batch.
+    """
+
+    def __init__(self, width: int,
+                 max_delay_ticks: int = MAX_DELAY_TICKS) -> None:
+        if width <= 0:
+            raise ValueError("width must be positive")
         if max_delay_ticks < 1:
             raise ValueError("max_delay_ticks must be at least 1")
+        self.width = width
         self.max_delay_ticks = max_delay_ticks
         self.n_slots = max_delay_ticks + 1
         self._buffer = np.zeros((self.n_slots, width), dtype=float)
@@ -68,6 +93,57 @@ class _Ring:
     def current_tick(self) -> int:
         """The tick whose inputs will be drained next."""
         return self._current_tick
+
+    def _rows(self, offsets: np.ndarray) -> tuple:
+        """Validate a batch (all or nothing) and count it; return its
+        first delay row, its row count and the ring row that delay row
+        sits at."""
+        low, high = int(offsets.min()), int(offsets.max())
+        if low < 0 or high >= self._buffer.size:
+            raise ValueError("event delays outside 0..%d (offset outside "
+                             "the ring)" % (self.max_delay_ticks,))
+        self.events_deferred += int(offsets.size)
+        first = low // self.width
+        return (first, high // self.width - first + 1,
+                (self._current_tick + first) % self.n_slots)
+
+    def add_events(self, offsets: np.ndarray, weights: np.ndarray) -> None:
+        """Accumulate a batch addressed by ring offset, in element order.
+
+        ``np.add.at`` sums repeated cells in the order the events come,
+        so the ring holds exactly what a per-event loop would.
+        """
+        if offsets.size == 0:
+            return
+        first, n_rows, start = self._rows(offsets)
+        # The cells are the offsets rotated to the ring's rows, wrapping
+        # at most once.
+        size = self._buffer.size
+        cells = offsets + (start - first) * self.width
+        if start + n_rows > self.n_slots:
+            cells -= (cells >= size) * cells.dtype.type(size)
+        np.add.at(self._buffer.ravel(), cells, weights)
+
+    def add_fixed_point(self, offsets: np.ndarray,
+                        weights: np.ndarray) -> None:
+        """Accumulate a batch of fixed-point weights (multiples of 2^-4)
+        addressed by ring offset.
+
+        Their float64 sums are exact whatever the order, so a batch as
+        wide as the ring is pre-summed per cell and lands as slab adds;
+        a narrower one is cheaper scattered by :meth:`add_events`.
+        """
+        width = self.width
+        if offsets.size < width:
+            self.add_events(offsets, weights)
+            return
+        first, n_rows, start = self._rows(offsets)
+        sums = np.bincount(offsets, weights=weights,
+                           minlength=(first + n_rows) * width)
+        sums = sums[first * width:].reshape(-1, width)
+        head = min(n_rows, self.n_slots - start)
+        self._buffer[start:start + head] += sums[:head]
+        self._buffer[:n_rows - head] += sums[head:]
 
     def drain(self) -> np.ndarray:
         """Return and clear the inputs scheduled for the current tick.
@@ -93,138 +169,3 @@ class _Ring:
     def pending_charge(self) -> float:
         """Total charge currently waiting in the ring (for tests)."""
         return float(np.sum(self._buffer))
-
-    def reset(self) -> None:
-        """Clear the ring and rewind the tick and counters."""
-        self._buffer[:] = 0.0
-        self._current_tick = 0
-        self.events_deferred = 0
-        self.saturations = 0
-
-
-class DeferredEventBuffer(_Ring):
-    """The post-synaptic input ring buffer (the deferred-event model).
-
-    The buffer holds one row per future timestep (up to ``max_delay``
-    ticks ahead) and one column per neuron of the units sharing it.
-    When a synaptic row is processed at tick ``t``, each synapse's
-    weight is accumulated into slot ``(t + delay) mod (max_delay + 1)``;
-    at the start of each timer tick the current slot is drained into the
-    neuron model and cleared.  This is how the programmable delay is "re-inserted
-    algorithmically at the target neuron" (Section 3.2).
-    """
-
-    def __init__(self, n_neurons: int,
-                 max_delay_ticks: int = MAX_DELAY_TICKS) -> None:
-        if n_neurons <= 0:
-            raise ValueError("n_neurons must be positive")
-        super().__init__(n_neurons, max_delay_ticks)
-        self.n_neurons = n_neurons
-
-    def add_events(self, targets: np.ndarray, weights: np.ndarray,
-                   delay_ticks: np.ndarray) -> None:
-        """Defer a whole batch of synaptic events in one vectorized scatter.
-
-        All three arrays are aligned per-event; the accumulation into the
-        ring is performed with ``np.add.at`` so repeated ``(slot,
-        target)`` pairs sum in element order.
-        """
-        targets = np.asarray(targets, dtype=np.intp)
-        delay_ticks = np.asarray(delay_ticks, dtype=np.intp)
-        weights = np.asarray(weights, dtype=float)
-        if targets.size == 0:
-            return
-        # Validate the whole batch up front so an invalid event can never
-        # leave the buffer partially mutated.
-        if targets.min() < 0 or targets.max() >= self.n_neurons:
-            raise IndexError("event targets outside population of %d neurons"
-                             % (self.n_neurons,))
-        if delay_ticks.min() < 1 or delay_ticks.max() > self.max_delay_ticks:
-            raise ValueError("event delays outside 1..%d"
-                             % (self.max_delay_ticks,))
-        self.events_deferred += int(targets.size)
-        if targets.size <= 32:
-            # Small batches (single DMA rows on the machine model) are
-            # cheaper through a scalar accumulate, in the same element
-            # order, than through the fixed overhead of a vectorized
-            # scatter.
-            tick = self._current_tick
-            for target, weight, delay in zip(targets.tolist(),
-                                             weights.tolist(),
-                                             delay_ticks.tolist()):
-                self._buffer[(tick + delay) % self.n_slots, target] += weight
-            return
-        slots = (self._current_tick + delay_ticks) % self.n_slots
-        np.add.at(self._buffer.ravel(), slots * self.n_neurons + targets,
-                  weights)
-
-
-class FusedDeferredEventBuffer(_Ring):
-    """One deferred-event ring shared by every core of a board, for
-    fixed-point weights.
-
-    All of a board's cores' columns sit in a single ``(n_slots,
-    total_width)`` array (the tick kernel's layout), so one vectorized
-    scatter per tick can deliver events to every core at once and one
-    row drain hands every core its inputs.
-
-    Events address the ring by *offset* ``delay * total_width + cell``
-    from the row draining this tick, ``cell`` being the fused column
-    (``core_offset + target``), computed once per synapse at build time.
-    A batch the conservative-lookahead exchange sent at tick ``t`` may
-    only reach the ring once it has advanced to ``t + 1 + age``, so the
-    caller subtracts ``age * total_width``; lookahead never exceeds
-    ``1 + d_min`` ticks, so a negative offset means the caller violated
-    the lookahead bound.
-
-    Bit-identity with per-core rings: weights are fixed-point multiples
-    of ``2^-4`` held in float64, so ring accumulation is an exact sum
-    and independent of event order or batch grouping — a single fused
-    scatter lands the same values as many per-core ones, and the drain
-    clamps the same cells.
-    """
-
-    def __init__(self, total_width: int,
-                 max_delay_ticks: int = MAX_DELAY_TICKS) -> None:
-        if total_width <= 0:
-            raise ValueError("total_width must be positive")
-        super().__init__(total_width, max_delay_ticks)
-        self.total_width = total_width
-
-    def add_events(self, offsets: np.ndarray, weights: np.ndarray) -> None:
-        """Accumulate a batch of events addressed by ring offset.
-
-        As ``cell < total_width``, ``0 <= offset < n_slots *
-        total_width`` is exactly ``0 <= effective delay <=
-        max_delay_ticks``.  The whole batch is validated before any
-        mutation, matching the per-core buffer's all-or-nothing contract.
-        """
-        if offsets.size == 0:
-            return
-        width, size = self.total_width, self._buffer.size
-        low, high = int(offsets.min()), int(offsets.max())
-        if low < 0 or high >= size:
-            raise ValueError("effective delays outside 0..%d (lookahead "
-                             "bound violated)" % (self.max_delay_ticks,))
-        # Delay rows first..first + n_rows - 1 sit at ring rows start..,
-        # wrapping at most once.
-        first = low // width
-        n_rows = high // width - first + 1
-        start = (self._current_tick + first) % self.n_slots
-        head = min(n_rows, self.n_slots - start)
-        self.events_deferred += int(offsets.size)
-        if offsets.size < width:
-            # A batch narrower than the ring scatters in place: its cells
-            # are its offsets rotated to the ring's rows.
-            cells = offsets + (start - first) * width
-            if head < n_rows:
-                cells -= (cells >= size) * cells.dtype.type(size)
-            np.add.at(self._buffer.ravel(), cells, weights)
-            return
-        # A wider one is pre-summed per cell (exact in float64) and lands
-        # as slab adds.
-        sums = np.bincount(offsets, weights=weights,
-                           minlength=(first + n_rows) * width)
-        sums = sums[first * width:].reshape(-1, width)
-        self._buffer[start:start + head] += sums[:head]
-        self._buffer[:n_rows - head] += sums[head:]

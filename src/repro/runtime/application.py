@@ -45,7 +45,6 @@ from repro.router.fabric import RouteProgram, RouteTarget, TransportFabric
 from repro.neuron.kernel import SpikeRecord, SpikeTrain, TickKernel, TickUnit
 from repro.neuron.network import Network
 from repro.neuron.population import Population, core_rng
-from repro.neuron.synapse import DeferredEventBuffer
 
 #: The biological real-time tick of the application model.
 TIMER_PERIOD_US = 1000.0
@@ -215,8 +214,12 @@ class CoreRuntime:
         self.unit = TickUnit(population, vertex.slice_start,
                              vertex.slice_stop, rng)
         self.tick_kernel = TickKernel([self.unit], application.timestep_ms,
-                                      DeferredEventBuffer,
                                       application.result)
+        #: Ring column of each of the vertex's neurons (see
+        #: :meth:`TickKernel.columns`); ``None`` for a spike source, which
+        #: integrates nothing, so charge aimed at it is dropped.
+        self._columns = (None if population.is_spike_source
+                         else self.tick_kernel.columns(self.unit))
         self.tick = 0
 
         core.on_packet(self._on_packet)
@@ -262,9 +265,13 @@ class CoreRuntime:
         ring — the tail both transports share — and count them."""
         weights = leg.weights[slots]
         count = int(weights.size)
-        if count:
-            self.tick_kernel.defer(self.unit, leg.targets[slots], weights,
-                                   leg.delay_ticks[slots])
+        if self._columns is not None:
+            # Decoded 16-bit words: fixed-point weights, addressed as the
+            # board engine addresses its ring.
+            ring = self.tick_kernel.ring
+            ring.add_fixed_point(self._columns[leg.targets[slots]]
+                                 + leg.delay_ticks[slots] * ring.width,
+                                 weights)
         result = self.application.result
         result.synaptic_events += count
         result.delivered_charge_na += float(weights.sum())

@@ -31,6 +31,7 @@ from repro.cluster import (
     superstep_schedule,
 )
 from repro.cluster.application import ClusterReport, _assign_boards
+from repro.cluster.exchange import UNCONSTRAINED_LOOKAHEAD
 from repro.compile import MappingPipeline
 from repro.core.geometry import ChipCoordinate, Direction
 from repro.core.machine import (
@@ -930,6 +931,30 @@ class TestProfiling:
         for stages in report.worker_stages.values():
             assert sum(stages.values()) <= report.wall_s
         assert report.stage_total("prefetch") >= draws.value * sleep_s
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_draws_follow_one_rule_at_lookahead_2(self, monkeypatch,
+                                                        workers):
+        """Every runner draws stimulus a block of
+        ``UNCONSTRAINED_LOOKAHEAD`` ticks at a time, not once per
+        super-step: 40 ticks at lookahead 2 (20 super-steps) take
+        ceil(40 / 17) = 3 block draws per worker."""
+        fork = multiprocessing.get_context("fork")
+        draws = fork.Value("i", 0)
+        prefetch = TickKernel.prefetch_sources
+
+        def counted(kernel, upto_tick):
+            if sys._getframe(1).f_code.co_name != "step":
+                with draws.get_lock():
+                    draws.value += 1
+            prefetch(kernel, upto_tick)
+
+        monkeypatch.setattr(TickKernel, "prefetch_sources", counted)
+        cluster = sharded_app()
+        cluster.run(40.0, workers=workers, lookahead=2)
+        report = cluster.report
+        assert (report.workers, report.lookahead) == (workers, 2)
+        assert draws.value == workers * -(-40 // UNCONSTRAINED_LOOKAHEAD)
 
     def test_exchange_begin_is_counted_as_exchange(self, monkeypatch):
         """Emptying a worker's write regions before a super-step is

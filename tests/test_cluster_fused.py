@@ -8,7 +8,8 @@ rings under the event kernel — in spike trains, counts and counters,
 whatever the neuron model mix, worker count, lookahead depth or
 plasticity setting.  This module pins that matrix and unit-tests the two
 structures the engine leans on: the shared
-:class:`~repro.neuron.synapse.FusedDeferredEventBuffer` ring and the
+:class:`~repro.neuron.synapse.DeferredEventBuffer` ring under its
+fixed-point rule and the
 :class:`~repro.compile.context.BoardDeliveryIndex` arena.
 """
 
@@ -40,7 +41,7 @@ from repro.neuron.stdp import STDPMechanism
 from repro.neuron.synapse import (
     MAX_DELAY_TICKS,
     WEIGHT_SATURATION_NA,
-    FusedDeferredEventBuffer,
+    DeferredEventBuffer,
 )
 from repro.runtime.application import ApplicationResult, NeuralApplication
 from repro.runtime.boot import BootController
@@ -510,7 +511,7 @@ class TestFusedEngine:
 
 
 # ----------------------------------------------------------------------
-# The fused ring buffer
+# The ring under fixed-point weights
 # ----------------------------------------------------------------------
 def ring_offsets(cells, effective_delays, width) -> np.ndarray:
     """Events as the board engine addresses them: ``delay * width +
@@ -543,36 +544,43 @@ def ring_batches(draw):
     return width, position, batches
 
 
-class TestFusedDeferredEventBuffer:
+class TestFixedPointRing:
     @settings(max_examples=150, deadline=None)
     @given(ring_batches())
     def test_offsets_match_the_scalar_ring(self, drawn):
-        """``add_events(offsets, weights)`` lands, wherever the ring
+        """``add_fixed_point(offsets, weights)`` lands, wherever the ring
         stands when a batch arrives, what :class:`ScalarRing` fed event
         by event lands — the same exact charge in every cell — and
-        drains the same clamped rows and saturation count."""
+        drains the same clamped rows and saturation count.  So does
+        ``add_events``, the element-order rule."""
         width, position, batches = drawn
-        ring = FusedDeferredEventBuffer(width)
+        ring = DeferredEventBuffer(width)
+        ordered = DeferredEventBuffer(width)
         scalar = ScalarRing(width)
         for _ in range(position):
             ring.drain()
+            ordered.drain()
             scalar.drain()
         for cells, weights, delays, age in batches:
-            ring.add_events(ring_offsets(cells, delays - age, width),
-                            weights)
+            offsets = ring_offsets(cells, delays - age, width)
+            ring.add_fixed_point(offsets, weights)
+            ordered.add_events(offsets, weights)
             for cell, weight, delay in zip(cells.tolist(), weights.tolist(),
                                            delays.tolist()):
                 scalar.add_input(cell, weight, delay, age=age)
             assert np.array_equal(ring._buffer, scalar.buffer)
+            assert np.array_equal(ordered._buffer, scalar.buffer)
         assert ring.events_deferred == scalar.events_deferred
         for _ in range(MAX_DELAY_TICKS + 1):
-            assert np.array_equal(ring.drain(), scalar.drain())
-        assert ring.saturations == scalar.saturations
+            expected = scalar.drain()
+            assert np.array_equal(ring.drain(), expected)
+            assert np.array_equal(ordered.drain(), expected)
+        assert ring.saturations == ordered.saturations == scalar.saturations
 
     def test_ring_offsets_land_in_the_right_columns(self):
-        ring = FusedDeferredEventBuffer(7)
-        ring.add_events(ring_offsets([0, 3, 6], [0, 0, 1], 7),
-                        np.array([0.5, 1.0, 2.0]))
+        ring = DeferredEventBuffer(7)
+        ring.add_fixed_point(ring_offsets([0, 3, 6], [0, 0, 1], 7),
+                             np.array([0.5, 1.0, 2.0]))
         now = ring.drain()
         assert np.array_equal(now, [0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
         later = ring.drain()
@@ -587,7 +595,7 @@ class TestFusedDeferredEventBuffer:
         widths = [5, 9]
         offsets = [0, 5]
         cores = [ScalarRing(width, MAX_DELAY_TICKS) for width in widths]
-        ring = FusedDeferredEventBuffer(sum(widths), MAX_DELAY_TICKS)
+        ring = DeferredEventBuffer(sum(widths), MAX_DELAY_TICKS)
         for _ in range(40):
             events, weights = [], []
             for core, (buffer, width, base) in enumerate(
@@ -603,7 +611,8 @@ class TestFusedDeferredEventBuffer:
                 events.append(ring_offsets(targets + base, delay - age,
                                            sum(widths)))
                 weights.append(charge)
-            ring.add_events(np.concatenate(events), np.concatenate(weights))
+            ring.add_fixed_point(np.concatenate(events),
+                                 np.concatenate(weights))
             row = ring.drain()
             split = np.concatenate([buffer.drain() for buffer in cores])
             assert np.array_equal(row, split)
@@ -613,9 +622,10 @@ class TestFusedDeferredEventBuffer:
         # A batch applied 2 ticks after its send barrier (age 2) with a
         # programmed delay of 5 must arrive 5 - 2 = 3 ticks from now —
         # the same absolute tick a per-tick exchange would have hit.
-        aged = FusedDeferredEventBuffer(3)
+        aged = DeferredEventBuffer(3)
         aged.drain(); aged.drain()                       # now at tick 2
-        aged.add_events(ring_offsets([1], [5 - 2], 3), np.array([2.0]))
+        aged.add_fixed_point(ring_offsets([1], [5 - 2], 3),
+                             np.array([2.0]))
         reference = ScalarRing(3)
         reference.add_input(1, 2.0, 5)
         for _ in range(2):
@@ -624,25 +634,27 @@ class TestFusedDeferredEventBuffer:
             assert np.array_equal(aged.drain(), reference.drain())
 
     def test_effective_delay_bounds_enforced(self):
-        ring = FusedDeferredEventBuffer(4)
-        for delay in (-1, MAX_DELAY_TICKS + 1):
-            with pytest.raises(ValueError, match="lookahead"):
-                ring.add_events(ring_offsets([0, 3], [1, delay], 4),
-                                np.array([1.0, 1.0]))
+        ring = DeferredEventBuffer(4)
+        for add in (ring.add_fixed_point, ring.add_events):
+            for delay in (-1, MAX_DELAY_TICKS + 1):
+                with pytest.raises(ValueError, match="delays outside"):
+                    add(ring_offsets([0, 3], [1, delay], 4),
+                        np.array([1.0, 1.0]))
         assert ring.pending_charge() == 0.0
         assert ring.events_deferred == 0
 
     def test_empty_batch_is_a_no_op(self):
-        ring = FusedDeferredEventBuffer(4)
+        ring = DeferredEventBuffer(4)
+        ring.add_fixed_point(np.zeros(0, dtype=np.int32), np.zeros(0))
         ring.add_events(np.zeros(0, dtype=np.int32), np.zeros(0))
         assert ring.events_deferred == 0
 
     def test_saturation_clamped_once_per_cell(self):
-        ring = FusedDeferredEventBuffer(3)
+        ring = DeferredEventBuffer(3)
         big = WEIGHT_SATURATION_NA * 0.75
-        ring.add_events(ring_offsets([1, 1], [0, 0], 3),
-                        np.array([big, big]))
-        ring.add_events(ring_offsets([1], [0], 3), np.array([big]))
+        ring.add_fixed_point(ring_offsets([1, 1], [0, 0], 3),
+                             np.array([big, big]))
+        ring.add_fixed_point(ring_offsets([1], [0], 3), np.array([big]))
         row = ring.drain()
         assert row[1] == WEIGHT_SATURATION_NA
         assert ring.saturations == 1
@@ -659,10 +671,11 @@ class TestFusedDeferredEventBuffer:
         delays = rng.integers(0, 3, size=96)
 
         def fill(width, position):
-            ring = FusedDeferredEventBuffer(width)
+            ring = DeferredEventBuffer(width)
             for _ in range(position):
                 ring.drain()
-            ring.add_events(ring_offsets(cells, delays, width), weights)
+            ring.add_fixed_point(ring_offsets(cells, delays, width),
+                                 weights)
             return ([ring.drain()[:6].tolist() for _ in range(3)],
                     ring.saturations)
 
@@ -673,20 +686,11 @@ class TestFusedDeferredEventBuffer:
             for position in (0, MAX_DELAY_TICKS - 1, MAX_DELAY_TICKS):
                 assert fill(width, position) == (rows, saturations), width
 
-    def test_reset_rewinds_everything(self):
-        ring = FusedDeferredEventBuffer(3)
-        ring.add_events(ring_offsets([0], [2], 3), np.array([1.0]))
-        ring.drain()
-        ring.reset()
-        assert ring.current_tick == 0
-        assert ring.pending_charge() == 0.0
-        assert ring.events_deferred == 0
-
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(ValueError):
-            FusedDeferredEventBuffer(0)
+            DeferredEventBuffer(0)
         with pytest.raises(ValueError):
-            FusedDeferredEventBuffer(4, max_delay_ticks=0)
+            DeferredEventBuffer(4, max_delay_ticks=0)
 
 
 # ----------------------------------------------------------------------

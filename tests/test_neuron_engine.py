@@ -30,6 +30,7 @@ from repro.mapping.synaptic_matrix import (
     pack_block,
     write_packed_block,
 )
+from repro.neuron import kernel as kernel_module
 from repro.neuron import population as population_module
 from repro.neuron.connectors import (
     AllToAllConnector,
@@ -48,7 +49,6 @@ from repro.neuron.network import Network, expand_projections
 from repro.neuron.population import Population, Projection, SpikeSourcePoisson
 from repro.neuron.stdp import STDPMechanism
 from repro.neuron.synapse import DeferredEventBuffer
-from repro.runtime import application as runtime_application
 from repro.runtime.application import CoreRuntime, NeuralApplication
 from repro.runtime.boot import BootController
 
@@ -408,9 +408,9 @@ class TestPackedWordCodec:
 
     def test_add_events_invalid_batch_leaves_buffer_untouched(self):
         buffer = DeferredEventBuffer(8)
-        with pytest.raises(IndexError):
-            buffer.add_events(np.array([0, 1, 8]), np.ones(3),
-                              np.array([1, 1, 1]))
+        with pytest.raises(ValueError):
+            buffer.add_events(np.array([8, 9, buffer.n_slots * 8]),
+                              np.ones(3))
         assert buffer.pending_charge() == 0.0
         assert buffer.events_deferred == 0
 
@@ -509,55 +509,42 @@ class TestPackedWordCodec:
 
 class TestVectorizedBufferScatter:
     def test_add_events_equals_scalar_adds(self, rng):
-        targets = rng.integers(0, 10, size=200)
-        weights = rng.uniform(-2.0, 2.0, size=200)
+        """A float batch wider than the ring, landing where its rows wrap
+        past the ring's end, matches the scalar ring bit for bit through
+        ``add_events`` (element order); the same offsets with fixed-point
+        weights match through ``add_fixed_point`` (pre-summed); an
+        out-of-ring offset raises and leaves the ring untouched."""
+        width = 10
+        targets = rng.integers(0, width, size=200)
         delays = rng.integers(1, 17, size=200)
-        vector = DeferredEventBuffer(10)
-        scalar = ScalarRing(10)
-        vector.add_events(targets, weights, delays)
-        for t, w, d in zip(targets, weights, delays):
-            scalar.add_input(int(t), float(w), int(d))
-        for _ in range(17):
-            assert np.array_equal(vector.drain(), scalar.drain())
-        assert vector.events_deferred == scalar.events_deferred == 200
-
-    def test_add_events_validation(self):
-        buffer = DeferredEventBuffer(4)
-        with pytest.raises(IndexError):
-            buffer.add_events(np.array([4]), np.array([1.0]), np.array([1]))
-        with pytest.raises(ValueError):
-            buffer.add_events(np.array([0]), np.array([1.0]), np.array([0]))
-        buffer.add_events(np.array([], dtype=int), np.array([]),
-                          np.array([], dtype=int))
-        assert buffer.events_deferred == 0
-
-    def test_add_events_result_independent_of_batch_size(self):
-        # 33 events take the vectorized path, 32 the scalar one; a cell
-        # saturating mid-batch must land identically either way.
-        from repro.neuron.synapse import WEIGHT_SATURATION_NA
-
-        def fill(n_events):
-            buffer = DeferredEventBuffer(4)
-            targets = np.zeros(n_events, dtype=int)
-            weights = np.full(n_events, 2.0 * WEIGHT_SATURATION_NA / 3.0)
-            weights[-1] = -1.0
-            buffer.add_events(targets, weights, np.ones(n_events, dtype=int))
-            buffer.drain()
-            return buffer.drain()[0], buffer.saturations
-
-        small_value, small_sats = fill(32)
-        large_value, large_sats = fill(33)
-        expected = WEIGHT_SATURATION_NA  # sum exceeds the limit, clamped once
-        assert small_value == pytest.approx(expected)
-        assert large_value == pytest.approx(expected)
-        assert small_sats == large_sats == 1
+        offsets = delays * width + targets
+        floats = rng.uniform(-2.0, 2.0, size=200)
+        fixed = rng.integers(-32, 33, size=200) / 16.0
+        for weights, add in ((floats, DeferredEventBuffer.add_events),
+                             (fixed, DeferredEventBuffer.add_fixed_point)):
+            vector = DeferredEventBuffer(width)
+            scalar = ScalarRing(width)
+            for _ in range(9):
+                vector.drain()
+                scalar.drain()
+            add(vector, offsets, weights)
+            for t, w, d in zip(targets, weights, delays):
+                scalar.add_input(int(t), float(w), int(d))
+            assert np.array_equal(vector._buffer, scalar.buffer)
+            for _ in range(17):
+                assert np.array_equal(vector.drain(), scalar.drain())
+            assert vector.events_deferred == scalar.events_deferred == 200
+            for bad in (-1, vector.n_slots * width):
+                with pytest.raises(ValueError):
+                    add(vector, np.append(offsets, bad), np.append(fixed, 1))
+            assert vector.pending_charge() == 0.0
+            assert vector.events_deferred == 200
 
     def test_saturation_independent_of_batching_and_width(self):
         # The clamp runs per drained cell on the exact charge sum, so the
         # same 64 events over two slot rows land the same cells and
-        # saturation count whether they arrive one call each, in
-        # scalar-path batches of 8 or as one vectorized batch, and however
-        # many units share the ring.
+        # saturation count whether they arrive one call each, in batches
+        # of 8 or as one batch, and however many units share the ring.
         from repro.neuron.synapse import WEIGHT_SATURATION_NA
 
         def fill(n_neurons, batch):
@@ -574,8 +561,8 @@ class TestVectorizedBufferScatter:
             delays = 1 + (np.arange(n_events) // 8) % 2
             for first in range(0, n_events, batch):
                 part = slice(first, first + batch)
-                buffer.add_events(targets[part], weights[part],
-                                  delays[part])
+                buffer.add_events(delays[part] * n_neurons + targets[part],
+                                  weights[part])
             buffer.drain()
             rows = [buffer.drain()[:4].tolist() for _ in range(2)]
             return rows, buffer.saturations
@@ -595,8 +582,8 @@ class TestVectorizedBufferScatter:
         vector = DeferredEventBuffer(25)
         scalar = ScalarRing(25)
         slots = csr.synapse_slots(spiking)
-        vector.add_events(csr.targets[slots], csr.weights[slots],
-                          csr.delay_ticks[slots])
+        vector.add_events(csr.delay_ticks[slots] * 25 + csr.targets[slots],
+                          csr.weights[slots])
         for pre in spiking:
             for synapse in rows.get(int(pre), ()):
                 scalar.add_synapse(synapse)
@@ -756,8 +743,7 @@ class TestOnMachineEquivalence:
         fast = self.run_application()
         # Same run with every core on the per-event ring and the
         # per-synapse row handler.
-        monkeypatch.setattr(runtime_application, "DeferredEventBuffer",
-                            ScalarRing)
+        monkeypatch.setattr(kernel_module, "DeferredEventBuffer", ScalarRing)
         monkeypatch.setattr(CoreRuntime, "_on_dma_complete",
                             _literal_dma_complete)
         reference = self.run_application()

@@ -23,10 +23,6 @@ from repro.neuron.population import (
     SpikeSourceArray,
     SpikeSourcePoisson,
 )
-from repro.neuron.synapse import (
-    DeferredEventBuffer,
-    FusedDeferredEventBuffer,
-)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -76,48 +72,39 @@ SLICES = [(0, 0, 10), (0, 10, 19), (1, 0, 8), (1, 8, 13), (2, 0, 11),
           (3, 0, 3), (3, 3, 7), (4, 0, 2), (4, 2, 6), (5, 0, 5)]
 
 
-def drive(units, rng, fixed_point):
-    """One tick's random charge onto every unit, the same whatever the
-    kernel(s) the units live in."""
-    for unit in units:
+def drive(kernels, units, rng, fixed_point):
+    """Add one tick's random charge onto every unit, the same whatever
+    the kernel(s) the units live in, at ring offsets ``delay * width +
+    column`` as an engine addresses its ring: float weights in element
+    order, fixed-point ones through the pre-summing rule."""
+    for kernel, unit in zip(kernels, units):
         n = int(rng.integers(0, 40))
         targets = rng.integers(0, unit.n_neurons, size=n)
         delays = rng.integers(1, 17, size=n)
+        ring = kernel.ring
         if fixed_point:
             weights = rng.integers(-30, 90, size=n) / 16.0
+            add = ring.add_fixed_point
         else:
             weights = rng.uniform(-1.5, 5.0, size=n)
-        yield unit, targets, weights, delays
-
-
-def defer(kernel, unit, targets, weights, delays) -> None:
-    """Defer as the kernel's engine does: by local index into a float
-    ring, by ring offset (``delay * width + column``) into a fused one,
-    as the board engine addresses its ring."""
-    ring = kernel.ring
-    if isinstance(ring, FusedDeferredEventBuffer):
-        ring.add_events(delays * ring.total_width
-                        + kernel.columns(unit)[targets], weights)
-    else:
-        kernel.defer(unit, targets, weights, delays)
+            add = ring.add_events
+        add(delays * ring.width + kernel.columns(unit)[targets], weights)
 
 
 class TestUnitIndependence:
-    @pytest.mark.parametrize("ring_class", [DeferredEventBuffer,
-                                            FusedDeferredEventBuffer])
+    @pytest.mark.parametrize("fixed_point", [False, True],
+                             ids=["add_events", "add_fixed_point"])
     def test_one_kernel_of_n_units_equals_n_one_unit_kernels(self,
-                                                             ring_class):
-        fixed_point = ring_class is FusedDeferredEventBuffer
+                                                             fixed_point):
         members = populations()
         together_record = SpikeRecord(duration_ms=0.0)
         together_record.track(members)
         together_units = units_of(members, SLICES, own_rng)
-        together = TickKernel(together_units, 1.0, ring_class,
-                              together_record)
+        together = TickKernel(together_units, 1.0, together_record)
         apart_record = SpikeRecord(duration_ms=0.0)
         apart_record.track(members)
         apart_units = units_of(members, SLICES, own_rng)
-        apart = [TickKernel([unit], 1.0, ring_class, apart_record)
+        apart = [TickKernel([unit], 1.0, apart_record)
                  for unit in apart_units]
 
         rng_a, rng_b = (np.random.default_rng(3) for _ in range(2))
@@ -136,11 +123,9 @@ class TestUnitIndependence:
                 if not unit.population.is_spike_source:
                     assert np.array_equal(together.voltages(unit),
                                           kernel.voltages(twin))
-            for (unit, *events), (twin, *same), kernel in zip(
-                    drive(together_units, rng_a, fixed_point),
-                    drive(apart_units, rng_b, fixed_point), apart):
-                defer(together, unit, *events)
-                defer(kernel, twin, *same)
+            drive([together] * len(together_units), together_units, rng_a,
+                  fixed_point)
+            drive(apart, apart_units, rng_b, fixed_point)
         assert fired_total > 500
         together_record.flush()
         apart_record.flush()
@@ -153,8 +138,7 @@ class TestUnitIndependence:
     def test_ring_layout_is_lane_major_with_a_trailing_sink(self):
         members = populations()
         units = units_of(members, SLICES, own_rng)
-        kernel = TickKernel(units, 1.0, FusedDeferredEventBuffer,
-                            SpikeRecord(duration_ms=0.0))
+        kernel = TickKernel(units, 1.0, SpikeRecord(duration_ms=0.0))
         seen = set()
         for unit in units:
             columns = kernel.columns(unit)
@@ -165,14 +149,13 @@ class TestUnitIndependence:
                 assert not seen.intersection(columns.tolist())
                 assert columns.max() < kernel.sink
                 seen.update(columns.tolist())
-        assert kernel.ring.total_width == kernel.sink + 1
+        assert kernel.ring.width == kernel.sink + 1
 
     def test_a_kernel_without_sources_has_no_sink_column(self):
         member = Population(9, "lif", label="k-alone")
         unit = TickUnit(member, 0, 9, own_rng(0, 0))
-        kernel = TickKernel([unit], 1.0, DeferredEventBuffer,
-                            SpikeRecord(duration_ms=0.0))
-        assert kernel.ring.n_neurons == 9
+        kernel = TickKernel([unit], 1.0, SpikeRecord(duration_ms=0.0))
+        assert kernel.ring.width == 9
 
 
 class TestStimulus:
@@ -182,7 +165,7 @@ class TestStimulus:
         record = SpikeRecord(duration_ms=0.0)
         record.track(members)
         units = units_of(members, SLICES, rng_of)
-        kernel = TickKernel(units, 1.0, DeferredEventBuffer, record)
+        kernel = TickKernel(units, 1.0, record)
         fired = []
         for tick in range(90):
             if tick in prefetch:
@@ -214,18 +197,25 @@ class TestStimulus:
             self.run({0: 59}, shared())
 
     def test_charge_aimed_at_a_source_lands_nowhere(self):
-        members = populations()
-        units = units_of(members, SLICES, own_rng)
-        kernel = TickKernel(units, 1.0, DeferredEventBuffer,
-                            SpikeRecord(duration_ms=0.0))
+        """Charge addressed to a source's neurons reaches the sink
+        column, which no unit reads: the kernel steps exactly like a twin
+        that never received it."""
+        def kernel_of():
+            units = units_of(populations(), SLICES, own_rng)
+            return TickKernel(units, 1.0, SpikeRecord(duration_ms=0.0)), units
+
+        (hit, units), (twin, twin_units) = kernel_of(), kernel_of()
         source = next(unit for unit in units
                       if unit.population.is_spike_source)
-        kernel.defer(source, np.arange(source.n_neurons),
-                     np.full(source.n_neurons, 5000.0),
-                     np.ones(source.n_neurons, dtype=int))
-        assert kernel.ring.pending_charge() == 0.0
-        assert kernel.ring.events_deferred == 0
-        assert kernel.ring.saturations == 0
+        hit.ring.add_events(hit.ring.width + hit.columns(source),
+                            np.full(source.n_neurons, 5000.0))
+        assert hit.ring.pending_charge() > 0.0
+        for tick in range(20):
+            assert np.array_equal(hit.step(tick), twin.step(tick))
+            for unit, other in zip(units, twin_units):
+                if not unit.population.is_spike_source:
+                    assert np.array_equal(hit.voltages(unit),
+                                          twin.voltages(other))
 
 
 class TestSpikeRecord:
@@ -237,7 +227,7 @@ class TestSpikeRecord:
             record = SpikeRecord(duration_ms=0.0)
             record.track(members)
             kernel = TickKernel(units_of(members, SLICES, own_rng), 1.0,
-                                DeferredEventBuffer, record)
+                                record)
             seen = {}
             for tick in range(60):
                 kernel.step(tick)
@@ -271,12 +261,11 @@ class TestSpikeRecord:
         record = SpikeRecord(duration_ms=0.0)
         record.track(members)
         units = units_of(members, scrambled, own_rng)
-        kernel = TickKernel(units, 1.0, DeferredEventBuffer, record)
+        kernel = TickKernel(units, 1.0, record)
         expected = {member.label: [] for member in members}
         rng = np.random.default_rng(8)
         for tick in range(120):
-            for unit, *events in drive(units, rng, False):
-                defer(kernel, unit, *events)
+            drive([kernel] * len(units), units, rng, False)
             fired = fired_by_unit(units, kernel.step(tick))
             for unit in units:
                 spiking = fired.get(unit, np.zeros(0, dtype=int))

@@ -266,9 +266,9 @@ class TestNetworkSimulation:
         calls = []
         add_events = DeferredEventBuffer.add_events
 
-        def counted(ring, targets, weights, delay_ticks):
-            calls.append((ring.current_tick, len(targets)))
-            add_events(ring, targets, weights, delay_ticks)
+        def counted(ring, offsets, weights):
+            calls.append((ring.current_tick, len(offsets)))
+            add_events(ring, offsets, weights)
 
         monkeypatch.setattr(DeferredEventBuffer, "add_events", counted)
         network = Network(seed=8)
