@@ -956,6 +956,35 @@ class TestProfiling:
         assert (report.workers, report.lookahead) == (workers, 2)
         assert draws.value == workers * -(-40 // UNCONSTRAINED_LOOKAHEAD)
 
+    def test_draw_ahead_draws_a_capped_block_only_when_needed(self):
+        """The runners' one prefetch rule: nothing while the tick asked
+        for is drawn, else the next ``UNCONSTRAINED_LOOKAHEAD`` ticks in
+        one block, cut at the run's end, timed as prefetch."""
+        drawn = []
+        sleep_s = 0.001
+
+        class Kernel:
+            next_source_tick = 0
+
+            def prefetch_sources(self, upto_tick):
+                time.sleep(sleep_s)
+                drawn.append(upto_tick)
+                self.next_source_tick = upto_tick + 1
+
+        class Engine:
+            kernel = Kernel()
+
+        engine = Engine()
+        stages = dict.fromkeys(cluster_application.STAGES, 0.0)
+        n_ticks = UNCONSTRAINED_LOOKAHEAD + 5
+        # Super-steps of 3 ticks, each asking for its last tick.
+        for start in range(0, n_ticks, 3):
+            last = min(start + 3, n_ticks) - 1
+            cluster_application._draw_ahead(engine, last, n_ticks, stages)
+        assert drawn == [UNCONSTRAINED_LOOKAHEAD - 1, n_ticks - 1]
+        assert stages["prefetch"] >= 2 * sleep_s
+        assert sum(stages.values()) == stages["prefetch"]
+
     def test_exchange_begin_is_counted_as_exchange(self, monkeypatch):
         """Emptying a worker's write regions before a super-step is
         exchange work: slowed by a known sleep, it lands in the exchange

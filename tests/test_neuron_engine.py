@@ -540,6 +540,65 @@ class TestVectorizedBufferScatter:
             assert vector.pending_charge() == 0.0
             assert vector.events_deferred == 200
 
+    def test_add_events_validation(self):
+        """The validator admits exactly the ring's offsets, 0 (delay 0,
+        the row that drains next) through ``n_slots * width - 1`` (the
+        longest delay, last column), under either add rule; one offset
+        outside rejects its whole batch."""
+        for add in (DeferredEventBuffer.add_events,
+                    DeferredEventBuffer.add_fixed_point):
+            buffer = DeferredEventBuffer(4)
+            last = buffer.n_slots * 4 - 1
+            for bad in (-1, last + 1):
+                with pytest.raises(ValueError, match="delays outside"):
+                    add(buffer, np.array([0, 5, last, bad]), np.ones(4))
+            assert buffer.events_deferred == 0
+            assert buffer.pending_charge() == 0.0
+            add(buffer, np.array([0, last]), np.array([1.0, 2.0]))
+            assert buffer.events_deferred == 2
+            assert buffer.drain().tolist() == [1.0, 0.0, 0.0, 0.0]
+            for _ in range(buffer.max_delay_ticks - 1):
+                assert not buffer.drain().any()
+            assert buffer.drain().tolist() == [0.0, 0.0, 0.0, 2.0]
+
+    def test_add_events_result_independent_of_batch_size(self):
+        """Consecutive parts of a batch keep its element order, so float
+        charge lands bit for bit the same whatever the batch size, and
+        fixed-point charge lands the same on both sides of
+        ``add_fixed_point``'s switch from scattering to pre-summing (a
+        batch as wide as the ring).  A cell whose sum passes the weight
+        range mid-batch is clamped once, on the sum, either way."""
+        from repro.neuron.synapse import WEIGHT_SATURATION_NA
+
+        width, n_events = 8, 24
+        rng = np.random.default_rng(12)
+        offsets = (rng.integers(1, 4, size=n_events) * width
+                   + rng.integers(0, width, size=n_events))
+        floats = rng.uniform(-2.0, 2.0, size=n_events)
+        offsets[:6] = width                       # delay 1, column 0
+        floats[:6] = 2.0 * WEIGHT_SATURATION_NA / 3.0
+        floats[5] = -1.0
+        fixed = np.round(floats * 16.0) / 16.0
+
+        def fill(add, weights, batch):
+            ring = DeferredEventBuffer(width)
+            for first in range(0, n_events, batch):
+                add(ring, offsets[first:first + batch],
+                    weights[first:first + batch])
+            return [ring.drain().tolist() for _ in range(4)], ring.saturations
+
+        rows, saturations = fill(DeferredEventBuffer.add_events, floats,
+                                 n_events)
+        assert rows[1][0] == WEIGHT_SATURATION_NA
+        assert saturations == 1
+        for batch in (1, 5, width - 1, width, n_events):
+            assert fill(DeferredEventBuffer.add_events, floats,
+                        batch) == (rows, saturations), batch
+        presummed = fill(DeferredEventBuffer.add_events, fixed, n_events)
+        for batch in (1, width - 1, width, n_events):
+            assert fill(DeferredEventBuffer.add_fixed_point, fixed,
+                        batch) == presummed, batch
+
     def test_saturation_independent_of_batching_and_width(self):
         # The clamp runs per drained cell on the exact charge sum, so the
         # same 64 events over two slot rows land the same cells and

@@ -182,6 +182,22 @@ class TestStimulus:
         assert plain == ahead
         assert sum(len(spikes) for spikes in plain[1].values()) > 0
 
+    def test_next_source_tick_marks_the_first_undrawn_tick(self):
+        """A step draws its own tick if it is not drawn yet; a prefetch
+        draws through its tick and never back."""
+        units = units_of(populations(), SLICES, own_rng)
+        kernel = TickKernel(units, 1.0, SpikeRecord(duration_ms=0.0))
+        assert kernel.next_source_tick == 0
+        kernel.step(0)
+        assert kernel.next_source_tick == 1
+        kernel.prefetch_sources(9)
+        assert kernel.next_source_tick == 10
+        kernel.prefetch_sources(4)
+        assert kernel.next_source_tick == 10
+        for tick in range(1, 12):
+            kernel.step(tick)
+        assert kernel.next_source_tick == 12
+
     def test_a_shared_generator_is_drawn_one_tick_at_a_time(self):
         """Sources sharing one generator, as on the host, interleave
         their draws per tick, so a block draw would move spikes: the

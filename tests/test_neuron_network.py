@@ -259,6 +259,29 @@ class TestNetworkSimulation:
         network.connect(b, a, OneToOneConnector())
         assert network.n_synapses() == 110
 
+    def test_charge_arrives_after_its_delay_at_its_target(self):
+        """A host synapse is ring offset ``delay * width + column``: one
+        source spike through delays 1..16 onto a population whose
+        columns start past another's reaches exactly the addressed
+        neurons, each first firing one tick later per tick of delay."""
+        network = Network(seed=10)
+        bystander = Population(5, "lif", label="bystander")
+        bystander.record(spikes=True)
+        network.add_population(bystander)
+        source = SpikeSourceArray([[0.0]], label="src")
+        target = Population(16, "lif", label="tgt")
+        target.record(spikes=True)
+        network.connect(source, target, FromListConnector(
+            [(0, neuron, 100.0, neuron + 1) for neuron in range(16)]))
+        result = network.run(25.0)
+        first = {}
+        for time_ms, neuron in result.spikes["tgt"]:
+            first.setdefault(neuron, time_ms)
+        assert sorted(first) == list(range(16))
+        assert len({time_ms - neuron for neuron, time_ms
+                    in first.items()}) == 1
+        assert result.total_spikes("bystander") == 0
+
     def test_one_ring_update_per_tick(self, monkeypatch):
         """Every projection's events of a tick reach the ring in one
         call, so the calls are the ticks that delivered anything — at
