@@ -17,6 +17,7 @@ and names every answer that moved, old -> new, in its change notes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Callable, Dict, List
@@ -67,15 +68,36 @@ def result_figures(network: Network, result) -> Figures:
     }
 
 
+def sdram_digest48(machine: SpiNNakerMachine, core_data) -> int:
+    """First 48 bits of sha256 over every core's SDRAM image, in slot
+    order: each population-table record ``(key, mask, address, stride,
+    n_rows)`` and the words its block holds."""
+    digest = hashlib.sha256()
+    for (chip, core_id), data in sorted(core_data.items()):
+        digest.update(np.array([chip.x, chip.y, core_id],
+                               dtype=np.int64).tobytes())
+        for entry in data.population_table.entries:
+            digest.update(np.array(
+                [entry.key, entry.mask, entry.sdram_address,
+                 entry.row_stride_words, entry.n_rows],
+                dtype=np.int64).tobytes())
+            digest.update(machine.chips[chip].sdram.peek_block(
+                entry.sdram_address,
+                entry.row_stride_words * entry.n_rows).tobytes())
+    return int.from_bytes(digest.digest()[:6], "big")
+
+
 def machine_figures(network: Network, app, result) -> Figures:
-    """An on-machine run adds its delivery counters and its routes."""
+    """An on-machine run adds its delivery counters, its routes and its
+    SDRAM image."""
+    ctx = app.pipeline.ctx
     return dict(
         result_figures(network, result),
         synaptic_events=result.synaptic_events,
         delivered_charge_na=result.delivered_charge_na,
         saturations=result.saturations,
-        routing_entries=(
-            app.pipeline.ctx.routing_summary.entries_after_minimisation))
+        routing_entries=ctx.routing_summary.entries_after_minimisation,
+        sdram_digest48=sdram_digest48(ctx.machine, ctx.core_data))
 
 
 def cluster_runs(network: Network, app: ClusterApplication,
