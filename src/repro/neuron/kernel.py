@@ -44,8 +44,8 @@ engine passes its board's cores.  The kernel
 
 A spike source integrates nothing, so charge aimed at one lands nowhere:
 :meth:`TickKernel.columns` maps a source's cells to the sink column,
-which no unit reads.  The engine still counts those events and their
-charge.
+which no unit reads and the drain neither clamps nor counts as a
+saturation.  The engine still counts those events and their charge.
 
 Every step is elementwise per cell and every generator is drawn in tick
 order, so a kernel of N units computes, cell for cell, what N one-unit
@@ -355,9 +355,10 @@ class TickKernel:
         #: The column charge aimed at a spike source is addressed to
         #: (last, and only there when the kernel holds a source).
         self.sink = width
-        #: The deferred-event ring under every unit of the kernel.
+        #: The deferred-event ring under every unit of the kernel; its
+        #: drain clamps and counts only the columns before the sink.
         self.ring = DeferredEventBuffer(max(width + bool(self._sources), 1),
-                                        MAX_DELAY_TICKS)
+                                        MAX_DELAY_TICKS, n_cells=width)
         #: Drawn-ahead source spikes, one cell array per tick from
         #: ``_next_source_tick - len(_queued)`` on.
         self._queued: deque = deque()

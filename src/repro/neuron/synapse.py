@@ -27,12 +27,14 @@ and is the only caller of ``drain()``.
 The ring holds each cell's exact charge and saturates it at the 16-bit
 weight range once, when the tick drains it
 (:meth:`DeferredEventBuffer.drain`), counting one saturation per clamped
-cell.  A cell's input therefore depends only on the charge that reached
-it, not on how that charge was batched: per event, per projection, per
-board or per worker.
+neuron cell.  A cell's input therefore depends only on the charge that
+reached it, not on how that charge was batched: per event, per
+projection, per board or per worker.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -75,12 +77,16 @@ class DeferredEventBuffer:
     """
 
     def __init__(self, width: int,
-                 max_delay_ticks: int = MAX_DELAY_TICKS) -> None:
+                 max_delay_ticks: int = MAX_DELAY_TICKS,
+                 n_cells: Optional[int] = None) -> None:
         if width <= 0:
             raise ValueError("width must be positive")
         if max_delay_ticks < 1:
             raise ValueError("max_delay_ticks must be at least 1")
         self.width = width
+        #: The leading columns neurons read, which a drain clamps (all
+        #: by default); the tick kernel's sink column follows them.
+        self.n_cells = width if n_cells is None else n_cells
         self.max_delay_ticks = max_delay_ticks
         self.n_slots = max_delay_ticks + 1
         self._buffer = np.zeros((self.n_slots, width), dtype=float)
@@ -150,20 +156,21 @@ class DeferredEventBuffer:
 
         Advances the ring to the next tick, exactly as the
         timer-interrupt handler does before integrating the neuron
-        equations.  One ``(width,)`` copy, each cell clamped at the
-        16-bit weight range; the caller slices it into per-core (or
-        per-group) views.
+        equations.  One ``(width,)`` copy, each of the :attr:`n_cells`
+        cells clamped at the 16-bit weight range; the caller slices it
+        into per-core (or per-group) views.
         """
         slot = self._current_tick % self.n_slots
         inputs = self._buffer[slot].copy()
         self._buffer[slot] = 0.0
         self._current_tick += 1
-        if (inputs.max() > WEIGHT_SATURATION_NA
-                or inputs.min() < -WEIGHT_SATURATION_NA):
+        cells = inputs[:self.n_cells]
+        if cells.size and (cells.max() > WEIGHT_SATURATION_NA
+                           or cells.min() < -WEIGHT_SATURATION_NA):
             self.saturations += int(np.count_nonzero(
-                np.abs(inputs) > WEIGHT_SATURATION_NA))
-            np.clip(inputs, -WEIGHT_SATURATION_NA, WEIGHT_SATURATION_NA,
-                    out=inputs)
+                np.abs(cells) > WEIGHT_SATURATION_NA))
+            np.clip(cells, -WEIGHT_SATURATION_NA, WEIGHT_SATURATION_NA,
+                    out=cells)
         return inputs
 
     def pending_charge(self) -> float:

@@ -491,11 +491,14 @@ def csr_rows(csr) -> Rows:
 # ----------------------------------------------------------------------
 class ScalarRing:
     """One core's input ring, updated one event at a time and clamped one
-    cell at a time as each tick drains."""
+    cell at a time as each tick drains (the first ``n_cells`` cells:
+    those past them are a sink no neuron reads)."""
 
     def __init__(self, n_neurons: int,
-                 max_delay_ticks: int = MAX_DELAY_TICKS) -> None:
+                 max_delay_ticks: int = MAX_DELAY_TICKS,
+                 n_cells: Optional[int] = None) -> None:
         self.n_neurons = n_neurons
+        self.n_cells = n_neurons if n_cells is None else n_cells
         self.max_delay_ticks = max_delay_ticks
         self.n_slots = max_delay_ticks + 1
         self.buffer = np.zeros((self.n_slots, n_neurons), dtype=float)
@@ -527,7 +530,7 @@ class ScalarRing:
         inputs = self.buffer[slot].copy()
         self.buffer[slot] = 0.0
         self.current_tick += 1
-        for cell, charge in enumerate(inputs.tolist()):
+        for cell, charge in enumerate(inputs[:self.n_cells].tolist()):
             if charge > WEIGHT_SATURATION_NA:
                 inputs[cell] = WEIGHT_SATURATION_NA
                 self.saturations += 1

@@ -381,6 +381,40 @@ class TestMixedSignSaturation:
         assert results[2].spikes == results[1].spikes
 
 
+class TestSinkColumnSaturation:
+    """Charge aimed at a spike source lands nowhere: every engine counts
+    its events and its charge, and none counts a saturation for it,
+    however far past the 16-bit range it sums."""
+
+    @staticmethod
+    def network() -> Network:
+        network = Network(seed=SEED)
+        stimulus = SpikeSourcePoisson(32, rate_hz=60.0, label="k-stim")
+        target = Population(32, "lif", label="k-tgt")
+        target.record(spikes=True)
+        network.connect(stimulus, target,
+                        FixedProbabilityConnector(0.4, weight=2.0))
+        # 32 x 2000 nA per source neuron and tick: far past the clamp.
+        network.connect(target, stimulus, AllToAllConnector(weight=2000.0))
+        return network
+
+    def test_no_engine_counts_a_saturation_on_the_sink(self):
+        def machine() -> SpiNNakerMachine:
+            booted = SpiNNakerMachine(MachineConfig.multi_board(
+                1, 1, board_width=4, board_height=3, cores_per_chip=4))
+            BootController(booted, seed=1).boot()
+            return booted
+
+        fabric = NeuralApplication(
+            machine(), self.network(), max_neurons_per_core=32,
+            transport="fabric", stagger_us=0.0).run(60.0)
+        cluster = ClusterApplication(machine(), self.network(),
+                                     max_neurons_per_core=32).run(60.0)
+        assert fabric.total_spikes("k-tgt") > 1
+        assert_equivalent(cluster, fabric)
+        assert cluster.saturations == fabric.saturations == 0
+
+
 # ----------------------------------------------------------------------
 # Standalone engine behaviour
 # ----------------------------------------------------------------------
