@@ -128,8 +128,8 @@ def test_e18_mapping_pipeline(benchmark):
     # compile, and must not have recompiled the world.
     assert speedup >= MIN_SPEEDUP
     assert pipeline.records["partition"].cache_hits >= 1
-    # Only the displaced vertices' cores were rebuilt, and only their
-    # legs decoded again (an exact count, whatever the host).
+    # Only the displaced vertices' cores were rebuilt, and only they
+    # were given their legs again (an exact count, whatever the host).
     rebuilt = {ctx.placement.locations[vertex]
                for vertex in ctx.moved_vertices}
     assert len(rebuilt) == displaced

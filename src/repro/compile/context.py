@@ -17,7 +17,6 @@ last ran, and re-run only over the vertices the change actually touched.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -27,9 +26,8 @@ from repro.core.geometry import ChipCoordinate
 from repro.mapping.keys import KeyAllocator
 from repro.mapping.placement import Placement, Vertex
 from repro.mapping.routing_generator import RoutingSummary
-from repro.mapping.synaptic_matrix import CoreSynapticData, pack_block
-from repro.neuron.engine import (CSRMatrix, pack_synapse_words,
-                                 unpack_synapse_words)
+from repro.mapping.synaptic_matrix import CoreSynapticData, pack_blocks
+from repro.neuron.engine import CSRMatrix
 from repro.neuron.network import Network, expand_projections
 from repro.router.fabric import RouteProgram
 from repro.router.routing_table import RoutingEntry
@@ -142,27 +140,49 @@ class ProjectionSplit:
         for g in np.flatnonzero(self.sizes):
             yield self.sources[g % n_sources], self.targets[g // n_sources]
 
-    def blocks(self, csr: CSRMatrix) -> Iterator[Tuple[VertexPair, List]]:
-        """Pack every non-empty group of ``csr``, in :meth:`pairs` order.
+    @staticmethod
+    def blocks(parallel: List[Tuple["ProjectionSplit", CSRMatrix]]
+               ) -> Iterator[Tuple[VertexPair, np.ndarray, CSRMatrix]]:
+        """Pack every non-empty group of parallel projections — one
+        population pair's ``(split, csr)``, in projection order — into
+        one buffer (:func:`pack_blocks`).
 
-        One stable sort, one :func:`pack_synapse_words` and one decode
-        serve the projection.  Yields each pair with its slices of
-        ``[block-local source rows, words, *decoded words]``.
+        One stable sort serves them all; the rows of parallel
+        projections merge into the pair's one block, row by row in
+        projection order.  Returns each pair, target-major, with its
+        block and its leg.
         """
-        group, self.group = self.group, None
-        order = np.argsort(group, kind="stable")
-        target, source = np.divmod(group[order], len(self.sources))
-        rows = csr.pre_index[order] - np.array(
-            [v.slice_start for v in self.sources])[source]
-        words = pack_synapse_words(csr.targets[order] - np.array(
-            [v.slice_start for v in self.targets])[target],
-            csr.weights[order], csr.delay_ticks[order])
-        columns = [rows, words, *unpack_synapse_words(words)]
-        sizes = self.sizes.ravel()
-        ends = np.cumsum(sizes)
-        for pair, g in zip(self.pairs(), np.flatnonzero(sizes)):
-            yield pair, [column[ends[g] - sizes[g]:ends[g]]
-                         for column in columns]
+        splits, csrs = zip(*parallel)
+
+        def column(name: str, of=csrs) -> np.ndarray:
+            arrays = [getattr(item, name) for item in of]
+            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+        group, pre = column("group", splits), column("pre_index")
+        for split in splits:
+            split.group = None
+        sizes = sum(split.sizes for split in splits).ravel()
+        present = np.flatnonzero(sizes)
+        if not present.size:
+            return iter(())
+        sizes = sizes[present]
+        n_sources = len(splits[0].sources)
+        sources = [splits[0].sources[g % n_sources] for g in present.tolist()]
+        targets = [splits[0].targets[g // n_sources] for g in present.tolist()]
+        # One projection's CSR order is row order within each group, so
+        # its narrow group ids sort alone (a radix sort); parallel ones
+        # interleave by source row.
+        order = np.argsort(group if len(splits) == 1 else (
+            group.astype(np.int64) * csrs[0].n_pre + pre), kind="stable")
+        source_start, target_start = (
+            np.repeat([v.slice_start for v in vertices], sizes)
+            for vertices in (sources, targets))
+        blocks, legs = pack_blocks(
+            [v.n_neurons for v in sources], [v.n_neurons for v in targets],
+            sizes, pre[order] - source_start,
+            column("targets")[order] - target_start,
+            column("weights")[order], column("delay_ticks")[order])
+        return zip(zip(sources, targets), blocks, legs)
 
 
 @dataclass
@@ -368,9 +388,12 @@ class MappingContext:
         default_factory=dict)
     #: Packed synaptic blocks, placement-independent:
     #: ``(source vertex, target vertex) ->`` the ``(n_rows, stride)``
-    #: ``uint32`` array of ``pack_block`` (every projection between the
+    #: ``uint32`` block of ``pack_blocks`` (every projection between the
     #: two populations merged into the one block their key selects).
     blocks: Dict[VertexPair, np.ndarray] = field(default_factory=dict)
+    #: Each block decoded into its delivery leg (same keys), which every
+    #: core the block is written to holds.
+    legs: Dict[VertexPair, CSRMatrix] = field(default_factory=dict)
     core_data: Dict[Tuple[ChipCoordinate, int], CoreSynapticData] = field(
         default_factory=dict)
     route_programs: Dict[int, RouteProgram] = field(default_factory=dict)
@@ -458,6 +481,7 @@ class MappingContext:
         self.routes.clear()
         self.chip_entries.clear()
         self.blocks.clear()
+        self.legs.clear()
         self.core_data.clear()
         self.route_programs.clear()
         self._splits = None
@@ -487,6 +511,7 @@ class MappingContext:
         # stale (connector parameters may have changed without changing
         # the partition, so this cannot ride on partition invalidation).
         self.blocks.clear()
+        self.legs.clear()
         self.reach_rebuilt = True
         self._feeders = None
         self._splits = [
@@ -523,29 +548,22 @@ class MappingContext:
                                              {})[split.sources[s]] = None
         return self._feeders
 
-    def pack_blocks(self) -> Dict[VertexPair, List[np.ndarray]]:
-        """Pack every block into :attr:`blocks`, one projection at a time.
+    def pack_blocks(self) -> List[VertexPair]:
+        """Pack every block into :attr:`blocks` and decode it into
+        :attr:`legs`, one population pair's projections at a time
+        (:meth:`ProjectionSplit.blocks`).
 
         Returns the pairs in the canonical cold-build write order
-        (projection, target, source), each mapped to its decoded words.
-        Parallel projections share the source's key: their rows merge
-        into one block, row by row in projection order.
+        (projection, target, source; a pair parallel projections share
+        at its first).
         """
-        shared = Counter(pair for split in self._splits
-                         for pair in split.pairs())
-        decoded: Dict[VertexPair, List[np.ndarray]] = dict.fromkeys(shared)
-        pending: Dict[VertexPair, List] = {}
+        parallel: Dict[Tuple[str, str], List] = {}
         expanded = expand_projections(self.network, self.expansion_seed)
-        for (_index, _projection, csr), split in zip(expanded, self._splits):
-            for pair, part in split.blocks(csr):
-                parts = pending.pop(pair, []) + [part]
-                if len(parts) < shared[pair]:
-                    pending[pair] = parts
-                    continue
-                if len(parts) > 1:
-                    merged = [np.concatenate(column) for column in zip(*parts)]
-                    order = np.argsort(merged[0], kind="stable")
-                    parts = [[column[order] for column in merged]]
-                rows, words, *decoded[pair] = parts[0]
-                self.blocks[pair] = pack_block(pair[0].n_neurons, rows, words)
-        return decoded
+        for (_index, projection, csr), split in zip(expanded, self._splits):
+            parallel.setdefault((projection.pre.label, projection.post.label),
+                                []).append((split, csr))
+        for parts in parallel.values():
+            for pair, block, leg in ProjectionSplit.blocks(parts):
+                self.blocks[pair], self.legs[pair] = block, leg
+        return list(dict.fromkeys(pair for split in self._splits
+                                  for pair in split.pairs()))

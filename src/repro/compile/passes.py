@@ -43,7 +43,7 @@ from repro.core.geometry import ChipCoordinate
 from repro.mapping.keys import KeyAllocator
 from repro.mapping.placement import Placer, Vertex
 from repro.mapping.routing_generator import build_tree
-from repro.mapping.synaptic_matrix import CoreSynapticData, write_packed_block
+from repro.mapping.synaptic_matrix import CoreSynapticData, write_blocks
 from repro.neuron.engine import CSRMatrix
 from repro.router.fabric import compile_route
 from repro.router.routing_table import RoutingEntry
@@ -367,13 +367,14 @@ class CompressPass(MappingPass):
 class BuildSynapticMatricesPass(MappingPass):
     """Pack synaptic blocks into SDRAM and build the population tables.
 
-    A cold build packs and decodes each projection once, through the
-    grouping of :meth:`MappingContext.ensure_reach`; per block there is
-    left only its SDRAM allocation, write and population-table entry.
-    The packed words depend only on the connectivity expansion and the
+    A cold build packs and decodes each population pair's projections
+    at once (:meth:`MappingContext.pack_blocks`), then writes every
+    chip's blocks with one SDRAM write, each block still in its own
+    region with its own population-table record.  The packed words and
+    their legs depend only on the connectivity expansion and the
     partition — never on the placement — and the key indexing a block
     is sticky, so a re-map rebuilds just the cores whose vertex moved,
-    re-writing cached words at a fresh address.
+    re-writing each one's cached blocks at fresh addresses in one write.
     """
 
     name = "synaptic-matrices"
@@ -406,16 +407,22 @@ class BuildSynapticMatricesPass(MappingPass):
                 pass
 
     def _build_full(self, ctx: MappingContext) -> None:
-        """Cold build, in the canonical projection -> target -> source
-        order (``tests/oracles.py`` pins the bytes and addresses)."""
+        """Cold build, allocating in the canonical projection -> target
+        -> source order (``tests/oracles.py`` pins the bytes and
+        addresses); each chip's allocator sees its own blocks in that
+        order, so one chip's run is one contiguous write."""
         for slot, data in ctx.core_data.items():
             self._free_core(ctx, slot, data)
         locations = ctx.placement.locations
         ctx.core_data = {slot: CoreSynapticData(vertex=vertex)
                          for vertex, slot in locations.items()}
         ctx.rebuilt_cores = set(ctx.core_data)
-        for (source, target), synapses in ctx.pack_blocks().items():
-            self._write(ctx, locations[target], source, synapses)
+        runs: Dict[ChipCoordinate, List] = {}
+        for source, target in ctx.pack_blocks():
+            slot = locations[target]
+            runs.setdefault(slot[0], []).append((ctx.core_data[slot], source))
+        for chip_coordinate, run in runs.items():
+            self._write(ctx, chip_coordinate, run)
         ctx.last_scope[self.name] = "full (%s)" % self._scope(
             ctx.core_data.values())
 
@@ -436,28 +443,31 @@ class BuildSynapticMatricesPass(MappingPass):
                 continue
             if feeders is None:
                 feeders = ctx.feeders_of()
-            ctx.core_data[slot] = CoreSynapticData(vertex=vertex)
+            data = ctx.core_data[slot] = CoreSynapticData(vertex=vertex)
             ctx.rebuilt_cores.add(slot)
-            for source in feeders.get(vertex, {}):
-                self._write(ctx, slot, source)
-            rebuilt.append(ctx.core_data[slot])
+            if vertex in feeders:
+                self._write(ctx, slot[0], [(data, source)
+                                           for source in feeders[vertex]])
+            rebuilt.append(data)
         ctx.last_scope[self.name] = self._scope(rebuilt)
 
     @staticmethod
     def _scope(rebuilt) -> str:
         """``"<n> cores, <m> legs"``: the cores written and the legs
-        decoded (one per block) by this run."""
+        (one per block) they were given by this run."""
         rebuilt = list(rebuilt)
         return "%d cores, %d legs" % (
             len(rebuilt), sum(len(data.legs) for data in rebuilt))
 
     @staticmethod
-    def _write(ctx: MappingContext, slot, source: Vertex,
-               synapses=None) -> None:
-        data = ctx.core_data[slot]
-        write_packed_block(ctx.machine.chips[slot[0]], data,
-                           ctx.keys.key_space(source), source,
-                           ctx.blocks[(source, data.vertex)], synapses)
+    def _write(ctx: MappingContext, chip_coordinate: ChipCoordinate,
+               run: List[Tuple[CoreSynapticData, Vertex]]) -> None:
+        """Write the cached blocks of ``run``'s ``(core data, source)``
+        pairs, in order, with one SDRAM write on the chip."""
+        write_blocks(ctx.machine.chips[chip_coordinate], [
+            (data, ctx.keys.key_space(source), source,
+             ctx.blocks[source, data.vertex], ctx.legs[source, data.vertex])
+            for data, source in run])
 
 
 class CompileTransportPass(MappingPass):

@@ -29,8 +29,8 @@ from repro.mapping.routing_generator import RoutingSummary, build_tree
 from repro.mapping.synaptic_matrix import (
     CoreSynapticData,
     MasterPopulationTable,
-    pack_block,
-    write_packed_block,
+    pack_blocks,
+    write_blocks,
 )
 
 __all__ = [
@@ -43,6 +43,6 @@ __all__ = [
     "build_tree",
     "CoreSynapticData",
     "MasterPopulationTable",
-    "pack_block",
-    "write_packed_block",
+    "pack_blocks",
+    "write_blocks",
 ]

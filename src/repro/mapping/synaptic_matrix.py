@@ -14,26 +14,30 @@ information" (Figure 7).  Two data structures make that possible:
   core-local numbering).
 
 The synaptic-matrix pass of :mod:`repro.compile` splits every
-projection once into the synapses that land on each destination vertex,
-lays each block's packed words out as fixed-stride rows
-(:func:`pack_block`) and writes them into the destination chip's SDRAM
-model (:func:`write_packed_block`), so the on-machine runtime fetches
-exactly the bytes a real SpiNNaker core would.  The same write records
-the block as the core's *delivery leg* for the source key — the one
-decoded form of a block, which the event path's DMA-complete handler,
-the transport fabric and the board shards all read.
+projection once into the synapses that land on each destination vertex
+and lays all of a projection's blocks out as fixed-stride rows in one
+flat buffer (:func:`pack_blocks`), decoding the words once into every
+block's *delivery leg* — the one decoded form of a block, which the
+event path's DMA-complete handler, the transport fabric and the board
+shards all read.  :func:`write_blocks` then installs a chip's blocks
+(or one re-mapped core's) in its SDRAM model with one write, each block
+in its own region with its own population-table record, so the
+on-machine runtime fetches exactly the bytes a real SpiNNaker core
+would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mapping.keys import KeySpace
 from repro.mapping.placement import Vertex
-from repro.neuron.engine import CSRMatrix, unpack_synapse_words
+from repro.neuron.engine import (CSRMatrix, pack_synapse_words,
+                                 unpack_synapse_words)
+from repro.neuron.synapse import MAX_DELAY_TICKS
 
 
 @dataclass(frozen=True)
@@ -130,50 +134,81 @@ class CoreSynapticData:
     legs: Dict[int, CSRMatrix] = field(default_factory=dict)
 
 
-def pack_block(n_rows: int, rows: np.ndarray,
-               words: np.ndarray) -> np.ndarray:
-    """Lay one (source vertex -> destination core) block's packed words
-    (in row order, ``rows`` their block-local source rows) out as rows.
+def pack_blocks(n_rows: Sequence[int], n_post: Sequence[int],
+                sizes: Sequence[int], rows: np.ndarray, targets: np.ndarray,
+                weights: np.ndarray, delay_ticks: np.ndarray
+                ) -> Tuple[List[np.ndarray], List[CSRMatrix]]:
+    """Pack blocks back to back into one flat ``uint32`` buffer and
+    decode each into its leg.
 
-    Returns one zero-padded ``(n_rows, stride)`` ``uint32`` array: per
-    source neuron a synapse count (column 0) and the packed words — the
-    placement-independent artifact the mapping compiler caches: a
-    re-map that moves vertices around reuses these words verbatim, only
-    the SDRAM addresses and population-table records are rebuilt.
+    Block ``k`` has ``n_rows[k]`` source rows, ``n_post[k]`` local
+    targets and the next ``sizes[k]`` synapses of the columns, which run
+    block by block, row-ordered within a block.  It is an ``(n_rows,
+    stride)`` view of the buffer: per row a synapse count, then the
+    packed words, zero-padded to ``stride = 1 + longest row``.  Its leg
+    is its words decoded (fixed-point quantisation included): slices of
+    one decode, range-checked once for every block.
     """
-    counts = np.bincount(rows, minlength=n_rows)
-    block = np.zeros((n_rows, 1 + int(counts.max())), dtype=np.uint32)
-    block[:, 0] = counts
-    first = np.cumsum(counts) - counts
-    block[rows, 1 + np.arange(rows.size) - first[rows]] = words
-    return block
+    n_rows = np.asarray(n_rows, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    words = pack_synapse_words(targets, weights, delay_ticks)
+    targets, weights, delay_ticks = unpack_synapse_words(words)
+    if targets.size and (
+            (targets >= np.repeat(np.asarray(n_post), sizes)).any()
+            or delay_ticks.min() < 1 or delay_ticks.max() > MAX_DELAY_TICKS):
+        raise ValueError("synapse target outside its block, or delay "
+                         "outside 1..%d ticks" % (MAX_DELAY_TICKS,))
+    # Rows numbered over every block, back to back: so are their words.
+    first_row = np.cumsum(n_rows) - n_rows
+    row_block = np.repeat(np.arange(n_rows.size), n_rows)
+    cell = np.repeat(first_row, sizes) + rows
+    counts = np.bincount(cell, minlength=row_block.size)
+    ends = np.cumsum(counts)
+    row_stride = (1 + np.maximum.reduceat(counts, first_row))[row_block]
+    row_word = np.cumsum(row_stride) - row_stride
+    buffer = np.zeros(int(row_stride.sum()), dtype=np.uint32)
+    buffer[row_word] = counts
+    # The j-th synapse of a row is word j + 1 of the row.
+    slot = np.arange(words.size)
+    slot += (row_word + 1 - (ends - counts))[cell]
+    buffer[slot] = words
+    # Every block's row_ptr, back to back, each from 0.
+    base = (ends - counts)[first_row]
+    row_ptr = np.insert(ends, first_row, base) - np.repeat(base, n_rows + 1)
+    blocks, legs = [], []
+    for k, (n, post, size, row, word, stride, synapse) in enumerate(zip(
+            n_rows.tolist(), n_post, sizes.tolist(), first_row.tolist(),
+            row_word[first_row].tolist(), row_stride[first_row].tolist(),
+            base.tolist())):
+        blocks.append(buffer[word:word + n * stride].reshape(n, stride))
+        at = slice(synapse, synapse + size)
+        legs.append(CSRMatrix.checked_views(
+            n, post, row_ptr[row + k:row + k + n + 1], targets[at],
+            weights[at], delay_ticks[at], rows[at]))
+    return blocks, legs
 
 
-def write_packed_block(chip, data: CoreSynapticData, space: KeySpace,
-                       source_vertex: Vertex, rows: np.ndarray,
-                       synapses: Optional[List[np.ndarray]] = None) -> None:
-    """Write one :func:`pack_block` array into ``chip``'s SDRAM and index it.
-
-    Rows are padded to the fixed stride so the packet handler can
-    compute a row address directly from the neuron index, exactly as the
-    real master population table does.  The block is the core's leg for
-    ``space``: ``synapses`` (the caller's decode of the words, in row
-    order) or else decoded here — the words, not the CSR they were
-    packed from, so the leg carries the fixed-point quantisation.
-    """
-    region = chip.sdram.allocate(
-        4 * rows.size, tag="synapses:%s->%s" % (source_vertex, data.vertex))
-    data.regions.append(region)
-    chip.sdram.write_block(region.base, rows)
-    data.population_table.add(PopulationTableEntry(
-        key=space.base_key, mask=space.mask, sdram_address=region.base,
-        row_stride_words=rows.shape[1], n_rows=rows.shape[0]))
-    counts = rows[:, 0]
-    data.total_synapses += int(counts.sum())
-    data.total_sdram_words += rows.size
-    if synapses is None:
-        keep = np.arange(rows.shape[1] - 1) < counts[:, None]
-        synapses = unpack_synapse_words(rows[:, 1:][keep])
-    data.legs[space.base_key] = CSRMatrix(
-        rows.shape[0], data.vertex.n_neurons, np.append(0, np.cumsum(counts)),
-        *synapses)
+def write_blocks(chip, run: Sequence[Tuple[CoreSynapticData, KeySpace,
+                                           Vertex, np.ndarray, CSRMatrix]]
+                 ) -> None:
+    """Install each ``(core data, source key space, source vertex,
+    block, leg)`` of ``run`` in ``chip``'s SDRAM, in order: its own
+    region (so a re-map can free it), its population-table record (rows
+    keep the block's stride, so the packet handler computes a row
+    address from the neuron index) and its core's leg for the key.  The
+    bump allocator lays the regions back to back: one write."""
+    regions = []
+    for data, space, source, block, leg in run:
+        regions.append(chip.sdram.allocate(
+            4 * block.size, tag="synapses:%s->%s" % (source, data.vertex)))
+        data.regions.append(regions[-1])
+        data.population_table.add(PopulationTableEntry(
+            key=space.base_key, mask=space.mask,
+            sdram_address=regions[-1].base,
+            row_stride_words=block.shape[1], n_rows=block.shape[0]))
+        data.total_synapses += leg.n_synapses
+        data.total_sdram_words += block.size
+        data.legs[space.base_key] = leg
+    words = np.concatenate([block.ravel() for *_, block, _leg in run])
+    assert regions[-1].end - regions[0].base == 4 * words.size
+    chip.sdram.write_block(regions[0].base, words)

@@ -135,6 +135,18 @@ class CSRMatrix:
         self.pre_index = np.repeat(np.arange(n_pre, dtype=np.int64),
                                    np.diff(self.row_ptr))
 
+    @classmethod
+    def checked_views(cls, n_pre: int, n_post: int,
+                      *arrays: np.ndarray) -> "CSRMatrix":
+        """A matrix over ``row_ptr, targets, weights, delay_ticks,
+        pre_index`` of this class's dtypes, which the caller has already
+        range-checked, kept as given (slices stay views)."""
+        matrix = cls.__new__(cls)
+        matrix.n_pre, matrix.n_post = n_pre, n_post
+        (matrix.row_ptr, matrix.targets, matrix.weights, matrix.delay_ticks,
+         matrix.pre_index) = arrays
+        return matrix
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

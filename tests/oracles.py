@@ -41,9 +41,10 @@ the fast path equals it element for element:
 * :class:`PerPairSynapticMatrices` — the synaptic-matrix pass one
   (source, target) vertex pair at a time (a per-source reach scan, one
   :func:`submatrix` per projection on the pair, merged by
-  :func:`merge_rows`, each block packed by :func:`pack_csr_block` and
-  decoded from its words), which pins the per-projection split the
-  shipped pass packs and decodes through.
+  :func:`merge_rows`, each block packed by :func:`pack_csr_block`,
+  written to SDRAM on its own and decoded from its words by
+  :func:`write_pair_block`), which pins the per-projection pack and the
+  per-chip writes of the shipped pass.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from repro.mapping.routing_generator import build_tree
 from repro.mapping.synaptic_matrix import (
     CoreSynapticData,
     PopulationTableEntry,
-    write_packed_block,
 )
 from repro.neuron.connectors import (
     AllToAllConnector,
@@ -949,6 +949,27 @@ def pack_csr_block(block) -> np.ndarray:
     return rows
 
 
+def write_pair_block(chip, data: CoreSynapticData, space, source,
+                     rows: np.ndarray) -> None:
+    """Install one packed block on its own: allocate its region, write
+    its words, add its population-table record and decode its leg from
+    the words (so the leg carries the fixed-point quantisation)."""
+    region = chip.sdram.allocate(
+        4 * rows.size, tag="synapses:%s->%s" % (source, data.vertex))
+    data.regions.append(region)
+    chip.sdram.write_block(region.base, rows)
+    data.population_table.add(PopulationTableEntry(
+        key=space.base_key, mask=space.mask, sdram_address=region.base,
+        row_stride_words=rows.shape[1], n_rows=rows.shape[0]))
+    counts = rows[:, 0]
+    data.total_synapses += int(counts.sum())
+    data.total_sdram_words += rows.size
+    keep = np.arange(rows.shape[1] - 1) < counts[:, None]
+    data.legs[space.base_key] = CSRMatrix(
+        rows.shape[0], data.vertex.n_neurons, np.append(0, np.cumsum(counts)),
+        *unpack_synapse_words(rows[:, 1:][keep]))
+
+
 class PerPairSynapticMatrices(BuildSynapticMatricesPass):
     """The synaptic-matrix pass with a per-pair reach and per-pair blocks.
 
@@ -1059,5 +1080,5 @@ class PerPairSynapticMatrices(BuildSynapticMatricesPass):
         space = ctx.keys.key_space(source)
         if space.base_key in data.legs:
             return    # a parallel projection's block: already merged in
-        write_packed_block(ctx.machine.chips[slot[0]], data, space, source,
-                           self.packed_block(ctx, source, data.vertex))
+        write_pair_block(ctx.machine.chips[slot[0]], data, space, source,
+                         self.packed_block(ctx, source, data.vertex))

@@ -15,15 +15,19 @@ Acceptance checks of the pipeline refactor:
   shard (cores, delivery index) and the per-board-pair minimum delays
   equal a cold compile's on an identically condemned machine;
 * the delivery-leg table — every core's decoded legs equal the reference
-  decode of its installed SDRAM words, cold and after a re-map that
-  decoded only the moved cores again;
+  decode of its installed SDRAM words, cold and after a re-map that gave
+  only the moved cores their cached legs again;
+* batched writes — a cold compile writes each chip's blocks with one
+  SDRAM write, a re-map each rebuilt core's;
 * parallel projections — two projections between the same populations
   share one block per core, and every engine delivers both;
-* the per-projection split — on drawn networks the pass that groups,
-  packs and decodes each projection once writes exactly what the
-  per-pair reference (``oracles.PerPairSynapticMatrices``) writes, cold,
-  after a re-map and after a connector change, and a compile plus a
-  re-map builds one expansion generator per projection.
+* the per-projection pack — on drawn networks the pass that groups,
+  packs and decodes each projection once into one buffer, and writes a
+  chip's blocks at once, writes exactly what the per-pair reference
+  (``oracles.PerPairSynapticMatrices``: one block packed, written and
+  decoded at a time) writes, cold, after a re-map and after a connector
+  change, and a compile plus a re-map builds one expansion generator per
+  projection.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from repro.compile.context import ProjectionSplit
 from repro.compile.passes import ShardByBoardPass
 from repro.core.geometry import ChipCoordinate
 from repro.core.machine import MachineConfig, SpiNNakerMachine
+from repro.core.sdram import SDRAM
 from repro.host.host_system import HostSystem
 from repro.mapping.placement import Vertex
 from repro.mapping.synaptic_matrix import (
@@ -232,6 +237,44 @@ class TestLegTable:
                 len(ctx.core_data[slot].legs) for slot in moved)))
 
 
+class TestBatchedWrites:
+    def test_one_sdram_write_per_chip_cold_and_per_core_on_remap(
+            self, monkeypatch):
+        n = 240
+        machine = SpiNNakerMachine(workloads.four_board_config())
+        BootController(machine, seed=11).boot()
+        writes = []
+        write_block = SDRAM.write_block
+
+        def spy(sdram, address, words):
+            writes.append(sdram)
+            write_block(sdram, address, words)
+
+        monkeypatch.setattr(SDRAM, "write_block", spy)
+        pipeline = MappingPipeline(
+            machine, workloads.ring8(n, 11, workloads.DENSE), seed=11,
+            max_neurons_per_core=n // workloads.VERTICES_PER_POPULATION,
+            placement_strategy=workloads.PLACEMENT)
+        ctx = pipeline.run()
+        # Only the excitatory cores receive blocks: 864 of them on 16 of
+        # the 32 chips in use; the stimulus-only chips have none to write.
+        assert sum(len(data.legs) for data in ctx.core_data.values()) == 864
+        written = {slot[0] for slot, data in ctx.core_data.items()
+                   if data.legs}
+        assert len(writes) == len(written) == 16
+        assert {id(chip.sdram) for chip in map(machine.chips.get, written)
+                } == set(map(id, writes))
+
+        writes.clear()
+        MonitorService(machine).condemn_chip(
+            sorted(written)[len(written) // 2])
+        pipeline.run()
+        rebuilt = [slot for slot in ctx.rebuilt_cores
+                   if ctx.core_data[slot].legs]
+        assert rebuilt
+        assert len(writes) == len(rebuilt)
+
+
 class TestParallelProjections:
     def test_blocks_merge_where_the_oracle_writes_them(self):
         oracle_machine = booted_machine()
@@ -407,12 +450,13 @@ class TestProjectionSplitEdges:
         targets = [Vertex("post", 0, 3, 256)]
         csr = AllToAllConnector(weight=0.5).build_csr(256, 3, None)
         split = ProjectionSplit.build(csr, sources, targets)
-        blocks = list(split.blocks(csr))
-        assert [pair for pair, _part in blocks] == [
+        blocks = list(ProjectionSplit.blocks([(split, csr)]))
+        assert [pair for pair, _block, _leg in blocks] == [
             (source, targets[0]) for source in sources]
-        for _pair, (rows, _words, post, _weights, _delays) in blocks:
-            assert rows.tolist() == [0, 0, 0]
-            assert post.tolist() == [0, 1, 2]
+        for _pair, block, leg in blocks:
+            assert block[:, 0].tolist() == [3]
+            assert leg.pre_index.tolist() == [0, 0, 0]
+            assert leg.targets.tolist() == [0, 1, 2]
         assert split.group is None
 
 

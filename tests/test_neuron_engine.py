@@ -27,8 +27,8 @@ from repro.mapping.keys import KeySpace
 from repro.mapping.placement import Vertex
 from repro.mapping.synaptic_matrix import (
     CoreSynapticData,
-    pack_block,
-    write_packed_block,
+    pack_blocks,
+    write_blocks,
 )
 from repro.neuron import kernel as kernel_module
 from repro.neuron import population as population_module
@@ -84,9 +84,12 @@ def csr_blocks(draw):
 
 
 def packed(csr):
-    """``csr`` packed as one block, every row in storage order."""
-    return pack_block(csr.n_pre, csr.pre_index, pack_synapse_words(
-        csr.targets, csr.weights, csr.delay_ticks))
+    """``csr`` packed as one block and its leg, every row in storage
+    order."""
+    (block,), (leg,) = pack_blocks([csr.n_pre], [csr.n_post],
+                                   [csr.n_synapses], csr.pre_index,
+                                   csr.targets, csr.weights, csr.delay_ticks)
+    return block, leg
 
 
 def install_block(csr):
@@ -96,8 +99,8 @@ def install_block(csr):
     bare SDRAM holder, all the codec touches."""
     chip = SimpleNamespace(sdram=SDRAM())
     data = CoreSynapticData(vertex=Vertex("post", 0, csr.n_post, 0))
-    write_packed_block(chip, data, KeySpace(base_key=0x800),
-                       Vertex("pre", 0, csr.n_pre, 0), packed(csr))
+    write_blocks(chip, [(data, KeySpace(base_key=0x800),
+                         Vertex("pre", 0, csr.n_pre, 0), *packed(csr))])
     (entry,) = data.population_table.entries
     return chip, data, entry
 
@@ -427,7 +430,7 @@ class TestPackedWordCodec:
 
     def test_pack_block_rows_match_synaptic_row_pack(self, rng):
         rows, csr = random_pair(rng, n_pre=8, n_post=12)
-        packed_rows = packed(csr)
+        packed_rows, _leg = packed(csr)
         literal = [oracles.pack_row(rows.get(pre, ())) for pre in range(8)]
         stride = max(len(words) for words in literal)
         assert (packed_rows.shape == (8, stride)
@@ -439,7 +442,7 @@ class TestPackedWordCodec:
 
     def test_decode_packed_row_matches_row_unpack(self, rng):
         rows, csr = random_pair(rng, n_pre=8, n_post=12)
-        for row in packed(csr):
+        for row in packed(csr)[0]:
             padded = row.tolist() + [0, 0, 0]    # more SDRAM stride padding
             count, targets, weights, delays = decode_packed_row(padded)
             literal = oracles.unpack_row(padded)
