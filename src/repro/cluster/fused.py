@@ -21,11 +21,11 @@ no loop over cores:
 * **One CSR from a plan cell to its rows.**  The boards'
   :class:`~repro.compile.context.BoardDeliveryIndex` row tables (merged
   by the ShardByBoard pass from the destination cores' delivery legs,
-  the legs the event path and the transport fabric read) are stacked
-  back to back and re-ordered by plan cell at construction: a cell's
-  rows, one per board of the engine its key reaches, are one run, and
-  every arena slot is pre-computed as a ring offset ``delay * ring width
-  + column``.  Local and exchanged spikes take the same
+  the legs the event path and the transport fabric read) are the parts
+  of one :class:`~repro.neuron.engine.RowTable`, the host loop's table
+  type: a plan cell's rows, one per board of the engine its key
+  reaches, are one run, and every arena slot is a ring offset ``delay *
+  ring width + column``.  Local and exchanged spikes take the same
   :meth:`FusedBoardEngine._deliver`: cells -> rows -> slots -> one ring
   update, landing at ``tick + 1 + delay``, the arrival tick of the
   fabric transport at zero timer stagger.
@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.cluster.exchange import ExchangePlan
 from repro.compile.context import BoardContext
-from repro.neuron.engine import expand_rows
+from repro.neuron.engine import RowTable
 from repro.neuron.kernel import TickKernel, TickUnit
 from repro.neuron.population import Population, core_rng
 from repro.runtime.application import ApplicationResult
@@ -102,51 +102,25 @@ class FusedBoardEngine:
                    == self.first_cell + unit.cell
                    for spec, unit in zip(cores, units))
 
-        # The boards' row tables back to back: board b's rows, arena
-        # slots and neurons follow board b - 1's.  Each arena slot's ring
-        # offset is its delay row, then the ring column of its
-        # board-flat target.
+        # The boards' row tables back to back, each target translated from
+        # its board-flat neuron to its ring column.
         indexes = [context.delivery_index for context in self.contexts]
-        self._width = width = self.kernel.ring.width
-        # Offsets, and their rotation by up to one ring, fit in int32.
-        assert 2 * self.kernel.ring.n_slots * width <= np.iinfo(np.int32).max
-        translate = np.concatenate(
-            [np.zeros(0, dtype=np.intp)]
-            + [self.kernel.columns(unit) for unit in units]).astype(np.int32)
-        row_ptr = [np.zeros(1, dtype=np.int64)]
-        row_cells = [np.zeros(0, dtype=np.intp)]
-        self._arena_offsets = np.empty(
-            sum(index.targets.size for index in indexes), dtype=np.int32)
-        n_slots = n_neurons = 0
+        columns = np.concatenate([np.zeros(0, dtype=np.intp)]
+                                 + [self.kernel.columns(unit)
+                                    for unit in units])
+        parts, n_neurons = [], 0
         for index in indexes:
             # Row ``first_row[key] + i`` is plan cell ``key_cells[key][i]``.
             board_cells = np.empty(index.row_ptr.size - 1, dtype=np.intp)
             for key, first in index.first_row.items():
                 cells = plan.key_cells[key]
                 board_cells[first:first + len(cells)] = cells
-            row_cells.append(board_cells)
-            row_ptr.append(index.row_ptr[1:] + n_slots)
-            arena = self._arena_offsets[n_slots:n_slots + index.targets.size]
-            arena[:] = translate[n_neurons:][index.targets]
-            arena += index.delay_ticks.astype(np.int32) * width
-            n_slots += index.targets.size
+            parts.append((index, board_cells, columns[
+                n_neurons:n_neurons + index.total_neurons]))
             n_neurons += index.total_neurons
-        row_ptr = np.concatenate(row_ptr)
-        row_cells = np.concatenate(row_cells)
-        # The rows in plan-cell order (board order within a cell), so a
-        # cell's rows — one per board its key reaches — are a run.
-        order = np.argsort(row_cells, kind="stable")
-        self._row_start = row_ptr[:-1][order]
-        self._row_length = row_ptr[1:][order] - self._row_start
-        cell_ptr = np.zeros(plan.n_cells + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row_cells, minlength=plan.n_cells),
-                  out=cell_ptr[1:])
-        self._cell_start = cell_ptr[:-1]
-        self._cell_end = cell_ptr[1:]
-        # One board's engine reads its index's weights in place.
-        weights = [index.weights for index in indexes]
-        self._arena_weights = (weights[0] if len(weights) == 1
-                               else np.concatenate([np.zeros(0), *weights]))
+        #: Plan cell -> rows (one per board of the engine its key
+        #: reaches, in board order) -> ring slots.
+        self.table = RowTable(parts, plan.n_cells, self.kernel.ring)
 
         # Per-cell tables of the tick: does the cell's core send, and
         # which keyed core's batch does it join.
@@ -190,20 +164,16 @@ class FusedBoardEngine:
         transport does): ring accumulation of fixed-point weights is an
         exact sum.
         """
-        starts = self._cell_start[cells]
-        rows_per_cell = self._cell_end[cells] - starts
-        rows = expand_rows(starts, rows_per_cell)
-        starts = self._row_start[rows]
-        lengths = self._row_length[rows]
-        slots = expand_rows(starts, lengths)
-        offsets = self._arena_offsets[slots]
-        weights = self._arena_weights[slots]
+        rows, rows_per_cell = self.table.rows(cells)
+        slots, lengths = self.table.slots(rows)
+        offsets = self.table.offsets[slots]
+        weights = self.table.weights[slots]
         # Freed before the ring update, which makes per-event copies of
         # its own: an engine over every board scatters a whole tick here.
-        del slots
+        del rows, slots
         if ages is not None and ages.any():
             # Re-base aged cells: delay - age, one row per tick of age.
-            offsets -= np.repeat(np.repeat(ages * self._width,
+            offsets -= np.repeat(np.repeat(ages * self.kernel.ring.width,
                                            rows_per_cell), lengths)
         self.result.synaptic_events += int(offsets.size)
         # One charge sum over the merged cells: every weight is an exact

@@ -165,7 +165,8 @@ class SDRAM:
         else:
             if view.format != "I":
                 raise TypeError("not a uint32 buffer: %r" % (view.format,))
-            block = array("I", view.cast("B").tobytes())
+            block = array("I")
+            block.frombytes(view.cast("B"))
         lo, hi = self._span(address, len(block))
         self._words.frombytes(bytes(4 * max(0, hi - len(self._words))))
         self._words[lo:hi] = block

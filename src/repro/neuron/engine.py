@@ -12,10 +12,11 @@ expanded projection exists in exactly one form — a compressed-sparse-row
 * ``weights``  — synaptic efficacy (nA) per synapse;
 * ``delay_ticks`` — programmable soft delay per synapse.
 
-The host loop stacks every projection's arrays into one row table of
-ring offsets (``delay * width + column``) and weights, and scatters all
-spikes of a tick into the
-:class:`~repro.neuron.synapse.DeferredEventBuffer` ring with one
+Propagation has one table, :class:`RowTable`: the host loop stacks every
+projection's matrix into one, the board engine its boards' delivery
+indexes, and a tick's fired cells become rows, the rows ring offsets
+(``delay * width + column``) and weights, gathered for one
+:class:`~repro.neuron.synapse.DeferredEventBuffer` update — the host's
 element-order ``add_events``; the same arrays drive the STDP update
 (:meth:`repro.neuron.stdp.STDPMechanism.update_csr`, which mutates
 ``weights`` in place — the learned state) and the packed-word SDRAM
@@ -93,9 +94,8 @@ def expand_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     The one CSR row expansion: spans are expanded in the order given,
     each row's slots kept in storage order.  :meth:`CSRMatrix.synapse_slots`
-    feeds it one matrix's spiking rows; the board engine and the host
-    loop expand a tick's fired cells into table rows, and those rows
-    into slots, with it.
+    feeds it one matrix's spiking rows; :class:`RowTable` a tick's fired
+    cells, and then their rows.
     """
     slots = np.arange(int(counts.sum()), dtype=np.intp)
     slots += np.repeat(starts - (np.cumsum(counts) - counts), counts)
@@ -179,3 +179,58 @@ class CSRMatrix:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "CSRMatrix(%d pre, %d post, %d synapses)" % (
             self.n_pre, self.n_post, self.n_synapses)
+
+
+class RowTable:
+    """The propagate step's one table: fired cells -> rows -> ring slots.
+
+    Stacked from *parts* ``(rows, row_cells, columns)``: ``rows`` is a
+    CSR-shaped set of rows (``row_ptr``, ``targets``, ``delay_ticks``,
+    ``weights`` — a :class:`CSRMatrix` or a board's delivery index),
+    ``row_cells`` the cell each row fires with and ``columns`` the ring
+    column of each target.  Rows and slots keep part order; a slot is a
+    ring offset ``delay * ring.width + column`` (``int32``) and a weight.
+    A table of one part reads that part's weights in place.
+    """
+
+    __slots__ = ("cell_ptr", "cell_rows", "row_ptr", "offsets", "weights",
+                 "spans")
+
+    def __init__(self, parts, n_cells: int, ring) -> None:
+        # Offsets, and their rotation by up to one ring, fit in int32.
+        assert 2 * ring.n_slots * ring.width <= np.iinfo(np.int32).max
+        bounds = np.cumsum([0] + [rows.targets.size for rows, _, _ in parts])
+        #: The slots of each part.
+        self.spans = [slice(first, stop)
+                      for first, stop in zip(bounds[:-1], bounds[1:])]
+        self.row_ptr = np.concatenate([np.zeros(1, dtype=np.int64)] + [
+            rows.row_ptr[1:] + first
+            for (rows, _, _), first in zip(parts, bounds)])
+        self.offsets = np.empty(bounds[-1], dtype=np.int32)
+        for (rows, _, columns), span in zip(parts, self.spans):
+            offsets = self.offsets[span]
+            offsets[:] = np.asarray(columns, dtype=np.int32)[rows.targets]
+            offsets += rows.delay_ticks.astype(np.int32) * ring.width
+        weights = [rows.weights for rows, _, _ in parts]
+        self.weights = (weights[0] if len(weights) == 1
+                        else np.concatenate([np.zeros(0), *weights]))
+        # A cell's rows are a run of ``cell_rows``, in part order.
+        row_cells = np.concatenate([np.zeros(0, dtype=np.intp)]
+                                   + [cells for _, cells, _ in parts])
+        self.cell_rows = np.argsort(row_cells, kind="stable")
+        self.cell_ptr = np.zeros(n_cells + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_cells, minlength=n_cells),
+                  out=self.cell_ptr[1:])
+
+    def rows(self, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows of ``cells``, cell by cell, and each cell's count."""
+        starts = self.cell_ptr[cells]
+        counts = self.cell_ptr[cells + 1] - starts
+        return self.cell_rows[expand_rows(starts, counts)], counts
+
+    def slots(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The slots of ``rows``, row by row in storage order, and each
+        row's length."""
+        starts = self.row_ptr[rows]
+        lengths = self.row_ptr[rows + 1] - starts
+        return expand_rows(starts, lengths), lengths

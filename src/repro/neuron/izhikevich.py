@@ -52,20 +52,20 @@ class IzhikevichParameters:
 
 
 def _advance(state, external_current_na: Optional[np.ndarray],
-             valid: Optional[np.ndarray] = None) -> np.ndarray:
+             valid: np.ndarray) -> np.ndarray:
     """One tick over ``state``'s arrays, in place.
 
-    The model's only update: ``state`` is a 1-D
-    :class:`IzhikevichPopulation` (parameters as Python floats) or a
-    :class:`~repro.neuron.kernel.StackedBlock` of them (``(n_lanes, 1)``
-    parameter columns).  Integration uses half-steps of 0.5 ms for the membrane
+    The model's only update: ``state`` is a
+    :class:`~repro.neuron.kernel.StackedBlock` of Izhikevich populations
+    (per-neuron arrays ``(n_lanes, width)``, parameters ``(n_lanes, 1)``
+    columns).  Integration uses half-steps of 0.5 ms for the membrane
     equation (the scheme used by both Izhikevich's reference code and
     the SpiNNaker kernel) to keep the quadratic term stable.  Every
-    operation is elementwise, so a block's valid cells evolve
-    bit-for-bit like the populations they were stacked from.  The
-    quadratic equation has no stable rest point, so a block's padding
-    (``valid`` false) is masked out of the spikes and re-clamped to its
-    lane's reset state instead of being allowed to diverge.
+    operation is elementwise, so every valid cell evolves bit for bit
+    like one scalar neuron of its lane's parameters.  The quadratic
+    equation has no stable rest point, so the block's padding (``valid``
+    false) is masked out of the spikes and re-clamped to its lane's
+    reset state instead of being allowed to diverge.
     """
     i_total = state.synaptic_current.copy()
     if external_current_na is not None:
@@ -78,14 +78,11 @@ def _advance(state, external_current_na: Optional[np.ndarray],
         v = v + dt * (0.04 * v * v + 5.0 * v + 140.0 - u + i_total)
         u = u + dt * (state._a * (state._b * v - u))
 
-    spikes = v >= state._v_peak
-    if valid is not None:
-        spikes &= valid
+    spikes = (v >= state._v_peak) & valid
     v = np.where(spikes, state._c, v)
     u = np.where(spikes, u + state._d, u)
-    if valid is not None:
-        v = np.where(valid, v, state._c)
-        u = np.where(valid, u, state._b * state._c)
+    v = np.where(valid, v, state._c)
+    u = np.where(valid, u, state._b * state._c)
 
     state.v, state.u = v, u
     state.synaptic_current[:] = 0.0
@@ -93,7 +90,9 @@ def _advance(state, external_current_na: Optional[np.ndarray],
 
 
 class IzhikevichPopulation:
-    """State of a population of Izhikevich neurons (1-D arrays)."""
+    """The initial state and parameters of a population of Izhikevich
+    neurons: what a :class:`~repro.neuron.kernel.StackedBlock` stacks
+    and steps."""
 
     #: What a stacked block stacks: the per-neuron arrays and the
     #: per-population scalars :func:`_advance` reads.
@@ -103,8 +102,7 @@ class IzhikevichPopulation:
 
     def __init__(self, size: int,
                  parameters: Optional[IzhikevichParameters] = None,
-                 timestep_ms: float = 1.0,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 timestep_ms: float = 1.0) -> None:
         if size <= 0:
             raise ValueError("population size must be positive")
         if timestep_ms <= 0:
@@ -112,9 +110,6 @@ class IzhikevichPopulation:
         self.size = size
         self.parameters = parameters or IzhikevichParameters()
         self.timestep_ms = timestep_ms
-        # Deferred import: population.py imports this module at load time.
-        from repro.neuron.population import simulation_rng
-        self._rng = rng or simulation_rng(None)
 
         p = self.parameters
         self._a, self._b, self._c, self._d = p.a, p.b, p.c, p.d
@@ -122,31 +117,3 @@ class IzhikevichPopulation:
         self.v = np.full(size, p.c, dtype=float)
         self.u = p.b * self.v
         self.synaptic_current = np.zeros(size, dtype=float)
-        self.spike_count = np.zeros(size, dtype=int)
-
-    def randomise_membrane(self) -> None:
-        """Scatter the initial membrane state to desynchronise the network."""
-        p = self.parameters
-        self.v = self._rng.uniform(p.c, -50.0, self.size)
-        self.u = p.b * self.v
-
-    def inject_synaptic_input(self, charge_na: np.ndarray) -> None:
-        """Add synaptic input (one value per neuron) for the current tick."""
-        if charge_na.shape != (self.size,):
-            raise ValueError("expected input of shape (%d,), got %s"
-                             % (self.size, charge_na.shape))
-        self.synaptic_current += charge_na
-
-    def step(self, external_current_na: Optional[np.ndarray] = None) -> np.ndarray:
-        """Advance every neuron by one timestep; return the spike mask."""
-        spikes = _advance(self, external_current_na)
-        self.spike_count += spikes.astype(int)
-        return spikes
-
-    def reset(self) -> None:
-        """Return the population to its initial quiescent state."""
-        p = self.parameters
-        self.v[:] = p.c
-        self.u = p.b * self.v
-        self.synaptic_current[:] = 0.0
-        self.spike_count[:] = 0

@@ -3,13 +3,16 @@
 Every engine of the reproduction runs the same millisecond-timer task —
 generate the stimulus, drain the deferred-event slot into the neuron
 models, integrate the equations, record what fired — and differs only in
-how the resulting spikes are *propagated*: the host loop
-(:meth:`repro.neuron.network.Network.run`) scatters float CSR rows, the
-on-machine runtime (:class:`repro.runtime.application.CoreRuntime`) sends
-packets or fabric batches, the cluster's board engine
-(:class:`repro.cluster.fused.FusedBoardEngine`) scatters its delivery
-arena and exports the rest.  :class:`TickKernel` is everything before
-that step, for a set of *units that share a tick*.
+how the resulting spikes are *propagated*.  The host loop
+(:meth:`repro.neuron.network.Network.run`) and the cluster's board
+engine (:class:`repro.cluster.fused.FusedBoardEngine`) both expand the
+fired cells through one :class:`~repro.neuron.engine.RowTable` (cells ->
+rows -> ring slots): the host's table stacks float CSR rows and the host
+sorts a tick's rows into element order; the board engine's stacks its
+boards' delivery arenas, and the engine exports the rest.  The on-machine runtime
+(:class:`repro.runtime.application.CoreRuntime`) sends packets or fabric
+batches.  :class:`TickKernel` is everything before that step, for a set
+of *units that share a tick*.
 
 A :class:`TickUnit` is ``(population, slice, generator)``: the host
 passes its populations whole with the one simulation generator, a core
@@ -241,14 +244,16 @@ class TickUnit:
 
 
 class StackedBlock:
-    """Populations of one model stacked into ``(n_lanes, width)`` arrays.
+    """Populations of one model stacked into ``(n_lanes, width)`` arrays:
+    the one neuron update path.
 
-    Each lane holds one population's state (what its class lists under
-    ``STATE``), zero-padded to the widest lane; the per-population
-    scalars (``PARAMETERS``) become ``(n_lanes, 1)`` columns that
-    broadcast across the row, and :meth:`step` is the model's own
-    ``advance`` — so every valid cell evolves bit for bit like the 1-D
-    population it was stacked from.
+    Each lane holds one population's initial state (what its class
+    lists under ``STATE``), zero-padded to the widest lane; the
+    per-population scalars (``PARAMETERS``) become ``(n_lanes, 1)``
+    columns that broadcast across the row, and :meth:`step` is the
+    model's ``advance`` — elementwise, so every valid cell evolves bit
+    for bit like one scalar neuron of its lane's parameters, whatever
+    else is stacked beside it.
     """
 
     def __init__(self, states: Sequence) -> None:
@@ -292,11 +297,10 @@ class _Group(StackedBlock):
     def __init__(self, units: List[TickUnit], timestep_ms: float,
                  base: int) -> None:
         # A unit's state is that of a population the size of its slice
-        # with the same model and parameters, fed the unit's generator.
+        # with the same model and parameters.
         super().__init__([
             Population(unit.n_neurons, unit.population.parameters,
-                       label=unit.population.label).build_state(
-                           timestep_ms, unit.rng)
+                       label=unit.population.label).build_state(timestep_ms)
             for unit in units])
         #: Ring columns ``base:base + span`` are the block, lane-major.
         self.base = base

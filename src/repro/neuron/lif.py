@@ -58,19 +58,19 @@ class LIFParameters:
 
 
 def _advance(state, external_current_na: Optional[np.ndarray],
-             valid: Optional[np.ndarray] = None) -> np.ndarray:
+             valid: np.ndarray) -> np.ndarray:
     """One exponential-Euler tick over ``state``'s arrays, in place.
 
-    The model's only update: ``state`` is a 1-D :class:`LIFPopulation`
-    (parameters as Python floats) or a
-    :class:`~repro.neuron.kernel.StackedBlock` of them (parameters as
-    ``(n_lanes, 1)`` columns).  Every operation is elementwise, and
-    broadcasting a parameter column over a row performs the identical
-    IEEE-754 scalar operation a Python float does, so a block's valid
-    cells evolve bit-for-bit like the populations they were stacked
-    from.  ``valid`` masks a block's padding out of the returned spikes
-    (padding receives no input and is never read, so it cannot influence
-    a valid cell).
+    The model's only update: ``state`` is a
+    :class:`~repro.neuron.kernel.StackedBlock` of LIF populations
+    (per-neuron arrays ``(n_lanes, width)``, parameters ``(n_lanes, 1)``
+    columns).  Every operation is elementwise, and broadcasting a
+    parameter column over a row performs the identical IEEE-754 scalar
+    operation a Python float does, so every valid cell evolves bit for
+    bit like one scalar neuron of its lane's parameters.  ``valid``
+    masks the block's padding out of the returned spikes (padding
+    receives no input and is never read, so it cannot influence a valid
+    cell).
     """
     i_total = state.synaptic_current.copy()
     if external_current_na is not None:
@@ -86,9 +86,7 @@ def _advance(state, external_current_na: Optional[np.ndarray],
     state.refractory_ticks_left = np.maximum(
         state.refractory_ticks_left - 1, 0)
 
-    spikes = new_v >= state._v_threshold
-    if valid is not None:
-        spikes &= valid
+    spikes = (new_v >= state._v_threshold) & valid
     new_v = np.where(spikes, state._v_reset, new_v)
     state.refractory_ticks_left = np.where(
         spikes, state.refractory_ticks, state.refractory_ticks_left)
@@ -100,12 +98,13 @@ def _advance(state, external_current_na: Optional[np.ndarray],
 
 
 class LIFPopulation:
-    """State and update rule for a population of LIF neurons.
+    """The initial state and derived parameters of a population of LIF
+    neurons: what a :class:`~repro.neuron.kernel.StackedBlock` stacks
+    and steps once per timestep (1 ms on the real machine).
 
-    The population is updated synchronously once per timestep (1 ms on the
-    real machine).  Synaptic input arrives as charge delivered into an
-    exponentially-decaying synaptic current, matching the "current
-    exponential" synapse type of the SpiNNaker software stack.
+    Synaptic input arrives as charge delivered into an exponentially
+    decaying synaptic current, matching the "current exponential"
+    synapse type of the SpiNNaker software stack.
     """
 
     #: What a stacked block stacks: the per-neuron arrays and the
@@ -116,8 +115,7 @@ class LIFPopulation:
     advance = staticmethod(_advance)
 
     def __init__(self, size: int, parameters: Optional[LIFParameters] = None,
-                 timestep_ms: float = 1.0,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 timestep_ms: float = 1.0) -> None:
         if size <= 0:
             raise ValueError("population size must be positive")
         if timestep_ms <= 0:
@@ -139,40 +137,3 @@ class LIFPopulation:
         self._r_m = p.r_m_mohm
         self._alpha_m = float(np.exp(-timestep_ms / p.tau_m_ms))
         self._alpha_syn = float(np.exp(-timestep_ms / p.tau_syn_ms))
-
-        self.spike_count = np.zeros(size, dtype=int)
-        # Deferred import: population.py imports this module at load time.
-        from repro.neuron.population import simulation_rng
-        self._rng = rng or simulation_rng(None)
-
-    def randomise_membrane(self, low_mv: Optional[float] = None,
-                           high_mv: Optional[float] = None) -> None:
-        """Randomise initial membrane potentials to desynchronise the network."""
-        p = self.parameters
-        low = p.v_reset_mv if low_mv is None else low_mv
-        high = p.v_threshold_mv if high_mv is None else high_mv
-        self.v = self._rng.uniform(low, high, self.size)
-
-    def inject_synaptic_input(self, charge_na: np.ndarray) -> None:
-        """Add synaptic charge (one value per neuron) for the current tick."""
-        if charge_na.shape != (self.size,):
-            raise ValueError("expected input of shape (%d,), got %s"
-                             % (self.size, charge_na.shape))
-        self.synaptic_current += charge_na
-
-    def step(self, external_current_na: Optional[np.ndarray] = None) -> np.ndarray:
-        """Advance every neuron by one timestep.
-
-        Returns a boolean array marking the neurons that spiked this tick.
-        """
-        spikes = _advance(self, external_current_na)
-        self.spike_count += spikes.astype(int)
-        return spikes
-
-    def reset(self) -> None:
-        """Return the population to its initial quiescent state."""
-        p = self.parameters
-        self.v[:] = p.v_rest_mv
-        self.synaptic_current[:] = 0.0
-        self.refractory_ticks_left[:] = 0
-        self.spike_count[:] = 0

@@ -5,9 +5,10 @@ host, with the same 1 ms tick, the same deferred-event (soft-delay) ring
 and the same tick kernel (:mod:`repro.neuron.kernel`) as the on-machine
 runtime (:mod:`repro.runtime.application`); what is the host's own is the
 propagate step — every projection's unquantised float CSR rows stacked
-into one row table of ring offsets and weights, so a tick's spikes reach
-the ring in one element-order scatter (``add_events``) — plasticity, and
-membrane-voltage recording.  It serves two purposes:
+into one :class:`~repro.neuron.engine.RowTable`, the board engine's table
+type, whose rows a tick sorts so its spikes reach the ring in one
+element-order scatter (``add_events``) — plasticity, and membrane-voltage
+recording.  It serves two purposes:
 
 * it is the behavioural baseline the on-machine simulation is checked
   against (same network, same seed, same spike counts); and
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.neuron.engine import expand_rows
+from repro.neuron.engine import RowTable
 from repro.neuron.kernel import SpikeRecord, TickKernel, TickUnit
 from repro.neuron.population import (
     Population,
@@ -168,36 +169,16 @@ class Network:
                     for _index, projection, csr
                     in expand_projections(self, effective_seed)
                     if not projection.post.is_spike_source]
-        # One row table over them all, in network order, for this run only:
-        # a synapse is a ring offset ``delay * width + column`` (int32)
-        # and a weight (float64), 12 B.  A fired cell reaches one row per
-        # projection it feeds: ``cell_rows[cell_ptr[c]:cell_ptr[c + 1]]``.
-        width = kernel.ring.width
-        # Offsets, and their rotation by up to one ring, fit in int32.
-        assert 2 * kernel.ring.n_slots * width <= np.iinfo(np.int32).max
-        n_synapses = sum(csr.n_synapses for _p, csr, _pre, _post in expanded)
-        row_ptr = np.empty(sum(csr.n_pre for _p, csr, _pre, _post in expanded)
-                           + 1, dtype=np.int64)
-        offsets = np.empty(n_synapses, dtype=np.int32)
-        weights = np.empty(n_synapses)
-        row_cells, learners, rows, first = [], [], 0, 0
-        for projection, csr, pre, post in expanded:
-            np.add(csr.row_ptr[:-1], first,
-                   out=row_ptr[rows:rows + csr.n_pre])
-            span = slice(first, first + csr.n_synapses)
-            np.add(csr.delay_ticks * width + post.base, csr.targets,
-                   out=offsets[span], casting="unsafe")
-            weights[span] = csr.weights
-            row_cells.append(pre.cell + np.arange(csr.n_pre))
-            if projection.plasticity is not None:
-                learners.append((projection.plasticity, csr, pre, post, span))
-            rows, first = rows + csr.n_pre, span.stop
-        row_ptr[-1] = n_synapses
-        row_cells = np.concatenate([np.zeros(0, dtype=np.intp)] + row_cells)
-        cell_rows = np.argsort(row_cells, kind="stable")
-        cell_ptr = np.zeros(kernel.n_cells + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row_cells, minlength=kernel.n_cells),
-                  out=cell_ptr[1:])
+        # One row table over them all, in network order, for this run
+        # only: a fired cell reaches one row per projection it feeds.
+        table = RowTable([(csr, pre.cell + np.arange(csr.n_pre),
+                           kernel.columns(post))
+                          for _p, csr, pre, post in expanded],
+                         kernel.n_cells, kernel.ring)
+        learners = [(projection.plasticity, csr, pre, post, span)
+                    for (projection, csr, pre, post), span
+                    in zip(expanded, table.spans)
+                    if projection.plasticity is not None]
         fired_mask = np.zeros(kernel.n_cells, dtype=bool)
 
         for tick in range(n_ticks):
@@ -207,16 +188,13 @@ class Network:
                     result.voltages[unit.population.label][tick] = \
                         kernel.voltages(unit)
                 with _PROPAGATE_STAGE:
-                    starts = cell_ptr[fired]
                     # Rows ascend in projection order, then by pre
                     # neuron: sorted, they are the per-projection order.
-                    spiking = np.sort(cell_rows[expand_rows(
-                        starts, cell_ptr[fired + 1] - starts)])
-                    starts = row_ptr[spiking]
-                    slots = expand_rows(starts, row_ptr[spiking + 1] - starts)
+                    rows, _counts = table.rows(fired)
+                    slots, _lengths = table.slots(np.sort(rows))
                     if slots.size:
-                        kernel.ring.add_events(offsets[slots],
-                                               weights[slots])
+                        kernel.ring.add_events(table.offsets[slots],
+                                               table.weights[slots])
                     # An update reads only its own weights and this tick's
                     # masks, so running it after every delivery changes
                     # nothing; the table then takes the learned weights.
@@ -228,6 +206,6 @@ class Network:
                             csr, fired_mask[pre.cell:pre.cell + pre.n_neurons],
                             fired_mask[post.cell:post.cell + post.n_neurons],
                             tick * self.timestep_ms)
-                        weights[span] = csr.weights
+                        table.weights[span] = csr.weights
         result.flush()
         return result

@@ -146,16 +146,12 @@ class Population:
         self.record_spikes = spikes
         self.record_voltages = voltages
 
-    def build_state(self, timestep_ms: float,
-                    rng: np.random.Generator) -> Union[LIFPopulation,
-                                                       IzhikevichPopulation]:
-        """Instantiate the simulation state for this population."""
+    def build_state(self, timestep_ms: float
+                    ) -> Union[LIFPopulation, IzhikevichPopulation]:
+        """This population's initial state and derived parameters."""
         if self.model_name == "lif":
-            state = LIFPopulation(self.size, self.parameters, timestep_ms, rng)
-        else:
-            state = IzhikevichPopulation(self.size, self.parameters,
-                                         timestep_ms, rng)
-        return state
+            return LIFPopulation(self.size, self.parameters, timestep_ms)
+        return IzhikevichPopulation(self.size, self.parameters, timestep_ms)
 
     @property
     def is_spike_source(self) -> bool:

@@ -78,6 +78,7 @@ from repro.neuron.connectors import (
 )
 from repro.neuron.engine import (CSRMatrix, pack_synapse_words,
                                  unpack_synapse_words)
+from repro.neuron.kernel import StackedBlock
 from repro.neuron.network import Network, SimulationResult
 from repro.neuron.population import (
     SpikeSourceArray,
@@ -679,16 +680,17 @@ def reference_run(network: Network, duration_ms: float,
     STDP rule.  Returns the result and every projection's (possibly
     learned) rows, in network order.
 
-    Shares the neuron models, the stimulus draws and the seed seams with
-    the shipped loop — the parts under test are the expansion, the
-    propagation and the plasticity rule.
+    Shares the neuron update (a one-lane :class:`StackedBlock` per
+    population), the stimulus draws and the seed seams with the shipped
+    loop — the parts under test are the expansion, the propagation and
+    the plasticity rule.
     """
     effective_seed = network.seed if seed is None else seed
     rng = simulation_rng(effective_seed)
     n_ticks = int(round(duration_ms / network.timestep_ms))
     result = SimulationResult(duration_ms=duration_ms,
                               timestep_ms=network.timestep_ms)
-    states, rings = {}, {}
+    blocks, rings = {}, {}
     for population in network.populations:
         result.spike_counts[population.label] = np.zeros(population.size,
                                                          dtype=int)
@@ -696,8 +698,8 @@ def reference_run(network: Network, duration_ms: float,
             result.spikes[population.label] = []
         if population.is_spike_source:
             continue
-        states[population.label] = population.build_state(
-            network.timestep_ms, rng)
+        blocks[population.label] = StackedBlock(
+            [population.build_state(network.timestep_ms)])
         rings[population.label] = ScalarRing(population.size)
         if population.record_voltages:
             result.voltages[population.label] = np.zeros(
@@ -720,14 +722,17 @@ def reference_run(network: Network, duration_ms: float,
         for population in network.populations:
             if population.is_spike_source:
                 continue
-            state = states[population.label]
-            state.inject_synaptic_input(rings[population.label].drain())
+            block = blocks[population.label]
+            block.inject_synaptic_input(
+                rings[population.label].drain().reshape(1, -1))
             bias = None
             if population.bias_current_na:
-                bias = np.full(population.size, population.bias_current_na)
-            spikes_this_tick[population.label] = state.step(bias)
+                bias = np.full((1, population.size),
+                               population.bias_current_na)
+            spikes_this_tick[population.label] = block.step(bias)[0]
             if population.record_voltages:
-                result.voltages[population.label][tick] = state.v
+                result.voltages[population.label][tick] = \
+                    block.lane_voltages(0)
         for population in network.populations:
             spiking = np.flatnonzero(spikes_this_tick[population.label])
             result.spike_counts[population.label][spiking] += 1

@@ -203,7 +203,7 @@ class TestLegTable:
                 checked += 1
         assert checked > 0
 
-    def test_remap_decodes_only_moved_cores_and_matches_a_cold_compile(self):
+    def test_remap_reuses_cached_legs_and_matches_a_cold_compile(self):
         machine = booted_machine(3, 3, 6)
         pipeline = MappingPipeline(machine, layered_network(), seed=SEED,
                                    max_neurons_per_core=8)
@@ -223,8 +223,9 @@ class TestLegTable:
             for key, leg in data.legs.items():
                 assert_same_leg(leg, cold.core_data[slot].legs[key])
 
-        # Surviving cores keep their very leg objects; only the moved
-        # ones were decoded again, and the pass reports that count.
+        # Surviving cores keep their very leg objects; the moved ones are
+        # given the cached legs at their new slots (nothing is decoded),
+        # and the pass reports the moved cores and their legs.
         moved = {ctx.placement.locations[vertex]
                  for vertex in ctx.moved_vertices}
         assert moved

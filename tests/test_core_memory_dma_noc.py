@@ -126,6 +126,13 @@ class TestSDRAMData:
         assert sdram.peek_block(0, 16).tolist() == [0] * 16
         assert sdram.total_bytes_written == 0
 
+    def test_buffer_block_crossing_the_end_writes_nothing(self):
+        sdram = SDRAM(size_bytes=64)
+        with pytest.raises(ValueError):
+            sdram.write_block(56, np.array([1, 2, 3], dtype=np.uint32))
+        assert len(sdram._words) == 0
+        assert sdram.total_bytes_written == 0
+
     def test_peek_block_charges_nothing(self):
         sdram = SDRAM()
         sdram.write_block(0, [1, 2, 3])

@@ -42,6 +42,7 @@ from repro.neuron.connectors import (
 )
 from repro.neuron.engine import (
     CSRMatrix,
+    RowTable,
     pack_synapse_words,
     unpack_synapse_words,
 )
@@ -378,6 +379,99 @@ class TestCSRMatrix:
                                  for s in rows.get(pre, ())
                                  if 10 <= s.target < 25]
         assert oracles.csr_rows(block) == expected
+
+
+class TestRowTable:
+    """Propagation's one table, checked against each part expanded on
+    its own: rows through ``CSRMatrix.synapse_slots``, ring offsets as
+    ``columns[targets] + delay * width``."""
+
+    N_CELLS = 6
+
+    @staticmethod
+    def parts(rng):
+        """Two parts: cell 2 has rows in both, part 0's row 1 (cell 1)
+        is empty, and cells 3 and 5 have none."""
+        first = CSRMatrix(3, 4, np.array([0, 3, 3, 5]),
+                          np.array([2, 0, 3, 1, 1]),
+                          rng.normal(size=5), np.array([1, 4, 2, 16, 3]))
+        second = CSRMatrix(2, 3, np.array([0, 2, 5]),
+                           np.array([1, 0, 2, 2, 0]),
+                           rng.normal(size=5), np.array([5, 1, 7, 1, 2]))
+        return [(first, np.array([0, 1, 2]), np.array([10, 11, 12, 13])),
+                (second, np.array([4, 2]), np.array([20, 21, 22]))]
+
+    @staticmethod
+    def literal(parts, picked, width):
+        """Offsets and weights of ``(part, row)`` pairs, in that order."""
+        offsets, weights = [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for part, row in picked:
+            csr, _cells, columns = parts[part]
+            slots = csr.synapse_slots(np.array([row]))
+            offsets.append(columns[csr.targets[slots]]
+                           + csr.delay_ticks[slots] * width)
+            weights.append(csr.weights[slots])
+        return np.concatenate(offsets), np.concatenate(weights)
+
+    def test_rows_and_slots_equal_the_per_part_expansion(self, rng):
+        parts = self.parts(rng)
+        ring = DeferredEventBuffer(30, 16)
+        table = RowTable(parts, self.N_CELLS, ring)
+        assert table.offsets.dtype == np.int32
+        first_row = [0, parts[0][0].n_pre]
+        for cells in ([2], [3, 5], [4, 2, 0, 3, 1, 5], [1, 2, 2]):
+            cells = np.array(cells)
+            # Cell by cell; a cell's rows in part order, then row order.
+            picked = [(part, int(row))
+                      for cell in cells for part, (_csr, row_cells, _columns)
+                      in enumerate(parts)
+                      for row in np.flatnonzero(row_cells == cell)]
+            rows, counts = table.rows(cells)
+            assert rows.tolist() == [first_row[part] + row
+                                     for part, row in picked]
+            assert counts.tolist() == [
+                sum(int((row_cells == cell).sum())
+                    for _csr, row_cells, _columns in parts)
+                for cell in cells]
+            slots, lengths = table.slots(rows)
+            assert lengths.tolist() == [
+                int(np.diff(parts[part][0].row_ptr)[row])
+                for part, row in picked]
+            offsets, weights = self.literal(parts, picked, ring.width)
+            assert table.offsets[slots].tolist() == offsets.tolist()
+            assert table.weights[slots].tolist() == weights.tolist()
+
+    def test_sorted_rows_give_per_part_storage_order(self, rng):
+        """The host's element order: part by part, rows ascending within
+        a part, each row's slots in storage order."""
+        parts = self.parts(rng)
+        ring = DeferredEventBuffer(30, 16)
+        table = RowTable(parts, self.N_CELLS, ring)
+        fired = np.array([4, 2, 1, 0])
+        rows, _counts = table.rows(fired)
+        slots, _lengths = table.slots(np.sort(rows))
+        picked = [(part, int(row)) for part, (_csr, row_cells, _columns)
+                  in enumerate(parts)
+                  for row in np.flatnonzero(np.isin(row_cells, fired))]
+        offsets, weights = self.literal(parts, picked, ring.width)
+        assert table.offsets[slots].tolist() == offsets.tolist()
+        assert table.weights[slots].tolist() == weights.tolist()
+        assert [table.spans[part] for part in range(2)] == [slice(0, 5),
+                                                            slice(5, 10)]
+
+    def test_one_part_reads_its_weights_in_place(self, rng):
+        parts = self.parts(rng)[:1]
+        table = RowTable(parts, self.N_CELLS, DeferredEventBuffer(30, 16))
+        assert table.weights is parts[0][0].weights
+
+    def test_over_wide_ring_trips_the_int32_bound(self, rng):
+        # Only the ring's shape is read: no ring that wide is allocated.
+        width = np.iinfo(np.int32).max // (2 * 17) + 1
+        with pytest.raises(AssertionError):
+            RowTable(self.parts(rng), self.N_CELLS,
+                     SimpleNamespace(width=width, n_slots=17))
+        RowTable(self.parts(rng), self.N_CELLS,
+                 SimpleNamespace(width=width - 1, n_slots=17))
 
 
 class TestPackedWordCodec:
