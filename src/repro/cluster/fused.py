@@ -5,12 +5,16 @@ compiled sub-contexts of a sequence of boards, tick-synchronously and
 without the event kernel in the loop: a pool worker's engine steps the
 worker's boards, the serial cluster run's one engine every board.  The timer
 task itself is the tick kernel (:mod:`repro.neuron.kernel`) over the
-boards' cores, concatenated in board order: every placed vertex is a unit
-with the per-core generator (:func:`~repro.neuron.population.core_rng`
-keyed by the core's physical location) the on-machine runtime would give
-it, cores of a model step as one stacked block, and all of them share one
+boards' cores, concatenated in board order: every placed vertex is a
+unit, a spike source's with the per-core generator
+(:func:`~repro.neuron.population.core_rng` keyed by the core's physical
+location) the on-machine runtime would give it (a neuron core draws
+nothing, so it gets none), cores of a model step as one stacked block,
+and all of them share one
 :class:`~repro.neuron.synapse.DeferredEventBuffer`, fed through its
-fixed-point rule (``add_fixed_point``).  What is the
+fixed-point rule (``add_fixed_point``: a batch that fills at least half
+the cells of the delay rows it spans is pre-summed, a sparser one
+scattered).  What is the
 engine's own is the propagate step, and a tick of it is array work with
 no loop over cores:
 
@@ -28,7 +32,11 @@ no loop over cores:
   ring width + column``.  Local and exchanged spikes take the same
   :meth:`FusedBoardEngine._deliver`: cells -> rows -> slots -> one ring
   update, landing at ``tick + 1 + delay``, the arrival tick of the
-  fabric transport at zero timer stagger.
+  fabric transport at zero timer stagger.  The ring picks its add rule
+  per update from the batch's density over the delay rows it spans (a
+  pooled sparse worker's tick scatters, a dense tick pre-sums), and the
+  delivered charge is a sum over the tick's rows of a per-row charge
+  table.
 * **Per-cell tables.**  Whether a cell's core sends and which keyed
   core it belongs to are arrays over the engine's cells: a tick's
   ``packets_sent`` is one ``count_nonzero`` and its batch sizes one
@@ -87,11 +95,13 @@ class FusedBoardEngine:
         self.result = ApplicationResult(duration_ms=0.0)
         self.result.track(populations.values())
         cores = [spec for context in self.contexts for spec in context.cores]
-        units = [TickUnit(populations[spec.vertex.population_label],
-                          spec.vertex.slice_start, spec.vertex.slice_stop,
-                          core_rng(seed, spec.chip.x, spec.chip.y,
-                                   spec.core_id))
-                 for spec in cores]
+        units = []
+        for spec in cores:
+            population = populations[spec.vertex.population_label]
+            units.append(TickUnit(
+                population, spec.vertex.slice_start, spec.vertex.slice_stop,
+                core_rng(seed, spec.chip.x, spec.chip.y, spec.core_id)
+                if population.is_spike_source else None))
         #: The boards' timer task (see :mod:`repro.neuron.kernel`).
         self.kernel = TickKernel(units, timestep_ms, self.result)
         #: The plan cell of the engine's cell 0: the engine's cores are
@@ -121,6 +131,12 @@ class FusedBoardEngine:
         #: Plan cell -> rows (one per board of the engine its key
         #: reaches, in board order) -> ring slots.
         self.table = RowTable(parts, plan.n_cells, self.kernel.ring)
+        # Every weight is an exact multiple of 2^-4 in float64, so a
+        # row's charge, and any sum of rows', is exact in any grouping.
+        n_rows = self.table.row_ptr.size - 1
+        self._row_charge = np.bincount(
+            np.repeat(np.arange(n_rows), np.diff(self.table.row_ptr)),
+            weights=self.table.weights, minlength=n_rows)
 
         # Per-cell tables of the tick: does the cell's core send, and
         # which keyed core's batch does it join.
@@ -168,6 +184,10 @@ class FusedBoardEngine:
         slots, lengths = self.table.slots(rows)
         offsets = self.table.offsets[slots]
         weights = self.table.weights[slots]
+        # Bit-equal to summing ``weights`` (and to a per-leg
+        # accumulation): the per-row charges are exact.
+        self.result.delivered_charge_na += float(
+            self._row_charge[rows].sum())
         # Freed before the ring update, which makes per-event copies of
         # its own: an engine over every board scatters a whole tick here.
         del rows, slots
@@ -176,10 +196,6 @@ class FusedBoardEngine:
             offsets -= np.repeat(np.repeat(ages * self.kernel.ring.width,
                                            rows_per_cell), lengths)
         self.result.synaptic_events += int(offsets.size)
-        # One charge sum over the merged cells: every weight is an exact
-        # multiple of 2^-4 in float64, so the total is exact and
-        # grouping-independent — bit-equal to a per-leg accumulation.
-        self.result.delivered_charge_na += float(weights.sum())
         self.kernel.ring.add_fixed_point(offsets, weights)
 
     def apply_remote(self, cells: np.ndarray,

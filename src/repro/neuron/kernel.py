@@ -17,7 +17,8 @@ of *units that share a tick*.
 A :class:`TickUnit` is ``(population, slice, generator)``: the host
 passes its populations whole with the one simulation generator, a core
 runtime passes its single vertex with its per-core generator, a board
-engine passes its board's cores.  The kernel
+engine passes its board's cores (a generator only for a spike-source
+core: nothing else draws).  The kernel
 
 * groups the neuron units by model into :class:`StackedBlock` lanes
   with a bias grid — one set of array operations steps every unit of a
@@ -28,7 +29,9 @@ engine passes its board's cores.  The kernel
   when the set holds a spike source).  An engine addresses the ring by
   offset ``delay * ring.width + column`` (:meth:`TickKernel.columns`)
   and picks the add rule that fits its weights: element-order float
-  sums for the host, exact fixed-point pre-sums for a core or a board;
+  sums for the host, exact fixed-point sums for a core or a board
+  (pre-summed or scattered, whichever the batch's density makes
+  cheaper);
 * numbers the units' neurons as contiguous *cells* in unit order
   (:attr:`TickUnit.cell` is a unit's first); :meth:`TickKernel.step`
   returns a tick's fired cells as one integer array — the sources',
@@ -218,13 +221,18 @@ class SpikeRecord:
 
 
 class TickUnit:
-    """One ``(population, slice, generator)`` sharing a kernel's tick."""
+    """One ``(population, slice, generator)`` sharing a kernel's tick.
+
+    Only a spike source draws from its generator; a neuron unit may
+    have none (``rng=None``).
+    """
 
     __slots__ = ("population", "slice_start", "slice_stop", "rng",
                  "cell", "base", "group", "lane")
 
     def __init__(self, population: Population, slice_start: int,
-                 slice_stop: int, rng: np.random.Generator) -> None:
+                 slice_stop: int,
+                 rng: Optional[np.random.Generator]) -> None:
         self.population = population
         self.slice_start = slice_start
         self.slice_stop = slice_stop

@@ -71,27 +71,39 @@ def _advance(state, external_current_na: Optional[np.ndarray],
     masks the block's padding out of the returned spikes (padding
     receives no input and is never read, so it cannot influence a valid
     cell).
+
+    The voltage is integrated in place, by the IEEE-754 operations of
+    ``v_rest + r_m * i`` and ``v_inf + (v - v_inf) * alpha_m`` with some
+    operands commuted (which changes no bit), so a caller that keeps a
+    tick's ``v`` or ``refractory_ticks_left`` must copy it.  Both resets
+    are one ``np.where``: a refractory cell is clamped at reset, below
+    threshold (:class:`LIFParameters` checks it), so it cannot fire.
     """
-    i_total = state.synaptic_current.copy()
-    if external_current_na is not None:
-        i_total = i_total + external_current_na
-
     # Exponential-Euler integration towards the steady-state voltage.
-    v_infinity = state._v_rest + state._r_m * i_total
-    new_v = v_infinity + (state.v - v_infinity) * state._alpha_m
+    if external_current_na is None:
+        v_infinity = state.synaptic_current * state._r_m
+    else:
+        v_infinity = state.synaptic_current + external_current_na
+        v_infinity *= state._r_m
+    v_infinity += state._v_rest
+    v = state.v
+    v -= v_infinity
+    v *= state._alpha_m
+    v += v_infinity
 
-    # Refractory neurons are clamped at reset.
-    refractory = state.refractory_ticks_left > 0
-    new_v = np.where(refractory, state._v_reset, new_v)
-    state.refractory_ticks_left = np.maximum(
-        state.refractory_ticks_left - 1, 0)
+    # Refractory neurons are clamped at reset, spiking ones reset.
+    left = state.refractory_ticks_left
+    reset = left > 0
+    spikes = v >= state._v_threshold
+    spikes &= valid
+    spikes &= ~reset
+    reset |= spikes
+    state.v = np.where(reset, state._v_reset, v)
+    left -= 1
+    np.maximum(left, 0, out=left)
+    state.refractory_ticks_left = np.where(spikes, state.refractory_ticks,
+                                           left)
 
-    spikes = (new_v >= state._v_threshold) & valid
-    new_v = np.where(spikes, state._v_reset, new_v)
-    state.refractory_ticks_left = np.where(
-        spikes, state.refractory_ticks, state.refractory_ticks_left)
-
-    state.v = new_v
     # Synaptic current decays after being applied.
     state.synaptic_current *= state._alpha_syn
     return spikes

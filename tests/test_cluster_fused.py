@@ -556,26 +556,44 @@ def ring_offsets(cells, effective_delays, width) -> np.ndarray:
 
 @st.composite
 def ring_batches(draw):
-    """A ring width, a start position and batches of ``(cell, weight,
-    delay, age)`` events: sizes on both sides of the width, delays
-    spanning one row to the whole ring, ages ``0..delay`` and
-    fixed-point weights of both signs, heavy enough to saturate."""
+    """A ring width and batches of ``(ticks, cell, weight, delay, age)``
+    events, each after ``ticks`` drains: delays spanning one row to the
+    whole ring, ages ``0..delay``, fixed-point weights of both signs,
+    heavy enough to saturate, and sizes on both sides of the fixed-point
+    rule's crossover (half as many events as cells in the rows the batch
+    spans).  About half the batches of two events over two rows or
+    more are placed to wrap the ring."""
+    n_slots = MAX_DELAY_TICKS + 1
     width = draw(st.integers(1, 40))
-    position = draw(st.integers(0, 2 * (MAX_DELAY_TICKS + 1)))
+    position = 0
     batches = []
-    for _ in range(draw(st.integers(1, 4))):
-        size = draw(st.sampled_from(
-            [0, 1, max(width // 4 - 1, 0), width // 4 + 1, width - 1, width,
-             width + 1, 2 * width, 5 * width]))
+    for index in range(draw(st.integers(1, 4))):
         age = draw(st.integers(0, MAX_DELAY_TICKS))
         low = draw(st.integers(max(age, 1), MAX_DELAY_TICKS))
         high = draw(st.integers(low, MAX_DELAY_TICKS))
+        n_rows = high - low + 1
+        # A batch of two events or more spans exactly rows low..high
+        # (its first and last events sit there), so it is pre-summed
+        # from ``half`` events on and scattered below.
+        half = -(-n_rows * width // 2)
+        size = draw(st.sampled_from(
+            [0, 1, 2, max(half - 1, 2), half, half + 1, 2 * half]))
+        ticks = draw(st.integers(0, 2 * n_slots if index == 0 else 3))
+        if n_rows > 1 and draw(st.booleans()):
+            # Drain to where the batch's first row sits this many rows
+            # before the ring's end: fewer than it spans, so it wraps.
+            before_end = draw(st.integers(1, n_rows - 1))
+            ticks = (-before_end - (low - age) - position) % n_slots
+        position += ticks
         seed = draw(st.integers(0, 2 ** 16))
         rng = np.random.default_rng(seed)
-        batches.append((rng.integers(0, width, size),
+        delays = rng.integers(low, high + 1, size)
+        if size >= 2:
+            delays[0], delays[-1] = low, high
+        batches.append((ticks, rng.integers(0, width, size),
                         rng.integers(-24000, 24000, size) / 16.0,
-                        rng.integers(low, high + 1, size), age))
-    return width, position, batches
+                        delays, age))
+    return width, batches
 
 
 class TestFixedPointRing:
@@ -583,19 +601,24 @@ class TestFixedPointRing:
     @given(ring_batches())
     def test_offsets_match_the_scalar_ring(self, drawn):
         """``add_fixed_point(offsets, weights)`` lands, wherever the ring
-        stands when a batch arrives, what :class:`ScalarRing` fed event
-        by event lands — the same exact charge in every cell — and
-        drains the same clamped rows and saturation count.  So does
+        stands when a batch arrives and whichever rule the batch's
+        density picks, what :class:`ScalarRing` fed event by event
+        lands — the same exact charge in every cell — and drains the
+        same clamped rows and saturation count.  So does
         ``add_events``, the element-order rule."""
-        width, position, batches = drawn
+        width, batches = drawn
         ring = DeferredEventBuffer(width)
         ordered = DeferredEventBuffer(width)
         scalar = ScalarRing(width)
-        for _ in range(position):
-            ring.drain()
-            ordered.drain()
-            scalar.drain()
-        for cells, weights, delays, age in batches:
+
+        def drain_all(ticks):
+            for _ in range(ticks):
+                expected = scalar.drain()
+                assert np.array_equal(ring.drain(), expected)
+                assert np.array_equal(ordered.drain(), expected)
+
+        for ticks, cells, weights, delays, age in batches:
+            drain_all(ticks)
             offsets = ring_offsets(cells, delays - age, width)
             ring.add_fixed_point(offsets, weights)
             ordered.add_events(offsets, weights)
@@ -604,11 +627,9 @@ class TestFixedPointRing:
                 scalar.add_input(cell, weight, delay, age=age)
             assert np.array_equal(ring._buffer, scalar.buffer)
             assert np.array_equal(ordered._buffer, scalar.buffer)
-        assert ring.events_deferred == scalar.events_deferred
-        for _ in range(MAX_DELAY_TICKS + 1):
-            expected = scalar.drain()
-            assert np.array_equal(ring.drain(), expected)
-            assert np.array_equal(ordered.drain(), expected)
+        assert (ring.events_deferred == ordered.events_deferred
+                == scalar.events_deferred)
+        drain_all(MAX_DELAY_TICKS + 1)
         assert ring.saturations == ordered.saturations == scalar.saturations
 
     def test_ring_offsets_land_in_the_right_columns(self):
@@ -694,11 +715,12 @@ class TestFixedPointRing:
         assert ring.saturations == 1
 
     def test_scatter_and_presum_paths_agree(self):
-        """A batch narrower than the ring scatters in place, a wider one
-        pre-sums over its rows.  The same 96 fixed-point events over
-        three delay rows must land the same cells and saturation count
-        on both sides of ``96 == width``, and at every ring position, so
-        that the row span also wraps."""
+        """A batch with fewer events than half the cells of the rows it
+        spans scatters in place, a denser one pre-sums over its rows.
+        The same 96 fixed-point events over three delay rows must land
+        the same cells and saturation count on both sides of ``2 * 96
+        == 3 * width``, and at every ring position, so that the row span
+        also wraps."""
         rng = np.random.default_rng(9)
         cells = rng.integers(0, 6, size=96)
         weights = rng.integers(-8000, 24001, size=96) / 16.0
@@ -716,7 +738,7 @@ class TestFixedPointRing:
         rows, saturations = fill(6, 0)
         assert saturations > 0
         assert max(max(row) for row in rows) == WEIGHT_SATURATION_NA
-        for width in (6, 95, 96, 97, 127, 128, 129, 500):
+        for width in (6, 63, 64, 65, 95, 96, 97, 127, 128, 129, 500):
             for position in (0, MAX_DELAY_TICKS - 1, MAX_DELAY_TICKS):
                 assert fill(width, position) == (rows, saturations), width
 

@@ -663,8 +663,9 @@ class TestVectorizedBufferScatter:
         charge lands bit for bit the same whatever the batch size, and
         fixed-point charge lands the same on both sides of
         ``add_fixed_point``'s switch from scattering to pre-summing (a
-        batch as wide as the ring).  A cell whose sum passes the weight
-        range mid-batch is clamped once, on the sum, either way."""
+        batch with at least half as many events as cells in the rows it
+        spans).  A cell whose sum passes the weight range mid-batch is
+        clamped once, on the sum, either way."""
         from repro.neuron.synapse import WEIGHT_SATURATION_NA
 
         width, n_events = 8, 24
@@ -692,7 +693,7 @@ class TestVectorizedBufferScatter:
             assert fill(DeferredEventBuffer.add_events, floats,
                         batch) == (rows, saturations), batch
         presummed = fill(DeferredEventBuffer.add_events, fixed, n_events)
-        for batch in (1, width - 1, width, n_events):
+        for batch in (1, width - 1, width, n_events // 2, n_events):
             assert fill(DeferredEventBuffer.add_fixed_point, fixed,
                         batch) == presummed, batch
 
